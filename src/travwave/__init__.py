@@ -22,6 +22,6 @@ from .model2 import (Model2Spectrum, TriplePath, char_poly, c_sharp, spectrum,
                      supersolution, subsolution, solve_vtheta,
                      quasimonotone_check, case2_demo, check_drate)
 from .pde import (evolve_scalar, front_speed, evolve_model1, evolve_model2,
-                  GridState, EvolutionRecord)
+                  EvolutionRecord)
 
 __version__ = "0.1.0"

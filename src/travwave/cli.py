@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import acceptance
+from ._columns import write_columns
 from .control_construct import finite_cost_control
 from .errors import NoSolutionError, TravwaveError
 from .model import Model2Params, make_cubic_model, make_logistic_model, \
@@ -132,10 +133,8 @@ def cmd_optimal(o: Opts) -> int:
         t = prof.trajectory
         ys = t.y_values if t.y_values is not None else np.full_like(t.u_nodes,
                                                                     np.nan)
-        with open(out, "w") as fh:
-            fh.write("u,p,beta,y\n")
-            for u, p, b, y in zip(t.u_nodes, t.p_values, t.beta_values, ys):
-                fh.write(f"{u:.17g},{p:.17g},{b:.17g},{y:.17g}\n")
+        write_columns(out, {"u": t.u_nodes, "p": t.p_values,
+                            "beta": t.beta_values, "y": ys})
         print(f"wrote optimal trajectory to {out}")
     write_json(o.get("json", None, str), o,
                {"u1": prof.u1, "u2": prof.u2, "cost": prof.cost})
@@ -157,10 +156,8 @@ def cmd_effort(o: Opts) -> int:
         print(f"c = {r.c:+.6f}   E = {r.effort:.8g}{flag}")
     out = o.get("out", None, str)
     if out:
-        with open(out, "w") as fh:
-            fh.write("c,E\n")
-            for r in rows:
-                fh.write(f"{r.c:.17g},{r.effort:.17g}\n")
+        write_columns(out, {"c": [r.c for r in rows],
+                            "E": [r.effort for r in rows]})
         print(f"wrote effort table to {out}")
     write_json(o.get("json", None, str), o,
                {"rows": [(r.c, r.effort, r.ok) for r in rows]})
@@ -217,10 +214,9 @@ def cmd_model2(o: Opts) -> int:
         print(f"lambda_min = {s.lambda_min:.10g}  c_sharp = {s.c_sharp:.10g}")
         out = o.get("out", None, str)
         if out:
-            with open(out, "w") as fh:
-                fh.write("index,re,im\n")
-                for i, r in enumerate(np.sort_complex(s.roots)):
-                    fh.write(f"{i},{r.real:.17g},{r.imag:.17g}\n")
+            roots = np.sort_complex(s.roots)
+            write_columns(out, {"index": np.arange(len(roots)),
+                                "re": roots.real, "im": roots.imag})
             print(f"wrote eigenvalue table to {out}")
         write_json(o.get("json", None, str), o,
                    {"classification": s.classification, "lambda1": s.lambda1,

@@ -29,13 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
+from ._columns import write_columns
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params
-from .profile import SpatialProfile
+from .profile import SpatialProfile, _theta_closed_form
 
 __all__ = [
     "Model2Spectrum", "TriplePath", "char_poly", "lambda_min", "p_at_lambda_min",
@@ -77,11 +78,8 @@ class TriplePath:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,u,v,theta\n")
-            for i, x in enumerate(self.x_nodes):
-                fh.write(f"{x:.17g},{self.u_values[i]:.17g},"
-                         f"{self.v_values[i]:.17g},{self.theta_values[i]:.17g}\n")
+        write_columns(path, {"x": self.x_nodes, "u": self.u_values,
+                             "v": self.v_values, "theta": self.theta_values})
 
 
 def char_poly(c: float, params: Model2Params) -> np.ndarray:
@@ -116,14 +114,6 @@ def c_sharp(params: Model2Params) -> float:
         raise ConstructionFailureError(
             f"threshold formula inconsistent: p(lambda_min; c_sharp) = {resid:.3g}")
     return float(cs)
-
-
-def _jacobian(c: float, params: Model2Params) -> np.ndarray:
-    return np.array([
-        [0.0, 1.0, 0.0],
-        [params.d, -c, -params.kappa2],
-        [-params.kappa1 / c, 0.0, 0.0],
-    ])
 
 
 def spectrum(c: float, params: Model2Params,
@@ -191,15 +181,6 @@ def check_drate(f, d: float, n: int = 2001, tol: float = 1e-12) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _theta_bar(x: np.ndarray, u: np.ndarray, c: float, kappa1: float,
-               decay_rate: float) -> np.ndarray:
-    """1 - exp((kappa1/c) int_{-inf}^x U) with the left tail closed in
-    exponential form."""
-    tail = u[0] / decay_rate
-    integral = tail + cumulative_trapezoid(u, x, initial=0.0)
-    return 1.0 - np.exp((kappa1 / c) * integral)
-
-
 def _left_decay_rate(profile: SpatialProfile) -> float:
     lam = profile.meta.get("lambda_left")
     if lam:
@@ -230,7 +211,9 @@ def supersolution(u_profile: SpatialProfile, params: Model2Params,
     u = u_profile.u_values
     vstar = params.v_star
     vplus = np.minimum(u, vstar)
-    theta_bar = _theta_bar(x, u, c, params.kappa1, _left_decay_rate(u_profile))
+    # the left tail of U is closed in exponential form
+    theta_bar = _theta_closed_form(
+        x, u, params.kappa1, c, tail=u[0] / _left_decay_rate(u_profile))
 
     r3 = params.kappa1 * (1.0 - theta_bar) * (vplus - u)
     on_u = u <= vstar
@@ -515,10 +498,6 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
 
     history: list[float] = []
 
-    def theta_of(Vc: np.ndarray) -> np.ndarray:
-        integral = np.clip(cumulative_trapezoid(Vc, x, initial=0.0), 0.0, None)
-        return 1.0 - np.exp((k1 / c) * integral)
-
     def v_residual(Vc: np.ndarray, Thc: np.ndarray) -> np.ndarray:
         lap = (Vc[2:] - 2.0 * Vc[1:-1] + Vc[:-2]) / h**2
         grad = (Vc[2:] - Vc[:-2]) / (2.0 * h)
@@ -537,11 +516,11 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
         omega = 0.5 if sweep < 50 else 1.0
         V_new = _solve_linear_v(x, c, k2 * Th + d + al, k2 * u * Th, 0.0, vstar)
         V = (1.0 - omega) * V + omega * V_new
-        Th = (1.0 - omega) * Th + omega * theta_of(V)
+        Th = (1.0 - omega) * Th + omega * _theta_closed_form(x, V, k1, c)
         defect = float(np.max(np.abs(v_residual(V, Th))))
         history.append(defect)
         if defect <= tol:
-            Th = theta_of(V)
+            Th = _theta_closed_form(x, V, k1, c)
             if float(np.max(np.abs(v_residual(V, Th)))) <= tol:
                 converged = True
                 break
@@ -552,7 +531,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     # is what moves the front along the weakly pinned direction.
     newton_iters = 0
     if not converged:
-        Th = theta_of(V)
+        Th = _theta_closed_form(x, V, k1, c)
         N = n - 2
         idx = np.arange(N)
         weights = np.tril(np.ones((N, N)), -1) * h + np.eye(N) * (h / 2.0)
@@ -575,7 +554,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
             for _ in range(40):
                 V_try = V.copy()
                 V_try[1:-1] += step * dv
-                Th_try = theta_of(V_try)
+                Th_try = _theta_closed_form(x, V_try, k1, c)
                 F_try = v_residual(V_try, Th_try)
                 if float(np.max(np.abs(F_try))) < nrm:
                     V, Th, F = V_try, Th_try, F_try

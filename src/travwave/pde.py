@@ -6,6 +6,9 @@ diffusion).  The comoving frame z = x - c t adds a transport term c u_z,
 discretized by first-order upwinding; its numerical diffusion |c| dz / 2
 is part of the drift tolerance budget of the stationarity checks.
 
+The scalar, Model-1 and Model-2 systems share one explicit-Euler time
+loop; each supplies only its own step arithmetic and bookkeeping.
+
 A traveling profile evolved in its own comoving frame with the matching
 control must stay put; evolved in the lab frame it must translate at its
 design speed, measured by `front_speed` from the u = 1/2 level set.
@@ -17,30 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._columns import write_columns
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
                      InstabilityError)
 from .model import Model2Params, ModelSpec
 from .model2 import check_drate
 from .profile import SpatialProfile
 
-__all__ = ["GridState", "EvolutionRecord", "FrontFit", "evolve_scalar",
+__all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
 
 CFL_LIMIT = 0.4
 BLOWUP_LO, BLOWUP_HI = -0.01, 1.01
-
-
-@dataclass
-class GridState:
-    """Fields on a uniform grid at one instant."""
-
-    x: np.ndarray
-    u: np.ndarray
-    t: float
-    frame: str                  # 'lab' or 'comoving'
-    c: float | None = None
-    v: np.ndarray | None = None
-    theta: np.ndarray | None = None
 
 
 @dataclass
@@ -56,34 +47,17 @@ class EvolutionRecord:
     theta_snapshots: list[np.ndarray] | None = None
     summary: dict = field(default_factory=dict)
 
-    def drift_sup(self) -> float:
-        u0 = self.u_snapshots[0]
-        return max(float(np.max(np.abs(u - u0))) for u in self.u_snapshots)
-
-    def state_at(self, k: int) -> GridState:
-        return GridState(
-            self.x, self.u_snapshots[k], float(self.times[k]), self.frame,
-            self.c,
-            self.v_snapshots[k] if self.v_snapshots is not None else None,
-            self.theta_snapshots[k] if self.theta_snapshots is not None
-            else None)
-
     def to_csv(self, path) -> None:
-        cols = "t,x,u"
+        """One row per snapshot and cell: t,x,u[,v][,theta]."""
+        n_x = len(self.x)
+        cols = {"t": np.repeat(self.times, n_x),
+                "x": np.tile(self.x, len(self.times)),
+                "u": np.concatenate(self.u_snapshots)}
         if self.v_snapshots is not None:
-            cols += ",v"
+            cols["v"] = np.concatenate(self.v_snapshots)
         if self.theta_snapshots is not None:
-            cols += ",theta"
-        with open(path, "w") as fh:
-            fh.write(cols + "\n")
-            for k, t in enumerate(self.times):
-                for i, x in enumerate(self.x):
-                    row = f"{t:.17g},{x:.17g},{self.u_snapshots[k][i]:.17g}"
-                    if self.v_snapshots is not None:
-                        row += f",{self.v_snapshots[k][i]:.17g}"
-                    if self.theta_snapshots is not None:
-                        row += f",{self.theta_snapshots[k][i]:.17g}"
-                    fh.write(row + "\n")
+            cols["theta"] = np.concatenate(self.theta_snapshots)
+        write_columns(path, cols)
 
 
 def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
@@ -129,12 +103,18 @@ def _field_on_grid(initial, x) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _alpha_table(alpha_of_x, x_span, pad=80.0, n=20001):
+def _alpha_lookup(alpha_of_x, x, x_span, speed):
+    """The control on the grid as a function of t: None without a control,
+    a static field, or alpha_of_x translated at `speed`."""
     if alpha_of_x is None:
-        return None
-    zs = np.linspace(x_span[0] - pad, x_span[1] + pad, n)
-    vals = np.asarray([float(alpha_of_x(z)) for z in zs])
-    return zs, np.nan_to_num(vals, nan=0.0)
+        return lambda t: None
+    zs = np.linspace(x_span[0] - 80.0, x_span[1] + 80.0, 20001)
+    vals = np.nan_to_num(np.asarray([float(alpha_of_x(z)) for z in zs]),
+                         nan=0.0)
+    if speed in (None, 0.0):
+        static = np.interp(x, zs, vals)
+        return lambda t: static
+    return lambda t: np.interp(x - speed * t, zs, vals)
 
 
 def _guard(u: np.ndarray, t: float) -> None:
@@ -142,6 +122,72 @@ def _guard(u: np.ndarray, t: float) -> None:
     if lo < BLOWUP_LO or hi > BLOWUP_HI:
         raise InstabilityError(f"field left [{BLOWUP_LO}, {BLOWUP_HI}] at "
                                f"t={t:.3f} (min={lo:.3g}, max={hi:.3g})")
+
+
+def _drift(snaps: list[np.ndarray]) -> float:
+    return max(float(np.max(np.abs(s - snaps[0]))) for s in snaps)
+
+
+def _evolve(initial: dict, system, T, c_frame, x_span, dx, dt, snapshot_dt,
+            alpha_of_x=None, control_speed=None) -> EvolutionRecord:
+    """Explicit-Euler time loop shared by the evolve_* systems.
+
+    `initial` maps field names to initial data: 'u' first, then 'v' and/or
+    'theta' (the names of EvolutionRecord's snapshot lists).  The loop owns
+    the grid and CFL set-up, the control lookup (static, or in the lab
+    frame translated at `control_speed`), the blow-up guard on every field
+    every 50 steps and at each snapshot, the snapshot cadence and the
+    per-field drift.  `system(dx, dt, fields)` validates the fields on the
+    grid and returns (step, report): step(fields, alpha) gives the
+    fields one dt later (alpha is None without a control), and
+    report(record) gives the system's own summary entries after the run.
+    """
+    x, dx, dt = _setup(x_span, dx, dt, c_frame)
+    fields = tuple(_field_on_grid(init, x) for init in initial.values())
+    step, report = system(dx, dt, fields)
+    alpha_at = _alpha_lookup(alpha_of_x, x, x_span,
+                             control_speed if c_frame is None else None)
+    n_steps = int(round(T / dt))
+    snap_every = max(1, int(round(snapshot_dt / dt)))
+
+    times = [0.0]
+    snaps = [[f.copy()] for f in fields]
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        fields = step(fields, alpha_at(t))
+        t = k * dt
+        snapshot = k % snap_every == 0 or k == n_steps
+        if snapshot or k % 50 == 0:
+            for f in fields:
+                _guard(f, t)
+        if snapshot:
+            times.append(t)
+            for s, f in zip(snaps, fields):
+                s.append(f.copy())
+
+    rec = EvolutionRecord(
+        x=x, times=np.asarray(times), dx=dx, dt=dt, c=c_frame,
+        frame="lab" if c_frame is None else "comoving",
+        **{f"{name}_snapshots": s for name, s in zip(initial, snaps)})
+    drift = [_drift(s) for s in snaps]
+    rec.summary = {"max_drift": drift[0]}
+    rec.summary.update({f"{name}_drift": d
+                        for name, d in zip(list(initial)[1:], drift[1:])})
+    if len(drift) > 1:
+        rec.summary["joint_drift"] = max(drift)
+    rec.summary.update(report(rec))
+    rec.summary.update(T=T, n_steps=n_steps)
+    return rec
+
+
+def _scalar_rhs(spec: ModelSpec, u, alpha, dx, c_frame) -> np.ndarray:
+    """u_xx + f(u) - beta(u, alpha), plus c u_z in the comoving frame."""
+    rhs = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float)
+    if alpha is not None:
+        rhs = rhs - np.asarray(spec.beta_from_alpha(u, alpha), dtype=float)
+    if c_frame is not None:
+        rhs = rhs + c_frame * _upwind(u, dx, c_frame)
+    return rhs
 
 
 def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
@@ -155,49 +201,25 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
     control field); in the lab frame a moving control is produced by
     `control_speed`, translating alpha_of_x at that speed.
     """
-    frame = "lab" if c_frame is None else "comoving"
-    x, dx, dt = _setup(x_span, dx, dt, c_frame)
-    u = _field_on_grid(initial, x)
-    table = _alpha_table(alpha_of_x, x_span)
-    n_steps = int(round(T / dt))
-    snap_every = max(1, int(round(snapshot_dt / dt)))
-
-    times = [0.0]
-    snaps = [u.copy()]
-    max_exc = 0.0
-    has_beta = table is not None and spec.beta_from_alpha is not None
-    if table is not None and spec.beta_from_alpha is None:
+    if alpha_of_x is not None and spec.beta_from_alpha is None:
         raise ConfigError(f"{spec.label} has no control channel "
                           "(beta_from_alpha missing)")
-    alpha_static = None
-    if has_beta and (frame == "comoving" or control_speed in (None, 0.0)):
-        alpha_static = np.interp(x, table[0], table[1])
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        rhs = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float)
-        if has_beta:
-            if alpha_static is not None:
-                al = alpha_static
-            else:
-                al = np.interp(x - control_speed * t, table[0], table[1])
-            rhs = rhs - np.asarray(spec.beta_from_alpha(u, al), dtype=float)
-        if frame == "comoving":
-            rhs = rhs + c_frame * _upwind(u, dx, c_frame)
-        u = u + dt * rhs
-        t = k * dt
-        if k % 50 == 0:
-            _guard(u, t)
-        if k % snap_every == 0 or k == n_steps:
-            _guard(u, t)
-            max_exc = max(max_exc, float(np.max(u)) - 1.0, -float(np.min(u)))
-            times.append(t)
-            snaps.append(u.copy())
+    def system(dx, dt, fields):
+        def step(fields, alpha):
+            (u,) = fields
+            return (u + dt * _scalar_rhs(spec, u, alpha, dx, c_frame),)
 
-    rec = EvolutionRecord(x, np.asarray(times), snaps, dx, dt, frame, c_frame)
-    rec.summary = {"max_drift": rec.drift_sup(), "max_excursion": max_exc,
-                   "T": T, "n_steps": n_steps}
-    return rec
+        def report(rec):
+            max_exc = 0.0
+            for u in rec.u_snapshots[1:]:
+                max_exc = max(max_exc, float(np.max(u)) - 1.0,
+                              -float(np.min(u)))
+            return {"max_excursion": max_exc}
+        return step, report
+
+    return _evolve({"u": initial}, system, T, c_frame, x_span, dx, dt,
+                   snapshot_dt, alpha_of_x, control_speed)
 
 
 @dataclass
@@ -263,61 +285,35 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
     The running cost integral of control plus infected trees is
     accumulated per step into summary['cost_integral'].
     """
-    frame = "lab" if c_frame is None else "comoving"
-    x, dx, dt = _setup(x_span, dx, dt, c_frame)
-    u = _field_on_grid(initial_u, x)
-    th = _field_on_grid(initial_theta, x)
-    table = _alpha_table(alpha_of_moving_frame, x_span)
-    has_beta = table is not None and spec.beta_from_alpha is not None
-    alpha_static = None
-    if has_beta and (frame == "comoving" or control_speed in (None, 0.0)):
-        alpha_static = np.interp(x, table[0], table[1])
+    def system(dx, dt, fields):
+        cost = 0.0
+        theta_monotone = True
 
-    n_steps = int(round(T / dt))
-    snap_every = max(1, int(round(snapshot_dt / dt)))
-    times = [0.0]
-    snaps = [u.copy()]
-    th_snaps = [th.copy()]
-    cost = 0.0
-    theta_monotone = True
+        def step(fields, alpha):
+            nonlocal cost, theta_monotone
+            u, th = fields
+            if c_frame is not None:
+                th_new = th + dt * (c_frame * _upwind(th, dx, c_frame)
+                                    + kappa1 * u * (1.0 - th))
+            else:
+                th_new = 1.0 - (1.0 - th) * np.exp(-kappa1 * u * dt)
+                if np.any(th_new < th - 1e-12):
+                    theta_monotone = False
+            cost += dt * dx * float(np.sum(
+                (alpha if alpha is not None else 0.0) + th))
+            return (u + dt * _scalar_rhs(spec, u, alpha, dx, c_frame),
+                    np.clip(th_new, 0.0, 1.0))
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        al = None
-        if has_beta:
-            al = alpha_static if alpha_static is not None else \
-                np.interp(x - control_speed * t, table[0], table[1])
-        rhs = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float)
-        if al is not None:
-            rhs = rhs - np.asarray(spec.beta_from_alpha(u, al), dtype=float)
-        if frame == "comoving":
-            rhs = rhs + c_frame * _upwind(u, dx, c_frame)
-            th_new = th + dt * (c_frame * _upwind(th, dx, c_frame)
-                                + kappa1 * u * (1.0 - th))
-        else:
-            th_new = 1.0 - (1.0 - th) * np.exp(-kappa1 * u * dt)
-            if np.any(th_new < th - 1e-12):
-                theta_monotone = False
-        cost += dt * dx * float(np.sum((al if al is not None else 0.0) + th))
-        u = u + dt * rhs
-        th = np.clip(th_new, 0.0, 1.0)
-        t = k * dt
-        if k % 50 == 0:
-            _guard(u, t)
-        if k % snap_every == 0 or k == n_steps:
-            _guard(u, t)
-            times.append(t)
-            snaps.append(u.copy())
-            th_snaps.append(th.copy())
+        def report(rec):
+            return {"cost_integral": cost,
+                    "theta_monotone_in_t": theta_monotone}
+        return step, report
 
-    rec = EvolutionRecord(x, np.asarray(times), snaps, dx, dt, frame, c_frame,
-                          theta_snapshots=th_snaps)
-    th_drift = max(float(np.max(np.abs(s - th_snaps[0]))) for s in th_snaps)
-    rec.summary = {"max_drift": rec.drift_sup(), "theta_drift": th_drift,
-                   "joint_drift": max(rec.drift_sup(), th_drift),
-                   "cost_integral": cost, "theta_monotone_in_t": theta_monotone,
-                   "T": T, "n_steps": n_steps}
-    return rec
+    # a spec without a control channel evolves uncontrolled
+    alpha = alpha_of_moving_frame if spec.beta_from_alpha is not None \
+        else None
+    return _evolve({"u": initial_u, "theta": initial_theta}, system, T,
+                   c_frame, x_span, dx, dt, snapshot_dt, alpha, control_speed)
 
 
 def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
@@ -333,60 +329,36 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
     if params is None:
         params = Model2Params(1.0, 1.0, 1.0)
     check_drate(spec.f, params.d)
-    x, dx, dt = _setup(x_span, dx, dt, c_frame)
-    frame = "lab" if c_frame is None else "comoving"
-    u = _field_on_grid(initial_u, x)
-    v = _field_on_grid(initial_v, x)
-    th = _field_on_grid(initial_theta, x)
-    if np.any(v > u + 1e-9):
-        raise ConfigError("initial data violates v <= u")
-    table = _alpha_table(alpha_of_x, x_span)
-    al = np.interp(x, table[0], table[1]) if table is not None else \
-        np.zeros_like(x)
     k1, k2, d = params.kappa1, params.kappa2, params.d
 
-    n_steps = int(round(T / dt))
-    snap_every = max(1, int(round(snapshot_dt / dt)))
-    times = [0.0]
-    snaps, v_snaps, th_snaps = [u.copy()], [v.copy()], [th.copy()]
-    d_inv = 0.0
+    def system(dx, dt, fields):
+        u, v, _ = fields
+        if np.any(v > u + 1e-9):
+            raise ConfigError("initial data violates v <= u")
 
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        rhs_u = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float) - al * u
-        rhs_v = _laplacian(v, dx) + k2 * (u - v) * th - (al + d) * v
-        rhs_th = k1 * v * (1.0 - th)
-        if frame == "comoving":
-            rhs_u = rhs_u + c_frame * _upwind(u, dx, c_frame)
-            rhs_v = rhs_v + c_frame * _upwind(v, dx, c_frame)
-            rhs_th = rhs_th + c_frame * _upwind(th, dx, c_frame)
-        u = u + dt * rhs_u
-        v = v + dt * rhs_v
-        th = th + dt * rhs_th
-        t = k * dt
-        if k % 50 == 0:
-            _guard(u, t)
-            _guard(v, t)
-        if k % snap_every == 0 or k == n_steps:
-            _guard(u, t)
-            _guard(v, t)
-            _guard(th, t)
-            d_inv = max(d_inv, float(np.max(v - u)),
-                        -float(np.min(v)), -float(np.min(th)),
-                        float(np.max(th)) - 1.0, float(np.max(u)) - 1.0,
-                        -float(np.min(u)))
-            times.append(t)
-            snaps.append(u.copy())
-            v_snaps.append(v.copy())
-            th_snaps.append(th.copy())
+        def step(fields, alpha):
+            u, v, th = fields
+            al = 0.0 if alpha is None else alpha
+            rhs_u = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float) \
+                - al * u
+            rhs_v = _laplacian(v, dx) + k2 * (u - v) * th - (al + d) * v
+            rhs_th = k1 * v * (1.0 - th)
+            if c_frame is not None:
+                rhs_u = rhs_u + c_frame * _upwind(u, dx, c_frame)
+                rhs_v = rhs_v + c_frame * _upwind(v, dx, c_frame)
+                rhs_th = rhs_th + c_frame * _upwind(th, dx, c_frame)
+            return u + dt * rhs_u, v + dt * rhs_v, th + dt * rhs_th
 
-    rec = EvolutionRecord(x, np.asarray(times), snaps, dx, dt, frame, c_frame,
-                          v_snapshots=v_snaps, theta_snapshots=th_snaps)
-    drift = rec.drift_sup()
-    v_drift = max(float(np.max(np.abs(s - v_snaps[0]))) for s in v_snaps)
-    th_drift = max(float(np.max(np.abs(s - th_snaps[0]))) for s in th_snaps)
-    rec.summary = {"max_drift": drift, "v_drift": v_drift,
-                   "theta_drift": th_drift,
-                   "joint_drift": max(drift, v_drift, th_drift),
-                   "d_invariance": d_inv, "T": T, "n_steps": n_steps}
-    return rec
+        def report(rec):
+            d_inv = 0.0
+            for u, v, th in zip(rec.u_snapshots[1:], rec.v_snapshots[1:],
+                                rec.theta_snapshots[1:]):
+                d_inv = max(d_inv, float(np.max(v - u)),
+                            -float(np.min(v)), -float(np.min(th)),
+                            float(np.max(th)) - 1.0, float(np.max(u)) - 1.0,
+                            -float(np.min(u)))
+            return {"d_invariance": d_inv}
+        return step, report
+
+    return _evolve({"u": initial_u, "v": initial_v, "theta": initial_theta},
+                   system, T, c_frame, x_span, dx, dt, snapshot_dt, alpha_of_x)

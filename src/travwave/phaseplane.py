@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
+from ._columns import write_columns
 from .errors import InvalidParameterError, NotASaddleError, SingularityError
 from .model import ModelSpec
 
@@ -69,22 +70,11 @@ class PhaseTrajectory:
     def interp_p(self) -> PchipInterpolator:
         return PchipInterpolator(self.u_nodes, self.p_values, extrapolate=True)
 
-    def interp_beta(self) -> PchipInterpolator:
-        beta = self.beta_values if self.beta_values is not None \
-            else np.zeros_like(self.u_nodes)
-        return PchipInterpolator(self.u_nodes, beta, extrapolate=False)
-
-    @property
-    def u_span(self) -> tuple[float, float]:
-        return float(self.u_nodes[0]), float(self.u_nodes[-1])
-
     def to_csv(self, path) -> None:
         beta = self.beta_values if self.beta_values is not None \
             else np.zeros_like(self.u_nodes)
-        with open(path, "w") as fh:
-            fh.write("u,p,beta\n")
-            for u, p, b in zip(self.u_nodes, self.p_values, beta):
-                fh.write(f"{u:.17g},{p:.17g},{b:.17g}\n")
+        write_columns(path, {"u": self.u_nodes, "p": self.p_values,
+                             "beta": beta})
 
 
 def saddle_eigenvalues(spec: ModelSpec, c: float, u_eq: float) -> tuple[float, float]:

@@ -20,8 +20,6 @@ the root.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,11 +356,7 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
 def effort_curve(spec: ModelSpec, c_grid, tol: float = 1e-10,
                  c_star: float | None = None,
                  keep_profiles: bool = False) -> list[EffortRow]:
-    """Table of (c, E(c)) rows; failures are recorded per row, not raised.
-
-    Rows are independent; TRAVWAVE_THREADS > 1 enables a thread pool
-    (integration work releases the GIL inside scipy).
-    """
+    """Table of (c, E(c)) rows; failures are recorded per row, not raised."""
     if c_star is None:
         c_star = natural_speed(spec)
     cs = sorted(float(c) for c in np.atleast_1d(c_grid))
@@ -379,10 +373,4 @@ def effort_curve(spec: ModelSpec, c_grid, tol: float = 1e-10,
         except Exception as exc:  # per-row failure is a data point
             return EffortRow(c, float("nan"), False, message=str(exc))
 
-    workers = int(os.environ.get("TRAVWAVE_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, cs))
-    else:
-        rows = [row(c) for c in cs]
-    return rows
+    return [row(c) for c in cs]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from ._columns import write_columns
 from .errors import (IntegrabilityError, InvalidTrajectoryError,
                      NonexistenceError)
 from .model import ModelSpec
@@ -47,10 +48,6 @@ class SpatialProfile:
     f_values: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def interp_u(self):
-        from scipy.interpolate import PchipInterpolator
-        return PchipInterpolator(self.x_nodes, self.u_values, extrapolate=False)
-
     def u_at(self, x) -> np.ndarray:
         """U on arbitrary points, exponential tails beyond the grid."""
         x = np.asarray(x, dtype=float)
@@ -73,14 +70,10 @@ class SpatialProfile:
                          left=0.0, right=0.0)[()]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,u,p,alpha,theta\n")
-            theta = self.theta_values
-            for i, x in enumerate(self.x_nodes):
-                th = f"{theta[i]:.17g}" if theta is not None else ""
-                fh.write(f"{x:.17g},{self.u_values[i]:.17g},"
-                         f"{self.p_values[i]:.17g},"
-                         f"{self.alpha_values[i]:.17g},{th}\n")
+        """Columns x,u,p,alpha,theta; theta is empty when not computed."""
+        write_columns(path, {"x": self.x_nodes, "u": self.u_values,
+                             "p": self.p_values, "alpha": self.alpha_values,
+                             "theta": self.theta_values})
 
 
 def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec,
@@ -156,6 +149,20 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec,
                                 "anchor_index": k_anchor + (120 if lam_left is not None else 0)})
 
 
+def _theta_closed_form(x, u, kappa1: float, c: float,
+                       tail: float = 0.0) -> np.ndarray:
+    """Theta = 1 - exp((kappa1/c) int_{-inf}^x U) on the grid x.
+
+    `tail` is the integral of U left of x[0].  The integral is clipped at
+    0 so that an integrand of mixed sign (a trial V of solve_vtheta's
+    Newton line search) cannot push Theta below 0; for a non-negative
+    integrand the clip does nothing.
+    """
+    integral = np.clip(tail + cumulative_trapezoid(u, x, initial=0.0),
+                       0.0, None)
+    return 1.0 - np.exp((kappa1 / c) * integral)
+
+
 def theta_model1(profile: SpatialProfile, kappa1: float, c: float,
                  end_tol: float = 1e-4) -> SpatialProfile:
     """Infected-tree fraction Theta along a leftward wave (c < 0).
@@ -182,11 +189,8 @@ def theta_model1(profile: SpatialProfile, kappa1: float, c: float,
     lam_l = profile.meta.get("lambda_left")
     if lam_l is None:
         lam_l = max(rep.lambda_fit, 1e-6)
-    tail_integral = u[0] / lam_l
-
     ratio = kappa1 / c  # negative
-    integral = tail_integral + cumulative_trapezoid(u, x, initial=0.0)
-    theta = 1.0 - np.exp(ratio * integral)
+    theta = _theta_closed_form(x, u, kappa1, c, tail=u[0] / lam_l)
 
     # extend rightward analytically (U ~ 1 there) until Theta reaches 1
     if theta[-1] < 1.0 - end_tol:

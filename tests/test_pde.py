@@ -82,15 +82,6 @@ def test_front_too_close_to_boundary(weed):
         front_speed(rec)
 
 
-def test_grid_state_view(weed):
-    rec = evolve_scalar(weed, lambda x: 0.5, T=1.0, x_span=(-5, 5), dx=0.5,
-                        snapshot_dt=0.5)
-    st = rec.state_at(1)
-    assert st.t == pytest.approx(rec.times[1])
-    assert st.frame == "lab" and st.v is None
-    assert np.all(st.u == rec.u_snapshots[1])
-
-
 def test_front_speed_refinement(weed):
     speeds = []
     for dx in (0.1, 0.05):
@@ -133,6 +124,28 @@ def test_model1_comoving_stationarity(weed, spatial01):
                         alpha_of_moving_frame=spatial01.alpha_at, kappa1=0.02,
                         c_frame=-0.1, T=50.0, x_span=(-60, 120), dx=0.05)
     assert rec.summary["joint_drift"] <= 1e-2
+
+
+@pytest.mark.parametrize("c_frame", [None, -0.1])
+def test_inert_extra_fields_leave_u_unchanged(weed, c_frame):
+    # all three systems advance u with the same arithmetic, so inert extra
+    # fields (theta = 0 with kappa1 = 0; v = theta = 0 without a control)
+    # must reproduce the scalar run bit for bit
+    u0 = lambda x: 1.0 / (1.0 + np.exp(-x))
+    alpha = lambda x: 0.05 if abs(x) < 2.0 else 0.0
+    kw = dict(T=2.0, c_frame=c_frame, x_span=(-10, 10), dx=0.1,
+              snapshot_dt=0.5)
+    zero = lambda x: 0.0
+    scalar = evolve_scalar(weed, u0, **kw)
+    controlled = evolve_scalar(weed, u0, alpha_of_x=alpha, **kw)
+    m1 = evolve_model1(weed, u0, zero, alpha_of_moving_frame=alpha,
+                       kappa1=0.0, **kw)
+    m2 = evolve_model2(weed, u0, zero, zero, **kw)
+    assert len(scalar.u_snapshots) == 5
+    for rec, ref in ((m1, controlled), (m2, scalar)):
+        assert np.array_equal(rec.times, ref.times)
+        for u, u_ref in zip(rec.u_snapshots, ref.u_snapshots, strict=True):
+            assert np.array_equal(u, u_ref)
 
 
 def test_model2_right_state_stationary():

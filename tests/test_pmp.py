@@ -104,8 +104,11 @@ def test_no_solution_reports_scan_table(weed, c_star_weed):
     # far above the reachable speed range the shooting map has no root
     with pytest.raises(NoSolutionError) as info:
         optimal_profile(weed, 0.75, c_star=c_star_weed)
-    exc = info.value
-    assert exc.phi_table is None or len(exc.phi_table) >= 0
+    table = np.asarray(info.value.phi_table)
+    assert table.ndim == 2 and table.shape[0] > 0 and table.shape[1] == 2
+    assert np.all(np.isfinite(table))
+    phi = table[:, 1]
+    assert np.all(phi < 0.0) or np.all(phi > 0.0)
 
 
 def test_effort_row_independence(weed, c_star_weed, opt01):
@@ -119,8 +122,7 @@ def test_effort_requires_admissible_speeds(weed, c_star_weed):
         effort_curve(weed, [c_star_weed - 0.1], c_star=c_star_weed)
 
 
-def test_effort_thread_pool_path(weed, c_star_weed, opt01, monkeypatch):
-    monkeypatch.setenv("TRAVWAVE_THREADS", "2")
+def test_effort_thread_pool_path(weed, c_star_weed, opt01):
     rows = effort_curve(weed, [c_star_weed, -0.1], c_star=c_star_weed)
     assert rows[0].effort == 0.0
     assert rows[1].effort == pytest.approx(opt01.cost, rel=1e-9)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .control_construct import cost_of, finite_cost_control
+from .control_construct import cost_of, default_substitute, finite_cost_control
 from .errors import NonexistenceError
 from .model import Model2Params, check_A2, make_cubic_model, make_weed_model
 from .model2 import c_sharp, case2_demo, solve_vtheta, spectrum, subsolution, \
@@ -24,7 +25,7 @@ from .pde import evolve_model2, evolve_scalar, front_speed
 from .phaseplane import slope_bound, stable_manifold, unstable_manifold
 from .pmp import effort_curve, optimal_profile, pmp_residual
 from .profile import alpha_multiplicative, reconstruct_x, theta_model1
-from .speed import manifold_gap, natural_speed
+from .speed import manifold_gap, modified_speed, natural_speed
 
 __all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
 
@@ -46,53 +47,54 @@ class CriterionResult:
         return self.elapsed <= self.budget
 
 
-_store: dict = {}
-
-
+@cache
 def _weed():
-    if "weed" not in _store:
-        _store["weed"] = make_weed_model(1.0 / 3.0)
-    return _store["weed"]
+    return make_weed_model(1.0 / 3.0)
 
 
+@cache
 def _c_star():
-    if "c_star" not in _store:
-        _store["c_star"] = natural_speed(_weed())
-    return _store["c_star"]
+    return natural_speed(_weed())
 
 
+@cache
 def _optimal_01():
-    if "opt01" not in _store:
-        _store["opt01"] = optimal_profile(_weed(), -0.1, c_star=_c_star())
-    return _store["opt01"]
+    return optimal_profile(_weed(), -0.1, c_star=_c_star())
 
 
+@cache
 def _spatial_01():
-    if "sp01" not in _store:
-        _store["sp01"] = reconstruct_x(_optimal_01().trajectory, _weed())
-    return _store["sp01"]
+    return reconstruct_x(_optimal_01().trajectory, _weed())
 
 
+@cache
 def _effort_rows():
-    if "effort" not in _store:
-        grid = [_c_star()] + EFFORT_GRID_TAIL
-        _store["effort"] = effort_curve(_weed(), grid, c_star=_c_star(),
-                                        keep_profiles=True)
-    return _store["effort"]
+    grid = [_c_star()] + EFFORT_GRID_TAIL
+    return effort_curve(_weed(), grid, c_star=_c_star(), keep_profiles=True)
 
 
+@cache
 def _m2_pipeline():
     """Scaled cubic with exact c* = -1.05, PMP-controlled at c = -0.9."""
-    if "m2" not in _store:
-        spec = make_cubic_model(0.15, 4.5)
-        c_star = natural_speed(spec)
-        prof = optimal_profile(spec, -0.9, c_star=c_star)
-        sp = reconstruct_x(prof.trajectory, spec)
-        alpha = alpha_multiplicative(sp)
-        params = Model2Params(1.0, 1.0, 1.0)
-        _store["m2"] = {"spec": spec, "c_star": c_star, "profile": prof,
-                        "spatial": sp, "alpha": alpha, "params": params}
-    return _store["m2"]
+    spec = make_cubic_model(0.15, 4.5)
+    c_star = natural_speed(spec)
+    prof = optimal_profile(spec, -0.9, c_star=c_star)
+    sp = reconstruct_x(prof.trajectory, spec)
+    alpha = alpha_multiplicative(sp)
+    params = Model2Params(1.0, 1.0, 1.0)
+    return {"spec": spec, "c_star": c_star, "profile": prof,
+            "spatial": sp, "alpha": alpha, "params": params}
+
+
+@cache
+def _m2_sandwich():
+    """Model-2 barriers at c = -0.9 and the exact (V, Theta) between them."""
+    m2 = _m2_pipeline()
+    sup = supersolution(m2["spatial"], m2["params"], -0.9)
+    sub = subsolution(m2["spatial"], m2["alpha"], m2["params"], -0.9)
+    sol = solve_vtheta(m2["spatial"], m2["alpha"], m2["params"], -0.9,
+                       sub=sub, sup=sup)
+    return sup, sub, sol
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -163,17 +165,15 @@ def criterion_5() -> tuple[bool, str]:
     rows = _effort_rows()
     spec = _weed()
     c_star = _c_star()
-    fh = None
+    c_hat = modified_speed(spec, default_substitute(spec))
     details = []
     ok = True
     for r in rows:
         if abs(r.c - c_star) <= 1e-9:
             constructed = 0.0  # zero control realizes the natural speed
         else:
-            con = finite_cost_control(spec, r.c, c_star=c_star,
-                                      c_hat=_store.get("c_hat"), f_hat=fh)
-            _store.setdefault("c_hat", con.meta.get("c_hat"))
-            constructed = con.cost
+            constructed = finite_cost_control(spec, r.c, c_star=c_star,
+                                              c_hat=c_hat).cost
         good = r.effort <= constructed + 1e-9
         ok &= good
         details.append(f"c={r.c:+.3f}: E={r.effort:.4f} <= "
@@ -230,15 +230,12 @@ def criterion_7() -> tuple[bool, str]:
 def criterion_8() -> tuple[bool, str]:
     """Barrier sandwich and exact (V, Theta) for the insect/tree system."""
     m2 = _m2_pipeline()
-    sup = supersolution(m2["spatial"], m2["params"], -0.9)
-    sub = subsolution(m2["spatial"], m2["alpha"], m2["params"], -0.9)
+    sup, sub, sol = _m2_sandwich()
     tol = 1e-6
     sup_ok = (float(np.max(sup.residuals["second"])) <= tol
               and float(np.max(sup.residuals["third"])) <= tol)
     sub_ok = (float(np.min(sub.residuals["second"])) >= -tol
               and float(np.min(sub.residuals["third"])) >= -tol)
-    sol = solve_vtheta(m2["spatial"], m2["alpha"], m2["params"], -0.9,
-                       sub=sub, sup=sup)
     x = sol.x_nodes
     vstar = m2["params"].v_star
     v_lo = np.interp(x, sub.x_nodes, sub.v_values, left=0.0, right=vstar)
@@ -252,9 +249,6 @@ def criterion_8() -> tuple[bool, str]:
                 and bool(np.all(sol.theta_values <= th_hi + slack)))
     v_end_err = abs(sol.meta["v_right_end"] - vstar)
     ok = sup_ok and sub_ok and sandwich and v_end_err <= 1e-3
-    _store["m2_solution"] = sol
-    _store["m2_sub"] = sub
-    _store["m2_sup"] = sup
     return ok, (f"supersolution residuals <= 0: {sup_ok}, subsolution "
                 f"residuals >= 0: {sub_ok}, sandwich within 1e-6: {sandwich}, "
                 f"|V(+inf) - 0.5| = {v_end_err:.2e} (tol 1e-3); "
@@ -352,10 +346,7 @@ def criterion_11() -> tuple[bool, str]:
                    "(1e-5 rel)", e_rel <= 1e-5, f"rel change {e_rel:.1e}"))
 
     m2 = _m2_pipeline()
-    sol = _store.get("m2_solution")
-    if sol is None:
-        criterion_8()
-        sol = _store["m2_solution"]
+    _, _, sol = _m2_sandwich()
     u0 = lambda x: float(m2["spatial"].u_at(x))
     v0 = lambda x: float(np.interp(x, sol.x_nodes, sol.v_values, left=0.0,
                                    right=m2["params"].v_star))

@@ -86,7 +86,7 @@ def write_json(path, o: Opts, results: dict) -> None:
             fh.write("\n")
 
 
-def _scalar_profile(o: Opts, spec, c):
+def _scalar_profile(spec, c):
     c_star = natural_speed(spec)
     prof = optimal_profile(spec, c, c_star=c_star)
     return c_star, prof, reconstruct_x(prof.trajectory, spec)
@@ -167,7 +167,7 @@ def cmd_effort(o: Opts) -> int:
 def cmd_profile(o: Opts) -> int:
     spec = build_model(o)
     c = o.get("c", -0.1)
-    c_star, prof, sp = _scalar_profile(o, spec, c)
+    c_star, prof, sp = _scalar_profile(spec, c)
     print(f"c = {c:g} (c* = {c_star:.6g})  cost = {prof.cost:.8g}  "
           f"x-range [{sp.x_nodes[0]:.2f}, {sp.x_nodes[-1]:.2f}]")
     out = o.get("out", None, str)
@@ -183,7 +183,7 @@ def cmd_model1(o: Opts) -> int:
     spec = build_model(o)
     c = o.get("c", -0.1)
     kappa1 = o.get("kappa1", 1.0)
-    c_star, prof, sp = _scalar_profile(o, spec, c)
+    c_star, prof, sp = _scalar_profile(spec, c)
     thp = theta_model1(sp, kappa1, c)
     print(f"theta ends: {thp.theta_values[0]:.3g} .. "
           f"{thp.theta_values[-1]:.8g}  (kappa1 = {kappa1:g}, c = {c:g})")
@@ -236,7 +236,7 @@ def cmd_model2(o: Opts) -> int:
     if sub == "profile":
         c = o.get("c", -0.9)
         spec = build_model(o)
-        c_star, prof, sp = _scalar_profile(o, spec, c)
+        c_star, prof, sp = _scalar_profile(spec, c)
         alpha = alpha_multiplicative(sp)
         sup = supersolution(sp, params, c)
         subp = subsolution(sp, alpha, params, c)
@@ -263,7 +263,7 @@ def cmd_pde(o: Opts) -> int:
     T = o.get("T", 50.0)
     dx = o.get("dx", 0.05)
     span = (o.get("xmin", -60.0), o.get("xmax", 60.0))
-    c_star, prof, sp = _scalar_profile(o, spec, c)
+    c_star, prof, sp = _scalar_profile(spec, c)
     results: dict = {"c_star": c_star}
     if sub == "scalar":
         rec = evolve_scalar(spec, sp, alpha_of_x=sp.alpha_at, c_frame=c, T=T,
@@ -278,7 +278,7 @@ def cmd_pde(o: Opts) -> int:
         rec = evolve_model1(spec, thp, theta0, alpha_of_moving_frame=sp.alpha_at,
                             kappa1=kappa1, c_frame=c, T=T, x_span=span, dx=dx)
         print(f"joint drift over T={T:g}: {rec.summary['joint_drift']:.4g}")
-        results.update({k: v for k, v in rec.summary.items()})
+        results.update(rec.summary)
     elif sub == "model2":
         params = model2_params(o)
         alpha = alpha_multiplicative(sp)

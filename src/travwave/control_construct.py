@@ -30,6 +30,7 @@ from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
+from ._roots import bisect
 from .errors import (CapExceededError, ConstructionFailureError,
                      InvalidParameterError, NoControlNeeded, SingularCostError)
 from .model import ModelSpec
@@ -63,19 +64,26 @@ class ConcatProfile:
 
 
 def merge_pieces(pieces, c: float) -> PhaseTrajectory:
-    """Join trajectories into one increasing-node trajectory."""
-    us, ps, bs = [], [], []
+    """Join trajectories into one increasing-node trajectory.
+
+    The adjoint samples are NaN on pieces that carry none, and absent when
+    no piece carries any.
+    """
+    cols = []
     for k, piece in enumerate(pieces):
         u = piece.u_nodes
-        p = piece.p_values
-        b = piece.beta_values if piece.beta_values is not None else np.zeros_like(u)
-        if k > 0 and len(us) and len(u) and abs(u[0] - us[-1][-1]) < 1e-12:
-            u, p, b = u[1:], p[1:], b[1:]
-        us.append(u)
-        ps.append(p)
-        bs.append(b)
-    return PhaseTrajectory(np.concatenate(us), np.concatenate(ps), c,
-                           "concatenated", beta_values=np.concatenate(bs))
+        col = (u, piece.p_values,
+               piece.beta_values if piece.beta_values is not None
+               else np.zeros_like(u),
+               piece.y_values if piece.y_values is not None
+               else np.full_like(u, np.nan))
+        if k > 0 and len(u) and abs(u[0] - cols[-1][0][-1]) < 1e-12:
+            col = tuple(a[1:] for a in col)
+        cols.append(col)
+    u, p, b, y = (np.concatenate(a) for a in zip(*cols))
+    has_y = any(piece.y_values is not None for piece in pieces)
+    return PhaseTrajectory(u, p, c, "concatenated", beta_values=b,
+                           y_values=y if has_y else None)
 
 
 def _slice_to(traj: PhaseTrajectory, u_hi: float, p_at) -> PhaseTrajectory:
@@ -130,39 +138,33 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
     # well-conditioned abscissa u0 >= u0_floor.
     u0_floor = min(1e-3, 0.01 * us)
 
-    def backward(gamma: float):
+    arc = None
+
+    def crossed(gamma: float) -> bool:
+        """Whether the backward orbit meets P_flat; keeps the last that does."""
+        nonlocal arc
         traj = integrate_pu(spec, c, gamma, u_from=us, p_from=p_top,
                             u_to=u0_floor,
                             stop_when=lambda u, p: p - float(pflat(u)),
                             direction=-1)
-        crossed = traj.terminated_by == "event"
-        return crossed, traj
+        if traj.terminated_by == "event":
+            arc = traj
+        return traj.terminated_by == "event"
 
     gamma = spec.max_f()
-    crossed, traj = backward(gamma)
     lo = 0.0
     doublings = 0
-    while not crossed:
+    while not crossed(gamma):
         if doublings >= max_doublings:
             raise CapExceededError(
                 f"no crossing of P_flat after {max_doublings} doublings "
                 f"(gamma={gamma:g})")
         lo = gamma
         gamma *= 2.0
-        crossed, traj = backward(gamma)
         doublings += 1
 
-    hi, hi_traj = gamma, traj
-    while hi - lo > gamma_tol:
-        mid = 0.5 * (lo + hi)
-        crossed, traj = backward(mid)
-        if crossed:
-            hi, hi_traj = mid, traj
-        else:
-            lo = mid
-
-    gamma = hi
-    arc = hi_traj
+    _, gamma = bisect(lambda g: 1.0 if crossed(g) else -1.0, lo, gamma,
+                      gamma_tol)
     u0 = float(arc.u_nodes[0])
 
     flat_piece = _slice_to(flat, u0, pflat)
@@ -265,26 +267,16 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     u_bar = flat.termination_u if flat.terminated_by == "p_zero" else 1.0
 
     # left endpoint of the auxiliary orbit: bisect on 'reaches U=1 with P>0'
+    def side(a):
+        return -1.0 if _pcprime_orbit(sub_spec, c_prime, a)[0] else 1.0
+
     u_hat_star = sub_spec.u_star
     lo = min(1e-3, 0.05 * u_hat_star)
-    reached_lo, _ = _pcprime_orbit(sub_spec, c_prime, lo)
-    if not reached_lo:
+    if side(lo) > 0.0:
         raise ConstructionFailureError(
             f"auxiliary orbit not found: even a={lo:g} fails to reach U=1")
     hi = 0.999 * u_hat_star
-    reached_hi, _ = _pcprime_orbit(sub_spec, c_prime, hi)
-    if reached_hi:
-        a0 = hi
-    else:
-        a_lo, a_hi = lo, hi
-        while a_hi - a_lo > 1e-10:
-            mid = 0.5 * (a_lo + a_hi)
-            ok, _ = _pcprime_orbit(sub_spec, c_prime, mid)
-            if ok:
-                a_lo = mid
-            else:
-                a_hi = mid
-        a0 = a_lo
+    a0 = hi if side(hi) < 0.0 else bisect(side, lo, hi, 1e-10)[0]
     a_use = 0.75 * a0
     ok, sol = _pcprime_orbit(sub_spec, c_prime, a_use)
     if not ok:

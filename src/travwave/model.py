@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import sign_changes
 from .errors import DomainError, InvalidParameterError
 
 __all__ = [
@@ -268,15 +268,8 @@ def check_A1(spec: ModelSpec, n_samples: int = 2001, tol: float = 1e-10) -> A1Re
     clauses.append(("df(0)<0", d0 < 0.0, f"df(0)={d0:.6g}"))
     clauses.append(("df(1)<0", d1 < 0.0, f"df(1)={d1:.6g}"))
 
-    u = np.linspace(0.0, 1.0, n_samples)[1:-1]
-    fu = np.asarray(spec.f(u), dtype=float)
-    sgn = np.sign(np.where(np.abs(fu) <= tol, 0.0, fu))
-    crossings: list[float] = []
-    nz = np.nonzero(sgn)[0]
-    for i, j in zip(nz[:-1], nz[1:]):
-        if sgn[i] * sgn[j] < 0:
-            crossings.append(float(brentq(lambda x: float(spec.f(x)), u[i], u[j],
-                                          xtol=1e-14)))
+    crossings = list(sign_changes(spec.f, np.linspace(0.0, 1.0, n_samples)[1:-1],
+                                  tol))
     clauses.append(("unique interior sign change", len(crossings) == 1,
                     f"found {len(crossings)} sign changes at {crossings}"))
 

@@ -119,7 +119,7 @@ def _alpha_lookup(alpha_of_x, x, x_span, speed):
 
 def _guard(u: np.ndarray, t: float) -> None:
     lo, hi = float(np.min(u)), float(np.max(u))
-    if lo < BLOWUP_LO or hi > BLOWUP_HI:
+    if not (BLOWUP_LO <= lo and hi <= BLOWUP_HI):  # NaN fails both
         raise InstabilityError(f"field left [{BLOWUP_LO}, {BLOWUP_HI}] at "
                                f"t={t:.3f} (min={lo:.3g}, max={hi:.3g})")
 

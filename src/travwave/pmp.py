@@ -26,7 +26,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .control_construct import cost_of, natural_heteroclinic
+from ._roots import bisect
+from .control_construct import (_slice_from, _slice_to, cost_of, merge_pieces,
+                                natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError)
 from .model import ModelSpec, check_A1, check_A2
@@ -254,17 +256,17 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
 
     roots = []
     for lo, hi, flo, fhi in brackets:
-        best_u, best_phi = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = phi_of(mid)
-            if abs(fmid) < abs(best_phi):
-                best_u, best_phi = mid, fmid
-            if flo * fmid <= 0.0:
-                hi, fhi = mid, fmid
-            else:
-                lo, flo = mid, fmid
-        roots.append((best_u, best_phi))
+        best = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
+
+        def side(u1):
+            nonlocal best
+            fmid = phi_of(u1)
+            if abs(fmid) < abs(best[1]):
+                best = (u1, fmid)
+            return -flo * fmid
+
+        bisect(side, lo, hi, tol)
+        roots.append(best)
 
     roots.sort(key=lambda r: r[0])
     u1_root, phi_root = roots[0]
@@ -280,26 +282,8 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
         -np.asarray(spec.L_beta(arc.u_nodes, np.zeros_like(arc.u_nodes)),
                     dtype=float))
 
-    keep_lo = flat.u_nodes < u1_root - 1e-14
-    left = PhaseTrajectory(
-        np.concatenate((flat.u_nodes[keep_lo], [u1_root])),
-        np.concatenate((flat.p_values[keep_lo], [float(p_flat(u1_root))])),
-        c, "unstable_manifold")
-    keep_hi = sharp.u_nodes > u2 + 1e-14
-    right = PhaseTrajectory(
-        np.concatenate(([u2], sharp.u_nodes[keep_hi])),
-        np.concatenate(([float(p_sharp(u2))], sharp.p_values[keep_hi])),
-        c, "stable_manifold")
-
-    us = np.concatenate((left.u_nodes, arc.u_nodes[1:], right.u_nodes[1:]))
-    ps = np.concatenate((left.p_values, arc.p_values[1:], right.p_values[1:]))
-    bs = np.concatenate((np.zeros(len(left.u_nodes)), arc.beta_values[1:],
-                         np.zeros(len(right.u_nodes) - 1)))
-    ys = np.concatenate((np.full(len(left.u_nodes), np.nan),
-                         arc.y_values[1:],
-                         np.full(len(right.u_nodes) - 1, np.nan)))
-    traj = PhaseTrajectory(us, ps, c, "concatenated", beta_values=bs,
-                           y_values=ys)
+    traj = merge_pieces((_slice_to(flat, u1_root, p_flat), arc,
+                         _slice_from(sharp, u2, p_sharp)), c)
 
     cost = cost_of(spec, arc)
     diag = ShootingDiagnostics(True, u1_root, phi_root,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import bisect, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, check_A1
 from .phaseplane import stable_manifold, unstable_manifold
@@ -61,16 +61,8 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
         g_lo, g_hi = g(lo), g(hi)
         expansions += 1
 
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_lo * g_mid < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+    # g has the sign of g_lo at the lower end of every sub-bracket
+    return np.mean(bisect(lambda c: -g_lo * g(c), lo, hi, 2.0 * tol))
 
 
 def make_substitute_spec(spec: ModelSpec, f_hat: Callable, df_hat=None) -> ModelSpec:
@@ -89,15 +81,8 @@ def make_substitute_spec(spec: ModelSpec, f_hat: Callable, df_hat=None) -> Model
     else:
         dfh = df_hat
 
-    u = np.linspace(0.0, 1.0, 4001)[1:-1]
-    vals = np.asarray(fh(u), dtype=float)
-    sgn = np.sign(np.where(np.abs(vals) <= 1e-12, 0.0, vals))
-    nz = np.nonzero(sgn)[0]
-    zero = None
-    for i, j in zip(nz[:-1], nz[1:]):
-        if sgn[i] * sgn[j] < 0:
-            zero = float(brentq(lambda x: float(fh(x)), u[i], u[j], xtol=1e-14))
-            break
+    zero = next(sign_changes(fh, np.linspace(0.0, 1.0, 4001)[1:-1], 1e-12),
+                None)
     if zero is None:
         raise InvalidSubstituteError("substitute has no interior sign change")
 

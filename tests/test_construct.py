@@ -7,8 +7,8 @@ import pytest
 
 from travwave.control_construct import (bang_control, cost_of,
                                         finite_cost_control)
-from travwave.errors import (InvalidParameterError, NoControlNeeded,
-                             SingularCostError)
+from travwave.errors import (CapExceededError, InvalidParameterError,
+                             NoControlNeeded, SingularCostError)
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
 
@@ -41,6 +41,12 @@ def test_bang_above_natural_speed(weed, c_star_weed):
     assert np.all(traj.beta_values[~inside] == 0.0)
     # bang control spends beyond the barrier below u*: infinite cost
     assert cost_of(weed, traj) == np.inf
+
+
+def test_bang_doubling_cap(weed, c_star_weed):
+    # at c = 0 the orbit needs gamma ~ 0.084 > max f ~ 0.078: one doubling
+    with pytest.raises(CapExceededError):
+        bang_control(weed, 0.0, c_star=c_star_weed, max_doublings=0)
 
 
 def test_bang_crossing_monotone_in_gamma(weed, c_star_weed):

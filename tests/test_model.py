@@ -86,6 +86,19 @@ def test_check_a1_degenerate_zero_function(weed):
     assert any(name == "df(0)<0" and not ok for name, ok, _ in rep.clauses)
 
 
+def test_check_a1_reports_every_interior_zero(weed):
+    zeros = (0.2, 0.5, 0.8)
+    f = lambda u: -np.asarray(u) * np.prod([np.asarray(u) - z for z in zeros],
+                                           axis=0) * (1.0 - np.asarray(u))
+    spec = ModelSpec(f, f, 0.5, weed.L, weed.L_beta, weed.L_betabeta,
+                     weed.L_ubeta, weed.beta_max, "three zeros")
+    rep = check_A1(spec)
+    assert rep.sign_changes == pytest.approx(list(zeros), abs=1e-12)
+    assert not dict((name, ok) for name, ok, _ in rep.clauses)[
+        "unique interior sign change"]
+    assert not rep.passed
+
+
 def test_check_a2_weed(weed):
     rep = check_A2(weed)
     assert rep.passed

@@ -52,6 +52,12 @@ def test_blowup_guard(weed):
         evolve_scalar(spec, lambda x: 1.0, T=5.0, x_span=(-5, 5), dx=0.1)
 
 
+def test_blowup_guard_catches_nan(weed):
+    with pytest.raises(InstabilityError):
+        evolve_scalar(weed, lambda x: float("nan") if abs(x) < 0.5 else 0.0,
+                      T=1.0, x_span=(-5, 5), dx=0.1)
+
+
 def test_comparison_preserved(weed):
     lo = lambda x: 0.5 / (1.0 + np.exp(-x))
     hi = lambda x: 0.2 + 0.6 / (1.0 + np.exp(-x))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from travwave.errors import InvalidParameterError, InvalidSubstituteError
+import travwave.speed
+from travwave.errors import (BracketFailureError, InvalidParameterError,
+                            InvalidSubstituteError)
 from travwave.model import make_logistic_model, make_weed_model
 from travwave.speed import manifold_gap, modified_speed, natural_speed
 
@@ -37,6 +39,12 @@ def test_speed_sign_follows_mass():
 def test_monostable_rejected():
     with pytest.raises(InvalidParameterError):
         natural_speed(make_logistic_model(1.0))
+
+
+def test_no_gap_sign_change_raises(weed, monkeypatch):
+    monkeypatch.setattr(travwave.speed, "manifold_gap", lambda *a, **k: 1.0)
+    with pytest.raises(BracketFailureError):
+        natural_speed(weed)
 
 
 def test_gap_monotone_and_zero_at_cstar(weed, c_star_weed):

@@ -74,6 +74,12 @@ def _effort_rows():
 
 
 @cache
+def _c_hat():
+    """Speed of the default substitute, the upper end for constructed controls."""
+    return modified_speed(_weed(), default_substitute(_weed()))
+
+
+@cache
 def _m2_pipeline():
     """Scaled cubic with exact c* = -1.05, PMP-controlled at c = -0.9."""
     spec = make_cubic_model(0.15, 4.5)
@@ -165,7 +171,6 @@ def criterion_5() -> tuple[bool, str]:
     rows = _effort_rows()
     spec = _weed()
     c_star = _c_star()
-    c_hat = modified_speed(spec, default_substitute(spec))
     details = []
     ok = True
     for r in rows:
@@ -173,7 +178,7 @@ def criterion_5() -> tuple[bool, str]:
             constructed = 0.0  # zero control realizes the natural speed
         else:
             constructed = finite_cost_control(spec, r.c, c_star=c_star,
-                                              c_hat=c_hat).cost
+                                              c_hat=_c_hat()).cost
         good = r.effort <= constructed + 1e-9
         ok &= good
         details.append(f"c={r.c:+.3f}: E={r.effort:.4f} <= "
@@ -302,7 +307,7 @@ def criterion_11() -> tuple[bool, str]:
                    "tolerances (1e-6)", abs(c_ref - c_star) <= 1e-6,
                    f"|dc| = {abs(c_ref - c_star):.1e}"))
 
-    con = finite_cost_control(spec, -0.1, c_star=c_star)
+    con = finite_cost_control(spec, -0.1, c_star=c_star, c_hat=_c_hat())
     j1 = cost_of(spec, con.pieces[1], refine=False)
     j2 = cost_of(spec, con.pieces[1], refine=True)
     rel = abs(j2 - j1) / max(abs(j2), 1e-300)

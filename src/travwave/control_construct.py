@@ -70,16 +70,17 @@ def merge_pieces(pieces, c: float) -> PhaseTrajectory:
     no piece carries any.
     """
     cols = []
-    for k, piece in enumerate(pieces):
+    for piece in pieces:
         u = piece.u_nodes
         col = (u, piece.p_values,
                piece.beta_values if piece.beta_values is not None
                else np.zeros_like(u),
                piece.y_values if piece.y_values is not None
                else np.full_like(u, np.nan))
-        if k > 0 and len(u) and abs(u[0] - cols[-1][0][-1]) < 1e-12:
+        if cols and len(u) and abs(u[0] - cols[-1][0][-1]) < 1e-12:
             col = tuple(a[1:] for a in col)
-        cols.append(col)
+        if len(col[0]):  # a one-node piece at a joint leaves nothing
+            cols.append(col)
     u, p, b, y = (np.concatenate(a) for a in zip(*cols))
     has_y = any(piece.y_values is not None for piece in pieces)
     return PhaseTrajectory(u, p, c, "concatenated", beta_values=b,
@@ -129,9 +130,9 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
 
     us = spec.u_star
     flat = unstable_manifold(spec, c, u_stop=us)
-    sharp_low = stable_manifold(spec, c, u_stop=us)
+    sharp = stable_manifold(spec, c, u_stop=us)
     pflat = flat.interp_p()
-    p_top = float(sharp_low.p_values[0])  # P_sharp(u*)
+    p_top = float(sharp.p_values[0])  # P_sharp(u*)
 
     # The infimum gamma lands the crossing exactly on the (0,0) corner, so
     # the search targets the smallest gamma whose crossing sits at a
@@ -170,8 +171,7 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
     flat_piece = _slice_to(flat, u0, pflat)
     arc.beta_values = np.where(
         (arc.u_nodes > u0 + 1e-14) & (arc.u_nodes < us - 1e-14), gamma, 0.0)
-    sharp_full = stable_manifold(spec, c, u_stop=us)
-    merged = merge_pieces((flat_piece, arc, sharp_full), c)
+    merged = merge_pieces((flat_piece, arc, sharp), c)
     merged.meta["gamma"] = gamma
     merged.meta["u0"] = u0
     return gamma, u0, merged
@@ -237,7 +237,6 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
         raise InvalidParameterError(
             f"speed ordering violated: c={c:g} < c*={c_star:.8g}")
     if c <= c_star + SPEED_GUARD:
-        het = natural_heteroclinic(spec, c_star)
         flat = unstable_manifold(spec, c_star, u_stop=spec.u_star)
         sharp = stable_manifold(spec, c_star, u_stop=spec.u_star)
         return ConcatProfile(
@@ -246,7 +245,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
                                    c_star, "controlled",
                                    beta_values=np.array([0.0])), sharp),
             spec.u_star, spec.u_star, lambda u: 0.0, 0.0, c, c_star, 0.0,
-            meta={"trivial": True, "trajectory": het})
+            meta={"trivial": True})
 
     if f_hat is None:
         f_hat = default_substitute(spec)

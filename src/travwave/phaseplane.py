@@ -164,7 +164,7 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
     return u, p, terminated_by, u_end
 
 
-def unstable_manifold(spec: ModelSpec, c: float, beta=None, u_stop: float = 1.0,
+def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
                       eps_seed: float = EPS_SEED, rtol: float = RTOL,
                       atol: float = ATOL) -> PhaseTrajectory:
     """Branch P_flat leaving (0,0) along the unstable eigendirection.
@@ -178,17 +178,15 @@ def unstable_manifold(spec: ModelSpec, c: float, beta=None, u_stop: float = 1.0,
     lam_p, _ = saddle_eigenvalues(spec, c, 0.0)
     u0, p0 = eps_seed, lam_p * eps_seed
     u, p, terminated_by, u_end = _integrate_chart(
-        spec, c, beta, u0, p0, u_stop, rtol=rtol, atol=atol)
+        spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
     u = np.concatenate(([0.0], u))
     p = np.concatenate(([0.0], p))
     if terminated_by == "p_zero" and abs(u_end - 1.0) < 1e-5:
         u = np.concatenate((u, [1.0]))
         p = np.concatenate((p, [0.0]))
-    bfun = _beta_or_zero(beta)
     return PhaseTrajectory(
-        u, p, c, "unstable_manifold",
-        beta_values=np.array([bfun(x) for x in u]),
+        u, p, c, "unstable_manifold", beta_values=np.zeros_like(u),
         terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end,
         seed_offset=eps_seed, seed_slope=lam_p)

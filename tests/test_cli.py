@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+import travwave.acceptance as acc
+import travwave.cli as cli
 from travwave.cli import main
+from travwave.control_construct import finite_cost_control
+
+M2_ARGS = ["--model", "cubic", "--ustar", "0.15", "--rate", "4.5",
+           "--c", "-0.9"]
 
 
 def test_speed_prints_cstar(capsys):
@@ -122,3 +130,90 @@ def test_verify_single_criterion(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("PASS")
+
+
+@pytest.mark.parametrize("content, needle", [
+    ("model = weed\nustar\n", "'ustar'"),      # line without '='
+    ("ustar = abc\n", "'abc'"),                 # non-numeric value
+    (None, "run.cfg"),                          # missing file
+])
+def test_config_errors_exit_one(tmp_path, capsys, content, needle):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_text(content)
+    rc = main(["speed", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and needle in err
+
+
+@pytest.fixture
+def cached_profiles(monkeypatch):
+    """Serve c*, c_hat and the optimal profiles from the session cache."""
+    def speed(spec, **kwargs):
+        return acc._m2_pipeline()["c_star"] if spec.u_star == 0.15 \
+            else acc._c_star()
+
+    def construct(spec, c, c_prime=None):
+        return finite_cost_control(spec, c, c_prime=c_prime,
+                                   c_star=acc._c_star(), c_hat=acc._c_hat())
+
+    def optimal(spec, c, c_star=None):
+        prof = acc._m2_pipeline()["profile"] if c == -0.9 \
+            else acc._optimal_01()
+        assert prof.c == c
+        return prof
+
+    monkeypatch.setattr(cli, "natural_speed", speed)
+    monkeypatch.setattr(cli, "optimal_profile", optimal)
+    monkeypatch.setattr(cli, "finite_cost_control", construct)
+
+
+PDE_GRID = ["--T", "1", "--dx", "0.2"]
+
+
+@pytest.mark.parametrize("argv, header, keys", [
+    (["construct", "--c", "-0.1"], "u,p,beta",
+     ["u1", "u2_tilde", "c_prime", "cost"]),
+    (["profile", "--c", "-0.1"], "x,u,p,alpha,theta", ["c_star", "cost"]),
+    (["model1", "--c", "-0.1"], "x,u,p,alpha,theta",
+     ["theta_left", "theta_right"]),
+    (["model2", "profile", *M2_ARGS], "x,u,v,theta",
+     ["v_right_end", "defect"]),
+    (["pde", "scalar", "--c", "-0.1", *PDE_GRID], "t,x,u",
+     ["c_star", "max_drift", "max_excursion", "T", "n_steps"]),
+    (["pde", "model1", "--c", "-0.1", *PDE_GRID], "t,x,u,theta",
+     ["c_star", "max_drift", "theta_drift", "joint_drift", "cost_integral",
+      "theta_monotone_in_t", "T", "n_steps"]),
+    (["pde", "model2", *M2_ARGS, *PDE_GRID], "t,x,u,v,theta",
+     ["c_star", "max_drift", "v_drift", "theta_drift", "joint_drift",
+      "d_invariance", "T", "n_steps"]),
+])
+def test_csv_and_json_artifacts(tmp_path, capsys, cached_profiles, argv,
+                                header, keys):
+    csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+    rc = main([*argv, "--out", str(csv), "--json", str(js)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert f"to {csv}" in out
+    assert csv.read_text().splitlines()[0] == header
+    payload = json.loads(js.read_text())
+    assert payload["config"]["out"] == str(csv)
+    assert payload["config"]["json"] == str(js)
+    assert list(payload["config"])[-2:] == ["out", "json"]
+    assert list(payload["results"]) == keys
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+def test_construct_at_natural_speed(tmp_path, capsys, with_out):
+    # u* = 1/2 gives c* = 0 exactly: the trivial zero-cost construction
+    csv = tmp_path / "het.csv"
+    rc = main(["construct", "--ustar", "0.5", "--c", "0",
+               *(["--out", str(csv)] if with_out else [])])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "cost = 0" in out
+    if with_out:
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+        assert np.all(np.diff(rows[:, 0]) > 0.0)
+        assert np.all(rows[:, 2] == 0.0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from travwave.control_construct import (bang_control, cost_of,
-                                        finite_cost_control)
+                                        finite_cost_control,
+                                        natural_heteroclinic)
 from travwave.errors import (CapExceededError, InvalidParameterError,
                              NoControlNeeded, SingularCostError)
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
@@ -140,6 +141,16 @@ def test_trivial_construction_at_cstar(weed, c_star_weed):
     prof = finite_cost_control(weed, c_star_weed, c_star=c_star_weed)
     assert prof.cost == 0.0
     assert prof.meta.get("trivial")
+
+
+def test_trivial_trajectory_is_heteroclinic(weed, c_star_weed):
+    # the one-node middle piece coincides with both joints and is dropped
+    t = finite_cost_control(weed, c_star_weed, c_star=c_star_weed).trajectory
+    het = natural_heteroclinic(weed, c_star_weed)
+    assert np.array_equal(t.u_nodes, het.u_nodes)
+    assert np.array_equal(t.p_values, het.p_values)
+    assert np.all(t.beta_values == 0.0)
+    assert np.all(np.diff(t.u_nodes) > 0.0)
 
 
 def test_merged_trajectory_monotone(weed, c_star_weed):

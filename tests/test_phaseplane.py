@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from travwave.errors import InvalidParameterError, NotASaddleError
+from travwave.errors import (InvalidParameterError, NotASaddleError,
+                             SingularityError)
 from travwave.model import make_logistic_model, make_weed_model
 from travwave.phaseplane import (integrate_pu, saddle_eigenvalues,
                                  slope_bound, stable_manifold,
@@ -177,3 +178,11 @@ def test_csv_export(tmp_path, weed):
     lines = out.read_text().splitlines()
     assert lines[0] == "u,p,beta"
     assert len(lines) == len(traj.u_nodes) + 1
+
+
+def test_integrator_failure_raises_singularity(weed):
+    # a NaN control past U = 0.6 makes the step size collapse there
+    with pytest.raises(SingularityError) as info:
+        integrate_pu(weed, -0.1, lambda u: np.nan if u > 0.6 else 0.0,
+                     u_from=0.5, p_from=0.2, u_to=0.9)
+    assert info.value.location == pytest.approx(0.6, abs=1e-6)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import sign_changes
-from .errors import DomainError, InvalidParameterError
+from .errors import ConvexityViolationError, DomainError, InvalidParameterError
 
 __all__ = [
     "ModelSpec",
@@ -48,6 +48,10 @@ class ModelSpec:
     coefficient is fixed to 1 by rescaling space.  ``beta_max(u)`` is the
     finiteness boundary of ``L(u, .)``; ``beta_from_alpha`` inverts the
     cost map, returning the removal rate produced by spending alpha.
+    ``pmp_rhs(u, P, beta, c) -> (dP, dbeta)``, when given, is a plain-float
+    right-hand side of the Pontryagin system (see `travwave.pmp`) computed
+    directly from the model's parameters; without it the solvers build one
+    from the callables above.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -60,6 +64,7 @@ class ModelSpec:
     beta_max: Callable[[np.ndarray], np.ndarray]
     label: str
     beta_from_alpha: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    pmp_rhs: Callable[[float, float, float, float], tuple[float, float]] | None = None
 
     def max_f(self, n: int = 2001) -> float:
         u = np.linspace(0.0, 1.0, n)
@@ -153,9 +158,32 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
         alpha = np.asarray(alpha, dtype=float)
         return np.maximum(m_of(u), 0.0) * alpha / (1.0 + alpha)
 
+    def pmp_rhs(u, P, beta, c):
+        # the generic right-hand side with f, beta_max and the cost partials
+        # inlined as plain floats: same clamp, same partials, same guard.
+        # gap**3 goes through numpy's power, as in the array partials above
+        # (its SIMD loop can round differently from float.__pow__), so the
+        # two paths agree to the bit.
+        m = k * u * (u - a)
+        fv = m * (1.0 - u)
+        b = min(max(beta, 0.0), (1.0 - 1e-12) * (m if u > a else 0.0))
+        gap = m - b
+        gap3 = float(np.power(gap, 3))
+        inside = 0.0 <= b < m and gap3 > 0.0
+        Lbb = 2.0 * m / gap3 if inside else np.inf
+        if not 0.0 < Lbb < np.inf:
+            raise ConvexityViolationError(
+                f"L_betabeta({u:.6f}, {b:.3g}) = {Lbb:g} is not positive")
+        Lb = m / (gap * gap)
+        Lub = -(k * (2.0 * u - a)) * (m + b) / gap3
+        P2 = P**2
+        dP = -c + (beta - fv) / P
+        db = (((b - fv) / P2) * Lb - (b / gap) / P2 - Lub) / Lbb
+        return dP, db
+
     label = f"cubic(u_star={a:g})" if k == 1.0 else f"cubic(u_star={a:g}, rate={k:g})"
     return ModelSpec(f, df, a, L, L_beta, L_betabeta, L_ubeta, beta_max, label,
-                     beta_from_alpha)
+                     beta_from_alpha, pmp_rhs)
 
 
 def make_weed_model(u_star: float) -> ModelSpec:

@@ -30,7 +30,7 @@ from ._roots import bisect
 from .control_construct import (_slice_from, _slice_to, cost_of, merge_pieces,
                                 natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
-                     NoSolutionError)
+                     NoSolutionError, TravwaveError)
 from .model import ModelSpec, check_A1, check_A2
 from .phaseplane import PhaseTrajectory, stable_manifold, unstable_manifold
 from .speed import natural_speed
@@ -95,6 +95,33 @@ class EffortRow:
     profile: OptimalProfile | None = None
 
 
+def _generic_rhs(spec: ModelSpec):
+    """(P, beta) right-hand side built from the spec's array callables.
+
+    Used for specs without a fused ``pmp_rhs``.  RK trial stages may probe
+    just outside the admissible strip 0 <= beta < beta_max (the events cut
+    the real path there); the cost partials are evaluated at the clamped
+    control.  A non-positive L_betabeta raises ConvexityViolationError.
+    """
+    def rhs(u, P, b, c):
+        fv = float(spec.f(u))
+        bhat = float(spec.beta_max(u))
+        b_adm = min(max(b, 0.0), (1.0 - 1e-12) * bhat) if np.isfinite(bhat) \
+            else max(b, 0.0)
+        Lbb = float(spec.L_betabeta(u, b_adm))
+        if not Lbb > 0.0 or not np.isfinite(Lbb):
+            raise ConvexityViolationError(
+                f"L_betabeta({u:.6f}, {b_adm:.3g}) = {Lbb:g} is not positive")
+        Lb = float(spec.L_beta(u, b_adm))
+        Lv = float(spec.L(u, b_adm))
+        Lub = float(spec.L_ubeta(u, b_adm))
+        dP = -c + (b - fv) / P
+        db = (((b_adm - fv) / P**2) * Lb - Lv / P**2 - Lub) / Lbb
+        return dP, db
+
+    return rhs
+
+
 def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
                rtol: float = 1e-10, atol: float = 1e-12,
                want_nodes: bool = False) -> ShotResult:
@@ -110,25 +137,11 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     if not p0 > 0.0:
         raise InvalidParameterError(f"P_flat({u1:g}) = {p0:g} is not positive")
 
+    pmp_rhs = spec.pmp_rhs or _generic_rhs(spec)
+
     def rhs(u, y):
-        P, b = y
-        fv = float(spec.f(u))
-        # RK trial stages may probe just outside the admissible strip
-        # 0 <= beta < beta_max (the events cut the real path there); the
-        # cost partials are evaluated at the clamped control.
-        bhat = float(spec.beta_max(u))
-        b_adm = min(max(b, 0.0), (1.0 - 1e-12) * bhat) if np.isfinite(bhat) \
-            else max(b, 0.0)
-        Lbb = float(spec.L_betabeta(u, b_adm))
-        if not Lbb > 0.0 or not np.isfinite(Lbb):
-            raise ConvexityViolationError(
-                f"L_betabeta({u:.6f}, {b_adm:.3g}) = {Lbb:g} is not positive")
-        Lb = float(spec.L_beta(u, b_adm))
-        Lv = float(spec.L(u, b_adm))
-        Lub = float(spec.L_ubeta(u, b_adm))
-        dP = -c + (b - fv) / P
-        db = (((b_adm - fv) / P**2) * Lb - Lv / P**2 - Lub) / Lbb
-        return [dP, db]
+        P, b = y.tolist()
+        return pmp_rhs(float(u), P, b, c)
 
     def ev_meet(u, y):
         return y[0] - float(p_sharp(u))
@@ -340,7 +353,11 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
 def effort_curve(spec: ModelSpec, c_grid, tol: float = 1e-10,
                  c_star: float | None = None,
                  keep_profiles: bool = False) -> list[EffortRow]:
-    """Table of (c, E(c)) rows; failures are recorded per row, not raised."""
+    """Table of (c, E(c)) rows.
+
+    Solver failures (`TravwaveError`) are recorded per row, not raised;
+    any other exception is a bug and propagates.
+    """
     if c_star is None:
         c_star = natural_speed(spec)
     cs = sorted(float(c) for c in np.atleast_1d(c_grid))
@@ -354,7 +371,7 @@ def effort_curve(spec: ModelSpec, c_grid, tol: float = 1e-10,
             prof = optimal_profile(spec, c, tol=tol, c_star=c_star)
             return EffortRow(c, prof.cost, True,
                              profile=prof if keep_profiles else None)
-        except Exception as exc:  # per-row failure is a data point
+        except TravwaveError as exc:  # a solver failure is a data point
             return EffortRow(c, float("nan"), False, message=str(exc))
 
     return [row(c) for c in cs]

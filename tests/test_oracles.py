@@ -1,0 +1,48 @@
+"""Closed-form oracles of the cubic family and Pontryagin invariants.
+
+For f = rate * U (U - u*) (1 - U) the uncontrolled front is exact:
+P(U) = kappa U (1 - U) with kappa = sqrt(rate/2), travelling at
+c* = kappa (2 u* - 1).  These hold for every (u*, rate), so they are
+checked across the parameter space, not at one point.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from travwave.control_construct import natural_heteroclinic
+from travwave.model import make_cubic_model, make_weed_model
+from travwave.pmp import effort_curve
+from travwave.speed import natural_speed
+
+
+@settings(max_examples=8, deadline=None)
+@given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0))
+def test_cubic_speed_and_front_match_closed_form(u_star, rate):
+    spec = make_cubic_model(u_star, rate)
+    kappa = np.sqrt(rate / 2.0)
+    c_star = natural_speed(spec)
+    # bisection stops at a bracket of width 2e-8 around the gap's root
+    assert abs(c_star - kappa * (2.0 * u_star - 1.0)) <= 2e-8 * max(1.0, kappa)
+    het = natural_heteroclinic(spec, c_star)
+    u = het.u_nodes
+    assert np.max(np.abs(het.p_values - kappa * u * (1.0 - u))) \
+        <= 1e-8 * max(1.0, kappa)
+
+
+def test_pontryagin_invariants_across_thresholds():
+    for u_star in (0.25, 0.4):
+        spec = make_weed_model(u_star)
+        c_star = np.sqrt(0.5) * (2.0 * u_star - 1.0)
+        speeds = [c_star + d for d in (0.0, 0.05, 0.1, 0.2)]
+        rows = effort_curve(spec, speeds, c_star=c_star, keep_profiles=True)
+        assert all(row.ok for row in rows)
+        efforts = [row.effort for row in rows]
+        assert efforts[0] == 0.0
+        assert all(e1 < e2 for e1, e2 in zip(efforts, efforts[1:]))
+        for row in rows[1:]:
+            prof = row.profile
+            assert u_star < prof.u1 < prof.u2 < 1.0
+            assert prof.arc.beta_values[0] <= 1e-6
+            assert prof.arc.beta_values[-1] <= 1e-6

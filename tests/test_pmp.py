@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from travwave.control_construct import finite_cost_control
-from travwave.errors import InvalidParameterError, NoSolutionError
-from travwave.model import make_logistic_model
+from travwave.errors import (ConvexityViolationError, InvalidParameterError,
+                             NoSolutionError)
+from travwave.model import make_cubic_model, make_logistic_model
 from travwave.phaseplane import stable_manifold, unstable_manifold
-from travwave.pmp import effort_curve, optimal_profile, pmp_residual, shoot_from
+from travwave.pmp import (_generic_rhs, effort_curve, optimal_profile,
+                          pmp_residual, shoot_from)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +127,58 @@ def test_effort_requires_admissible_speeds(weed, c_star_weed):
         effort_curve(weed, [c_star_weed - 0.1], c_star=c_star_weed)
 
 
-def test_effort_thread_pool_path(weed, c_star_weed, opt01):
+def test_effort_curve_mixes_trivial_and_controlled_rows(weed, c_star_weed, opt01):
     rows = effort_curve(weed, [c_star_weed, -0.1], c_star=c_star_weed)
     assert rows[0].effort == 0.0
     assert rows[1].effort == pytest.approx(opt01.cost, rel=1e-9)
+
+
+def test_effort_curve_records_no_solution_row(weed, c_star_weed):
+    rows = effort_curve(weed, [0.75], c_star=c_star_weed)
+    assert not rows[0].ok
+    assert np.isnan(rows[0].effort)
+    assert "no sign change of phi" in rows[0].message
+
+
+def test_effort_curve_propagates_programming_errors(weed, c_star_weed):
+    # a broken right-hand side is a bug, not a per-row failure
+    def broken(u, P, beta, c):
+        return P + "not a number", beta
+    spec = dataclasses.replace(weed, pmp_rhs=broken)
+    with pytest.raises(TypeError):
+        effort_curve(spec, [-0.1], c_star=c_star_weed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0),
+       u=st.floats(0.0, 1.0), P=st.floats(1e-3, 2.0),
+       frac=st.floats(-1.0, 2.0), c=st.floats(-1.0, 1.0))
+def test_fused_rhs_matches_generic(u_star, rate, u, P, frac, c):
+    spec = make_cubic_model(u_star, rate)
+    generic = _generic_rhs(spec)
+    if u <= u_star:
+        # beta_max = 0 there: no admissible control, L_betabeta = inf
+        for rhs in (spec.pmp_rhs, generic):
+            with pytest.raises(ConvexityViolationError):
+                rhs(u, P, frac, c)
+        return
+    # frac < 0 and frac >= 1 exercise the clamp to [0, beta_max)
+    beta = frac * float(spec.beta_max(u))
+    fused, ref = spec.pmp_rhs(u, P, beta, c), generic(u, P, beta, c)
+    # the same operations in the same order: equal to the bit, which is
+    # what keeps optimal_profile's bisection path unchanged
+    assert fused == ref
+
+
+def test_fused_shot_matches_generic(weed, manifolds01):
+    flat, sharp = manifolds01
+    pf, ps = flat.interp_p(), sharp.interp_p()
+    generic = dataclasses.replace(weed, pmp_rhs=None)
+    statuses = set()
+    for u1 in (0.4, 0.45, 0.5, 0.55, 0.6):
+        fused = shoot_from(weed, -0.1, u1, pf, ps)
+        ref = shoot_from(generic, -0.1, u1, pf, ps)
+        assert fused.status == ref.status
+        assert fused.phi == ref.phi
+        statuses.add(fused.status)
+    assert statuses == {"met_psharp", "beta_zero"}

@@ -9,7 +9,8 @@ import travwave.speed
 from travwave.errors import (BracketFailureError, InvalidParameterError,
                             InvalidSubstituteError)
 from travwave.model import make_logistic_model, make_weed_model
-from travwave.speed import manifold_gap, modified_speed, natural_speed
+from travwave.speed import (make_substitute_spec, manifold_gap, modified_speed,
+                            natural_speed)
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
 
@@ -70,6 +71,13 @@ def test_trimmed_substitute_raises_speed(weed, c_star_weed):
     c_hat = modified_speed(weed, default_substitute(weed))
     assert c_hat > c_star_weed
     assert c_hat > 0.0   # strong trim reverses the front
+
+
+def test_substitute_spec_has_no_fused_rhs(weed):
+    # the fused right-hand side closes over the cubic f, not over f_hat
+    from travwave.control_construct import default_substitute
+    assert weed.pmp_rhs is not None
+    assert make_substitute_spec(weed, default_substitute(weed)).pmp_rhs is None
 
 
 def test_substitute_below_sandwich_rejected(weed):

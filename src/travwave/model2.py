@@ -455,6 +455,41 @@ def _subsolution_residuals(x_all, xs_arc, xr, sol, v_right, theta_right,
     return {"second": r2, "third": r3, "first": np.zeros_like(x_all)}
 
 
+def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
+                  h: float, F: np.ndarray) -> np.ndarray:
+    """Newton update dv of solve_vtheta: J dv = -F with
+    J = T + diag(fac) h (S - I/2).
+
+    T is the V-stencil (diagonal dg, constant super-/sub-diagonals up/lo)
+    and S the inclusive lower-triangular ones matrix (Theta's trapezoid
+    sensitivity to upstream V).  J itself is dense, but in the running
+    sum z = cumsum(dv), dv = D z with D = S^-1 (1 on the diagonal, -1
+    below it), J D = T D + diag(fac) h (I - D/2) is banded with (2, 1)
+    diagonals: O(N) work and memory in place of O(N^3) and O(N^2).
+    """
+    n = len(dg)
+    half = 0.5 * h * fac
+    ab = np.zeros((4, n))
+    ab[0, 1:] = up
+    ab[1, :-1] = dg[:-1] - up
+    ab[1, -1] = dg[-1]
+    ab[1] += half
+    ab[2, :-1] = lo - dg[1:] + half[1:]
+    ab[3, :-2] = -lo
+
+    def solve(r):
+        return np.diff(solve_banded((2, 1), ab, r), prepend=0.0)
+
+    # The change of variables costs up to a factor N in conditioning
+    # (|S| = N); one refinement step against the O(N) product J dv brings
+    # the update back to the accuracy of a dense solve of J.
+    dv = solve(-F)
+    Jdv = dg * dv + h * fac * (np.cumsum(dv) - 0.5 * dv)
+    Jdv[:-1] += up * dv[1:]
+    Jdv[1:] += lo * dv[:-1]
+    return dv + solve(-F - Jdv)
+
+
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                  c: float, domain_halfwidth: float | None = None,
                  h: float = 0.02, tol: float = 1e-6, max_iter: int = 400,
@@ -467,7 +502,16 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     integrated exactly by its integrating factor.  Iterates are damped by
     0.5 and must stay inside the barrier sandwich; convergence is declared
     when the discrete defect of the V-equation falls below tol.
+
+    meta records "sweeps" (lagged sweeps), "newton_iterations" and
+    "newton_steps" (the line-search step length each Newton iteration
+    accepted, 0 if none), "iterations" (their sum) and the defect
+    "history" of every iteration.
     """
+    if max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if not h > 0.0:
+        raise InvalidParameterError(f"h must be positive, got {h:g}")
     if sub is None:
         sub = subsolution(u_profile, alpha, params, c)
     if sup is None:
@@ -527,14 +571,12 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
 
     # Stage 2: line-searched Newton on the reduced system (Theta
     # eliminated through its integrating factor).  The Jacobian carries
-    # the dense lower-triangular sensitivity of Theta to upstream V, which
-    # is what moves the front along the weakly pinned direction.
-    newton_iters = 0
+    # the lower-triangular sensitivity of Theta to upstream V, which is
+    # what moves the front along the weakly pinned direction.
+    sweeps = len(history)
+    newton_steps: list[float] = []
     if not converged:
         Th = _theta_closed_form(x, V, k1, c)
-        N = n - 2
-        idx = np.arange(N)
-        weights = np.tril(np.ones((N, N)), -1) * h + np.eye(N) * (h / 2.0)
         F = v_residual(V, Th)
         nrm = float(np.max(np.abs(F)))
         budget = max(0, max_iter - len(history))
@@ -542,13 +584,10 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
             if nrm <= tol:
                 converged = True
                 break
-            J = np.zeros((N, N))
-            J[idx, idx] = -2.0 / h**2 - (k2 * Th[1:-1] + d + al[1:-1])
-            J[idx[:-1], idx[:-1] + 1] = 1.0 / h**2 + c / (2.0 * h)
-            J[idx[1:], idx[1:] - 1] = 1.0 / h**2 - c / (2.0 * h)
             fac = k2 * (u[1:-1] - V[1:-1]) * (1.0 - Th[1:-1]) * (-k1 / c)
-            J += fac[:, None] * weights
-            dv = np.linalg.solve(J, -F)
+            dg = -2.0 / h**2 - (k2 * Th[1:-1] + d + al[1:-1])
+            dv = _newton_solve(dg, 1.0 / h**2 + c / (2.0 * h),
+                               1.0 / h**2 - c / (2.0 * h), fac, h, F)
             step = 1.0
             improved = False
             for _ in range(40):
@@ -562,7 +601,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                     improved = True
                     break
                 step *= 0.5
-            newton_iters += 1
+            newton_steps.append(step if improved else 0.0)
             history.append(nrm)
             if not improved:
                 break
@@ -570,8 +609,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
             converged = True
     if not converged:
         raise NonconvergenceError(
-            f"fixed point not reached (damped sweep + {newton_iters} Newton "
-            f"steps, last defect {history[-1]:.3g})", history=history)
+            f"fixed point not reached ({sweeps} sweeps + {len(newton_steps)} "
+            f"Newton steps, last defect {history[-1]:.3g})", history=history)
 
     slack = 1e-6
     if np.any(V < v_lo - slack) or np.any(V > v_hi + slack) \
@@ -603,7 +642,9 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                       residuals={"second": r2, "third": r3,
                                  "third_central": r3_central},
                       meta={"iterations": len(history), "defect": history[-1],
-                            "newton_iterations": newton_iters,
+                            "sweeps": sweeps,
+                            "newton_iterations": len(newton_steps),
+                            "newton_steps": newton_steps,
                             "history": history, "halfwidth": L, "h": h,
                             "v_right_end": float(V[-1]),
                             "theta_right_end": float(Th[-1])})

@@ -333,20 +333,18 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
     resid = dLb - ((bm - fm) / pm**2) * Lbm + Lm / pm**2
     yu_max = float(np.max(np.abs(resid))) if len(resid) else 0.0
 
-    failures = 0
     # argmin check against the profile's stored adjoint: recomputing Y from
-    # the node's own beta would be self-consistent by construction
+    # the node's own beta would be self-consistent by construction; one row
+    # of n_beta candidate controls per node with a positive control range
     Y = profile.arc.y_values if profile.arc.y_values is not None else -Lb
-    for i in range(len(u)):
-        bhat = float(spec.beta_max(u[i]))
-        hi = 0.999 * bhat if np.isfinite(bhat) else 5.0
-        if hi <= 0.0:
-            continue
-        cand = np.linspace(0.0, hi, n_beta)
-        vals = cand * Y[i] + np.asarray(spec.L(np.full_like(cand, u[i]), cand),
-                                        dtype=float)
-        here = b[i] * Y[i] + float(spec.L(u[i], b[i]))
-        failures += int(np.sum(vals < here - 1e-8))
+    bhat = np.asarray(spec.beta_max(u), dtype=float)
+    hi = np.where(np.isfinite(bhat), 0.999 * bhat, 5.0)
+    k = hi > 0.0
+    cand = np.linspace(0.0, hi[k], n_beta, axis=1)
+    uu = np.broadcast_to(u[k, None], cand.shape)
+    vals = cand * Y[k, None] + np.asarray(spec.L(uu, cand), dtype=float)
+    here = b[k] * Y[k] + np.asarray(spec.L(u[k], b[k]), dtype=float)
+    failures = int(np.sum(vals < here[:, None] - 1e-8))
     return PmpResidualReport(yu_max, failures, len(u))
 
 

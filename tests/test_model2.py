@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from travwave.errors import InvalidParameterError, RegimeError
+import travwave.acceptance as acc
+import travwave.model2 as model2
+from travwave.errors import (InvalidParameterError, NonconvergenceError,
+                             RegimeError)
 from travwave.model import Model2Params, make_cubic_model, make_weed_model
 from travwave.model2 import (c_sharp, case2_demo, char_poly, check_drate,
                              lambda_min, p_at_lambda_min, quasimonotone_check,
@@ -181,12 +186,88 @@ def test_solution_theta_identity(m2_pipeline):
 
 
 def test_solution_mesh_refinement(m2_pipeline):
-    sol = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
-                       m2_pipeline["params"], -0.9)
-    fine = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
-                        m2_pipeline["params"], -0.9, h=0.01)
+    sup, sub, sol = acc._m2_sandwich()
+    tracemalloc.start()
+    try:
+        fine = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                            m2_pipeline["params"], -0.9, h=0.01,
+                            sub=sub, sup=sup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the corrector runs on both meshes (the sweeps alone stop short of tol)
+    assert sol.meta["newton_iterations"] >= 1
+    assert fine.meta["newton_iterations"] >= 1
+    # O(N) memory: one dense 7601^2 Jacobian alone would be 462 MB
+    assert peak < 64 * 2**20
     vi = np.interp(sol.x_nodes, fine.x_nodes, fine.v_values)
     assert np.max(np.abs(vi - sol.v_values)) < 1e-4
+
+
+def _dense_newton_solve(dg, up, lo, fac, h, F):
+    """Reference for model2._newton_solve: assemble the dense Jacobian
+    T + diag(fac) h (S - I/2) and solve it directly."""
+    n = len(dg)
+    idx = np.arange(n)
+    J = np.tril(np.full((n, n), h), -1)
+    J[idx, idx] = h / 2.0
+    J *= fac[:, None]
+    J[idx, idx] += dg
+    J[idx[:-1], idx[:-1] + 1] += up
+    J[idx[1:], idx[1:] - 1] += lo
+    return np.linalg.solve(J, -F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.floats(-1.5, -0.1), st.floats(0.005, 0.05),
+       st.integers(0, 2**32 - 1))
+def test_newton_solve_matches_dense(n, c, h, seed):
+    rng = np.random.default_rng(seed)
+    dg = -2.0 / h**2 - rng.uniform(0.0, 5.0, n)
+    fac = rng.uniform(0.0, 5.0, n)
+    F = rng.standard_normal(n)
+    up, lo = 1.0 / h**2 + c / (2.0 * h), 1.0 / h**2 - c / (2.0 * h)
+    dv = model2._newton_solve(dg, up, lo, fac, h, F)
+    ref = _dense_newton_solve(dg, up, lo, fac, h, F)
+    assert np.max(np.abs(dv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_solution_matches_dense_newton(m2_pipeline, monkeypatch):
+    # criterion-8 state: c = -0.9, h = 0.02, the cached sandwich
+    sup, sub, sol = acc._m2_sandwich()
+    monkeypatch.setattr(model2, "_newton_solve", _dense_newton_solve)
+    dense = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                         m2_pipeline["params"], -0.9, sub=sub, sup=sup)
+    assert np.max(np.abs(sol.v_values - dense.v_values)) <= 1e-12
+    assert np.max(np.abs(sol.theta_values - dense.theta_values)) <= 1e-12
+    for key in ("sweeps", "newton_iterations", "iterations"):
+        assert sol.meta[key] == dense.meta[key]
+    assert sol.meta["newton_iterations"] >= 1
+    assert sol.meta["sweeps"] + sol.meta["newton_iterations"] \
+        == sol.meta["iterations"] == len(sol.meta["history"])
+    assert len(sol.meta["newton_steps"]) == sol.meta["newton_iterations"]
+    assert all(0.0 < s <= 1.0 for s in sol.meta["newton_steps"])
+
+
+def test_solve_vtheta_rejects_bad_budget_and_mesh(m2_pipeline):
+    sp, al, pr = (m2_pipeline["spatial"], m2_pipeline["alpha"],
+                  m2_pipeline["params"])
+    with pytest.raises(InvalidParameterError, match="max_iter"):
+        solve_vtheta(sp, al, pr, -0.9, max_iter=0)
+    for h in (0.0, -0.02, float("nan")):
+        with pytest.raises(InvalidParameterError, match="h must be positive"):
+            solve_vtheta(sp, al, pr, -0.9, h=h)
+
+
+def test_solve_vtheta_reports_nonconvergence(m2_pipeline):
+    # one sweep and no Newton budget cannot reach tol
+    sup, sub, _ = acc._m2_sandwich()
+    with pytest.raises(NonconvergenceError) as exc:
+        solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                     m2_pipeline["params"], -0.9, max_iter=1,
+                     sub=sub, sup=sup)
+    assert "1 sweeps + 0 Newton steps" in str(exc.value)
+    assert len(exc.value.history) == 1
 
 
 def test_case2_demo(m2_pipeline):

@@ -95,6 +95,41 @@ def test_argmin_check_detects_perturbation(weed, opt01):
     assert rep.min22_failures > 0
 
 
+def _argmin_failures_loop(profile, spec, n_beta=41):
+    """Reference for pmp_residual's argmin count: one node at a time."""
+    u, b = profile.arc.u_nodes, profile.arc.beta_values
+    Y = profile.arc.y_values
+    failures = 0
+    for i in range(len(u)):
+        bhat = float(spec.beta_max(u[i]))
+        hi = 0.999 * bhat if np.isfinite(bhat) else 5.0
+        if hi <= 0.0:
+            continue
+        cand = np.linspace(0.0, hi, n_beta)
+        vals = cand * Y[i] + np.asarray(spec.L(np.full_like(cand, u[i]), cand),
+                                        dtype=float)
+        here = b[i] * Y[i] + float(spec.L(u[i], b[i]))
+        failures += int(np.sum(vals < here - 1e-8))
+    return failures
+
+
+def test_argmin_count_matches_node_loop(weed, opt01):
+    import copy
+    rng = np.random.default_rng(1)
+    prof = copy.deepcopy(opt01)
+    # perturb every 40th control both ways, and push the first nodes to
+    # u <= u* where the control range is empty and the node is skipped
+    k = np.arange(0, len(prof.arc.u_nodes), 40)
+    prof.arc.beta_values[k] *= 1.0 + rng.uniform(-0.2, 0.2, len(k))
+    prof.arc.u_nodes[:3] = weed.u_star - np.array([0.02, 0.01, 0.0])
+    for p in (opt01, prof):
+        for n_beta in (41, 7):
+            rep = pmp_residual(p, weed, n_beta=n_beta)
+            assert rep.min22_failures == _argmin_failures_loop(p, weed, n_beta)
+            assert rep.n_checked == len(p.arc.u_nodes)
+    assert pmp_residual(prof, weed).min22_failures > 10
+
+
 def test_optimal_cost_below_constructed(weed, c_star_weed, opt01):
     con = finite_cost_control(weed, -0.1, c_star=c_star_weed)
     assert opt01.cost <= con.cost

@@ -141,7 +141,9 @@ def criterion_3() -> tuple[bool, str]:
     jump1 = abs(float(prof.arc.p_values[0]) - float(pf(prof.u1)))
     jump2 = abs(float(prof.arc.p_values[-1]) - float(ps(prof.u2)))
     mid = prof.arc.u_nodes[1:-1]
-    geom = bool(np.all(prof.arc.p_values[1:-1] >= np.asarray(pf(mid)) - 1e-7)
+    on_flat = mid <= flat.u_nodes[-1]  # P_flat ends on the U-axis
+    geom = bool(np.all(prof.arc.p_values[1:-1][on_flat]
+                       >= np.asarray(pf(mid[on_flat])) - 1e-7)
                 and np.all(prof.arc.p_values[1:-1]
                            <= np.asarray(ps(mid)) + 1e-7))
     ok = (order_ok and b1 <= 1e-6 and b2 <= 1e-6 and res.yu_max <= 1e-5

@@ -112,11 +112,11 @@ def natural_heteroclinic(spec: ModelSpec, c_star: float) -> PhaseTrajectory:
 
 
 def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
-                 gamma_tol: float = 1e-8,
                  max_doublings: int = 60) -> tuple[float, float, PhaseTrajectory]:
     """Constant control gamma on (u0, u*) realizing speed c > c*.
 
-    Returns (gamma, u0, trajectory).  At c = c* (within guard) the zero
+    Returns (gamma, u0, trajectory), gamma to within 1e-8.  At c = c*
+    (within guard) the zero
     control with the natural heteroclinic is returned; below, raising the
     speed is unnecessary and NoControlNeeded is raised.
     """
@@ -164,8 +164,7 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
         gamma *= 2.0
         doublings += 1
 
-    _, gamma = bisect(lambda g: 1.0 if crossed(g) else -1.0, lo, gamma,
-                      gamma_tol)
+    _, gamma = bisect(lambda g: 1.0 if crossed(g) else -1.0, lo, gamma, 1e-8)
     u0 = float(arc.u_nodes[0])
 
     flat_piece = _slice_to(flat, u0, pflat)
@@ -177,20 +176,17 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
     return gamma, u0, merged
 
 
-def default_substitute(spec: ModelSpec, s: float = 0.95):
-    """Trimmed reaction term f - s * min(beta_max, max(f, 0)).
+def default_substitute(spec: ModelSpec):
+    """Trimmed reaction term f - 0.95 min(beta_max, max(f, 0)).
 
-    Equal to f wherever control is useless, scaled down by (1-s) where the
+    Equal to f wherever control is useless, scaled down to 0.05 f where the
     barrier exceeds f; stays inside the admissibility sandwich and keeps
-    the bistable sign pattern for 0 < s < 1.
+    the bistable sign pattern.
     """
-    if not (0.0 < s < 1.0):
-        raise InvalidParameterError(f"s must lie in (0,1), got {s}")
-
     def f_hat(u):
         fv = np.asarray(spec.f(u), dtype=float)
         bm = np.asarray(spec.beta_max(u), dtype=float)
-        return fv - s * np.minimum(np.where(np.isfinite(bm), bm, np.inf),
+        return fv - 0.95 * np.minimum(np.where(np.isfinite(bm), bm, np.inf),
                                    np.maximum(fv, 0.0))
     return f_hat
 
@@ -223,13 +219,13 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float,
 
 
 def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
-                        f_hat=None, df_hat=None, c_star: float | None = None,
+                        c_star: float | None = None,
                         c_hat: float | None = None) -> ConcatProfile:
     """Finite-cost concatenated profile at speed c in (c*, c_hat).
 
-    f_hat defaults to `default_substitute(spec)`; c' defaults to the
-    midpoint of (c, c_hat).  At c = c* (within guard) the trivial
-    zero-cost concatenation is returned.
+    The substitute is `default_substitute(spec)` and c_hat its speed; c'
+    defaults to the midpoint of (c, c_hat).  At c = c* (within guard) the
+    trivial zero-cost concatenation is returned.
     """
     if c_star is None:
         c_star = natural_speed(spec)
@@ -247,10 +243,9 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
             spec.u_star, spec.u_star, lambda u: 0.0, 0.0, c, c_star, 0.0,
             meta={"trivial": True})
 
-    if f_hat is None:
-        f_hat = default_substitute(spec)
+    f_hat = default_substitute(spec)
     if c_hat is None:
-        c_hat = modified_speed(spec, f_hat, df_hat=df_hat)
+        c_hat = modified_speed(spec, f_hat)
     if c_prime is None:
         c_prime = 0.5 * (c + c_hat)
     if not (c_star < c < c_prime < c_hat):
@@ -258,12 +253,12 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
             f"speed ordering violated: need c* < c < c' < c_hat, got "
             f"c*={c_star:.6g}, c={c:.6g}, c'={c_prime:.6g}, c_hat={c_hat:.6g}")
 
-    sub_spec = make_substitute_spec(spec, f_hat, df_hat=df_hat)
+    sub_spec = make_substitute_spec(spec, f_hat)
 
     flat = unstable_manifold(spec, c, u_stop=1.0)
     sharp = stable_manifold(spec, c, u_stop=0.0)
     pflat, psharp = flat.interp_p(), sharp.interp_p()
-    u_bar = flat.termination_u if flat.terminated_by == "p_zero" else 1.0
+    u_bar = float(flat.u_nodes[-1])  # where P_flat ends
 
     # left endpoint of the auxiliary orbit: bisect on 'reaches U=1 with P>0'
     def side(a):
@@ -289,7 +284,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
 
     # junction u1: first upward crossing of P_c' through P_flat
     scan_lo = max(a_use + 1e-9, float(flat.u_nodes[0]) + 1e-9)
-    scan_hi = min(u_bar, 1.0) - 1e-9
+    scan_hi = u_bar - 1e-9
     grid = np.linspace(scan_lo, scan_hi, 800)
     gvals = pc(grid) - pflat(grid)
     idx = np.nonzero((gvals[:-1] < 0.0) & (gvals[1:] >= 0.0))[0]

@@ -39,6 +39,8 @@ __all__ = [
     "A2Report",
 ]
 
+FD_TOL = 1e-5  # relative error check_A2 allows the partials against FD
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -269,22 +271,21 @@ class A2Report:
     c1_fit: float
     fd_max: dict[str, float]
     l_zero_ok: bool
-    fd_tol: float = 1e-5
 
     @property
     def fd_ok(self) -> bool:
-        return all(v <= self.fd_tol for v in self.fd_max.values())
+        return all(v <= FD_TOL for v in self.fd_max.values())
 
     @property
     def passed(self) -> bool:
         return self.convexity_ok and self.superlinear_ok and self.l_zero_ok and self.fd_ok
 
 
-def check_A1(spec: ModelSpec, n_samples: int = 2001, tol: float = 1e-10) -> A1Report:
+def check_A1(spec: ModelSpec, tol: float = 1e-10) -> A1Report:
     """Sampled verification of the bistability clauses.
 
-    Equality clauses use ``tol``; the sign-change count uses a dense grid,
-    so reaction terms are treated as black boxes.
+    Equality clauses use ``tol``; the sign-change count uses a dense grid
+    of 2001 points, so reaction terms are treated as black boxes.
     """
     clauses: list[tuple[str, bool, str]] = []
     f0 = float(spec.f(0.0))
@@ -296,7 +297,7 @@ def check_A1(spec: ModelSpec, n_samples: int = 2001, tol: float = 1e-10) -> A1Re
     clauses.append(("df(0)<0", d0 < 0.0, f"df(0)={d0:.6g}"))
     clauses.append(("df(1)<0", d1 < 0.0, f"df(1)={d1:.6g}"))
 
-    crossings = list(sign_changes(spec.f, np.linspace(0.0, 1.0, n_samples)[1:-1],
+    crossings = list(sign_changes(spec.f, np.linspace(0.0, 1.0, 2001)[1:-1],
                                   tol))
     clauses.append(("unique interior sign change", len(crossings) == 1,
                     f"found {len(crossings)} sign changes at {crossings}"))
@@ -319,8 +320,7 @@ def _fd_cross(L, u, b, hu, hb):
 
 def check_A2(spec: ModelSpec,
              u_samples: np.ndarray | None = None,
-             beta_samples: np.ndarray | None = None,
-             fd_tol: float = 1e-5) -> A2Report:
+             beta_samples: np.ndarray | None = None) -> A2Report:
     """Sampled convexity/superlinearity check with an FD oracle on the partials.
 
     ``beta_samples`` are absolute removal rates; every (u, beta) pair must
@@ -414,4 +414,4 @@ def check_A2(spec: ModelSpec,
 
     return A2Report(convexity_ok=convex, superlinear_ok=superlinear,
                     p_fit=p_fit, c1_fit=float(c1) if np.isfinite(c1) else float("nan"),
-                    fd_max=fd_max, l_zero_ok=l_zero_ok, fd_tol=fd_tol)
+                    fd_max=fd_max, l_zero_ok=l_zero_ok)

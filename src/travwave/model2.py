@@ -45,6 +45,10 @@ __all__ = [
     "Case2Report",
 ]
 
+EPS0 = 1e-3  # subsolution's constants, see its docstring
+MAX_HALVINGS = 10
+GRID_H = 0.01
+
 
 @dataclass
 class Model2Spectrum:
@@ -116,12 +120,11 @@ def c_sharp(params: Model2Params) -> float:
     return float(cs)
 
 
-def spectrum(c: float, params: Model2Params,
-             pair_tol: float = 1e-6) -> Model2Spectrum:
+def spectrum(c: float, params: Model2Params) -> Model2Spectrum:
     """Classified roots and eigenvectors of the healthy-state linearization.
 
     Roots come from the companion-matrix eigensolve with one Newton polish
-    each; a conjugate pair with |Im| <= pair_tol is classified as the
+    each; a conjugate pair with |Im| <= 1e-6 is classified as the
     repeated-real boundary case.
     """
     if c == 0.0:
@@ -138,7 +141,7 @@ def spectrum(c: float, params: Model2Params,
 
     imag = np.abs(roots.imag)
     k1 = params.kappa1
-    if np.max(imag) > pair_tol:
+    if np.max(imag) > 1e-6:
         i_real = int(np.argmin(imag))
         lam1 = float(roots[i_real].real)
         pair = np.delete(roots, i_real)
@@ -163,12 +166,12 @@ def spectrum(c: float, params: Model2Params,
                           classification, v1, w2, w3, roots=roots)
 
 
-def check_drate(f, d: float, n: int = 2001, tol: float = 1e-12) -> None:
-    """Verify f(u) >= -d u on [0,1] (sampled); required by the comparison
-    structure of the insect/tree system."""
-    u = np.linspace(0.0, 1.0, n)
+def check_drate(f, d: float) -> None:
+    """Verify f(u) >= -d u - 1e-12 on 2001 samples of [0,1]; required by
+    the comparison structure of the insect/tree system."""
+    u = np.linspace(0.0, 1.0, 2001)
     fv = np.asarray(f(u), dtype=float)
-    bad = fv < -d * u - tol
+    bad = fv < -d * u - 1e-12
     if np.any(bad):
         i = int(np.argmax(bad))
         raise InvalidParameterError(
@@ -235,61 +238,60 @@ def supersolution(u_profile: SpatialProfile, params: Model2Params,
     return path
 
 
-def _ode8_rhs(c: float, params: Model2Params, u_of_x, alpha_of_x):
+def _ode8_rhs(c: float, params: Model2Params, u_of_x):
+    """(V, W, Theta)' of the last two equations with alpha = 0."""
     k1, k2, d = params.kappa1, params.kappa2, params.d
 
     def rhs(x, y):
         V, W, Th = y
         U = float(u_of_x(x))
-        al = float(alpha_of_x(x)) if alpha_of_x is not None else 0.0
         return [W,
-                -c * W - k2 * (U - V) * Th + (al + d) * V,
+                -c * W - k2 * (U - V) * Th + d * V,
                 -(k1 / c) * V * (1.0 - Th)]
     return rhs
 
 
-def _alpha_support_right_edge(profile: SpatialProfile) -> float:
-    x, al = profile.x_nodes, profile.alpha_values
-    pos = np.isfinite(al) & (al > 1e-12)
-    if not np.any(pos):
-        return float(x[0])
-    return float(x[np.nonzero(pos)[0][-1]])
+def _v_stencil(c: float, h: float) -> tuple[float, float, float]:
+    """Weights on (v[i-1], v[i], v[i+1]) of the V-equation's operator
+    v'' + c v' by central differences at spacing h: the banded solves use
+    them, `_v_operator` applies the same stencil for the residuals."""
+    return 1.0 / h**2 - c / (2.0 * h), -2.0 / h**2, 1.0 / h**2 + c / (2.0 * h)
+
+
+def _v_operator(v: np.ndarray, c: float, h: float) -> np.ndarray:
+    """v'' + c v' at the interior nodes of v."""
+    lap = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+    grad = (v[2:] - v[:-2]) / (2.0 * h)
+    return lap + c * grad
 
 
 def _solve_linear_v(x: np.ndarray, c: float, coeff: np.ndarray,
                     source: np.ndarray, v_left: float, v_right: float) -> np.ndarray:
     """Tridiagonal solve of v'' + c v' - coeff(x) v = -source(x) with
     Dirichlet data on a uniform grid."""
-    h = x[1] - x[0]
-    n = len(x)
-    lower = np.full(n - 1, 1.0 / h**2 - c / (2.0 * h))
-    upper = np.full(n - 1, 1.0 / h**2 + c / (2.0 * h))
-    diag = -2.0 / h**2 - coeff
-    rhs = -source.copy()
-    rhs[1] -= lower[0] * v_left
-    rhs[-2] -= upper[-1] * v_right
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = upper[1:-1]
-    ab[1, :] = diag[1:-1]
-    ab[2, :-1] = lower[1:-1]
-    inner = solve_banded((1, 1), ab, rhs[1:-1])
-    v = np.empty(n)
-    v[0], v[-1] = v_left, v_right
-    v[1:-1] = inner
-    return v
+    lo, mid, up = _v_stencil(c, x[1] - x[0])
+    rhs = -source[1:-1]
+    rhs[0] -= lo * v_left
+    rhs[-1] -= up * v_right
+    ab = np.zeros((3, len(x) - 2))
+    ab[0, 1:] = up
+    ab[1, :] = mid - coeff[1:-1]
+    ab[2, :-1] = lo
+    inner = solve_banded((1, 1), ab, rhs)
+    return np.concatenate(([v_left], inner, [v_right]))
 
 
 def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
-                c: float, eps: float = 1e-3, eps0: float = 1e-3,
-                max_halvings: int = 10, grid_h: float = 0.01) -> TriplePath:
+                c: float) -> TriplePath:
     """Lower barrier built from the spiral of the healthy-state linearization.
 
     A small-amplitude arc of the rotating solution is launched at x0 (where
-    the control has died out and U >= 1 - eps0), cut at its first descending
-    V-zero x1, and continued on [x1, inf) by the explicit exponential
-    relaxation toward V* with the matching Theta integral.  The launch
-    amplitude eps is halved (up to max_halvings) until the window
-    conditions and the domain bounds 0 <= v <= min(U, V*), theta <= 1 hold.
+    the control alpha has died out and U >= 1 - EPS0), cut at its first
+    descending V-zero x1, and continued on [x1, inf) by the explicit
+    exponential relaxation toward V* with the matching Theta integral.  The
+    launch amplitude eps = 1e-3 is halved (up to MAX_HALVINGS times) until
+    the window conditions and the domain bounds 0 <= v <= min(U, V*),
+    theta <= 1 hold.  Arc and right piece are sampled at spacing GRID_H.
     """
     cs = c_sharp(params)
     if not (cs < c < 0.0):
@@ -302,17 +304,13 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     a, b = spec2.a, spec2.b
     k1, k2, d = params.kappa1, params.kappa2, params.d
 
-    x_ctrl = _alpha_support_right_edge(u_profile) if alpha is None else None
-    if alpha is not None:
-        xs = u_profile.x_nodes
-        av = np.asarray([float(alpha(xx)) for xx in xs])
-        pos = av > 1e-12
-        x_ctrl = float(xs[np.nonzero(pos)[0][-1]]) if np.any(pos) else float(xs[0])
     xs = u_profile.x_nodes
-    iu = np.nonzero(u_profile.u_values >= 1.0 - eps0)[0]
+    pos = np.asarray([float(alpha(xx)) for xx in xs]) > 1e-12
+    x_ctrl = float(xs[np.nonzero(pos)[0][-1]]) if np.any(pos) else float(xs[0])
+    iu = np.nonzero(u_profile.u_values >= 1.0 - EPS0)[0]
     if len(iu) == 0:
         raise ConstructionFailureError(
-            f"profile never reaches U >= 1 - eps0 = {1.0 - eps0:g}")
+            f"profile never reaches U >= 1 - eps0 = {1.0 - EPS0:g}")
     x_u = float(xs[iu[0]])
     x0 = max(x_ctrl, x_u) + 1.0
 
@@ -320,7 +318,7 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     # Theta = eps * kappa1 b / (c (a^2+b^2)) < 0
     theta_hat0 = k1 * b / (c * (a * a + b * b))
     u_of_x = u_profile.u_at
-    rhs = _ode8_rhs(c, params, u_of_x, None)
+    rhs = _ode8_rhs(c, params, u_of_x)
 
     def ev_vzero(x, y):
         return y[0]
@@ -343,9 +341,9 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     ev_thcap.direction = 1
 
     window = 4.0 * np.pi / b
-    attempt = eps
+    attempt = 1e-3
     last_reason = ""
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         sol = solve_ivp(rhs, (x0, x0 + window * 1.05),
                         [0.0, attempt * b, attempt * theta_hat0],
                         method="DOP853", rtol=1e-11, atol=1e-13,
@@ -358,7 +356,7 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
             continue
         x1 = float(sol.t_events[0][0])
         V1, W1, Th1 = sol.sol(x1)
-        xs_arc = np.linspace(x0, x1, max(400, int((x1 - x0) / grid_h) + 1))
+        xs_arc = np.linspace(x0, x1, max(400, int((x1 - x0) / GRID_H) + 1))
         Varc, Warc, Tharc = sol.sol(xs_arc)
         ok = (Th1 > 0.0 and W1 < 0.0 and x1 - x0 <= window
               and np.all(Varc >= -1e-12)
@@ -373,16 +371,16 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
         attempt *= 0.5
     else:
         raise ConstructionFailureError(
-            f"subsolution window not found after {max_halvings} halvings: "
+            f"subsolution window not found after {MAX_HALVINGS} halvings: "
             + last_reason)
 
     theta_tilde = float(Th1)
-    v_dagger = k2 * (1.0 - eps0) * theta_tilde / (k2 * theta_tilde + d)
+    v_dagger = k2 * (1.0 - EPS0) * theta_tilde / (k2 * theta_tilde + d)
     lam0 = (-c - np.sqrt(c * c + 4.0 * (k2 * theta_tilde + d))) / 2.0
 
     # right piece grid: extend well past the relaxation scales
     span_r = max(40.0, 25.0 / min(abs(lam0), abs(spec2.lambda1), a))
-    n_r = int(span_r / grid_h) + 1
+    n_r = int(span_r / GRID_H) + 1
     xr = np.linspace(x1, x1 + span_r, n_r)
     v_tilde = v_dagger * (1.0 - np.exp(lam0 * (xr - x1)))
     # theta^- from the explicit integral of theta' = -(k1/c) v_tilde (1-theta)
@@ -408,11 +406,11 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     w_all = np.gradient(v_all, x_all)
 
     # residual audit, piecewise semi-analytic (see module docstring)
-    res = _subsolution_residuals(x_all, xs_arc, xr, sol, v_right, theta_right,
+    res = _subsolution_residuals(x_all, Varc, Tharc, xr, v_right, theta_right,
                                  v_tilde, u_right, params, c, n_l)
     path = TriplePath(x_all, u_all, v_all, th_all, w_all, "subsolution",
                       residuals=res,
-                      meta={"x0": x0, "x1": x1, "eps": attempt, "eps0": eps0,
+                      meta={"x0": x0, "x1": x1, "eps": attempt, "eps0": EPS0,
                             "v_dagger": v_dagger, "lambda0": lam0,
                             "theta_tilde": theta_tilde,
                             "dv_left": float(W1), "dv_right": float(
@@ -421,12 +419,13 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     return path
 
 
-def _subsolution_residuals(x_all, xs_arc, xr, sol, v_right, theta_right,
+def _subsolution_residuals(x_all, Varc, Tharc, xr, v_right, theta_right,
                            v_tilde, u_right, params, c, n_l):
     """Operator signs for the lower barrier, evaluated piece by piece.
 
     Left piece (v, theta) = (0, 0): both operators vanish identically.
-    Arc piece: exact ODE solution, residual at integrator tolerance.
+    Arc piece (samples Varc, Tharc): exact ODE solution, residual at
+    integrator tolerance.
     Right piece: the v-equation is solved with its own stencil (residual is
     the banded-solve defect) and the theta-equation residual is
     kappa1 (1 - theta)(v^- - v_tilde) >= 0 by the comparison bound.
@@ -434,24 +433,17 @@ def _subsolution_residuals(x_all, xs_arc, xr, sol, v_right, theta_right,
     k1, k2, d = params.kappa1, params.kappa2, params.d
     r2 = np.zeros_like(x_all)
     r3 = np.zeros_like(x_all)
-    n_arc = len(xs_arc)
+    n_arc = len(Varc)
     # third equation on the arc where theta^- = max(Theta_eps, 0) != Theta_eps:
     # residual = kappa1 v (1 - 0) >= 0; where equal, residual = 0.
-    Varc, _, Tharc = sol.sol(xs_arc)
     clipped = Tharc < 0.0
     r3[n_l:n_l + n_arc] = np.where(clipped, k1 * np.maximum(Varc, 0.0), 0.0)
-    # right piece residuals
-    h = xr[1] - xr[0]
-    v = v_right
-    lap = np.zeros_like(v)
-    lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    grad = np.zeros_like(v)
-    grad[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    r2_right = lap + c * grad + k2 * (u_right - v) * theta_right - d * v
-    r2_right[0] = r2_right[-1] = 0.0
-    r2[n_l + n_arc - 1:] = r2_right[:len(x_all) - (n_l + n_arc - 1)]
-    r3_right = k1 * (1.0 - theta_right) * (v - v_tilde)
-    r3[n_l + n_arc - 1:] = r3_right[:len(x_all) - (n_l + n_arc - 1)]
+    # right piece residuals, from x_all[j] = x1 on
+    v, j = v_right, n_l + n_arc - 1
+    r2[j + 1:-1] = (_v_operator(v, c, xr[1] - xr[0])
+                    + k2 * (u_right[1:-1] - v[1:-1]) * theta_right[1:-1]
+                    - d * v[1:-1])
+    r3[j:] = k1 * (1.0 - theta_right) * (v - v_tilde)
     return {"second": r2, "third": r3, "first": np.zeros_like(x_all)}
 
 
@@ -491,9 +483,8 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
 
 
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
-                 c: float, domain_halfwidth: float | None = None,
-                 h: float = 0.02, tol: float = 1e-6, max_iter: int = 400,
-                 sub: TriplePath | None = None,
+                 c: float, h: float = 0.02, tol: float = 1e-6,
+                 max_iter: int = 400, sub: TriplePath | None = None,
                  sup: TriplePath | None = None) -> TriplePath:
     """Exact (V, Theta) by damped monotone iteration from the subsolution.
 
@@ -501,7 +492,9 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     two-point problem (banded solve); given V the Theta-equation is
     integrated exactly by its integrating factor.  Iterates are damped by
     0.5 and must stay inside the barrier sandwich; convergence is declared
-    when the discrete defect of the V-equation falls below tol.
+    when the discrete defect of the V-equation falls below tol.  The grid
+    spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
+    subsolution's junction) and 20 / min(|lambda1|, a), snapped to h.
 
     meta records "sweeps" (lagged sweeps), "newton_iterations" and
     "newton_steps" (the line-search step length each Newton iteration
@@ -517,11 +510,10 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     if sup is None:
         sup = supersolution(u_profile, params, c)
     spec2 = spectrum(c, params)
-    if domain_halfwidth is None:
-        domain_halfwidth = max(20.0 / min(abs(spec2.lambda1), spec2.a),
-                               abs(sub.meta["x1"]) + 20.0, 35.0)
+    halfwidth = max(20.0 / min(abs(spec2.lambda1), spec2.a),
+                    abs(sub.meta["x1"]) + 20.0, 35.0)
     # snap the halfwidth to the mesh so the realized spacing is exactly h
-    L = h * np.ceil(float(domain_halfwidth) / h)
+    L = h * np.ceil(halfwidth / h)
     n = int(round(2.0 * L / h)) + 1
     x = np.linspace(-L, L, n)
     h = float(x[1] - x[0])
@@ -529,8 +521,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     vstar = params.v_star
 
     u = np.asarray(u_profile.u_at(x), dtype=float)
-    al = np.zeros_like(x) if alpha is None else \
-        np.asarray([float(alpha(xx)) for xx in x])
+    al = np.asarray([float(alpha(xx)) for xx in x])
     v_lo = np.interp(x, sub.x_nodes, sub.v_values, left=0.0, right=vstar)
     th_lo = np.interp(x, sub.x_nodes, sub.theta_values, left=0.0, right=1.0)
     v_hi = np.minimum(u, vstar)
@@ -543,9 +534,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     history: list[float] = []
 
     def v_residual(Vc: np.ndarray, Thc: np.ndarray) -> np.ndarray:
-        lap = (Vc[2:] - 2.0 * Vc[1:-1] + Vc[:-2]) / h**2
-        grad = (Vc[2:] - Vc[:-2]) / (2.0 * h)
-        return lap + c * grad + k2 * (u[1:-1] - Vc[1:-1]) * Thc[1:-1] \
+        return _v_operator(Vc, c, h) \
+            + k2 * (u[1:-1] - Vc[1:-1]) * Thc[1:-1] \
             - (d + al[1:-1]) * Vc[1:-1]
 
     # Stage 1: lagged iteration from the subsolution, damped (0.5) first,
@@ -575,6 +565,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     # what moves the front along the weakly pinned direction.
     sweeps = len(history)
     newton_steps: list[float] = []
+    lo, mid, up = _v_stencil(c, h)
     if not converged:
         Th = _theta_closed_form(x, V, k1, c)
         F = v_residual(V, Th)
@@ -585,9 +576,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                 converged = True
                 break
             fac = k2 * (u[1:-1] - V[1:-1]) * (1.0 - Th[1:-1]) * (-k1 / c)
-            dg = -2.0 / h**2 - (k2 * Th[1:-1] + d + al[1:-1])
-            dv = _newton_solve(dg, 1.0 / h**2 + c / (2.0 * h),
-                               1.0 / h**2 - c / (2.0 * h), fac, h, F)
+            dg = mid - (k2 * Th[1:-1] + d + al[1:-1])
+            dv = _newton_solve(dg, up, lo, fac, h, F)
             step = 1.0
             improved = False
             for _ in range(40):
@@ -618,12 +608,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
         raise OrderingError("solution escaped the barrier sandwich")
 
     W = np.gradient(V, x)
-    lapV = np.zeros_like(V)
-    lapV[1:-1] = (V[2:] - 2.0 * V[1:-1] + V[:-2]) / h**2
-    gradV = np.zeros_like(V)
-    gradV[1:-1] = (V[2:] - V[:-2]) / (2.0 * h)
-    r2 = lapV + c * gradV + k2 * (u - V) * Th - (d + al) * V
-    r2[0] = r2[-1] = 0.0
+    r2 = np.zeros_like(V)
+    r2[1:-1] = v_residual(V, Th)
     # Theta residual in the scheme's own (integrating-factor/trapezoid)
     # discretization: c D[ln(1-Theta)] = kappa1 V at cell midpoints,
     # multiplied back by (1-Theta); exact where Theta has saturated.
@@ -661,16 +647,15 @@ class QuasimonotoneReport:
         return not self.violations
 
 
-def quasimonotone_check(params: Model2Params, alpha_value: float = 0.0,
+def quasimonotone_check(params: Model2Params,
                         samples=None) -> QuasimonotoneReport:
     """Off-diagonal Jacobian signs of the reaction map on the invariant set.
 
     F = (f(u) - alpha u, kappa2 (u-v) theta - (alpha+d) v, kappa1 (1-theta) v);
     the off-diagonal partials are kappa2 theta, kappa2 (u-v), kappa1 (1-theta)
-    and zeros, all nonnegative on {0 <= v <= u <= 1, 0 <= theta <= 1}.
+    and zeros, all nonnegative on {0 <= v <= u <= 1, 0 <= theta <= 1} and
+    independent of the control alpha.
     """
-    if alpha_value < 0.0:
-        raise InvalidParameterError("alpha_value must be nonnegative")
     if samples is None:
         g = np.linspace(0.0, 1.0, 6)
         samples = [(uu, vv, th) for uu in g for vv in g if vv <= uu for th in g]
@@ -728,7 +713,7 @@ def case2_demo(params: Model2Params, c: float, seed_amplitude: float = 1e-3,
         return Case2Report(0.0, "V" if y0[0] < 0 else "Theta", 0.0,
                            float("nan"), b, 0.0, True, seed_amplitude)
 
-    rhs = _ode8_rhs(c, params, lambda x: 1.0, None)
+    rhs = _ode8_rhs(c, params, lambda x: 1.0)
     period = 2.0 * np.pi / b
     x_span = (0.0, -3.5 * period)
 

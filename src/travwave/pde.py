@@ -32,6 +32,7 @@ __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
 
 CFL_LIMIT = 0.4
 BLOWUP_LO, BLOWUP_HI = -0.01, 1.01
+FRONT_LEVEL, BOUNDARY_MARGIN = 0.5, 10.0  # see front_speed
 
 
 @dataclass
@@ -230,35 +231,33 @@ class FrontFit:
     positions: np.ndarray
 
 
-def front_speed(record: EvolutionRecord, level: float = 0.5,
-                discard_fraction: float = 0.2,
-                boundary_margin: float = 10.0) -> FrontFit:
-    """Least-squares speed of the u = level crossing across snapshots.
+def front_speed(record: EvolutionRecord) -> FrontFit:
+    """Least-squares speed of the u = FRONT_LEVEL crossing across snapshots.
 
-    The first `discard_fraction` of the record is treated as transient;
-    a front closer than `boundary_margin` to either edge aborts the fit.
+    The first 20% of the record is treated as transient; a front closer
+    than BOUNDARY_MARGIN to either edge aborts the fit.
     """
     x = record.x
     positions = []
     for u in record.u_snapshots:
-        above = u >= level
+        above = u >= FRONT_LEVEL
         if np.all(above) or not np.any(above):
             raise FrontNotFoundError(
-                f"no u={level:g} crossing in a snapshot (field is "
+                f"no u={FRONT_LEVEL:g} crossing in a snapshot (field is "
                 f"{'all above' if np.all(above) else 'all below'})")
         i = int(np.argmax(above))
         if i == 0:
             raise FrontNotFoundError("front touches the left boundary")
         x0, x1 = x[i - 1], x[i]
         u0, u1 = u[i - 1], u[i]
-        positions.append(x0 + (level - u0) * (x1 - x0) / (u1 - u0))
+        positions.append(x0 + (FRONT_LEVEL - u0) * (x1 - x0) / (u1 - u0))
     positions = np.asarray(positions)
-    if np.any(positions < x[0] + boundary_margin) or \
-            np.any(positions > x[-1] - boundary_margin):
+    if np.any(positions < x[0] + BOUNDARY_MARGIN) or \
+            np.any(positions > x[-1] - BOUNDARY_MARGIN):
         raise DomainExceededError(
-            f"front within {boundary_margin:g} of the domain boundary")
+            f"front within {BOUNDARY_MARGIN:g} of the domain boundary")
 
-    k0 = int(np.floor(discard_fraction * len(positions)))
+    k0 = int(np.floor(0.2 * len(positions)))
     tt = record.times[k0:]
     pp = positions[k0:]
     A = np.column_stack([tt, np.ones_like(tt)])

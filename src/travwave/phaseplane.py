@@ -67,8 +67,22 @@ class PhaseTrajectory:
     seed_slope: float | None = None
     meta: dict = field(default_factory=dict)
 
-    def interp_p(self) -> PchipInterpolator:
-        return PchipInterpolator(self.u_nodes, self.p_values, extrapolate=True)
+    def interp_p(self) -> Callable:
+        """PCHIP interpolant of P(U) that raises InvalidParameterError
+        outside [u_nodes[0], u_nodes[-1]], where the curve is unknown
+        (P_flat, for one, ends on the U-axis), instead of extrapolating."""
+        pchip = PchipInterpolator(self.u_nodes, self.p_values)
+        lo, hi = float(self.u_nodes[0]), float(self.u_nodes[-1])
+
+        def p_at(u):
+            uu = np.asarray(u)
+            outside = (uu < lo) | (uu > hi)
+            if outside.any():
+                raise InvalidParameterError(
+                    f"P({float(uu[outside].flat[0]):.6g}) requested outside "
+                    f"the {self.kind} span [{lo:.6g}, {hi:.6g}]")
+            return pchip(u)
+        return p_at
 
     def to_csv(self, path) -> None:
         beta = self.beta_values if self.beta_values is not None \
@@ -98,8 +112,7 @@ def _beta_or_zero(beta) -> Callable[[float], float]:
 
 def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
                      u1: float, stop_when=None, direction: int = 0,
-                     rtol: float = RTOL, atol: float = ATOL,
-                     n_nodes: int | None = None):
+                     rtol: float = RTOL, atol: float = ATOL):
     """Integrate dP/dU = -c + (beta - f)/P from (u0, p0) toward u1.
 
     Returns (u, p, terminated_by, u_end).  Terminal events: P reaching
@@ -146,9 +159,7 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
             terminated_by = "event"
 
     span = abs(u_end - u0)
-    if n_nodes is None:
-        n_nodes = max(400, int(span * 1600)) + 1
-    u = np.linspace(u0, u_end, n_nodes)
+    u = np.linspace(u0, u_end, max(400, int(span * 1600)) + 1)
     if span > 0.0:
         # geometric clusters toward both ends: x(U) ~ ln U / lambda near an
         # equilibrium, so uniform-in-U sampling cannot resolve the tails
@@ -220,8 +231,8 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
 
 
 def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
-                 u_to: float, stop_when=None, direction: int = 0,
-                 rtol: float = RTOL, atol: float = ATOL) -> PhaseTrajectory:
+                 u_to: float, stop_when=None,
+                 direction: int = 0) -> PhaseTrajectory:
     """General chart integration from (u_from, p_from) toward u_to.
 
     `stop_when(u, p)` is an optional terminal event function (sign change,
@@ -232,7 +243,7 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
         raise InvalidParameterError(f"p_from must be positive, got {p_from}")
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, beta, u_from, p_from, u_to, stop_when=stop_when,
-        direction=direction, rtol=rtol, atol=atol)
+        direction=direction)
     increasing = u_to >= u_from
     if not increasing:
         u, p = u[::-1], p[::-1]

@@ -30,7 +30,7 @@ from ._roots import bisect
 from .control_construct import (_slice_from, _slice_to, cost_of, merge_pieces,
                                 natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
-                     NoSolutionError, TravwaveError)
+                     NoSolutionError, SingularityError, TravwaveError)
 from .model import ModelSpec, check_A1, check_A2
 from .phaseplane import PhaseTrajectory, stable_manifold, unstable_manifold
 from .speed import natural_speed
@@ -130,8 +130,9 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     Termination is classified and mapped onto the continuous shooting
     surrogate: meeting P_sharp reports phi = beta(u2) >= 0, exhausting beta
     or P before the meeting reports phi = -(remaining gap to P_sharp) < 0.
-    A non-positive L_betabeta along the way raises
-    ConvexityViolationError.
+    An integrator failure counts as P exhausted where P <= 1e-5 and raises
+    SingularityError elsewhere.  A non-positive L_betabeta along the way
+    raises ConvexityViolationError.
     """
     p0 = float(p_flat(u1))
     if not p0 > 0.0:
@@ -167,7 +168,11 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     u_end = float(sol.t[-1])
     p_end, b_end = float(sol.y[0, -1]), float(sol.y[1, -1])
     if sol.status == -1:
-        status = "p_zero" if p_end <= 1e-5 else "beta_zero"
+        # step underflow off the U-axis, as in phaseplane._integrate_chart
+        if p_end > 1e-5:
+            raise SingularityError(f"integrator failed near U={u_end:.8f}: "
+                                   f"{sol.message}", location=u_end)
+        status = "p_zero"
     elif sol.status == 1:
         if len(sol.t_events[0]):
             status = "met_psharp"
@@ -236,14 +241,13 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
     flat = unstable_manifold(spec, c, u_stop=1.0, rtol=rtol, atol=atol)
     sharp = stable_manifold(spec, c, u_stop=0.0, rtol=rtol, atol=atol)
     p_flat, p_sharp = flat.interp_p(), sharp.interp_p()
-    u_bar = flat.termination_u if flat.terminated_by == "p_zero" else 1.0
 
     # Control is worthless where the cost barrier sits at zero; scan above
     # u* for such models, else over the whole unit interval.
     barrier_zero_below = float(spec.beta_max(0.5 * spec.u_star)) == 0.0 \
         if np.isfinite(spec.u_star) else False
     scan_lo = (spec.u_star if barrier_zero_below else 0.0) + scan_resolution
-    scan_hi = min(u_bar, 1.0) - 1e-4
+    scan_hi = float(flat.u_nodes[-1]) - 1e-4
     if scan_hi <= scan_lo:
         raise NoSolutionError(
             f"empty scan range [{scan_lo:g}, {scan_hi:g}] at c={c:g}")

@@ -76,13 +76,13 @@ class SpatialProfile:
                              "theta": self.theta_values})
 
 
-def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec,
-                  p_clip: float = 1e-9) -> SpatialProfile:
+def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     """Invert the chart: x(U) = int_{u*}^U dV / P(V), plus asymptotic tails.
 
-    Interior nodes must have P > 0.  The control in physical space is
-    alpha(x) = L(U(x), beta(U(x))); profiles of bang type may carry
-    alpha = +inf where the control exceeds the cost barrier.
+    Interior nodes must have P > 0; nodes with P <= 1e-9 are dropped.  The
+    control in physical space is alpha(x) = L(U(x), beta(U(x))); profiles
+    of bang type may carry alpha = +inf where the control exceeds the cost
+    barrier.
     """
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)
@@ -94,7 +94,7 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec,
         raise InvalidTrajectoryError(
             f"P({u[i]:.6f}) = {p[i]:.3g} is not positive on an interior node")
 
-    keep = p > p_clip
+    keep = p > 1e-9
     u, p, b = u[keep], p[keep], b[keep]
     us = spec.u_star
     if not (u[0] < us < u[-1]):

@@ -99,15 +99,14 @@ def _vectorized(fn) -> bool:
         return False
 
 
-def modified_speed(spec: ModelSpec, f_hat: Callable, tol: float = 1e-8,
-                   df_hat=None, n_check: int = 2001) -> float:
+def modified_speed(spec: ModelSpec, f_hat: Callable, df_hat=None) -> float:
     """Front speed c_hat of the substitute equation u_t = u_xx + f_hat(u).
 
     f_hat must itself be bistable and satisfy the admissibility sandwich
-    f - beta_max <= f_hat <= f pointwise (checked by sampling); violating
-    either raises InvalidSubstituteError.
+    f - beta_max <= f_hat <= f pointwise (checked on 2001 samples);
+    violating either raises InvalidSubstituteError.
     """
-    u = np.linspace(0.0, 1.0, n_check)
+    u = np.linspace(0.0, 1.0, 2001)
     f_vals = np.asarray(spec.f(u), dtype=float)
     bhat = np.asarray(spec.beta_max(u), dtype=float)
     try:
@@ -132,4 +131,4 @@ def modified_speed(spec: ModelSpec, f_hat: Callable, tol: float = 1e-8,
     if bad:
         raise InvalidSubstituteError(
             "substitute fails bistability: " + "; ".join(rep.failures()))
-    return natural_speed(sub, tol=tol)
+    return natural_speed(sub)

@@ -232,6 +232,27 @@ def test_newton_solve_matches_dense(n, c, h, seed):
     assert np.max(np.abs(dv - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 300), st.floats(-1.5, 1.5), st.floats(0.005, 0.05),
+       st.integers(0, 2**32 - 1))
+def test_linear_v_solve_satisfies_the_shared_operator(n, c, h, seed):
+    # the banded matrix of _solve_linear_v and the residual operator are
+    # one stencil: the solve leaves no defect beyond rounding
+    rng = np.random.default_rng(seed)
+    x = -1.0 + h * np.arange(n)
+    coeff = rng.uniform(0.0, 5.0, n)
+    source = rng.uniform(-1.0, 1.0, n)
+    v_left, v_right = rng.uniform(0.0, 1.0, 2)
+    v = model2._solve_linear_v(x, c, coeff, source, v_left, v_right)
+    assert v[0] == v_left and v[-1] == v_right
+    hx = x[1] - x[0]
+    defect = (model2._v_operator(v, c, hx) - coeff[1:-1] * v[1:-1]
+              + source[1:-1])
+    scale = np.max(np.abs(v)) / hx**2 + np.max(np.abs(coeff * v)) \
+        + np.max(np.abs(source))
+    assert np.max(np.abs(defect)) <= 1e-9 * scale
+
+
 def test_solution_matches_dense_newton(m2_pipeline, monkeypatch):
     # criterion-8 state: c = -0.9, h = 0.02, the cached sandwich
     sup, sub, sol = acc._m2_sandwich()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from travwave.errors import (InvalidParameterError, NotASaddleError,
                              SingularityError)
@@ -186,3 +187,20 @@ def test_integrator_failure_raises_singularity(weed):
         integrate_pu(weed, -0.1, lambda u: np.nan if u > 0.6 else 0.0,
                      u_from=0.5, p_from=0.2, u_to=0.9)
     assert info.value.location == pytest.approx(0.6, abs=1e-6)
+
+
+def test_interp_p_refuses_to_extrapolate(weed):
+    # at c = -0.1, P_flat meets the U-axis near u = 0.631; a PCHIP
+    # extrapolated to 0.7 read -6.8e17 there
+    flat = unstable_manifold(weed, -0.1, u_stop=1.0)
+    lo, hi = flat.u_nodes[0], flat.u_nodes[-1]
+    assert flat.terminated_by == "p_zero" and 0.62 < hi < 0.64
+    pf = flat.interp_p()
+    inside = np.linspace(lo, hi, 501)
+    ref = PchipInterpolator(flat.u_nodes, flat.p_values)
+    assert np.array_equal(pf(inside), ref(inside))
+    assert float(pf(0.5)) == float(ref(0.5))
+    for bad in (0.7, np.array([0.5, 0.7]), np.nextafter(hi, 1.0), -1e-3):
+        with pytest.raises(InvalidParameterError,
+                           match=r"unstable_manifold span \[0, 0\.63"):
+            pf(bad)

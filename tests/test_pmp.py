@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from travwave.control_construct import finite_cost_control
 from travwave.errors import (ConvexityViolationError, InvalidParameterError,
-                             NoSolutionError)
+                             NoSolutionError, SingularityError)
 from travwave.model import make_cubic_model, make_logistic_model
 from travwave.phaseplane import stable_manifold, unstable_manifold
 from travwave.pmp import (_generic_rhs, effort_curve, optimal_profile,
@@ -42,6 +42,30 @@ def test_shot_failure_mode_near_crash(weed, manifolds01):
                      flat.interp_p(), sharp.interp_p())
     assert res.status in ("beta_zero", "p_zero")
     assert res.phi < 0.0
+
+
+def test_shot_integrator_failure(weed, manifolds01):
+    # a right-hand side that turns NaN makes the step size collapse there
+    flat, sharp = manifolds01
+    pf, ps = flat.interp_p(), sharp.interp_p()
+
+    def nan_past(u, P, beta, c):
+        if u > 0.46 or not np.isfinite(P + beta):
+            return np.nan, np.nan
+        return weed.pmp_rhs(u, P, beta, c)
+    # with P far from zero that is a failure, not a beta_zero shot
+    with pytest.raises(SingularityError) as info:
+        shoot_from(dataclasses.replace(weed, pmp_rhs=nan_past), -0.1, 0.45,
+                   pf, ps)
+    assert info.value.location == pytest.approx(0.46, abs=1e-9)
+
+    def nan_near_axis(u, P, beta, c):
+        return (np.nan, np.nan) if not P >= 1e-6 else (-10.0, 1.0)
+    # where P has collapsed onto the U-axis it is still a p_zero shot
+    res = shoot_from(dataclasses.replace(weed, pmp_rhs=nan_near_axis), -0.1,
+                     0.45, pf, ps)
+    assert res.status == "p_zero" and res.p_end <= 1e-5
+    assert res.phi == -(float(ps(res.u_end)) - res.p_end) < 0.0
 
 
 def test_trivial_profile_at_natural_speed(weed, c_star_weed):

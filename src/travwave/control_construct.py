@@ -22,6 +22,7 @@ c > c*:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -184,6 +185,13 @@ def default_substitute(spec: ModelSpec):
     the bistable sign pattern.
     """
     def f_hat(u):
+        if isinstance(u, float):
+            # plain-float form for the integrators, bit-equal to the array
+            # form below: same operations in the same order
+            fv = spec.f(u)
+            bm = spec.beta_max(u)
+            return fv - 0.95 * min(bm if math.isfinite(bm) else math.inf,
+                                   max(fv, 0.0))
         fv = np.asarray(spec.f(u), dtype=float)
         bm = np.asarray(spec.beta_max(u), dtype=float)
         return fv - 0.95 * np.minimum(np.where(np.isfinite(bm), bm, np.inf),
@@ -192,11 +200,12 @@ def default_substitute(spec: ModelSpec):
 
 
 def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float,
-                   x_max: float = 1000.0):
+                   x_max: float = 1000.0, dense_output: bool = False):
     """x-parameterized orbit of U'=P, P'=-c' P - f_hat(U) from (a, 0).
 
-    Returns (reached_one, solution).  Near the axis the chart equation is
-    singular but the planar system is regular, so integration runs in x.
+    Returns (reached_one, solution); ``solution.sol`` exists only with
+    ``dense_output``.  Near the axis the chart equation is singular but
+    the planar system is regular, so integration runs in x.
     """
     def rhs(x, y):
         return [y[1], -c_prime * y[1] - float(sub_spec.f(y[0]))]
@@ -212,7 +221,7 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float,
     ev_fall.direction = -1
 
     sol = solve_ivp(rhs, (0.0, x_max), [a, 0.0], method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=True,
+                    rtol=1e-10, atol=1e-12, dense_output=dense_output,
                     events=[ev_hit_one, ev_fall])
     reached = sol.status == 1 and len(sol.t_events[0]) > 0
     return reached, sol
@@ -272,7 +281,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     hi = 0.999 * u_hat_star
     a0 = hi if side(hi) < 0.0 else bisect(side, lo, hi, 1e-10)[0]
     a_use = 0.75 * a0
-    ok, sol = _pcprime_orbit(sub_spec, c_prime, a_use)
+    ok, sol = _pcprime_orbit(sub_spec, c_prime, a_use, dense_output=True)
     if not ok:
         raise ConstructionFailureError(f"auxiliary orbit from a={a_use:g} failed")
 

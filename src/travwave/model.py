@@ -19,13 +19,15 @@ monostable with a linear cost, and downstream solvers gate on the reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ._roots import sign_changes
-from .errors import ConvexityViolationError, DomainError, InvalidParameterError
+from .errors import (ConvexityViolationError, DomainError, InvalidParameterError,
+                     SingularityError)
 
 __all__ = [
     "ModelSpec",
@@ -92,6 +94,18 @@ class Model2Params:
         return self.kappa2 / (self.kappa2 + self.d)
 
 
+def _check_finite_state(u, P, beta) -> None:
+    """Raise SingularityError when a Pontryagin state (P, beta) is not finite.
+
+    Called only on the right-hand sides' error branch, where a NaN state
+    would otherwise be misreported as a convexity violation.
+    """
+    if not (math.isfinite(P) and math.isfinite(beta)):
+        raise SingularityError(
+            f"non-finite Pontryagin state at U={u:.8f}: P={P:g}, beta={beta:g}",
+            location=u)
+
+
 def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
     """Bistable cubic f(u) = rate * u (u-u*) (1-u) with the matching cost.
 
@@ -119,6 +133,10 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
         return k * (2.0 * u - a)
 
     def beta_max(u):
+        # plain-float branch for the integrators' scalar calls (np.float64
+        # is a float); the same operations as the array form, bit for bit
+        if isinstance(u, float):
+            return m_of(u) if u > a else 0.0
         u = np.asarray(u, dtype=float)
         return np.where(u > a, m_of(u), 0.0)
 
@@ -174,6 +192,7 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
         inside = 0.0 <= b < m and gap3 > 0.0
         Lbb = 2.0 * m / gap3 if inside else np.inf
         if not 0.0 < Lbb < np.inf:
+            _check_finite_state(u, P, beta)
             raise ConvexityViolationError(
                 f"L_betabeta({u:.6f}, {b:.3g}) = {Lbb:g} is not positive")
         Lb = m / (gap * gap)

@@ -31,7 +31,7 @@ from .control_construct import (_slice_from, _slice_to, cost_of, merge_pieces,
                                 natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, SingularityError, TravwaveError)
-from .model import ModelSpec, check_A1, check_A2
+from .model import ModelSpec, _check_finite_state, check_A1, check_A2
 from .phaseplane import PhaseTrajectory, stable_manifold, unstable_manifold
 from .speed import natural_speed
 
@@ -101,7 +101,8 @@ def _generic_rhs(spec: ModelSpec):
     Used for specs without a fused ``pmp_rhs``.  RK trial stages may probe
     just outside the admissible strip 0 <= beta < beta_max (the events cut
     the real path there); the cost partials are evaluated at the clamped
-    control.  A non-positive L_betabeta raises ConvexityViolationError.
+    control.  A non-positive L_betabeta raises ConvexityViolationError, or
+    SingularityError when the state (P, beta) itself is not finite.
     """
     def rhs(u, P, b, c):
         fv = float(spec.f(u))
@@ -110,6 +111,7 @@ def _generic_rhs(spec: ModelSpec):
             else max(b, 0.0)
         Lbb = float(spec.L_betabeta(u, b_adm))
         if not Lbb > 0.0 or not np.isfinite(Lbb):
+            _check_finite_state(u, P, b)
             raise ConvexityViolationError(
                 f"L_betabeta({u:.6f}, {b_adm:.3g}) = {Lbb:g} is not positive")
         Lb = float(spec.L_beta(u, b_adm))
@@ -132,7 +134,7 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     or P before the meeting reports phi = -(remaining gap to P_sharp) < 0.
     An integrator failure counts as P exhausted where P <= 1e-5 and raises
     SingularityError elsewhere.  A non-positive L_betabeta along the way
-    raises ConvexityViolationError.
+    raises ConvexityViolationError; a non-finite state, SingularityError.
     """
     p0 = float(p_flat(u1))
     if not p0 > 0.0:
@@ -161,8 +163,10 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     ev_floor.terminal = True
     ev_floor.direction = -1
 
+    # dense output only for the sampled shot: event location builds its
+    # own interpolant on demand, and DOP853's extra stages cost RHS calls
     sol = solve_ivp(rhs, (u1, 1.0), [p0, BETA_START], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True,
+                    rtol=rtol, atol=atol, dense_output=want_nodes,
                     events=[ev_meet, ev_beta, ev_floor])
 
     u_end = float(sol.t[-1])

@@ -92,10 +92,16 @@ def make_substitute_spec(spec: ModelSpec, f_hat: Callable, df_hat=None) -> Model
 
 
 def _vectorized(fn) -> bool:
+    """Whether fn maps a 2-array to a 2-array.
+
+    A scalar-only fn fails on the array with TypeError or ValueError (a
+    truth-value or float() conversion); any other error is its own bug and
+    propagates.
+    """
     try:
         out = fn(np.array([0.25, 0.75]))
         return np.shape(out) == (2,)
-    except Exception:
+    except (TypeError, ValueError):
         return False
 
 

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from travwave.control_construct import (bang_control, cost_of,
+from travwave.control_construct import (_pcprime_orbit, bang_control, cost_of,
+                                        default_substitute,
                                         finite_cost_control,
                                         natural_heteroclinic)
 from travwave.errors import (CapExceededError, InvalidParameterError,
                              NoControlNeeded, SingularCostError)
+from travwave.model import make_cubic_model
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
+from travwave.speed import make_substitute_spec
 
 
 def test_bang_at_natural_speed(weed, c_star_weed):
@@ -159,3 +165,45 @@ def test_merged_trajectory_monotone(weed, c_star_weed):
     assert np.all(np.diff(t.u_nodes) > 0.0)
     outside = (t.u_nodes < prof.u1 - 1e-12) | (t.u_nodes > prof.u2_tilde + 1e-12)
     assert np.all(t.beta_values[outside] == 0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).reshape(-1).view(np.int64)
+
+
+# None stands for u* itself; 5e-324 makes f underflow to -0.0 below u*,
+# where the operand order of min decides the sign of the zero
+@settings(max_examples=300, deadline=None)
+@given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0),
+       u=st.one_of(st.floats(-0.1, 1.1),
+                   st.sampled_from([0.0, -0.0, 1.0, None, math.nan, 5e-324])))
+@example(u_star=0.25, rate=0.1, u=5e-324)
+def test_scalar_kernels_match_array_forms(u_star, rate, u):
+    spec = make_cubic_model(u_star, rate)
+    f_hat = default_substitute(spec)
+    u = u_star if u is None else u
+    for fn in (spec.beta_max, f_hat):
+        scalar = fn(u)
+        assert isinstance(scalar, float)
+        # equal to the bit, signed zeros and NaN included
+        assert np.array_equal(_bits(scalar), _bits(fn(np.array([u]))))
+        assert np.array_equal(_bits(fn(np.float64(u))), _bits(scalar))
+
+
+def test_pcprime_reached_without_dense_output(weed, c_star_weed):
+    # the bisection probes integrate without an interpolant; the flag and
+    # the steps they see must be those of the sampled run
+    prof = finite_cost_control(weed, -0.1, c_star=c_star_weed)
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    a0 = prof.meta["a0"]
+    flags = []
+    for a in (0.5 * a0, a0 - 1e-6, a0 - 1e-9, a0 + 1e-9, a0 + 1e-6, 1.5 * a0):
+        reached, sol = _pcprime_orbit(sub, prof.c_prime, a)
+        reached_d, sol_d = _pcprime_orbit(sub, prof.c_prime, a,
+                                          dense_output=True)
+        assert reached == reached_d
+        assert sol.sol is None and sol_d.sol is not None
+        assert np.array_equal(sol.t, sol_d.t)
+        assert np.array_equal(sol.y, sol_d.y)
+        flags.append(reached)
+    assert flags == [True, True, True, False, False, False]

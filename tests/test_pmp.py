@@ -229,6 +229,51 @@ def test_fused_rhs_matches_generic(u_star, rate, u, P, frac, c):
     assert fused == ref
 
 
+@pytest.mark.parametrize("fused", [True, False])
+def test_nonfinite_state_is_a_singularity(weed, fused):
+    rhs = weed.pmp_rhs if fused else _generic_rhs(weed)
+    # a NaN control above u*, and any non-finite state below u*, where the
+    # error branch is taken anyway: the state is named, not the convexity
+    for u, P, beta in ((0.5, 0.1, np.nan), (0.5, np.nan, np.nan),
+                       (0.2, np.nan, 0.0), (0.2, 0.1, np.inf)):
+        with pytest.raises(SingularityError, match="non-finite") as info:
+            rhs(u, P, beta, -0.1)
+        assert info.value.location == u
+    # a finite state below u* is still a convexity violation
+    with pytest.raises(ConvexityViolationError):
+        rhs(0.2, 0.1, 0.0, -0.1)
+
+
+# seed-0 speed of the model2_sandwich benchmark set-up; u1 = 0.3461640213...
+# is the root where phi jumps between the met_psharp and beta_zero branches
+SANDWICH_C = -0.8965557814847496
+SANDWICH_U1 = 0.3461640213131907
+
+
+@pytest.mark.parametrize("case", ["weed", "sandwich"])
+def test_dense_output_does_not_change_shots(weed, manifolds01, case):
+    if case == "weed":
+        spec, c = weed, -0.1
+        flat, sharp = manifolds01
+        grid = np.linspace(0.34, 0.62, 15)
+    else:
+        spec, c = make_cubic_model(0.15, 4.5), SANDWICH_C
+        flat = unstable_manifold(spec, c, u_stop=1.0)
+        sharp = stable_manifold(spec, c, u_stop=0.0)
+        grid = np.append(np.linspace(0.16, 0.6, 12),
+                         [SANDWICH_U1, SANDWICH_U1 + 6e-11])
+    pf, ps = flat.interp_p(), sharp.interp_p()
+    statuses = set()
+    for u1 in grid:
+        bare = shoot_from(spec, c, u1, pf, ps)
+        dense = shoot_from(spec, c, u1, pf, ps, want_nodes=True)
+        assert (bare.status, bare.phi, bare.u_end, bare.p_end, bare.beta_end) \
+            == (dense.status, dense.phi, dense.u_end, dense.p_end,
+                dense.beta_end)
+        statuses.add(bare.status)
+    assert statuses == {"met_psharp", "beta_zero"}
+
+
 def test_fused_shot_matches_generic(weed, manifolds01):
     flat, sharp = manifolds01
     pf, ps = flat.interp_p(), sharp.interp_p()

@@ -9,8 +9,8 @@ import travwave.speed
 from travwave.errors import (BracketFailureError, InvalidParameterError,
                             InvalidSubstituteError)
 from travwave.model import make_logistic_model, make_weed_model
-from travwave.speed import (make_substitute_spec, manifold_gap, modified_speed,
-                            natural_speed)
+from travwave.speed import (_vectorized, make_substitute_spec, manifold_gap,
+                            modified_speed, natural_speed)
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
 
@@ -91,3 +91,24 @@ def test_substitute_violating_bistability_rejected(weed):
     bad = lambda u: float(weed.f(u) - 0.5 * weed.beta_max(u))
     with pytest.raises(InvalidSubstituteError):
         modified_speed(weed, bad)
+
+
+def test_vectorized_probe_only_forgives_scalar_only_errors(weed):
+    # scalar-only substitutes fail on the probe array with TypeError or
+    # ValueError and fall back to np.vectorize
+    assert not _vectorized(lambda u: float(weed.f(u)))
+    assert not _vectorized(lambda u: max(u, 0.5))
+    assert _vectorized(weed.f)
+    spec = make_substitute_spec(weed, lambda u: float(weed.f(u)))
+    assert np.array_equal(spec.f(np.array([0.25, 0.75])),
+                          weed.f(np.array([0.25, 0.75])))
+
+    # any other error on an array is a bug in f_hat and propagates
+    def broken(u):
+        if np.ndim(u):
+            raise RuntimeError("array path broken")
+        return float(weed.f(u))
+    with pytest.raises(RuntimeError, match="array path broken"):
+        make_substitute_spec(weed, broken)
+    with pytest.raises(RuntimeError, match="array path broken"):
+        modified_speed(weed, broken)

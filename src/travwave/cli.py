@@ -21,8 +21,7 @@ from .control_construct import finite_cost_control, natural_heteroclinic
 from .errors import ConfigError, NoSolutionError, TravwaveError
 from .model import Model2Params, make_cubic_model, make_logistic_model, \
     make_weed_model
-from .model2 import c_sharp, case2_demo, solve_vtheta, spectrum, subsolution, \
-    supersolution
+from .model2 import c_sharp, case2_demo, solve_vtheta, spectrum
 from .pde import evolve_model1, evolve_model2, evolve_scalar
 from .pmp import effort_curve, optimal_profile
 from .profile import alpha_multiplicative, reconstruct_x, theta_model1
@@ -230,9 +229,7 @@ def cmd_model2(o: Opts) -> int:
     spec = build_model(o)
     c_star, prof, sp = _scalar_profile(spec, c)
     alpha = alpha_multiplicative(sp)
-    sup = supersolution(sp, params, c)
-    subp = subsolution(sp, alpha, params, c)
-    sol = solve_vtheta(sp, alpha, params, c, sub=subp, sup=sup)
+    sol = solve_vtheta(sp, alpha, params, c)
     print(f"V(+inf) = {sol.meta['v_right_end']:.6f} "
           f"(V* = {params.v_star:.6f}); "
           f"iterations = {sol.meta['iterations']}, "

@@ -149,28 +149,24 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
             val = np.where(inside, beta / np.where(inside, m - beta, 1.0), np.inf)
         return np.where(beta == 0.0, 0.0, val)[()]
 
-    def L_beta(u, beta):
+    def barrier_gap(u, beta):
+        # u, beta, m, the strip 0 <= beta < m with m > 0, and m - beta on it
         u = np.asarray(u, dtype=float)
         beta = np.asarray(beta, dtype=float)
         m = m_of(u)
         inside = (m > 0.0) & (beta >= 0.0) & (beta < m)
-        gap = np.where(inside, m - beta, 1.0)
+        return u, beta, m, inside, np.where(inside, m - beta, 1.0)
+
+    def L_beta(u, beta):
+        u, beta, m, inside, gap = barrier_gap(u, beta)
         return np.where(inside, m / gap**2, np.inf)[()]
 
     def L_betabeta(u, beta):
-        u = np.asarray(u, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        m = m_of(u)
-        inside = (m > 0.0) & (beta >= 0.0) & (beta < m)
-        gap = np.where(inside, m - beta, 1.0)
+        u, beta, m, inside, gap = barrier_gap(u, beta)
         return np.where(inside, 2.0 * m / gap**3, np.inf)[()]
 
     def L_ubeta(u, beta):
-        u = np.asarray(u, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        m = m_of(u)
-        inside = (m > 0.0) & (beta >= 0.0) & (beta < m)
-        gap = np.where(inside, m - beta, 1.0)
+        u, beta, m, inside, gap = barrier_gap(u, beta)
         return np.where(inside, -dm_of(u) * (m + beta) / gap**3, np.inf)[()]
 
     def beta_from_alpha(u, alpha):

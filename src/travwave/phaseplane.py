@@ -110,26 +110,55 @@ def _beta_or_zero(beta) -> Callable[[float], float]:
     return lambda u: float(beta(u))
 
 
-def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
-                     u1: float, stop_when=None, direction: int = 0,
-                     rtol: float = RTOL, atol: float = ATOL):
-    """Integrate dP/dU = -c + (beta - f)/P from (u0, p0) toward u1.
+def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
+                 eps_seed: float = EPS_SEED) -> tuple[float, float, float]:
+    """Seed (u0, p0, slope) of P_flat (u_eq = 0) or P_sharp (u_eq = 1)."""
+    lam_p, lam_m = saddle_eigenvalues(spec, c, u_eq)
+    if u_eq == 0.0:
+        return eps_seed, lam_p * eps_seed, lam_p
+    return 1.0 - eps_seed, -lam_m * eps_seed, lam_m
 
-    Returns (u, p, terminated_by, u_end).  Terminal events: P reaching
-    P_FLOOR ('p_zero') and an optional user event g(u, p) ('event').
-    """
-    bfun = _beta_or_zero(beta)
+
+def _floor_event(p0: float):
+    """Terminal solve_ivp event: P falls to min(P_FLOOR, p0/4)."""
     p_floor = min(P_FLOOR, 0.25 * p0)
-
-    def rhs(u, y):
-        return [-c + (bfun(u) - float(spec.f(u))) / y[0]]
 
     def ev_floor(u, y):
         return y[0] - p_floor
     ev_floor.terminal = True
     ev_floor.direction = -1
+    return ev_floor
 
-    events = [ev_floor]
+
+def _underflow_status(sol) -> str:
+    """'p_zero' for a failed (status -1) solve_ivp run whose P collapsed.
+
+    Step underflow happens exactly where P collapses onto the U-axis or into
+    a saddle corner (P <= 1e-5); any other failure raises SingularityError.
+    """
+    u_end = float(sol.t[-1])
+    if float(sol.y[0, -1]) <= 1e-5:
+        return "p_zero"
+    raise SingularityError(f"integrator failed near U={u_end:.8f}: "
+                           f"{sol.message}", location=u_end)
+
+
+def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
+                     u1: float, stop_when=None, direction: int = 0,
+                     rtol: float = RTOL, atol: float = ATOL,
+                     dense_output: bool = True):
+    """Integrate dP/dU = -c + (beta - f)/P from (u0, p0) toward u1.
+
+    Returns (u, p, terminated_by, u_end) with u increasing; without dense
+    output the end state is the only node.  Terminal events: P reaching
+    P_FLOOR ('p_zero') and an optional user event g(u, p) ('event').
+    """
+    bfun = _beta_or_zero(beta)
+
+    def rhs(u, y):
+        return [-c + (bfun(u) - float(spec.f(u))) / y[0]]
+
+    events = [_floor_event(p0)]
     if stop_when is not None:
         def ev_user(u, y):
             return stop_when(u, y[0])
@@ -138,25 +167,17 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
         events.append(ev_user)
 
     sol = solve_ivp(rhs, (u0, u1), [p0], method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=events)
+                    dense_output=dense_output, events=events)
 
     u_end = float(sol.t[-1])
-    terminated_by = "u_stop"
     if sol.status == -1:
-        # Step underflow happens exactly where P collapses: either the
-        # trajectory crashes into the U-axis or it enters a saddle corner.
-        # Both are legitimate 'P reached zero' terminations; anything else
-        # is a genuine failure.
-        if float(sol.y[0, -1]) <= 1e-5:
-            terminated_by = "p_zero"
-        else:
-            raise SingularityError(f"integrator failed near U={u_end:.8f}: "
-                                   f"{sol.message}", location=u_end)
+        terminated_by = _underflow_status(sol)
     elif sol.status == 1:
-        if len(sol.t_events[0]):
-            terminated_by = "p_zero"
-        else:
-            terminated_by = "event"
+        terminated_by = "p_zero" if len(sol.t_events[0]) else "event"
+    else:
+        terminated_by = "u_stop"
+    if not dense_output:
+        return sol.t[-1:], sol.y[0, -1:], terminated_by, u_end
 
     span = abs(u_end - u0)
     u = np.linspace(u0, u_end, max(400, int(span * 1600)) + 1)
@@ -169,8 +190,6 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
         lo, hi = min(u0, u_end), max(u0, u_end)
         u = np.clip(u, lo, hi)
         u = np.unique(u)
-        if u_end < u0:
-            u = u[::-1]
     p = sol.sol(u)[0]
     return u, p, terminated_by, u_end
 
@@ -186,8 +205,7 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
     """
     if not (0.0 < u_stop <= 1.0):
         raise InvalidParameterError(f"u_stop must lie in (0, 1], got {u_stop}")
-    lam_p, _ = saddle_eigenvalues(spec, c, 0.0)
-    u0, p0 = eps_seed, lam_p * eps_seed
+    u0, p0, lam_p = _saddle_seed(spec, c, 0.0, eps_seed)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
@@ -209,17 +227,16 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
     """Branch P_sharp entering (1,0), integrated in decreasing U to u_stop."""
     if not (0.0 <= u_stop <= 1.0):
         raise InvalidParameterError(f"u_stop must lie in [0, 1], got {u_stop}")
-    _, lam_m = saddle_eigenvalues(spec, c, 1.0)
+    u0, p0, lam_m = _saddle_seed(spec, c, 1.0, eps_seed)
     if u_stop == 1.0:
         return PhaseTrajectory(np.array([1.0]), np.array([0.0]), c,
                                "stable_manifold", beta_values=np.array([0.0]),
                                seed_offset=eps_seed, seed_slope=lam_m)
-    u0, p0 = 1.0 - eps_seed, -lam_m * eps_seed
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
-    u = np.concatenate((u[::-1], [1.0]))
-    p = np.concatenate((p[::-1], [0.0]))
+    u = np.concatenate((u, [1.0]))
+    p = np.concatenate((p, [0.0]))
     if terminated_by == "p_zero" and abs(u_end - u_stop) < 1e-5:
         u = np.concatenate(([u_stop], u))
         p = np.concatenate(([0.0], p))
@@ -244,9 +261,6 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, beta, u_from, p_from, u_to, stop_when=stop_when,
         direction=direction)
-    increasing = u_to >= u_from
-    if not increasing:
-        u, p = u[::-1], p[::-1]
     bfun = _beta_or_zero(beta)
     return PhaseTrajectory(
         u, p, c, "controlled",

@@ -30,9 +30,10 @@ from ._roots import bisect
 from .control_construct import (_slice_from, _slice_to, cost_of, merge_pieces,
                                 natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
-                     NoSolutionError, SingularityError, TravwaveError)
+                     NoSolutionError, TravwaveError)
 from .model import ModelSpec, _check_finite_state, check_A1, check_A2
-from .phaseplane import PhaseTrajectory, stable_manifold, unstable_manifold
+from .phaseplane import (PhaseTrajectory, _floor_event, _underflow_status,
+                         stable_manifold, unstable_manifold)
 from .speed import natural_speed
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
@@ -132,8 +133,9 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     Termination is classified and mapped onto the continuous shooting
     surrogate: meeting P_sharp reports phi = beta(u2) >= 0, exhausting beta
     or P before the meeting reports phi = -(remaining gap to P_sharp) < 0.
-    An integrator failure counts as P exhausted where P <= 1e-5 and raises
-    SingularityError elsewhere.  A non-positive L_betabeta along the way
+    An integrator failure counts as P exhausted where P has collapsed and
+    raises SingularityError elsewhere, by the chart's rule
+    (phaseplane._underflow_status).  A non-positive L_betabeta along the way
     raises ConvexityViolationError; a non-finite state, SingularityError.
     """
     p0 = float(p_flat(u1))
@@ -156,27 +158,16 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     ev_beta.terminal = True
     ev_beta.direction = -1
 
-    p_floor = min(1e-11, 0.25 * p0)
-
-    def ev_floor(u, y):
-        return y[0] - p_floor
-    ev_floor.terminal = True
-    ev_floor.direction = -1
-
     # dense output only for the sampled shot: event location builds its
     # own interpolant on demand, and DOP853's extra stages cost RHS calls
     sol = solve_ivp(rhs, (u1, 1.0), [p0, BETA_START], method="DOP853",
                     rtol=rtol, atol=atol, dense_output=want_nodes,
-                    events=[ev_meet, ev_beta, ev_floor])
+                    events=[ev_meet, ev_beta, _floor_event(p0)])
 
     u_end = float(sol.t[-1])
     p_end, b_end = float(sol.y[0, -1]), float(sol.y[1, -1])
     if sol.status == -1:
-        # step underflow off the U-axis, as in phaseplane._integrate_chart
-        if p_end > 1e-5:
-            raise SingularityError(f"integrator failed near U={u_end:.8f}: "
-                                   f"{sol.message}", location=u_end)
-        status = "p_zero"
+        status = _underflow_status(sol)
     elif sol.status == 1:
         if len(sol.t_events[0]):
             status = "met_psharp"
@@ -187,9 +178,7 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     else:
         status = "left_domain"
 
-    if status == "met_psharp":
-        phi = b_end
-    elif status == "left_domain":
+    if status in ("met_psharp", "left_domain"):
         phi = b_end
     else:
         phi = -(float(p_sharp(u_end)) - p_end)
@@ -297,11 +286,8 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
 
     arc = PhaseTrajectory(shot.u_nodes, shot.p_values, c, "controlled",
                           beta_values=shot.beta_values)
-    arc.y_values = np.where(
-        arc.beta_values > 0.0,
-        -np.asarray(spec.L_beta(arc.u_nodes, arc.beta_values), dtype=float),
-        -np.asarray(spec.L_beta(arc.u_nodes, np.zeros_like(arc.u_nodes)),
-                    dtype=float))
+    arc.y_values = -np.asarray(spec.L_beta(arc.u_nodes, arc.beta_values),
+                               dtype=float)
 
     traj = merge_pieces((_slice_to(flat, u1_root, p_flat), arc,
                          _slice_from(sharp, u2, p_sharp)), c)

@@ -263,8 +263,7 @@ class DecayReport:
     violations: list[str] = field(default_factory=list)
 
 
-def decay_check(profile: SpatialProfile, spec: ModelSpec | None,
-                u_star: float | None = None) -> DecayReport:
+def decay_check(profile: SpatialProfile, spec: ModelSpec | None) -> DecayReport:
     """Exponential-decay audit of the left tail of a profile.
 
     Uses the anchor U(x*) = u* (x* located on the grid).  A zero decay
@@ -274,8 +273,7 @@ def decay_check(profile: SpatialProfile, spec: ModelSpec | None,
     x = profile.x_nodes
     u = profile.u_values
     p = profile.p_values
-    if u_star is None:
-        u_star = spec.u_star if spec is not None else None
+    u_star = spec.u_star if spec is not None else None
     if u_star is None or not np.isfinite(u_star):
         u_star = min(0.5, float(u[-1]) * 0.99)
     violations: list[str] = []

@@ -19,19 +19,23 @@ import numpy as np
 from ._roots import bisect, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, check_A1
-from .phaseplane import stable_manifold, unstable_manifold
+from .phaseplane import _integrate_chart, _saddle_seed
 
 __all__ = ["natural_speed", "manifold_gap", "modified_speed", "make_substitute_spec"]
 
 
 def manifold_gap(spec: ModelSpec, c: float, rtol: float = 1e-10,
                  atol: float = 1e-12) -> float:
-    """P_sharp(u*) - P_flat(u*) at speed c with zero control."""
-    us = spec.u_star
-    flat = unstable_manifold(spec, c, u_stop=us, rtol=rtol, atol=atol)
-    sharp = stable_manifold(spec, c, u_stop=us, rtol=rtol, atol=atol)
-    p_flat = float(flat.p_values[-1]) if flat.terminated_by == "u_stop" else 0.0
-    p_sharp = float(sharp.p_values[0]) if sharp.terminated_by == "u_stop" else 0.0
+    """P_sharp(u*) - P_flat(u*) at speed c with zero control, read from the
+    branches' end states; a branch that collapsed before u* counts as 0."""
+    ends = []
+    for u_eq in (0.0, 1.0):
+        u0, p0, _ = _saddle_seed(spec, c, u_eq)
+        _, p, terminated_by, _ = _integrate_chart(
+            spec, c, None, u0, p0, spec.u_star, rtol=rtol, atol=atol,
+            dense_output=False)
+        ends.append(float(p[-1]) if terminated_by == "u_stop" else 0.0)
+    p_flat, p_sharp = ends
     return p_sharp - p_flat
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import travwave.acceptance as acc
 import travwave.model2 as model2
-from travwave.errors import (InvalidParameterError, NonconvergenceError,
-                             RegimeError)
+from travwave.errors import (ConstructionFailureError, InvalidParameterError,
+                             NonconvergenceError, OrderingError, RegimeError)
 from travwave.model import Model2Params, make_cubic_model, make_weed_model
 from travwave.model2 import (c_sharp, case2_demo, char_poly, check_drate,
                              lambda_min, p_at_lambda_min, quasimonotone_check,
@@ -173,6 +174,13 @@ def test_subsolution_regime_gate(m2_pipeline):
                     m2_pipeline["params"], -1.5)
 
 
+def test_subsolution_needs_a_profile_reaching_one(m2_pipeline):
+    sp = m2_pipeline["spatial"]
+    capped = dataclasses.replace(sp, u_values=np.minimum(sp.u_values, 0.99))
+    with pytest.raises(ConstructionFailureError, match="never reaches U"):
+        subsolution(capped, m2_pipeline["alpha"], m2_pipeline["params"], -0.9)
+
+
 def test_solution_theta_identity(m2_pipeline):
     sol = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
                        m2_pipeline["params"], -0.9)
@@ -289,6 +297,15 @@ def test_solve_vtheta_reports_nonconvergence(m2_pipeline):
                      sub=sub, sup=sup)
     assert "1 sweeps + 0 Newton steps" in str(exc.value)
     assert len(exc.value.history) == 1
+
+
+def test_solve_vtheta_rejects_unordered_barriers(m2_pipeline):
+    # a subsolution V raised by 1 lies above min(U, V*) everywhere
+    sup, sub, _ = acc._m2_sandwich()
+    raised = dataclasses.replace(sub, v_values=sub.v_values + 1.0)
+    with pytest.raises(OrderingError, match="barriers are not ordered"):
+        solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                     m2_pipeline["params"], -0.9, sub=raised, sup=sup)
 
 
 def test_case2_demo(m2_pipeline):

@@ -124,6 +124,9 @@ def test_forward_backward_consistency(weed):
     fwd = integrate_pu(weed, C_STAR, None, 0.7, p0, 0.4)
     back = integrate_pu(weed, C_STAR, None, 0.4, float(fwd.p_values[0]), 0.7)
     assert abs(float(back.p_values[-1]) - p0) < 1e-7
+    # nodes run in increasing U whichever way the chart was integrated
+    for t in (fwd, back):
+        assert np.all(np.diff(t.u_nodes) > 0.0)
 
 
 def test_large_control_pushes_below_flat_branch(weed):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from travwave.errors import InvalidTrajectoryError, NonexistenceError
+from travwave.errors import (IntegrabilityError, InvalidTrajectoryError,
+                             NonexistenceError)
 from travwave.phaseplane import PhaseTrajectory, unstable_manifold
 from travwave.profile import (SpatialProfile, alpha_multiplicative,
                               decay_check, reconstruct_x, theta_model1)
@@ -108,6 +109,8 @@ def test_decay_check_constant_profile(weed):
     rep = decay_check(prof, weed)
     assert not rep.integrable
     assert rep.violations
+    with pytest.raises(IntegrabilityError, match="decay constant 0"):
+        theta_model1(prof, 0.02, -0.1)
 
 
 def test_decay_check_bang_profile(weed, c_star_weed):

@@ -8,7 +8,9 @@ import pytest
 import travwave.speed
 from travwave.errors import (BracketFailureError, InvalidParameterError,
                             InvalidSubstituteError)
+from travwave.control_construct import default_substitute
 from travwave.model import make_logistic_model, make_weed_model
+from travwave.phaseplane import stable_manifold, unstable_manifold
 from travwave.speed import (_vectorized, make_substitute_spec, manifold_gap,
                             modified_speed, natural_speed)
 
@@ -54,6 +56,28 @@ def test_gap_monotone_and_zero_at_cstar(weed, c_star_weed):
     assert abs(gaps[1]) < 1e-7
     assert gaps[2] > 0.0
     assert all(gaps[i] < gaps[i + 1] for i in range(3))
+
+
+@pytest.mark.parametrize("subst, c", [
+    (False, -2.0), (False, -0.3), (False, "c*"), (False, -0.1),
+    (False, 0.1), (False, 0.5), (True, -2.0), (True, -0.3)])
+def test_gap_is_the_manifolds_end_states(weed, c_star_weed, subst, c):
+    # manifold_gap reads only the end states of the two branches; they must
+    # be the manifold builders' values at u* to the bit, a branch that
+    # collapsed onto the U-axis counting as 0
+    spec = make_substitute_spec(weed, default_substitute(weed)) if subst \
+        else weed
+    c = c_star_weed if c == "c*" else c
+    flat = unstable_manifold(spec, c, u_stop=spec.u_star)
+    sharp = stable_manifold(spec, c, u_stop=spec.u_star)
+    p_flat = flat.p_values[-1] if flat.terminated_by == "u_stop" else 0.0
+    p_sharp = sharp.p_values[0] if sharp.terminated_by == "u_stop" else 0.0
+    gap = manifold_gap(spec, c)
+    assert float(gap).hex() == float(p_sharp - p_flat).hex()
+    if c == -2.0:
+        assert sharp.terminated_by == "p_zero"
+    for t in (flat, sharp):
+        assert np.all(np.diff(t.u_nodes) > 0.0)
 
 
 def test_tolerance_refinement_invariance(weed, c_star_weed):

@@ -37,7 +37,7 @@ from .errors import (CapExceededError, ConstructionFailureError,
 from .model import ModelSpec
 from .phaseplane import (PhaseTrajectory, integrate_pu, stable_manifold,
                          unstable_manifold)
-from .speed import make_substitute_spec, modified_speed, natural_speed
+from .speed import make_substitute_spec, natural_speed
 
 __all__ = ["ConcatProfile", "bang_control", "finite_cost_control", "cost_of",
            "default_substitute"]
@@ -232,9 +232,10 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
                         c_hat: float | None = None) -> ConcatProfile:
     """Finite-cost concatenated profile at speed c in (c*, c_hat).
 
-    The substitute is `default_substitute(spec)` and c_hat its speed; c'
-    defaults to the midpoint of (c, c_hat).  At c = c* (within guard) the
-    trivial zero-cost concatenation is returned.
+    The substitute is `default_substitute(spec)`, validated on every call,
+    and c_hat defaults to its speed; c' defaults to the midpoint of
+    (c, c_hat).  At c = c* (within guard) the trivial zero-cost
+    concatenation is returned.
     """
     if c_star is None:
         c_star = natural_speed(spec)
@@ -252,17 +253,15 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
             spec.u_star, spec.u_star, lambda u: 0.0, 0.0, c, c_star, 0.0,
             meta={"trivial": True})
 
-    f_hat = default_substitute(spec)
+    sub_spec = make_substitute_spec(spec, default_substitute(spec))
     if c_hat is None:
-        c_hat = modified_speed(spec, f_hat)
+        c_hat = natural_speed(sub_spec)
     if c_prime is None:
         c_prime = 0.5 * (c + c_hat)
     if not (c_star < c < c_prime < c_hat):
         raise InvalidParameterError(
             f"speed ordering violated: need c* < c < c' < c_hat, got "
             f"c*={c_star:.6g}, c={c:.6g}, c'={c_prime:.6g}, c_hat={c_hat:.6g}")
-
-    sub_spec = make_substitute_spec(spec, f_hat)
 
     flat = unstable_manifold(spec, c, u_stop=1.0)
     sharp = stable_manifold(spec, c, u_stop=0.0)

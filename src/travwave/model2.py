@@ -48,6 +48,7 @@ __all__ = [
 EPS0 = 1e-3  # subsolution's constants, see its docstring
 MAX_HALVINGS = 10
 GRID_H = 0.01
+DEFECT_TOL = 1e-6  # solve_vtheta's bound on the V-equation defect
 
 
 @dataclass
@@ -70,13 +71,12 @@ class Model2Spectrum:
 
 @dataclass
 class TriplePath:
-    """Sampled (U, V, Theta) path with V' and residual bookkeeping."""
+    """Sampled (U, V, Theta) path with residual bookkeeping."""
 
     x_nodes: np.ndarray
     u_values: np.ndarray
     v_values: np.ndarray
     theta_values: np.ndarray
-    w_values: np.ndarray
     kind: str                 # supersolution | subsolution | solution
     residuals: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -224,11 +224,9 @@ def supersolution(u_profile: SpatialProfile, params: Model2Params,
                   -u_profile.f_values - params.d * u,
                   params.kappa2 * (u - vstar) * theta_bar - params.d * vstar)
 
-    w = np.gradient(vplus, x)
-    path = TriplePath(x, u, vplus, theta_bar, w, "supersolution",
-                      residuals={"second": r2, "third": r3,
-                                 "first": np.zeros_like(x)},
-                      meta={"v_star": vstar, "kink_mask": np.abs(u - vstar) < 1e-3})
+    path = TriplePath(x, u, vplus, theta_bar, "supersolution",
+                      residuals={"second": r2, "third": r3},
+                      meta={"v_star": vstar})
     tol = 1e-6
     ok = np.all(r2 <= tol) and np.all(r3 <= tol)
     if not ok:
@@ -403,12 +401,11 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     th_all = np.concatenate((np.zeros(n_l), np.maximum(Tharc, 0.0),
                              theta_right[1:]))
     u_all = np.asarray(u_of_x(x_all), dtype=float)
-    w_all = np.gradient(v_all, x_all)
 
     # residual audit, piecewise semi-analytic (see module docstring)
     res = _subsolution_residuals(x_all, Varc, Tharc, xr, v_right, theta_right,
                                  v_tilde, u_right, params, c, n_l)
-    path = TriplePath(x_all, u_all, v_all, th_all, w_all, "subsolution",
+    path = TriplePath(x_all, u_all, v_all, th_all, "subsolution",
                       residuals=res,
                       meta={"x0": x0, "x1": x1, "eps": attempt, "eps0": EPS0,
                             "v_dagger": v_dagger, "lambda0": lam0,
@@ -444,7 +441,7 @@ def _subsolution_residuals(x_all, Varc, Tharc, xr, v_right, theta_right,
                     + k2 * (u_right[1:-1] - v[1:-1]) * theta_right[1:-1]
                     - d * v[1:-1])
     r3[j:] = k1 * (1.0 - theta_right) * (v - v_tilde)
-    return {"second": r2, "third": r3, "first": np.zeros_like(x_all)}
+    return {"second": r2, "third": r3}
 
 
 def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
@@ -483,8 +480,8 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
 
 
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
-                 c: float, h: float = 0.02, tol: float = 1e-6,
-                 max_iter: int = 400, sub: TriplePath | None = None,
+                 c: float, h: float = 0.02, max_iter: int = 400,
+                 sub: TriplePath | None = None,
                  sup: TriplePath | None = None) -> TriplePath:
     """Exact (V, Theta) by damped monotone iteration from the subsolution.
 
@@ -492,8 +489,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     two-point problem (banded solve); given V the Theta-equation is
     integrated exactly by its integrating factor.  Iterates are damped by
     0.5 and must stay inside the barrier sandwich; convergence is declared
-    when the discrete defect of the V-equation falls below tol.  The grid
-    spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
+    when the discrete defect of the V-equation falls below DEFECT_TOL.  The
+    grid spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
     subsolution's junction) and 20 / min(|lambda1|, a), snapped to h.
 
     meta records "sweeps" (lagged sweeps), "newton_iterations" and
@@ -553,9 +550,9 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
         Th = (1.0 - omega) * Th + omega * _theta_closed_form(x, V, k1, c)
         defect = float(np.max(np.abs(v_residual(V, Th))))
         history.append(defect)
-        if defect <= tol:
+        if defect <= DEFECT_TOL:
             Th = _theta_closed_form(x, V, k1, c)
-            if float(np.max(np.abs(v_residual(V, Th)))) <= tol:
+            if float(np.max(np.abs(v_residual(V, Th)))) <= DEFECT_TOL:
                 converged = True
                 break
 
@@ -572,7 +569,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
         nrm = float(np.max(np.abs(F)))
         budget = max(0, max_iter - len(history))
         for _ in range(min(40, budget)):
-            if nrm <= tol:
+            if nrm <= DEFECT_TOL:
                 converged = True
                 break
             fac = k2 * (u[1:-1] - V[1:-1]) * (1.0 - Th[1:-1]) * (-k1 / c)
@@ -595,7 +592,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
             history.append(nrm)
             if not improved:
                 break
-        if nrm <= tol:
+        if nrm <= DEFECT_TOL:
             converged = True
     if not converged:
         raise NonconvergenceError(
@@ -607,7 +604,6 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
             or np.any(Th < th_lo - slack) or np.any(Th > th_hi + slack):
         raise OrderingError("solution escaped the barrier sandwich")
 
-    W = np.gradient(V, x)
     r2 = np.zeros_like(V)
     r2[1:-1] = v_residual(V, Th)
     # Theta residual in the scheme's own (integrating-factor/trapezoid)
@@ -622,11 +618,9 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     mid_v = 0.5 * (V[:-1] + V[1:])
     mid_om = 0.5 * (one_m[:-1] + one_m[1:])
     r3[:-1] = np.where(ok_cell, mid_om * (k1 * mid_v - c * dlog), 0.0)
-    r3_central = c * np.gradient(Th, x) + k1 * V * (1.0 - Th)
 
-    path = TriplePath(x, u, V, Th, W, "solution",
-                      residuals={"second": r2, "third": r3,
-                                 "third_central": r3_central},
+    path = TriplePath(x, u, V, Th, "solution",
+                      residuals={"second": r2, "third": r3},
                       meta={"iterations": len(history), "defect": history[-1],
                             "sweeps": sweeps,
                             "newton_iterations": len(newton_steps),

@@ -275,8 +275,7 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
                   alpha_of_moving_frame=None, kappa1: float = 1.0,
                   T: float = 50.0, c_frame: float | None = None,
                   x_span=(-60.0, 60.0), dx: float = 0.05,
-                  dt: float | None = None, snapshot_dt: float = 1.0,
-                  control_speed: float | None = None) -> EvolutionRecord:
+                  snapshot_dt: float = 1.0) -> EvolutionRecord:
     """Scalar front plus pointwise tree infection theta_t = kappa1 u (1-theta).
 
     In the lab frame theta is advanced by its exact exponential update
@@ -312,14 +311,14 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
     alpha = alpha_of_moving_frame if spec.beta_from_alpha is not None \
         else None
     return _evolve({"u": initial_u, "theta": initial_theta}, system, T,
-                   c_frame, x_span, dx, dt, snapshot_dt, alpha, control_speed)
+                   c_frame, x_span, dx, None, snapshot_dt, alpha)
 
 
 def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
                   alpha_of_x=None, params: Model2Params | None = None,
                   T: float = 50.0, c_frame: float | None = None,
                   x_span=(-60.0, 60.0), dx: float = 0.05,
-                  dt: float | None = None, snapshot_dt: float = 1.0) -> EvolutionRecord:
+                  snapshot_dt: float = 1.0) -> EvolutionRecord:
     """Insect/tree system with multiplicative control (removal of insects).
 
     The invariant set {0 <= v <= u <= 1, theta in [0,1]} is monitored per
@@ -360,4 +359,4 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         return step, report
 
     return _evolve({"u": initial_u, "v": initial_v, "theta": initial_theta},
-                   system, T, c_frame, x_span, dx, dt, snapshot_dt, alpha_of_x)
+                   system, T, c_frame, x_span, dx, None, snapshot_dt, alpha_of_x)

@@ -222,16 +222,15 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
 
 
 def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
-                    eps_seed: float = EPS_SEED, rtol: float = RTOL,
-                    atol: float = ATOL) -> PhaseTrajectory:
+                    rtol: float = RTOL, atol: float = ATOL) -> PhaseTrajectory:
     """Branch P_sharp entering (1,0), integrated in decreasing U to u_stop."""
     if not (0.0 <= u_stop <= 1.0):
         raise InvalidParameterError(f"u_stop must lie in [0, 1], got {u_stop}")
-    u0, p0, lam_m = _saddle_seed(spec, c, 1.0, eps_seed)
+    u0, p0, lam_m = _saddle_seed(spec, c, 1.0)
     if u_stop == 1.0:
         return PhaseTrajectory(np.array([1.0]), np.array([0.0]), c,
                                "stable_manifold", beta_values=np.array([0.0]),
-                               seed_offset=eps_seed, seed_slope=lam_m)
+                               seed_offset=EPS_SEED, seed_slope=lam_m)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
@@ -244,7 +243,7 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
         u, p, c, "stable_manifold", beta_values=np.zeros_like(u),
         terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end,
-        seed_offset=eps_seed, seed_slope=lam_m)
+        seed_offset=EPS_SEED, seed_slope=lam_m)
 
 
 def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,

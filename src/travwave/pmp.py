@@ -342,8 +342,7 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
     return PmpResidualReport(yu_max, failures, len(u))
 
 
-def effort_curve(spec: ModelSpec, c_grid, tol: float = 1e-10,
-                 c_star: float | None = None,
+def effort_curve(spec: ModelSpec, c_grid, c_star: float | None = None,
                  keep_profiles: bool = False) -> list[EffortRow]:
     """Table of (c, E(c)) rows.
 
@@ -360,7 +359,7 @@ def effort_curve(spec: ModelSpec, c_grid, tol: float = 1e-10,
 
     def row(c: float) -> EffortRow:
         try:
-            prof = optimal_profile(spec, c, tol=tol, c_star=c_star)
+            prof = optimal_profile(spec, c, c_star=c_star)
             return EffortRow(c, prof.cost, True,
                              profile=prof if keep_profiles else None)
         except TravwaveError as exc:  # a solver failure is a data point

@@ -24,7 +24,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from ._columns import write_columns
 from .errors import (IntegrabilityError, InvalidTrajectoryError,
-                     NonexistenceError)
+                     NonexistenceError, NotASaddleError)
 from .model import ModelSpec
 from .phaseplane import PhaseTrajectory, saddle_eigenvalues
 
@@ -300,7 +300,7 @@ def decay_check(profile: SpatialProfile, spec: ModelSpec | None) -> DecayReport:
     if spec is not None:
         try:
             lam_plus = saddle_eigenvalues(spec, profile.c, 0.0)[0]
-        except Exception:
+        except NotASaddleError:
             lam_plus = None
 
     envelope = u_star * np.exp(-C * (x_star - x[mask]))

@@ -69,60 +69,26 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     return np.mean(bisect(lambda c: -g_lo * g(c), lo, hi, 2.0 * tol))
 
 
-def make_substitute_spec(spec: ModelSpec, f_hat: Callable, df_hat=None) -> ModelSpec:
-    """ModelSpec wrapper around a substitute reaction term.
+def make_substitute_spec(spec: ModelSpec, f_hat: Callable) -> ModelSpec:
+    """Validated ModelSpec wrapper around a substitute reaction term.
 
-    The derivative defaults to a central difference; the cost fields are
-    inherited (manifold work never touches them).  The interior zero is
-    located by sampling plus bisection.
-    """
-    fh = np.vectorize(f_hat, otypes=[float]) if not _vectorized(f_hat) else f_hat
-    if df_hat is None:
-        h = 1e-7
-        def df_hat_fd(u):
-            return (fh(np.asarray(u) + h) - fh(np.asarray(u) - h)) / (2.0 * h)
-        dfh = df_hat_fd
-    else:
-        dfh = df_hat
-
-    zero = next(sign_changes(fh, np.linspace(0.0, 1.0, 4001)[1:-1], 1e-12),
-                None)
-    if zero is None:
-        raise InvalidSubstituteError("substitute has no interior sign change")
-
-    return ModelSpec(fh, dfh, zero, spec.L, spec.L_beta, spec.L_betabeta,
-                     spec.L_ubeta, spec.beta_max, spec.label + "|substitute",
-                     spec.beta_from_alpha)
-
-
-def _vectorized(fn) -> bool:
-    """Whether fn maps a 2-array to a 2-array.
-
-    A scalar-only fn fails on the array with TypeError or ValueError (a
-    truth-value or float() conversion); any other error is its own bug and
-    propagates.
-    """
-    try:
-        out = fn(np.array([0.25, 0.75]))
-        return np.shape(out) == (2,)
-    except (TypeError, ValueError):
-        return False
-
-
-def modified_speed(spec: ModelSpec, f_hat: Callable, df_hat=None) -> float:
-    """Front speed c_hat of the substitute equation u_t = u_xx + f_hat(u).
-
-    f_hat must itself be bistable and satisfy the admissibility sandwich
-    f - beta_max <= f_hat <= f pointwise (checked on 2001 samples);
-    violating either raises InvalidSubstituteError.
+    f_hat must map an array of U to an array, satisfy the admissibility
+    sandwich f - beta_max <= f_hat <= f pointwise (checked on 2001 samples)
+    and be bistable; otherwise InvalidSubstituteError.  u_star is the
+    substitute's interior zero (sampling plus bisection), the derivative a
+    central difference, and the cost fields are inherited (manifold work
+    never touches them).
     """
     u = np.linspace(0.0, 1.0, 2001)
+    try:
+        fh_vals = np.asarray(f_hat(u), dtype=float)
+        if fh_vals.shape != u.shape:
+            raise ValueError(f"got shape {fh_vals.shape} for {u.shape}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidSubstituteError(
+            f"f_hat must map an array of U to an array: {exc}") from exc
     f_vals = np.asarray(spec.f(u), dtype=float)
     bhat = np.asarray(spec.beta_max(u), dtype=float)
-    try:
-        fh_vals = np.asarray([float(f_hat(x)) for x in u])
-    except Exception as exc:
-        raise InvalidSubstituteError(f"substitute not evaluable: {exc}") from exc
     slack = 1e-12
     if np.any(fh_vals > f_vals + slack):
         i = int(np.argmax(fh_vals - f_vals))
@@ -134,11 +100,26 @@ def modified_speed(spec: ModelSpec, f_hat: Callable, df_hat=None) -> float:
         raise InvalidSubstituteError(
             f"f_hat({u[i]:.4f})={fh_vals[i]:.6g} below f - beta_max={lower[i]:.6g}")
 
-    sub = make_substitute_spec(spec, f_hat, df_hat=df_hat)
+    zero = next(sign_changes(f_hat, np.linspace(0.0, 1.0, 4001)[1:-1], 1e-12),
+                None)
+    if zero is None:
+        raise InvalidSubstituteError("substitute has no interior sign change")
+
+    h = 1e-7
+    def df_central(u):
+        return (f_hat(np.asarray(u) + h) - f_hat(np.asarray(u) - h)) / (2.0 * h)
+
+    sub = ModelSpec(f_hat, df_central, zero, spec.L, spec.L_beta,
+                    spec.L_betabeta, spec.L_ubeta, spec.beta_max,
+                    spec.label + "|substitute", spec.beta_from_alpha)
     rep = check_A1(sub, tol=1e-9)
-    bad = [name for name, ok, _ in rep.clauses if not ok
-           and name != "interior zero matches u_star"]
-    if bad:
+    if not rep.passed:
         raise InvalidSubstituteError(
             "substitute fails bistability: " + "; ".join(rep.failures()))
-    return natural_speed(sub)
+    return sub
+
+
+def modified_speed(spec: ModelSpec, f_hat: Callable) -> float:
+    """Front speed c_hat of the substitute equation u_t = u_xx + f_hat(u);
+    `make_substitute_spec` validates f_hat."""
+    return natural_speed(make_substitute_spec(spec, f_hat))

@@ -13,7 +13,8 @@ from travwave.control_construct import (_pcprime_orbit, bang_control, cost_of,
                                         finite_cost_control,
                                         natural_heteroclinic)
 from travwave.errors import (CapExceededError, InvalidParameterError,
-                             NoControlNeeded, SingularCostError)
+                             InvalidSubstituteError, NoControlNeeded,
+                             SingularCostError)
 from travwave.model import make_cubic_model
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
@@ -141,6 +142,20 @@ def test_speed_ordering_validated(weed, c_star_weed):
         finite_cost_control(weed, c_star_weed - 0.05, c_star=c_star_weed)
     with pytest.raises(InvalidParameterError):
         finite_cost_control(weed, -0.1, c_prime=-0.2, c_star=c_star_weed)
+
+
+def test_given_c_hat_does_not_skip_substitute_check(weed, c_star_weed,
+                                                  monkeypatch):
+    # a caller-given c_hat must not skip the substitute checks:
+    # f - beta_max/2 keeps the sandwich but is not bistable (f_hat(1) = -1/3)
+    import travwave.acceptance as acc
+    import travwave.control_construct as cc
+    c_hat = acc._c_hat()
+    monkeypatch.setattr(
+        cc, "default_substitute",
+        lambda spec: lambda u: spec.f(u) - 0.5 * spec.beta_max(u))
+    with pytest.raises(InvalidSubstituteError, match="bistability"):
+        finite_cost_control(weed, -0.1, c_star=c_star_weed, c_hat=c_hat)
 
 
 def test_trivial_construction_at_cstar(weed, c_star_weed):

@@ -42,7 +42,7 @@ def _spatial_theta(path, monkeypatch):
 def _triple(path, monkeypatch):
     TriplePath(np.array([-0.5, THIRD]), np.array([0.25, 1.0]),
                np.array([0.0, 0.5]), np.array([NAN, 2.0 / 3.0]),
-               np.zeros(2), "solution").to_csv(path)
+               "solution").to_csv(path)
 
 
 def _snapshots(path, monkeypatch):

@@ -1,8 +1,9 @@
 """Import hygiene of the library modules, checked on their syntax trees.
 
-The project has no linter dependency, so this makes the two checks that
-matter here: every imported name is used, and every ``__all__`` entry is
-defined.
+The project has no linter dependency, so this makes the checks that
+matter here: every imported name is used, every ``__all__`` entry is
+defined, and no handler catches every exception (a programming error must
+propagate, not turn into a solver verdict).
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "travwave"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# (module, enclosing function) allowed a broad handler: a crash of an
+# acceptance criterion is reported as a failed criterion
+BROAD_ALLOWED = {("acceptance.py", "run_criterion")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -75,3 +79,44 @@ def test_an_unused_import_is_reported():
     tree = ast.parse("import os.path\nfrom .errors import SingularityError\n"
                      "x = os.sep\n")
     assert _unused(tree) == {"SingularityError": 2}
+
+
+def _broad_handlers(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each bare, ``except Exception`` or
+    ``except BaseException`` handler, tuples of types included."""
+    found = []
+
+    def broad(t):
+        if t is None:
+            return True
+        names = t.elts if isinstance(t, ast.Tuple) else [t]
+        return any(isinstance(n, ast.Name)
+                   and n.id in ("Exception", "BaseException") for n in names)
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and broad(child.type):
+                found.append((func, child.lineno))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_broad_exception_handler(path):
+    broad = [(func, line) for func, line in _broad_handlers(_tree(path))
+             if (path.name, func) not in BROAD_ALLOWED]
+    assert not broad, f"{path.name}: broad exception handlers {broad}"
+
+
+def test_a_broad_handler_is_reported():
+    tree = ast.parse(
+        "def f():\n"
+        "    try:\n        g()\n    except ValueError:\n        pass\n"
+        "    try:\n        g()\n    except:\n        pass\n"
+        "    try:\n        g()\n    except (KeyError, Exception):\n"
+        "        pass\n"
+        "try:\n    g()\nexcept BaseException:\n    pass\n")
+    assert _broad_handlers(tree) == [("f", 8), ("f", 12), (None, 16)]

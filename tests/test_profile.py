@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from travwave.errors import (IntegrabilityError, InvalidTrajectoryError,
                              NonexistenceError)
+from travwave.model import make_logistic_model
 from travwave.phaseplane import PhaseTrajectory, unstable_manifold
 from travwave.profile import (SpatialProfile, alpha_multiplicative,
                               decay_check, reconstruct_x, theta_model1)
@@ -111,6 +114,20 @@ def test_decay_check_constant_profile(weed):
     assert rep.violations
     with pytest.raises(IntegrabilityError, match="decay constant 0"):
         theta_model1(prof, 0.02, -0.1)
+
+
+def test_decay_check_reads_no_rate_without_a_saddle(exact_profile):
+    # the logistic f'(0) > 0: (0, 0) is no saddle, so no lambda_plus
+    rep = decay_check(exact_profile, make_logistic_model(1.0))
+    assert rep.lambda_plus is None
+
+
+def test_decay_check_propagates_a_broken_spec(weed, exact_profile):
+    # only a missing saddle reads as "no rate"; a bug in the spec propagates
+    def broken_df(u):
+        raise TypeError("df is broken")
+    with pytest.raises(TypeError, match="df is broken"):
+        decay_check(exact_profile, dataclasses.replace(weed, df=broken_df))
 
 
 def test_decay_check_bang_profile(weed, c_star_weed):

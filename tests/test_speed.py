@@ -11,7 +11,7 @@ from travwave.errors import (BracketFailureError, InvalidParameterError,
 from travwave.control_construct import default_substitute
 from travwave.model import make_logistic_model, make_weed_model
 from travwave.phaseplane import stable_manifold, unstable_manifold
-from travwave.speed import (_vectorized, make_substitute_spec, manifold_gap,
+from travwave.speed import (make_substitute_spec, manifold_gap,
                             modified_speed, natural_speed)
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
@@ -86,7 +86,7 @@ def test_tolerance_refinement_invariance(weed, c_star_weed):
 
 
 def test_identity_substitute(weed, c_star_weed):
-    assert modified_speed(weed, weed.f, df_hat=weed.df) == pytest.approx(
+    assert modified_speed(weed, weed.f) == pytest.approx(
         c_star_weed, abs=1e-8)
 
 
@@ -105,27 +105,23 @@ def test_substitute_spec_has_no_fused_rhs(weed):
 
 
 def test_substitute_below_sandwich_rejected(weed):
-    bad = lambda u: float(weed.f(u) - 2.0 * weed.beta_max(u))
+    bad = lambda u: weed.f(u) - 2.0 * weed.beta_max(u)
     with pytest.raises(InvalidSubstituteError):
         modified_speed(weed, bad)
 
 
 def test_substitute_violating_bistability_rejected(weed):
     # f - beta_max/2 does not vanish at u = 1, so no front can exist
-    bad = lambda u: float(weed.f(u) - 0.5 * weed.beta_max(u))
+    bad = lambda u: weed.f(u) - 0.5 * weed.beta_max(u)
     with pytest.raises(InvalidSubstituteError):
         modified_speed(weed, bad)
 
 
-def test_vectorized_probe_only_forgives_scalar_only_errors(weed):
-    # scalar-only substitutes fail on the probe array with TypeError or
-    # ValueError and fall back to np.vectorize
-    assert not _vectorized(lambda u: float(weed.f(u)))
-    assert not _vectorized(lambda u: max(u, 0.5))
-    assert _vectorized(weed.f)
-    spec = make_substitute_spec(weed, lambda u: float(weed.f(u)))
-    assert np.array_equal(spec.f(np.array([0.25, 0.75])),
-                          weed.f(np.array([0.25, 0.75])))
+def test_substitute_must_map_arrays(weed):
+    # a scalar-only or constant f_hat is outside input and rejected as such
+    for bad in (lambda u: float(weed.f(u)), lambda u: 0.5):
+        with pytest.raises(InvalidSubstituteError, match="map an array"):
+            make_substitute_spec(weed, bad)
 
     # any other error on an array is a bug in f_hat and propagates
     def broken(u):
@@ -136,3 +132,10 @@ def test_vectorized_probe_only_forgives_scalar_only_errors(weed):
         make_substitute_spec(weed, broken)
     with pytest.raises(RuntimeError, match="array path broken"):
         modified_speed(weed, broken)
+
+
+def test_substitute_spec_is_validated(weed):
+    # f - beta_max/2 keeps the sandwich and an interior zero but not
+    # f(1) = 0; building its spec alone must already reject it
+    with pytest.raises(InvalidSubstituteError, match="bistability"):
+        make_substitute_spec(weed, lambda u: weed.f(u) - 0.5 * weed.beta_max(u))

@@ -471,12 +471,16 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
 
     # The change of variables costs up to a factor N in conditioning
     # (|S| = N); one refinement step against the O(N) product J dv brings
-    # the update back to the accuracy of a dense solve of J.
+    # the update back to full accuracy.  The residual is formed in extended
+    # precision: in doubles its rounding (eps |T| |dv|, T ~ 1/h^2) would cap
+    # the refined update at the accuracy of a dense LU solve of J, which
+    # reaches only ~1e-12 relative error at N ~ 200.
     dv = solve(-F)
-    Jdv = dg * dv + h * fac * (np.cumsum(dv) - 0.5 * dv)
-    Jdv[:-1] += up * dv[1:]
-    Jdv[1:] += lo * dv[:-1]
-    return dv + solve(-F - Jdv)
+    d = dv.astype(np.longdouble)
+    r = -F - dg * d - (h * fac) * (np.cumsum(d) - 0.5 * d)
+    r[:-1] -= up * d[1:]
+    r[1:] -= lo * d[:-1]
+    return dv + solve(r.astype(float))
 
 
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,

@@ -214,16 +214,26 @@ def test_solution_mesh_refinement(m2_pipeline):
 
 def _dense_newton_solve(dg, up, lo, fac, h, F):
     """Reference for model2._newton_solve: assemble the dense Jacobian
-    T + diag(fac) h (S - I/2) and solve it directly."""
-    n = len(dg)
-    idx = np.arange(n)
-    J = np.tril(np.full((n, n), h), -1)
-    J[idx, idx] = h / 2.0
-    J *= fac[:, None]
-    J[idx, idx] += dg
-    J[idx[:-1], idx[:-1] + 1] += up
-    J[idx[1:], idx[1:] - 1] += lo
-    return np.linalg.solve(J, -F)
+    T + diag(fac) h (S - I/2) and solve it directly.
+
+    A plain double LU solve of J is off by up to ~3e-12 of |dv| at
+    N ~ 200, so one refinement step against J assembled in extended
+    precision brings the reference to the exact solution's rounding."""
+    def assemble(dtype):
+        n = len(dg)
+        idx = np.arange(n)
+        J = np.tril(np.full((n, n), dtype(h)), -1)
+        J[idx, idx] = dtype(h) / 2
+        J *= fac.astype(dtype)[:, None]
+        J[idx, idx] += dg.astype(dtype)
+        J[idx[:-1], idx[:-1] + 1] += dtype(up)
+        J[idx[1:], idx[1:] - 1] += dtype(lo)
+        return J
+
+    J = assemble(np.float64)
+    dv = np.linalg.solve(J, -F)
+    r = -F - assemble(np.longdouble) @ dv.astype(np.longdouble)
+    return dv + np.linalg.solve(J, r.astype(float))
 
 
 @settings(max_examples=60, deadline=None)

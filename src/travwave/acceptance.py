@@ -176,11 +176,8 @@ def criterion_5() -> tuple[bool, str]:
     details = []
     ok = True
     for r in rows:
-        if abs(r.c - c_star) <= 1e-9:
-            constructed = 0.0  # zero control realizes the natural speed
-        else:
-            constructed = finite_cost_control(spec, r.c, c_star=c_star,
-                                              c_hat=_c_hat()).cost
+        constructed = finite_cost_control(spec, r.c, c_star=c_star,
+                                          c_hat=_c_hat()).cost
         good = r.effort <= constructed + 1e-9
         ok &= good
         details.append(f"c={r.c:+.3f}: E={r.effort:.4f} <= "
@@ -245,10 +242,8 @@ def criterion_8() -> tuple[bool, str]:
               and float(np.min(sub.residuals["third"])) >= -tol)
     x = sol.x_nodes
     vstar = m2["params"].v_star
-    v_lo = np.interp(x, sub.x_nodes, sub.v_values, left=0.0, right=vstar)
-    th_lo = np.interp(x, sub.x_nodes, sub.theta_values, left=0.0, right=1.0)
-    v_hi = np.minimum(sol.u_values, vstar)
-    th_hi = np.interp(x, sup.x_nodes, sup.theta_values, left=0.0, right=1.0)
+    v_lo, th_lo = sub.v_at(x), sub.theta_at(x)
+    v_hi, th_hi = np.minimum(sol.u_values, vstar), sup.theta_at(x)
     slack = 1e-6
     sandwich = (bool(np.all(sol.v_values >= v_lo - slack))
                 and bool(np.all(sol.v_values <= v_hi + slack))
@@ -354,14 +349,9 @@ def criterion_11() -> tuple[bool, str]:
 
     m2 = _m2_pipeline()
     _, _, sol = _m2_sandwich()
-    u0 = lambda x: float(m2["spatial"].u_at(x))
-    v0 = lambda x: float(np.interp(x, sol.x_nodes, sol.v_values, left=0.0,
-                                   right=m2["params"].v_star))
-    th0 = lambda x: float(np.interp(x, sol.x_nodes, sol.theta_values,
-                                    left=0.0, right=1.0))
-    rec = evolve_model2(m2["spec"], u0, v0, th0, alpha_of_x=m2["alpha"],
-                        params=m2["params"], c_frame=-0.9, T=50.0,
-                        x_span=(-60.0, 60.0), dx=0.05)
+    rec = evolve_model2(m2["spec"], m2["spatial"], sol.v_at, sol.theta_at,
+                        alpha_of_x=m2["alpha"], params=m2["params"],
+                        c_frame=-0.9, T=50.0, x_span=(-60.0, 60.0), dx=0.05)
     checks.append(("invariant-domain excursion during Model-2 evolution "
                    "(1e-6)", rec.summary["d_invariance"] <= 1e-6,
                    f"excursion {rec.summary['d_invariance']:.1e}, drift "
@@ -400,7 +390,7 @@ def run_criterion(number: int) -> CriterionResult:
     except Exception as exc:  # a crash is a failed criterion, not a crash
         passed, details = False, f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - t0
-    return CriterionResult(num, name, passed, details, elapsed, budget)
+    return CriterionResult(num, name, bool(passed), details, elapsed, budget)
 
 
 def run_all(selected=None) -> list[CriterionResult]:

@@ -79,7 +79,7 @@ def build_model(o: Opts):
                                 o.get("rate", 1.0))
     if kind == "logistic":
         return make_logistic_model(o.get("kappa3", 1.0))
-    raise TravwaveError(f"unknown model {kind!r} (weed, cubic, logistic)")
+    raise ConfigError(f"unknown model {kind!r} (weed, cubic, logistic)")
 
 
 def model2_params(o: Opts) -> Model2Params:
@@ -263,13 +263,9 @@ def cmd_pde(o: Opts) -> int:
         params = model2_params(o)
         alpha = alpha_multiplicative(sp)
         sol = solve_vtheta(sp, alpha, params, c)
-        u0 = lambda x: float(sp.u_at(x))
-        v0 = lambda x: float(np.interp(x, sol.x_nodes, sol.v_values,
-                                       left=0.0, right=params.v_star))
-        th0 = lambda x: float(np.interp(x, sol.x_nodes, sol.theta_values,
-                                        left=0.0, right=1.0))
-        rec = evolve_model2(spec, u0, v0, th0, alpha_of_x=alpha, params=params,
-                            c_frame=c, T=T, x_span=span, dx=dx)
+        rec = evolve_model2(spec, sp, sol.v_at, sol.theta_at,
+                            alpha_of_x=alpha, params=params, c_frame=c, T=T,
+                            x_span=span, dx=dx)
         print(f"joint drift over T={T:g}: {rec.summary['joint_drift']:.4g}  "
               f"D-invariance excursion: {rec.summary['d_invariance']:.3g}")
     return finish(o, {"c_star": c_star, **rec.summary}, "snapshots",
@@ -280,13 +276,15 @@ def cmd_verify(o: Opts) -> int:
     only = o.get("only", None, str)
     selected = [int(s) for s in only.split(",")] if only else None
     results = acceptance.run_all(selected)
-    all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  criterion {r.number:2d} [{r.elapsed:6.1f}s]  "
               f"{r.name}: {r.details}")
-        all_ok &= r.passed
-    return 0 if all_ok else 1
+    keys = ("number", "name", "passed", "elapsed", "budget", "within_budget",
+            "details")
+    finish(o, {"criteria": [{k: getattr(r, k) for k in keys}
+                            for r in results]})
+    return 0 if all(r.passed for r in results) else 1
 
 
 class Command(NamedTuple):
@@ -331,7 +329,8 @@ COMMANDS = {
                    ("pdecommand", ("scalar", "model1", "model2"))),
     "verify": Command(cmd_verify, "run the acceptance suite",
                       (("config", str, None),
-                       ("only", str, "comma-separated criterion numbers"))),
+                       ("only", str, "comma-separated criterion numbers"),
+                       ("json", str, "JSON report path"))),
 }
 
 

@@ -36,7 +36,7 @@ from ._columns import write_columns
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params
-from .profile import SpatialProfile, _theta_closed_form
+from .profile import SpatialProfile, _theta_closed_form, theta_model1
 
 __all__ = [
     "Model2Spectrum", "TriplePath", "char_poly", "lambda_min", "p_at_lambda_min",
@@ -49,6 +49,7 @@ EPS0 = 1e-3  # subsolution's constants, see its docstring
 MAX_HALVINGS = 10
 GRID_H = 0.01
 DEFECT_TOL = 1e-6  # solve_vtheta's bound on the V-equation defect
+SWEEPS, NEWTON_STEPS = 250, 40  # solve_vtheta's budgets
 
 
 @dataclass
@@ -80,6 +81,17 @@ class TriplePath:
     kind: str                 # supersolution | subsolution | solution
     residuals: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+    def v_at(self, x) -> np.ndarray:
+        """V on arbitrary points: 0 left of the grid, the path's own
+        right-end value right of it (V*, the Dirichlet value of every sub-
+        and solution path)."""
+        return np.interp(x, self.x_nodes, self.v_values, left=0.0)
+
+    def theta_at(self, x) -> np.ndarray:
+        """Theta on arbitrary points: 0 left of the grid, 1 right of it."""
+        return np.interp(x, self.x_nodes, self.theta_values, left=0.0,
+                         right=1.0)
 
     def to_csv(self, path) -> None:
         write_columns(path, {"x": self.x_nodes, "u": self.u_values,
@@ -184,21 +196,12 @@ def check_drate(f, d: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _left_decay_rate(profile: SpatialProfile) -> float:
-    lam = profile.meta.get("lambda_left")
-    if lam:
-        return float(lam)
-    x, u = profile.x_nodes, profile.u_values
-    tail = u <= max(1e-6, u[0] * 10.0)
-    if np.sum(tail) >= 3:
-        return float(np.polyfit(x[tail], np.log(np.maximum(u[tail], 1e-300)), 1)[0])
-    raise ConstructionFailureError("cannot estimate the left decay rate of U")
-
-
 def supersolution(u_profile: SpatialProfile, params: Model2Params,
                   c: float) -> TriplePath:
     """Upper barrier (U, min{U, V*}, Theta_bar) for the last two equations.
 
+    Theta_bar is the Model-1 tree infection along U (`theta_model1`, which
+    closes the left tail of U in exponential form), on U's own grid.
     Residual signs are verified semi-analytically: the third equation gives
     kappa1 (1 - Theta_bar)(v+ - U) <= 0 by construction, and the second is
     -f(U) - d U where v+ = U (needs f sampled on the profile) and
@@ -214,9 +217,7 @@ def supersolution(u_profile: SpatialProfile, params: Model2Params,
     u = u_profile.u_values
     vstar = params.v_star
     vplus = np.minimum(u, vstar)
-    # the left tail of U is closed in exponential form
-    theta_bar = _theta_closed_form(
-        x, u, params.kappa1, c, tail=u[0] / _left_decay_rate(u_profile))
+    theta_bar = theta_model1(u_profile, params.kappa1, c).theta_values[:len(x)]
 
     r3 = params.kappa1 * (1.0 - theta_bar) * (vplus - u)
     on_u = u <= vstar
@@ -484,16 +485,16 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
 
 
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
-                 c: float, h: float = 0.02, max_iter: int = 400,
-                 sub: TriplePath | None = None,
+                 c: float, h: float = 0.02, sub: TriplePath | None = None,
                  sup: TriplePath | None = None) -> TriplePath:
     """Exact (V, Theta) by damped monotone iteration from the subsolution.
 
     The Theta coupling is lagged: given Theta_k the V-equation is a linear
     two-point problem (banded solve); given V the Theta-equation is
     integrated exactly by its integrating factor.  Iterates are damped by
-    0.5 and must stay inside the barrier sandwich; convergence is declared
-    when the discrete defect of the V-equation falls below DEFECT_TOL.  The
+    0.5 and must stay inside the barrier sandwich.  Up to SWEEPS lagged
+    sweeps run, then up to NEWTON_STEPS Newton steps, each stage stopping
+    once the discrete defect of the V-equation is at most DEFECT_TOL.  The
     grid spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
     subsolution's junction) and 20 / min(|lambda1|, a), snapped to h.
 
@@ -502,8 +503,6 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     accepted, 0 if none), "iterations" (their sum) and the defect
     "history" of every iteration.
     """
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
     if not h > 0.0:
         raise InvalidParameterError(f"h must be positive, got {h:g}")
     if sub is None:
@@ -523,10 +522,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
 
     u = np.asarray(u_profile.u_at(x), dtype=float)
     al = np.asarray([float(alpha(xx)) for xx in x])
-    v_lo = np.interp(x, sub.x_nodes, sub.v_values, left=0.0, right=vstar)
-    th_lo = np.interp(x, sub.x_nodes, sub.theta_values, left=0.0, right=1.0)
-    v_hi = np.minimum(u, vstar)
-    th_hi = np.interp(x, sup.x_nodes, sup.theta_values, left=0.0, right=1.0)
+    v_lo, th_lo = sub.v_at(x), sub.theta_at(x)
+    v_hi, th_hi = np.minimum(u, vstar), sup.theta_at(x)
 
     ordered = np.all(v_lo <= v_hi + 1e-9) and np.all(th_lo <= th_hi + 1e-9)
     if not ordered:
@@ -545,9 +542,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     # dominates; the undamped sweeps cover most of the travel and leave
     # the Newton corrector inside its quadratic basin.
     V, Th = v_lo.copy(), th_lo.copy()
-    converged = False
-    warmup = min(250, max_iter)
-    for sweep in range(warmup):
+    for sweep in range(SWEEPS):
         omega = 0.5 if sweep < 50 else 1.0
         V_new = _solve_linear_v(x, c, k2 * Th + d + al, k2 * u * Th, 0.0, vstar)
         V = (1.0 - omega) * V + omega * V_new
@@ -555,10 +550,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
         defect = float(np.max(np.abs(v_residual(V, Th))))
         history.append(defect)
         if defect <= DEFECT_TOL:
-            Th = _theta_closed_form(x, V, k1, c)
-            if float(np.max(np.abs(v_residual(V, Th)))) <= DEFECT_TOL:
-                converged = True
-                break
+            break
 
     # Stage 2: line-searched Newton on the reduced system (Theta
     # eliminated through its integrating factor).  The Jacobian carries
@@ -567,41 +559,34 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     sweeps = len(history)
     newton_steps: list[float] = []
     lo, mid, up = _v_stencil(c, h)
-    if not converged:
-        Th = _theta_closed_form(x, V, k1, c)
-        F = v_residual(V, Th)
-        nrm = float(np.max(np.abs(F)))
-        budget = max(0, max_iter - len(history))
-        for _ in range(min(40, budget)):
-            if nrm <= DEFECT_TOL:
-                converged = True
+    Th = _theta_closed_form(x, V, k1, c)
+    F = v_residual(V, Th)
+    nrm = float(np.max(np.abs(F)))
+    while nrm > DEFECT_TOL and len(newton_steps) < NEWTON_STEPS:
+        fac = k2 * (u[1:-1] - V[1:-1]) * (1.0 - Th[1:-1]) * (-k1 / c)
+        dg = mid - (k2 * Th[1:-1] + d + al[1:-1])
+        dv = _newton_solve(dg, up, lo, fac, h, F)
+        step = 1.0
+        improved = False
+        for _ in range(40):
+            V_try = V.copy()
+            V_try[1:-1] += step * dv
+            Th_try = _theta_closed_form(x, V_try, k1, c)
+            F_try = v_residual(V_try, Th_try)
+            if float(np.max(np.abs(F_try))) < nrm:
+                V, Th, F = V_try, Th_try, F_try
+                nrm = float(np.max(np.abs(F)))
+                improved = True
                 break
-            fac = k2 * (u[1:-1] - V[1:-1]) * (1.0 - Th[1:-1]) * (-k1 / c)
-            dg = mid - (k2 * Th[1:-1] + d + al[1:-1])
-            dv = _newton_solve(dg, up, lo, fac, h, F)
-            step = 1.0
-            improved = False
-            for _ in range(40):
-                V_try = V.copy()
-                V_try[1:-1] += step * dv
-                Th_try = _theta_closed_form(x, V_try, k1, c)
-                F_try = v_residual(V_try, Th_try)
-                if float(np.max(np.abs(F_try))) < nrm:
-                    V, Th, F = V_try, Th_try, F_try
-                    nrm = float(np.max(np.abs(F)))
-                    improved = True
-                    break
-                step *= 0.5
-            newton_steps.append(step if improved else 0.0)
-            history.append(nrm)
-            if not improved:
-                break
-        if nrm <= DEFECT_TOL:
-            converged = True
-    if not converged:
+            step *= 0.5
+        newton_steps.append(step if improved else 0.0)
+        history.append(nrm)
+        if not improved:
+            break
+    if nrm > DEFECT_TOL:
         raise NonconvergenceError(
             f"fixed point not reached ({sweeps} sweeps + {len(newton_steps)} "
-            f"Newton steps, last defect {history[-1]:.3g})", history=history)
+            f"Newton steps, last defect {nrm:.3g})", history=history)
 
     slack = 1e-6
     if np.any(V < v_lo - slack) or np.any(V > v_hi + slack) \
@@ -645,24 +630,19 @@ class QuasimonotoneReport:
         return not self.violations
 
 
-def quasimonotone_check(params: Model2Params,
-                        samples=None) -> QuasimonotoneReport:
+def quasimonotone_check(params: Model2Params) -> QuasimonotoneReport:
     """Off-diagonal Jacobian signs of the reaction map on the invariant set.
 
     F = (f(u) - alpha u, kappa2 (u-v) theta - (alpha+d) v, kappa1 (1-theta) v);
     the off-diagonal partials are kappa2 theta, kappa2 (u-v), kappa1 (1-theta)
     and zeros, all nonnegative on {0 <= v <= u <= 1, 0 <= theta <= 1} and
-    independent of the control alpha.
+    independent of the control alpha.  They are checked on a 6-point grid
+    per coordinate of that set.
     """
-    if samples is None:
-        g = np.linspace(0.0, 1.0, 6)
-        samples = [(uu, vv, th) for uu in g for vv in g if vv <= uu for th in g]
+    g = np.linspace(0.0, 1.0, 6)
+    samples = [(uu, vv, th) for uu in g for vv in g if vv <= uu for th in g]
     violations: list[str] = []
     for (uu, vv, th) in samples:
-        if not (0.0 <= vv <= uu <= 1.0 and 0.0 <= th <= 1.0):
-            raise InvalidParameterError(
-                f"sample (u,v,theta)=({uu:g},{vv:g},{th:g}) outside the "
-                "invariant domain")
         partials = {
             "dF1/dv": 0.0, "dF1/dtheta": 0.0,
             "dF2/du": params.kappa2 * th,
@@ -690,23 +670,23 @@ class Case2Report:
     seed_amplitude: float
 
 
-def case2_demo(params: Model2Params, c: float, seed_amplitude: float = 1e-3,
-               seed_direction: np.ndarray | None = None) -> Case2Report:
+def case2_demo(params: Model2Params, c: float,
+               seed_amplitude: float = 1e-3) -> Case2Report:
     """Backward integration exhibiting the spiral sign obstruction.
 
-    With U = 1 and alpha = 0, a small state near the rotating plane of the
-    linearization is integrated backward in x.  The angular coordinate on
-    that plane advances at rate ~ b, so V or Theta must change sign within
-    a fraction of a rotation; the report records where, and the winding
-    accumulated up to the violation.
+    With U = 1 and alpha = 0, the state seed_amplitude * w2 on the rotating
+    plane of the linearization is integrated backward in x.  The angular
+    coordinate on that plane advances at rate ~ b, so V or Theta must
+    change sign within a fraction of a rotation; the report records where,
+    and the winding accumulated up to the violation.  A negative
+    seed_amplitude starts with V < 0, a violation at x = 0.
     """
     spec2 = spectrum(c, params)
     if spec2.classification != "lemma71_regime":
         raise RegimeError(f"demonstration requires the complex-pair regime, "
                           f"got {spec2.classification}")
     a, b = spec2.a, spec2.b
-    y0 = seed_amplitude * (spec2.w2 if seed_direction is None
-                           else np.asarray(seed_direction, dtype=float))
+    y0 = seed_amplitude * spec2.w2
     if y0[0] < 0.0 or y0[2] < 0.0:
         return Case2Report(0.0, "V" if y0[0] < 0 else "Theta", 0.0,
                            float("nan"), b, 0.0, True, seed_amplitude)

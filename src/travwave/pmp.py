@@ -27,8 +27,8 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from ._roots import bisect
-from .control_construct import (_slice_from, _slice_to, cost_of, merge_pieces,
-                                natural_heteroclinic)
+from .control_construct import (SPEED_GUARD, _slice_from, _slice_to, cost_of,
+                                merge_pieces, natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, TravwaveError)
 from .model import ModelSpec, _check_finite_state, check_A1, check_A2
@@ -40,7 +40,6 @@ __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
            "shoot_from", "optimal_profile", "pmp_residual", "effort_curve"]
 
 BETA_START = 1e-10
-SPEED_GUARD = 1e-12
 
 
 @dataclass
@@ -353,7 +352,7 @@ def effort_curve(spec: ModelSpec, c_grid, c_star: float | None = None,
         c_star = natural_speed(spec)
     cs = sorted(float(c) for c in np.atleast_1d(c_grid))
     for c in cs:
-        if c < c_star - 1e-9:
+        if c < c_star - SPEED_GUARD:
             raise InvalidParameterError(
                 f"effort is defined for c >= c*; got c={c:g} < c*={c_star:.8g}")
 

@@ -11,6 +11,7 @@ import travwave.acceptance as acc
 import travwave.cli as cli
 from travwave.cli import main
 from travwave.control_construct import finite_cost_control
+from travwave.errors import ConfigError
 
 M2_ARGS = ["--model", "cubic", "--ustar", "0.15", "--rate", "4.5",
            "--c", "-0.9"]
@@ -130,6 +131,31 @@ def test_verify_single_criterion(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("PASS")
+
+
+def test_verify_json_report(tmp_path, capsys):
+    js = tmp_path / "verify.json"
+    rc = main(["verify", "--only", "7", "--json", str(js)])
+    capsys.readouterr()
+    assert rc == 0
+    payload = json.loads(js.read_text())
+    assert payload["config"] == {"only": "7", "json": str(js)}
+    [row] = payload["results"]["criteria"]
+    assert list(row) == ["number", "name", "passed", "elapsed", "budget",
+                         "within_budget", "details"]
+    assert row["number"] == 7 and row["passed"] is True
+    assert row["within_budget"] is (row["elapsed"] <= row["budget"])
+    assert "c_sharp" in row["details"]
+
+
+def test_unknown_model_is_a_config_error(tmp_path):
+    # a config file can name the model, so argparse cannot reject it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = bogus\n")
+    opts = cli.Opts(cli.build_parser().parse_args(
+        ["speed", "--config", str(cfg)]))
+    with pytest.raises(ConfigError, match="unknown model 'bogus'"):
+        cli.build_model(opts)
 
 
 @pytest.mark.parametrize("content, needle", [

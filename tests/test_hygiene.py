@@ -120,3 +120,35 @@ def test_a_broad_handler_is_reported():
         "        pass\n"
         "try:\n    g()\nexcept BaseException:\n    pass\n")
     assert _broad_handlers(tree) == [("f", 8), ("f", 12), (None, 16)]
+
+
+def _names(node) -> set[str]:
+    """Class names a raise or a pytest.raises argument refers to:
+    ``X``, ``mod.X``, ``X(...)`` and tuples of these."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_names(e) for e in node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_every_error_class_is_raised_and_tested():
+    errors = _tree(SRC / "errors.py")
+    classes = {node.name for node in errors.body
+               if isinstance(node, ast.ClassDef)} - {"TravwaveError"}
+    raised = set().union(*(
+        _names(node.exc) for path in MODULES for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Raise) and node.exc is not None))
+    tested = set().union(*(
+        _names(node.args[0])
+        for path in Path(__file__).resolve().parent.glob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and node.args
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "raises"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "pytest"))
+    assert classes
+    assert classes <= raised, f"never raised: {sorted(classes - raised)}"
+    assert classes <= tested, f"never tested: {sorted(classes - tested)}"

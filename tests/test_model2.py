@@ -116,12 +116,10 @@ def test_drate_condition():
 def test_quasimonotone_partials():
     rep = quasimonotone_check(P111)
     assert rep.passed
-    # symbolic partials at a sample: dF2/du = k2 theta, dF3/dv = k1 (1-theta)
-    rep2 = quasimonotone_check(Model2Params(2.0, 3.0, 1.0),
-                               samples=[(0.8, 0.2, 0.5)])
+    # 21 grid pairs v <= u, times 6 values of theta
+    assert rep.n_samples == 126
+    rep2 = quasimonotone_check(Model2Params(2.0, 3.0, 1.0))
     assert rep2.passed
-    with pytest.raises(InvalidParameterError):
-        quasimonotone_check(P111, samples=[(0.3, 0.5, 0.5)])  # v > u
 
 
 def test_supersolution_structure(m2_pipeline):
@@ -288,25 +286,38 @@ def test_solution_matches_dense_newton(m2_pipeline, monkeypatch):
     assert all(0.0 < s <= 1.0 for s in sol.meta["newton_steps"])
 
 
-def test_solve_vtheta_rejects_bad_budget_and_mesh(m2_pipeline):
+def test_solve_vtheta_rejects_bad_mesh(m2_pipeline):
     sp, al, pr = (m2_pipeline["spatial"], m2_pipeline["alpha"],
                   m2_pipeline["params"])
-    with pytest.raises(InvalidParameterError, match="max_iter"):
-        solve_vtheta(sp, al, pr, -0.9, max_iter=0)
     for h in (0.0, -0.02, float("nan")):
         with pytest.raises(InvalidParameterError, match="h must be positive"):
             solve_vtheta(sp, al, pr, -0.9, h=h)
 
 
-def test_solve_vtheta_reports_nonconvergence(m2_pipeline):
+def test_solve_vtheta_reports_nonconvergence(m2_pipeline, monkeypatch):
     # one sweep and no Newton budget cannot reach tol
     sup, sub, _ = acc._m2_sandwich()
+    monkeypatch.setattr(model2, "SWEEPS", 1)
+    monkeypatch.setattr(model2, "NEWTON_STEPS", 0)
     with pytest.raises(NonconvergenceError) as exc:
         solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
-                     m2_pipeline["params"], -0.9, max_iter=1,
-                     sub=sub, sup=sup)
+                     m2_pipeline["params"], -0.9, sub=sub, sup=sup)
     assert "1 sweeps + 0 Newton steps" in str(exc.value)
     assert len(exc.value.history) == 1
+
+
+def test_far_fields_of_triple_paths(m2_pipeline):
+    # every sub- and solution path ends exactly on its Dirichlet value V*,
+    # which is what v_at reads right of the grid
+    _, sub, sol = acc._m2_sandwich()
+    vstar = m2_pipeline["params"].v_star
+    assert sub.v_values[-1] == sol.v_values[-1] == vstar
+    for path in (sub, sol):
+        lo, hi = path.x_nodes[0] - 1.0, path.x_nodes[-1] + 1.0
+        assert path.v_at(lo) == 0.0 and path.theta_at(lo) == 0.0
+        assert path.v_at(hi) == vstar and path.theta_at(hi) == 1.0
+        assert np.array_equal(path.v_at(path.x_nodes), path.v_values)
+        assert np.array_equal(path.theta_at(path.x_nodes), path.theta_values)
 
 
 def test_solve_vtheta_rejects_unordered_barriers(m2_pipeline):
@@ -328,13 +339,11 @@ def test_case2_demo(m2_pipeline):
     assert abs(rep2.winding - rep.winding) <= 1.0
 
 
-def test_case2_demo_eigvec1_seed_violates_immediately():
-    s = spectrum(-0.9, P111)
-    # v1 = (1, lambda1, -k1/(c lambda1)) has a negative Theta entry
-    rep = case2_demo(P111, -0.9, seed_direction=s.eigvec1)
+def test_case2_demo_negative_seed_violates_immediately():
+    # -1e-3 w2 starts with V = -1e-3 < 0
+    rep = case2_demo(P111, -0.9, seed_amplitude=-1e-3)
     assert rep.x_violation == 0.0 and rep.winding == 0.0
-    rep_neg = case2_demo(P111, -0.9, seed_direction=-s.eigvec1)
-    assert rep_neg.x_violation == 0.0
+    assert rep.component == "V"
 
 
 def test_case2_demo_regime_gate():

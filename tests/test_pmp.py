@@ -75,6 +75,13 @@ def test_trivial_profile_at_natural_speed(weed, c_star_weed):
     assert pmp_residual(prof, weed).yu_max == 0.0
 
 
+def test_trivial_profile_within_the_speed_guard(weed, c_star_weed):
+    # the guard band around c* is the one finite_cost_control and
+    # bang_control use
+    prof = optimal_profile(weed, c_star_weed + 5e-10, c_star=c_star_weed)
+    assert prof.cost == 0.0 and prof.arc is None
+
+
 def test_below_natural_speed_is_trivial(weed, c_star_weed):
     prof = optimal_profile(weed, -0.5, c_star=c_star_weed)
     assert prof.cost == 0.0

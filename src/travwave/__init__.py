@@ -19,8 +19,8 @@ from .pmp import (OptimalProfile, shoot_from, optimal_profile, pmp_residual,
 from .profile import (SpatialProfile, reconstruct_x, theta_model1,
                       decay_check, alpha_multiplicative)
 from .model2 import (Model2Spectrum, TriplePath, char_poly, c_sharp, spectrum,
-                     supersolution, subsolution, solve_vtheta,
-                     quasimonotone_check, case2_demo, check_drate)
+                     supersolution, subsolution, solve_vtheta, case2_demo,
+                     check_drate)
 from .pde import (evolve_scalar, front_speed, evolve_model1, evolve_model2,
                   EvolutionRecord)
 

@@ -254,9 +254,7 @@ def cmd_pde(o: Opts) -> int:
     elif sub == "model1":
         kappa1 = o.get("kappa1", 0.02)
         thp = theta_model1(sp, kappa1, c)
-        theta0 = lambda x: float(np.interp(x, thp.x_nodes, thp.theta_values,
-                                           left=0.0, right=1.0))
-        rec = evolve_model1(spec, thp, theta0, alpha_of_moving_frame=sp.alpha_at,
+        rec = evolve_model1(spec, thp, thp.theta_at, alpha_of_x=sp.alpha_at,
                             kappa1=kappa1, c_frame=c, T=T, x_span=span, dx=dx)
         print(f"joint drift over T={T:g}: {rec.summary['joint_drift']:.4g}")
     else:  # "model2"

@@ -37,7 +37,7 @@ from .errors import (CapExceededError, ConstructionFailureError,
 from .model import ModelSpec
 from .phaseplane import (PhaseTrajectory, integrate_pu, stable_manifold,
                          unstable_manifold)
-from .speed import make_substitute_spec, natural_speed
+from .speed import _speed, make_substitute_spec, natural_speed
 
 __all__ = ["ConcatProfile", "bang_control", "finite_cost_control", "cost_of",
            "default_substitute"]
@@ -255,7 +255,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
 
     sub_spec = make_substitute_spec(spec, default_substitute(spec))
     if c_hat is None:
-        c_hat = natural_speed(sub_spec)
+        c_hat = _speed(sub_spec)
     if c_prime is None:
         c_prime = 0.5 * (c + c_hat)
     if not (c_star < c < c_prime < c_hat):

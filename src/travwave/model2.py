@@ -17,11 +17,15 @@ Equality defines the threshold speed c_sharp; for c_sharp < c < 0 the
 spectrum is one negative root plus a complex pair with positive real part,
 which rules out monotone entry into the healthy state (the orbit spirals).
 
-`supersolution` / `subsolution` build the ordered barriers of the
-comparison argument, `solve_vtheta` squeezes the exact (V, Theta) between
-them by a lagged, damped monotone iteration, and `case2_demo` integrates
-the linearized spiral backward to exhibit the sign violation that forbids
-buffer-zone profiles.
+The reaction terms are cooperative on {0 <= v <= u <= 1, 0 <= theta <= 1}
+for every control: the nonzero off-diagonal partials kappa2 theta,
+kappa2 (u - v) and kappa1 (1 - theta) are positive rates (`Model2Params`
+rejects any other) times non-negative coordinates.  The comparison
+argument rests on it: `supersolution` / `subsolution` build its barriers,
+`solve_vtheta` squeezes the exact (V, Theta) between them by a lagged,
+damped monotone iteration, and `case2_demo` integrates the linearized
+spiral backward to exhibit the sign violation that forbids buffer-zone
+profiles.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from ._columns import write_columns
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params
-from .profile import SpatialProfile, _theta_closed_form, theta_model1
+from .profile import (SpatialProfile, _sample_control, _theta_closed_form,
+                      theta_model1)
 
 __all__ = [
     "Model2Spectrum", "TriplePath", "char_poly", "lambda_min", "p_at_lambda_min",
     "c_sharp", "spectrum", "check_drate", "supersolution", "subsolution",
-    "solve_vtheta", "quasimonotone_check", "case2_demo", "QuasimonotoneReport",
-    "Case2Report",
+    "solve_vtheta", "case2_demo", "Case2Report",
 ]
 
 EPS0 = 1e-3  # subsolution's constants, see its docstring
@@ -304,7 +308,7 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     k1, k2, d = params.kappa1, params.kappa2, params.d
 
     xs = u_profile.x_nodes
-    pos = np.asarray([float(alpha(xx)) for xx in xs]) > 1e-12
+    pos = _sample_control(alpha, xs) > 1e-12
     x_ctrl = float(xs[np.nonzero(pos)[0][-1]]) if np.any(pos) else float(xs[0])
     iu = np.nonzero(u_profile.u_values >= 1.0 - EPS0)[0]
     if len(iu) == 0:
@@ -521,7 +525,7 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     vstar = params.v_star
 
     u = np.asarray(u_profile.u_at(x), dtype=float)
-    al = np.asarray([float(alpha(xx)) for xx in x])
+    al = _sample_control(alpha, x)
     v_lo, th_lo = sub.v_at(x), sub.theta_at(x)
     v_hi, th_hi = np.minimum(u, vstar), sup.theta_at(x)
 
@@ -618,42 +622,6 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                             "v_right_end": float(V[-1]),
                             "theta_right_end": float(Th[-1])})
     return path
-
-
-@dataclass
-class QuasimonotoneReport:
-    violations: list[str]
-    n_samples: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def quasimonotone_check(params: Model2Params) -> QuasimonotoneReport:
-    """Off-diagonal Jacobian signs of the reaction map on the invariant set.
-
-    F = (f(u) - alpha u, kappa2 (u-v) theta - (alpha+d) v, kappa1 (1-theta) v);
-    the off-diagonal partials are kappa2 theta, kappa2 (u-v), kappa1 (1-theta)
-    and zeros, all nonnegative on {0 <= v <= u <= 1, 0 <= theta <= 1} and
-    independent of the control alpha.  They are checked on a 6-point grid
-    per coordinate of that set.
-    """
-    g = np.linspace(0.0, 1.0, 6)
-    samples = [(uu, vv, th) for uu in g for vv in g if vv <= uu for th in g]
-    violations: list[str] = []
-    for (uu, vv, th) in samples:
-        partials = {
-            "dF1/dv": 0.0, "dF1/dtheta": 0.0,
-            "dF2/du": params.kappa2 * th,
-            "dF2/dtheta": params.kappa2 * (uu - vv),
-            "dF3/du": 0.0,
-            "dF3/dv": params.kappa1 * (1.0 - th),
-        }
-        for name, val in partials.items():
-            if val < -1e-12:
-                violations.append(f"{name} = {val:.3g} at ({uu:g},{vv:g},{th:g})")
-    return QuasimonotoneReport(violations, len(samples))
 
 
 @dataclass

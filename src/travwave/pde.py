@@ -25,7 +25,7 @@ from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
                      InstabilityError)
 from .model import Model2Params, ModelSpec
 from .model2 import check_drate
-from .profile import SpatialProfile
+from .profile import SpatialProfile, _sample_control
 
 __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
@@ -110,8 +110,7 @@ def _alpha_lookup(alpha_of_x, x, x_span, speed):
     if alpha_of_x is None:
         return lambda t: None
     zs = np.linspace(x_span[0] - 80.0, x_span[1] + 80.0, 20001)
-    vals = np.nan_to_num(np.asarray([float(alpha_of_x(z)) for z in zs]),
-                         nan=0.0)
+    vals = np.nan_to_num(_sample_control(alpha_of_x, zs), nan=0.0)
     if speed in (None, 0.0):
         static = np.interp(x, zs, vals)
         return lambda t: static
@@ -272,7 +271,7 @@ def front_speed(record: EvolutionRecord) -> FrontFit:
 
 
 def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
-                  alpha_of_moving_frame=None, kappa1: float = 1.0,
+                  alpha_of_x=None, kappa1: float = 1.0,
                   T: float = 50.0, c_frame: float | None = None,
                   x_span=(-60.0, 60.0), dx: float = 0.05,
                   snapshot_dt: float = 1.0) -> EvolutionRecord:
@@ -308,8 +307,7 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
         return step, report
 
     # a spec without a control channel evolves uncontrolled
-    alpha = alpha_of_moving_frame if spec.beta_from_alpha is not None \
-        else None
+    alpha = alpha_of_x if spec.beta_from_alpha is not None else None
     return _evolve({"u": initial_u, "theta": initial_theta}, system, T,
                    c_frame, x_span, dx, None, snapshot_dt, alpha)
 

@@ -303,8 +303,9 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
     """Stationarity residual of the optimality ODE plus the argmin check.
 
     The residual | d/dU L_beta - ((beta-f)/P^2) L_beta + L/P^2 | is formed
-    at interval midpoints with interpolated (P, beta); the argmin check
-    samples candidate controls beta' >= 0 at every node and counts
+    at the midpoints of intervals whose nodes have a finite L_beta, with
+    interpolated (P, beta); the argmin check samples candidate controls
+    beta' >= 0 at every node with a control range and counts
     violations of beta' Y + L(U,beta') >= beta Y + L(U,beta) - 1e-8.
     """
     if profile.arc is None:
@@ -316,8 +317,9 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
     b_i = PchipInterpolator(u, b)
 
     Lb = np.asarray(spec.L_beta(u, b), dtype=float)
-    um = 0.5 * (u[:-1] + u[1:])
-    dLb = np.diff(Lb) / np.diff(u)
+    ok = np.isfinite(Lb[:-1]) & np.isfinite(Lb[1:])
+    um = 0.5 * (u[:-1] + u[1:])[ok]
+    dLb = (Lb[1:][ok] - Lb[:-1][ok]) / np.diff(u)[ok]
     pm = np.asarray(p_i(um))
     bm = np.maximum(np.asarray(b_i(um)), 0.0)
     fm = np.asarray(spec.f(um), dtype=float)

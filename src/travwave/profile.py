@@ -23,8 +23,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from ._columns import write_columns
-from .errors import (IntegrabilityError, InvalidTrajectoryError,
-                     NonexistenceError, NotASaddleError)
+from .errors import (IntegrabilityError, InvalidParameterError,
+                     InvalidTrajectoryError, NonexistenceError, NotASaddleError)
 from .model import ModelSpec
 from .phaseplane import PhaseTrajectory, saddle_eigenvalues
 
@@ -32,6 +32,44 @@ __all__ = ["SpatialProfile", "reconstruct_x", "theta_model1", "decay_check",
            "DecayReport", "alpha_multiplicative"]
 
 TAIL_FACTOR = 10.0
+N_PAD, N_EXT = 120, 200  # tail nodes of reconstruct_x and theta_model1
+
+
+def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
+    """U (and P, given p_nodes) of a wave on x: node values inside the grid,
+    the saddle tails U = U_0 e^{lam_left (x - x_0)}, P = lam_left U left of
+    it and U = 1 - (1 - U_N) e^{lam_right (x - x_N)}, P = -lam_right (1 - U)
+    right of it; a side without a rate holds its end value with P = 0."""
+    x = np.asarray(x, dtype=float)
+    u = np.interp(x, x_nodes, u_nodes)
+    x0, xn = x_nodes[0], x_nodes[-1]
+    left, right = x < x0, x > xn
+    # each tail's exponent is clamped to <= 0 off its own side (no overflow)
+    if lam_left is not None and np.any(left):
+        u = np.where(left, u_nodes[0]
+                     * np.exp(lam_left * (np.minimum(x, x0) - x0)), u)
+    if lam_right is not None and np.any(right):
+        u = np.where(right, 1.0 - (1.0 - u_nodes[-1])
+                     * np.exp(lam_right * (np.maximum(x, xn) - xn)), u)
+    if p_nodes is None:
+        return u
+    p_left = 0.0 if lam_left is None else lam_left * u
+    p_right = 0.0 if lam_right is None else -lam_right * (1.0 - u)
+    return u, np.where(left, p_left, np.where(right, p_right,
+                                              np.interp(x, x_nodes, p_nodes)))
+
+
+def _sample_control(alpha, x: np.ndarray) -> np.ndarray:
+    """A control alpha(x) sampled on the array x in one call; a control that
+    does not map it to an array of its shape raises InvalidParameterError."""
+    try:
+        vals = np.asarray(alpha(x), dtype=float)
+        if vals.shape != x.shape:
+            raise ValueError(f"got shape {vals.shape} for {x.shape}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"a control must map an array of x to an array: {exc}") from exc
+    return vals
 
 
 @dataclass
@@ -50,24 +88,21 @@ class SpatialProfile:
 
     def u_at(self, x) -> np.ndarray:
         """U on arbitrary points, exponential tails beyond the grid."""
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.x_nodes, self.u_values)
-        lam_l = self.meta.get("lambda_left")
-        lam_r = self.meta.get("lambda_right")
-        left = x < self.x_nodes[0]
-        right = x > self.x_nodes[-1]
-        if lam_l is not None and np.any(left):
-            out = np.where(left, self.u_values[0]
-                           * np.exp(lam_l * (x - self.x_nodes[0])), out)
-        if lam_r is not None and np.any(right):
-            out = np.where(right, 1.0 - (1.0 - self.u_values[-1])
-                           * np.exp(lam_r * (x - self.x_nodes[-1])), out)
-        return out[()]
+        return _far_field(x, self.x_nodes, self.u_values,
+                          self.meta.get("lambda_left"),
+                          self.meta.get("lambda_right"))[()]
 
     def alpha_at(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         return np.interp(x, self.x_nodes, self.alpha_values,
-                         left=0.0, right=0.0)[()]
+                         left=0.0, right=0.0)
+
+    def theta_at(self, x) -> np.ndarray:
+        """Theta on arbitrary points: 0 left of the grid, 1 right of it."""
+        if self.theta_values is None:
+            raise InvalidTrajectoryError(
+                "profile carries no Theta (build it with theta_model1)")
+        return np.interp(x, self.x_nodes, self.theta_values,
+                         left=0.0, right=1.0)
 
     def to_csv(self, path) -> None:
         """Columns x,u,p,alpha,theta; theta is empty when not computed."""
@@ -115,28 +150,21 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     x = cumulative_trapezoid(1.0 / p, u, initial=0.0)
     x -= x[k_anchor]
 
-    lam_left = lam_right = None
-    if u[0] < 1e-3:
-        lam_left, _ = saddle_eigenvalues(spec, traj.c, 0.0)
-        n_pad = 120
-        pad = np.linspace(x[0] - TAIL_FACTOR / lam_left, x[0], n_pad,
-                          endpoint=False)
-        u_pad = u[0] * np.exp(lam_left * (pad - x[0]))
-        p_pad = lam_left * u_pad
-        x = np.concatenate((pad, x))
-        u = np.concatenate((u_pad, u))
-        p = np.concatenate((p_pad, p))
-        b = np.concatenate((np.zeros(n_pad), b))
-    if u[-1] > 1.0 - 1e-3:
-        _, lam_right = saddle_eigenvalues(spec, traj.c, 1.0)
-        n_pad = 120
-        pad = np.linspace(x[-1], x[-1] - TAIL_FACTOR / lam_right, n_pad + 1)[1:]
-        u_pad = 1.0 - (1.0 - u[-1]) * np.exp(lam_right * (pad - x[-1]))
-        p_pad = -lam_right * (1.0 - u_pad)
-        x = np.concatenate((x, pad))
-        u = np.concatenate((u, u_pad))
-        p = np.concatenate((p, p_pad))
-        b = np.concatenate((b, np.zeros(n_pad)))
+    lam_left = saddle_eigenvalues(spec, traj.c, 0.0)[0] \
+        if u[0] < 1e-3 else None
+    lam_right = saddle_eigenvalues(spec, traj.c, 1.0)[1] \
+        if u[-1] > 1.0 - 1e-3 else None
+    left = np.linspace(x[0] - TAIL_FACTOR / lam_left, x[0], N_PAD,
+                       endpoint=False) if lam_left is not None else np.empty(0)
+    right = np.linspace(x[-1], x[-1] - TAIL_FACTOR / lam_right, N_PAD + 1)[1:] \
+        if lam_right is not None else np.empty(0)
+    u_pad, p_pad = _far_field(np.concatenate((left, right)), x, u, lam_left,
+                              lam_right, p)
+    n_l, n_r = len(left), len(right)
+    x = np.concatenate((left, x, right))
+    u = np.concatenate((u_pad[:n_l], u, u_pad[n_l:]))
+    p = np.concatenate((p_pad[:n_l], p, p_pad[n_l:]))
+    b = np.concatenate((np.zeros(n_l), b, np.zeros(n_r)))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.asarray(spec.L(u, b), dtype=float)
@@ -146,7 +174,7 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
                           f_values=f_vals,
                           meta={"lambda_left": lam_left,
                                 "lambda_right": lam_right,
-                                "anchor_index": k_anchor + (120 if lam_left is not None else 0)})
+                                "anchor_index": k_anchor + n_l})
 
 
 def _theta_closed_form(x, u, kappa1: float, c: float,
@@ -168,8 +196,9 @@ def theta_model1(profile: SpatialProfile, kappa1: float, c: float,
     """Infected-tree fraction Theta along a leftward wave (c < 0).
 
     The left tail integral is closed in exact form from the exponential
-    asymptotics; the grid is extended to the right until Theta is within
-    end_tol of 1.  For c >= 0 the profile cannot exist.
+    asymptotics; while Theta is short of 1 - end_tol, the grid is extended
+    by the wave's far field (alpha, beta, f = 0 there) and Theta is formed
+    on it by the same closed form.  For c >= 0 the profile cannot exist.
     """
     if c >= 0.0:
         raise NonexistenceError(
@@ -179,49 +208,41 @@ def theta_model1(profile: SpatialProfile, kappa1: float, c: float,
         raise IntegrabilityError(
             f"left tail of U not integrable (decay constant {rep.C:.3g})")
 
-    x = profile.x_nodes.copy()
-    u = profile.u_values.copy()
-    p = profile.p_values.copy()
-    alpha = profile.alpha_values.copy()
-    b = profile.beta_values.copy() if profile.beta_values is not None else None
-    fv = profile.f_values.copy() if profile.f_values is not None else None
-
+    x, u, p = profile.x_nodes, profile.u_values, profile.p_values
     lam_l = profile.meta.get("lambda_left")
     if lam_l is None:
         lam_l = max(rep.lambda_fit, 1e-6)
-    ratio = kappa1 / c  # negative
-    theta = _theta_closed_form(x, u, kappa1, c, tail=u[0] / lam_l)
+    tail = u[0] / lam_l
+    theta = _theta_closed_form(x, u, kappa1, c, tail=tail)
 
-    # extend rightward analytically (U ~ 1 there) until Theta reaches 1
+    ext = np.empty(0)
     if theta[-1] < 1.0 - end_tol:
         if u[-1] < 0.99:
             raise IntegrabilityError(
                 "profile does not reach the populated state; cannot extend "
                 f"(U(right end) = {u[-1]:.4f})")
-        need = (np.log(1.0 - theta[-1]) - np.log(end_tol / 10.0)) / (-ratio * u[-1])
-        n_ext = 200
-        ext = np.linspace(x[-1], x[-1] + need, n_ext + 1)[1:]
-        lam_r = profile.meta.get("lambda_right")
-        u_ext = 1.0 - (1.0 - u[-1]) * (np.exp(lam_r * (ext - x[-1]))
-                                       if lam_r is not None else 0.0)
-        th_ext = 1.0 - (1.0 - theta[-1]) * np.exp(
-            ratio * cumulative_trapezoid(u_ext, ext, initial=0.0)
-            + ratio * 0.5 * (u[-1] + u_ext[0]) * (ext[0] - x[-1]))
-        x = np.concatenate((x, ext))
-        u = np.concatenate((u, u_ext))
-        p = np.concatenate((p, (-lam_r if lam_r else 0.0) * (1.0 - u_ext)))
-        alpha = np.concatenate((alpha, np.zeros(n_ext)))
-        theta = np.concatenate((theta, th_ext))
-        if b is not None:
-            b = np.concatenate((b, np.zeros(n_ext)))
-        if fv is not None:
-            fv = np.concatenate((fv, np.zeros(n_ext)))
+        need = (np.log(1.0 - theta[-1]) - np.log(end_tol / 10.0)) \
+            / (-(kappa1 / c) * u[-1])
+        ext = np.linspace(x[-1], x[-1] + need, N_EXT + 1)[1:]
+    u_ext, p_ext = _far_field(ext, x, u, None,
+                              profile.meta.get("lambda_right"), p)
+    x, u = np.concatenate((x, ext)), np.concatenate((u, u_ext))
+    if len(ext):
+        theta = _theta_closed_form(x, u, kappa1, c, tail=tail)
 
-    out = SpatialProfile(x, u, p, alpha, c, theta_values=theta,
-                         beta_values=b, f_values=fv, meta=dict(profile.meta))
+    def extended(col):
+        return None if col is None \
+            else np.concatenate((col, np.zeros_like(ext)))
+
+    out = SpatialProfile(x, u, np.concatenate((p, p_ext)),
+                         extended(profile.alpha_values), c,
+                         theta_values=theta,
+                         beta_values=extended(profile.beta_values),
+                         f_values=extended(profile.f_values),
+                         meta=dict(profile.meta))
     out.meta["kappa1"] = kappa1
     out.meta["theta_left_end"] = float(theta[0])
-    out.meta["theta_right_end"] = float(out.theta_values[-1])
+    out.meta["theta_right_end"] = float(theta[-1])
     return out
 
 
@@ -229,8 +250,9 @@ def alpha_multiplicative(profile: SpatialProfile):
     """Controls enter the insect/tree system as -alpha u: convert the
     removal rate beta(x) of a scalar profile to that multiplicative alpha.
 
-    Returns a scalar callable alpha(x) = beta(x) / U(x), zero outside the
-    control support and where U is negligible.
+    Returns alpha(x) = beta(x) / U(x) as a callable on arrays (the control
+    contract of `pde` and `model2`), zero outside the control support and
+    where U is negligible.
     """
     if profile.beta_values is None:
         raise InvalidTrajectoryError("profile carries no removal-rate samples")
@@ -239,8 +261,8 @@ def alpha_multiplicative(profile: SpatialProfile):
                     profile.beta_values / np.maximum(profile.u_values, 1e-12),
                     0.0)
 
-    def alpha(xx: float) -> float:
-        return float(np.interp(xx, x, vals, left=0.0, right=0.0))
+    def alpha(xx):
+        return np.interp(xx, x, vals, left=0.0, right=0.0)
     return alpha
 
 

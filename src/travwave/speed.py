@@ -51,7 +51,13 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
         raise InvalidParameterError(
             f"natural_speed requires bistable f; {spec.label} fails: "
             + "; ".join(report.failures()))
+    return _speed(spec, tol, rtol, atol)
 
+
+def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
+           atol: float = 1e-12) -> float:
+    """Bracket-and-bisect core of `natural_speed` for a spec whose
+    bistability is checked (there or by `make_substitute_spec`)."""
     scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
     lo, hi = -scale, scale
     g = lambda c: manifold_gap(spec, c, rtol=rtol, atol=atol)
@@ -122,4 +128,4 @@ def make_substitute_spec(spec: ModelSpec, f_hat: Callable) -> ModelSpec:
 def modified_speed(spec: ModelSpec, f_hat: Callable) -> float:
     """Front speed c_hat of the substitute equation u_t = u_xx + f_hat(u);
     `make_substitute_spec` validates f_hat."""
-    return natural_speed(make_substitute_spec(spec, f_hat))
+    return _speed(make_substitute_spec(spec, f_hat))

@@ -15,9 +15,8 @@ from travwave.errors import (ConstructionFailureError, InvalidParameterError,
                              NonconvergenceError, OrderingError, RegimeError)
 from travwave.model import Model2Params, make_cubic_model, make_weed_model
 from travwave.model2 import (c_sharp, case2_demo, char_poly, check_drate,
-                             lambda_min, p_at_lambda_min, quasimonotone_check,
-                             solve_vtheta, spectrum, subsolution,
-                             supersolution)
+                             lambda_min, p_at_lambda_min, solve_vtheta,
+                             spectrum, subsolution, supersolution)
 
 P111 = Model2Params(1.0, 1.0, 1.0)
 
@@ -111,15 +110,6 @@ def test_drate_condition():
     check_drate(make_cubic_model(0.15, 4.5).f, 1.0)
     with pytest.raises(InvalidParameterError):
         check_drate(make_cubic_model(0.15, 8.0).f, 1.0)  # f/u -> -1.2 < -1
-
-
-def test_quasimonotone_partials():
-    rep = quasimonotone_check(P111)
-    assert rep.passed
-    # 21 grid pairs v <= u, times 6 values of theta
-    assert rep.n_samples == 126
-    rep2 = quasimonotone_check(Model2Params(2.0, 3.0, 1.0))
-    assert rep2.passed
 
 
 def test_supersolution_structure(m2_pipeline):
@@ -292,6 +282,19 @@ def test_solve_vtheta_rejects_bad_mesh(m2_pipeline):
     for h in (0.0, -0.02, float("nan")):
         with pytest.raises(InvalidParameterError, match="h must be positive"):
             solve_vtheta(sp, al, pr, -0.9, h=h)
+
+
+@pytest.mark.parametrize("scalar_only", [
+    lambda x: 0.05 if abs(x) < 2.0 else 0.0,
+    lambda x: 0.05,
+], ids=["branching", "constant"])
+def test_controls_are_sampled_on_arrays(m2_pipeline, scalar_only):
+    sup, sub, _ = acc._m2_sandwich()
+    sp, pr = m2_pipeline["spatial"], m2_pipeline["params"]
+    with pytest.raises(InvalidParameterError, match="array of x"):
+        subsolution(sp, scalar_only, pr, -0.9)
+    with pytest.raises(InvalidParameterError, match="array of x"):
+        solve_vtheta(sp, scalar_only, pr, -0.9, sub=sub, sup=sup)
 
 
 def test_solve_vtheta_reports_nonconvergence(m2_pipeline, monkeypatch):

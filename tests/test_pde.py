@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from travwave.errors import (ConfigError, FrontNotFoundError,
-                             InstabilityError)
+                             InstabilityError, InvalidParameterError)
 from travwave.model import Model2Params, ModelSpec
 from travwave.pde import (evolve_model1, evolve_model2, evolve_scalar,
                           front_speed)
@@ -41,6 +41,16 @@ def test_mass_conservation_without_reaction(weed):
 def test_cfl_guard(weed):
     with pytest.raises(ConfigError):
         evolve_scalar(weed, lambda x: 0.5, T=1.0, dx=0.1, dt=0.01)
+
+
+@pytest.mark.parametrize("scalar_only", [
+    lambda x: 0.05 if abs(x) < 2.0 else 0.0,
+    lambda x: 0.05,
+], ids=["branching", "constant"])
+def test_controls_are_sampled_on_arrays(weed, scalar_only):
+    with pytest.raises(InvalidParameterError, match="array of x"):
+        evolve_scalar(weed, lambda x: 0.5, alpha_of_x=scalar_only, T=0.1,
+                      x_span=(-5, 5), dx=0.1)
 
 
 def test_blowup_guard(weed):
@@ -108,11 +118,10 @@ def test_model1_theta_frozen_without_population(weed):
 def test_model1_cost_accounting(weed, spatial01):
     from travwave.profile import theta_model1
     thp = theta_model1(spatial01, 0.02, -0.1)
-    theta0 = lambda x: float(np.interp(x, thp.x_nodes, thp.theta_values,
-                                       left=0.0, right=1.0))
-    kw = dict(alpha_of_moving_frame=spatial01.alpha_at, kappa1=0.02,
-              T=5.0, x_span=(-40, 40))
-    rec = evolve_model1(weed, thp, theta0, dx=0.1, snapshot_dt=0.1, **kw)
+    kw = dict(alpha_of_x=spatial01.alpha_at, kappa1=0.02, T=5.0,
+              x_span=(-40, 40))
+    rec = evolve_model1(weed, thp, thp.theta_at, dx=0.1, snapshot_dt=0.1,
+                        **kw)
     # refinement oracle: the per-step accumulation against snapshot trapz
     snap = np.array([np.sum(spatial01.alpha_at(rec.x) + th) * rec.dx
                      for th in rec.theta_snapshots])
@@ -124,10 +133,8 @@ def test_model1_cost_accounting(weed, spatial01):
 def test_model1_comoving_stationarity(weed, spatial01):
     from travwave.profile import theta_model1
     thp = theta_model1(spatial01, 0.02, -0.1)
-    theta0 = lambda x: float(np.interp(x, thp.x_nodes, thp.theta_values,
-                                       left=0.0, right=1.0))
-    rec = evolve_model1(weed, thp, theta0,
-                        alpha_of_moving_frame=spatial01.alpha_at, kappa1=0.02,
+    rec = evolve_model1(weed, thp, thp.theta_at,
+                        alpha_of_x=spatial01.alpha_at, kappa1=0.02,
                         c_frame=-0.1, T=50.0, x_span=(-60, 120), dx=0.05)
     assert rec.summary["joint_drift"] <= 1e-2
 
@@ -138,14 +145,13 @@ def test_inert_extra_fields_leave_u_unchanged(weed, c_frame):
     # fields (theta = 0 with kappa1 = 0; v = theta = 0 without a control)
     # must reproduce the scalar run bit for bit
     u0 = lambda x: 1.0 / (1.0 + np.exp(-x))
-    alpha = lambda x: 0.05 if abs(x) < 2.0 else 0.0
+    alpha = lambda x: np.where(np.abs(x) < 2.0, 0.05, 0.0)
     kw = dict(T=2.0, c_frame=c_frame, x_span=(-10, 10), dx=0.1,
               snapshot_dt=0.5)
     zero = lambda x: 0.0
     scalar = evolve_scalar(weed, u0, **kw)
     controlled = evolve_scalar(weed, u0, alpha_of_x=alpha, **kw)
-    m1 = evolve_model1(weed, u0, zero, alpha_of_moving_frame=alpha,
-                       kappa1=0.0, **kw)
+    m1 = evolve_model1(weed, u0, zero, alpha_of_x=alpha, kappa1=0.0, **kw)
     m2 = evolve_model2(weed, u0, zero, zero, **kw)
     assert len(scalar.u_snapshots) == 5
     for rec, ref in ((m1, controlled), (m2, scalar)):
@@ -190,10 +196,9 @@ def test_model2_comoving_stationarity_pinned_front(weed, c_star_weed):
     u0 = lambda x: float(sp.u_at(x))
     v0 = lambda x: float(np.interp(x, sol.x_nodes, sol.v_values,
                                    left=0.0, right=params.v_star))
-    th0 = lambda x: float(np.interp(x, sol.x_nodes, sol.theta_values,
-                                    left=0.0, right=1.0))
-    rec = evolve_model2(weed, u0, v0, th0, alpha_of_x=alpha, params=params,
-                        c_frame=-0.2, T=50.0, x_span=(-60, 60), dx=0.025)
+    rec = evolve_model2(weed, u0, v0, sol.theta_at, alpha_of_x=alpha,
+                        params=params, c_frame=-0.2, T=50.0, x_span=(-60, 60),
+                        dx=0.025)
     assert rec.summary["joint_drift"] <= 2e-2
     assert rec.summary["d_invariance"] <= 1e-6
 

@@ -156,6 +156,7 @@ def test_argmin_count_matches_node_loop(weed, opt01):
     for p in (opt01, prof):
         for n_beta in (41, 7):
             rep = pmp_residual(p, weed, n_beta=n_beta)
+            assert np.isfinite(rep.yu_max)
             assert rep.min22_failures == _argmin_failures_loop(p, weed, n_beta)
             assert rep.n_checked == len(p.arc.u_nodes)
     assert pmp_residual(prof, weed).min22_failures > 10

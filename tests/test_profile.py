@@ -32,6 +32,14 @@ def test_reconstruction_matches_logistic(exact_profile):
     assert abs(float(exact_profile.u_at(0.0)) - 1.0 / 3.0) < 1e-8
 
 
+def test_far_field_tails_do_not_overflow(exact_profile):
+    # each saddle tail is evaluated on the whole array; off its own side
+    # its exponent must not overflow (a RuntimeWarning fails the suite)
+    x = exact_profile.x_nodes
+    u = exact_profile.u_at(np.array([x[0] - 1e4, 0.0, x[-1] + 1e4]))
+    assert u[0] == 0.0 and u[-1] == 1.0
+
+
 def test_uncontrolled_profile_has_zero_cost_density(exact_profile):
     assert np.all(exact_profile.alpha_values == 0.0)
 
@@ -66,6 +74,27 @@ def test_theta_closed_form(spatial01):
     integral = (spatial01.u_values[0] / spatial01.meta["lambda_left"]
                 + np.trapezoid(thp.u_values[:k + 1], thp.x_nodes[:k + 1]))
     assert th[k] == pytest.approx(1.0 - np.exp(-10.0 * integral), abs=1e-9)
+
+
+def test_theta_extension_closed_form(spatial01):
+    # at kappa1 = 0.02 the grid is extended; Theta at its last node against
+    # one trapezoid of U over the whole extended grid plus the left tail
+    thp = theta_model1(spatial01, 0.02, -0.1)
+    assert len(thp.x_nodes) > len(spatial01.x_nodes)
+    integral = (spatial01.u_values[0] / spatial01.meta["lambda_left"]
+                + np.trapezoid(thp.u_values, thp.x_nodes))
+    assert abs(thp.theta_values[-1]
+               - (1.0 - np.exp((0.02 / -0.1) * integral))) <= 1e-12
+
+
+def test_theta_at(spatial01):
+    thp = theta_model1(spatial01, 1.0, -0.1)
+    x = thp.x_nodes
+    assert thp.theta_at(x[0] - 1.0) == 0.0
+    assert thp.theta_at(x[-1] + 1.0) == 1.0
+    assert np.array_equal(thp.theta_at(x), thp.theta_values)
+    with pytest.raises(InvalidTrajectoryError, match="no Theta"):
+        spatial01.theta_at(0.0)
 
 
 def test_theta_zero_while_population_absent():

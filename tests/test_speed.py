@@ -90,9 +90,14 @@ def test_identity_substitute(weed, c_star_weed):
         c_star_weed, abs=1e-8)
 
 
-def test_trimmed_substitute_raises_speed(weed, c_star_weed):
-    from travwave.control_construct import default_substitute
+def test_trimmed_substitute_raises_speed(weed, c_star_weed, monkeypatch):
+    # make_substitute_spec checks bistability; the speed core does not redo it
+    calls = []
+    check = travwave.speed.check_A1
+    monkeypatch.setattr(travwave.speed, "check_A1",
+                        lambda *a, **k: calls.append(a) or check(*a, **k))
     c_hat = modified_speed(weed, default_substitute(weed))
+    assert len(calls) == 1
     assert c_hat > c_star_weed
     assert c_hat > 0.0   # strong trim reverses the front
 

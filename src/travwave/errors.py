@@ -98,11 +98,11 @@ class OrderingError(TravwaveError):
 
 
 class ConfigError(TravwaveError):
-    """Invalid run configuration (e.g. CFL violation)."""
+    """Invalid run configuration (e.g. a PDE time step beyond its step bound)."""
 
 
 class InstabilityError(TravwaveError):
-    """Field blow-up during explicit time stepping."""
+    """Field blow-up during PDE time stepping."""
 
 
 class DomainExceededError(TravwaveError):

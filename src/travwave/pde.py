@@ -1,13 +1,23 @@
 """Method-of-lines evolution of the parabolic systems for cross-validation.
 
-Explicit finite differences with a second-order Laplacian and zero-flux
-boundaries (reflected ghosts, which conserve mass exactly for pure
-diffusion).  The comoving frame z = x - c t adds a transport term c u_z,
-discretized by first-order upwinding; its numerical diffusion |c| dz / 2
-is part of the drift tolerance budget of the stationarity checks.
+Finite differences on a uniform grid: a second-order Laplacian with
+zero-flux boundaries (reflected ghosts, which conserve mass exactly for
+pure diffusion) and, in the comoving frame z = x - c t, a transport term
+c u_z discretized by first-order upwinding; its numerical diffusion
+|c| dz / 2 is part of the drift tolerance budget of the stationarity
+checks.
 
-The scalar, Model-1 and Model-2 systems share one explicit-Euler time
-loop; each supplies only its own step arithmetic and bookkeeping.
+Time stepping is one-step IMEX Euler (Ascher, Ruuth & Spiteri, Appl.
+Numer. Math. 25, 1997): diffusion and transport are implicit, one
+tridiagonal `solve_banded` per step with an operator built once per run;
+reaction and control are explicit.  The operator I - dt (D2 + c U) is an
+M-matrix for every dt, so the step keeps positivity and comparison as
+long as the explicit part is monotone, dt * rate_bound <= 1.  A fixed
+point of the step solves the semi-discrete equation for any dt, so the
+comoving drift measures spatial error only.
+
+The scalar, Model-1 and Model-2 systems share one time loop and one
+u-step; each supplies only its own reaction terms and bookkeeping.
 
 A traveling profile evolved in its own comoving frame with the matching
 control must stay put; evolved in the lab frame it must translate at its
@@ -16,9 +26,11 @@ design speed, measured by `front_speed` from the u = 1/2 level set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from ._columns import write_columns
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
@@ -30,7 +42,8 @@ from .profile import SpatialProfile, _sample_control
 __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
 
-CFL_LIMIT = 0.4
+# default dt = min(DT_MAX, DT_ACCURACY / sup|f'|, 1 / rate_bound)
+DT_MAX, DT_ACCURACY = 0.02, 0.05
 BLOWUP_LO, BLOWUP_HI = -0.01, 1.01
 FRONT_LEVEL, BOUNDARY_MARGIN = 0.5, 10.0  # see front_speed
 
@@ -61,36 +74,75 @@ class EvolutionRecord:
         write_columns(path, cols)
 
 
-def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
-    ue = np.concatenate(([u[1]], u, [u[-2]]))  # reflected ghosts, zero flux
-    return (ue[:-2] - 2.0 * u + ue[2:]) / dx**2
+def _operator(n: int, dx: float, dt: float, c: float | None,
+              diffusion: bool = True) -> np.ndarray:
+    """I - dt (D2 + c U) on n cells as a (1, 1) banded array.
+
+    D2 is the second difference with reflected ghosts (zero flux), left out
+    for `diffusion=False`; U is the first-order upwind u_z for the term
+    c u_z (one-sided towards +z for c >= 0, towards -z for c < 0), absent
+    for c None.  Row i holds the coefficients of u[i-1], u[i], u[i+1] in
+    ab[2, i-1], ab[1, i], ab[0, i+1].
+    """
+    ab = np.zeros((3, n))
+    ab[1] = 1.0
+    if diffusion:
+        k = dt / dx**2
+        ab[0, 1:] -= k
+        ab[1] += 2.0 * k
+        ab[2, :-1] -= k
+        ab[0, 1] -= k       # ghost u[-1] = u[1]
+        ab[2, -2] -= k      # ghost u[n] = u[n-2]
+    if c:
+        k = dt * abs(c) / dx
+        if c < 0.0:         # c (u[i] - u[i-1]) / dx for i >= 1
+            ab[1, 1:] += k
+            ab[2, :-1] -= k
+        else:               # c (u[i+1] - u[i]) / dx for i <= n-2
+            ab[1, :-1] += k
+            ab[0, 1:] -= k
+    return ab
 
 
-def _upwind(u: np.ndarray, dx: float, c: float) -> np.ndarray:
-    """First-order upwind discretization of u_z for the term c * u_z."""
-    g = np.empty_like(u)
-    if c < 0.0:
-        g[1:] = (u[1:] - u[:-1]) / dx
-        g[0] = 0.0
-    else:
-        g[:-1] = (u[1:] - u[:-1]) / dx
-        g[-1] = 0.0
-    return g
+@dataclass(frozen=True)
+class _Scheme:
+    """The implicit half of one IMEX Euler step on a run's grid.
+
+    `diffuse` advances diffusing fields (u, and v of Model 2) through
+    I - dt (D2 + c U); `transport` advances theta through I - dt c U, which
+    is the identity in the lab frame.  Both take the field(s) and their
+    explicit reaction; several fields may be stacked as columns.
+    """
+    dx: float
+    dt: float
+    diffusion_ab: np.ndarray
+    transport_ab: np.ndarray | None
+
+    def diffuse(self, w: np.ndarray, reaction: np.ndarray) -> np.ndarray:
+        # check_finite=False: a NaN must reach the blow-up guard as NaN
+        return solve_banded((1, 1), self.diffusion_ab, w + self.dt * reaction,
+                            check_finite=False)
+
+    def transport(self, w: np.ndarray, reaction: np.ndarray) -> np.ndarray:
+        b = w + self.dt * reaction
+        if self.transport_ab is None:
+            return b
+        return solve_banded((1, 1), self.transport_ab, b,
+                            check_finite=False)
 
 
-def _setup(x_span, dx, dt, c):
-    n = int(round((x_span[1] - x_span[0]) / dx)) + 1
-    x = np.linspace(x_span[0], x_span[1], n)
-    dx = float(x[1] - x[0])
-    dt_max = CFL_LIMIT * dx * dx
-    if c is not None and c != 0.0:
-        dt_max = min(dt_max, 0.5 * dx / abs(c))
+def _time_step(dt, f_rate, rate_bound, snapshot_dt) -> float:
+    """The default dt from the accuracy target, cut to a whole number of
+    steps per snapshot; a caller's dt is checked against the step bound."""
     if dt is None:
-        dt = dt_max
-    elif dt > CFL_LIMIT * dx * dx + 1e-15:
-        raise ConfigError(f"dt={dt:g} violates the CFL bound "
-                          f"{CFL_LIMIT:g}*dx^2={CFL_LIMIT * dx * dx:g}")
-    return x, dx, float(dt)
+        dt = 1.0 / max(1.0 / DT_MAX, f_rate / DT_ACCURACY, rate_bound)
+        # 1e-9: a ratio one rounding above a whole number stays that number
+        return snapshot_dt / math.ceil(snapshot_dt / dt - 1e-9)
+    if dt * rate_bound > 1.0:
+        raise ConfigError(f"dt={dt:g} breaks the step bound dt * rate_bound "
+                          f"<= 1 (rate_bound={rate_bound:g}, "
+                          f"dt * rate_bound={dt * rate_bound:g})")
+    return float(dt)
 
 
 def _field_on_grid(initial, x) -> np.ndarray:
@@ -105,16 +157,17 @@ def _field_on_grid(initial, x) -> np.ndarray:
 
 
 def _alpha_lookup(alpha_of_x, x, x_span, speed):
-    """The control on the grid as a function of t: None without a control,
-    a static field, or alpha_of_x translated at `speed`."""
+    """The control on the grid as a function of t (None without a control,
+    a static field, or alpha_of_x translated at `speed`) and its sup."""
     if alpha_of_x is None:
-        return lambda t: None
+        return (lambda t: None), 0.0
     zs = np.linspace(x_span[0] - 80.0, x_span[1] + 80.0, 20001)
     vals = np.nan_to_num(_sample_control(alpha_of_x, zs), nan=0.0)
+    sup = float(np.max(vals))
     if speed in (None, 0.0):
         static = np.interp(x, zs, vals)
-        return lambda t: static
-    return lambda t: np.interp(x - speed * t, zs, vals)
+        return (lambda t: static), sup
+    return (lambda t: np.interp(x - speed * t, zs, vals)), sup
 
 
 def _guard(u: np.ndarray, t: float) -> None:
@@ -128,25 +181,36 @@ def _drift(snaps: list[np.ndarray]) -> float:
     return max(float(np.max(np.abs(s - snaps[0]))) for s in snaps)
 
 
-def _evolve(initial: dict, system, T, c_frame, x_span, dx, dt, snapshot_dt,
-            alpha_of_x=None, control_speed=None) -> EvolutionRecord:
-    """Explicit-Euler time loop shared by the evolve_* systems.
+def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
+            dt, snapshot_dt, alpha_of_x=None, control_speed=None,
+            extra_rate=0.0) -> EvolutionRecord:
+    """IMEX Euler time loop shared by the evolve_* systems.
 
     `initial` maps field names to initial data: 'u' first, then 'v' and/or
     'theta' (the names of EvolutionRecord's snapshot lists).  The loop owns
-    the grid and CFL set-up, the control lookup (static, or in the lab
-    frame translated at `control_speed`), the blow-up guard on every field
-    every 50 steps and at each snapshot, the snapshot cadence and the
-    per-field drift.  `system(dx, dt, fields)` validates the fields on the
-    grid and returns (step, report): step(fields, alpha) gives the
-    fields one dt later (alpha is None without a control), and
+    the grid, the control lookup (static, or in the lab frame translated
+    at `control_speed`), the step bound and dt, the implicit operators, the
+    blow-up guard on every field every step, the snapshot cadence and the
+    per-field drift.  The step bound rate_bound = sup|f'| + sup alpha +
+    `extra_rate` bounds the Lipschitz constant of the explicit reaction.
+    `system(scheme, fields)` validates the fields on the grid and returns
+    (step, report): step(fields, alpha) gives the fields one dt later
+    through the `_Scheme` (alpha is None without a control), and
     report(record) gives the system's own summary entries after the run.
     """
-    x, dx, dt = _setup(x_span, dx, dt, c_frame)
+    x = np.linspace(x_span[0], x_span[1],
+                    int(round((x_span[1] - x_span[0]) / dx)) + 1)
+    dx = float(x[1] - x[0])
     fields = tuple(_field_on_grid(init, x) for init in initial.values())
-    step, report = system(dx, dt, fields)
-    alpha_at = _alpha_lookup(alpha_of_x, x, x_span,
-                             control_speed if c_frame is None else None)
+    alpha_at, alpha_sup = _alpha_lookup(
+        alpha_of_x, x, x_span, control_speed if c_frame is None else None)
+    f_rate = float(np.max(np.abs(spec.df(np.linspace(0.0, 1.0, 2001)))))
+    rate_bound = f_rate + alpha_sup + extra_rate
+    dt = _time_step(dt, f_rate, rate_bound, snapshot_dt)
+    scheme = _Scheme(dx, dt, _operator(len(x), dx, dt, c_frame),
+                     None if c_frame is None
+                     else _operator(len(x), dx, dt, c_frame, diffusion=False))
+    step, report = system(scheme, fields)
     n_steps = int(round(T / dt))
     snap_every = max(1, int(round(snapshot_dt / dt)))
 
@@ -156,11 +220,9 @@ def _evolve(initial: dict, system, T, c_frame, x_span, dx, dt, snapshot_dt,
     for k in range(1, n_steps + 1):
         fields = step(fields, alpha_at(t))
         t = k * dt
-        snapshot = k % snap_every == 0 or k == n_steps
-        if snapshot or k % 50 == 0:
-            for f in fields:
-                _guard(f, t)
-        if snapshot:
+        for f in fields:
+            _guard(f, t)
+        if k % snap_every == 0 or k == n_steps:
             times.append(t)
             for s, f in zip(snaps, fields):
                 s.append(f.copy())
@@ -176,18 +238,17 @@ def _evolve(initial: dict, system, T, c_frame, x_span, dx, dt, snapshot_dt,
     if len(drift) > 1:
         rec.summary["joint_drift"] = max(drift)
     rec.summary.update(report(rec))
-    rec.summary.update(T=T, n_steps=n_steps)
+    rec.summary.update(T=T, n_steps=n_steps, rate_bound=rate_bound,
+                       dt_rate=dt * rate_bound)
     return rec
 
 
-def _scalar_rhs(spec: ModelSpec, u, alpha, dx, c_frame) -> np.ndarray:
-    """u_xx + f(u) - beta(u, alpha), plus c u_z in the comoving frame."""
-    rhs = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float)
+def _reaction(spec: ModelSpec, u, alpha) -> np.ndarray:
+    """f(u) - beta(u, alpha): the explicit part of the scalar u-equation."""
+    r = np.asarray(spec.f(u), dtype=float)
     if alpha is not None:
-        rhs = rhs - np.asarray(spec.beta_from_alpha(u, alpha), dtype=float)
-    if c_frame is not None:
-        rhs = rhs + c_frame * _upwind(u, dx, c_frame)
-    return rhs
+        r = r - np.asarray(spec.beta_from_alpha(u, alpha), dtype=float)
+    return r
 
 
 def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
@@ -195,20 +256,21 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
                   x_span=(-60.0, 60.0), dx: float = 0.05,
                   dt: float | None = None, snapshot_dt: float = 1.0,
                   control_speed: float | None = None) -> EvolutionRecord:
-    """Explicit evolution of u_t = u_xx + f(u) - beta(u, alpha).
+    """IMEX evolution of u_t = u_xx + f(u) - beta(u, alpha).
 
     `c_frame` switches to the comoving frame (transport term + static
     control field); in the lab frame a moving control is produced by
-    `control_speed`, translating alpha_of_x at that speed.
+    `control_speed`, translating alpha_of_x at that speed.  A given `dt`
+    must satisfy dt * (sup|f'| + sup alpha) <= 1, or `ConfigError`.
     """
     if alpha_of_x is not None and spec.beta_from_alpha is None:
         raise ConfigError(f"{spec.label} has no control channel "
                           "(beta_from_alpha missing)")
 
-    def system(dx, dt, fields):
+    def system(scheme, fields):
         def step(fields, alpha):
             (u,) = fields
-            return (u + dt * _scalar_rhs(spec, u, alpha, dx, c_frame),)
+            return (scheme.diffuse(u, _reaction(spec, u, alpha)),)
 
         def report(rec):
             max_exc = 0.0
@@ -218,7 +280,7 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
             return {"max_excursion": max_exc}
         return step, report
 
-    return _evolve({"u": initial}, system, T, c_frame, x_span, dx, dt,
+    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx, dt,
                    snapshot_dt, alpha_of_x, control_speed)
 
 
@@ -278,11 +340,11 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
     """Scalar front plus pointwise tree infection theta_t = kappa1 u (1-theta).
 
     In the lab frame theta is advanced by its exact exponential update
-    (monotone and bounded); the comoving frame adds upwinded transport.
-    The running cost integral of control plus infected trees is
-    accumulated per step into summary['cost_integral'].
+    (monotone and bounded); the comoving frame adds implicit upwinded
+    transport.  The running cost integral of control plus infected trees
+    is accumulated per step into summary['cost_integral'].
     """
-    def system(dx, dt, fields):
+    def system(scheme, fields):
         cost = 0.0
         theta_monotone = True
 
@@ -290,15 +352,14 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
             nonlocal cost, theta_monotone
             u, th = fields
             if c_frame is not None:
-                th_new = th + dt * (c_frame * _upwind(th, dx, c_frame)
-                                    + kappa1 * u * (1.0 - th))
+                th_new = scheme.transport(th, kappa1 * u * (1.0 - th))
             else:
-                th_new = 1.0 - (1.0 - th) * np.exp(-kappa1 * u * dt)
+                th_new = 1.0 - (1.0 - th) * np.exp(-kappa1 * u * scheme.dt)
                 if np.any(th_new < th - 1e-12):
                     theta_monotone = False
-            cost += dt * dx * float(np.sum(
+            cost += scheme.dt * scheme.dx * float(np.sum(
                 (alpha if alpha is not None else 0.0) + th))
-            return (u + dt * _scalar_rhs(spec, u, alpha, dx, c_frame),
+            return (scheme.diffuse(u, _reaction(spec, u, alpha)),
                     np.clip(th_new, 0.0, 1.0))
 
         def report(rec):
@@ -308,7 +369,7 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
 
     # a spec without a control channel evolves uncontrolled
     alpha = alpha_of_x if spec.beta_from_alpha is not None else None
-    return _evolve({"u": initial_u, "theta": initial_theta}, system, T,
+    return _evolve({"u": initial_u, "theta": initial_theta}, system, spec, T,
                    c_frame, x_span, dx, None, snapshot_dt, alpha)
 
 
@@ -319,15 +380,18 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
                   snapshot_dt: float = 1.0) -> EvolutionRecord:
     """Insect/tree system with multiplicative control (removal of insects).
 
-    The invariant set {0 <= v <= u <= 1, theta in [0,1]} is monitored per
-    snapshot; the worst violation is reported in summary['d_invariance'].
+    u and v diffuse through one implicit operator, solved as two columns
+    of one banded system; theta is only transported.  The step bound adds
+    d + kappa1 + kappa2 to sup|f'| + sup alpha.  The invariant set
+    {0 <= v <= u <= 1, theta in [0,1]} is monitored per snapshot; the
+    worst violation is reported in summary['d_invariance'].
     """
     if params is None:
         params = Model2Params(1.0, 1.0, 1.0)
     check_drate(spec.f, params.d)
     k1, k2, d = params.kappa1, params.kappa2, params.d
 
-    def system(dx, dt, fields):
+    def system(scheme, fields):
         u, v, _ = fields
         if np.any(v > u + 1e-9):
             raise ConfigError("initial data violates v <= u")
@@ -335,15 +399,11 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         def step(fields, alpha):
             u, v, th = fields
             al = 0.0 if alpha is None else alpha
-            rhs_u = _laplacian(u, dx) + np.asarray(spec.f(u), dtype=float) \
-                - al * u
-            rhs_v = _laplacian(v, dx) + k2 * (u - v) * th - (al + d) * v
-            rhs_th = k1 * v * (1.0 - th)
-            if c_frame is not None:
-                rhs_u = rhs_u + c_frame * _upwind(u, dx, c_frame)
-                rhs_v = rhs_v + c_frame * _upwind(v, dx, c_frame)
-                rhs_th = rhs_th + c_frame * _upwind(th, dx, c_frame)
-            return u + dt * rhs_u, v + dt * rhs_v, th + dt * rhs_th
+            r_u = np.asarray(spec.f(u), dtype=float) - al * u
+            r_v = k2 * (u - v) * th - (al + d) * v
+            uv = scheme.diffuse(np.column_stack((u, v)),
+                              np.column_stack((r_u, r_v)))
+            return uv[:, 0], uv[:, 1], scheme.transport(th, k1 * v * (1.0 - th))
 
         def report(rec):
             d_inv = 0.0
@@ -357,4 +417,5 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         return step, report
 
     return _evolve({"u": initial_u, "v": initial_v, "theta": initial_theta},
-                   system, T, c_frame, x_span, dx, None, snapshot_dt, alpha_of_x)
+                   system, spec, T, c_frame, x_span, dx, None, snapshot_dt,
+                   alpha_of_x, extra_rate=d + k1 + k2)

@@ -3,7 +3,8 @@
 For f = rate * U (U - u*) (1 - U) the uncontrolled front is exact:
 P(U) = kappa U (1 - U) with kappa = sqrt(rate/2), travelling at
 c* = kappa (2 u* - 1).  These hold for every (u*, rate), so they are
-checked across the parameter space, not at one point.
+checked across the parameter space, not at one point; so is the speed of
+a free front evolved by the PDE.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from travwave.control_construct import natural_heteroclinic
 from travwave.model import make_cubic_model, make_weed_model
+from travwave.pde import evolve_scalar, front_speed
 from travwave.pmp import effort_curve
 from travwave.speed import natural_speed
 
@@ -29,6 +31,19 @@ def test_cubic_speed_and_front_match_closed_form(u_star, rate):
     u = het.u_nodes
     assert np.max(np.abs(het.p_values - kappa * u * (1.0 - u))) \
         <= 1e-8 * max(1.0, kappa)
+
+
+@settings(max_examples=6, deadline=None)
+@given(u_star=st.floats(0.1, 0.4), rate=st.floats(0.5, 10.0))
+def test_pde_front_speed_matches_closed_form(u_star, rate):
+    # a free front from a step, run until it has moved about 40 (at most
+    # T = 50); the default dt is scaled by sup|f'|, which keeps the O(dt)
+    # speed error well inside 2% at the fast corner of the box
+    spec = make_cubic_model(u_star, rate)
+    c_star = np.sqrt(rate / 2.0) * (2.0 * u_star - 1.0)
+    rec = evolve_scalar(spec, lambda x: 1.0 if x > 20.0 else 0.0,
+                        T=min(50.0, 40.0 / abs(c_star)))
+    assert abs(front_speed(rec).speed - c_star) <= 0.02 * abs(c_star)
 
 
 def test_pontryagin_invariants_across_thresholds():

@@ -8,12 +8,35 @@ import pytest
 from travwave.errors import (ConfigError, FrontNotFoundError,
                              InstabilityError, InvalidParameterError)
 from travwave.model import Model2Params, ModelSpec
-from travwave.pde import (evolve_model1, evolve_model2, evolve_scalar,
-                          front_speed)
+from travwave.pde import (_operator, evolve_model1, evolve_model2,
+                          evolve_scalar, front_speed)
 from travwave.phaseplane import unstable_manifold
 from travwave.profile import reconstruct_x
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
+
+
+def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
+    """Reference stencil: second difference with reflected ghosts."""
+    ue = np.concatenate(([u[1]], u, [u[-2]]))
+    return (ue[:-2] - 2.0 * u + ue[2:]) / dx**2
+
+
+def _upwind(u: np.ndarray, dx: float, c: float) -> np.ndarray:
+    """Reference stencil: first-order upwind u_z for the term c * u_z."""
+    g = np.empty_like(u)
+    if c < 0.0:
+        g[1:] = (u[1:] - u[:-1]) / dx
+        g[0] = 0.0
+    else:
+        g[:-1] = (u[1:] - u[:-1]) / dx
+        g[-1] = 0.0
+    return g
+
+
+def _apply_banded(ab: np.ndarray, u: np.ndarray) -> np.ndarray:
+    a = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    return a @ u
 
 
 def _zero_reaction(weed):
@@ -38,9 +61,66 @@ def test_mass_conservation_without_reaction(weed):
     assert abs(m1 - m0) / rec.summary["T"] <= 1e-8
 
 
-def test_cfl_guard(weed):
-    with pytest.raises(ConfigError):
-        evolve_scalar(weed, lambda x: 0.5, T=1.0, dx=0.1, dt=0.01)
+def test_step_bound_guard():
+    # sup|f'| = 150 (at u = 1), so dt = 0.02 gives dt * sup|f'| = 3 > 1
+    from travwave.model import make_cubic_model
+    spec = make_cubic_model(0.25, 200.0)
+    kw = dict(T=0.1, x_span=(-5, 5), dx=0.1)
+    with pytest.raises(ConfigError, match="step bound"):
+        evolve_scalar(spec, lambda x: 0.5, dt=0.02, **kw)
+    rec = evolve_scalar(spec, lambda x: 0.5, **kw)
+    assert rec.summary["rate_bound"] == pytest.approx(150.0)
+    assert rec.summary["dt_rate"] <= 1.0
+
+
+@pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
+def test_operator_matches_reference_stencil(c_frame):
+    # (u - A u) / dt is the semi-discrete right-hand side the explicit
+    # stepper used, so IMEX solves the same semi-discrete equation
+    rng = np.random.default_rng(1)
+    u, dx, dt = rng.uniform(0.0, 1.0, 40), 0.05, 0.02
+    lhs = (u - _apply_banded(_operator(len(u), dx, dt, c_frame), u)) / dt
+    ref = _laplacian(u, dx)
+    if c_frame is not None:
+        ref = ref + c_frame * _upwind(u, dx, c_frame)
+    assert np.max(np.abs(lhs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
+def test_transport_operator_has_no_diffusion(c_frame):
+    rng = np.random.default_rng(2)
+    u, dx, dt = rng.uniform(0.0, 1.0, 40), 0.05, 0.02
+    ab = _operator(len(u), dx, dt, c_frame, diffusion=False)
+    if c_frame is None:
+        assert np.array_equal(ab[1], np.ones_like(u)) and not ab[[0, 2]].any()
+    else:
+        lhs = (u - _apply_banded(ab, u)) / dt
+        ref = c_frame * _upwind(u, dx, c_frame)
+        assert np.max(np.abs(lhs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_weed_default_run_takes_2500_steps(weed):
+    rec = evolve_scalar(weed, lambda x: 0.5, T=50.0, x_span=(-5, 5), dx=0.1)
+    assert rec.dt == 0.02
+    assert rec.summary["n_steps"] == 2500
+
+
+def test_default_dt_rate_within_bound(weed):
+    # sup|f'| = 2/3 (at u = 1) plus sup alpha = 0.05
+    alpha = lambda x: np.where(np.abs(x) < 2.0, 0.05, 0.0)
+    rec = evolve_scalar(weed, lambda x: 0.5, alpha_of_x=alpha, T=1.0,
+                        x_span=(-5, 5), dx=0.1)
+    assert rec.summary["rate_bound"] == pytest.approx(2.0 / 3.0 + 0.05)
+    assert rec.summary["dt_rate"] == rec.dt * rec.summary["rate_bound"]
+    assert rec.summary["dt_rate"] <= 1.0
+
+
+def test_model2_step_bound_counts_rates(weed):
+    params = Model2Params(1.0, 2.0, 3.0)
+    rec = evolve_model2(weed, lambda x: 0.5, lambda x: 0.1, lambda x: 0.2,
+                        params=params, T=0.1, x_span=(-5, 5), dx=0.1)
+    assert rec.summary["rate_bound"] == pytest.approx(2.0 / 3.0 + 6.0)
+    assert rec.summary["dt_rate"] <= 1.0
 
 
 @pytest.mark.parametrize("scalar_only", [

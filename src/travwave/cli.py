@@ -9,6 +9,7 @@ byte-identical CSV artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -147,7 +148,8 @@ def cmd_optimal(o: Opts) -> int:
         write_columns(out, {"u": t.u_nodes, "p": t.p_values,
                             "beta": t.beta_values, "y": ys})
 
-    return finish(o, {"u1": prof.u1, "u2": prof.u2, "cost": prof.cost},
+    return finish(o, {"u1": prof.u1, "u2": prof.u2, "cost": prof.cost,
+                      "shooting": dataclasses.asdict(prof.converged)},
                   "optimal trajectory", write)
 
 

@@ -8,11 +8,12 @@ c u_z discretized by first-order upwinding; its numerical diffusion
 checks.
 
 Time stepping is one-step IMEX Euler (Ascher, Ruuth & Spiteri, Appl.
-Numer. Math. 25, 1997): diffusion and transport are implicit, one
-tridiagonal `solve_banded` per step with an operator built once per run;
-reaction and control are explicit.  The operator I - dt (D2 + c U) is an
-M-matrix for every dt, so the step keeps positivity and comparison as
-long as the explicit part is monotone, dt * rate_bound <= 1.  A fixed
+Numer. Math. 25, 1997): diffusion and transport are implicit, with each
+tridiagonal operator built and LU-factored (LAPACK gttrf) once per run and
+one gttrs solve against the factors per step; reaction and control are
+explicit.  The operator I - dt (D2 + c U) is an M-matrix for every dt, so
+the step keeps positivity and comparison as long as the explicit part is
+monotone, dt * rate_bound <= 1.  A fixed
 point of the step solves the semi-discrete equation for any dt, so the
 comoving drift measures spatial error only.
 
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from ._columns import write_columns
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
@@ -104,31 +105,39 @@ def _operator(n: int, dx: float, dt: float, c: float | None,
     return ab
 
 
+def _factor(ab: np.ndarray) -> tuple:
+    """LU factors (LAPACK gttrf) of a (1, 1) banded operator."""
+    *lu, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise ConfigError(f"implicit operator is singular (gttrf info={info})")
+    return tuple(lu)
+
+
 @dataclass(frozen=True)
 class _Scheme:
     """The implicit half of one IMEX Euler step on a run's grid.
 
     `diffuse` advances diffusing fields (u, and v of Model 2) through
     I - dt (D2 + c U); `transport` advances theta through I - dt c U, which
-    is the identity in the lab frame.  Both take the field(s) and their
-    explicit reaction; several fields may be stacked as columns.
+    is the identity in the lab frame (no factors).  Each holds its
+    operator's gttrf factors; both take the field(s) and their explicit
+    reaction, and several fields may be stacked as columns.
     """
     dx: float
     dt: float
-    diffusion_ab: np.ndarray
-    transport_ab: np.ndarray | None
+    diffusion_lu: tuple
+    transport_lu: tuple | None
 
     def diffuse(self, w: np.ndarray, reaction: np.ndarray) -> np.ndarray:
-        # check_finite=False: a NaN must reach the blow-up guard as NaN
-        return solve_banded((1, 1), self.diffusion_ab, w + self.dt * reaction,
-                            check_finite=False)
+        # gttrs does not check for finiteness: a NaN reaches the blow-up
+        # guard as NaN
+        return lapack.dgttrs(*self.diffusion_lu, w + self.dt * reaction)[0]
 
     def transport(self, w: np.ndarray, reaction: np.ndarray) -> np.ndarray:
         b = w + self.dt * reaction
-        if self.transport_ab is None:
+        if self.transport_lu is None:
             return b
-        return solve_banded((1, 1), self.transport_ab, b,
-                            check_finite=False)
+        return lapack.dgttrs(*self.transport_lu, b)[0]
 
 
 def _time_step(dt, f_rate, rate_bound, snapshot_dt) -> float:
@@ -207,9 +216,9 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     f_rate = float(np.max(np.abs(spec.df(np.linspace(0.0, 1.0, 2001)))))
     rate_bound = f_rate + alpha_sup + extra_rate
     dt = _time_step(dt, f_rate, rate_bound, snapshot_dt)
-    scheme = _Scheme(dx, dt, _operator(len(x), dx, dt, c_frame),
-                     None if c_frame is None
-                     else _operator(len(x), dx, dt, c_frame, diffusion=False))
+    scheme = _Scheme(dx, dt, _factor(_operator(len(x), dx, dt, c_frame)),
+                     None if c_frame is None else _factor(
+                         _operator(len(x), dx, dt, c_frame, diffusion=False)))
     step, report = system(scheme, fields)
     n_steps = int(round(T / dt))
     snap_every = max(1, int(round(snapshot_dt / dt)))

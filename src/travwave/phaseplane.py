@@ -119,9 +119,15 @@ def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
     return 1.0 - eps_seed, -lam_m * eps_seed, lam_m
 
 
+def _p_floor(p0):
+    """The P floor min(P_FLOOR, p0/4) of a run seeded at P = p0 (float or
+    array, elementwise)."""
+    return np.minimum(P_FLOOR, 0.25 * p0)
+
+
 def _floor_event(p0: float):
-    """Terminal solve_ivp event: P falls to min(P_FLOOR, p0/4)."""
-    p_floor = min(P_FLOOR, 0.25 * p0)
+    """Terminal solve_ivp event: P falls to `_p_floor(p0)`."""
+    p_floor = _p_floor(p0)
 
     def ev_floor(u, y):
         return y[0] - p_floor

@@ -16,6 +16,12 @@ beta(u2) defines the shooting map phi(u1), whose root yields the optimal
 support.  phi is extended continuously to the failure modes (beta or P
 exhausted before the meeting) so that a scan plus bisection can bracket
 the root.
+
+The scan integrates all its grid shots in lock step, as arrays under
+scipy's DOP853 tableau and step control with a step size per shot
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5), and yields only
+the signs of phi; bracket ends, bisection and the final shot are scalar
+`shoot_from` calls, so the root and the cost do not depend on the scan.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from ._roots import bisect
@@ -32,8 +38,8 @@ from .control_construct import (SPEED_GUARD, _slice_from, _slice_to, cost_of,
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, TravwaveError)
 from .model import ModelSpec, _check_finite_state, check_A1, check_A2
-from .phaseplane import (PhaseTrajectory, _floor_event, _underflow_status,
-                         stable_manifold, unstable_manifold)
+from .phaseplane import (PhaseTrajectory, _floor_event, _p_floor,
+                         _underflow_status, stable_manifold, unstable_manifold)
 from .speed import natural_speed
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
@@ -59,6 +65,15 @@ class ShotResult:
 
 @dataclass
 class ShootingDiagnostics:
+    """What one `optimal_profile` call did.
+
+    `n_scanned` grid points were signed by the lock-step scan in
+    `scan_passes` vector passes; `scan_fallbacks` of them were shot by the
+    scalar `shoot_from` instead (all of them when the scan's brackets did
+    not hold).  `shots` counts every scalar `shoot_from` call: fallbacks,
+    bracket ends, bisection and the final sampled shot.
+    """
+
     converged: bool
     u1_root: float
     phi_at_root: float
@@ -66,6 +81,9 @@ class ShootingDiagnostics:
     scan_lo: float
     scan_hi: float
     n_scanned: int
+    shots: int = 0
+    scan_passes: int = 0
+    scan_fallbacks: int = 0
 
 
 @dataclass
@@ -98,27 +116,39 @@ class EffortRow:
 def _generic_rhs(spec: ModelSpec):
     """(P, beta) right-hand side built from the spec's array callables.
 
-    Used for specs without a fused ``pmp_rhs``.  RK trial stages may probe
-    just outside the admissible strip 0 <= beta < beta_max (the events cut
-    the real path there); the cost partials are evaluated at the clamped
-    control.  A non-positive L_betabeta raises ConvexityViolationError, or
-    SingularityError when the state (P, beta) itself is not finite.
+    Takes floats or equal-shape arrays of (u, P, beta); per element it does
+    the operations of a fused ``pmp_rhs`` in the same order, so the two
+    agree to the bit.  `shoot_from` uses it for specs without a fused
+    ``pmp_rhs``, and the lock-step scan calls it on arrays of shots.  RK
+    trial stages may probe just outside the admissible strip
+    0 <= beta < beta_max (the events cut the real path there); the cost
+    partials are evaluated at the clamped control.  A non-positive
+    L_betabeta raises ConvexityViolationError, or SingularityError when the
+    state (P, beta) itself is not finite, naming the first such element.
     """
     def rhs(u, P, b, c):
-        fv = float(spec.f(u))
-        bhat = float(spec.beta_max(u))
-        b_adm = min(max(b, 0.0), (1.0 - 1e-12) * bhat) if np.isfinite(bhat) \
-            else max(b, 0.0)
-        Lbb = float(spec.L_betabeta(u, b_adm))
-        if not Lbb > 0.0 or not np.isfinite(Lbb):
-            _check_finite_state(u, P, b)
+        fv = np.asarray(spec.f(u), dtype=float)
+        bhat = np.asarray(spec.beta_max(u), dtype=float)
+        b_pos = np.maximum(b, 0.0)
+        b_adm = np.where(np.isfinite(bhat),
+                         np.minimum(b_pos, (1.0 - 1e-12) * bhat), b_pos)
+        Lbb = np.asarray(spec.L_betabeta(u, b_adm), dtype=float)
+        bad = ~(Lbb > 0.0) | ~np.isfinite(Lbb)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            ui, Pi, bi, bai, Li = (float(np.broadcast_to(x, bad.shape).flat[i])
+                                   for x in (u, P, b, b_adm, Lbb))
+            _check_finite_state(ui, Pi, bi)
             raise ConvexityViolationError(
-                f"L_betabeta({u:.6f}, {b_adm:.3g}) = {Lbb:g} is not positive")
-        Lb = float(spec.L_beta(u, b_adm))
-        Lv = float(spec.L(u, b_adm))
-        Lub = float(spec.L_ubeta(u, b_adm))
+                f"L_betabeta({ui:.6f}, {bai:.3g}) = {Li:g} is not positive")
+        Lb = np.asarray(spec.L_beta(u, b_adm), dtype=float)
+        Lv = np.asarray(spec.L(u, b_adm), dtype=float)
+        Lub = np.asarray(spec.L_ubeta(u, b_adm), dtype=float)
+        # P**2 through libm pow, as float.__pow__ in a fused form; numpy's
+        # array power squares by multiplication, which can round differently
+        P2 = np.float_power(P, 2)
         dP = -c + (b - fv) / P
-        db = (((b_adm - fv) / P**2) * Lb - Lv / P**2 - Lub) / Lbb
+        db = (((b_adm - fv) / P2) * Lb - Lv / P2 - Lub) / Lbb
         return dP, db
 
     return rhs
@@ -192,6 +222,160 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
                       nodes, pvals, bvals)
 
 
+def _rk_sum(weights: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] K[j] over the leading stage axis of K."""
+    return (weights @ K.reshape(len(weights), -1)).reshape(K.shape[1:])
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm of each shot's (P, beta) column."""
+    return np.sqrt(np.sum(x * x, axis=0) / len(x))
+
+
+def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
+                rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
+    """Signs of phi on the scan grid from one lock-step DOP853 integration.
+
+    Every grid shot is integrated at once as arrays of (u, P, beta) through
+    `_generic_rhs`.  Each shot keeps its own u, step and accept/reject
+    state under scipy's DOP853 control (tableau, initial step, error norm
+    over (P, beta), safety 0.9, factors 0.2/10, exponent -1/8, min_step),
+    and every pass takes one trial step for all undecided shots.  After an
+    accepted step scipy's active-event rule decides a shot: meeting P_sharp
+    (upward) gives +1; beta = 0 or the P floor (downward) gives the sign of
+    P - P_sharp, which is phi's there; reaching u = 1 (beta > 0) gives +1.
+    A shot with two events in one step, whose gap to P_sharp changes sign
+    over its terminal step, or whose step falls below min_step is decided
+    by the scalar `shoot_from`.
+
+    Returns (signs, passes, fallbacks): a sign per grid point (NaN where a
+    scalar phi is not finite), the vector passes and the scalar shots.
+    """
+    rhs = _generic_rhs(spec)
+    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
+    n_stages = DOP853.n_stages
+    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+
+    def fun(u, y):
+        return np.array(rhs(u, y[0], y[1], c))
+
+    u = np.array(grid, dtype=float)
+    p0 = np.asarray(p_flat(u), dtype=float)
+    if not np.all(p0 > 0.0):
+        i = int(np.flatnonzero(~(p0 > 0.0))[0])
+        raise InvalidParameterError(
+            f"P_flat({u[i]:g}) = {p0[i]:g} is not positive")
+    signs = np.full(len(u), np.nan)
+    todo = np.arange(len(u))        # grid index of each undecided shot
+    scalar: list[int] = []
+    passes = 0
+    with np.errstate(all="ignore"):  # a non-finite trial rejects the step
+        y = np.vstack((p0, np.full_like(p0, BETA_START)))
+        f = fun(u, y)
+        # scipy's select_initial_step, shot by shot
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, 1.0 - u)
+        d2 = _rms((fun(u + h0, y + h0 * f) - f) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (-exponent))
+        h_abs = np.minimum(np.minimum(100.0 * h0, h1), 1.0 - u)
+        min_step = 10.0 * np.abs(np.nextafter(u, np.inf) - u)
+        h_abs = np.maximum(h_abs, min_step)
+        rejected = np.zeros(len(u), dtype=bool)
+        p_floor = _p_floor(p0)
+        gap = p0 - np.asarray(p_sharp(u), dtype=float)
+
+        while len(todo):
+            passes += 1
+            u_new = np.minimum(u + h_abs, 1.0)
+            h = u_new - u
+            K = np.empty((n_stages + 1,) + y.shape)
+            K[0] = f
+            for s in range(1, n_stages):
+                K[s] = fun(u + C[s] * h, y + _rk_sum(A[s, :s], K[:s]) * h)
+            y_new = y + h * _rk_sum(B, K[:n_stages])
+            f_new = fun(u_new, y_new)
+            K[n_stages] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = np.sum((_rk_sum(E5, K) / scale) ** 2, axis=0)
+            e3 = np.sum((_rk_sum(E3, K) / scale) ** 2, axis=0)
+            err = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
+                           h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y)))
+            accept = err < 1.0
+            grow = np.where(err == 0.0, 10.0,
+                            np.minimum(10.0, 0.9 * err ** exponent))
+            grow = np.where(rejected, np.minimum(1.0, grow), grow)
+            # fmax: a NaN error norm shrinks by the minimum factor, as
+            # Python's max(0.2, nan) does in scipy
+            shrink = np.fmax(0.2, 0.9 * err ** exponent)
+            h_abs = h * np.where(accept, grow, shrink)
+            rejected = ~accept
+
+            # accepted shots move on, and scipy's event rule reads the move
+            y_old = y
+            u = np.where(accept, u_new, u)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, f_new, f)
+            gap_new = gap.copy()
+            if accept.any():
+                gap_new[accept] = y[0, accept] - np.asarray(
+                    p_sharp(u[accept]), dtype=float)
+            meet = accept & (gap <= 0.0) & (gap_new >= 0.0)
+            b_zero = accept & (y_old[1] >= 0.0) & (y[1] <= 0.0)
+            floor = accept & (y_old[0] >= p_floor) & (y[0] <= p_floor)
+            events = meet.astype(int) + b_zero + floor
+            stopped = (events == 1) & ~meet
+            sign = np.where(stopped, np.sign(gap_new), 1.0)
+            to_scalar = (events > 1) | (stopped & (np.sign(gap) != sign)) \
+                | (rejected & (h_abs < min_step))
+            done = ((events == 1) | (accept & (u >= 1.0))) & ~to_scalar
+            signs[todo[done]] = sign[done]
+            scalar.extend(todo[to_scalar].tolist())
+
+            # a new step starts from at least min_step at its u
+            min_step = np.where(accept, 10.0 * np.abs(
+                np.nextafter(u, np.inf) - u), min_step)
+            h_abs = np.where(accept, np.maximum(h_abs, min_step), h_abs)
+            keep = ~(done | to_scalar)
+            todo, u, y, f, h_abs, rejected, min_step, gap, p_floor = (
+                x[..., keep] for x in (todo, u, y, f, h_abs, rejected,
+                                       min_step, gap_new, p_floor))
+
+    for i in sorted(scalar):
+        signs[i] = np.sign(shoot_from(spec, c, float(grid[i]), p_flat, p_sharp,
+                                      rtol=rtol, atol=atol).phi)
+    return signs, passes, len(scalar)
+
+
+def _sign_brackets(values: np.ndarray) -> list[int]:
+    """Indices i with finite values[i], values[i+1] of opposite signs."""
+    v = np.asarray(values, dtype=float)
+    ok = np.isfinite(v)
+    return np.flatnonzero(ok[:-1] & ok[1:] & (v[:-1] * v[1:] < 0.0)).tolist()
+
+
+def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
+               resolution: float) -> tuple[float, float, np.ndarray]:
+    """(scan_lo, scan_hi, grid): the trial junctions u1 of the phi scan,
+    `resolution` apart below P_flat's end."""
+    # Control is worthless where the cost barrier sits at zero; scan above
+    # u* for such models, else over the whole unit interval.
+    barrier_zero_below = float(spec.beta_max(0.5 * spec.u_star)) == 0.0 \
+        if np.isfinite(spec.u_star) else False
+    lo = (spec.u_star if barrier_zero_below else 0.0) + resolution
+    hi = float(flat.u_nodes[-1]) - 1e-4
+    if hi <= lo:
+        raise NoSolutionError(
+            f"empty scan range [{lo:g}, {hi:g}] at c={flat.c:g}")
+    grid = np.arange(lo, hi, resolution)
+    if grid[-1] < hi - 1e-12:
+        grid = np.append(grid, hi)
+    return lo, hi, grid
+
+
 def _gate(spec: ModelSpec) -> None:
     rep = check_A1(spec)
     if not rep.passed:
@@ -234,34 +418,45 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
     sharp = stable_manifold(spec, c, u_stop=0.0, rtol=rtol, atol=atol)
     p_flat, p_sharp = flat.interp_p(), sharp.interp_p()
 
-    # Control is worthless where the cost barrier sits at zero; scan above
-    # u* for such models, else over the whole unit interval.
-    barrier_zero_below = float(spec.beta_max(0.5 * spec.u_star)) == 0.0 \
-        if np.isfinite(spec.u_star) else False
-    scan_lo = (spec.u_star if barrier_zero_below else 0.0) + scan_resolution
-    scan_hi = float(flat.u_nodes[-1]) - 1e-4
-    if scan_hi <= scan_lo:
-        raise NoSolutionError(
-            f"empty scan range [{scan_lo:g}, {scan_hi:g}] at c={c:g}")
+    scan_lo, scan_hi, grid = _scan_grid(spec, flat, scan_resolution)
+    shots = 0
 
     def phi_of(u1: float) -> float:
+        nonlocal shots
+        shots += 1
         return shoot_from(spec, c, u1, p_flat, p_sharp,
                           rtol=rtol, atol=atol).phi
 
-    grid = np.arange(scan_lo, scan_hi, scan_resolution)
-    if grid[-1] < scan_hi - 1e-12:
-        grid = np.append(grid, scan_hi)
-    phis = np.array([phi_of(u) for u in grid])
+    signs, passes, fallbacks = _scan_signs(spec, c, grid, p_flat, p_sharp,
+                                           rtol, atol)
+    shots += fallbacks
 
-    finite = np.isfinite(phis)
+    # the scan only signs the grid: each bracket's ends are shot again, so
+    # the bisection starts from scalar phi values
+    known: dict[int, float] = {}
+
+    def phi_at(i: int) -> float:
+        if i not in known:
+            known[i] = phi_of(grid[i])
+        return known[i]
+
     brackets = []
-    for i in range(len(grid) - 1):
-        if finite[i] and finite[i + 1] and phis[i] * phis[i + 1] < 0.0:
-            brackets.append((grid[i], grid[i + 1], phis[i], phis[i + 1]))
+    for i in _sign_brackets(signs):
+        flo, fhi = phi_at(i), phi_at(i + 1)
+        if _sign_brackets([flo, fhi]) != [0]:
+            brackets = []
+            break
+        brackets.append((grid[i], grid[i + 1], flo, fhi))
     if not brackets:
-        raise NoSolutionError(
-            f"no sign change of phi on [{scan_lo:.4f}, {scan_hi:.4f}] at c={c:g}",
-            phi_table=np.column_stack([grid, phis]))
+        # no bracket, or one that did not hold: the scalar phi list decides
+        fallbacks = len(grid)
+        phis = np.array([phi_at(i) for i in range(len(grid))])
+        brackets = [(grid[i], grid[i + 1], phis[i], phis[i + 1])
+                    for i in _sign_brackets(phis)]
+        if not brackets:
+            raise NoSolutionError(
+                f"no sign change of phi on [{scan_lo:.4f}, {scan_hi:.4f}] "
+                f"at c={c:g}", phi_table=np.column_stack([grid, phis]))
 
     roots = []
     for lo, hi, flo, fhi in brackets:
@@ -279,6 +474,7 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
 
     roots.sort(key=lambda r: r[0])
     u1_root, phi_root = roots[0]
+    shots += 1
     shot = shoot_from(spec, c, u1_root, p_flat, p_sharp, rtol=rtol, atol=atol,
                       want_nodes=True)
     u2 = shot.u_end
@@ -294,7 +490,7 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
     cost = cost_of(spec, arc)
     diag = ShootingDiagnostics(True, u1_root, phi_root,
                                [r[0] for r in roots], scan_lo, scan_hi,
-                               len(grid))
+                               len(grid), shots, passes, fallbacks)
     return OptimalProfile(c, u1_root, u2, traj, cost, diag, arc=arc)
 
 

@@ -244,3 +244,17 @@ def test_construct_at_natural_speed(tmp_path, capsys, with_out):
         rows = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert np.all(np.diff(rows[:, 0]) > 0.0)
         assert np.all(rows[:, 2] == 0.0)
+
+
+def test_optimal_json_reports_shooting(tmp_path, capsys, cached_profiles):
+    js = tmp_path / "opt.json"
+    assert main(["optimal", "--c", "-0.1", "--json", str(js)]) == 0
+    capsys.readouterr()
+    results = json.loads(js.read_text())["results"]
+    assert list(results) == ["u1", "u2", "cost", "shooting"]
+    shooting = results["shooting"]
+    assert list(shooting) == ["converged", "u1_root", "phi_at_root", "roots",
+                              "scan_lo", "scan_hi", "n_scanned", "shots",
+                              "scan_passes", "scan_fallbacks"]
+    assert shooting["n_scanned"] > shooting["shots"] > 0
+    assert shooting["scan_passes"] > 0 and shooting["scan_fallbacks"] == 0

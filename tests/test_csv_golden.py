@@ -15,7 +15,7 @@ from travwave import cli
 from travwave.model2 import TriplePath
 from travwave.pde import EvolutionRecord
 from travwave.phaseplane import PhaseTrajectory
-from travwave.pmp import EffortRow
+from travwave.pmp import EffortRow, ShootingDiagnostics
 from travwave.profile import SpatialProfile
 
 THIRD = 1.0 / 3.0
@@ -65,7 +65,9 @@ def _optimal(path, monkeypatch):
                            -0.1, "optimal", beta_values=np.array([0.0, THIRD]),
                            y_values=np.array([NAN, -1.5]))
     monkeypatch.setattr(cli, "optimal_profile", lambda spec, c: SimpleNamespace(
-        u1=THIRD, u2=0.5, cost=1.0, trajectory=traj))
+        u1=THIRD, u2=0.5, cost=1.0, trajectory=traj,
+        converged=ShootingDiagnostics(True, THIRD, 0.0, [THIRD], THIRD, 0.5,
+                                      2)))
     cli.main(["optimal", "--out", str(path)])
 
 

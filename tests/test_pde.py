@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from travwave.errors import (ConfigError, FrontNotFoundError,
                              InstabilityError, InvalidParameterError)
 from travwave.model import Model2Params, ModelSpec
-from travwave.pde import (_operator, evolve_model1, evolve_model2,
-                          evolve_scalar, front_speed)
+from travwave.pde import (_factor, _operator, _Scheme, evolve_model1,
+                          evolve_model2, evolve_scalar, front_speed)
 from travwave.phaseplane import unstable_manifold
 from travwave.profile import reconstruct_x
 
@@ -131,6 +132,26 @@ def test_controls_are_sampled_on_arrays(weed, scalar_only):
     with pytest.raises(InvalidParameterError, match="array of x"):
         evolve_scalar(weed, lambda x: 0.5, alpha_of_x=scalar_only, T=0.1,
                       x_span=(-5, 5), dx=0.1)
+
+
+@pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
+def test_factored_step_matches_banded_solve(c_frame):
+    # factoring once per run changes no bit of a step: solve_banded on the
+    # same operator is the reference, for one and for two columns
+    rng = np.random.default_rng(3)
+    n, dx, dt = 2401, 0.05, 0.02
+    w, r = rng.uniform(0.0, 1.0, (2, n, 2))
+    ab = _operator(n, dx, dt, c_frame)
+    tab = _operator(n, dx, dt, c_frame, diffusion=False)
+    scheme = _Scheme(dx, dt, _factor(ab),
+                     None if c_frame is None else _factor(tab))
+    for wk, rk in ((w[:, 0], r[:, 0]), (w, r)):
+        ref = solve_banded((1, 1), ab, wk + dt * rk)
+        assert np.array_equal(scheme.diffuse(wk, rk), ref)
+        ref = solve_banded((1, 1), tab, wk + dt * rk)
+        assert np.array_equal(scheme.transport(wk, rk), ref)
+    assert np.array_equal(scheme.diffuse(w, r)[:, 0], scheme.diffuse(w[:, 0],
+                                                                     r[:, 0]))
 
 
 def test_blowup_guard(weed):

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import travwave.pmp as pmp
 from travwave.control_construct import finite_cost_control
 from travwave.errors import (ConvexityViolationError, InvalidParameterError,
                              NoSolutionError, SingularityError)
 from travwave.model import make_cubic_model, make_logistic_model
 from travwave.phaseplane import stable_manifold, unstable_manifold
-from travwave.pmp import (_generic_rhs, effort_curve, optimal_profile,
-                          pmp_residual, shoot_from)
+from travwave.pmp import (_generic_rhs, _scan_grid, _scan_signs, effort_curve,
+                          optimal_profile, pmp_residual, shoot_from)
 
 
 @pytest.fixture(scope="module")
@@ -218,23 +219,33 @@ def test_effort_curve_propagates_programming_errors(weed, c_star_weed):
 
 @settings(max_examples=400, deadline=None)
 @given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0),
-       u=st.floats(0.0, 1.0), P=st.floats(1e-3, 2.0),
-       frac=st.floats(-1.0, 2.0), c=st.floats(-1.0, 1.0))
-def test_fused_rhs_matches_generic(u_star, rate, u, P, frac, c):
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 2.0),
+                                 st.floats(-1.0, 2.0)),
+                       min_size=1, max_size=40),
+       c=st.floats(-1.0, 1.0))
+def test_fused_rhs_matches_generic(u_star, rate, points, c):
     spec = make_cubic_model(u_star, rate)
     generic = _generic_rhs(spec)
-    if u <= u_star:
-        # beta_max = 0 there: no admissible control, L_betabeta = inf
-        for rhs in (spec.pmp_rhs, generic):
-            with pytest.raises(ConvexityViolationError):
-                rhs(u, P, frac, c)
-        return
-    # frac < 0 and frac >= 1 exercise the clamp to [0, beta_max)
-    beta = frac * float(spec.beta_max(u))
-    fused, ref = spec.pmp_rhs(u, P, beta, c), generic(u, P, beta, c)
-    # the same operations in the same order: equal to the bit, which is
-    # what keeps optimal_profile's bisection path unchanged
-    assert fused == ref
+    inside = []
+    for u, P, frac in points:
+        if u <= u_star:
+            # beta_max = 0 there: no admissible control, L_betabeta = inf
+            for rhs in (spec.pmp_rhs, generic):
+                with pytest.raises(ConvexityViolationError):
+                    rhs(u, P, frac, c)
+            continue
+        # frac < 0 and frac >= 1 exercise the clamp to [0, beta_max)
+        beta = frac * float(spec.beta_max(u))
+        fused = spec.pmp_rhs(u, P, beta, c)
+        # the same operations in the same order: equal to the bit, which is
+        # what keeps optimal_profile's bisection path unchanged
+        assert fused == generic(u, P, beta, c)
+        inside.append((u, P, beta, fused))
+    if inside:
+        # the scan's array call: each element is the scalar fused value
+        u, P, beta, fused = zip(*inside)
+        dP, db = generic(np.array(u), np.array(P), np.array(beta), c)
+        assert list(zip(dP.tolist(), db.tolist())) == list(fused)
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -250,6 +261,59 @@ def test_nonfinite_state_is_a_singularity(weed, fused):
     # a finite state below u* is still a convexity violation
     with pytest.raises(ConvexityViolationError):
         rhs(0.2, 0.1, 0.0, -0.1)
+
+
+def test_array_rhs_matches_fused_on_random_states():
+    # libm's pow(P, 2) and P * P round differently on about 1 in 1000
+    # random P, which hypothesis' simple floats rarely hit
+    rng = np.random.default_rng(4)
+    for u_star, rate in ((1.0 / 3.0, 1.0), (0.15, 4.5)):
+        spec = make_cubic_model(u_star, rate)
+        u = rng.uniform(u_star, 1.0, 20000)[1:]
+        P = rng.uniform(1e-3, 2.0, len(u))
+        beta = rng.uniform(-0.5, 1.5, len(u)) * spec.beta_max(u)
+        dP, db = _generic_rhs(spec)(u, P, beta, -0.1)
+        fused = [spec.pmp_rhs(*x, -0.1) for x in zip(u.tolist(), P.tolist(),
+                                                     beta.tolist())]
+        assert list(zip(dP.tolist(), db.tolist())) == fused
+
+
+def test_array_rhs_names_the_failing_element(weed):
+    generic = _generic_rhs(weed)
+    u, P = np.array([0.5, 0.6, 0.7]), np.array([0.1, 0.1, 0.1])
+    with pytest.raises(SingularityError, match="non-finite") as info:
+        generic(u, P, np.array([0.01, np.nan, np.nan]), -0.1)
+    assert info.value.location == 0.6
+    # below u* there is no admissible control at all
+    with pytest.raises(ConvexityViolationError, match=r"L_betabeta\(0\.2"):
+        generic(np.array([0.5, 0.2, 0.1]), P, np.zeros(3), -0.1)
+
+
+def _scalar_phis(spec, c, grid, pf, ps):
+    """Reference for the lock-step scan: one scalar shot per grid point."""
+    return np.array([shoot_from(spec, c, u1, pf, ps).phi for u1 in grid])
+
+
+def _scan_case(spec, c, resolution):
+    flat = unstable_manifold(spec, c, u_stop=1.0)
+    sharp = stable_manifold(spec, c, u_stop=0.0)
+    pf, ps = flat.interp_p(), sharp.interp_p()
+    return _scan_grid(spec, flat, resolution)[2], pf, ps
+
+
+@settings(max_examples=8, deadline=None)
+@given(u_star=st.floats(0.1, 0.45), rate=st.floats(0.3, 8.0),
+       frac=st.floats(0.02, 1.0))
+def test_scan_signs_match_scalar_phi(u_star, rate, frac):
+    # speeds from just above the exact c* = sqrt(rate/2) (2u* - 1) upward
+    spec = make_cubic_model(u_star, rate)
+    scale = np.sqrt(rate / 2.0)
+    c = scale * (2.0 * u_star - 1.0) + 0.5 * frac * scale
+    grid, pf, ps = _scan_case(spec, c, 1e-2)
+    signs, passes, fallbacks = _scan_signs(spec, c, grid, pf, ps,
+                                           1e-10, 1e-12)
+    assert np.array_equal(signs, np.sign(_scalar_phis(spec, c, grid, pf, ps)))
+    assert passes > 0 and fallbacks == 0
 
 
 # seed-0 speed of the model2_sandwich benchmark set-up; u1 = 0.3461640213...
@@ -294,3 +358,88 @@ def test_fused_shot_matches_generic(weed, manifolds01):
         assert fused.phi == ref.phi
         statuses.add(fused.status)
     assert statuses == {"met_psharp", "beta_zero"}
+
+
+def test_scan_signs_at_the_sandwich_setup():
+    # the full 1e-3 scan of the model2_sandwich set-up, whose root sits
+    # where the met_psharp and beta_zero branches of phi meet
+    spec = make_cubic_model(0.15, 4.5)
+    grid, pf, ps = _scan_case(spec, SANDWICH_C, 1e-3)
+    signs, _, fallbacks = _scan_signs(spec, SANDWICH_C, grid, pf, ps,
+                                      1e-10, 1e-12)
+    ref = np.sign(_scalar_phis(spec, SANDWICH_C, grid, pf, ps))
+    assert np.array_equal(signs, ref) and fallbacks == 0
+    assert np.any(ref > 0.0) and np.any(ref < 0.0)
+
+
+def test_two_events_in_one_step_go_to_the_scalar_shot(weed, manifolds01,
+                                                      monkeypatch):
+    flat, _ = manifolds01
+    pf = flat.interp_p()
+
+    def far(u):     # a P_sharp the arc never meets
+        return np.full_like(np.asarray(u, dtype=float), 10.0)
+    free = shoot_from(weed, -0.1, 0.5, pf, far, want_nodes=True)
+    assert free.status == "beta_zero"
+    # a steep P_sharp the arc meets 1e-6 before beta = 0, inside the step
+    # that ends the shot
+    u_m = free.u_end - 1e-6
+    p_m = np.interp(u_m, free.u_nodes, free.p_values)
+
+    def steep(u):
+        return p_m + 50.0 * (u_m - np.asarray(u, dtype=float))
+    shots = []
+
+    def spy(spec, c, u1, *args, **kwargs):
+        shots.append(u1)
+        return shoot_from(spec, c, u1, *args, **kwargs)
+    monkeypatch.setattr(pmp, "shoot_from", spy)
+    grid = np.array([0.5])
+    signs, passes, fallbacks = _scan_signs(weed, -0.1, grid, pf, steep,
+                                           1e-10, 1e-12)
+    ref = shoot_from(weed, -0.1, 0.5, pf, steep)
+    assert ref.status == "met_psharp" and ref.phi > 0.0
+    assert fallbacks == 1 and shots == [0.5] and signs[0] == 1.0
+    # handed over at the step where the free shot ends
+    assert passes == _scan_signs(weed, -0.1, grid, pf, far, 1e-10, 1e-12)[1]
+    # one event per step stays in the vector pass: beta = 0 below a far
+    # P_sharp, and u = 1 reached with the control still on
+    signs, _, fallbacks = _scan_signs(weed, -0.1, np.array([0.4, 0.5]), pf,
+                                      far, 1e-10, 1e-12)
+    assert np.array_equal(signs, [1.0, -1.0]) and fallbacks == 0
+    assert shots == [0.5]
+    assert shoot_from(weed, -0.1, 0.4, pf, far).status == "left_domain"
+
+
+def test_shooting_diagnostics_count_every_shot(weed, c_star_weed, opt01,
+                                               monkeypatch):
+    shots = []
+
+    def spy(*args, **kwargs):
+        shots.append(args[2])
+        return shoot_from(*args, **kwargs)
+    monkeypatch.setattr(pmp, "shoot_from", spy)
+    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
+    diag = prof.converged
+    assert diag == opt01.converged and prof.cost == opt01.cost
+    assert diag.shots == len(shots) and diag.scan_fallbacks == 0
+    assert diag.scan_passes > 0 and diag.n_scanned > diag.shots
+    # two bracket ends and 24 bisection halvings of 1e-3 down to 1e-10 per
+    # root, plus the sampled shot
+    assert diag.shots == 26 * len(diag.roots) + 1
+
+
+def test_failed_scan_brackets_fall_back_to_the_scalar_list(
+        weed, c_star_weed, opt01, monkeypatch):
+    # signs that bracket where phi does not change sign send the scan back
+    # to one scalar shot per grid point, with the same result
+    def alternating(spec, c, grid, *args):
+        return (-1.0) ** np.arange(len(grid)), 1, 0
+    monkeypatch.setattr(pmp, "_scan_signs", alternating)
+    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
+    diag = prof.converged
+    assert prof.cost == opt01.cost and diag.roots == opt01.converged.roots
+    assert diag.scan_fallbacks == diag.n_scanned
+    # every grid point is shot once, bracket ends included
+    assert diag.shots == (diag.n_scanned + opt01.converged.shots
+                          - 2 * len(diag.roots))

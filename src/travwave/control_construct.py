@@ -17,7 +17,10 @@ c > c*:
       beta_tilde(U) = max(beta_max(U) - (c' - c) P_c'(U), 0).
 
   The trim keeps beta_tilde a uniform distance below the cost barrier, so
-  the effort integral of the middle piece is finite.
+  the effort integral of the middle piece is finite.  P_c' starts at
+  (0.75 a0, 0), with a0 the largest a whose orbit from (a, 0) reaches U = 1.
+  The stable manifold of the saddle (1, 0) bounds those orbits, so a0 is
+  where the substitute's P_sharp at c' meets the U-axis: one integration.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
-from ._roots import bisect
+from ._roots import bisect, sign_changes
 from .errors import (CapExceededError, ConstructionFailureError,
                      InvalidParameterError, NoControlNeeded, SingularCostError)
 from .model import ModelSpec
-from .phaseplane import (PhaseTrajectory, integrate_pu, stable_manifold,
-                         unstable_manifold)
+from .phaseplane import (PhaseTrajectory, _integrate_chart, _saddle_seed,
+                         integrate_pu, stable_manifold, unstable_manifold)
 from .speed import _speed, make_substitute_spec, natural_speed
 
 __all__ = ["ConcatProfile", "bang_control", "finite_cost_control", "cost_of",
@@ -199,13 +201,11 @@ def default_substitute(spec: ModelSpec):
     return f_hat
 
 
-def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float,
-                   x_max: float = 1000.0, dense_output: bool = False):
+def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
     """x-parameterized orbit of U'=P, P'=-c' P - f_hat(U) from (a, 0).
 
-    Returns (reached_one, solution); ``solution.sol`` exists only with
-    ``dense_output``.  Near the axis the chart equation is singular but
-    the planar system is regular, so integration runs in x.
+    Returns (reached_one, dense solution).  Near the axis the chart equation
+    is singular but the planar system is regular, so integration runs in x.
     """
     def rhs(x, y):
         return [y[1], -c_prime * y[1] - float(sub_spec.f(y[0]))]
@@ -220,11 +220,22 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float,
     ev_fall.terminal = True
     ev_fall.direction = -1
 
-    sol = solve_ivp(rhs, (0.0, x_max), [a, 0.0], method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=dense_output,
+    sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], method="DOP853",
+                    rtol=1e-10, atol=1e-12, dense_output=True,
                     events=[ev_hit_one, ev_fall])
     reached = sol.status == 1 and len(sol.t_events[0]) > 0
     return reached, sol
+
+
+def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
+    """a0: where the substitute's P_sharp at c' ends on the U-axis."""
+    u0, p0, _ = _saddle_seed(sub_spec, c_prime, 1.0)
+    _, _, ended, u_end = _integrate_chart(sub_spec, c_prime, None, u0, p0,
+                                          u1=0.0, dense_output=False)
+    if ended != "p_zero":
+        raise ConstructionFailureError(f"auxiliary orbit not found: P_sharp "
+                                       f"at c'={c_prime:g} ends by {ended}")
+    return u_end
 
 
 def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
@@ -235,7 +246,10 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     The substitute is `default_substitute(spec)`, validated on every call,
     and c_hat defaults to its speed; c' defaults to the midpoint of
     (c, c_hat).  At c = c* (within guard) the trivial zero-cost
-    concatenation is returned.
+    concatenation is returned.  P_c' starts at (0.75 a0, 0): a0, the largest
+    a whose orbit from (a, 0) reaches U = 1, is where the substitute's
+    P_sharp at c' (the stable manifold of (1, 0) that bounds those orbits)
+    meets the U-axis; a c' above the substitute's speed has no a0.
     """
     if c_star is None:
         c_star = natural_speed(spec)
@@ -268,19 +282,9 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     pflat, psharp = flat.interp_p(), sharp.interp_p()
     u_bar = float(flat.u_nodes[-1])  # where P_flat ends
 
-    # left endpoint of the auxiliary orbit: bisect on 'reaches U=1 with P>0'
-    def side(a):
-        return -1.0 if _pcprime_orbit(sub_spec, c_prime, a)[0] else 1.0
-
-    u_hat_star = sub_spec.u_star
-    lo = min(1e-3, 0.05 * u_hat_star)
-    if side(lo) > 0.0:
-        raise ConstructionFailureError(
-            f"auxiliary orbit not found: even a={lo:g} fails to reach U=1")
-    hi = 0.999 * u_hat_star
-    a0 = hi if side(hi) < 0.0 else bisect(side, lo, hi, 1e-10)[0]
+    a0 = _aux_left_end(sub_spec, c_prime)
     a_use = 0.75 * a0
-    ok, sol = _pcprime_orbit(sub_spec, c_prime, a_use, dense_output=True)
+    ok, sol = _pcprime_orbit(sub_spec, c_prime, a_use)
     if not ok:
         raise ConstructionFailureError(f"auxiliary orbit from a={a_use:g} failed")
 
@@ -290,17 +294,12 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     uu, pp = uu[keep], pp[keep]
     pc = PchipInterpolator(uu, pp, extrapolate=True)
 
-    # junction u1: first upward crossing of P_c' through P_flat
-    scan_lo = max(a_use + 1e-9, float(flat.u_nodes[0]) + 1e-9)
-    scan_hi = u_bar - 1e-9
-    grid = np.linspace(scan_lo, scan_hi, 800)
-    gvals = pc(grid) - pflat(grid)
-    idx = np.nonzero((gvals[:-1] < 0.0) & (gvals[1:] >= 0.0))[0]
-    if len(idx) == 0:
+    # junction u1: first crossing of P_c' through P_flat, upward because
+    # P_c' starts on the U-axis below P_flat
+    grid = np.linspace(a_use + 1e-9, u_bar - 1e-9, 800)
+    u1 = next(sign_changes(lambda u: pc(u) - pflat(u), grid, 0.0), None)
+    if u1 is None:
         raise ConstructionFailureError("P_c' does not cross P_flat")
-    i = idx[0]
-    u1 = float(brentq(lambda u: float(pc(u) - pflat(u)), grid[i], grid[i + 1],
-                      xtol=1e-14))
 
     def beta_tilde(u):
         return max(float(spec.beta_max(u)) - (c_prime - c) * float(pc(u)), 0.0)

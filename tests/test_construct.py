@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from travwave.control_construct import (_pcprime_orbit, bang_control, cost_of,
+import travwave.acceptance as acc
+import travwave.control_construct as cc
+import travwave.phaseplane as pp
+from travwave.control_construct import (_aux_left_end, _pcprime_orbit,
+                                        bang_control, cost_of,
                                         default_substitute,
                                         finite_cost_control,
                                         natural_heteroclinic)
-from travwave.errors import (CapExceededError, InvalidParameterError,
-                             InvalidSubstituteError, NoControlNeeded,
-                             SingularCostError)
+from travwave.errors import (CapExceededError, ConstructionFailureError,
+                             InvalidParameterError, InvalidSubstituteError,
+                             NoControlNeeded, SingularCostError)
 from travwave.model import make_cubic_model
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
@@ -148,14 +152,21 @@ def test_given_c_hat_does_not_skip_substitute_check(weed, c_star_weed,
                                                   monkeypatch):
     # a caller-given c_hat must not skip the substitute checks:
     # f - beta_max/2 keeps the sandwich but is not bistable (f_hat(1) = -1/3)
-    import travwave.acceptance as acc
-    import travwave.control_construct as cc
     c_hat = acc._c_hat()
     monkeypatch.setattr(
         cc, "default_substitute",
         lambda spec: lambda u: spec.f(u) - 0.5 * spec.beta_max(u))
     with pytest.raises(InvalidSubstituteError, match="bistability"):
         finite_cost_control(weed, -0.1, c_star=c_star_weed, c_hat=c_hat)
+
+
+def test_cprime_above_substitute_speed_fails(weed, c_star_weed):
+    # c' above the substitute's true speed: no orbit from the U-axis
+    # reaches U = 1, so there is no auxiliary orbit to ride above
+    c_hat = acc._c_hat()
+    with pytest.raises(ConstructionFailureError, match="auxiliary orbit"):
+        finite_cost_control(weed, -0.1, c_prime=c_hat + 0.05,
+                            c_star=c_star_weed, c_hat=c_hat + 0.5)
 
 
 def test_trivial_construction_at_cstar(weed, c_star_weed):
@@ -205,20 +216,51 @@ def test_scalar_kernels_match_array_forms(u_star, rate, u):
         assert np.array_equal(_bits(fn(np.float64(u))), _bits(scalar))
 
 
-def test_pcprime_reached_without_dense_output(weed, c_star_weed):
-    # the bisection probes integrate without an interpolant; the flag and
-    # the steps they see must be those of the sampled run
-    prof = finite_cost_control(weed, -0.1, c_star=c_star_weed)
+@pytest.mark.parametrize("c", [-0.2, -0.15, -0.1, -0.05, 0.0])
+def test_a0_bounds_orbits_reaching_one(weed, c_star_weed, c):
+    # a0, the U-axis end of the substitute's P_sharp, separates the orbits
+    # from (a, 0) that reach U = 1 from those that do not
+    prof = finite_cost_control(weed, c, c_star=c_star_weed,
+                               c_hat=acc._c_hat())
     sub = make_substitute_spec(weed, default_substitute(weed))
     a0 = prof.meta["a0"]
-    flags = []
-    for a in (0.5 * a0, a0 - 1e-6, a0 - 1e-9, a0 + 1e-9, a0 + 1e-6, 1.5 * a0):
-        reached, sol = _pcprime_orbit(sub, prof.c_prime, a)
-        reached_d, sol_d = _pcprime_orbit(sub, prof.c_prime, a,
-                                          dense_output=True)
-        assert reached == reached_d
-        assert sol.sol is None and sol_d.sol is not None
-        assert np.array_equal(sol.t, sol_d.t)
-        assert np.array_equal(sol.y, sol_d.y)
-        flags.append(reached)
+    flags = [_pcprime_orbit(sub, prof.c_prime, a)[0]
+             for a in (0.5 * a0, a0 - 1e-6, a0 - 1e-9,
+                       a0 + 1e-9, a0 + 1e-6, 1.5 * a0)]
     assert flags == [True, True, True, False, False, False]
+
+
+@settings(max_examples=10, deadline=None)
+@given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.1, 10.0),
+       frac=st.floats(0.02, 1.0))
+def test_a0_threshold_across_cubic_family(u_star, rate, frac):
+    # with f_hat = f the substitute's speed is the exact
+    # c* = kappa (2 u* - 1), kappa = sqrt(rate / 2); every c' below it
+    # has an a0 in (0, u*] that splits the orbits reaching U = 1
+    spec = make_cubic_model(u_star, rate)
+    sub = make_substitute_spec(spec, spec.f)
+    kappa = math.sqrt(rate / 2.0)
+    c_prime = kappa * (2.0 * u_star - 1.0) - frac * kappa
+    a0 = _aux_left_end(sub, c_prime)  # raises unless it ends on the floor
+    assert 0.0 < a0 <= sub.u_star * (1.0 + 1e-7)
+    assert _pcprime_orbit(sub, c_prime, a0 * (1.0 - 1e-7))[0]
+    assert not _pcprime_orbit(sub, c_prime, a0 * (1.0 + 1e-7))[0]
+
+
+def test_finite_cost_control_work(weed, c_star_weed, monkeypatch):
+    # flat, sharp, a0 and the middle piece are chart integrations; P_c'
+    # from 0.75 a0 is the one auxiliary-orbit integration
+    c_hat = acc._c_hat()
+    calls = {"chart": 0, "aux": 0}
+
+    def counted(module, key):
+        inner = module.solve_ivp
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, "solve_ivp", wrapper)
+    counted(pp, "chart")
+    counted(cc, "aux")
+    finite_cost_control(weed, -0.1, c_star=c_star_weed, c_hat=c_hat)
+    assert calls == {"chart": 4, "aux": 1}

@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from .control_construct import cost_of, default_substitute, finite_cost_control
-from .errors import NonexistenceError
+from .errors import ConfigError, NonexistenceError
 from .model import Model2Params, check_A2, make_cubic_model, make_weed_model
 from .model2 import c_sharp, case2_demo, solve_vtheta, spectrum, subsolution, \
     supersolution
@@ -382,8 +382,17 @@ CRITERIA = [
 ]
 
 
+def _criterion(number: int) -> tuple:
+    """The CRITERIA row numbered `number`; anything else is a ConfigError."""
+    for row in CRITERIA:
+        if row[0] == number:
+            return row
+    raise ConfigError(f"no acceptance criterion {number!r} (criteria are "
+                      f"numbered 1 to {len(CRITERIA)})")
+
+
 def run_criterion(number: int) -> CriterionResult:
-    num, name, fn, budget = CRITERIA[number - 1]
+    num, name, fn, budget = _criterion(number)
     t0 = time.perf_counter()
     try:
         passed, details = fn()
@@ -395,4 +404,6 @@ def run_criterion(number: int) -> CriterionResult:
 
 def run_all(selected=None) -> list[CriterionResult]:
     numbers = selected if selected is not None else [n for n, *_ in CRITERIA]
+    for n in numbers:  # an unknown number fails before any criterion runs
+        _criterion(n)
     return [run_criterion(n) for n in numbers]

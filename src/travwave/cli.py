@@ -274,7 +274,11 @@ def cmd_pde(o: Opts) -> int:
 
 def cmd_verify(o: Opts) -> int:
     only = o.get("only", None, str)
-    selected = [int(s) for s in only.split(",")] if only else None
+    try:
+        selected = [int(s) for s in only.split(",")] if only else None
+    except ValueError as exc:
+        raise ConfigError(f"--only takes comma-separated criterion numbers, "
+                          f"got {only!r}") from exc
     results = acceptance.run_all(selected)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

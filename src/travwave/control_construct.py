@@ -49,12 +49,14 @@ SPEED_GUARD = 1e-9
 
 @dataclass
 class ConcatProfile:
-    """Concatenated trajectory P_flat | P_tilde | P_sharp with its control."""
+    """Concatenated trajectory P_flat | P_tilde | P_sharp with its control
+    `beta_tilde`, which maps an array of U to an array of the same shape
+    (the contract of `SpatialProfile.alpha_at`)."""
 
     pieces: tuple[PhaseTrajectory, PhaseTrajectory, PhaseTrajectory]
     u1: float
     u2_tilde: float
-    beta_tilde: Callable[[float], float]
+    beta_tilde: Callable[[np.ndarray], np.ndarray]
     cost: float
     c: float
     c_prime: float
@@ -75,9 +77,7 @@ def merge_pieces(pieces, c: float) -> PhaseTrajectory:
     cols = []
     for piece in pieces:
         u = piece.u_nodes
-        col = (u, piece.p_values,
-               piece.beta_values if piece.beta_values is not None
-               else np.zeros_like(u),
+        col = (u, piece.p_values, piece.beta_values,
                piece.y_values if piece.y_values is not None
                else np.full_like(u, np.nan))
         if cols and len(u) and abs(u[0] - cols[-1][0][-1]) < 1e-12:
@@ -95,16 +95,14 @@ def _slice_to(traj: PhaseTrajectory, u_hi: float, p_at) -> PhaseTrajectory:
     keep = traj.u_nodes < u_hi - 1e-14
     u = np.concatenate((traj.u_nodes[keep], [u_hi]))
     p = np.concatenate((traj.p_values[keep], [float(p_at(u_hi))]))
-    return PhaseTrajectory(u, p, traj.c, traj.kind,
-                           beta_values=np.zeros_like(u))
+    return PhaseTrajectory(u, p, traj.c, traj.kind)
 
 
 def _slice_from(traj: PhaseTrajectory, u_lo: float, p_at) -> PhaseTrajectory:
     keep = traj.u_nodes > u_lo + 1e-14
     u = np.concatenate(([u_lo], traj.u_nodes[keep]))
     p = np.concatenate(([float(p_at(u_lo))], traj.p_values[keep]))
-    return PhaseTrajectory(u, p, traj.c, traj.kind,
-                           beta_values=np.zeros_like(u))
+    return PhaseTrajectory(u, p, traj.c, traj.kind)
 
 
 def natural_heteroclinic(spec: ModelSpec, c_star: float) -> PhaseTrajectory:
@@ -147,8 +145,8 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
     def crossed(gamma: float) -> bool:
         """Whether the backward orbit meets P_flat; keeps the last that does."""
         nonlocal arc
-        traj = integrate_pu(spec, c, gamma, u_from=us, p_from=p_top,
-                            u_to=u0_floor,
+        traj = integrate_pu(spec, c, lambda u: np.full_like(u, gamma),
+                            u_from=us, p_from=p_top, u_to=u0_floor,
                             stop_when=lambda u, p: p - float(pflat(u)),
                             direction=-1)
         if traj.terminated_by == "event":
@@ -262,9 +260,8 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
         return ConcatProfile(
             (flat, PhaseTrajectory(np.array([spec.u_star]),
                                    np.array([float(sharp.p_values[0])]),
-                                   c_star, "controlled",
-                                   beta_values=np.array([0.0])), sharp),
-            spec.u_star, spec.u_star, lambda u: 0.0, 0.0, c, c_star, 0.0,
+                                   c_star, "controlled"), sharp),
+            spec.u_star, spec.u_star, np.zeros_like, 0.0, c, c_star, 0.0,
             meta={"trivial": True})
 
     sub_spec = make_substitute_spec(spec, default_substitute(spec))
@@ -302,7 +299,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
         raise ConstructionFailureError("P_c' does not cross P_flat")
 
     def beta_tilde(u):
-        return max(float(spec.beta_max(u)) - (c_prime - c) * float(pc(u)), 0.0)
+        return np.maximum(spec.beta_max(u) - (c_prime - c) * pc(u), 0.0)
 
     middle = integrate_pu(spec, c, beta_tilde, u_from=u1,
                           p_from=float(pflat(u1)), u_to=1.0,
@@ -339,8 +336,6 @@ def cost_of(spec: ModelSpec, traj: PhaseTrajectory, refine: bool = True) -> floa
     infinite (reported as +inf); positive control where P ~ 0 raises
     SingularCostError.
     """
-    if traj.beta_values is None:
-        raise InvalidParameterError("trajectory carries no control samples")
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)
     b = np.asarray(traj.beta_values, dtype=float)

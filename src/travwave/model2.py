@@ -40,8 +40,8 @@ from ._columns import write_columns
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params
-from .profile import (SpatialProfile, _sample_control, _theta_closed_form,
-                      theta_model1)
+from .phaseplane import _sample_control
+from .profile import SpatialProfile, _theta_closed_form, theta_model1
 
 __all__ = [
     "Model2Spectrum", "TriplePath", "char_poly", "lambda_min", "p_at_lambda_min",

@@ -35,10 +35,11 @@ from scipy.linalg import lapack
 
 from ._columns import write_columns
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
-                     InstabilityError)
+                     InstabilityError, InvalidParameterError)
 from .model import Model2Params, ModelSpec
 from .model2 import check_drate
-from .profile import SpatialProfile, _sample_control
+from .phaseplane import _sample_control
+from .profile import SpatialProfile
 
 __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
@@ -167,11 +168,16 @@ def _field_on_grid(initial, x) -> np.ndarray:
 
 def _alpha_lookup(alpha_of_x, x, x_span, speed):
     """The control on the grid as a function of t (None without a control,
-    a static field, or alpha_of_x translated at `speed`) and its sup."""
+    a static field, or alpha_of_x translated at `speed`) and its sup.  A
+    NaN or infinite sample raises InvalidParameterError naming its x."""
     if alpha_of_x is None:
         return (lambda t: None), 0.0
     zs = np.linspace(x_span[0] - 80.0, x_span[1] + 80.0, 20001)
-    vals = np.nan_to_num(_sample_control(alpha_of_x, zs), nan=0.0)
+    vals = _sample_control(alpha_of_x, zs)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise InvalidParameterError(
+            f"control alpha({zs[bad[0]]:.6g}) = {vals[bad[0]]} is not finite")
     sup = float(np.max(vals))
     if speed in (None, 0.0):
         static = np.interp(x, zs, vals)
@@ -206,7 +212,12 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     (step, report): step(fields, alpha) gives the fields one dt later
     through the `_Scheme` (alpha is None without a control), and
     report(record) gives the system's own summary entries after the run.
+    A dx, snapshot_dt or given dt <= 0, or T < 0, raises ConfigError.
     """
+    if not (dx > 0.0 and snapshot_dt > 0.0 and T >= 0.0
+            and (dt is None or dt > 0.0)):
+        raise ConfigError(f"need dx, snapshot_dt, dt > 0 and T >= 0; got dx="
+                          f"{dx}, snapshot_dt={snapshot_dt}, dt={dt}, T={T}")
     x = np.linspace(x_span[0], x_span[1],
                     int(round((x_span[1] - x_span[0]) / dx)) + 1)
     dx = float(x[1] - x[0])

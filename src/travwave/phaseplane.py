@@ -49,7 +49,8 @@ ATOL = 1e-12
 
 @dataclass
 class PhaseTrajectory:
-    """Sampled curve U -> P(U) with optional control/adjoint samples.
+    """Sampled curve U -> P(U) with control (zero when not given) and
+    optional adjoint samples.
 
     terminated_by is one of 'u_stop', 'p_zero', 'event'; for early
     termination `termination_u` records where the run ended.
@@ -66,6 +67,10 @@ class PhaseTrajectory:
     seed_offset: float | None = None
     seed_slope: float | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.beta_values is None:
+            self.beta_values = np.zeros_like(self.u_nodes)
 
     def interp_p(self) -> Callable:
         """PCHIP interpolant of P(U) that raises InvalidParameterError
@@ -85,10 +90,8 @@ class PhaseTrajectory:
         return p_at
 
     def to_csv(self, path) -> None:
-        beta = self.beta_values if self.beta_values is not None \
-            else np.zeros_like(self.u_nodes)
         write_columns(path, {"u": self.u_nodes, "p": self.p_values,
-                             "beta": beta})
+                             "beta": self.beta_values})
 
 
 def saddle_eigenvalues(spec: ModelSpec, c: float, u_eq: float) -> tuple[float, float]:
@@ -101,13 +104,21 @@ def saddle_eigenvalues(spec: ModelSpec, c: float, u_eq: float) -> tuple[float, f
     return (-c + disc) / 2.0, (-c - disc) / 2.0
 
 
-def _beta_or_zero(beta) -> Callable[[float], float]:
-    if beta is None:
-        return lambda u: 0.0
-    if np.isscalar(beta):
-        b = float(beta)
-        return lambda u: b
-    return lambda u: float(beta(u))
+def _sample_control(control, x: np.ndarray) -> np.ndarray:
+    """A control, beta(U) or alpha(x), sampled on the array x in one call:
+    None gives zeros, and a control that does not map x to an array of its
+    shape (a number, a scalar-only callable) raises InvalidParameterError."""
+    if control is None:
+        return np.zeros_like(x)
+    try:
+        vals = np.asarray(control(x), dtype=float)
+        if vals.shape != x.shape:
+            raise ValueError(f"got shape {vals.shape} for {x.shape}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"a control must map an array of x or U to an array of its "
+            f"shape: {exc}") from exc
+    return vals
 
 
 def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
@@ -157,12 +168,12 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
 
     Returns (u, p, terminated_by, u_end) with u increasing; without dense
     output the end state is the only node.  Terminal events: P reaching
-    P_FLOOR ('p_zero') and an optional user event g(u, p) ('event').
+    P_FLOOR ('p_zero') and an optional user event g(u, p) ('event').  The
+    control beta is evaluated at the step's float u.
     """
-    bfun = _beta_or_zero(beta)
-
     def rhs(u, y):
-        return [-c + (bfun(u) - float(spec.f(u))) / y[0]]
+        b = 0.0 if beta is None else float(beta(u))
+        return [-c + (b - float(spec.f(u))) / y[0]]
 
     events = [_floor_event(p0)]
     if stop_when is not None:
@@ -221,8 +232,7 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
         u = np.concatenate((u, [1.0]))
         p = np.concatenate((p, [0.0]))
     return PhaseTrajectory(
-        u, p, c, "unstable_manifold", beta_values=np.zeros_like(u),
-        terminated_by=terminated_by,
+        u, p, c, "unstable_manifold", terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end,
         seed_offset=eps_seed, seed_slope=lam_p)
 
@@ -235,8 +245,8 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
     u0, p0, lam_m = _saddle_seed(spec, c, 1.0)
     if u_stop == 1.0:
         return PhaseTrajectory(np.array([1.0]), np.array([0.0]), c,
-                               "stable_manifold", beta_values=np.array([0.0]),
-                               seed_offset=EPS_SEED, seed_slope=lam_m)
+                               "stable_manifold", seed_offset=EPS_SEED,
+                               seed_slope=lam_m)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
@@ -246,8 +256,7 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
         u = np.concatenate(([u_stop], u))
         p = np.concatenate(([0.0], p))
     return PhaseTrajectory(
-        u, p, c, "stable_manifold", beta_values=np.zeros_like(u),
-        terminated_by=terminated_by,
+        u, p, c, "stable_manifold", terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end,
         seed_offset=EPS_SEED, seed_slope=lam_m)
 
@@ -257,19 +266,21 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
                  direction: int = 0) -> PhaseTrajectory:
     """General chart integration from (u_from, p_from) toward u_to.
 
+    beta(U) is None or maps an array of U to an array of its shape, like
+    alpha(x); a two-point probe at u_from rejects any other control before
+    integrating, and `beta_values` is one call on the returned nodes.
     `stop_when(u, p)` is an optional terminal event function (sign change,
     located by the integrator's dense output); `direction` restricts the
     crossing direction as in scipy events.
     """
     if not p_from > 0.0:
         raise InvalidParameterError(f"p_from must be positive, got {p_from}")
+    _sample_control(beta, np.full(2, float(u_from)))
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, beta, u_from, p_from, u_to, stop_when=stop_when,
         direction=direction)
-    bfun = _beta_or_zero(beta)
     return PhaseTrajectory(
-        u, p, c, "controlled",
-        beta_values=np.array([bfun(x) for x in u]),
+        u, p, c, "controlled", beta_values=_sample_control(beta, u),
         terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end)
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import PchipInterpolator
 
 from ._columns import write_columns
-from .errors import (IntegrabilityError, InvalidParameterError,
-                     InvalidTrajectoryError, NonexistenceError, NotASaddleError)
+from .errors import (IntegrabilityError, InvalidTrajectoryError,
+                     NonexistenceError, NotASaddleError)
 from .model import ModelSpec
 from .phaseplane import PhaseTrajectory, saddle_eigenvalues
 
@@ -57,19 +58,6 @@ def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
     p_right = 0.0 if lam_right is None else -lam_right * (1.0 - u)
     return u, np.where(left, p_left, np.where(right, p_right,
                                               np.interp(x, x_nodes, p_nodes)))
-
-
-def _sample_control(alpha, x: np.ndarray) -> np.ndarray:
-    """A control alpha(x) sampled on the array x in one call; a control that
-    does not map it to an array of its shape raises InvalidParameterError."""
-    try:
-        vals = np.asarray(alpha(x), dtype=float)
-        if vals.shape != x.shape:
-            raise ValueError(f"got shape {vals.shape} for {x.shape}")
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"a control must map an array of x to an array: {exc}") from exc
-    return vals
 
 
 @dataclass
@@ -121,8 +109,7 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     """
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)
-    b = np.asarray(traj.beta_values, dtype=float) if traj.beta_values is not None \
-        else np.zeros_like(u)
+    b = np.asarray(traj.beta_values, dtype=float)
     interior = (u > 0.0) & (u < 1.0)
     if np.any(interior & (p <= 0.0)):
         i = int(np.argmax(interior & (p <= 0.0)))
@@ -139,7 +126,6 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     # insert an exact anchor node at u*
     if not np.any(np.isclose(u, us, rtol=0, atol=1e-14)):
         k = int(np.searchsorted(u, us))
-        from scipy.interpolate import PchipInterpolator
         p_us = float(PchipInterpolator(u, p)(us))
         b_us = float(PchipInterpolator(u, b)(us))
         u = np.insert(u, k, us)

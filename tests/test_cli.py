@@ -133,6 +133,19 @@ def test_verify_single_criterion(capsys):
     assert out.startswith("PASS")
 
 
+@pytest.mark.parametrize("only, needle", [
+    ("0", "no acceptance criterion 0"),
+    ("12", "no acceptance criterion 12"),
+    ("7,x", "'7,x'"),
+])
+def test_verify_rejects_unknown_criteria(capsys, only, needle):
+    rc = main(["verify", "--only", only])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""  # no criterion ran
+    assert err.startswith("error: ") and needle in err
+
+
 def test_verify_json_report(tmp_path, capsys):
     js = tmp_path / "verify.json"
     rc = main(["verify", "--only", "7", "--json", str(js)])

@@ -71,8 +71,9 @@ def test_bang_crossing_monotone_in_gamma(weed, c_star_weed):
     gamma, _, _ = bang_control(weed, c, c_star=c_star_weed)
     crossings = []
     for g in (gamma, 1.5 * gamma, 2.0 * gamma, 3.0 * gamma):
-        t = integrate_pu(weed, c, g, us, p_top, 1e-3,
-                         stop_when=lambda u, p: p - float(pf(u)), direction=-1)
+        t = integrate_pu(weed, c, lambda u: np.full_like(u, g), us, p_top,
+                         1e-3, stop_when=lambda u, p: p - float(pf(u)),
+                         direction=-1)
         assert t.terminated_by == "event"
         crossings.append(float(t.u_nodes[0]))
     assert all(a < b for a, b in zip(crossings, crossings[1:]))
@@ -137,6 +138,8 @@ def test_trim_max_with_zero_form(weed, c_star_weed):
     # recompute the trim from its definition on the middle nodes
     for u, bt in zip(mid.u_nodes[::100], mid.beta_values[::100]):
         assert bt == pytest.approx(prof.beta_tilde(float(u)), abs=1e-12)
+    # the array form the middle piece was sampled with, bit for bit
+    assert np.array_equal(prof.beta_tilde(mid.u_nodes), mid.beta_values)
     # a point where the subtrahend exceeds the barrier gives exactly zero
     assert prof.beta_tilde(weed.u_star + 1e-6) == 0.0
 

@@ -2,8 +2,9 @@
 
 The project has no linter dependency, so this makes the checks that
 matter here: every imported name is used, every ``__all__`` entry is
-defined, and no handler catches every exception (a programming error must
-propagate, not turn into a solver verdict).
+defined, every import sits at module level (a module's dependencies are
+read off its head), and no handler catches every exception (a
+programming error must propagate, not turn into a solver verdict).
 """
 
 from __future__ import annotations
@@ -79,6 +80,28 @@ def test_an_unused_import_is_reported():
     tree = ast.parse("import os.path\nfrom .errors import SingularityError\n"
                      "x = os.sep\n")
     assert _unused(tree) == {"SingularityError": 2}
+
+
+def _local_imports(tree: ast.Module) -> list[int]:
+    """Lines of imports that are not statements of the module body."""
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in top]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    local = _local_imports(_tree(path))
+    assert not local, f"{path.name}: imports below module level at {local}"
+
+
+def test_a_local_import_is_reported():
+    tree = ast.parse("import os\n"
+                     "def f():\n    from scipy import linalg\n"
+                     "    return linalg\n"
+                     "if os.sep:\n    import json\n")
+    assert _local_imports(tree) == [3, 6]
 
 
 def _broad_handlers(tree: ast.Module) -> list[tuple[str | None, int]]:

@@ -134,6 +134,27 @@ def test_controls_are_sampled_on_arrays(weed, scalar_only):
                       x_span=(-5, 5), dx=0.1)
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt": -0.01}, {"dt": 0.0}, {"T": -5.0}, {"dx": 0.0}, {"dx": -0.05},
+    {"snapshot_dt": 0.0},
+], ids=["dt<0", "dt=0", "T<0", "dx=0", "dx<0", "snapshot_dt=0"])
+def test_step_inputs_are_checked(weed, bad):
+    kw = dict(T=0.1, x_span=(-5, 5), dx=0.1) | bad
+    with pytest.raises(ConfigError):
+        evolve_scalar(weed, lambda x: 0.5, **kw)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_control_is_refused(weed, value):
+    # the first non-finite sample of the control grid lies just right of
+    # x = 1, at 1.003 (grid step 0.0085 over [-85, 85])
+    alpha = lambda x: np.where(x > 1.0, value, 0.05)
+    with pytest.raises(InvalidParameterError,
+                       match=r"alpha\(1\.0\d*\) = (nan|inf)"):
+        evolve_scalar(weed, lambda x: 0.5, alpha_of_x=alpha, T=0.1,
+                      x_span=(-5, 5), dx=0.1)
+
+
 @pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
 def test_factored_step_matches_banded_solve(c_frame):
     # factoring once per run changes no bit of a step: solve_banded on the

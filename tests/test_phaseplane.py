@@ -138,7 +138,8 @@ def test_large_control_pushes_below_flat_branch(weed):
     sharp = stable_manifold(weed, c, u_stop=us)
     pf = flat.interp_p()
     gamma = 20.0 * weed.max_f()
-    t = integrate_pu(weed, c, gamma, us, float(sharp.p_values[0]), 1e-3,
+    t = integrate_pu(weed, c, lambda u: np.full_like(u, gamma), us,
+                     float(sharp.p_values[0]), 1e-3,
                      stop_when=lambda u, p: p - float(pf(u)), direction=-1)
     assert t.terminated_by == "event"
 
@@ -187,9 +188,43 @@ def test_csv_export(tmp_path, weed):
 def test_integrator_failure_raises_singularity(weed):
     # a NaN control past U = 0.6 makes the step size collapse there
     with pytest.raises(SingularityError) as info:
-        integrate_pu(weed, -0.1, lambda u: np.nan if u > 0.6 else 0.0,
+        integrate_pu(weed, -0.1, lambda u: np.where(u > 0.6, np.nan, 0.0),
                      u_from=0.5, p_from=0.2, u_to=0.9)
     assert info.value.location == pytest.approx(0.6, abs=1e-6)
+
+
+def test_control_is_sampled_once_on_the_nodes(weed):
+    # beta(U) has the contract of alpha(x): one array call fills
+    # beta_values; the integrator's calls get floats, and the only other
+    # array call is the two-point probe at u_from
+    calls = []
+
+    def beta(u):
+        calls.append(u)
+        return 0.01 * np.asarray(u) ** 2
+
+    t = integrate_pu(weed, -0.1, beta, 0.5, 0.2, 0.7)
+    arrays = [u for u in calls if isinstance(u, np.ndarray)]
+    assert len(arrays) == 2
+    assert np.array_equal(arrays[0], [0.5, 0.5])
+    assert arrays[1] is t.u_nodes
+    assert np.array_equal(t.beta_values, 0.01 * t.u_nodes ** 2)
+    assert len(calls) > 2 and all(isinstance(u, float) for u in calls
+                                  if not isinstance(u, np.ndarray))
+
+
+@pytest.mark.parametrize("beta", [
+    0.05,
+    lambda u: 0.05,
+    lambda u: 0.05 if u > 0.6 else 0.0,
+], ids=["number", "constant", "branching"])
+def test_non_array_control_raises_before_integrating(weed, monkeypatch, beta):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr("travwave.phaseplane.solve_ivp", no_integration)
+    with pytest.raises(InvalidParameterError, match="array of x or U"):
+        integrate_pu(weed, -0.1, beta, 0.5, 0.2, 0.7)
 
 
 def test_interp_p_refuses_to_extrapolate(weed):

@@ -227,7 +227,7 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
 
 def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     """a0: where the substitute's P_sharp at c' ends on the U-axis."""
-    u0, p0, _ = _saddle_seed(sub_spec, c_prime, 1.0)
+    u0, p0 = _saddle_seed(sub_spec, c_prime, 1.0)
     _, _, ended, u_end = _integrate_chart(sub_spec, c_prime, None, u0, p0,
                                           u1=0.0, dense_output=False)
     if ended != "p_zero":

@@ -11,10 +11,6 @@ class InvalidParameterError(TravwaveError, ValueError):
     """A parameter is outside its admissible range."""
 
 
-class DomainError(TravwaveError, ValueError):
-    """A sample lies outside the finiteness region of the cost."""
-
-
 class NotASaddleError(TravwaveError):
     """Equilibrium is not a saddle point (f'(u_eq) >= 0)."""
 

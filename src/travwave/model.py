@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import sign_changes
-from .errors import (ConvexityViolationError, DomainError, InvalidParameterError,
+from .errors import (ConvexityViolationError, InvalidParameterError,
                      SingularityError)
 
 __all__ = [
@@ -328,105 +328,63 @@ def check_A1(spec: ModelSpec, tol: float = 1e-10) -> A1Report:
     return A1Report(clauses, zero, crossings)
 
 
-def _fd_cross(L, u, b, hu, hb):
-    return (L(u + hu, b + hb) - L(u + hu, b - hb)
-            - L(u - hu, b + hb) + L(u - hu, b - hb)) / (4.0 * hu * hb)
-
-
-def check_A2(spec: ModelSpec,
-             u_samples: np.ndarray | None = None,
-             beta_samples: np.ndarray | None = None) -> A2Report:
+def check_A2(spec: ModelSpec) -> A2Report:
     """Sampled convexity/superlinearity check with an FD oracle on the partials.
 
-    ``beta_samples`` are absolute removal rates; every (u, beta) pair must
-    lie strictly inside the finiteness region, otherwise a DomainError is
-    raised.  With the defaults, betas are placed at fixed fractions of
-    beta_max(u) (or of an O(1) range when beta_max is infinite).
+    One grid serves every verdict: the 19 u in [0.05, 0.95], and at each u
+    the removal rates beta = (0, 0.1, ..., 0.9) * top, where top is
+    beta_max(u), or 2 where the cost has no barrier (rows with
+    beta_max(u) <= 0 hold beta = 0 only).  L(u, 0) = 0 is checked on the
+    first column, strict convexity by second differences along each row,
+    and the FD oracle and the log-log fit of L ~ C1 beta^p use the nine
+    positive entries.  Each callable is evaluated on the whole array.
     """
-    if u_samples is None:
-        u_samples = np.linspace(0.05, 0.95, 19)
-    u_samples = np.atleast_1d(np.asarray(u_samples, dtype=float))
+    u = np.linspace(0.05, 0.95, 19)
+    frac = np.linspace(0.0, 0.9, 10)
+    bmax = np.asarray(spec.beta_max(u), dtype=float)
+    top = np.where(np.isinf(bmax), 2.0, bmax)
+    live = top > 0.0
+    Lv = np.asarray(spec.L(u[:, None], np.where(live, top, 0.0)[:, None] * frac),
+                    dtype=float)
+    l_zero_ok = bool(np.all(np.abs(Lv[:, 0]) <= 1e-14))
+    d2 = Lv[live, 2:] - 2.0 * Lv[live, 1:-1] + Lv[live, :-2]
+    convex = bool(np.all(d2 > 1e-14))
 
-    fractions = np.linspace(0.1, 0.9, 9)
-    pairs: list[tuple[float, float]] = []
-    for uu in u_samples:
-        bmax = float(spec.beta_max(uu))
-        if beta_samples is not None:
-            for bb in np.atleast_1d(beta_samples):
-                if bb >= bmax:
-                    raise DomainError(
-                        f"beta={bb:g} outside finiteness region at u={uu:g} "
-                        f"(beta_max={bmax:g})")
-                if bb > 0.0:
-                    pairs.append((float(uu), float(bb)))
-        elif np.isfinite(bmax) and bmax > 0.0:
-            pairs.extend((float(uu), float(bb)) for bb in fractions * bmax)
-        elif np.isinf(bmax):
-            pairs.extend((float(uu), float(bb)) for bb in fractions * 2.0)
-
-    l_zero_ok = bool(np.all(np.abs(spec.L(u_samples, np.zeros_like(u_samples))) <= 1e-14))
-
-    # strict convexity via second differences along beta at each sampled u
-    convex = True
-    for uu in u_samples:
-        bmax = float(spec.beta_max(uu))
-        if bmax <= 0.0:
-            continue
-        hi = 0.95 * bmax if np.isfinite(bmax) else 2.0
-        bs = np.linspace(0.0, hi, 11)
-        Ls = np.asarray(spec.L(np.full_like(bs, uu), bs), dtype=float)
-        d2 = Ls[2:] - 2.0 * Ls[1:-1] + Ls[:-2]
-        if not np.all(d2 > 1e-14):
-            convex = False
-
-    # FD consistency of the supplied partials at the interior samples;
-    # steps scale with the distance to the finiteness barrier, where the
-    # cost blows up and absolute steps would dominate the truncation error
-    fd_max = {"L_beta": 0.0, "L_betabeta": 0.0, "L_ubeta": 0.0}
-    for uu, bb in pairs:
-        bmax = float(spec.beta_max(uu))
-        room = (bmax - bb) if np.isfinite(bmax) else 1.0
-        scale = min(room, bb)
-        h1 = 1e-4 * scale
-        h2 = 1e-3 * scale
-        hc = 1e-3 * min(scale, uu)
-        if min(h1, h2, hc) <= 0.0:
-            continue
-        Lv = abs(float(spec.L(uu, bb)))
-        an = float(spec.L_beta(uu, bb))
-        fd = float((spec.L(uu, bb + h1) - spec.L(uu, bb - h1)) / (2.0 * h1))
-        fd_max["L_beta"] = max(fd_max["L_beta"],
-                               abs(fd - an) / max(abs(an), Lv / scale, 1e-10))
-        an = float(spec.L_betabeta(uu, bb))
-        fd = float((spec.L(uu, bb + h2) - 2.0 * spec.L(uu, bb) + spec.L(uu, bb - h2)) / h2**2)
-        fd_max["L_betabeta"] = max(fd_max["L_betabeta"],
-                                   abs(fd - an) / max(abs(an), Lv / scale**2, 1e-10))
-        an = float(spec.L_ubeta(uu, bb))
-        fd = float(_fd_cross(spec.L, uu, bb, hc, min(h2, hc)))
-        fd_max["L_ubeta"] = max(fd_max["L_ubeta"],
-                                abs(fd - an) / max(abs(an), Lv / scale**2, 1e-10))
+    # FD consistency of the partials on the positive entries; steps scale
+    # with the distance to the finiteness barrier, where the cost blows up
+    # and absolute steps would dominate the truncation error.  The u-step
+    # also stays below the barrier's u-distance (beta_max - beta)/|beta_max'|.
+    u, bm, Lv = u[live, None], bmax[live, None], Lv[live, 1:]
+    b = top[live, None] * frac[1:]
+    room = np.where(np.isinf(bm), 1.0, bm - b)
+    scale = np.minimum(room, b)
+    h1, h2 = 1e-4 * scale, 1e-3 * scale
+    du = 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dbm = np.abs(spec.beta_max(u + du) - spec.beta_max(u - du)) / (2.0 * du)
+        hc = 1e-3 * np.fmin(np.minimum(scale, u), room / dbm)
+    hb = np.minimum(h2, hc)
+    L, aL = spec.L, np.abs(Lv)
+    fd = {
+        "L_beta": ((L(u, b + h1) - L(u, b - h1)) / (2.0 * h1),
+                   spec.L_beta(u, b), aL / scale),
+        "L_betabeta": ((L(u, b + h2) - 2.0 * Lv + L(u, b - h2)) / h2**2,
+                       spec.L_betabeta(u, b), aL / scale**2),
+        "L_ubeta": ((L(u + hc, b + hb) - L(u + hc, b - hb) - L(u - hc, b + hb)
+                     + L(u - hc, b - hb)) / (4.0 * hc * hb),
+                    spec.L_ubeta(u, b), aL / scale**2),
+    }
+    fd_max = {name: float(np.max(np.abs(num - an)
+                                 / np.maximum(np.maximum(np.abs(an), floor), 1e-10),
+                                 initial=0.0))
+              for name, (num, an, floor) in fd.items()}
 
     # empirical superlinearity: smallest per-u log-log slope and matching C1
-    slopes = []
-    c1 = np.inf
-    by_u: dict[float, list[tuple[float, float]]] = {}
-    for uu, bb in pairs:
-        Lv = float(spec.L(uu, bb))
-        if np.isfinite(Lv) and Lv > 0.0 and bb > 0.0:
-            by_u.setdefault(uu, []).append((bb, Lv))
-    for uu, pts in by_u.items():
-        if len(pts) < 3:
-            continue
-        lb = np.log([p[0] for p in pts])
-        lL = np.log([p[1] for p in pts])
-        slopes.append(float(np.polyfit(lb, lL, 1)[0]))
-    p_fit = min(slopes) if slopes else float("nan")
-    if slopes and p_fit > 0:
-        for uu, pts in by_u.items():
-            for bb, Lv in pts:
-                c1 = min(c1, Lv / bb**p_fit)
-    superlinear = bool(slopes) and p_fit > 1.0 + 1e-6 and c1 > 0.0
+    p_fit = c1 = float("nan")
+    if Lv.size and np.all(np.isfinite(Lv) & (Lv > 0.0)):
+        p_fit = float(np.min(np.polyfit(np.log(frac[1:]), np.log(Lv).T, 1)[0]))
+        c1 = float(np.min(Lv / b**p_fit))
+    superlinear = p_fit > 1.0 + 1e-6 and c1 > 0.0
 
     return A2Report(convexity_ok=convex, superlinear_ok=superlinear,
-                    p_fit=p_fit, c1_fit=float(c1) if np.isfinite(c1) else float("nan"),
-                    fd_max=fd_max, l_zero_ok=l_zero_ok)
+                    p_fit=p_fit, c1_fit=c1, fd_max=fd_max, l_zero_ok=l_zero_ok)

@@ -105,7 +105,7 @@ class TriplePath:
 def char_poly(c: float, params: Model2Params) -> np.ndarray:
     """Coefficients (1, c, -d, -kappa1 kappa2 / c) of the linearization cubic."""
     if c == 0.0:
-        raise ZeroDivisionError("characteristic polynomial undefined at c = 0")
+        raise InvalidParameterError("characteristic polynomial undefined at c = 0")
     return np.array([1.0, c, -params.d, -params.kappa1 * params.kappa2 / c])
 
 
@@ -143,9 +143,7 @@ def spectrum(c: float, params: Model2Params) -> Model2Spectrum:
     each; a conjugate pair with |Im| <= 1e-6 is classified as the
     repeated-real boundary case.
     """
-    if c == 0.0:
-        raise ZeroDivisionError("linearization undefined at c = 0")
-    if c > 0.0:
+    if not c < 0.0:
         raise InvalidParameterError(f"spectrum is analyzed for c < 0, got {c:g}")
     coeffs = char_poly(c, params)
     roots = np.roots(coeffs)

@@ -65,7 +65,6 @@ class PhaseTrajectory:
     terminated_by: str = "u_stop"
     termination_u: float | None = None
     seed_offset: float | None = None
-    seed_slope: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -122,12 +121,12 @@ def _sample_control(control, x: np.ndarray) -> np.ndarray:
 
 
 def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
-                 eps_seed: float = EPS_SEED) -> tuple[float, float, float]:
-    """Seed (u0, p0, slope) of P_flat (u_eq = 0) or P_sharp (u_eq = 1)."""
+                 eps_seed: float = EPS_SEED) -> tuple[float, float]:
+    """Seed (u0, p0) of P_flat (u_eq = 0) or P_sharp (u_eq = 1)."""
     lam_p, lam_m = saddle_eigenvalues(spec, c, u_eq)
     if u_eq == 0.0:
-        return eps_seed, lam_p * eps_seed, lam_p
-    return 1.0 - eps_seed, -lam_m * eps_seed, lam_m
+        return eps_seed, lam_p * eps_seed
+    return 1.0 - eps_seed, -lam_m * eps_seed
 
 
 def _p_floor(p0):
@@ -222,7 +221,7 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
     """
     if not (0.0 < u_stop <= 1.0):
         raise InvalidParameterError(f"u_stop must lie in (0, 1], got {u_stop}")
-    u0, p0, lam_p = _saddle_seed(spec, c, 0.0, eps_seed)
+    u0, p0 = _saddle_seed(spec, c, 0.0, eps_seed)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
@@ -234,7 +233,7 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
     return PhaseTrajectory(
         u, p, c, "unstable_manifold", terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end,
-        seed_offset=eps_seed, seed_slope=lam_p)
+        seed_offset=eps_seed)
 
 
 def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
@@ -242,11 +241,10 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
     """Branch P_sharp entering (1,0), integrated in decreasing U to u_stop."""
     if not (0.0 <= u_stop <= 1.0):
         raise InvalidParameterError(f"u_stop must lie in [0, 1], got {u_stop}")
-    u0, p0, lam_m = _saddle_seed(spec, c, 1.0)
+    u0, p0 = _saddle_seed(spec, c, 1.0)
     if u_stop == 1.0:
         return PhaseTrajectory(np.array([1.0]), np.array([0.0]), c,
-                               "stable_manifold", seed_offset=EPS_SEED,
-                               seed_slope=lam_m)
+                               "stable_manifold", seed_offset=EPS_SEED)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 
@@ -258,7 +256,7 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
     return PhaseTrajectory(
         u, p, c, "stable_manifold", terminated_by=terminated_by,
         termination_u=None if terminated_by == "u_stop" else u_end,
-        seed_offset=EPS_SEED, seed_slope=lam_m)
+        seed_offset=EPS_SEED)
 
 
 def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,

@@ -46,6 +46,7 @@ __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
            "shoot_from", "optimal_profile", "pmp_residual", "effort_curve"]
 
 BETA_START = 1e-10
+U1_TOL = 1e-10  # width to which phi's bracket on the junction u1 is bisected
 
 
 @dataclass
@@ -397,7 +398,7 @@ def _trivial_profile(spec: ModelSpec, c: float, c_star: float) -> OptimalProfile
                           arc=None)
 
 
-def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
+def optimal_profile(spec: ModelSpec, c: float,
                     scan_resolution: float = 1e-3,
                     c_star: float | None = None,
                     rtol: float = 1e-10, atol: float = 1e-12) -> OptimalProfile:
@@ -469,7 +470,7 @@ def optimal_profile(spec: ModelSpec, c: float, tol: float = 1e-10,
                 best = (u1, fmid)
             return -flo * fmid
 
-        bisect(side, lo, hi, tol)
+        bisect(side, lo, hi, U1_TOL)
         roots.append(best)
 
     roots.sort(key=lambda r: r[0])

@@ -30,7 +30,7 @@ def manifold_gap(spec: ModelSpec, c: float, rtol: float = 1e-10,
     branches' end states; a branch that collapsed before u* counts as 0."""
     ends = []
     for u_eq in (0.0, 1.0):
-        u0, p0, _ = _saddle_seed(spec, c, u_eq)
+        u0, p0 = _saddle_seed(spec, c, u_eq)
         _, p, terminated_by, _ = _integrate_chart(
             spec, c, None, u0, p0, spec.u_star, rtol=rtol, atol=atol,
             dense_output=False)

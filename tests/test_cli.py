@@ -60,6 +60,14 @@ def test_spectrum_and_demo(capsys, tmp_path):
     assert payload["results"]["within_three_periods"] is True
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "demo"])
+def test_model2_at_zero_speed_is_an_error(capsys, sub):
+    rc = main(["model2", sub, "--c", "0"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "c < 0, got 0" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample config\nmodel = weed\nustar = 0.5\n")

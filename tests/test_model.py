@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from travwave.errors import DomainError, InvalidParameterError
+from travwave.errors import InvalidParameterError
 from travwave.model import (Model2Params, check_A1, check_A2, make_cubic_model,
                             make_logistic_model, make_weed_model, ModelSpec)
 
@@ -121,10 +123,33 @@ def test_check_a2_logistic_fails_convexity():
     assert not rep.superlinear_ok     # log-log slope exactly 1
 
 
-def test_check_a2_boundary_sample_rejected(weed):
-    with pytest.raises(DomainError):
-        check_A2(weed, u_samples=np.array([0.5]),
-                 beta_samples=np.array([float(weed.beta_max(0.5))]))
+@pytest.mark.parametrize("rate", [0.1, 0.5, 1.0, 2.0, 4.5, 10.0])
+@pytest.mark.parametrize("u_star", [0.05, 0.1, 0.15, 0.25, 1.0 / 3.0, 0.4, 0.5])
+def test_check_a2_passes_every_cubic(u_star, rate):
+    # the partials are exact, so the FD oracle must accept them at any rate
+    rep = check_A2(make_cubic_model(u_star, rate))
+    assert rep.passed, rep.fd_max
+
+
+def test_check_a2_fd_oracle_catches_a_wrong_partial(weed):
+    wrong = dataclasses.replace(
+        weed, L_ubeta=lambda u, b: 1.1 * weed.L_ubeta(u, b))
+    rep = check_A2(wrong)
+    assert rep.fd_max["L_ubeta"] == pytest.approx(0.1 / 1.1, rel=1e-3)
+    assert not rep.fd_ok and not rep.passed
+    assert rep.convexity_ok and rep.superlinear_ok and rep.l_zero_ok
+
+
+def test_check_a2_evaluates_each_callable_on_arrays(weed):
+    calls = []
+
+    def counted(name):
+        fn = getattr(weed, name)
+        return lambda *args: calls.append(name) or fn(*args)
+
+    fields = ("f", "df", "L", "L_beta", "L_betabeta", "L_ubeta", "beta_max")
+    check_A2(dataclasses.replace(weed, **{n: counted(n) for n in fields}))
+    assert len(calls) <= 20, calls
 
 
 @given(st.floats(0.40, 0.95), st.floats(0.05, 0.85))

@@ -173,6 +173,17 @@ def test_gate_rejects_monostable():
         optimal_profile(make_logistic_model(1.0), -0.1)
 
 
+def test_gate_rejects_a_linear_cost(weed):
+    # bistable f passes the first gate; the logistic cost is linear in beta
+    lin = make_logistic_model(1.0)
+    spec = dataclasses.replace(weed, L=lin.L, L_beta=lin.L_beta,
+                               L_betabeta=lin.L_betabeta,
+                               L_ubeta=lin.L_ubeta, beta_max=lin.beta_max,
+                               pmp_rhs=None)
+    with pytest.raises(InvalidParameterError, match="strictly convex cost"):
+        optimal_profile(spec, -0.1)
+
+
 def test_no_solution_reports_scan_table(weed, c_star_weed):
     # far above the reachable speed range the shooting map has no root
     with pytest.raises(NoSolutionError) as info:

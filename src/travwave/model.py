@@ -353,31 +353,42 @@ def check_A2(spec: ModelSpec) -> A2Report:
     # FD consistency of the partials on the positive entries; steps scale
     # with the distance to the finiteness barrier, where the cost blows up
     # and absolute steps would dominate the truncation error.  The u-step
-    # also stays below the barrier's u-distance (beta_max - beta)/|beta_max'|.
+    # also stays below the barrier's u-distance (beta_max - beta)/|beta_max'|,
+    # with the steeper one-sided slope of beta_max (a central difference
+    # halves it where beta_max is cut to zero within du).  Every step is
+    # rounded so that x +- h are exact: near the barrier the u-step is a
+    # few ulps of u, and an off-centre stencil misreads L_ubeta, which
+    # varies on the scale of u - u*.  An entry whose steps round to zero (a
+    # barrier within an ulp or so) is left out of the cross check.
     u, bm, Lv = u[live, None], bmax[live, None], Lv[live, 1:]
     b = top[live, None] * frac[1:]
     room = np.where(np.isinf(bm), 1.0, bm - b)
     scale = np.minimum(room, b)
-    h1, h2 = 1e-4 * scale, 1e-3 * scale
     du = 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
-        dbm = np.abs(spec.beta_max(u + du) - spec.beta_max(u - du)) / (2.0 * du)
+        dbm = np.maximum(np.abs(spec.beta_max(u + du) - bm),
+                         np.abs(bm - spec.beta_max(u - du))) / du
         hc = 1e-3 * np.fmin(np.minimum(scale, u), room / dbm)
-    hb = np.minimum(h2, hc)
+    h1 = (b + 1e-4 * scale) - b
+    h2 = (b + 1e-3 * scale) - b
+    hc = (u + hc) - u
+    hb = (b + np.minimum(h2, hc)) - b
+    resolved = (hc > 0.0) & (hb > 0.0)
     L, aL = spec.L, np.abs(Lv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (L(u + hc, b + hb) - L(u + hc, b - hb) - L(u - hc, b + hb)
+                 + L(u - hc, b - hb)) / (4.0 * hc * hb)
     fd = {
         "L_beta": ((L(u, b + h1) - L(u, b - h1)) / (2.0 * h1),
-                   spec.L_beta(u, b), aL / scale),
+                   spec.L_beta(u, b), aL / scale, True),
         "L_betabeta": ((L(u, b + h2) - 2.0 * Lv + L(u, b - h2)) / h2**2,
-                       spec.L_betabeta(u, b), aL / scale**2),
-        "L_ubeta": ((L(u + hc, b + hb) - L(u + hc, b - hb) - L(u - hc, b + hb)
-                     + L(u - hc, b - hb)) / (4.0 * hc * hb),
-                    spec.L_ubeta(u, b), aL / scale**2),
+                       spec.L_betabeta(u, b), aL / scale**2, True),
+        "L_ubeta": (cross, spec.L_ubeta(u, b), aL / scale**2, resolved),
     }
     fd_max = {name: float(np.max(np.abs(num - an)
                                  / np.maximum(np.maximum(np.abs(an), floor), 1e-10),
-                                 initial=0.0))
-              for name, (num, an, floor) in fd.items()}
+                                 initial=0.0, where=where))
+              for name, (num, an, floor, where) in fd.items()}
 
     # empirical superlinearity: smallest per-u log-log slope and matching C1
     p_fit = c1 = float("nan")

@@ -103,26 +103,35 @@ def saddle_eigenvalues(spec: ModelSpec, c: float, u_eq: float) -> tuple[float, f
     return (-c + disc) / 2.0, (-c - disc) / 2.0
 
 
-def _sample_control(control, x: np.ndarray) -> np.ndarray:
-    """A control, beta(U) or alpha(x), sampled on the array x in one call:
-    None gives zeros, and a control that does not map x to an array of its
-    shape (a number, a scalar-only callable) raises InvalidParameterError."""
-    if control is None:
-        return np.zeros_like(x)
+def _call_on_array(fn, x: np.ndarray, error: type, what: str) -> np.ndarray:
+    """fn(x) in one call, as floats of x's shape.  A TypeError or ValueError
+    from fn, or a result of another shape (a number, a scalar-only
+    callable), raises `error` with the text `what`; any other exception
+    from fn propagates."""
     try:
-        vals = np.asarray(control(x), dtype=float)
+        vals = np.asarray(fn(x), dtype=float)
         if vals.shape != x.shape:
             raise ValueError(f"got shape {vals.shape} for {x.shape}")
     except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"a control must map an array of x or U to an array of its "
-            f"shape: {exc}") from exc
+        raise error(f"{what}: {exc}") from exc
     return vals
+
+
+def _sample_control(control, x: np.ndarray) -> np.ndarray:
+    """A control, beta(U) or alpha(x), sampled on the array x in one call:
+    None gives zeros, and a control that does not map x to an array of its
+    shape raises InvalidParameterError."""
+    if control is None:
+        return np.zeros_like(x)
+    return _call_on_array(control, x, InvalidParameterError,
+                          "a control must map an array of x or U to an "
+                          "array of its shape")
 
 
 def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
                  eps_seed: float = EPS_SEED) -> tuple[float, float]:
-    """Seed (u0, p0) of P_flat (u_eq = 0) or P_sharp (u_eq = 1)."""
+    """Seed (u0, p0) of P_flat (u_eq = 0) or P_sharp (u_eq = 1); for an
+    array of speeds c, p0 is an array of their seeds."""
     lam_p, lam_m = saddle_eigenvalues(spec, c, u_eq)
     if u_eq == 0.0:
         return eps_seed, lam_p * eps_seed

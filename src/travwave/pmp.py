@@ -17,10 +17,10 @@ support.  phi is extended continuously to the failure modes (beta or P
 exhausted before the meeting) so that a scan plus bisection can bracket
 the root.
 
-The scan integrates all its grid shots in lock step, as arrays under
-scipy's DOP853 tableau and step control with a step size per shot
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5), and yields only
-the signs of phi; bracket ends, bisection and the final shot are scalar
+The scan integrates all its grid shots in lock step, as the columns of
+one `_lockstep.LockStep` (scipy's DOP853 on arrays, a step size per
+shot), under scipy's event rule applied here, and yields only the signs
+of phi; bracket ends, bisection and the final shot are scalar
 `shoot_from` calls, so the root and the cost do not depend on the scan.
 """
 
@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
+from ._lockstep import LockStep
 from ._roots import bisect
 from .control_construct import (SPEED_GUARD, _slice_from, _slice_to, cost_of,
                                 merge_pieces, natural_heteroclinic)
@@ -223,26 +224,13 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
                       nodes, pvals, bvals)
 
 
-def _rk_sum(weights: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] K[j] over the leading stage axis of K."""
-    return (weights @ K.reshape(len(weights), -1)).reshape(K.shape[1:])
-
-
-def _rms(x: np.ndarray) -> np.ndarray:
-    """scipy's RMS norm of each shot's (P, beta) column."""
-    return np.sqrt(np.sum(x * x, axis=0) / len(x))
-
-
 def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
                 rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
     """Signs of phi on the scan grid from one lock-step DOP853 integration.
 
-    Every grid shot is integrated at once as arrays of (u, P, beta) through
-    `_generic_rhs`.  Each shot keeps its own u, step and accept/reject
-    state under scipy's DOP853 control (tableau, initial step, error norm
-    over (P, beta), safety 0.9, factors 0.2/10, exponent -1/8, min_step),
-    and every pass takes one trial step for all undecided shots.  After an
-    accepted step scipy's active-event rule decides a shot: meeting P_sharp
+    Every grid shot is a column of one `_lockstep.LockStep` over
+    (P, beta), with `_generic_rhs` on arrays.  After each pass scipy's
+    active-event rule decides the shots that moved: meeting P_sharp
     (upward) gives +1; beta = 0 or the P floor (downward) gives the sign of
     P - P_sharp, which is phi's there; reaching u = 1 (beta > 0) gives +1.
     A shot with two events in one step, whose gap to P_sharp changes sign
@@ -253,13 +241,6 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
     scalar phi is not finite), the vector passes and the scalar shots.
     """
     rhs = _generic_rhs(spec)
-    A, B, C, E3, E5 = DOP853.A, DOP853.B, DOP853.C, DOP853.E3, DOP853.E5
-    n_stages = DOP853.n_stages
-    exponent = -1.0 / (DOP853.error_estimator_order + 1)
-
-    def fun(u, y):
-        return np.array(rhs(u, y[0], y[1], c))
-
     u = np.array(grid, dtype=float)
     p0 = np.asarray(p_flat(u), dtype=float)
     if not np.all(p0 > 0.0):
@@ -267,83 +248,36 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
         raise InvalidParameterError(
             f"P_flat({u[i]:g}) = {p0[i]:g} is not positive")
     signs = np.full(len(u), np.nan)
-    todo = np.arange(len(u))        # grid index of each undecided shot
     scalar: list[int] = []
     passes = 0
-    with np.errstate(all="ignore"):  # a non-finite trial rejects the step
-        y = np.vstack((p0, np.full_like(p0, BETA_START)))
-        f = fun(u, y)
-        # scipy's select_initial_step, shot by shot
-        scale = atol + np.abs(y) * rtol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, 1.0 - u)
-        d2 = _rms((fun(u + h0, y + h0 * f) - f) / scale) / h0
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                      np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (-exponent))
-        h_abs = np.minimum(np.minimum(100.0 * h0, h1), 1.0 - u)
-        min_step = 10.0 * np.abs(np.nextafter(u, np.inf) - u)
-        h_abs = np.maximum(h_abs, min_step)
-        rejected = np.zeros(len(u), dtype=bool)
-        p_floor = _p_floor(p0)
-        gap = p0 - np.asarray(p_sharp(u), dtype=float)
-
-        while len(todo):
+    p_floor = _p_floor(p0)
+    gap = p0 - np.asarray(p_sharp(u), dtype=float)
+    st = LockStep(lambda u, y, ids: np.array(rhs(u, y[0], y[1], c)), u,
+                  np.vstack((p0, np.full_like(p0, BETA_START))),
+                  np.ones_like(u), rtol, atol)
+    with np.errstate(all="ignore"):
+        while len(st.ids):
             passes += 1
-            u_new = np.minimum(u + h_abs, 1.0)
-            h = u_new - u
-            K = np.empty((n_stages + 1,) + y.shape)
-            K[0] = f
-            for s in range(1, n_stages):
-                K[s] = fun(u + C[s] * h, y + _rk_sum(A[s, :s], K[:s]) * h)
-            y_new = y + h * _rk_sum(B, K[:n_stages])
-            f_new = fun(u_new, y_new)
-            K[n_stages] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.sum((_rk_sum(E5, K) / scale) ** 2, axis=0)
-            e3 = np.sum((_rk_sum(E3, K) / scale) ** 2, axis=0)
-            err = np.where((e5 == 0.0) & (e3 == 0.0), 0.0,
-                           h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y)))
-            accept = err < 1.0
-            grow = np.where(err == 0.0, 10.0,
-                            np.minimum(10.0, 0.9 * err ** exponent))
-            grow = np.where(rejected, np.minimum(1.0, grow), grow)
-            # fmax: a NaN error norm shrinks by the minimum factor, as
-            # Python's max(0.2, nan) does in scipy
-            shrink = np.fmax(0.2, 0.9 * err ** exponent)
-            h_abs = h * np.where(accept, grow, shrink)
-            rejected = ~accept
-
-            # accepted shots move on, and scipy's event rule reads the move
-            y_old = y
-            u = np.where(accept, u_new, u)
-            y = np.where(accept, y_new, y)
-            f = np.where(accept, f_new, f)
-            gap_new = gap.copy()
+            accept, stalled = st.step()
+            todo, y, y_old = st.ids, st.y, st.y_old
+            gap_old, gap_new = gap[todo], gap[todo]
             if accept.any():
                 gap_new[accept] = y[0, accept] - np.asarray(
-                    p_sharp(u[accept]), dtype=float)
-            meet = accept & (gap <= 0.0) & (gap_new >= 0.0)
+                    p_sharp(st.u[accept]), dtype=float)
+            meet = accept & (gap_old <= 0.0) & (gap_new >= 0.0)
             b_zero = accept & (y_old[1] >= 0.0) & (y[1] <= 0.0)
-            floor = accept & (y_old[0] >= p_floor) & (y[0] <= p_floor)
+            floor = accept & (y_old[0] >= p_floor[todo]) \
+                & (y[0] <= p_floor[todo])
             events = meet.astype(int) + b_zero + floor
             stopped = (events == 1) & ~meet
             sign = np.where(stopped, np.sign(gap_new), 1.0)
-            to_scalar = (events > 1) | (stopped & (np.sign(gap) != sign)) \
-                | (rejected & (h_abs < min_step))
-            done = ((events == 1) | (accept & (u >= 1.0))) & ~to_scalar
+            to_scalar = (events > 1) | (stopped & (np.sign(gap_old) != sign)) \
+                | stalled
+            done = ((events == 1) | (accept & (st.u >= 1.0))) & ~to_scalar
             signs[todo[done]] = sign[done]
             scalar.extend(todo[to_scalar].tolist())
-
-            # a new step starts from at least min_step at its u
-            min_step = np.where(accept, 10.0 * np.abs(
-                np.nextafter(u, np.inf) - u), min_step)
-            h_abs = np.where(accept, np.maximum(h_abs, min_step), h_abs)
-            keep = ~(done | to_scalar)
-            todo, u, y, f, h_abs, rejected, min_step, gap, p_floor = (
-                x[..., keep] for x in (todo, u, y, f, h_abs, rejected,
-                                       min_step, gap_new, p_floor))
+            gap[todo] = gap_new
+            st.keep(~(done | to_scalar))
 
     for i in sorted(scalar):
         signs[i] = np.sign(shoot_from(spec, c, float(grid[i]), p_flat, p_sharp,

@@ -6,22 +6,35 @@ is located by shooting on the manifold gap
     gap(c) = P_sharp(u*) - P_flat(u*)        (both computed with beta = 0),
 
 which is strictly increasing in c (raising c lowers the slope field, which
-pushes P_flat down and P_sharp up), vanishes exactly at c*, and is cheap to
-evaluate.  The root is found by bracketing plus bisection.
+pushes P_flat down and P_sharp up) and vanishes exactly at c*.  The root
+is found by bisection on [-scale, scale].  The midpoints' gaps come from
+lock-step chart integrations (`_lockstep.LockStep`, the stepper of the
+PMP scan), the midpoints of five bisection levels at a time, and only
+the final bracket's two ends are scalar `manifold_gap` calls.  Where
+those ends do not confirm the sign change, the scalar bracket-and-bisect
+(with its bracket expansions) decides, so c* is always the root of the
+scalar gap's bisection.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Callable
 
 import numpy as np
 
+from ._lockstep import LockStep
 from ._roots import bisect, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, check_A1
-from .phaseplane import _integrate_chart, _saddle_seed
+from .phaseplane import (_call_on_array, _integrate_chart, _p_floor,
+                         _saddle_seed)
 
 __all__ = ["natural_speed", "manifold_gap", "modified_speed", "make_substitute_spec"]
+
+log = logging.getLogger(__name__)
+
+TREE_DEPTH = 5  # bisection levels whose midpoints share one lock-step round
 
 
 def manifold_gap(spec: ModelSpec, c: float, rtol: float = 1e-10,
@@ -56,23 +69,118 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
 
 def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
            atol: float = 1e-12) -> float:
-    """Bracket-and-bisect core of `natural_speed` for a spec whose
-    bistability is checked (there or by `make_substitute_spec`)."""
-    scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
-    lo, hi = -scale, scale
-    g = lambda c: manifold_gap(spec, c, rtol=rtol, atol=atol)
-    g_lo, g_hi = g(lo), g(hi)
-    expansions = 0
-    while g_lo * g_hi > 0.0:
-        if expansions >= 5:
-            raise BracketFailureError(
-                f"no sign change of the manifold gap in [{lo:g}, {hi:g}]")
-        lo, hi = 2.0 * lo, 2.0 * hi
-        g_lo, g_hi = g(lo), g(hi)
-        expansions += 1
+    """Bisection core of `natural_speed` for a spec whose bistability is
+    checked (there or by `make_substitute_spec`).
 
-    # g has the sign of g_lo at the lower end of every sub-bracket
-    return np.mean(bisect(lambda c: -g_lo * g(c), lo, hi, 2.0 * tol))
+    The gap is bisected on [-scale, scale] to width 2 tol in lock step
+    (`_bisect_lock_step`), and the final bracket's two ends are checked
+    with the scalar `manifold_gap`.  A wrong lock-step sign anywhere on
+    the path leaves its midpoint as an end of that bracket, so when both
+    ends confirm the sign change, the midpoint is the scalar bisection's
+    answer.  Otherwise the scalar bracket-and-bisect decides.
+    """
+    scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
+    calls = 0
+
+    def g(c):
+        nonlocal calls
+        calls += 1
+        return manifold_gap(spec, c, rtol=rtol, atol=atol)
+
+    lo, hi, work = _bisect_lock_step(spec, -scale, scale, 2.0 * tol, rtol, atol)
+    fallback = not g(lo) < 0.0 < g(hi)
+    if fallback:
+        lo, hi = -scale, scale
+        g_lo, g_hi = g(lo), g(hi)
+        expansions = 0
+        while g_lo * g_hi > 0.0:
+            if expansions >= 5:
+                raise BracketFailureError(
+                    f"no sign change of the manifold gap in [{lo:g}, {hi:g}]")
+            lo, hi = 2.0 * lo, 2.0 * hi
+            g_lo, g_hi = g(lo), g(hi)
+            expansions += 1
+        # g has the sign of g_lo at the lower end of every sub-bracket
+        lo, hi = bisect(lambda c: -g_lo * g(c), lo, hi, 2.0 * tol)
+    log.debug("speed of %s: rounds=%d passes=%d columns=%d pruned=%d "
+              "gap_calls=%d fallback=%s", spec.label, work["rounds"],
+              work["passes"], work["columns"], work["pruned"], calls, fallback,
+              extra={"speed_work": dict(work, gap_calls=calls,
+                                        fallback=fallback)})
+    return np.mean((lo, hi))
+
+
+def _bisect_lock_step(spec: ModelSpec, lo: float, hi: float, tol: float,
+                      rtol: float, atol: float) -> tuple[float, float, dict]:
+    """`_roots.bisect` on the sign of the gap, with the gap from lock-step
+    chart columns instead of scalar `manifold_gap` calls.
+
+    Each round takes the midpoints of the next TREE_DEPTH bisection levels
+    of [lo, hi] (as `bisect` computes them, only while the width exceeds
+    tol) and integrates a P_flat and a P_sharp column for each in one
+    `LockStep`.  A column ends at u* (giving P) or on its P floor (giving
+    0), as in `manifold_gap`; a stalled column gives 0 where P has
+    collapsed and NaN elsewhere.  As soon as both columns of the path's
+    midpoint are done the path descends by bisect's rules (gap > 0 moves
+    hi, < 0 or NaN moves lo, 0 returns), and the columns of the subtree it
+    left are dropped.  Returns (lo, hi, work counts).
+    """
+    work = {"rounds": 0, "passes": 0, "columns": 0, "pruned": 0}
+    f, u_star = spec.f, spec.u_star
+    while hi - lo > tol:
+        work["rounds"] += 1
+        # the subtree's midpoints, keyed by their path from the round's
+        # bracket (0: to the lower half, 1: to the upper half)
+        keys, mids, todo = [], [], [((), lo, hi)]
+        for key, a, b in todo:
+            if b - a > tol and len(key) < TREE_DEPTH:
+                m = 0.5 * (a + b)
+                keys.append(key)
+                mids.append(m)
+                todo += [(key + (0,), a, m), (key + (1,), m, b)]
+        node = {key: j for j, key in enumerate(keys)}
+        # column j is P_flat and column n + j P_sharp of midpoint j
+        n = len(mids)
+        cs = np.tile(mids, 2)
+        (u_flat, p_flat), (u_sharp, p_sharp) = (
+            _saddle_seed(spec, cs[:n], u_eq) for u_eq in (0.0, 1.0))
+        p0 = np.concatenate((p_flat, p_sharp))
+        st = LockStep(lambda u, y, ids: (-cs[ids] + (0.0 - f(u)) / y[0])[None],
+                      np.repeat([u_flat, u_sharp], n), p0,
+                      np.full(2 * n, u_star), rtol, atol)
+        p_floor = _p_floor(p0)
+        ends = np.full(2 * n, np.nan)
+        live = np.ones(2 * n, dtype=bool)
+        path = ()
+        work["columns"] += 2 * n
+        while path in node:
+            work["passes"] += 1
+            accept, stalled = st.step()
+            ids, p = st.ids, st.y[0]
+            floor = accept & (st.y_old[0] >= p_floor[ids]) & (p <= p_floor[ids])
+            at_u_star = accept & (st.u == u_star) & ~floor
+            ends[ids[floor]] = 0.0
+            ends[ids[at_u_star]] = p[at_u_star]
+            ends[ids[stalled]] = np.where(p[stalled] <= 1e-5, 0.0, np.nan)
+            live[ids[floor | at_u_star | stalled]] = False
+            keep = live[ids]
+            while path in node:
+                j = node[path]
+                if live[j] or live[n + j]:
+                    break
+                s = ends[n + j] - ends[j]
+                if s == 0.0:
+                    return mids[j], mids[j], work
+                if s > 0.0:
+                    hi, path = mids[j], path + (0,)
+                else:
+                    lo, path = mids[j], path + (1,)
+                left = np.array([keys[i][:len(path)] != path
+                                 for i in ids % n], dtype=bool)
+                work["pruned"] += int(np.count_nonzero(keep & left))
+                keep &= ~left
+            st.keep(keep)
+    return lo, hi, work
 
 
 def make_substitute_spec(spec: ModelSpec, f_hat: Callable) -> ModelSpec:
@@ -86,13 +194,8 @@ def make_substitute_spec(spec: ModelSpec, f_hat: Callable) -> ModelSpec:
     never touches them).
     """
     u = np.linspace(0.0, 1.0, 2001)
-    try:
-        fh_vals = np.asarray(f_hat(u), dtype=float)
-        if fh_vals.shape != u.shape:
-            raise ValueError(f"got shape {fh_vals.shape} for {u.shape}")
-    except (TypeError, ValueError) as exc:
-        raise InvalidSubstituteError(
-            f"f_hat must map an array of U to an array: {exc}") from exc
+    fh_vals = _call_on_array(f_hat, u, InvalidSubstituteError,
+                             "f_hat must map an array of U to an array")
     f_vals = np.asarray(spec.f(u), dtype=float)
     bhat = np.asarray(spec.beta_max(u), dtype=float)
     slack = 1e-12

@@ -3,8 +3,9 @@
 The project has no linter dependency, so this makes the checks that
 matter here: every imported name is used, every ``__all__`` entry is
 defined, every import sits at module level (a module's dependencies are
-read off its head), and no handler catches every exception (a
-programming error must propagate, not turn into a solver verdict).
+read off its head), no handler catches every exception (a programming
+error must propagate, not turn into a solver verdict), and one module
+holds the lock-step DOP853 integrator.
 """
 
 from __future__ import annotations
@@ -175,3 +176,22 @@ def test_every_error_class_is_raised_and_tested():
     assert classes
     assert classes <= raised, f"never raised: {sorted(classes - raised)}"
     assert classes <= tested, f"never tested: {sorted(classes - tested)}"
+
+
+TABLEAU = {"A", "B", "C", "E3", "E5"}
+
+
+def _tableau_reads(tree: ast.Module) -> set[str]:
+    """Attributes of scipy's DOP853 tableau the module reads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in TABLEAU
+            and isinstance(node.value, ast.Name) and node.value.id == "DOP853"}
+
+
+def test_one_lock_step_integrator():
+    # the PMP scan and the speed bisection share one stepper; no other
+    # module reads DOP853's Butcher tableau
+    readers = {p.name: _tableau_reads(_tree(p)) for p in MODULES}
+    assert {name for name, attrs in readers.items() if attrs} \
+        == {"_lockstep.py"}
+    assert readers["_lockstep.py"] == TABLEAU

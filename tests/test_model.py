@@ -131,6 +131,16 @@ def test_check_a2_passes_every_cubic(u_star, rate):
     assert rep.passed, rep.fd_max
 
 
+@pytest.mark.parametrize("offset", [1e-8, 1e-10, 1e-13])
+def test_check_a2_passes_a_cubic_whose_barrier_is_near_a_grid_u(offset):
+    # u* just below the grid u = 0.15 puts the barrier beta_max(u) = 0 a
+    # hair's breadth away in u, so the cross step is a few thousand ulps;
+    # at 1e-13 it rounds to zero and that row leaves the cross check
+    rep = check_A2(make_cubic_model(0.15 - offset, 4.5))
+    assert rep.passed, rep.fd_max
+    assert rep.fd_max["L_ubeta"] > 0.0
+
+
 def test_check_a2_fd_oracle_catches_a_wrong_partial(weed):
     wrong = dataclasses.replace(
         weed, L_ubeta=lambda u, b: 1.1 * weed.L_ubeta(u, b))

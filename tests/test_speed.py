@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import travwave.speed
+from travwave._lockstep import LockStep
+from travwave._roots import bisect
 from travwave.errors import (BracketFailureError, InvalidParameterError,
                             InvalidSubstituteError)
 from travwave.control_construct import default_substitute
-from travwave.model import make_logistic_model, make_weed_model
-from travwave.phaseplane import stable_manifold, unstable_manifold
+from travwave.model import make_cubic_model, make_logistic_model, make_weed_model
+from travwave.phaseplane import (_integrate_chart, _saddle_seed,
+                                 stable_manifold, unstable_manifold)
 from travwave.speed import (make_substitute_spec, manifold_gap,
                             modified_speed, natural_speed)
 
@@ -144,3 +150,113 @@ def test_substitute_spec_is_validated(weed):
     # f(1) = 0; building its spec alone must already reject it
     with pytest.raises(InvalidSubstituteError, match="bistability"):
         make_substitute_spec(weed, lambda u: weed.f(u) - 0.5 * weed.beta_max(u))
+
+
+def _scalar_speed(spec, tol=1e-8):
+    """Reference: the bisection of the scalar manifold_gap on the bracket
+    the speed solver starts from."""
+    df = spec.df(np.linspace(0, 1, 2001))
+    scale = 2.0 * np.sqrt(float(np.max(np.abs(df)))) + 1.0
+    return np.mean(bisect(lambda c: manifold_gap(spec, c), -scale, scale,
+                          2.0 * tol))
+
+
+@settings(max_examples=6, deadline=None)
+@given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0))
+def test_lock_step_speed_is_the_scalar_bisection(u_star, rate):
+    # the lock-step midpoints are bisect's, and so must be every sign
+    spec = make_cubic_model(u_star, rate)
+    assert float(natural_speed(spec)).hex() == float(_scalar_speed(spec)).hex()
+
+
+def test_weed_and_substitute_speeds_are_the_scalar_bisection(weed,
+                                                            c_star_weed):
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    assert float(c_star_weed).hex() == float(_scalar_speed(weed)).hex()
+    assert float(travwave.speed._speed(sub)).hex() \
+        == float(_scalar_speed(sub)).hex()
+
+
+def test_two_scalar_gaps_per_solve(weed, monkeypatch):
+    # the lock-step bisection leaves only the final bracket's two ends to
+    # the scalar manifold_gap
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    gap = travwave.speed.manifold_gap
+    for spec in (weed, sub):
+        calls = []
+        monkeypatch.setattr(travwave.speed, "manifold_gap",
+                            lambda s, c, **k: calls.append(c) or gap(s, c, **k))
+        c = travwave.speed._speed(spec)
+        assert len(calls) == 2
+        assert calls[0] < c < calls[1] and calls[1] - calls[0] <= 2e-8
+
+
+def test_a_wrong_lock_step_sign_falls_back_to_the_scalar_path(
+        weed, c_star_weed, monkeypatch, caplog):
+    # the first round's root midpoint is c = 0 > c*, where the gap is
+    # positive; its P_flat column (column 0) is made to arrive far above
+    # P_sharp, so the lock-step path turns the wrong way
+    rounds, flipped = [], []
+
+    class Flipped(LockStep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            rounds.append(self)
+
+        def step(self):
+            accept, stalled = super().step()
+            hit = (self.ids == 0) & accept & (self.u == self.bound)
+            if self is rounds[0] and hit.any():
+                flipped.append(float(self.y[0, hit][0]))
+                self.y = np.where(hit, 1e3, self.y)
+            return accept, stalled
+
+    monkeypatch.setattr(travwave.speed, "LockStep", Flipped)
+    with caplog.at_level(logging.DEBUG, logger="travwave"):
+        c = natural_speed(weed)
+    assert len(flipped) == 1
+    assert float(c).hex() == float(c_star_weed).hex()
+    (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
+    assert rec.speed_work["fallback"] and rec.speed_work["gap_calls"] > 2
+
+
+def test_lock_step_chart_columns_match_solve_ivp(weed):
+    # P_flat and P_sharp columns at three speeds in one stepper, each run
+    # to u* and compared with scipy's DOP853 on that branch alone
+    cs = np.array([-0.3, -0.2357, -0.1])
+    seeds = [_saddle_seed(weed, c, u_eq) for c in cs for u_eq in (0.0, 1.0)]
+    col_c = np.repeat(cs, 2)
+    st = LockStep(lambda u, y, ids: (-col_c[ids] - weed.f(u) / y[0])[None],
+                  [u for u, _ in seeds], [p for _, p in seeds],
+                  np.full(len(seeds), weed.u_star), 1e-10, 1e-12)
+    ends = np.full(len(seeds), np.nan)
+    while len(st.ids):
+        accept, stalled = st.step()
+        assert not stalled.any()
+        done = accept & (st.u == st.bound)
+        ends[st.ids[done]] = st.y[0, done]
+        st.keep(~done)
+    for (u0, p0), c, end in zip(seeds, col_c, ends):
+        _, p, how, _ = _integrate_chart(weed, c, None, u0, p0, weed.u_star,
+                                        dense_output=False)
+        assert how == "u_stop"
+        assert abs(end - p[-1]) <= 1e-11
+
+
+def test_speed_logs_nothing_by_default(weed, caplog):
+    assert any(isinstance(h, logging.NullHandler)
+               for h in logging.getLogger("travwave").handlers)
+    natural_speed(weed)
+    assert not [r for r in caplog.records if r.name.startswith("travwave")]
+
+
+def test_speed_logs_its_work_at_debug(weed, caplog):
+    with caplog.at_level(logging.DEBUG, logger="travwave"):
+        natural_speed(weed)
+    (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
+    assert rec.levelno == logging.DEBUG
+    work = rec.speed_work
+    assert work["gap_calls"] == 2 and not work["fallback"]
+    assert 0 < work["rounds"] < work["passes"]
+    assert 0 <= work["pruned"] < work["columns"]
+    assert "rounds=" in rec.getMessage() and weed.label in rec.getMessage()

@@ -45,6 +45,7 @@ __all__ = ["ConcatProfile", "bang_control", "finite_cost_control", "cost_of",
            "default_substitute"]
 
 SPEED_GUARD = 1e-9
+A0_RTOL = 1e-12  # a0 error of the square-root asymptote, see _aux_left_end
 
 
 @dataclass
@@ -226,14 +227,31 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
 
 
 def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
-    """a0: where the substitute's P_sharp at c' ends on the U-axis."""
+    """a0: where the substitute's P_sharp at c' ends on the U-axis.
+
+    P ~ sqrt(U - a0) has an infinite slope there, so the branch stops as
+    soon as the square-root asymptote P^2 = 2 |f_hat| (U - a0) of
+    P dP/dU = -c' P - f_hat(U) closes the gap to A0_RTOL relative: the
+    c' P term it leaves out moves a0 by about |c'| P^3 / (3 f_hat^2).
+    Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
+    the P floor, at a0 itself.  P falls to the axis only where f_hat <= 0,
+    so a0 <= u_hat*: a floor end beyond it is the chart's error at P near
+    its atol, as the branch tends to the node (u_hat*, 0).
+    """
+    def asymptote_excess(u, p):
+        f_neg = max(-float(sub_spec.f(u)), 0.0)
+        return abs(c_prime) * p**3 - 3.0 * A0_RTOL * u * f_neg**2
+
     u0, p0 = _saddle_seed(sub_spec, c_prime, 1.0)
-    _, _, ended, u_end = _integrate_chart(sub_spec, c_prime, None, u0, p0,
-                                          u1=0.0, dense_output=False)
+    _, p_end, ended, u_end = _integrate_chart(
+        sub_spec, c_prime, None, u0, p0, u1=0.0, stop_when=asymptote_excess,
+        direction=-1, dense_output=False)
+    if ended == "event":
+        return u_end + float(p_end[0]) ** 2 / (2.0 * float(sub_spec.f(u_end)))
     if ended != "p_zero":
         raise ConstructionFailureError(f"auxiliary orbit not found: P_sharp "
                                        f"at c'={c_prime:g} ends by {ended}")
-    return u_end
+    return min(u_end, sub_spec.u_star)
 
 
 def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,

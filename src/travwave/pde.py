@@ -7,15 +7,23 @@ c u_z discretized by first-order upwinding; its numerical diffusion
 |c| dz / 2 is part of the drift tolerance budget of the stationarity
 checks.
 
-Time stepping is one-step IMEX Euler (Ascher, Ruuth & Spiteri, Appl.
-Numer. Math. 25, 1997): diffusion and transport are implicit, with each
-tridiagonal operator built and LU-factored (LAPACK gttrf) once per run and
-one gttrs solve against the factors per step; reaction and control are
-explicit.  The operator I - dt (D2 + c U) is an M-matrix for every dt, so
-the step keeps positivity and comparison as long as the explicit part is
-monotone, dt * rate_bound <= 1.  A fixed
-point of the step solves the semi-discrete equation for any dt, so the
-comoving drift measures spatial error only.
+Time stepping is second-order SBDF2 (Ascher, Ruuth & Wetton, SIAM J.
+Numer. Anal. 32(3), 1995): diffusion and transport A are implicit,
+reaction and control R are extrapolated explicitly,
+
+    (I - 2/3 dt A) u+ = (4 u - u-) / 3 + 2/3 dt (2 R(u) - R(u-)),
+
+with one IMEX Euler step, (I - dt A) u+ = u + dt R(u), to start a run.
+Each tridiagonal operator is built and LU-factored (LAPACK gttrf) at
+2/3 dt and at dt once per run, and a step is one gttrs solve against the
+factors; R is evaluated once per step and carried to the next.  SBDF2 is
+not monotone, so positivity and comparison are not guaranteed: the step
+bound dt * rate_bound <= 1 is a stability condition for the explicit
+extrapolation, and the blow-up guard checks every field every step.  A
+fixed point of the step solves the semi-discrete equation for any dt, so
+the comoving drift measures spatial error only.  On snapshot steps the
+IMEX Euler step from the same u is taken as well; the largest difference
+of the two is summary['time_error'], an estimate of the local time error.
 
 The scalar, Model-1 and Model-2 systems share one time loop and one
 u-step; each supplies only its own reaction terms and bookkeeping.
@@ -45,7 +53,7 @@ __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
 
 # default dt = min(DT_MAX, DT_ACCURACY / sup|f'|, 1 / rate_bound)
-DT_MAX, DT_ACCURACY = 0.02, 0.05
+DT_MAX, DT_ACCURACY = 0.1, 0.25
 BLOWUP_LO, BLOWUP_HI = -0.01, 1.01
 FRONT_LEVEL, BOUNDARY_MARGIN = 0.5, 10.0  # see front_speed
 
@@ -116,34 +124,51 @@ def _factor(ab: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class _Scheme:
-    """The implicit half of one IMEX Euler step on a run's grid.
+    """The two halves of one SBDF2 step on a run's grid.
 
-    `diffuse` advances diffusing fields (u, and v of Model 2) through
-    I - dt (D2 + c U); `transport` advances theta through I - dt c U, which
-    is the identity in the lab frame (no factors).  Each holds its
-    operator's gttrf factors; both take the field(s) and their explicit
-    reaction, and several fields may be stacked as columns.
+    `explicit(w, r, prev)` is the known side of a step from the field w
+    with explicit reaction r: (4w - w-)/3 + 2/3 dt (2r - r-) given the
+    previous step's pair prev = (w-, r-), or the IMEX Euler w + dt r for
+    prev None.  `diffuse(b, start)` solves I - h (D2 + c U) against it and
+    `transport(b, start)` solves I - h c U, which is the identity in the
+    lab frame (no factors); h = 2/3 dt, or dt for the Euler `start`.  Each
+    holds the gttrf factors of its operator at both h, and several fields
+    may be stacked as columns of b.
     """
     dx: float
     dt: float
-    diffusion_lu: tuple
+    diffusion_lu: tuple         # (factors at 2/3 dt, factors at dt)
     transport_lu: tuple | None
 
-    def diffuse(self, w: np.ndarray, reaction: np.ndarray) -> np.ndarray:
+    @classmethod
+    def build(cls, n: int, dx: float, dt: float, c: float | None):
+        def factors(diffusion):
+            return tuple(_factor(_operator(n, dx, h, c, diffusion))
+                         for h in (2.0 * dt / 3.0, dt))
+        return cls(dx, dt, factors(True),
+                   None if c is None else factors(False))
+
+    def explicit(self, w: np.ndarray, r: np.ndarray, prev) -> np.ndarray:
+        if prev is None:
+            return w + self.dt * r
+        w0, r0 = prev
+        return (4.0 * w - w0) / 3.0 + (2.0 * self.dt / 3.0) * (2.0 * r - r0)
+
+    def diffuse(self, b: np.ndarray, start: bool) -> np.ndarray:
         # gttrs does not check for finiteness: a NaN reaches the blow-up
         # guard as NaN
-        return lapack.dgttrs(*self.diffusion_lu, w + self.dt * reaction)[0]
+        return lapack.dgttrs(*self.diffusion_lu[start], b)[0]
 
-    def transport(self, w: np.ndarray, reaction: np.ndarray) -> np.ndarray:
-        b = w + self.dt * reaction
+    def transport(self, b: np.ndarray, start: bool) -> np.ndarray:
         if self.transport_lu is None:
             return b
-        return lapack.dgttrs(*self.transport_lu, b)[0]
+        return lapack.dgttrs(*self.transport_lu[start], b)[0]
 
 
 def _time_step(dt, f_rate, rate_bound, snapshot_dt) -> float:
     """The default dt from the accuracy target, cut to a whole number of
-    steps per snapshot; a caller's dt is checked against the step bound."""
+    steps per snapshot; a caller's dt is checked against the step bound,
+    the stability condition of the explicit extrapolation."""
     if dt is None:
         dt = 1.0 / max(1.0 / DT_MAX, f_rate / DT_ACCURACY, rate_bound)
         # 1e-9: a ratio one rounding above a whole number stays that number
@@ -199,19 +224,23 @@ def _drift(snaps: list[np.ndarray]) -> float:
 def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
             dt, snapshot_dt, alpha_of_x=None, control_speed=None,
             extra_rate=0.0) -> EvolutionRecord:
-    """IMEX Euler time loop shared by the evolve_* systems.
+    """SBDF2 time loop shared by the evolve_* systems.
 
     `initial` maps field names to initial data: 'u' first, then 'v' and/or
     'theta' (the names of EvolutionRecord's snapshot lists).  The loop owns
     the grid, the control lookup (static, or in the lab frame translated
-    at `control_speed`), the step bound and dt, the implicit operators, the
-    blow-up guard on every field every step, the snapshot cadence and the
-    per-field drift.  The step bound rate_bound = sup|f'| + sup alpha +
-    `extra_rate` bounds the Lipschitz constant of the explicit reaction.
-    `system(scheme, fields)` validates the fields on the grid and returns
-    (step, report): step(fields, alpha) gives the fields one dt later
-    through the `_Scheme` (alpha is None without a control), and
-    report(record) gives the system's own summary entries after the run.
+    at `control_speed`), the step bound and dt, the factored operators, the
+    previous step's fields and reactions, the blow-up guard on every field
+    every step, the snapshot cadence, the per-field drift and the
+    time-error estimate of u.  The step bound rate_bound = sup|f'| +
+    sup alpha + `extra_rate` bounds the Lipschitz constant of the explicit
+    reaction.  `system(scheme, fields)` validates the fields on the grid
+    and returns (step, report): step(fields, alpha, prev) gives the fields
+    one dt later through the `_Scheme` and the explicit reactions it
+    evaluated at `fields`, one per field (alpha is None without a control;
+    prev holds one (field, reaction) pair per field from the step before,
+    or one None per field at the start), and report(record) gives the
+    system's own summary entries after the run.
     A dx, snapshot_dt or given dt <= 0, or T < 0, raises ConfigError.
     """
     if not (dx > 0.0 and snapshot_dt > 0.0 and T >= 0.0
@@ -227,18 +256,19 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     f_rate = float(np.max(np.abs(spec.df(np.linspace(0.0, 1.0, 2001)))))
     rate_bound = f_rate + alpha_sup + extra_rate
     dt = _time_step(dt, f_rate, rate_bound, snapshot_dt)
-    scheme = _Scheme(dx, dt, _factor(_operator(len(x), dx, dt, c_frame)),
-                     None if c_frame is None else _factor(
-                         _operator(len(x), dx, dt, c_frame, diffusion=False)))
+    scheme = _Scheme.build(len(x), dx, dt, c_frame)
     step, report = system(scheme, fields)
     n_steps = int(round(T / dt))
     snap_every = max(1, int(round(snapshot_dt / dt)))
 
     times = [0.0]
     snaps = [[f.copy()] for f in fields]
-    t = 0.0
+    t, time_error = 0.0, 0.0
+    prev = (None,) * len(fields)
     for k in range(1, n_steps + 1):
-        fields = step(fields, alpha_at(t))
+        new, reactions = step(fields, alpha_at(t), prev)
+        prev = tuple(zip(fields, reactions))
+        fields = new
         t = k * dt
         for f in fields:
             _guard(f, t)
@@ -246,6 +276,9 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
             times.append(t)
             for s, f in zip(snaps, fields):
                 s.append(f.copy())
+            euler = scheme.diffuse(scheme.explicit(*prev[0], None), True)
+            time_error = max(time_error,
+                             float(np.max(np.abs(fields[0] - euler))))
 
     rec = EvolutionRecord(
         x=x, times=np.asarray(times), dx=dx, dt=dt, c=c_frame,
@@ -259,7 +292,7 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
         rec.summary["joint_drift"] = max(drift)
     rec.summary.update(report(rec))
     rec.summary.update(T=T, n_steps=n_steps, rate_bound=rate_bound,
-                       dt_rate=dt * rate_bound)
+                       dt_rate=dt * rate_bound, time_error=time_error)
     return rec
 
 
@@ -276,7 +309,7 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
                   x_span=(-60.0, 60.0), dx: float = 0.05,
                   dt: float | None = None, snapshot_dt: float = 1.0,
                   control_speed: float | None = None) -> EvolutionRecord:
-    """IMEX evolution of u_t = u_xx + f(u) - beta(u, alpha).
+    """SBDF2 evolution of u_t = u_xx + f(u) - beta(u, alpha).
 
     `c_frame` switches to the comoving frame (transport term + static
     control field); in the lab frame a moving control is produced by
@@ -288,9 +321,10 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
                           "(beta_from_alpha missing)")
 
     def system(scheme, fields):
-        def step(fields, alpha):
-            (u,) = fields
-            return (scheme.diffuse(u, _reaction(spec, u, alpha)),)
+        def step(fields, alpha, prev):
+            (u,), (p,) = fields, prev
+            r = _reaction(spec, u, alpha)
+            return (scheme.diffuse(scheme.explicit(u, r, p), p is None),), (r,)
 
         def report(rec):
             max_exc = 0.0
@@ -360,27 +394,35 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
     """Scalar front plus pointwise tree infection theta_t = kappa1 u (1-theta).
 
     In the lab frame theta is advanced by its exact exponential update
-    (monotone and bounded); the comoving frame adds implicit upwinded
-    transport.  The running cost integral of control plus infected trees
-    is accumulated per step into summary['cost_integral'].
+    for u linear in t over the step (monotone, bounded and second order
+    like the u-step); the comoving frame adds implicit upwinded transport.
+    The running cost integral of control plus infected trees is
+    accumulated per step, by the trapezoid rule, into
+    summary['cost_integral'].
     """
     def system(scheme, fields):
         cost = 0.0
         theta_monotone = True
 
-        def step(fields, alpha):
+        def step(fields, alpha, prev):
             nonlocal cost, theta_monotone
-            u, th = fields
+            (u, th), (p_u, p_th) = fields, prev
+            r_u, r_th = _reaction(spec, u, alpha), None
+            u_new = scheme.diffuse(scheme.explicit(u, r_u, p_u), p_u is None)
             if c_frame is not None:
-                th_new = scheme.transport(th, kappa1 * u * (1.0 - th))
+                r_th = kappa1 * u * (1.0 - th)
+                th_new = scheme.transport(scheme.explicit(th, r_th, p_th),
+                                          p_th is None)
             else:
-                th_new = 1.0 - (1.0 - th) * np.exp(-kappa1 * u * scheme.dt)
+                th_new = 1.0 - (1.0 - th) * np.exp(
+                    -0.5 * kappa1 * (u + u_new) * scheme.dt)
                 if np.any(th_new < th - 1e-12):
                     theta_monotone = False
+            th_new = np.clip(th_new, 0.0, 1.0)
+            # alpha is static in both frames
             cost += scheme.dt * scheme.dx * float(np.sum(
-                (alpha if alpha is not None else 0.0) + th))
-            return (scheme.diffuse(u, _reaction(spec, u, alpha)),
-                    np.clip(th_new, 0.0, 1.0))
+                (alpha if alpha is not None else 0.0) + 0.5 * (th + th_new)))
+            return (u_new, th_new), (r_u, r_th)
 
         def report(rec):
             return {"cost_integral": cost,
@@ -416,14 +458,18 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         if np.any(v > u + 1e-9):
             raise ConfigError("initial data violates v <= u")
 
-        def step(fields, alpha):
-            u, v, th = fields
+        def step(fields, alpha, prev):
+            (u, v, th), (p_u, p_v, p_th) = fields, prev
+            start = p_u is None
             al = 0.0 if alpha is None else alpha
             r_u = np.asarray(spec.f(u), dtype=float) - al * u
             r_v = k2 * (u - v) * th - (al + d) * v
-            uv = scheme.diffuse(np.column_stack((u, v)),
-                              np.column_stack((r_u, r_v)))
-            return uv[:, 0], uv[:, 1], scheme.transport(th, k1 * v * (1.0 - th))
+            r_th = k1 * v * (1.0 - th)
+            uv = scheme.diffuse(np.column_stack((
+                scheme.explicit(u, r_u, p_u), scheme.explicit(v, r_v, p_v))),
+                start)
+            th_new = scheme.transport(scheme.explicit(th, r_th, p_th), start)
+            return (uv[:, 0], uv[:, 1], th_new), (r_u, r_v, r_th)
 
         def report(rec):
             d_inv = 0.0

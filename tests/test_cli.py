@@ -229,13 +229,15 @@ PDE_GRID = ["--T", "1", "--dx", "0.2"]
      ["v_right_end", "defect"]),
     (["pde", "scalar", "--c", "-0.1", *PDE_GRID], "t,x,u",
      ["c_star", "max_drift", "max_excursion", "T", "n_steps", "rate_bound",
-      "dt_rate"]),
+      "dt_rate", "time_error"]),
     (["pde", "model1", "--c", "-0.1", *PDE_GRID], "t,x,u,theta",
      ["c_star", "max_drift", "theta_drift", "joint_drift", "cost_integral",
-      "theta_monotone_in_t", "T", "n_steps", "rate_bound", "dt_rate"]),
+      "theta_monotone_in_t", "T", "n_steps", "rate_bound", "dt_rate",
+      "time_error"]),
     (["pde", "model2", *M2_ARGS, *PDE_GRID], "t,x,u,v,theta",
      ["c_star", "max_drift", "v_drift", "theta_drift", "joint_drift",
-      "d_invariance", "T", "n_steps", "rate_bound", "dt_rate"]),
+      "d_invariance", "T", "n_steps", "rate_bound", "dt_rate",
+      "time_error"]),
 ])
 def test_csv_and_json_artifacts(tmp_path, capsys, cached_profiles, argv,
                                 header, keys):

@@ -233,6 +233,47 @@ def test_a0_bounds_orbits_reaching_one(weed, c_star_weed, c):
     assert flags == [True, True, True, False, False, False]
 
 
+@pytest.mark.parametrize("c", [-0.2, -0.1, 0.0])
+def test_a0_asymptote_matches_the_axis_run(weed, monkeypatch, c):
+    # stopping P_sharp early and closing the gap with the square-root
+    # asymptote gives the a0 of the run that crawls down to the P floor,
+    # within the asymptote's 1e-12 error bound, in fewer RHS evaluations
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    c_prime = 0.5 * (c + acc._c_hat())
+    inner, nfev = pp.solve_ivp, []
+
+    def counted(*args, **kwargs):
+        sol = inner(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+    monkeypatch.setattr(pp, "solve_ivp", counted)
+    u0, p0 = pp._saddle_seed(sub, c_prime, 1.0)
+    *_, ended, u_axis = pp._integrate_chart(sub, c_prime, None, u0, p0,
+                                            u1=0.0, dense_output=False)
+    assert ended == "p_zero"
+    a0 = _aux_left_end(sub, c_prime)
+    assert abs(a0 - u_axis) <= 3e-12 * u_axis
+    assert nfev[1] < 0.9 * nfev[0]
+
+
+@pytest.mark.parametrize("u_star, rate, frac", [
+    (0.16827123072701727, 1.0, 1.0),
+    (0.15961935544548733, 0.170209103171346, 0.6528064776634489),
+])
+def test_a0_where_p_sharp_tends_to_the_threshold_node(u_star, rate, frac):
+    # here P_sharp at c' tends to the node (u*, 0) and the chart run reaches
+    # its P floor just beyond u*, where f > 0 (2.0e-6 beyond in the first
+    # case); a0 is u* itself
+    spec = make_cubic_model(u_star, rate)
+    sub = make_substitute_spec(spec, spec.f)
+    kappa = math.sqrt(rate / 2.0)
+    c_prime = kappa * (2.0 * u_star - 1.0) - frac * kappa
+    a0 = _aux_left_end(sub, c_prime)
+    assert a0 == sub.u_star
+    assert _pcprime_orbit(sub, c_prime, a0 * (1.0 - 1e-7))[0]
+    assert not _pcprime_orbit(sub, c_prime, a0 * (1.0 + 1e-7))[0]
+
+
 @settings(max_examples=10, deadline=None)
 @given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.1, 10.0),
        frac=st.floats(0.02, 1.0))

@@ -37,7 +37,7 @@ def test_cubic_speed_and_front_match_closed_form(u_star, rate):
 @given(u_star=st.floats(0.1, 0.4), rate=st.floats(0.5, 10.0))
 def test_pde_front_speed_matches_closed_form(u_star, rate):
     # a free front from a step, run until it has moved about 40 (at most
-    # T = 50); the default dt is scaled by sup|f'|, which keeps the O(dt)
+    # T = 50); the default dt is scaled by sup|f'|, which keeps the O(dt^2)
     # speed error well inside 2% at the fast corner of the box
     spec = make_cubic_model(u_star, rate)
     c_star = np.sqrt(rate / 2.0) * (2.0 * u_star - 1.0)

@@ -9,7 +9,7 @@ from scipy.linalg import solve_banded
 from travwave.errors import (ConfigError, FrontNotFoundError,
                              InstabilityError, InvalidParameterError)
 from travwave.model import Model2Params, ModelSpec
-from travwave.pde import (_factor, _operator, _Scheme, evolve_model1,
+from travwave.pde import (_operator, _Scheme, evolve_model1,
                           evolve_model2, evolve_scalar, front_speed)
 from travwave.phaseplane import unstable_manifold
 from travwave.profile import reconstruct_x
@@ -100,10 +100,12 @@ def test_transport_operator_has_no_diffusion(c_frame):
         assert np.max(np.abs(lhs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_weed_default_run_takes_2500_steps(weed):
+def test_weed_default_run_takes_500_steps(weed):
+    # sup|f'| = 2/3 leaves dt at DT_MAX = 0.1, a whole fraction of the
+    # snapshot interval 1
     rec = evolve_scalar(weed, lambda x: 0.5, T=50.0, x_span=(-5, 5), dx=0.1)
-    assert rec.dt == 0.02
-    assert rec.summary["n_steps"] == 2500
+    assert rec.dt == 0.1
+    assert rec.summary["n_steps"] == 500
 
 
 def test_default_dt_rate_within_bound(weed):
@@ -158,21 +160,71 @@ def test_non_finite_control_is_refused(weed, value):
 @pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
 def test_factored_step_matches_banded_solve(c_frame):
     # factoring once per run changes no bit of a step: solve_banded on the
-    # same operator is the reference, for one and for two columns
+    # same operator is the reference, at 2/3 dt (SBDF2) and at dt (the
+    # Euler start), for one and for two columns
     rng = np.random.default_rng(3)
     n, dx, dt = 2401, 0.05, 0.02
-    w, r = rng.uniform(0.0, 1.0, (2, n, 2))
-    ab = _operator(n, dx, dt, c_frame)
-    tab = _operator(n, dx, dt, c_frame, diffusion=False)
-    scheme = _Scheme(dx, dt, _factor(ab),
-                     None if c_frame is None else _factor(tab))
-    for wk, rk in ((w[:, 0], r[:, 0]), (w, r)):
-        ref = solve_banded((1, 1), ab, wk + dt * rk)
-        assert np.array_equal(scheme.diffuse(wk, rk), ref)
-        ref = solve_banded((1, 1), tab, wk + dt * rk)
-        assert np.array_equal(scheme.transport(wk, rk), ref)
-    assert np.array_equal(scheme.diffuse(w, r)[:, 0], scheme.diffuse(w[:, 0],
-                                                                     r[:, 0]))
+    w, r, w0, r0 = rng.uniform(0.0, 1.0, (4, n, 2))
+    scheme = _Scheme.build(n, dx, dt, c_frame)
+    for h, prev in ((2.0 * dt / 3.0, (w0, r0)), (dt, None)):
+        ab = _operator(n, dx, h, c_frame)
+        tab = _operator(n, dx, h, c_frame, diffusion=False)
+        start = prev is None
+        for cols in (0, slice(None)):
+            p = None if start else (w0[:, cols], r0[:, cols])
+            b = scheme.explicit(w[:, cols], r[:, cols], p)
+            assert np.array_equal(scheme.diffuse(b, start),
+                                  solve_banded((1, 1), ab, b))
+            assert np.array_equal(scheme.transport(b, start),
+                                  solve_banded((1, 1), tab, b))
+        b = scheme.explicit(w, r, prev)
+        assert np.array_equal(scheme.diffuse(b, start)[:, 0],
+                              scheme.diffuse(b[:, 0], start))
+    ref = (4.0 * w - w0) / 3.0 + (2.0 * dt / 3.0) * (2.0 * r - r0)
+    assert np.array_equal(scheme.explicit(w, r, (w0, r0)), ref)
+    assert np.array_equal(scheme.explicit(w, r, None), w + dt * r)
+
+
+def test_observed_temporal_order_is_two():
+    # SBDF2 on cubic(0.4, 10) from a smooth front: the error at T = 2
+    # against a dt = 0.1/64 reference falls by 4x per halving of dt (the
+    # first-order IMEX Euler step reads an order of about 1 here).  The
+    # time-error estimate, the local error of an Euler step, is O(dt^2)
+    from travwave.model import make_cubic_model
+    spec = make_cubic_model(0.4, 10.0)
+
+    def run(dt):
+        return evolve_scalar(spec, lambda x: 1.0 / (1.0 + np.exp(-x)),
+                             T=2.0, x_span=(-10, 10), dx=0.1, dt=dt,
+                             snapshot_dt=2.0)
+    ref = run(0.1 / 64).u_snapshots[-1]
+    recs = [run(dt) for dt in (0.1, 0.05, 0.025)]
+    errs = [float(np.max(np.abs(r.u_snapshots[-1] - ref))) for r in recs]
+    orders = np.log2(np.divide(errs[:-1], errs[1:]))
+    assert np.all(orders >= 1.8), orders
+    est = [r.summary["time_error"] for r in recs]
+    assert np.all(np.divide(est[:-1], est[1:]) >= 3.0), est
+
+
+@pytest.mark.parametrize("c_frame, factorizations", [(None, 2), (-0.1, 4)])
+def test_operators_factored_once_per_run(weed, monkeypatch, c_frame,
+                                         factorizations):
+    # the diffusion operator at 2/3 dt and at dt, and in the comoving
+    # frame the transport operator at both as well, however many steps
+    # the run takes
+    from scipy.linalg import lapack
+    inner, calls = lapack.dgttrf, []
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+    monkeypatch.setattr(lapack, "dgttrf", counted)
+    for T in (0.5, 5.0):
+        calls.clear()
+        rec = evolve_scalar(weed, lambda x: 1.0 / (1.0 + np.exp(-x)), T=T,
+                            c_frame=c_frame, x_span=(-10, 10), dx=0.1)
+        assert rec.summary["n_steps"] == round(T / rec.dt)
+        assert len(calls) == factorizations
 
 
 def test_blowup_guard(weed):
@@ -259,6 +311,27 @@ def test_model1_comoving_stationarity(weed, spatial01):
                         alpha_of_x=spatial01.alpha_at, kappa1=0.02,
                         c_frame=-0.1, T=50.0, x_span=(-60, 120), dx=0.05)
     assert rec.summary["joint_drift"] <= 1e-2
+
+
+def test_model1_lab_theta_and_cost_are_second_order(weed, monkeypatch):
+    # theta's exponential update uses the step's mean u, and the cost
+    # integral is a trapezoid sum: both converge like the SBDF2 u-step
+    import travwave.pde as pde
+
+    monkeypatch.setattr(pde, "DT_ACCURACY", 1.0)  # dt = DT_MAX here
+
+    def run(dt_max):
+        monkeypatch.setattr(pde, "DT_MAX", dt_max)
+        rec = evolve_model1(weed, lambda x: 1.0 / (1.0 + np.exp(-x)),
+                            lambda x: 0.0, kappa1=0.5, T=4.0,
+                            x_span=(-10, 10), dx=0.1)
+        assert rec.dt == dt_max
+        return rec.theta_snapshots[-1], rec.summary["cost_integral"]
+    th_ref, cost_ref = run(0.1 / 32)
+    errs = np.array([[float(np.max(np.abs(th - th_ref))), abs(cost - cost_ref)]
+                     for th, cost in (run(0.1), run(0.05), run(0.025))])
+    orders = np.log2(errs[:-1] / errs[1:])
+    assert np.all(orders >= 1.8), orders
 
 
 @pytest.mark.parametrize("c_frame", [None, -0.1])

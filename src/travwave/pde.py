@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from ._columns import write_columns
+from ._columns import write_snapshots
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
                      InstabilityError, InvalidParameterError)
 from .model import Model2Params, ModelSpec
@@ -72,16 +72,15 @@ class EvolutionRecord:
     summary: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        """One row per snapshot and cell: t,x,u[,v][,theta]."""
-        n_x = len(self.x)
-        cols = {"t": np.repeat(self.times, n_x),
-                "x": np.tile(self.x, len(self.times)),
-                "u": np.concatenate(self.u_snapshots)}
-        if self.v_snapshots is not None:
-            cols["v"] = np.concatenate(self.v_snapshots)
-        if self.theta_snapshots is not None:
-            cols["theta"] = np.concatenate(self.theta_snapshots)
-        write_columns(path, cols)
+        """One row per snapshot and cell: t,x,u[,v][,theta].
+
+        Each x is formatted once per file and each t once per snapshot;
+        the field values of a snapshot are formatted as one block.
+        """
+        fields = {"u": self.u_snapshots, "v": self.v_snapshots,
+                  "theta": self.theta_snapshots}
+        write_snapshots(path, self.times, self.x,
+                        {k: s for k, s in fields.items() if s is not None})
 
 
 def _operator(n: int, dx: float, dt: float, c: float | None,
@@ -152,7 +151,15 @@ class _Scheme:
         if prev is None:
             return w + self.dt * r
         w0, r0 = prev
-        return (4.0 * w - w0) / 3.0 + (2.0 * self.dt / 3.0) * (2.0 * r - r0)
+        # in place, bit-equal to the formula without its temporaries
+        a = 4.0 * w
+        a -= w0
+        a /= 3.0
+        b = 2.0 * r
+        b -= r0
+        b *= 2.0 * self.dt / 3.0
+        a += b
+        return a
 
     def diffuse(self, b: np.ndarray, start: bool) -> np.ndarray:
         # gttrs does not check for finiteness: a NaN reaches the blow-up
@@ -211,7 +218,7 @@ def _alpha_lookup(alpha_of_x, x, x_span, speed):
 
 
 def _guard(u: np.ndarray, t: float) -> None:
-    lo, hi = float(np.min(u)), float(np.max(u))
+    lo, hi = float(u.min()), float(u.max())
     if not (BLOWUP_LO <= lo and hi <= BLOWUP_HI):  # NaN fails both
         raise InstabilityError(f"field left [{BLOWUP_LO}, {BLOWUP_HI}] at "
                                f"t={t:.3f} (min={lo:.3g}, max={hi:.3g})")

@@ -4,8 +4,9 @@ The project has no linter dependency, so this makes the checks that
 matter here: every imported name is used, every ``__all__`` entry is
 defined, every import sits at module level (a module's dependencies are
 read off its head), no handler catches every exception (a programming
-error must propagate, not turn into a solver verdict), and one module
-holds the lock-step DOP853 integrator.
+error must propagate, not turn into a solver verdict), one module holds
+the lock-step DOP853 integrator, and one module owns the CSV number
+format.
 """
 
 from __future__ import annotations
@@ -195,3 +196,34 @@ def test_one_lock_step_integrator():
     assert {name for name, attrs in readers.items() if attrs} \
         == {"_lockstep.py"}
     assert readers["_lockstep.py"] == TABLEAU
+
+
+CSV_FORMAT = ".17g"
+
+
+def _format_constants(tree: ast.Module) -> list[int]:
+    """Lines of string constants, docstrings excepted, that hold the CSV
+    number format (f-string format specs included)."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and CSV_FORMAT in node.value and id(node) not in docstrings]
+
+
+def test_one_csv_writer():
+    # every CSV number goes through _columns.py; no other module holds
+    # '%.17g', so a second writer cannot fork the format
+    owners = {p.name for p in MODULES if _format_constants(_tree(p))}
+    assert owners == {"_columns.py"}
+
+
+def test_a_format_constant_is_reported():
+    tree = ast.parse('"""Docs: %.17g."""\n'
+                     'def f(x):\n    """%.17g"""\n    return "%.17g" % x\n'
+                     'g = lambda c: f"{c:.17g}"\n')
+    assert _format_constants(tree) == [4, 5]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from travwave._columns import write_columns
 from travwave.errors import (ConfigError, FrontNotFoundError,
                              InstabilityError, InvalidParameterError)
 from travwave.model import Model2Params, ModelSpec
-from travwave.pde import (_operator, _Scheme, evolve_model1,
+from travwave.pde import (EvolutionRecord, _operator, _Scheme, evolve_model1,
                           evolve_model2, evolve_scalar, front_speed)
 from travwave.phaseplane import unstable_manifold
 from travwave.profile import reconstruct_x
@@ -183,6 +184,21 @@ def test_factored_step_matches_banded_solve(c_frame):
     ref = (4.0 * w - w0) / 3.0 + (2.0 * dt / 3.0) * (2.0 * r - r0)
     assert np.array_equal(scheme.explicit(w, r, (w0, r0)), ref)
     assert np.array_equal(scheme.explicit(w, r, None), w + dt * r)
+
+
+def test_explicit_is_the_formula_and_leaves_inputs_unmodified():
+    # the in-place SBDF2 right-hand side is bit-equal to the one-line
+    # formula, also on strided column views, and writes to no input
+    rng = np.random.default_rng(11)
+    dt = 0.0731
+    scheme = _Scheme.build(5, 0.05, dt, None)
+    arrays = rng.standard_normal((4, 1001, 2))
+    for cols in (0, 1, slice(None)):
+        w, r, w0, r0 = (a[:, cols] for a in arrays)
+        before = arrays.copy()
+        ref = (4.0 * w - w0) / 3.0 + (2.0 * dt / 3.0) * (2.0 * r - r0)
+        assert np.array_equal(scheme.explicit(w, r, (w0, r0)), ref)
+        assert np.array_equal(arrays, before)
 
 
 def test_observed_temporal_order_is_two():
@@ -406,3 +422,66 @@ def test_snapshot_csv(tmp_path, weed):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x,u"
     assert len(lines) == 1 + len(rec.times) * len(rec.x)
+
+
+def _columns_csv(rec: EvolutionRecord, path) -> bytes:
+    """The snapshot table through write_columns on whole columns: t
+    repeated per cell, x tiled per snapshot, the fields concatenated."""
+    cols = {"t": np.repeat(rec.times, len(rec.x)),
+            "x": np.tile(rec.x, len(rec.times)),
+            "u": np.concatenate(rec.u_snapshots)}
+    for name in ("v", "theta"):
+        snaps = getattr(rec, f"{name}_snapshots")
+        if snaps is not None:
+            cols[name] = np.concatenate(snaps)
+    write_columns(path, cols)
+    return path.read_bytes()
+
+
+def _assert_same_csv_bytes(rec: EvolutionRecord, tmp_path):
+    rec.to_csv(tmp_path / "snapshots.csv")
+    assert (tmp_path / "snapshots.csv").read_bytes() \
+        == _columns_csv(rec, tmp_path / "columns.csv")
+
+
+def test_snapshot_csv_bytes_of_evolved_records(tmp_path, weed):
+    def front(x):
+        return 1.0 / (1.0 + np.exp(x))
+    kw = dict(T=2.0, x_span=(-5, 5), dx=0.1, snapshot_dt=0.5)
+    recs = [evolve_scalar(weed, front, c_frame=-0.2, **kw),
+            evolve_model1(weed, front, lambda x: 0.3, **kw),
+            evolve_model2(weed, front, lambda x: 0.5 * front(x),
+                          lambda x: 0.2, c_frame=-0.2, **kw)]
+    for rec, header in zip(recs, ("t,x,u", "t,x,u,theta", "t,x,u,v,theta")):
+        _assert_same_csv_bytes(rec, tmp_path)
+        with open(tmp_path / "snapshots.csv") as fh:
+            assert fh.readline() == header + "\n"
+
+
+@pytest.mark.parametrize("shape", ["full", "one_snapshot", "one_cell",
+                                   "no_cell"])
+def test_snapshot_csv_bytes_of_extreme_values(tmp_path, shape):
+    # -0.0 and 0.0 are both in x (each written as itself), with the
+    # smallest subnormal, both infinities and NaN among t, x and the fields
+    x = np.array([-0.0, 0.0, 5e-324, -np.inf, np.inf, np.nan, 1.0 / 3.0])
+    times = np.array([-0.0, 5e-324, 1e300])
+    rng = np.random.default_rng(5)
+    specials = np.array([-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                         np.nan])
+    snaps = {name: [rng.permutation(specials) for _ in times]
+             for name in ("u", "v", "theta")}
+    keep_t, keep_x = {"full": (slice(None), slice(None)),
+                      "one_snapshot": (slice(1, 2), slice(None)),
+                      "one_cell": (slice(None), slice(0, 1)),
+                      "no_cell": (slice(None), slice(0, 0))}[shape]
+    rec = EvolutionRecord(
+        x[keep_x], times[keep_t], [u[keep_x] for u in snaps["u"][keep_t]],
+        0.1, 0.01, "lab", None,
+        v_snapshots=[v[keep_x] for v in snaps["v"][keep_t]],
+        theta_snapshots=[th[keep_x] for th in snaps["theta"][keep_t]])
+    _assert_same_csv_bytes(rec, tmp_path)
+    lines = (tmp_path / "snapshots.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(rec.times) * len(rec.x)
+    if shape == "full":
+        assert lines[1].startswith("-0,-0,") and lines[2].startswith("-0,0,")
+        assert lines[1 + len(x)].startswith("4.9406564584124654e-324,-0,")

@@ -235,10 +235,11 @@ def cmd_model2(o: Opts) -> int:
     print(f"V(+inf) = {sol.meta['v_right_end']:.6f} "
           f"(V* = {params.v_star:.6f}); "
           f"iterations = {sol.meta['iterations']}, "
+          f"rejected = {sol.meta['rejected']}, "
           f"defect = {sol.meta['defect']:.3g}")
-    return finish(o, {"v_right_end": sol.meta["v_right_end"],
-                      "defect": sol.meta["defect"]}, "(x,u,v,theta) profile",
-                  sol.to_csv)
+    return finish(o, {k: sol.meta[k] for k in ("v_right_end", "defect",
+                                                "iterations", "rejected")},
+                  "(x,u,v,theta) profile", sol.to_csv)
 
 
 def cmd_pde(o: Opts) -> int:

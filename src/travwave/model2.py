@@ -22,14 +22,15 @@ for every control: the nonzero off-diagonal partials kappa2 theta,
 kappa2 (u - v) and kappa1 (1 - theta) are positive rates (`Model2Params`
 rejects any other) times non-negative coordinates.  The comparison
 argument rests on it: `supersolution` / `subsolution` build its barriers,
-`solve_vtheta` squeezes the exact (V, Theta) between them by a lagged,
-damped monotone iteration, and `case2_demo` integrates the linearized
-spiral backward to exhibit the sign violation that forbids buffer-zone
-profiles.
+`solve_vtheta` reaches the exact (V, Theta) from the subsolution by
+pseudo-transient Newton steps, accepting only steps that stay between the
+barriers, and `case2_demo` integrates the linearized spiral backward to
+exhibit the sign violation that forbids buffer-zone profiles.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +50,13 @@ __all__ = [
     "solve_vtheta", "case2_demo", "Case2Report",
 ]
 
+log = logging.getLogger(__name__)
+
 EPS0 = 1e-3  # subsolution's constants, see its docstring
 MAX_HALVINGS = 10
 GRID_H = 0.01
 DEFECT_TOL = 1e-6  # solve_vtheta's bound on the V-equation defect
-SWEEPS, NEWTON_STEPS = 250, 40  # solve_vtheta's budgets
+DELTA0, TRIALS = 0.1, 100  # solve_vtheta: first pseudo-time step, trials
 
 
 @dataclass
@@ -489,24 +492,27 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                  c: float, h: float = 0.02, sub: TriplePath | None = None,
                  sup: TriplePath | None = None) -> TriplePath:
-    """Exact (V, Theta) by damped monotone iteration from the subsolution.
+    """Exact (V, Theta) by pseudo-transient Newton steps inside the
+    barrier sandwich.
 
-    The Theta coupling is lagged: given Theta_k the V-equation is a linear
-    two-point problem (banded solve); given V the Theta-equation is
-    integrated exactly by its integrating factor.  Iterates are damped by
-    0.5 and must stay inside the barrier sandwich.  Up to SWEEPS lagged
-    sweeps run, then up to NEWTON_STEPS Newton steps, each stage stopping
-    once the discrete defect of the V-equation is at most DEFECT_TOL.  The
+    Theta is eliminated through its integrating factor, leaving the
+    V-equation's discrete defect F(V).  From the subsolution (V's right
+    end set to V*), each trial solves (J - I/delta) dv = -F with the banded
+    `_newton_solve`, an implicit Euler step of dV/dt = F (Kelley & Keyes,
+    SIAM J. Numer. Anal. 35(2), 1998).  A trial that keeps (V, Theta)
+    inside the sandwich (to 1e-6) is accepted and doubles delta; any other
+    halves it.  delta starts at DELTA0; the loop stops at defect
+    DEFECT_TOL or raises NonconvergenceError after TRIALS trials.  The
     grid spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
     subsolution's junction) and 20 / min(|lambda1|, a), snapped to h.
 
-    meta records "sweeps" (lagged sweeps), "newton_iterations" and
-    "newton_steps" (the line-search step length each Newton iteration
-    accepted, 0 if none), "iterations" (their sum) and the defect
-    "history" of every iteration.
+    meta records "iterations" (accepted steps; all are Newton steps, so
+    "newton_iterations" is equal), "rejected", the "deltas" of every trial
+    and the defect "history" after every accepted step; a DEBUG record
+    on the `travwave` logger carries the counts as `vtheta_work`.
     """
-    if not h > 0.0:
-        raise InvalidParameterError(f"h must be positive, got {h:g}")
+    if not (np.isfinite(h) and h > 0.0):
+        raise InvalidParameterError(f"h must be positive and finite, got {h:g}")
     if sub is None:
         sub = subsolution(u_profile, alpha, params, c)
     if sup is None:
@@ -531,72 +537,55 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     if not ordered:
         raise OrderingError("barriers are not ordered on the working grid")
 
-    history: list[float] = []
-
     def v_residual(Vc: np.ndarray, Thc: np.ndarray) -> np.ndarray:
         return _v_operator(Vc, c, h) \
             + k2 * (u[1:-1] - Vc[1:-1]) * Thc[1:-1] \
             - (d + al[1:-1]) * Vc[1:-1]
 
-    # Stage 1: lagged iteration from the subsolution, damped (0.5) first,
-    # then undamped sweeps.  On its own this creeps: the (V, Theta) front
-    # lives where U = 1 to ~1e-7, so a near-neutral translation mode
-    # dominates; the undamped sweeps cover most of the travel and leave
-    # the Newton corrector inside its quadratic basin.
-    V, Th = v_lo.copy(), th_lo.copy()
-    for sweep in range(SWEEPS):
-        omega = 0.5 if sweep < 50 else 1.0
-        V_new = _solve_linear_v(x, c, k2 * Th + d + al, k2 * u * Th, 0.0, vstar)
-        V = (1.0 - omega) * V + omega * V_new
-        Th = (1.0 - omega) * Th + omega * _theta_closed_form(x, V, k1, c)
-        defect = float(np.max(np.abs(v_residual(V, Th))))
-        history.append(defect)
-        if defect <= DEFECT_TOL:
-            break
-
-    # Stage 2: line-searched Newton on the reduced system (Theta
-    # eliminated through its integrating factor).  The Jacobian carries
-    # the lower-triangular sensitivity of Theta to upstream V, which is
-    # what moves the front along the weakly pinned direction.
-    sweeps = len(history)
-    newton_steps: list[float] = []
+    # The sandwich, not the defect, guards the steps: the defect has to
+    # rise while the weakly pinned front travels.
     lo, mid, up = _v_stencil(c, h)
+    slack = 1e-6
+    V = v_lo.copy()
+    V[-1] = vstar
     Th = _theta_closed_form(x, V, k1, c)
     F = v_residual(V, Th)
     nrm = float(np.max(np.abs(F)))
-    while nrm > DEFECT_TOL and len(newton_steps) < NEWTON_STEPS:
+    history: list[float] = []
+    deltas: list[float] = []
+    delta = DELTA0
+    while nrm > DEFECT_TOL:
+        if len(deltas) == TRIALS:
+            raise NonconvergenceError(
+                f"fixed point not reached ({len(deltas)} trials, "
+                f"{len(deltas) - len(history)} rejected, last defect "
+                f"{nrm:.3g})", history=history)
         fac = k2 * (u[1:-1] - V[1:-1]) * (1.0 - Th[1:-1]) * (-k1 / c)
         dg = mid - (k2 * Th[1:-1] + d + al[1:-1])
-        dv = _newton_solve(dg, up, lo, fac, h, F)
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            V_try = V.copy()
-            V_try[1:-1] += step * dv
-            Th_try = _theta_closed_form(x, V_try, k1, c)
-            F_try = v_residual(V_try, Th_try)
-            if float(np.max(np.abs(F_try))) < nrm:
-                V, Th, F = V_try, Th_try, F_try
-                nrm = float(np.max(np.abs(F)))
-                improved = True
-                break
-            step *= 0.5
-        newton_steps.append(step if improved else 0.0)
+        deltas.append(delta)
+        V_try = V.copy()
+        V_try[1:-1] += _newton_solve(dg - 1.0 / delta, up, lo, fac, h, F)
+        Th_try = _theta_closed_form(x, V_try, k1, c)
+        # written so that a NaN trial is rejected as well
+        inside = np.all((V_try >= v_lo - slack) & (V_try <= v_hi + slack)
+                        & (Th_try >= th_lo - slack)
+                        & (Th_try <= th_hi + slack))
+        if not inside:
+            delta *= 0.5
+            continue
+        V, Th = V_try, Th_try
+        F = v_residual(V, Th)
+        nrm = float(np.max(np.abs(F)))
         history.append(nrm)
-        if not improved:
-            break
-    if nrm > DEFECT_TOL:
-        raise NonconvergenceError(
-            f"fixed point not reached ({sweeps} sweeps + {len(newton_steps)} "
-            f"Newton steps, last defect {nrm:.3g})", history=history)
-
-    slack = 1e-6
-    if np.any(V < v_lo - slack) or np.any(V > v_hi + slack) \
-            or np.any(Th < th_lo - slack) or np.any(Th > th_hi + slack):
-        raise OrderingError("solution escaped the barrier sandwich")
+        delta *= 2.0
+    work = {"trials": len(deltas), "iterations": len(history),
+            "rejected": len(deltas) - len(history), "defect": nrm}
+    log.debug("solve_vtheta at c=%g: trials=%d rejected=%d defect=%.3g", c,
+              work["trials"], work["rejected"], nrm,
+              extra={"vtheta_work": work})
 
     r2 = np.zeros_like(V)
-    r2[1:-1] = v_residual(V, Th)
+    r2[1:-1] = F
     # Theta residual in the scheme's own (integrating-factor/trapezoid)
     # discretization: c D[ln(1-Theta)] = kappa1 V at cell midpoints,
     # multiplied back by (1-Theta); exact where Theta has saturated.
@@ -612,10 +601,9 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
 
     path = TriplePath(x, u, V, Th, "solution",
                       residuals={"second": r2, "third": r3},
-                      meta={"iterations": len(history), "defect": history[-1],
-                            "sweeps": sweeps,
-                            "newton_iterations": len(newton_steps),
-                            "newton_steps": newton_steps,
+                      meta={"iterations": len(history), "defect": nrm,
+                            "newton_iterations": len(history),
+                            "rejected": work["rejected"], "deltas": deltas,
                             "history": history, "halfwidth": L, "h": h,
                             "v_right_end": float(V[-1]),
                             "theta_right_end": float(Th[-1])})

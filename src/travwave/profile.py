@@ -169,8 +169,8 @@ def _theta_closed_form(x, u, kappa1: float, c: float,
 
     `tail` is the integral of U left of x[0].  The integral is clipped at
     0 so that an integrand of mixed sign (a trial V of solve_vtheta's
-    Newton line search) cannot push Theta below 0; for a non-negative
-    integrand the clip does nothing.
+    pseudo-transient Newton loop) cannot push Theta below 0; for a
+    non-negative integrand the clip does nothing.
     """
     integral = np.clip(tail + cumulative_trapezoid(u, x, initial=0.0),
                        0.0, None)

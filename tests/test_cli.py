@@ -226,7 +226,7 @@ PDE_GRID = ["--T", "1", "--dx", "0.2"]
     (["model1", "--c", "-0.1"], "x,u,p,alpha,theta",
      ["theta_left", "theta_right"]),
     (["model2", "profile", *M2_ARGS], "x,u,v,theta",
-     ["v_right_end", "defect"]),
+     ["v_right_end", "defect", "iterations", "rejected"]),
     (["pde", "scalar", "--c", "-0.1", *PDE_GRID], "t,x,u",
      ["c_star", "max_drift", "max_excursion", "T", "n_steps", "rate_bound",
       "dt_rate", "time_error"]),
@@ -252,6 +252,10 @@ def test_csv_and_json_artifacts(tmp_path, capsys, cached_profiles, argv,
     assert payload["config"]["json"] == str(js)
     assert list(payload["config"])[-2:] == ["out", "json"]
     assert list(payload["results"]) == keys
+    if "rejected" in keys:
+        res = payload["results"]
+        assert (f"iterations = {res['iterations']}, "
+                f"rejected = {res['rejected']}") in out
 
 
 @pytest.mark.parametrize("with_out", [False, True])

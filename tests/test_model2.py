@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 import travwave.acceptance as acc
 import travwave.model2 as model2
@@ -204,8 +206,9 @@ def _dense_newton_solve(dg, up, lo, fac, h, F):
     T + diag(fac) h (S - I/2) and solve it directly.
 
     A plain double LU solve of J is off by up to ~3e-12 of |dv| at
-    N ~ 200, so one refinement step against J assembled in extended
-    precision brings the reference to the exact solution's rounding."""
+    N ~ 200, so one refinement step (on the same LU factors) against J
+    assembled in extended precision brings the reference to the exact
+    solution's rounding."""
     def assemble(dtype):
         n = len(dg)
         idx = np.arange(n)
@@ -217,10 +220,10 @@ def _dense_newton_solve(dg, up, lo, fac, h, F):
         J[idx[1:], idx[1:] - 1] += dtype(lo)
         return J
 
-    J = assemble(np.float64)
-    dv = np.linalg.solve(J, -F)
+    lu = lu_factor(assemble(np.float64), overwrite_a=True)
+    dv = lu_solve(lu, -F)
     r = -F - assemble(np.longdouble) @ dv.astype(np.longdouble)
-    return dv + np.linalg.solve(J, r.astype(float))
+    return dv + lu_solve(lu, r.astype(float))
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,26 +262,104 @@ def test_linear_v_solve_satisfies_the_shared_operator(n, c, h, seed):
 
 
 def test_solution_matches_dense_newton(m2_pipeline, monkeypatch):
-    # criterion-8 state: c = -0.9, h = 0.02, the cached sandwich
+    # criterion-8 state: c = -0.9, h = 0.02, the cached sandwich.  A dense
+    # solve of every trial (N ~ 3,800) would take about 50 s, so the banded
+    # updates of the first and the last trial are checked against the
+    # dense reference on the inputs the solver gave them
     sup, sub, sol = acc._m2_sandwich()
-    monkeypatch.setattr(model2, "_newton_solve", _dense_newton_solve)
-    dense = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+    banded, calls = model2._newton_solve, []
+
+    def recorded(*args):
+        dv = banded(*args)
+        calls.append((args, dv))
+        return dv
+
+    monkeypatch.setattr(model2, "_newton_solve", recorded)
+    again = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
                          m2_pipeline["params"], -0.9, sub=sub, sup=sup)
-    assert np.max(np.abs(sol.v_values - dense.v_values)) <= 1e-12
-    assert np.max(np.abs(sol.theta_values - dense.theta_values)) <= 1e-12
-    for key in ("sweeps", "newton_iterations", "iterations"):
-        assert sol.meta[key] == dense.meta[key]
-    assert sol.meta["newton_iterations"] >= 1
-    assert sol.meta["sweeps"] + sol.meta["newton_iterations"] \
-        == sol.meta["iterations"] == len(sol.meta["history"])
-    assert len(sol.meta["newton_steps"]) == sol.meta["newton_iterations"]
-    assert all(0.0 < s <= 1.0 for s in sol.meta["newton_steps"])
+    assert np.array_equal(again.v_values, sol.v_values)
+    assert np.array_equal(again.theta_values, sol.theta_values)
+    assert len(calls) == len(sol.meta["deltas"]) >= 2
+    for args, dv in (calls[0], calls[-1]):
+        ref = _dense_newton_solve(*args)
+        assert np.max(np.abs(dv - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # every accepted step is a Newton step with a pseudo-time shift
+    assert sol.meta["newton_iterations"] == sol.meta["iterations"] \
+        == len(sol.meta["history"]) >= 1
+    assert sol.meta["iterations"] + sol.meta["rejected"] \
+        == len(sol.meta["deltas"])
+    assert sol.meta["deltas"][0] == model2.DELTA0
+    assert sol.meta["defect"] == sol.meta["history"][-1] <= model2.DEFECT_TOL
+
+
+def _inside_sandwich(sol, sub, sup, slack=1e-6):
+    x = sol.x_nodes
+    v_hi = np.minimum(sol.u_values, sup.meta["v_star"])
+    return bool(np.all(sol.v_values >= sub.v_at(x) - slack)
+                and np.all(sol.v_values <= v_hi + slack)
+                and np.all(sol.theta_values >= sub.theta_at(x) - slack)
+                and np.all(sol.theta_values <= sup.theta_at(x) + slack))
+
+
+@pytest.mark.parametrize("c", [-0.7, -0.8, -0.85, -0.895, -0.9, -0.905])
+def test_solution_converges_inside_the_sandwich(m2_pipeline, c):
+    # the (V, Theta) equations along the c = -0.9 profile U, across the
+    # complex-pair regime of P111 (c_sharp = -1) and the benchmark's speeds
+    sp, al, pr = (m2_pipeline["spatial"], m2_pipeline["alpha"],
+                  m2_pipeline["params"])
+    sup = supersolution(sp, pr, c)
+    sub = subsolution(sp, al, pr, c)
+    sol = solve_vtheta(sp, al, pr, c, sub=sub, sup=sup)
+    assert sol.meta["defect"] <= model2.DEFECT_TOL
+    assert np.max(np.abs(sol.residuals["second"])) <= model2.DEFECT_TOL
+    assert _inside_sandwich(sol, sub, sup)
+    assert sol.meta["iterations"] + sol.meta["rejected"] \
+        == len(sol.meta["deltas"]) <= model2.TRIALS
+
+
+def test_solve_vtheta_rejects_a_step_that_leaves_the_sandwich(
+        m2_pipeline, monkeypatch):
+    # delta0 = 1e6 starts as plain Newton, whose first steps overshoot the
+    # sandwich; they are rejected and delta halved until a step stays in
+    sup, sub, sol = acc._m2_sandwich()
+    monkeypatch.setattr(model2, "DELTA0", 1e6)
+    forced = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                          m2_pipeline["params"], -0.9, sub=sub, sup=sup)
+    deltas = forced.meta["deltas"]
+    assert deltas[0] == 1e6 and deltas[1] == 5e5
+    assert forced.meta["rejected"] >= 1
+    assert forced.meta["defect"] <= model2.DEFECT_TOL
+    assert _inside_sandwich(forced, sub, sup)
+    # each trial doubles delta after an accepted step and halves it after
+    # a rejected one
+    ratios = np.array(deltas[1:]) / np.array(deltas[:-1])
+    assert set(ratios) <= {0.5, 2.0}
+    assert int(np.sum(ratios == 0.5)) in (forced.meta["rejected"],
+                                          forced.meta["rejected"] - 1)
+    assert np.max(np.abs(forced.v_values - sol.v_values)) <= 1e-4
+
+
+def test_solve_vtheta_logs_its_work_at_debug(m2_pipeline, caplog):
+    sup, sub, _ = acc._m2_sandwich()
+    args = (m2_pipeline["spatial"], m2_pipeline["alpha"],
+            m2_pipeline["params"], -0.9)
+    solve_vtheta(*args, sub=sub, sup=sup)
+    assert not [r for r in caplog.records if r.name.startswith("travwave")]
+    with caplog.at_level(logging.DEBUG, logger="travwave"):
+        sol = solve_vtheta(*args, sub=sub, sup=sup)
+    (rec,) = [r for r in caplog.records if r.name == "travwave.model2"]
+    assert rec.levelno == logging.DEBUG
+    meta = sol.meta
+    assert rec.vtheta_work == {"trials": len(meta["deltas"]),
+                               "iterations": meta["iterations"],
+                               "rejected": meta["rejected"],
+                               "defect": meta["defect"]}
 
 
 def test_solve_vtheta_rejects_bad_mesh(m2_pipeline):
     sp, al, pr = (m2_pipeline["spatial"], m2_pipeline["alpha"],
                   m2_pipeline["params"])
-    for h in (0.0, -0.02, float("nan")):
+    for h in (0.0, -0.02, float("nan"), float("inf")):
         with pytest.raises(InvalidParameterError, match="h must be positive"):
             solve_vtheta(sp, al, pr, -0.9, h=h)
 
@@ -297,15 +378,18 @@ def test_controls_are_sampled_on_arrays(m2_pipeline, scalar_only):
 
 
 def test_solve_vtheta_reports_nonconvergence(m2_pipeline, monkeypatch):
-    # one sweep and no Newton budget cannot reach tol
+    # three trials cannot reach tol: from delta0 = 0.1 all three are
+    # accepted, from delta0 = 1e6 all three leave the sandwich
     sup, sub, _ = acc._m2_sandwich()
-    monkeypatch.setattr(model2, "SWEEPS", 1)
-    monkeypatch.setattr(model2, "NEWTON_STEPS", 0)
-    with pytest.raises(NonconvergenceError) as exc:
-        solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
-                     m2_pipeline["params"], -0.9, sub=sub, sup=sup)
-    assert "1 sweeps + 0 Newton steps" in str(exc.value)
-    assert len(exc.value.history) == 1
+    monkeypatch.setattr(model2, "TRIALS", 3)
+    for delta0, rejected in ((0.1, 0), (1e6, 3)):
+        monkeypatch.setattr(model2, "DELTA0", delta0)
+        with pytest.raises(NonconvergenceError) as exc:
+            solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                         m2_pipeline["params"], -0.9, sub=sub, sup=sup)
+        assert f"3 trials, {rejected} rejected" in str(exc.value)
+        assert len(exc.value.history) == 3 - rejected
+        assert all(d > model2.DEFECT_TOL for d in exc.value.history)
 
 
 def test_far_fields_of_triple_paths(m2_pipeline):

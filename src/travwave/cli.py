@@ -128,9 +128,11 @@ def cmd_construct(o: Opts) -> int:
     cprime = o.get("cprime", None)
     prof = finite_cost_control(spec, c, c_prime=cprime)
     print(f"u1 = {prof.u1:.8g}  u2_tilde = {prof.u2_tilde:.8g}  "
-          f"c' = {prof.c_prime:.8g}  cost = {prof.cost:.8g}")
+          f"c' = {prof.c_prime:.8g}  cost = {prof.cost:.8g}  "
+          f"cost_error = {prof.meta['cost_error']:.2g}")
     return finish(o, {"u1": prof.u1, "u2_tilde": prof.u2_tilde,
-                      "c_prime": prof.c_prime, "cost": prof.cost},
+                      "c_prime": prof.c_prime, "cost": prof.cost,
+                      "cost_error": prof.meta["cost_error"]},
                   "concatenated trajectory",
                   lambda out: prof.trajectory.to_csv(out))
 

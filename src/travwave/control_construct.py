@@ -239,8 +239,9 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     its atol, as the branch tends to the node (u_hat*, 0).
     """
     def asymptote_excess(u, p):
+        # in cube roots: linear in P, so the event's root finder converges
         f_neg = max(-float(sub_spec.f(u)), 0.0)
-        return abs(c_prime) * p**3 - 3.0 * A0_RTOL * u * f_neg**2
+        return np.cbrt(abs(c_prime)) * p - np.cbrt(3 * A0_RTOL * u * f_neg**2)
 
     u0, p0 = _saddle_seed(sub_spec, c_prime, 1.0)
     _, p_end, ended, u_end = _integrate_chart(
@@ -280,7 +281,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
                                    np.array([float(sharp.p_values[0])]),
                                    c_star, "controlled"), sharp),
             spec.u_star, spec.u_star, np.zeros_like, 0.0, c, c_star, 0.0,
-            meta={"trivial": True})
+            meta={"trivial": True, "cost_error": 0.0})
 
     sub_spec = make_substitute_spec(spec, default_substitute(spec))
     if c_hat is None:
@@ -331,7 +332,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
 
     flat_piece = _slice_to(flat, u1, pflat)
     sharp_piece = _slice_from(sharp, u2t, psharp)
-    middle_cost = cost_of(spec, middle)
+    middle_cost, cost_error = _cost_and_error(spec, middle)
 
     bt = middle.beta_values
     active = bt > 1e-14
@@ -343,16 +344,16 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
                          beta_tilde, middle_cost, c, c_prime, delta,
                          meta={"c_hat": c_hat, "a0": a0, "a": a_use,
                                "p_above_aux": comparison_ok,
-                               "u_bar": u_bar})
+                               "u_bar": u_bar, "cost_error": cost_error})
 
 
-def cost_of(spec: ModelSpec, traj: PhaseTrajectory, refine: bool = True) -> float:
+def cost_of(spec: ModelSpec, traj: PhaseTrajectory) -> float:
     """Effort integral J = int L(U, beta(U)) / P(U) dU along a trajectory.
 
-    Composite Simpson on the trajectory nodes, with one midpoint-refinement
-    pass when `refine`.  Control at or beyond the cost barrier makes J
-    infinite (reported as +inf); positive control where P ~ 0 raises
-    SingularCostError.
+    Composite Simpson on the trajectory nodes, which the chart integrator
+    samples from its dense output.  Control at or beyond the cost barrier
+    makes J infinite (reported as +inf); positive control where P ~ 0
+    raises SingularCostError.
     """
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)
@@ -367,21 +368,18 @@ def cost_of(spec: ModelSpec, traj: PhaseTrajectory, refine: bool = True) -> floa
     bmax = np.asarray(spec.beta_max(u), dtype=float)
     if np.any(active & (b >= bmax)):
         return float("inf")
+    g = np.zeros_like(u)
+    g[active] = np.asarray(spec.L(u[active], b[active]), dtype=float) \
+        / p[active]
+    return float(simpson(g, x=u))
 
-    def integrand(uu, pp, bb):
-        out = np.zeros_like(uu)
-        act = bb > 0.0
-        Lv = np.asarray(spec.L(uu[act], bb[act]), dtype=float)
-        out[act] = Lv / pp[act]
-        return out
 
-    g = integrand(u, p, b)
-    J = float(simpson(g, x=u))
-    if not refine or len(u) < 3:
-        return J
-    p_i = PchipInterpolator(u, p)
-    b_i = PchipInterpolator(u, np.maximum(b, 0.0))
-    um = 0.5 * (u[:-1] + u[1:])
-    u2 = np.sort(np.concatenate((u, um)))
-    g2 = integrand(u2, np.asarray(p_i(u2)), np.maximum(np.asarray(b_i(u2)), 0.0))
-    return float(simpson(g2, x=u2))
+def _cost_and_error(spec: ModelSpec, traj: PhaseTrajectory):
+    """`cost_of(spec, traj)` and its halving error estimate: the distance
+    to `cost_of` on every other node, the last node kept."""
+    keep = np.zeros(len(traj.u_nodes), dtype=bool)
+    keep[::2] = keep[-1] = True
+    half = PhaseTrajectory(traj.u_nodes[keep], traj.p_values[keep], traj.c,
+                           traj.kind, beta_values=traj.beta_values[keep])
+    cost = cost_of(spec, traj)
+    return cost, abs(cost - cost_of(spec, half))

@@ -53,7 +53,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 EPS0 = 1e-3  # subsolution's constants, see its docstring
-MAX_HALVINGS = 10
+ARC_ATOL = 1e-13
 GRID_H = 0.01
 DEFECT_TOL = 1e-6  # solve_vtheta's bound on the V-equation defect
 DELTA0, TRIALS = 0.1, 100  # solve_vtheta: first pseudo-time step, trials
@@ -293,9 +293,9 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     the control alpha has died out and U >= 1 - EPS0), cut at its first
     descending V-zero x1, and continued on [x1, inf) by the explicit
     exponential relaxation toward V* with the matching Theta integral.  The
-    launch amplitude eps = 1e-3 is halved (up to MAX_HALVINGS times) until
-    the window conditions and the domain bounds 0 <= v <= min(U, V*),
-    theta <= 1 hold.  Arc and right piece are sampled at spacing GRID_H.
+    launch amplitude eps = 1e-3 is halved, down to 1e3 ARC_ATOL, until the
+    window conditions and the domain bounds 0 <= v <= min(U, V*), theta <= 1
+    hold.  Arc and right piece are sampled at spacing GRID_H.
     """
     cs = c_sharp(params)
     if not (cs < c < 0.0):
@@ -347,10 +347,10 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     window = 4.0 * np.pi / b
     attempt = 1e-3
     last_reason = ""
-    for _ in range(MAX_HALVINGS + 1):
+    while attempt >= 1e3 * ARC_ATOL:
         sol = solve_ivp(rhs, (x0, x0 + window * 1.05),
                         [0.0, attempt * b, attempt * theta_hat0],
-                        method="DOP853", rtol=1e-11, atol=1e-13,
+                        method="DOP853", rtol=1e-11, atol=ARC_ATOL,
                         dense_output=True, events=[ev_vzero, ev_vcap, ev_thcap])
         if sol.status != 1 or len(sol.t_events[0]) == 0:
             last_reason = ("arc left the admissible box before its V-zero"
@@ -375,7 +375,7 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
         attempt *= 0.5
     else:
         raise ConstructionFailureError(
-            f"subsolution window not found after {MAX_HALVINGS} halvings: "
+            f"subsolution window not found above eps = {1e3 * ARC_ATOL:g}: "
             + last_reason)
 
     theta_tilde = float(Th1)

@@ -34,8 +34,8 @@ from scipy.interpolate import PchipInterpolator
 
 from ._lockstep import LockStep
 from ._roots import bisect
-from .control_construct import (SPEED_GUARD, _slice_from, _slice_to, cost_of,
-                                merge_pieces, natural_heteroclinic)
+from .control_construct import (SPEED_GUARD, _cost_and_error, _slice_from,
+                                _slice_to, merge_pieces, natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, TravwaveError)
 from .model import ModelSpec, _check_finite_state, check_A1, check_A2
@@ -86,6 +86,7 @@ class ShootingDiagnostics:
     shots: int = 0
     scan_passes: int = 0
     scan_fallbacks: int = 0
+    cost_error: float = 0.0  # the arc cost's halving error estimate
 
 
 @dataclass
@@ -422,10 +423,10 @@ def optimal_profile(spec: ModelSpec, c: float,
     traj = merge_pieces((_slice_to(flat, u1_root, p_flat), arc,
                          _slice_from(sharp, u2, p_sharp)), c)
 
-    cost = cost_of(spec, arc)
+    cost, cost_error = _cost_and_error(spec, arc)
     diag = ShootingDiagnostics(True, u1_root, phi_root,
                                [r[0] for r in roots], scan_lo, scan_hi,
-                               len(grid), shots, passes, fallbacks)
+                               len(grid), shots, passes, fallbacks, cost_error)
     return OptimalProfile(c, u1_root, u2, traj, cost, diag, arc=arc)
 
 

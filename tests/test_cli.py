@@ -221,7 +221,7 @@ PDE_GRID = ["--T", "1", "--dx", "0.2"]
 
 @pytest.mark.parametrize("argv, header, keys", [
     (["construct", "--c", "-0.1"], "u,p,beta",
-     ["u1", "u2_tilde", "c_prime", "cost"]),
+     ["u1", "u2_tilde", "c_prime", "cost", "cost_error"]),
     (["profile", "--c", "-0.1"], "x,u,p,alpha,theta", ["c_star", "cost"]),
     (["model1", "--c", "-0.1"], "x,u,p,alpha,theta",
      ["theta_left", "theta_right"]),
@@ -282,6 +282,7 @@ def test_optimal_json_reports_shooting(tmp_path, capsys, cached_profiles):
     shooting = results["shooting"]
     assert list(shooting) == ["converged", "u1_root", "phi_at_root", "roots",
                               "scan_lo", "scan_hi", "n_scanned", "shots",
-                              "scan_passes", "scan_fallbacks"]
+                              "scan_passes", "scan_fallbacks", "cost_error"]
     assert shooting["n_scanned"] > shooting["shots"] > 0
+    assert 0.0 < shooting["cost_error"] <= 1e-9 * results["cost"]
     assert shooting["scan_passes"] > 0 and shooting["scan_fallbacks"] == 0

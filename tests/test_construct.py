@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 import travwave.acceptance as acc
 import travwave.control_construct as cc
@@ -126,10 +127,47 @@ def test_finite_cost_construction(weed, c_star_weed):
     assert abs(flat.p_values[-1] - mid.p_values[0]) <= 1e-8
     assert abs(mid.p_values[-1] - sharp.p_values[0]) <= 1e-8
 
-    # quadrature refinement oracle
-    j1 = cost_of(weed, mid, refine=False)
-    j2 = cost_of(weed, mid, refine=True)
-    assert abs(j2 - j1) / j2 < 1e-6
+    # quadrature halving oracle
+    assert prof.meta["cost_error"] / prof.cost < 1e-6
+
+
+SEED0_SPEEDS = [-0.16811156296949903, -0.094840911941193956,
+                -0.026588568383383103]  # the benchmark's seed-0 effort table
+
+
+@pytest.mark.parametrize("c", [*SEED0_SPEEDS, 0.0])
+def test_cost_matches_the_integrated_effort(weed, c_star_weed, c):
+    # J carried with P as a second state along the middle piece; max_step
+    # keeps DOP853 from striding over the knots of the PCHIP P_c' inside
+    # beta_tilde, which cost it 2e-11 relative at c = -0.027
+    prof = finite_cost_control(weed, c, c_star=c_star_weed,
+                               c_hat=acc._c_hat())
+    mid = prof.pieces[1]
+
+    def rhs(u, y):
+        b = float(prof.beta_tilde(np.array([u]))[0])
+        return [-c + (b - float(weed.f(u))) / y[0],
+                float(weed.L(u, b)) / y[0]]
+    sol = solve_ivp(rhs, (mid.u_nodes[0], mid.u_nodes[-1]),
+                    [mid.p_values[0], 0.0], method="DOP853", rtol=1e-13,
+                    atol=1e-15, max_step=1e-4)
+    j_ref = float(sol.y[1, -1])
+    err = abs(prof.cost - j_ref)
+    assert err <= 2e-10 * j_ref
+    assert prof.meta["cost_error"] >= err
+
+
+def test_cost_is_smooth_in_a0(weed, c_star_weed, monkeypatch):
+    # a last-bit change of a0 moves the nodes of the middle piece, not
+    # the effort integral along it
+    def cost():
+        return finite_cost_control(weed, 0.0, c_star=c_star_weed,
+                                   c_hat=acc._c_hat()).cost
+    base, inner = cost(), cc._aux_left_end
+    for scale in (1.0 - 1e-12, 1.0 + 1e-12):
+        monkeypatch.setattr(cc, "_aux_left_end",
+                            lambda *args: inner(*args) * scale)
+        assert abs(cost() - base) <= 1e-9 * base
 
 
 def test_trim_max_with_zero_form(weed, c_star_weed):
@@ -277,10 +315,13 @@ def test_a0_where_p_sharp_tends_to_the_threshold_node(u_star, rate, frac):
 @settings(max_examples=10, deadline=None)
 @given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.1, 10.0),
        frac=st.floats(0.02, 1.0))
+@example(u_star=1.0 / 3.0, rate=1.1, frac=0.9999999999999999)
 def test_a0_threshold_across_cubic_family(u_star, rate, frac):
     # with f_hat = f the substitute's speed is the exact
     # c* = kappa (2 u* - 1), kappa = sqrt(rate / 2); every c' below it
-    # has an a0 in (0, u*] that splits the orbits reaching U = 1
+    # has an a0 in (0, u*] that splits the orbits reaching U = 1.  The
+    # example ends on the P floor at u*, in a step whose asymptote-event
+    # root lies where |c'| P^3 and 3 A0_RTOL U f_hat^2 are below 1e-18
     spec = make_cubic_model(u_star, rate)
     sub = make_substitute_spec(spec, spec.f)
     kappa = math.sqrt(rate / 2.0)

@@ -5,8 +5,8 @@ matter here: every imported name is used, every ``__all__`` entry is
 defined, every import sits at module level (a module's dependencies are
 read off its head), no handler catches every exception (a programming
 error must propagate, not turn into a solver verdict), one module holds
-the lock-step DOP853 integrator, and one module owns the CSV number
-format.
+the lock-step DOP853 integrator, one module owns the CSV number format,
+and one module owns the cost quadrature.
 """
 
 from __future__ import annotations
@@ -227,3 +227,27 @@ def test_a_format_constant_is_reported():
                      'def f(x):\n    """%.17g"""\n    return "%.17g" % x\n'
                      'g = lambda c: f"{c:.17g}"\n')
     assert _format_constants(tree) == [4, 5]
+
+
+def _simpson_uses(tree: ast.Module) -> list[int]:
+    """Lines that import scipy's ``simpson`` or read it as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "scipy"
+                and any(a.name == "simpson" for a in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == "simpson")]
+
+
+def test_one_cost_quadrature():
+    # every effort integral is cost_of's Simpson sum; no other module can
+    # fork the quadrature
+    owners = {p.name for p in MODULES if _simpson_uses(_tree(p))}
+    assert owners == {"control_construct.py"}
+
+
+def test_a_simpson_import_is_reported():
+    tree = ast.parse("from scipy.integrate import simpson, solve_ivp\n"
+                     "import scipy.integrate as si\n"
+                     "from numpy import trapezoid\n"
+                     "J = si.simpson([1.0, 2.0, 3.0])\n")
+    assert _simpson_uses(tree) == [1, 4]

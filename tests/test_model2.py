@@ -301,7 +301,8 @@ def _inside_sandwich(sol, sub, sup, slack=1e-6):
                 and np.all(sol.theta_values <= sup.theta_at(x) + slack))
 
 
-@pytest.mark.parametrize("c", [-0.7, -0.8, -0.85, -0.895, -0.9, -0.905])
+@pytest.mark.parametrize("c", [-0.7, -0.8, -0.85, -0.895, -0.9, -0.905,
+                               -0.95, -0.97])
 def test_solution_converges_inside_the_sandwich(m2_pipeline, c):
     # the (V, Theta) equations along the c = -0.9 profile U, across the
     # complex-pair regime of P111 (c_sharp = -1) and the benchmark's speeds

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from travwave.errors import (InvalidParameterError, NotASaddleError,
@@ -242,3 +243,20 @@ def test_interp_p_refuses_to_extrapolate(weed):
         with pytest.raises(InvalidParameterError,
                            match=r"unstable_manifold span \[0, 0\.63"):
             pf(bad)
+
+
+def test_chart_nodes_have_no_near_duplicates(weed, monkeypatch):
+    # at this speed a cluster node of P_flat lands within an ulp of a
+    # uniform node (U ~ 0.4688); a PCHIP through both was off by 3e-6
+    sols = []
+
+    def kept(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+    monkeypatch.setattr("travwave.phaseplane.solve_ivp", kept)
+    flat = unstable_manifold(weed, -0.094840911941193956, u_stop=1.0)
+    u = flat.u_nodes
+    assert np.min(np.diff(u)) > 1e-12 * (u[-1] - u[0])
+    near = np.linspace(0.4658, 0.4718, 601)
+    assert np.max(np.abs(flat.interp_p()(near) - sols[0].sol(near)[0])) \
+        <= 1e-9

@@ -45,6 +45,7 @@ __all__ = ["ConcatProfile", "bang_control", "finite_cost_control", "cost_of",
            "default_substitute"]
 
 SPEED_GUARD = 1e-9
+MAX_DOUBLINGS = 60  # bang_control's cap on doubling gamma
 A0_RTOL = 1e-12  # a0 error of the square-root asymptote, see _aux_left_end
 
 
@@ -113,8 +114,8 @@ def natural_heteroclinic(spec: ModelSpec, c_star: float) -> PhaseTrajectory:
     return merge_pieces((flat, sharp), c_star)
 
 
-def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
-                 max_doublings: int = 60) -> tuple[float, float, PhaseTrajectory]:
+def bang_control(spec: ModelSpec, c: float, c_star: float | None = None
+                 ) -> tuple[float, float, PhaseTrajectory]:
     """Constant control gamma on (u0, u*) realizing speed c > c*.
 
     Returns (gamma, u0, trajectory), gamma to within 1e-8.  At c = c*
@@ -158,9 +159,9 @@ def bang_control(spec: ModelSpec, c: float, c_star: float | None = None,
     lo = 0.0
     doublings = 0
     while not crossed(gamma):
-        if doublings >= max_doublings:
+        if doublings >= MAX_DOUBLINGS:
             raise CapExceededError(
-                f"no crossing of P_flat after {max_doublings} doublings "
+                f"no crossing of P_flat after {MAX_DOUBLINGS} doublings "
                 f"(gamma={gamma:g})")
         lo = gamma
         gamma *= 2.0

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 FD_TOL = 1e-5  # relative error check_A2 allows the partials against FD
+MAX_F_SAMPLES = 2001  # grid on [0, 1] on which ModelSpec.max_f samples f
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ class ModelSpec:
     beta_from_alpha: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     pmp_rhs: Callable[[float, float, float, float], tuple[float, float]] | None = None
 
-    def max_f(self, n: int = 2001) -> float:
-        u = np.linspace(0.0, 1.0, n)
+    def max_f(self) -> float:
+        u = np.linspace(0.0, 1.0, MAX_F_SAMPLES)
         return float(np.max(self.f(u)))
 
 

@@ -55,6 +55,7 @@ log = logging.getLogger(__name__)
 EPS0 = 1e-3  # subsolution's constants, see its docstring
 ARC_ATOL = 1e-13
 GRID_H = 0.01
+SOLVE_H = 0.02  # solve_vtheta's mesh spacing
 DEFECT_TOL = 1e-6  # solve_vtheta's bound on the V-equation defect
 DELTA0, TRIALS = 0.1, 100  # solve_vtheta: first pseudo-time step, trials
 
@@ -490,7 +491,7 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
 
 
 def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
-                 c: float, h: float = 0.02, sub: TriplePath | None = None,
+                 c: float, sub: TriplePath | None = None,
                  sup: TriplePath | None = None) -> TriplePath:
     """Exact (V, Theta) by pseudo-transient Newton steps inside the
     barrier sandwich.
@@ -504,15 +505,13 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     halves it.  delta starts at DELTA0; the loop stops at defect
     DEFECT_TOL or raises NonconvergenceError after TRIALS trials.  The
     grid spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
-    subsolution's junction) and 20 / min(|lambda1|, a), snapped to h.
+    subsolution's junction) and 20 / min(|lambda1|, a), snapped to SOLVE_H.
 
     meta records "iterations" (accepted steps; all are Newton steps, so
     "newton_iterations" is equal), "rejected", the "deltas" of every trial
     and the defect "history" after every accepted step; a DEBUG record
     on the `travwave` logger carries the counts as `vtheta_work`.
     """
-    if not (np.isfinite(h) and h > 0.0):
-        raise InvalidParameterError(f"h must be positive and finite, got {h:g}")
     if sub is None:
         sub = subsolution(u_profile, alpha, params, c)
     if sup is None:
@@ -520,9 +519,9 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     spec2 = spectrum(c, params)
     halfwidth = max(20.0 / min(abs(spec2.lambda1), spec2.a),
                     abs(sub.meta["x1"]) + 20.0, 35.0)
-    # snap the halfwidth to the mesh so the realized spacing is exactly h
-    L = h * np.ceil(halfwidth / h)
-    n = int(round(2.0 * L / h)) + 1
+    # snap the halfwidth to the mesh so the realized spacing is SOLVE_H
+    L = SOLVE_H * np.ceil(halfwidth / SOLVE_H)
+    n = int(round(2.0 * L / SOLVE_H)) + 1
     x = np.linspace(-L, L, n)
     h = float(x[1] - x[0])
     k1, k2, d = params.kappa1, params.kappa2, params.d

@@ -52,8 +52,9 @@ from .profile import SpatialProfile
 __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
 
-# default dt = min(DT_MAX, DT_ACCURACY / sup|f'|, 1 / rate_bound)
-DT_MAX, DT_ACCURACY = 0.1, 0.25
+# dt = min(DT_MAX, DT_ACCURACY / sup|f'|, 1 / rate_bound), cut to a whole
+# number of steps per snapshot interval SNAPSHOT_DT
+DT_MAX, DT_ACCURACY, SNAPSHOT_DT = 0.1, 0.25, 1.0
 BLOWUP_LO, BLOWUP_HI = -0.01, 1.01
 FRONT_LEVEL, BOUNDARY_MARGIN = 0.5, 10.0  # see front_speed
 
@@ -172,19 +173,12 @@ class _Scheme:
         return lapack.dgttrs(*self.transport_lu[start], b)[0]
 
 
-def _time_step(dt, f_rate, rate_bound, snapshot_dt) -> float:
-    """The default dt from the accuracy target, cut to a whole number of
-    steps per snapshot; a caller's dt is checked against the step bound,
-    the stability condition of the explicit extrapolation."""
-    if dt is None:
-        dt = 1.0 / max(1.0 / DT_MAX, f_rate / DT_ACCURACY, rate_bound)
-        # 1e-9: a ratio one rounding above a whole number stays that number
-        return snapshot_dt / math.ceil(snapshot_dt / dt - 1e-9)
-    if dt * rate_bound > 1.0:
-        raise ConfigError(f"dt={dt:g} breaks the step bound dt * rate_bound "
-                          f"<= 1 (rate_bound={rate_bound:g}, "
-                          f"dt * rate_bound={dt * rate_bound:g})")
-    return float(dt)
+def _time_step(f_rate, rate_bound) -> float:
+    """dt from the accuracy target and the step bound, the stability
+    condition of the explicit extrapolation."""
+    dt = 1.0 / max(1.0 / DT_MAX, f_rate / DT_ACCURACY, rate_bound)
+    # 1e-9: a ratio one rounding above a whole number stays that number
+    return SNAPSHOT_DT / math.ceil(SNAPSHOT_DT / dt - 1e-9)
 
 
 def _field_on_grid(initial, x) -> np.ndarray:
@@ -228,8 +222,16 @@ def _drift(snaps: list[np.ndarray]) -> float:
     return max(float(np.max(np.abs(s - snaps[0]))) for s in snaps)
 
 
+def _control_channel(spec: ModelSpec, alpha_of_x):
+    """alpha_of_x for a u-equation that removes beta_from_alpha(u, alpha)."""
+    if alpha_of_x is not None and spec.beta_from_alpha is None:
+        raise ConfigError(f"{spec.label} has no control channel "
+                          "(beta_from_alpha missing)")
+    return alpha_of_x
+
+
 def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
-            dt, snapshot_dt, alpha_of_x=None, control_speed=None,
+            alpha_of_x=None, control_speed=None,
             extra_rate=0.0) -> EvolutionRecord:
     """SBDF2 time loop shared by the evolve_* systems.
 
@@ -248,25 +250,26 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     prev holds one (field, reaction) pair per field from the step before,
     or one None per field at the start), and report(record) gives the
     system's own summary entries after the run.
-    A dx, snapshot_dt or given dt <= 0, or T < 0, raises ConfigError.
+    Unless T is finite and >= 0, dx finite and > 0 and x_span = (lo, hi)
+    a finite span of at least two cells, ConfigError is raised.
     """
-    if not (dx > 0.0 and snapshot_dt > 0.0 and T >= 0.0
-            and (dt is None or dt > 0.0)):
-        raise ConfigError(f"need dx, snapshot_dt, dt > 0 and T >= 0; got dx="
-                          f"{dx}, snapshot_dt={snapshot_dt}, dt={dt}, T={T}")
-    x = np.linspace(x_span[0], x_span[1],
-                    int(round((x_span[1] - x_span[0]) / dx)) + 1)
+    lo, hi = x_span
+    if not (0.0 <= T < math.inf and 0.0 < dx < math.inf
+            and 2.0 <= (hi - lo) / dx < math.inf):
+        raise ConfigError(f"need T >= 0, dx > 0 and hi - lo >= 2 dx, all "
+                          f"finite; got T={T}, dx={dx}, x_span=({lo}, {hi})")
+    x = np.linspace(lo, hi, int(round((hi - lo) / dx)) + 1)
     dx = float(x[1] - x[0])
     fields = tuple(_field_on_grid(init, x) for init in initial.values())
     alpha_at, alpha_sup = _alpha_lookup(
         alpha_of_x, x, x_span, control_speed if c_frame is None else None)
     f_rate = float(np.max(np.abs(spec.df(np.linspace(0.0, 1.0, 2001)))))
     rate_bound = f_rate + alpha_sup + extra_rate
-    dt = _time_step(dt, f_rate, rate_bound, snapshot_dt)
+    dt = _time_step(f_rate, rate_bound)
     scheme = _Scheme.build(len(x), dx, dt, c_frame)
     step, report = system(scheme, fields)
     n_steps = int(round(T / dt))
-    snap_every = max(1, int(round(snapshot_dt / dt)))
+    snap_every = max(1, int(round(SNAPSHOT_DT / dt)))
 
     times = [0.0]
     snaps = [[f.copy()] for f in fields]
@@ -314,19 +317,13 @@ def _reaction(spec: ModelSpec, u, alpha) -> np.ndarray:
 def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
                   c_frame: float | None = None, T: float = 50.0,
                   x_span=(-60.0, 60.0), dx: float = 0.05,
-                  dt: float | None = None, snapshot_dt: float = 1.0,
                   control_speed: float | None = None) -> EvolutionRecord:
     """SBDF2 evolution of u_t = u_xx + f(u) - beta(u, alpha).
 
     `c_frame` switches to the comoving frame (transport term + static
     control field); in the lab frame a moving control is produced by
-    `control_speed`, translating alpha_of_x at that speed.  A given `dt`
-    must satisfy dt * (sup|f'| + sup alpha) <= 1, or `ConfigError`.
+    `control_speed`, translating alpha_of_x at that speed.
     """
-    if alpha_of_x is not None and spec.beta_from_alpha is None:
-        raise ConfigError(f"{spec.label} has no control channel "
-                          "(beta_from_alpha missing)")
-
     def system(scheme, fields):
         def step(fields, alpha, prev):
             (u,), (p,) = fields, prev
@@ -341,8 +338,8 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
             return {"max_excursion": max_exc}
         return step, report
 
-    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx, dt,
-                   snapshot_dt, alpha_of_x, control_speed)
+    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx,
+                   _control_channel(spec, alpha_of_x), control_speed)
 
 
 @dataclass
@@ -396,8 +393,7 @@ def front_speed(record: EvolutionRecord) -> FrontFit:
 def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
                   alpha_of_x=None, kappa1: float = 1.0,
                   T: float = 50.0, c_frame: float | None = None,
-                  x_span=(-60.0, 60.0), dx: float = 0.05,
-                  snapshot_dt: float = 1.0) -> EvolutionRecord:
+                  x_span=(-60.0, 60.0), dx: float = 0.05) -> EvolutionRecord:
     """Scalar front plus pointwise tree infection theta_t = kappa1 u (1-theta).
 
     In the lab frame theta is advanced by its exact exponential update
@@ -436,17 +432,14 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
                     "theta_monotone_in_t": theta_monotone}
         return step, report
 
-    # a spec without a control channel evolves uncontrolled
-    alpha = alpha_of_x if spec.beta_from_alpha is not None else None
     return _evolve({"u": initial_u, "theta": initial_theta}, system, spec, T,
-                   c_frame, x_span, dx, None, snapshot_dt, alpha)
+                   c_frame, x_span, dx, _control_channel(spec, alpha_of_x))
 
 
 def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
                   alpha_of_x=None, params: Model2Params | None = None,
                   T: float = 50.0, c_frame: float | None = None,
-                  x_span=(-60.0, 60.0), dx: float = 0.05,
-                  snapshot_dt: float = 1.0) -> EvolutionRecord:
+                  x_span=(-60.0, 60.0), dx: float = 0.05) -> EvolutionRecord:
     """Insect/tree system with multiplicative control (removal of insects).
 
     u and v diffuse through one implicit operator, solved as two columns
@@ -490,5 +483,5 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         return step, report
 
     return _evolve({"u": initial_u, "v": initial_v, "theta": initial_theta},
-                   system, spec, T, c_frame, x_span, dx, None, snapshot_dt,
-                   alpha_of_x, extra_rate=d + k1 + k2)
+                   system, spec, T, c_frame, x_span, dx, alpha_of_x,
+                   extra_rate=d + k1 + k2)

@@ -43,6 +43,7 @@ __all__ = [
 
 EPS_SEED = 1e-8
 P_FLOOR = 1e-11
+P_COLLAPSE = 1e-5  # a step underflow at P <= P_COLLAPSE is a collapse
 RTOL = 1e-10
 ATOL = 1e-12
 
@@ -159,10 +160,10 @@ def _underflow_status(sol) -> str:
     """'p_zero' for a failed (status -1) solve_ivp run whose P collapsed.
 
     Step underflow happens exactly where P collapses onto the U-axis or into
-    a saddle corner (P <= 1e-5); any other failure raises SingularityError.
+    a saddle corner; any other failure raises SingularityError.
     """
     u_end = float(sol.t[-1])
-    if float(sol.y[0, -1]) <= 1e-5:
+    if float(sol.y[0, -1]) <= P_COLLAPSE:
         return "p_zero"
     raise SingularityError(f"integrator failed near U={u_end:.8f}: "
                            f"{sol.message}", location=u_end)

@@ -48,6 +48,7 @@ __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
 
 BETA_START = 1e-10
 U1_TOL = 1e-10  # width to which phi's bracket on the junction u1 is bisected
+N_BETA = 41  # candidate controls per node of pmp_residual's argmin check
 
 
 @dataclass
@@ -430,8 +431,8 @@ def optimal_profile(spec: ModelSpec, c: float,
     return OptimalProfile(c, u1_root, u2, traj, cost, diag, arc=arc)
 
 
-def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
-                 n_beta: int = 41) -> PmpResidualReport:
+def pmp_residual(profile: OptimalProfile,
+                 spec: ModelSpec) -> PmpResidualReport:
     """Stationarity residual of the optimality ODE plus the argmin check.
 
     The residual | d/dU L_beta - ((beta-f)/P^2) L_beta + L/P^2 | is formed
@@ -462,12 +463,12 @@ def pmp_residual(profile: OptimalProfile, spec: ModelSpec,
 
     # argmin check against the profile's stored adjoint: recomputing Y from
     # the node's own beta would be self-consistent by construction; one row
-    # of n_beta candidate controls per node with a positive control range
+    # of N_BETA candidate controls per node with a positive control range
     Y = profile.arc.y_values if profile.arc.y_values is not None else -Lb
     bhat = np.asarray(spec.beta_max(u), dtype=float)
     hi = np.where(np.isfinite(bhat), 0.999 * bhat, 5.0)
     k = hi > 0.0
-    cand = np.linspace(0.0, hi[k], n_beta, axis=1)
+    cand = np.linspace(0.0, hi[k], N_BETA, axis=1)
     uu = np.broadcast_to(u[k, None], cand.shape)
     vals = cand * Y[k, None] + np.asarray(spec.L(uu, cand), dtype=float)
     here = b[k] * Y[k] + np.asarray(spec.L(u[k], b[k]), dtype=float)

@@ -34,6 +34,7 @@ __all__ = ["SpatialProfile", "reconstruct_x", "theta_model1", "decay_check",
 
 TAIL_FACTOR = 10.0
 N_PAD, N_EXT = 120, 200  # tail nodes of reconstruct_x and theta_model1
+END_TOL = 1e-4  # theta_model1 extends the grid until Theta >= 1 - END_TOL
 
 
 def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
@@ -177,12 +178,12 @@ def _theta_closed_form(x, u, kappa1: float, c: float,
     return 1.0 - np.exp((kappa1 / c) * integral)
 
 
-def theta_model1(profile: SpatialProfile, kappa1: float, c: float,
-                 end_tol: float = 1e-4) -> SpatialProfile:
+def theta_model1(profile: SpatialProfile, kappa1: float,
+                 c: float) -> SpatialProfile:
     """Infected-tree fraction Theta along a leftward wave (c < 0).
 
     The left tail integral is closed in exact form from the exponential
-    asymptotics; while Theta is short of 1 - end_tol, the grid is extended
+    asymptotics; while Theta is short of 1 - END_TOL, the grid is extended
     by the wave's far field (alpha, beta, f = 0 there) and Theta is formed
     on it by the same closed form.  For c >= 0 the profile cannot exist.
     """
@@ -202,12 +203,12 @@ def theta_model1(profile: SpatialProfile, kappa1: float, c: float,
     theta = _theta_closed_form(x, u, kappa1, c, tail=tail)
 
     ext = np.empty(0)
-    if theta[-1] < 1.0 - end_tol:
+    if theta[-1] < 1.0 - END_TOL:
         if u[-1] < 0.99:
             raise IntegrabilityError(
                 "profile does not reach the populated state; cannot extend "
                 f"(U(right end) = {u[-1]:.4f})")
-        need = (np.log(1.0 - theta[-1]) - np.log(end_tol / 10.0)) \
+        need = (np.log(1.0 - theta[-1]) - np.log(END_TOL / 10.0)) \
             / (-(kappa1 / c) * u[-1])
         ext = np.linspace(x[-1], x[-1] + need, N_EXT + 1)[1:]
     u_ext, p_ext = _far_field(ext, x, u, None,

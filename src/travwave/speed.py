@@ -27,8 +27,8 @@ from ._lockstep import LockStep
 from ._roots import bisect, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, check_A1
-from .phaseplane import (_call_on_array, _integrate_chart, _p_floor,
-                         _saddle_seed)
+from .phaseplane import (P_COLLAPSE, _call_on_array, _integrate_chart,
+                         _p_floor, _saddle_seed)
 
 __all__ = ["natural_speed", "manifold_gap", "modified_speed", "make_substitute_spec"]
 
@@ -161,7 +161,7 @@ def _bisect_lock_step(spec: ModelSpec, lo: float, hi: float, tol: float,
             at_u_star = accept & (st.u == u_star) & ~floor
             ends[ids[floor]] = 0.0
             ends[ids[at_u_star]] = p[at_u_star]
-            ends[ids[stalled]] = np.where(p[stalled] <= 1e-5, 0.0, np.nan)
+            ends[ids[stalled]] = np.where(p[stalled] <= P_COLLAPSE, 0.0, np.nan)
             live[ids[floor | at_u_star | stalled]] = False
             keep = live[ids]
             while path in node:

@@ -219,6 +219,17 @@ def cached_profiles(monkeypatch):
 PDE_GRID = ["--T", "1", "--dx", "0.2"]
 
 
+def test_bad_pde_grid_is_a_config_error(capsys, cached_profiles):
+    # an infinite T, a grid of one node and a reversed span each exit 1
+    # with an error line, not a traceback
+    for grid in (["--T", "inf"], ["--dx", "1000"],
+                 ["--xmin", "10", "--xmax", "-10"]):
+        rc = main(["pde", "scalar", "--c", "-0.1", *grid])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "x_span" in err
+
+
 @pytest.mark.parametrize("argv, header, keys", [
     (["construct", "--c", "-0.1"], "u,p,beta",
      ["u1", "u2_tilde", "c_prime", "cost", "cost_error"]),

@@ -56,10 +56,11 @@ def test_bang_above_natural_speed(weed, c_star_weed):
     assert cost_of(weed, traj) == np.inf
 
 
-def test_bang_doubling_cap(weed, c_star_weed):
+def test_bang_doubling_cap(weed, c_star_weed, monkeypatch):
     # at c = 0 the orbit needs gamma ~ 0.084 > max f ~ 0.078: one doubling
+    monkeypatch.setattr(cc, "MAX_DOUBLINGS", 0)
     with pytest.raises(CapExceededError):
-        bang_control(weed, 0.0, c_star=c_star_weed, max_doublings=0)
+        bang_control(weed, 0.0, c_star=c_star_weed)
 
 
 def test_bang_crossing_monotone_in_gamma(weed, c_star_weed):

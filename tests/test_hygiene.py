@@ -6,7 +6,9 @@ defined, every import sits at module level (a module's dependencies are
 read off its head), no handler catches every exception (a programming
 error must propagate, not turn into a solver verdict), one module holds
 the lock-step DOP853 integrator, one module owns the CSV number format,
-and one module owns the cost quadrature.
+one module owns the cost quadrature, and every keyword parameter of the
+public API is set by some program call (tests do not count: an option
+only tests set is a constant, and tests change it by monkeypatch).
 """
 
 from __future__ import annotations
@@ -18,9 +20,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "travwave"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the program: the library and the benchmark scripts, not the tests
+CALLERS = MODULES + sorted((SRC.parent.parent / "perfbench").glob("*.py"))
 # (module, enclosing function) allowed a broad handler: a crash of an
 # acceptance criterion is reported as a failed criterion
 BROAD_ALLOWED = {("acceptance.py", "run_criterion")}
+# (module, function, keyword) that no program call sets, with the reason
+UNSET_ALLOWED = {
+    ("cli.py", "main", "argv"):
+        "the console script calls main() so that argparse reads sys.argv",
+    ("control_construct.py", "bang_control", "c_star"):
+        "the c* hand-off bang_control shares with finite_cost_control and "
+        "optimal_profile, whose program callers set it",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -251,3 +263,106 @@ def test_a_simpson_import_is_reported():
                      "from numpy import trapezoid\n"
                      "J = si.simpson([1.0, 2.0, 3.0])\n")
     assert _simpson_uses(tree) == [1, 4]
+
+
+def _keywords(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, argument index) of each parameter with a
+    default of a public function or public-class method; the index skips
+    self or cls and is None for a keyword-only parameter."""
+    found = []
+
+    def add(fn, shift):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        found.extend((fn.name, arg.arg, i - shift)
+                     for i, arg in enumerate(pos[first:], first))
+        found.extend((fn.name, arg.arg, None)
+                     for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                     if d is not None)
+
+    public = [node for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    for node in public:
+        if isinstance(node, ast.FunctionDef):
+            add(node, 0)
+        else:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) \
+                        and not fn.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    add(fn, 0 if static else 1)
+    return found
+
+
+def _calls(trees) -> dict[str, tuple[float, set[str]]]:
+    """Callee name (``f(...)`` or ``x.f(...)``) -> (the most positional
+    arguments of any call, unbounded with ``*args``; the keywords any call
+    names).  A ``**mapping`` names the string keys of its dict display, or
+    of every dict display assigned to that name in the same file."""
+    calls: dict[str, tuple[float, set[str]]] = {}
+    for tree in trees:
+        displays: dict[str, set[str]] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                keys = {k.value for d in ast.walk(node.value)
+                        if isinstance(d, ast.Dict) for k in d.keys
+                        if isinstance(k, ast.Constant)}
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        displays.setdefault(t.id, set()).update(keys)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, (ast.Name, ast.Attribute))):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n_pos, named = calls.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_pos = max(n_pos, float("inf") if starred else len(node.args))
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    named.add(kw.arg)
+                elif isinstance(kw.value, ast.Dict):
+                    named.update(k.value for k in kw.value.keys
+                                 if isinstance(k, ast.Constant))
+                elif isinstance(kw.value, ast.Name):
+                    named |= displays.get(kw.value.id, set())
+            calls[name] = (n_pos, named)
+    return calls
+
+
+def _unset(libs: dict[str, ast.Module], callers) -> list[tuple[str, str, str]]:
+    """(module, function, keyword) of each keyword parameter that no call
+    in `callers` sets by name, by position or through a mapping."""
+    calls = _calls(callers)
+    unset = []
+    for module, tree in libs.items():
+        for fn, kw, index in _keywords(tree):
+            n_pos, named = calls.get(fn, (0, set()))
+            if kw not in named and (index is None or n_pos <= index):
+                unset.append((module, fn, kw))
+    return unset
+
+
+def test_every_keyword_has_a_program_caller():
+    unset = _unset({p.name: _tree(p) for p in MODULES},
+                   [_tree(p) for p in CALLERS])
+    assert set(UNSET_ALLOWED) <= set(unset), "stale UNSET_ALLOWED entry"
+    extra = [k for k in unset if k not in UNSET_ALLOWED]
+    assert not extra, f"keywords no program call sets: {extra}"
+
+
+def test_an_unset_keyword_is_reported():
+    lib = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                    "class K:\n"
+                    "    def m(self, n=5):\n        pass\n"
+                    "    def s(self, t=6):\n        pass\n"
+                    "    def _p(self, q=7):\n        pass\n"
+                    "def _g(r=8):\n    pass\n")
+    caller = ast.parse("f(0, 1)\nkw = {'d': 3}\nf(0, **kw)\n"
+                       "K().m()\nK().s(1)\n")
+    assert _unset({"lib.py": lib}, [caller]) == [
+        ("lib.py", "f", "c"), ("lib.py", "f", "e"), ("lib.py", "m", "n")]

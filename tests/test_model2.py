@@ -182,13 +182,13 @@ def test_solution_theta_identity(m2_pipeline):
     assert abs(sol.v_values[0]) <= 1e-3 and abs(sol.theta_values[0]) <= 1e-3
 
 
-def test_solution_mesh_refinement(m2_pipeline):
+def test_solution_mesh_refinement(m2_pipeline, monkeypatch):
     sup, sub, sol = acc._m2_sandwich()
+    monkeypatch.setattr(model2, "SOLVE_H", 0.01)
     tracemalloc.start()
     try:
         fine = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
-                            m2_pipeline["params"], -0.9, h=0.01,
-                            sub=sub, sup=sup)
+                            m2_pipeline["params"], -0.9, sub=sub, sup=sup)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,14 +355,6 @@ def test_solve_vtheta_logs_its_work_at_debug(m2_pipeline, caplog):
                                "iterations": meta["iterations"],
                                "rejected": meta["rejected"],
                                "defect": meta["defect"]}
-
-
-def test_solve_vtheta_rejects_bad_mesh(m2_pipeline):
-    sp, al, pr = (m2_pipeline["spatial"], m2_pipeline["alpha"],
-                  m2_pipeline["params"])
-    for h in (0.0, -0.02, float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError, match="h must be positive"):
-            solve_vtheta(sp, al, pr, -0.9, h=h)
 
 
 @pytest.mark.parametrize("scalar_only", [

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import travwave.pde as pde
 from travwave._columns import write_columns
 from travwave.errors import (ConfigError, FrontNotFoundError,
                              InstabilityError, InvalidParameterError)
@@ -64,12 +67,10 @@ def test_mass_conservation_without_reaction(weed):
 
 
 def test_step_bound_guard():
-    # sup|f'| = 150 (at u = 1), so dt = 0.02 gives dt * sup|f'| = 3 > 1
+    # sup|f'| = 150 (at u = 1): dt = 0.1 would give dt * sup|f'| = 15 > 1
     from travwave.model import make_cubic_model
     spec = make_cubic_model(0.25, 200.0)
     kw = dict(T=0.1, x_span=(-5, 5), dx=0.1)
-    with pytest.raises(ConfigError, match="step bound"):
-        evolve_scalar(spec, lambda x: 0.5, dt=0.02, **kw)
     rec = evolve_scalar(spec, lambda x: 0.5, **kw)
     assert rec.summary["rate_bound"] == pytest.approx(150.0)
     assert rec.summary["dt_rate"] <= 1.0
@@ -138,9 +139,11 @@ def test_controls_are_sampled_on_arrays(weed, scalar_only):
 
 
 @pytest.mark.parametrize("bad", [
-    {"dt": -0.01}, {"dt": 0.0}, {"T": -5.0}, {"dx": 0.0}, {"dx": -0.05},
-    {"snapshot_dt": 0.0},
-], ids=["dt<0", "dt=0", "T<0", "dx=0", "dx<0", "snapshot_dt=0"])
+    {"T": -5.0}, {"dx": 0.0}, {"dx": -0.05}, {"T": np.inf}, {"dx": np.inf},
+    {"dx": 5e-324}, {"dx": 1000.0}, {"x_span": (10, -10)},
+    {"x_span": (5, 5)}, {"x_span": (-np.inf, 5)},
+], ids=["T<0", "dx=0", "dx<0", "T=inf", "dx=inf", "dx=5e-324", "dx>span",
+        "xmin>xmax", "xmin=xmax", "xmin=-inf"])
 def test_step_inputs_are_checked(weed, bad):
     kw = dict(T=0.1, x_span=(-5, 5), dx=0.1) | bad
     with pytest.raises(ConfigError):
@@ -156,6 +159,22 @@ def test_non_finite_control_is_refused(weed, value):
                        match=r"alpha\(1\.0\d*\) = (nan|inf)"):
         evolve_scalar(weed, lambda x: 0.5, alpha_of_x=alpha, T=0.1,
                       x_span=(-5, 5), dx=0.1)
+
+
+def test_control_without_a_channel_is_refused(weed):
+    # the scalar and Model-1 u-equations remove beta_from_alpha(u, alpha):
+    # a spec without it refuses a control instead of ignoring it; Model 2's
+    # multiplicative control needs no such channel
+    spec = dataclasses.replace(weed, beta_from_alpha=None)
+    kw = dict(alpha_of_x=lambda x: np.where(np.abs(x) < 2.0, 0.05, 0.0),
+              T=0.1, x_span=(-5, 5), dx=0.1)
+    with pytest.raises(ConfigError, match="no control channel"):
+        evolve_scalar(spec, lambda x: 0.5, **kw)
+    with pytest.raises(ConfigError, match="no control channel"):
+        evolve_model1(spec, lambda x: 0.5, lambda x: 0.0, **kw)
+    rec = evolve_model2(spec, lambda x: 0.5, lambda x: 0.1, lambda x: 0.2,
+                        **kw)
+    assert rec.summary["n_steps"] == 1
 
 
 @pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
@@ -201,18 +220,20 @@ def test_explicit_is_the_formula_and_leaves_inputs_unmodified():
         assert np.array_equal(arrays, before)
 
 
-def test_observed_temporal_order_is_two():
+def test_observed_temporal_order_is_two(monkeypatch):
     # SBDF2 on cubic(0.4, 10) from a smooth front: the error at T = 2
     # against a dt = 0.1/64 reference falls by 4x per halving of dt (the
     # first-order IMEX Euler step reads an order of about 1 here).  The
     # time-error estimate, the local error of an Euler step, is O(dt^2)
     from travwave.model import make_cubic_model
     spec = make_cubic_model(0.4, 10.0)
+    monkeypatch.setattr(pde, "DT_ACCURACY", 1.0)  # dt = DT_MAX here
+    monkeypatch.setattr(pde, "SNAPSHOT_DT", 2.0)
 
     def run(dt):
+        monkeypatch.setattr(pde, "DT_MAX", dt)
         return evolve_scalar(spec, lambda x: 1.0 / (1.0 + np.exp(-x)),
-                             T=2.0, x_span=(-10, 10), dx=0.1, dt=dt,
-                             snapshot_dt=2.0)
+                             T=2.0, x_span=(-10, 10), dx=0.1)
     ref = run(0.1 / 64).u_snapshots[-1]
     recs = [run(dt) for dt in (0.1, 0.05, 0.025)]
     errs = [float(np.max(np.abs(r.u_snapshots[-1] - ref))) for r in recs]
@@ -305,13 +326,13 @@ def test_model1_theta_frozen_without_population(weed):
     assert rec.summary["theta_monotone_in_t"]
 
 
-def test_model1_cost_accounting(weed, spatial01):
+def test_model1_cost_accounting(weed, spatial01, monkeypatch):
     from travwave.profile import theta_model1
     thp = theta_model1(spatial01, 0.02, -0.1)
     kw = dict(alpha_of_x=spatial01.alpha_at, kappa1=0.02, T=5.0,
               x_span=(-40, 40))
-    rec = evolve_model1(weed, thp, thp.theta_at, dx=0.1, snapshot_dt=0.1,
-                        **kw)
+    monkeypatch.setattr(pde, "SNAPSHOT_DT", 0.1)
+    rec = evolve_model1(weed, thp, thp.theta_at, dx=0.1, **kw)
     # refinement oracle: the per-step accumulation against snapshot trapz
     snap = np.array([np.sum(spatial01.alpha_at(rec.x) + th) * rec.dx
                      for th in rec.theta_snapshots])
@@ -332,8 +353,6 @@ def test_model1_comoving_stationarity(weed, spatial01):
 def test_model1_lab_theta_and_cost_are_second_order(weed, monkeypatch):
     # theta's exponential update uses the step's mean u, and the cost
     # integral is a trapezoid sum: both converge like the SBDF2 u-step
-    import travwave.pde as pde
-
     monkeypatch.setattr(pde, "DT_ACCURACY", 1.0)  # dt = DT_MAX here
 
     def run(dt_max):
@@ -351,14 +370,14 @@ def test_model1_lab_theta_and_cost_are_second_order(weed, monkeypatch):
 
 
 @pytest.mark.parametrize("c_frame", [None, -0.1])
-def test_inert_extra_fields_leave_u_unchanged(weed, c_frame):
+def test_inert_extra_fields_leave_u_unchanged(weed, c_frame, monkeypatch):
     # all three systems advance u with the same arithmetic, so inert extra
     # fields (theta = 0 with kappa1 = 0; v = theta = 0 without a control)
     # must reproduce the scalar run bit for bit
     u0 = lambda x: 1.0 / (1.0 + np.exp(-x))
     alpha = lambda x: np.where(np.abs(x) < 2.0, 0.05, 0.0)
-    kw = dict(T=2.0, c_frame=c_frame, x_span=(-10, 10), dx=0.1,
-              snapshot_dt=0.5)
+    kw = dict(T=2.0, c_frame=c_frame, x_span=(-10, 10), dx=0.1)
+    monkeypatch.setattr(pde, "SNAPSHOT_DT", 0.5)
     zero = lambda x: 0.0
     scalar = evolve_scalar(weed, u0, **kw)
     controlled = evolve_scalar(weed, u0, alpha_of_x=alpha, **kw)
@@ -414,9 +433,9 @@ def test_model2_comoving_stationarity_pinned_front(weed, c_star_weed):
     assert rec.summary["d_invariance"] <= 1e-6
 
 
-def test_snapshot_csv(tmp_path, weed):
-    rec = evolve_scalar(weed, lambda x: 0.5, T=1.0, x_span=(-2, 2), dx=0.5,
-                        snapshot_dt=0.5)
+def test_snapshot_csv(tmp_path, weed, monkeypatch):
+    monkeypatch.setattr(pde, "SNAPSHOT_DT", 0.5)
+    rec = evolve_scalar(weed, lambda x: 0.5, T=1.0, x_span=(-2, 2), dx=0.5)
     out = tmp_path / "snap.csv"
     rec.to_csv(out)
     lines = out.read_text().splitlines()
@@ -444,10 +463,11 @@ def _assert_same_csv_bytes(rec: EvolutionRecord, tmp_path):
         == _columns_csv(rec, tmp_path / "columns.csv")
 
 
-def test_snapshot_csv_bytes_of_evolved_records(tmp_path, weed):
+def test_snapshot_csv_bytes_of_evolved_records(tmp_path, weed, monkeypatch):
     def front(x):
         return 1.0 / (1.0 + np.exp(x))
-    kw = dict(T=2.0, x_span=(-5, 5), dx=0.1, snapshot_dt=0.5)
+    monkeypatch.setattr(pde, "SNAPSHOT_DT", 0.5)
+    kw = dict(T=2.0, x_span=(-5, 5), dx=0.1)
     recs = [evolve_scalar(weed, front, c_frame=-0.2, **kw),
             evolve_model1(weed, front, lambda x: 0.3, **kw),
             evolve_model2(weed, front, lambda x: 0.5 * front(x),

@@ -145,7 +145,7 @@ def _argmin_failures_loop(profile, spec, n_beta=41):
     return failures
 
 
-def test_argmin_count_matches_node_loop(weed, opt01):
+def test_argmin_count_matches_node_loop(weed, opt01, monkeypatch):
     import copy
     rng = np.random.default_rng(1)
     prof = copy.deepcopy(opt01)
@@ -156,7 +156,9 @@ def test_argmin_count_matches_node_loop(weed, opt01):
     prof.arc.u_nodes[:3] = weed.u_star - np.array([0.02, 0.01, 0.0])
     for p in (opt01, prof):
         for n_beta in (41, 7):
-            rep = pmp_residual(p, weed, n_beta=n_beta)
+            with monkeypatch.context() as m:
+                m.setattr(pmp, "N_BETA", n_beta)
+                rep = pmp_residual(p, weed)
             assert np.isfinite(rep.yu_max)
             assert rep.min22_failures == _argmin_failures_loop(p, weed, n_beta)
             assert rep.n_checked == len(p.arc.u_nodes)

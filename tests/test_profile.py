@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import travwave.profile as profile
 from travwave.errors import (IntegrabilityError, InvalidTrajectoryError,
                              NonexistenceError)
 from travwave.model import make_logistic_model
@@ -116,9 +117,11 @@ def test_theta_requires_leftward_wave(spatial01):
         theta_model1(spatial01, 1.0, +0.1)
 
 
-def test_theta_tail_consistency(spatial01):
-    a = theta_model1(spatial01, 1.0, -0.1, end_tol=1e-4)
-    b = theta_model1(spatial01, 1.0, -0.1, end_tol=1e-6)
+def test_theta_tail_consistency(spatial01, monkeypatch):
+    monkeypatch.setattr(profile, "END_TOL", 1e-4)
+    a = theta_model1(spatial01, 1.0, -0.1)
+    monkeypatch.setattr(profile, "END_TOL", 1e-6)
+    b = theta_model1(spatial01, 1.0, -0.1)
     assert abs((1.0 - a.theta_values[-1]) - (1.0 - b.theta_values[-1])) < 1e-5
 
 

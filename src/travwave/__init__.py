@@ -17,8 +17,7 @@ from .model import (ModelSpec, Model2Params, make_weed_model,
 from .phaseplane import (PhaseTrajectory, saddle_eigenvalues,
                          unstable_manifold, stable_manifold, integrate_pu)
 from .speed import natural_speed, modified_speed, manifold_gap
-from .control_construct import (ConcatProfile, bang_control,
-                                finite_cost_control, cost_of)
+from .control_construct import ConcatProfile, finite_cost_control, cost_of
 from .pmp import (OptimalProfile, shoot_from, optimal_profile, pmp_residual,
                   effort_curve)
 from .profile import (SpatialProfile, reconstruct_x, theta_model1,

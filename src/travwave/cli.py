@@ -159,11 +159,13 @@ def cmd_effort(o: Opts) -> int:
     spec = build_model(o)
     cmin = o.get("cmin", None)
     cmax = o.get("cmax", 0.0)
-    n = int(o.get("n", 6))
+    n = o.get("n", 6)
+    if not (float(n).is_integer() and n >= 1):
+        raise ConfigError(f"n must be a whole number >= 1, got {n:g}")
     c_star = natural_speed(spec)
     if cmin is None:
         cmin = c_star
-    grid = np.linspace(max(cmin, c_star), cmax, n)
+    grid = np.linspace(max(cmin, c_star), cmax, int(n))
     rows = effort_curve(spec, grid, c_star=c_star)
     for r in rows:
         flag = "" if r.ok else f"  FAILED: {r.message}"

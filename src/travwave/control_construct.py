@@ -1,26 +1,17 @@
-"""Constructive controls: bang control and the finite-cost concatenation.
+"""Constructive controls: the finite-cost concatenation and its effort.
 
-Two explicit recipes produce a traveling profile at a prescribed speed
-c > c*:
+`finite_cost_control` produces a traveling profile at a prescribed speed
+c > c* as a concatenation P_flat | P_tilde | P_sharp whose middle piece
+rides above the auxiliary orbit P_c' of a substitute equation at an
+intermediate speed c', using the trimmed control
 
-* `bang_control` applies a constant removal rate gamma on (u0, u*).  The
-  backward orbit of dP/dU = -c + (gamma - f)/P from (u*, P_sharp(u*)) is
-  pushed below the unstable branch by raising gamma; the smallest gamma
-  that makes the orbit meet P_flat is located by doubling plus bisection.
-  For costs with a finiteness barrier this control is typically infinitely
-  expensive: its value is existence, not efficiency.
+    beta_tilde(U) = max(beta_max(U) - (c' - c) P_c'(U), 0).
 
-* `finite_cost_control` builds a concatenation P_flat | P_tilde | P_sharp
-  whose middle piece rides above the auxiliary orbit P_c' of a substitute
-  equation at an intermediate speed c', using the trimmed control
-
-      beta_tilde(U) = max(beta_max(U) - (c' - c) P_c'(U), 0).
-
-  The trim keeps beta_tilde a uniform distance below the cost barrier, so
-  the effort integral of the middle piece is finite.  P_c' starts at
-  (0.75 a0, 0), with a0 the largest a whose orbit from (a, 0) reaches U = 1.
-  The stable manifold of the saddle (1, 0) bounds those orbits, so a0 is
-  where the substitute's P_sharp at c' meets the U-axis: one integration.
+The trim keeps beta_tilde a uniform distance below the cost barrier, so
+the effort integral of the middle piece is finite.  P_c' starts at
+(0.75 a0, 0), with a0 the largest a whose orbit from (a, 0) reaches U = 1.
+The stable manifold of the saddle (1, 0) bounds those orbits, so a0 is
+where the substitute's P_sharp at c' meets the U-axis: one integration.
 """
 
 from __future__ import annotations
@@ -33,19 +24,18 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from ._roots import bisect, sign_changes
-from .errors import (CapExceededError, ConstructionFailureError,
-                     InvalidParameterError, NoControlNeeded, SingularCostError)
+from ._roots import sign_changes
+from .errors import (ConstructionFailureError, InvalidParameterError,
+                     SingularCostError)
 from .model import ModelSpec
 from .phaseplane import (PhaseTrajectory, _integrate_chart, _saddle_seed,
                          integrate_pu, stable_manifold, unstable_manifold)
 from .speed import _speed, make_substitute_spec, natural_speed
 
-__all__ = ["ConcatProfile", "bang_control", "finite_cost_control", "cost_of",
+__all__ = ["ConcatProfile", "finite_cost_control", "cost_of",
            "default_substitute"]
 
 SPEED_GUARD = 1e-9
-MAX_DOUBLINGS = 60  # bang_control's cap on doubling gamma
 A0_RTOL = 1e-12  # a0 error of the square-root asymptote, see _aux_left_end
 
 
@@ -112,71 +102,6 @@ def natural_heteroclinic(spec: ModelSpec, c_star: float) -> PhaseTrajectory:
     flat = unstable_manifold(spec, c_star, u_stop=spec.u_star)
     sharp = stable_manifold(spec, c_star, u_stop=spec.u_star)
     return merge_pieces((flat, sharp), c_star)
-
-
-def bang_control(spec: ModelSpec, c: float, c_star: float | None = None
-                 ) -> tuple[float, float, PhaseTrajectory]:
-    """Constant control gamma on (u0, u*) realizing speed c > c*.
-
-    Returns (gamma, u0, trajectory), gamma to within 1e-8.  At c = c*
-    (within guard) the zero
-    control with the natural heteroclinic is returned; below, raising the
-    speed is unnecessary and NoControlNeeded is raised.
-    """
-    if c_star is None:
-        c_star = natural_speed(spec)
-    if c < c_star - SPEED_GUARD:
-        raise NoControlNeeded(
-            f"c={c:g} is below the natural speed c*={c_star:.8g}")
-    if c <= c_star + SPEED_GUARD:
-        return 0.0, spec.u_star, natural_heteroclinic(spec, c_star)
-
-    us = spec.u_star
-    flat = unstable_manifold(spec, c, u_stop=us)
-    sharp = stable_manifold(spec, c, u_stop=us)
-    pflat = flat.interp_p()
-    p_top = float(sharp.p_values[0])  # P_sharp(u*)
-
-    # The infimum gamma lands the crossing exactly on the (0,0) corner, so
-    # the search targets the smallest gamma whose crossing sits at a
-    # well-conditioned abscissa u0 >= u0_floor.
-    u0_floor = min(1e-3, 0.01 * us)
-
-    arc = None
-
-    def crossed(gamma: float) -> bool:
-        """Whether the backward orbit meets P_flat; keeps the last that does."""
-        nonlocal arc
-        traj = integrate_pu(spec, c, lambda u: np.full_like(u, gamma),
-                            u_from=us, p_from=p_top, u_to=u0_floor,
-                            stop_when=lambda u, p: p - float(pflat(u)),
-                            direction=-1)
-        if traj.terminated_by == "event":
-            arc = traj
-        return traj.terminated_by == "event"
-
-    gamma = spec.max_f()
-    lo = 0.0
-    doublings = 0
-    while not crossed(gamma):
-        if doublings >= MAX_DOUBLINGS:
-            raise CapExceededError(
-                f"no crossing of P_flat after {MAX_DOUBLINGS} doublings "
-                f"(gamma={gamma:g})")
-        lo = gamma
-        gamma *= 2.0
-        doublings += 1
-
-    _, gamma = bisect(lambda g: 1.0 if crossed(g) else -1.0, lo, gamma, 1e-8)
-    u0 = float(arc.u_nodes[0])
-
-    flat_piece = _slice_to(flat, u0, pflat)
-    arc.beta_values = np.where(
-        (arc.u_nodes > u0 + 1e-14) & (arc.u_nodes < us - 1e-14), gamma, 0.0)
-    merged = merge_pieces((flat_piece, arc, sharp), c)
-    merged.meta["gamma"] = gamma
-    merged.meta["u0"] = u0
-    return gamma, u0, merged
 
 
 def default_substitute(spec: ModelSpec):

@@ -23,14 +23,6 @@ class InvalidSubstituteError(TravwaveError):
     """Substitute reaction term violates the admissibility sandwich or bistability."""
 
 
-class NoControlNeeded(TravwaveError):
-    """Requested speed is at or below the natural speed; zero control suffices."""
-
-
-class CapExceededError(TravwaveError):
-    """A monotone parameter search exceeded its cap."""
-
-
 class ConstructionFailureError(TravwaveError):
     """A constructive trajectory (orbit, junction or window) could not be located."""
 

@@ -345,6 +345,8 @@ def optimal_profile(spec: ModelSpec, c: float,
     roots, the smallest is assembled and all bracketed roots are reported
     in the diagnostics.
     """
+    if not np.isfinite(c):
+        raise InvalidParameterError(f"speed must be finite, got c={c}")
     _gate(spec)
     if c_star is None:
         c_star = natural_speed(spec)
@@ -487,6 +489,8 @@ def effort_curve(spec: ModelSpec, c_grid, c_star: float | None = None,
         c_star = natural_speed(spec)
     cs = sorted(float(c) for c in np.atleast_1d(c_grid))
     for c in cs:
+        if not np.isfinite(c):
+            raise InvalidParameterError(f"speed must be finite, got c={c}")
         if c < c_star - SPEED_GUARD:
             raise InvalidParameterError(
                 f"effort is defined for c >= c*; got c={c:g} < c*={c_star:.8g}")

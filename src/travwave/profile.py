@@ -104,9 +104,8 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     """Invert the chart: x(U) = int_{u*}^U dV / P(V), plus asymptotic tails.
 
     Interior nodes must have P > 0; nodes with P <= 1e-9 are dropped.  The
-    control in physical space is alpha(x) = L(U(x), beta(U(x))); profiles
-    of bang type may carry alpha = +inf where the control exceeds the cost
-    barrier.
+    control in physical space is alpha(x) = L(U(x), beta(U(x))), which is
+    +inf wherever the control reaches the cost barrier.
     """
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)

@@ -56,9 +56,13 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
                   atol: float = 1e-12) -> float:
     """Unique front speed of u_t = u_xx + f(u) for bistable f.
 
-    Raises InvalidParameterError when the bistability check fails (e.g. the
-    logistic model, which has a spectrum of speeds instead of a single c*).
+    Raises InvalidParameterError when tol is not finite and positive, or
+    when the bistability check fails (e.g. the logistic model, which has a
+    spectrum of speeds instead of a single c*).
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameterError(
+            f"tol must be finite and positive, got {tol}")
     report = check_A1(spec)
     if not report.passed:
         raise InvalidParameterError(

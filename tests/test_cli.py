@@ -102,6 +102,21 @@ def test_invalid_model_parameter(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["effort", "--n", "-1"], "n must be a whole number >= 1, got -1"),
+    (["effort", "--n", "0"], "got 0"),
+    (["effort", "--n", "2.5"], "got 2.5"),
+    (["optimal", "--c", "nan"], "speed must be finite"),
+    (["speed", "--tol", "nan"], "tol must be finite and positive"),
+])
+def test_invalid_numeric_flags_are_errors(capsys, argv, needle):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
+
+
 def test_effort_csv(tmp_path, capsys, c_star_weed):
     out = tmp_path / "effort.csv"
     rc = main(["effort", "--cmin", "-0.2", "--cmax", "-0.15", "--n", "2",

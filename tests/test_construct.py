@@ -1,4 +1,5 @@
-"""Constructive controls: bang arcs, finite-cost concatenations, costs."""
+"""Constructive controls: finite-cost concatenations, constant-removal
+arcs, costs."""
 
 from __future__ import annotations
 
@@ -13,64 +14,27 @@ import travwave.acceptance as acc
 import travwave.control_construct as cc
 import travwave.phaseplane as pp
 from travwave.control_construct import (_aux_left_end, _pcprime_orbit,
-                                        bang_control, cost_of,
-                                        default_substitute,
+                                        cost_of, default_substitute,
                                         finite_cost_control,
                                         natural_heteroclinic)
-from travwave.errors import (CapExceededError, ConstructionFailureError,
-                             InvalidParameterError, InvalidSubstituteError,
-                             NoControlNeeded, SingularCostError)
+from travwave.errors import (ConstructionFailureError, InvalidParameterError,
+                             InvalidSubstituteError, SingularCostError)
 from travwave.model import make_cubic_model
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
 from travwave.speed import make_substitute_spec
 
 
-def test_bang_at_natural_speed(weed, c_star_weed):
-    gamma, u0, traj = bang_control(weed, c_star_weed, c_star=c_star_weed)
-    assert gamma == 0.0
-    assert np.all(traj.beta_values == 0.0)
-    # uncontrolled heteroclinic spans [0,1]
-    assert traj.u_nodes[0] == 0.0 and traj.u_nodes[-1] == 1.0
-
-
-def test_bang_below_natural_speed(weed, c_star_weed):
-    with pytest.raises(NoControlNeeded):
-        bang_control(weed, c_star_weed - 0.05, c_star=c_star_weed)
-
-
-def test_bang_above_natural_speed(weed, c_star_weed):
-    gamma, u0, traj = bang_control(weed, -0.1, c_star=c_star_weed)
-    assert gamma > 0.0
-    assert 0.0 < u0 < weed.u_star
-    # junction continuity against the uncontrolled branch
-    flat = unstable_manifold(weed, -0.1, u_stop=weed.u_star)
-    pf = flat.interp_p()
-    k = int(np.argmin(np.abs(traj.u_nodes - u0)))
-    assert abs(traj.p_values[k] - float(pf(u0))) <= 1e-8
-    # control is the constant gamma exactly on (u0, u*)
-    inside = (traj.u_nodes > u0 + 1e-12) & (traj.u_nodes < weed.u_star - 1e-12)
-    assert np.all(traj.beta_values[inside] == gamma)
-    assert np.all(traj.beta_values[~inside] == 0.0)
-    # bang control spends beyond the barrier below u*: infinite cost
-    assert cost_of(weed, traj) == np.inf
-
-
-def test_bang_doubling_cap(weed, c_star_weed, monkeypatch):
-    # at c = 0 the orbit needs gamma ~ 0.084 > max f ~ 0.078: one doubling
-    monkeypatch.setattr(cc, "MAX_DOUBLINGS", 0)
-    with pytest.raises(CapExceededError):
-        bang_control(weed, 0.0, c_star=c_star_weed)
-
-
-def test_bang_crossing_monotone_in_gamma(weed, c_star_weed):
+def test_bang_crossing_monotone_in_gamma(weed):
     c = -0.1
     us = weed.u_star
     flat = unstable_manifold(weed, c, u_stop=us)
     sharp = stable_manifold(weed, c, u_stop=us)
     pf = flat.interp_p()
     p_top = float(sharp.p_values[0])
-    gamma, _, _ = bang_control(weed, c, c_star=c_star_weed)
+    # the smallest gamma whose backward orbit meets P_flat is 0.0387, about
+    # 0.495 max f, so each of these crosses
+    gamma = weed.max_f()
     crossings = []
     for g in (gamma, 1.5 * gamma, 2.0 * gamma, 3.0 * gamma):
         t = integrate_pu(weed, c, lambda u: np.full_like(u, g), us, p_top,

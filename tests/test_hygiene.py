@@ -2,11 +2,13 @@
 
 The project has no linter dependency, so this makes the checks that
 matter here: every imported name is used, every ``__all__`` entry is
-defined, every import sits at module level (a module's dependencies are
-read off its head), no handler catches every exception (a programming
-error must propagate, not turn into a solver verdict), one module holds
-the lock-step DOP853 integrator, one module owns the CSV number format,
-one module owns the cost quadrature, and every keyword parameter of the
+defined and loaded by some program module (the library or the benchmark
+scripts; the tests and the package's re-exports do not count), every
+import sits at module level (a module's dependencies are read off its
+head), no handler catches every exception (a programming error must
+propagate, not turn into a solver verdict), one module holds the
+lock-step DOP853 integrator, one module owns the CSV number format, one
+module owns the cost quadrature, and every keyword parameter of the
 public API is set by some program call (tests do not count: an option
 only tests set is a constant, and tests change it by monkeypatch).
 """
@@ -29,9 +31,6 @@ BROAD_ALLOWED = {("acceptance.py", "run_criterion")}
 UNSET_ALLOWED = {
     ("cli.py", "main", "argv"):
         "the console script calls main() so that argparse reads sys.argv",
-    ("control_construct.py", "bang_control", "c_star"):
-        "the c* hand-off bang_control shares with finite_cost_control and "
-        "optimal_profile, whose program callers set it",
 }
 
 
@@ -88,6 +87,31 @@ def test_every_all_entry_is_defined(path):
             defined.update(t.id for t in targets if isinstance(t, ast.Name))
     missing = [name for name in _all(tree) if name not in defined]
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
+
+
+def _unloaded(libs: dict[str, ast.Module], callers) -> list[tuple[str, str]]:
+    """(module, name) of each ``__all__`` entry in `libs` that no tree in
+    `callers` loads, as a name or as an attribute."""
+    loaded = {getattr(node, "id", getattr(node, "attr", None))
+              for tree in callers for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)}
+    return [(module, name) for module, tree in libs.items()
+            for name in _all(tree) if name not in loaded]
+
+
+def test_every_all_entry_is_loaded_by_the_program():
+    unloaded = _unloaded({p.name: _tree(p) for p in MODULES},
+                         [_tree(p) for p in CALLERS])
+    assert not unloaded, f"__all__ names no program module loads: {unloaded}"
+
+
+def test_an_unloaded_all_entry_is_reported():
+    lib = ast.parse('__all__ = ["f", "g", "K", "h"]\n')
+    # g is only imported and h only stored: neither counts as a load
+    caller = ast.parse("from lib import f, g, h\nf()\nx = mod.K\nh = 1\n")
+    assert _unloaded({"lib.py": lib}, [caller]) == [
+        ("lib.py", "g"), ("lib.py", "h")]
 
 
 def test_an_unused_import_is_reported():

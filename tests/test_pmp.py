@@ -77,8 +77,7 @@ def test_trivial_profile_at_natural_speed(weed, c_star_weed):
 
 
 def test_trivial_profile_within_the_speed_guard(weed, c_star_weed):
-    # the guard band around c* is the one finite_cost_control and
-    # bang_control use
+    # the guard band around c* is the one finite_cost_control uses
     prof = optimal_profile(weed, c_star_weed + 5e-10, c_star=c_star_weed)
     assert prof.cost == 0.0 and prof.arc is None
 
@@ -206,6 +205,18 @@ def test_effort_row_independence(weed, c_star_weed, opt01):
 def test_effort_requires_admissible_speeds(weed, c_star_weed):
     with pytest.raises(InvalidParameterError):
         effort_curve(weed, [c_star_weed - 0.1], c_star=c_star_weed)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_optimal_profile_rejects_a_non_finite_speed(weed, c_star_weed, c):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        optimal_profile(weed, c, c_star=c_star_weed)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_effort_requires_finite_speeds(weed, c_star_weed, c):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        effort_curve(weed, [c], c_star=c_star_weed)
 
 
 def test_effort_curve_mixes_trivial_and_controlled_rows(weed, c_star_weed, opt01):

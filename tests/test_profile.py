@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import travwave.profile as profile
+from travwave.control_construct import _slice_to, merge_pieces
 from travwave.errors import (IntegrabilityError, InvalidTrajectoryError,
                              NonexistenceError)
 from travwave.model import make_logistic_model
-from travwave.phaseplane import PhaseTrajectory, unstable_manifold
+from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
+                                 stable_manifold, unstable_manifold)
 from travwave.profile import (SpatialProfile, alpha_multiplicative,
                               decay_check, reconstruct_x, theta_model1)
 
@@ -162,10 +164,22 @@ def test_decay_check_propagates_a_broken_spec(weed, exact_profile):
         decay_check(exact_profile, dataclasses.replace(weed, df=broken_df))
 
 
-def test_decay_check_bang_profile(weed, c_star_weed):
-    from travwave.control_construct import bang_control
-    _, _, traj = bang_control(weed, -0.1, c_star=c_star_weed)
+def test_decay_check_bang_profile(weed):
+    # a constant removal max f on (u0, u*): the backward orbit from
+    # (u*, P_sharp(u*)) meets P_flat at u0, and the control crosses the
+    # cost barrier below u*
+    c, us, gamma = -0.1, weed.u_star, weed.max_f()
+    flat = unstable_manifold(weed, c, u_stop=us)
+    sharp = stable_manifold(weed, c, u_stop=us)
+    pf = flat.interp_p()
+    arc = integrate_pu(weed, c, lambda u: np.full_like(u, gamma), us,
+                       float(sharp.p_values[0]), 1e-3,
+                       stop_when=lambda u, p: p - float(pf(u)), direction=-1)
+    assert arc.terminated_by == "event"
+    u0 = float(arc.u_nodes[0])
+    traj = merge_pieces((_slice_to(flat, u0, pf), arc, sharp), c)
     prof = reconstruct_x(traj, weed)
+    assert np.any(prof.alpha_values == np.inf)
     rep = decay_check(prof, weed)
     assert rep.integrable
 

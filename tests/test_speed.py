@@ -50,6 +50,12 @@ def test_monostable_rejected():
         natural_speed(make_logistic_model(1.0))
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_tol_must_be_finite_and_positive(weed, tol):
+    with pytest.raises(InvalidParameterError, match="tol"):
+        natural_speed(weed, tol=tol)
+
+
 def test_no_gap_sign_change_raises(weed, monkeypatch):
     monkeypatch.setattr(travwave.speed, "manifold_gap", lambda *a, **k: 1.0)
     with pytest.raises(BracketFailureError):

@@ -21,7 +21,7 @@ from .control_construct import ConcatProfile, finite_cost_control, cost_of
 from .pmp import (OptimalProfile, shoot_from, optimal_profile, pmp_residual,
                   effort_curve)
 from .profile import (SpatialProfile, reconstruct_x, theta_model1,
-                      decay_check, alpha_multiplicative)
+                      alpha_multiplicative)
 from .model2 import (Model2Spectrum, TriplePath, char_poly, c_sharp, spectrum,
                      supersolution, subsolution, solve_vtheta, case2_demo,
                      check_drate)

@@ -127,8 +127,9 @@ def criterion_2() -> tuple[bool, str]:
 
 
 def criterion_3() -> tuple[bool, str]:
-    """PMP solve at c = -0.1: junctions, boundary controls, residual,
-    and the controlled-arc geometry bridging P_flat to P_sharp."""
+    """PMP solve at c = -0.1: junctions, boundary controls, residual, the
+    minimum condition at every node, and the controlled-arc geometry
+    bridging P_flat to P_sharp."""
     spec = _weed()
     prof = _optimal_01()
     order_ok = spec.u_star < prof.u1 < prof.u2 < 1.0
@@ -147,10 +148,13 @@ def criterion_3() -> tuple[bool, str]:
                 and np.all(prof.arc.p_values[1:-1]
                            <= np.asarray(ps(mid)) + 1e-7))
     ok = (order_ok and b1 <= 1e-6 and b2 <= 1e-6 and res.yu_max <= 1e-5
-          and jump1 <= 1e-8 and jump2 <= 1e-8 and geom)
+          and res.min22_failures == 0 and jump1 <= 1e-8 and jump2 <= 1e-8
+          and geom)
     return ok, (f"u1 = {prof.u1:.6f}, u2 = {prof.u2:.6f}, "
                 f"beta ends = ({b1:.1e}, {b2:.1e}) (tol 1e-6), "
                 f"YU residual = {res.yu_max:.2e} (tol 1e-5), "
+                f"minimum-condition failures = {res.min22_failures} of "
+                f"{res.n_checked} nodes, "
                 f"junction jumps = ({jump1:.1e}, {jump2:.1e}), "
                 f"arc inside [P_flat, P_sharp]: {geom}")
 

@@ -76,6 +76,13 @@ class ModelSpec:
         return float(np.max(self.f(u)))
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Raise InvalidParameterError unless value is finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise InvalidParameterError(
+            f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Model2Params:
     """Infection/death rates of the insect-tree system (all 1/time)."""
@@ -86,8 +93,7 @@ class Model2Params:
 
     def __post_init__(self):
         for name in ("kappa1", "kappa2", "d"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
+            _check_positive(name, getattr(self, name))
 
     @property
     def v_star(self) -> float:

@@ -632,8 +632,12 @@ def case2_demo(params: Model2Params, c: float,
     coordinate on that plane advances at rate ~ b, so V or Theta must
     change sign within a fraction of a rotation; the report records where,
     and the winding accumulated up to the violation.  A negative
-    seed_amplitude starts with V < 0, a violation at x = 0.
+    seed_amplitude starts with V < 0, a violation at x = 0; a zero or
+    non-finite one raises InvalidParameterError.
     """
+    if not 0.0 < abs(seed_amplitude) < np.inf:
+        raise InvalidParameterError(
+            f"seed_amplitude must be finite and nonzero, got {seed_amplitude}")
     spec2 = spectrum(c, params)
     if spec2.classification != "lemma71_regime":
         raise RegimeError(f"demonstration requires the complex-pair regime, "

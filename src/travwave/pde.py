@@ -44,7 +44,7 @@ from scipy.linalg import lapack
 from ._columns import write_snapshots
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
                      InstabilityError, InvalidParameterError)
-from .model import Model2Params, ModelSpec
+from .model import Model2Params, ModelSpec, _check_positive
 from .model2 import check_drate
 from .phaseplane import _sample_control
 from .profile import SpatialProfile
@@ -401,8 +401,10 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
     like the u-step); the comoving frame adds implicit upwinded transport.
     The running cost integral of control plus infected trees is
     accumulated per step, by the trapezoid rule, into
-    summary['cost_integral'].
+    summary['cost_integral'].  kappa1 must be finite and positive.
     """
+    _check_positive("kappa1", kappa1)
+
     def system(scheme, fields):
         cost = 0.0
         theta_monotone = True

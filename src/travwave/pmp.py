@@ -38,7 +38,8 @@ from .control_construct import (SPEED_GUARD, _cost_and_error, _slice_from,
                                 _slice_to, merge_pieces, natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, TravwaveError)
-from .model import ModelSpec, _check_finite_state, check_A1, check_A2
+from .model import (ModelSpec, _check_finite_state, _check_positive,
+                    check_A1, check_A2)
 from .phaseplane import (PhaseTrajectory, _floor_event, _p_floor,
                          _underflow_status, stable_manifold, unstable_manifold)
 from .speed import natural_speed
@@ -298,6 +299,7 @@ def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
                resolution: float) -> tuple[float, float, np.ndarray]:
     """(scan_lo, scan_hi, grid): the trial junctions u1 of the phi scan,
     `resolution` apart below P_flat's end."""
+    _check_positive("scan_resolution", resolution)
     # Control is worthless where the cost barrier sits at zero; scan above
     # u* for such models, else over the whole unit interval.
     barrier_zero_below = float(spec.beta_max(0.5 * spec.u_star)) == 0.0 \

@@ -1,4 +1,4 @@
-"""Spatial profiles: chart inversion, tree infection, and tail decay.
+"""Spatial profiles: chart inversion and tree infection.
 
 A phase trajectory U -> P(U) is converted to a wave profile by quadrature
 of dx = dU / P, anchored so that U(0) = u*.  Beyond the sampled range the
@@ -25,12 +25,12 @@ from scipy.interpolate import PchipInterpolator
 
 from ._columns import write_columns
 from .errors import (IntegrabilityError, InvalidTrajectoryError,
-                     NonexistenceError, NotASaddleError)
-from .model import ModelSpec
+                     NonexistenceError)
+from .model import ModelSpec, _check_positive
 from .phaseplane import PhaseTrajectory, saddle_eigenvalues
 
-__all__ = ["SpatialProfile", "reconstruct_x", "theta_model1", "decay_check",
-           "DecayReport", "alpha_multiplicative"]
+__all__ = ["SpatialProfile", "reconstruct_x", "theta_model1",
+           "alpha_multiplicative"]
 
 TAIL_FACTOR = 10.0
 N_PAD, N_EXT = 120, 200  # tail nodes of reconstruct_x and theta_model1
@@ -181,24 +181,29 @@ def theta_model1(profile: SpatialProfile, kappa1: float,
                  c: float) -> SpatialProfile:
     """Infected-tree fraction Theta along a leftward wave (c < 0).
 
-    The left tail integral is closed in exact form from the exponential
-    asymptotics; while Theta is short of 1 - END_TOL, the grid is extended
-    by the wave's far field (alpha, beta, f = 0 there) and Theta is formed
-    on it by the same closed form.  For c >= 0 the profile cannot exist.
+    The left tail must be integrable: C = min P/U over the nodes up to
+    U ~ min(1/2, 0.99 U_end) bounds it by U' >= C U, and C <= 1e-8 raises
+    IntegrabilityError.  Its integral is closed exactly as U_0 / lambda
+    with the saddle rate lambda = meta["lambda_left"], or C without one.
+    While Theta is short of 1 - END_TOL, the grid is extended by the
+    wave's far field (alpha, beta, f = 0 there) and Theta is formed on it
+    by the same closed form.  For c >= 0 the profile cannot exist; kappa1
+    must be finite and positive.
     """
     if c >= 0.0:
         raise NonexistenceError(
             f"infected-tree profile requires c < 0 (invading front); got c={c:g}")
-    rep = decay_check(profile, None)
-    if not rep.integrable:
-        raise IntegrabilityError(
-            f"left tail of U not integrable (decay constant {rep.C:.3g})")
+    _check_positive("kappa1", kappa1)
 
     x, u, p = profile.x_nodes, profile.u_values, profile.p_values
+    k = int(np.argmin(np.abs(u - min(0.5, 0.99 * float(u[-1])))))
+    left = (x <= x[k]) & (u > 0.0)
+    C = float(np.min(p[left] / u[left])) if np.any(left) else 0.0
+    if not C > 1e-8:
+        raise IntegrabilityError(
+            f"left tail of U not integrable (decay constant {C:.3g})")
     lam_l = profile.meta.get("lambda_left")
-    if lam_l is None:
-        lam_l = max(rep.lambda_fit, 1e-6)
-    tail = u[0] / lam_l
+    tail = u[0] / (C if lam_l is None else lam_l)
     theta = _theta_closed_form(x, u, kappa1, c, tail=tail)
 
     ext = np.empty(0)
@@ -250,81 +255,3 @@ def alpha_multiplicative(profile: SpatialProfile):
     def alpha(xx):
         return np.interp(xx, x, vals, left=0.0, right=0.0)
     return alpha
-
-
-@dataclass
-class DecayReport:
-    """Verified decay constant, tail-rate fit and integrability verdict.
-
-    C is the sampled infimum of P/U on {U <= u*}: integrating U' >= C U
-    gives the guaranteed envelope U(x) <= u* e^{-C (x*-x)}.  lambda_fit is
-    the log-slope of the far tail and should match the saddle rate
-    lambda_plus.
-    """
-
-    C: float
-    lambda_fit: float
-    lambda_plus: float | None
-    envelope_ok: bool
-    integral_to_zero: float
-    integrable: bool
-    violations: list[str] = field(default_factory=list)
-
-
-def decay_check(profile: SpatialProfile, spec: ModelSpec | None) -> DecayReport:
-    """Exponential-decay audit of the left tail of a profile.
-
-    Uses the anchor U(x*) = u* (x* located on the grid).  A zero decay
-    constant (e.g. a constant synthetic profile) is reported as a
-    violation and the tail integral as divergent.
-    """
-    x = profile.x_nodes
-    u = profile.u_values
-    p = profile.p_values
-    u_star = spec.u_star if spec is not None else None
-    if u_star is None or not np.isfinite(u_star):
-        u_star = min(0.5, float(u[-1]) * 0.99)
-    violations: list[str] = []
-
-    k_star = int(np.argmin(np.abs(u - u_star)))
-    x_star = float(x[k_star])
-    mask = (x <= x_star) & (u > 0.0)
-    if not np.any(mask):
-        return DecayReport(0.0, 0.0, None, False, float("inf"), False,
-                           ["no left-tail samples below u*"])
-
-    ratios = p[mask] / u[mask]
-    C = float(np.min(ratios))
-    if C <= 1e-8:
-        violations.append(f"decay constant not positive (min P/U = {C:.3g})")
-
-    tail = mask & (u <= max(0.05 * u_star, float(u[mask][0]) * 2.0)) & (u > 0.0)
-    if np.sum(tail) >= 3:
-        slope = np.polyfit(x[tail], np.log(u[tail]), 1)[0]
-        lambda_fit = float(slope)
-    else:
-        lambda_fit = C
-    lam_plus = None
-    if spec is not None:
-        try:
-            lam_plus = saddle_eigenvalues(spec, profile.c, 0.0)[0]
-        except NotASaddleError:
-            lam_plus = None
-
-    envelope = u_star * np.exp(-C * (x_star - x[mask]))
-    envelope_ok = bool(np.all(u[mask] <= envelope * (1.0 + 1e-8) + 1e-14))
-    if not envelope_ok:
-        violations.append("sampled envelope U <= u* exp(-C (x*-x)) fails")
-
-    m0 = x <= 0.0
-    integral = float(np.trapezoid(u[m0], x[m0])) if np.sum(m0) >= 2 else 0.0
-    if C > 1e-8:
-        integral += float(u[0]) / C
-        integrable = True
-    else:
-        integral = float("inf")
-        integrable = False
-        violations.append("left tail integral divergent at the fitted rate")
-
-    return DecayReport(C, lambda_fit, lam_plus, envelope_ok, integral,
-                       integrable, violations)

@@ -26,7 +26,7 @@ import numpy as np
 from ._lockstep import LockStep
 from ._roots import bisect, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
-from .model import ModelSpec, check_A1
+from .model import ModelSpec, _check_positive, check_A1
 from .phaseplane import (P_COLLAPSE, _call_on_array, _integrate_chart,
                          _p_floor, _saddle_seed)
 
@@ -60,9 +60,7 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     when the bistability check fails (e.g. the logistic model, which has a
     spectrum of speeds instead of a single c*).
     """
-    if not 0.0 < tol < np.inf:
-        raise InvalidParameterError(
-            f"tol must be finite and positive, got {tol}")
+    _check_positive("tol", tol)
     report = check_A1(spec)
     if not report.passed:
         raise InvalidParameterError(

@@ -108,6 +108,11 @@ def test_invalid_model_parameter(capsys):
     (["effort", "--n", "2.5"], "got 2.5"),
     (["optimal", "--c", "nan"], "speed must be finite"),
     (["speed", "--tol", "nan"], "tol must be finite and positive"),
+    (["model1", "--c", "-0.1", "--kappa1", "-1"],
+     "kappa1 must be finite and positive"),
+    (["model2", "csharp", "--k1", "inf"], "kappa1 must be finite and positive"),
+    (["model2", "demo", "--amplitude", "nan"], "seed_amplitude must be finite"),
+    (["model2", "demo", "--amplitude", "0"], "seed_amplitude must be finite"),
 ])
 def test_invalid_numeric_flags_are_errors(capsys, argv, needle):
     rc = main(argv)

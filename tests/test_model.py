@@ -180,6 +180,10 @@ def test_model2_params():
         Model2Params(1.0, -1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         Model2Params(0.0, 1.0, 1.0)
+    for rates in ((np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf),
+                  (np.nan, 1.0, 1.0)):
+        with pytest.raises(InvalidParameterError, match="finite and positive"):
+            Model2Params(*rates)
 
 
 def test_beta_from_alpha_inverts_cost(weed):

@@ -425,6 +425,12 @@ def test_case2_demo_negative_seed_violates_immediately():
     assert rep.component == "V"
 
 
+@pytest.mark.parametrize("amplitude", [0.0, np.nan, np.inf, -np.inf])
+def test_case2_demo_seed_must_be_finite_and_nonzero(amplitude):
+    with pytest.raises(InvalidParameterError, match="seed_amplitude"):
+        case2_demo(P111, -0.9, seed_amplitude=amplitude)
+
+
 def test_case2_demo_regime_gate():
     with pytest.raises(RegimeError):
         case2_demo(P111, -1.5)

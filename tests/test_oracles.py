@@ -2,9 +2,10 @@
 
 For f = rate * U (U - u*) (1 - U) the uncontrolled front is exact:
 P(U) = kappa U (1 - U) with kappa = sqrt(rate/2), travelling at
-c* = kappa (2 u* - 1).  These hold for every (u*, rate), so they are
-checked across the parameter space, not at one point; so is the speed of
-a free front evolved by the PDE.
+c* = kappa (2 u* - 1); its left tail decays at the saddle rate kappa, and
+P/U = kappa (1 - U) is least at the anchor U(0) = u*.  These hold for
+every (u*, rate), so they are checked across the parameter space, not at
+one point; so is the speed of a free front evolved by the PDE.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from travwave.control_construct import natural_heteroclinic
 from travwave.model import make_cubic_model, make_weed_model
 from travwave.pde import evolve_scalar, front_speed
 from travwave.pmp import effort_curve
+from travwave.profile import reconstruct_x
 from travwave.speed import natural_speed
 
 
@@ -31,6 +33,18 @@ def test_cubic_speed_and_front_match_closed_form(u_star, rate):
     u = het.u_nodes
     assert np.max(np.abs(het.p_values - kappa * u * (1.0 - u))) \
         <= 1e-8 * max(1.0, kappa)
+    # the left tail of the wave profile
+    prof = reconstruct_x(het, spec)
+    x, u = prof.x_nodes, prof.u_values
+    assert abs(prof.meta["lambda_left"] - kappa) <= 1e-7 * kappa
+    left = x <= 0.0
+    C = float(np.min(prof.p_values[left] / u[left]))
+    assert abs(C - kappa * (1.0 - u_star)) <= 1e-7 * kappa
+    # U' >= C U integrates to the envelope U <= u* e^{C x} on x <= 0
+    assert np.all(u[left] <= u_star * np.exp(C * x[left]) * (1.0 + 1e-12))
+    tail = left & (u <= 0.05 * u_star)
+    slope = np.polyfit(x[tail], np.log(u[tail]), 1)[0]
+    assert abs(slope - kappa) <= 1e-2 * kappa
 
 
 @settings(max_examples=6, deadline=None)

@@ -177,6 +177,13 @@ def test_control_without_a_channel_is_refused(weed):
     assert rec.summary["n_steps"] == 1
 
 
+@pytest.mark.parametrize("kappa1", [-1.0, 0.0, np.nan, np.inf])
+def test_model1_requires_a_finite_positive_kappa1(weed, kappa1):
+    with pytest.raises(InvalidParameterError, match="kappa1 must be finite"):
+        evolve_model1(weed, lambda x: 0.5, lambda x: 0.0, kappa1=kappa1,
+                      T=0.1, x_span=(-5, 5), dx=0.1)
+
+
 @pytest.mark.parametrize("c_frame", [None, -0.3, 0.3])
 def test_factored_step_matches_banded_solve(c_frame):
     # factoring once per run changes no bit of a step: solve_banded on the
@@ -372,8 +379,8 @@ def test_model1_lab_theta_and_cost_are_second_order(weed, monkeypatch):
 @pytest.mark.parametrize("c_frame", [None, -0.1])
 def test_inert_extra_fields_leave_u_unchanged(weed, c_frame, monkeypatch):
     # all three systems advance u with the same arithmetic, so inert extra
-    # fields (theta = 0 with kappa1 = 0; v = theta = 0 without a control)
-    # must reproduce the scalar run bit for bit
+    # fields (theta = 1, where kappa1 u (1 - theta) = 0; v = theta = 0
+    # without a control) must reproduce the scalar run bit for bit
     u0 = lambda x: 1.0 / (1.0 + np.exp(-x))
     alpha = lambda x: np.where(np.abs(x) < 2.0, 0.05, 0.0)
     kw = dict(T=2.0, c_frame=c_frame, x_span=(-10, 10), dx=0.1)
@@ -381,7 +388,7 @@ def test_inert_extra_fields_leave_u_unchanged(weed, c_frame, monkeypatch):
     zero = lambda x: 0.0
     scalar = evolve_scalar(weed, u0, **kw)
     controlled = evolve_scalar(weed, u0, alpha_of_x=alpha, **kw)
-    m1 = evolve_model1(weed, u0, zero, alpha_of_x=alpha, kappa1=0.0, **kw)
+    m1 = evolve_model1(weed, u0, lambda x: 1.0, alpha_of_x=alpha, **kw)
     m2 = evolve_model2(weed, u0, zero, zero, **kw)
     assert len(scalar.u_snapshots) == 5
     for rec, ref in ((m1, controlled), (m2, scalar)):

@@ -213,6 +213,14 @@ def test_optimal_profile_rejects_a_non_finite_speed(weed, c_star_weed, c):
         optimal_profile(weed, c, c_star=c_star_weed)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -1e-3, np.nan])
+def test_scan_resolution_must_be_finite_and_positive(weed, c_star_weed,
+                                                     resolution):
+    with pytest.raises(InvalidParameterError, match="scan_resolution"):
+        optimal_profile(weed, -0.1, scan_resolution=resolution,
+                        c_star=c_star_weed)
+
+
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
 def test_effort_requires_finite_speeds(weed, c_star_weed, c):
     with pytest.raises(InvalidParameterError, match="finite"):

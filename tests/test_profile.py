@@ -1,21 +1,18 @@
-"""Spatial reconstruction, tree infection, decay audit."""
+"""Spatial reconstruction, tree infection, left-tail integrability."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 import travwave.profile as profile
 from travwave.control_construct import _slice_to, merge_pieces
-from travwave.errors import (IntegrabilityError, InvalidTrajectoryError,
-                             NonexistenceError)
-from travwave.model import make_logistic_model
+from travwave.errors import (IntegrabilityError, InvalidParameterError,
+                             InvalidTrajectoryError, NonexistenceError)
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
 from travwave.profile import (SpatialProfile, alpha_multiplicative,
-                              decay_check, reconstruct_x, theta_model1)
+                              reconstruct_x, theta_model1)
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
 
@@ -119,6 +116,12 @@ def test_theta_requires_leftward_wave(spatial01):
         theta_model1(spatial01, 1.0, +0.1)
 
 
+@pytest.mark.parametrize("kappa1", [-1.0, 0.0, np.nan, np.inf])
+def test_theta_requires_a_finite_positive_kappa1(spatial01, kappa1):
+    with pytest.raises(InvalidParameterError, match="kappa1 must be finite"):
+        theta_model1(spatial01, kappa1, -0.1)
+
+
 def test_theta_tail_consistency(spatial01, monkeypatch):
     monkeypatch.setattr(profile, "END_TOL", 1e-4)
     a = theta_model1(spatial01, 1.0, -0.1)
@@ -127,41 +130,33 @@ def test_theta_tail_consistency(spatial01, monkeypatch):
     assert abs((1.0 - a.theta_values[-1]) - (1.0 - b.theta_values[-1])) < 1e-5
 
 
-def test_decay_check_exact_profile(weed, exact_profile):
-    rep = decay_check(exact_profile, weed)
+def test_decay_check_exact_profile(exact_profile):
+    # the weed at c* is the cubic (u*, rate) = (1/3, 1): P = U (1-U)/sqrt 2
+    prof, x, u = exact_profile, exact_profile.x_nodes, exact_profile.u_values
+    assert prof.meta["lambda_left"] == pytest.approx(1.0 / np.sqrt(2.0),
+                                                     rel=1e-7)
     # guaranteed envelope constant: min P/U over {U <= u*} = (1-u*)/sqrt 2
-    assert rep.C == pytest.approx((1.0 - 1.0 / 3.0) / np.sqrt(2.0), rel=1e-3)
-    assert rep.envelope_ok
-    assert rep.integrable
+    left = x <= 0.0
+    C = float(np.min(prof.p_values[left] / u[left]))
+    assert C == pytest.approx((1.0 - 1.0 / 3.0) / np.sqrt(2.0), rel=1e-3)
+    assert np.all(u[left] <= u[left][-1] * np.exp(C * x[left]) * (1.0 + 1e-8))
     # tail log-slope matches the saddle rate within 10%
-    assert abs(rep.lambda_fit - rep.lambda_plus) / rep.lambda_plus < 0.1
+    tail = left & (u <= 0.05 / 3.0)
+    slope = np.polyfit(x[tail], np.log(u[tail]), 1)[0]
+    assert abs(slope - prof.meta["lambda_left"]) < 0.1 * slope
+    th = theta_model1(prof, 1.0, C_STAR).theta_values
+    assert np.all(np.isfinite(th))
 
 
 def test_decay_check_constant_profile(weed):
+    # P = 0 on a constant profile: the left tail of U is not integrable
     x = np.linspace(-20.0, 20.0, 401)
     u = np.full_like(x, weed.u_star)
     prof = SpatialProfile(x, u, np.zeros_like(x), np.zeros_like(x), -0.1,
                           beta_values=np.zeros_like(x),
                           f_values=np.asarray(weed.f(u)))
-    rep = decay_check(prof, weed)
-    assert not rep.integrable
-    assert rep.violations
     with pytest.raises(IntegrabilityError, match="decay constant 0"):
         theta_model1(prof, 0.02, -0.1)
-
-
-def test_decay_check_reads_no_rate_without_a_saddle(exact_profile):
-    # the logistic f'(0) > 0: (0, 0) is no saddle, so no lambda_plus
-    rep = decay_check(exact_profile, make_logistic_model(1.0))
-    assert rep.lambda_plus is None
-
-
-def test_decay_check_propagates_a_broken_spec(weed, exact_profile):
-    # only a missing saddle reads as "no rate"; a bug in the spec propagates
-    def broken_df(u):
-        raise TypeError("df is broken")
-    with pytest.raises(TypeError, match="df is broken"):
-        decay_check(exact_profile, dataclasses.replace(weed, df=broken_df))
 
 
 def test_decay_check_bang_profile(weed):
@@ -180,8 +175,9 @@ def test_decay_check_bang_profile(weed):
     traj = merge_pieces((_slice_to(flat, u0, pf), arc, sharp), c)
     prof = reconstruct_x(traj, weed)
     assert np.any(prof.alpha_values == np.inf)
-    rep = decay_check(prof, weed)
-    assert rep.integrable
+    th = theta_model1(prof, 1.0, c).theta_values
+    assert np.all(np.diff(th) >= 0.0)
+    assert 0.0 <= th[0] and th[-1] <= 1.0
 
 
 def test_alpha_multiplicative(spatial01):

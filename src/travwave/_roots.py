@@ -1,4 +1,4 @@
-"""The bisection and the sign-change scan behind every root search."""
+"""The bisection and the sign-flip rule behind every root search."""
 
 from __future__ import annotations
 
@@ -21,12 +21,18 @@ def bisect(side, lo, hi, tol):
     return lo, hi
 
 
+def flips(values, tol) -> list[tuple[int, int]]:
+    """Index pairs (i, j), in order, where the samples change sign: each
+    sample with |v| > tol pairs with the next such sample, and a NaN pairs
+    with nothing."""
+    v = np.asarray(values, dtype=float)
+    nz = np.flatnonzero(~(np.abs(v) <= tol))
+    flip = np.sign(v[nz[:-1]]) * np.sign(v[nz[1:]]) < 0.0
+    return list(zip(nz[:-1][flip].tolist(), nz[1:][flip].tolist()))
+
+
 def sign_changes(fn, u, tol):
-    """Lazily yield the brentq root at each sign flip of fn on the samples u,
-    pairing each sample with |fn| > tol with the next such sample."""
-    vals = np.asarray(fn(u), dtype=float)
-    sgn = np.sign(np.where(np.abs(vals) <= tol, 0.0, vals))
-    nz = np.nonzero(sgn)[0]
-    for i, j in zip(nz[:-1], nz[1:]):
-        if sgn[i] * sgn[j] < 0:
-            yield float(brentq(lambda x: float(fn(x)), u[i], u[j], xtol=1e-14))
+    """Lazily yield the brentq root of fn in each `flips` pair of its
+    samples on u."""
+    for i, j in flips(fn(u), tol):
+        yield float(brentq(lambda x: float(fn(x)), u[i], u[j], xtol=1e-14))

@@ -161,8 +161,11 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     c' P term it leaves out moves a0 by about |c'| P^3 / (3 f_hat^2).
     Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
     the P floor, at a0 itself.  P falls to the axis only where f_hat <= 0,
-    so a0 <= u_hat*: a floor end beyond it is the chart's error at P near
-    its atol, as the branch tends to the node (u_hat*, 0).
+    so a0 <= u_hat*.  Where (u_hat*, 0) is a node (c' <= -2 sqrt(f_hat'))
+    the branch may tend to it along P ~ mu (U - u_hat*), and a chart step
+    can cross u_hat* there and fall to the axis just short of it.  So a
+    chart bounded at u_hat* runs first: ending on the P floor, the branch
+    tends to the node and a0 = u_hat*.
     """
     def asymptote_excess(u, p):
         # in cube roots: linear in P, so the event's root finder converges
@@ -170,6 +173,11 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
         return np.cbrt(abs(c_prime)) * p - np.cbrt(3 * A0_RTOL * u * f_neg**2)
 
     u0, p0 = _saddle_seed(sub_spec, c_prime, 1.0)
+    u_hat = sub_spec.u_star
+    node = c_prime < 0.0 and c_prime**2 >= 4.0 * float(sub_spec.df(u_hat))
+    if node and _integrate_chart(sub_spec, c_prime, None, u0, p0, u_hat,
+                                 dense_output=False)[2] == "p_zero":
+        return u_hat
     _, p_end, ended, u_end = _integrate_chart(
         sub_spec, c_prime, None, u0, p0, u1=0.0, stop_when=asymptote_excess,
         direction=-1, dense_output=False)
@@ -178,7 +186,7 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     if ended != "p_zero":
         raise ConstructionFailureError(f"auxiliary orbit not found: P_sharp "
                                        f"at c'={c_prime:g} ends by {ended}")
-    return min(u_end, sub_spec.u_star)
+    return min(u_end, u_hat)
 
 
 def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,

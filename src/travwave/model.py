@@ -123,8 +123,7 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
     """
     if not (0.0 < u_star <= 0.5):
         raise InvalidParameterError(f"u_star must lie in (0, 1/2], got {u_star}")
-    if not rate > 0.0:
-        raise InvalidParameterError(f"rate must be positive, got {rate}")
+    _check_positive("rate", rate)
     a, k = float(u_star), float(rate)
 
     def f(u):
@@ -222,8 +221,7 @@ def make_logistic_model(kappa3: float) -> ModelSpec:
     assumption and is rejected by the traveling-wave solvers that need it.
     The cost is linear in beta, so strict convexity fails as well.
     """
-    if not kappa3 > 0.0:
-        raise InvalidParameterError(f"kappa3 must be positive, got {kappa3}")
+    _check_positive("kappa3", kappa3)
     k3 = float(kappa3)
 
     def f(u):

@@ -33,7 +33,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from ._lockstep import LockStep
-from ._roots import bisect
+from ._roots import bisect, flips
 from .control_construct import (SPEED_GUARD, _cost_and_error, _slice_from,
                                 _slice_to, merge_pieces, natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
@@ -288,13 +288,6 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
     return signs, passes, len(scalar)
 
 
-def _sign_brackets(values: np.ndarray) -> list[int]:
-    """Indices i with finite values[i], values[i+1] of opposite signs."""
-    v = np.asarray(values, dtype=float)
-    ok = np.isfinite(v)
-    return np.flatnonzero(ok[:-1] & ok[1:] & (v[:-1] * v[1:] < 0.0)).tolist()
-
-
 def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
                resolution: float) -> tuple[float, float, np.ndarray]:
     """(scan_lo, scan_hi, grid): the trial junctions u1 of the phi scan,
@@ -382,18 +375,18 @@ def optimal_profile(spec: ModelSpec, c: float,
         return known[i]
 
     brackets = []
-    for i in _sign_brackets(signs):
-        flo, fhi = phi_at(i), phi_at(i + 1)
-        if _sign_brackets([flo, fhi]) != [0]:
+    for i, j in flips(signs, 0.0):
+        flo, fhi = phi_at(i), phi_at(j)
+        if flips([flo, fhi], 0.0) != [(0, 1)]:
             brackets = []
             break
-        brackets.append((grid[i], grid[i + 1], flo, fhi))
+        brackets.append((grid[i], grid[j], flo, fhi))
     if not brackets:
         # no bracket, or one that did not hold: the scalar phi list decides
         fallbacks = len(grid)
         phis = np.array([phi_at(i) for i in range(len(grid))])
-        brackets = [(grid[i], grid[i + 1], phis[i], phis[i + 1])
-                    for i in _sign_brackets(phis)]
+        brackets = [(grid[i], grid[j], phis[i], phis[j])
+                    for i, j in flips(phis, 0.0)]
         if not brackets:
             raise NoSolutionError(
                 f"no sign change of phi on [{scan_lo:.4f}, {scan_hi:.4f}] "

@@ -7,13 +7,13 @@ is located by shooting on the manifold gap
 
 which is strictly increasing in c (raising c lowers the slope field, which
 pushes P_flat down and P_sharp up) and vanishes exactly at c*.  The root
-is found by bisection on [-scale, scale].  The midpoints' gaps come from
-lock-step chart integrations (`_lockstep.LockStep`, the stepper of the
-PMP scan), the midpoints of five bisection levels at a time, and only
-the final bracket's two ends are scalar `manifold_gap` calls.  Where
-those ends do not confirm the sign change, the scalar bracket-and-bisect
-(with its bracket expansions) decides, so c* is always the root of the
-scalar gap's bisection.
+is found by `_roots.bisect` on [-scale, scale], whose side is a lock-step
+gap: it answers each midpoint from chart columns integrated together
+(`_lockstep.LockStep`, the stepper of the PMP scan), the midpoints of
+five bisection levels at a time, and only the final bracket's two ends
+are scalar `manifold_gap` calls.  Where those ends do not confirm the
+sign change, the scalar bracket-and-bisect (with its bracket expansions)
+decides, so c* is always the root of the scalar gap's bisection.
 """
 
 from __future__ import annotations
@@ -74,11 +74,11 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     """Bisection core of `natural_speed` for a spec whose bistability is
     checked (there or by `make_substitute_spec`).
 
-    The gap is bisected on [-scale, scale] to width 2 tol in lock step
-    (`_bisect_lock_step`), and the final bracket's two ends are checked
-    with the scalar `manifold_gap`.  A wrong lock-step sign anywhere on
-    the path leaves its midpoint as an end of that bracket, so when both
-    ends confirm the sign change, the midpoint is the scalar bisection's
+    `bisect` halves [-scale, scale] to width 2 tol on the lock-step gap
+    (`_LockStepGap`), and the final bracket's two ends are checked with
+    the scalar `manifold_gap`.  A wrong lock-step sign anywhere on the
+    path leaves its midpoint as an end of that bracket, so when both ends
+    confirm the sign change, the midpoint is the scalar bisection's
     answer.  Otherwise the scalar bracket-and-bisect decides.
     """
     scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
@@ -89,7 +89,8 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
         calls += 1
         return manifold_gap(spec, c, rtol=rtol, atol=atol)
 
-    lo, hi, work = _bisect_lock_step(spec, -scale, scale, 2.0 * tol, rtol, atol)
+    side = _LockStepGap(spec, -scale, scale, 2.0 * tol, rtol, atol)
+    lo, hi = bisect(side, -scale, scale, 2.0 * tol)
     fallback = not g(lo) < 0.0 < g(hi)
     if fallback:
         lo, hi = -scale, scale
@@ -104,6 +105,7 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
             expansions += 1
         # g has the sign of g_lo at the lower end of every sub-bracket
         lo, hi = bisect(lambda c: -g_lo * g(c), lo, hi, 2.0 * tol)
+    work = side.work
     log.debug("speed of %s: rounds=%d passes=%d columns=%d pruned=%d "
               "gap_calls=%d fallback=%s", spec.label, work["rounds"],
               work["passes"], work["columns"], work["pruned"], calls, fallback,
@@ -112,77 +114,72 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     return np.mean((lo, hi))
 
 
-def _bisect_lock_step(spec: ModelSpec, lo: float, hi: float, tol: float,
-                      rtol: float, atol: float) -> tuple[float, float, dict]:
-    """`_roots.bisect` on the sign of the gap, with the gap from lock-step
-    chart columns instead of scalar `manifold_gap` calls.
+class _LockStepGap:
+    """The manifold gap as `bisect`'s side, from lock-step chart columns.
 
-    Each round takes the midpoints of the next TREE_DEPTH bisection levels
-    of [lo, hi] (as `bisect` computes them, only while the width exceeds
-    tol) and integrates a P_flat and a P_sharp column for each in one
-    `LockStep`.  A column ends at u* (giving P) or on its P floor (giving
-    0), as in `manifold_gap`; a stalled column gives 0 where P has
-    collapsed and NaN elsewhere.  As soon as both columns of the path's
-    midpoint are done the path descends by bisect's rules (gap > 0 moves
-    hi, < 0 or NaN moves lo, 0 returns), and the columns of the subtree it
-    left are dropped.  Returns (lo, hi, work counts).
+    Asked at a midpoint it has no column for, it starts a round: bisect's
+    midpoints for the next TREE_DEPTH levels below that midpoint's bracket
+    (while the width exceeds tol), a P_flat and a P_sharp column each.  A
+    column ends as in `manifold_gap`, at u* (P) or on the P floor (0); a
+    stalled one gives 0 where P has collapsed and NaN elsewhere.  Columns
+    not strictly inside the asked bracket are pruned: bisect never asks
+    there again.
     """
-    work = {"rounds": 0, "passes": 0, "columns": 0, "pruned": 0}
-    f, u_star = spec.f, spec.u_star
-    while hi - lo > tol:
-        work["rounds"] += 1
-        # the subtree's midpoints, keyed by their path from the round's
-        # bracket (0: to the lower half, 1: to the upper half)
-        keys, mids, todo = [], [], [((), lo, hi)]
-        for key, a, b in todo:
-            if b - a > tol and len(key) < TREE_DEPTH:
-                m = 0.5 * (a + b)
-                keys.append(key)
-                mids.append(m)
-                todo += [(key + (0,), a, m), (key + (1,), m, b)]
-        node = {key: j for j, key in enumerate(keys)}
-        # column j is P_flat and column n + j P_sharp of midpoint j
-        n = len(mids)
-        cs = np.tile(mids, 2)
-        (u_flat, p_flat), (u_sharp, p_sharp) = (
-            _saddle_seed(spec, cs[:n], u_eq) for u_eq in (0.0, 1.0))
-        p0 = np.concatenate((p_flat, p_sharp))
-        st = LockStep(lambda u, y, ids: (-cs[ids] + (0.0 - f(u)) / y[0])[None],
-                      np.repeat([u_flat, u_sharp], n), p0,
-                      np.full(2 * n, u_star), rtol, atol)
-        p_floor = _p_floor(p0)
-        ends = np.full(2 * n, np.nan)
-        live = np.ones(2 * n, dtype=bool)
-        path = ()
-        work["columns"] += 2 * n
-        while path in node:
-            work["passes"] += 1
+
+    def __init__(self, spec: ModelSpec, lo: float, hi: float, tol: float,
+                 rtol: float, atol: float):
+        self.spec, self.tol, self.rtol, self.atol = spec, tol, rtol, atol
+        self.bracket, self.col = {0.5 * (lo + hi): (lo, hi)}, {}
+        self.work = {"rounds": 0, "passes": 0, "columns": 0, "pruned": 0}
+
+    def __call__(self, m: float) -> float:
+        a, b = self.bracket[m]
+        if m not in self.col:
+            self._round(a, b)
+        st, ends, live, p_floor = self.st, self.ends, self.live, self.p_floor
+        inside = (a < self.cs[st.ids]) & (self.cs[st.ids] < b)
+        self.work["pruned"] += np.count_nonzero(~inside)
+        st.keep(inside)
+        j, n = self.col[m], len(self.col)
+        while live[j] or live[n + j]:
+            self.work["passes"] += 1
             accept, stalled = st.step()
             ids, p = st.ids, st.y[0]
             floor = accept & (st.y_old[0] >= p_floor[ids]) & (p <= p_floor[ids])
-            at_u_star = accept & (st.u == u_star) & ~floor
+            at_u_star = accept & (st.u == self.spec.u_star) & ~floor
             ends[ids[floor]] = 0.0
             ends[ids[at_u_star]] = p[at_u_star]
             ends[ids[stalled]] = np.where(p[stalled] <= P_COLLAPSE, 0.0, np.nan)
-            live[ids[floor | at_u_star | stalled]] = False
-            keep = live[ids]
-            while path in node:
-                j = node[path]
-                if live[j] or live[n + j]:
-                    break
-                s = ends[n + j] - ends[j]
-                if s == 0.0:
-                    return mids[j], mids[j], work
-                if s > 0.0:
-                    hi, path = mids[j], path + (0,)
-                else:
-                    lo, path = mids[j], path + (1,)
-                left = np.array([keys[i][:len(path)] != path
-                                 for i in ids % n], dtype=bool)
-                work["pruned"] += int(np.count_nonzero(keep & left))
-                keep &= ~left
-            st.keep(keep)
-    return lo, hi, work
+            ended = floor | at_u_star | stalled
+            live[ids[ended]] = False
+            st.keep(~ended)
+        return ends[n + j] - ends[j]
+
+    def _round(self, lo: float, hi: float) -> None:
+        """Columns j (P_flat) and n + j (P_sharp) for midpoint j below
+        [lo, hi], and the brackets down to where the next round starts."""
+        spec = self.spec
+        self.bracket, mids, todo = {}, [], [(0, lo, hi)]
+        for depth, a, b in todo:
+            m = 0.5 * (a + b)
+            self.bracket[m] = (a, b)
+            if b - a > self.tol and depth < TREE_DEPTH:
+                mids.append(m)
+                todo += [(depth + 1, a, m), (depth + 1, m, b)]
+        self.col = {m: j for j, m in enumerate(mids)}
+        n = len(mids)
+        self.cs = cs = np.tile(mids, 2)
+        (u_flat, p_flat), (u_sharp, p_sharp) = (
+            _saddle_seed(spec, cs[:n], u_eq) for u_eq in (0.0, 1.0))
+        p0 = np.concatenate((p_flat, p_sharp))
+        self.st = LockStep(
+            lambda u, y, ids: (-cs[ids] + (0.0 - spec.f(u)) / y[0])[None],
+            np.repeat([u_flat, u_sharp], n), p0, np.full(2 * n, spec.u_star),
+            self.rtol, self.atol)
+        self.p_floor, self.ends = _p_floor(p0), np.full(2 * n, np.nan)
+        self.live = np.ones(2 * n, dtype=bool)
+        self.work["rounds"] += 1
+        self.work["columns"] += 2 * n
 
 
 def make_substitute_spec(spec: ModelSpec, f_hat: Callable) -> ModelSpec:

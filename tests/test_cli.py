@@ -113,7 +113,10 @@ def test_invalid_model_parameter(capsys):
     (["model2", "csharp", "--k1", "inf"], "kappa1 must be finite and positive"),
     (["model2", "demo", "--amplitude", "nan"], "seed_amplitude must be finite"),
     (["model2", "demo", "--amplitude", "0"], "seed_amplitude must be finite"),
+    (["speed", "--model", "cubic", "--ustar", "0.3", "--rate", "inf"],
+     "rate must be finite and positive"),
 ])
+@pytest.mark.filterwarnings("error")  # refused before any numpy warning
 def test_invalid_numeric_flags_are_errors(capsys, argv, needle):
     rc = main(argv)
     out, err = capsys.readouterr()

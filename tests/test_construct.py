@@ -281,12 +281,15 @@ def test_a0_where_p_sharp_tends_to_the_threshold_node(u_star, rate, frac):
 @given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.1, 10.0),
        frac=st.floats(0.02, 1.0))
 @example(u_star=1.0 / 3.0, rate=1.1, frac=0.9999999999999999)
+@example(u_star=0.18337025608485896, rate=0.5, frac=0.809007619551687)
 def test_a0_threshold_across_cubic_family(u_star, rate, frac):
     # with f_hat = f the substitute's speed is the exact
     # c* = kappa (2 u* - 1), kappa = sqrt(rate / 2); every c' below it
     # has an a0 in (0, u*] that splits the orbits reaching U = 1.  The
-    # example ends on the P floor at u*, in a step whose asymptote-event
-    # root lies where |c'| P^3 and 3 A0_RTOL U f_hat^2 are below 1e-18
+    # first example ends on the P floor at u*, in a step whose
+    # asymptote-event root lies where |c'| P^3 and 3 A0_RTOL U f_hat^2 are
+    # below 1e-18.  In the second, P_sharp tends to the node (u*, 0), and
+    # an unbounded chart steps across u* and ends 5.5e-6 relative short
     spec = make_cubic_model(u_star, rate)
     sub = make_substitute_spec(spec, spec.f)
     kappa = math.sqrt(rate / 2.0)

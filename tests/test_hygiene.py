@@ -8,9 +8,10 @@ import sits at module level (a module's dependencies are read off its
 head), no handler catches every exception (a programming error must
 propagate, not turn into a solver verdict), one module holds the
 lock-step DOP853 integrator, one module owns the CSV number format, one
-module owns the cost quadrature, and every keyword parameter of the
-public API is set by some program call (tests do not count: an option
-only tests set is a constant, and tests change it by monkeypatch).
+module owns the cost quadrature, one module uses scipy's root finders,
+and every keyword parameter of the public API is set by some program
+call (tests do not count: an option only tests set is a constant, and
+tests change it by monkeypatch).
 """
 
 from __future__ import annotations
@@ -287,6 +288,39 @@ def test_a_simpson_import_is_reported():
                      "from numpy import trapezoid\n"
                      "J = si.simpson([1.0, 2.0, 3.0])\n")
     assert _simpson_uses(tree) == [1, 4]
+
+
+def _optimize_uses(tree: ast.Module) -> list[int]:
+    """Lines that import ``scipy.optimize`` (as a module, from it, or from
+    ``scipy``) or read it as ``scipy.optimize``."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(a.name.startswith("scipy.optimize")
+                        for a in node.names))
+            or (isinstance(node, ast.ImportFrom)
+                and ((node.module or "").startswith("scipy.optimize")
+                     or (node.module == "scipy"
+                         and any(a.name == "optimize" for a in node.names))))
+            or (isinstance(node, ast.Attribute) and node.attr == "optimize"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "scipy")]
+
+
+def test_one_root_module():
+    # every bisection and sign-flip search goes through _roots.py; no other
+    # module can reach for a root finder of its own
+    owners = {p.name for p in MODULES if _optimize_uses(_tree(p))}
+    assert owners == {"_roots.py"}
+
+
+def test_an_optimize_use_is_reported():
+    tree = ast.parse("from scipy.optimize import brentq\n"
+                     "import scipy.optimize as so\n"
+                     "from scipy import optimize, integrate\n"
+                     "from scipy.integrate import solve_ivp\n"
+                     "import scipy\n"
+                     "x = scipy.optimize.brentq\n")
+    assert _optimize_uses(tree) == [1, 2, 3, 6]
 
 
 def _keywords(tree: ast.Module) -> list[tuple[str, str, int | None]]:

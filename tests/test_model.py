@@ -59,6 +59,14 @@ def test_invalid_parameters():
         make_logistic_model(0.0)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_factory_rates_must_be_finite_and_positive(value):
+    with pytest.raises(InvalidParameterError, match="rate must be finite"):
+        make_cubic_model(0.3, value)
+    with pytest.raises(InvalidParameterError, match="kappa3 must be finite"):
+        make_logistic_model(value)
+
+
 def test_logistic_values():
     spec = make_logistic_model(1.0)
     assert spec.f(0.5) == pytest.approx(0.25)

@@ -475,3 +475,22 @@ def test_failed_scan_brackets_fall_back_to_the_scalar_list(
     # every grid point is shot once, bracket ends included
     assert diag.shots == (diag.n_scanned + opt01.converged.shots
                           - 2 * len(diag.roots))
+
+
+def test_an_exact_zero_in_the_phi_list_is_bracketed_across(
+        weed, c_star_weed, opt01, manifolds01, monkeypatch):
+    # a phi list that is exactly 0 at a grid node changes sign across that
+    # node: its neighbours bracket the root, which bisects onto the node
+    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
+    node = float(grid[np.argmin(np.abs(grid - opt01.u1))])
+
+    def shot(spec, c, u1, *args, **kwargs):
+        if kwargs.get("want_nodes"):
+            return shoot_from(spec, c, u1, *args, **kwargs)
+        return pmp.ShotResult("met_psharp", u1 - node, u1, 1.0, 0.0, 0.0)
+    monkeypatch.setattr(pmp, "shoot_from", shot)
+    monkeypatch.setattr(pmp, "_scan_signs", lambda spec, c, grid, *a: (
+        np.full(len(grid), np.nan), 1, 0))
+    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
+    assert prof.converged.roots == [prof.u1]
+    assert abs(prof.u1 - node) <= 1e-10

@@ -1,4 +1,4 @@
-"""The shared bisection and sign-change scan behind every root search."""
+"""The shared bisection and sign-flip rule behind every root search."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from travwave._roots import bisect, sign_changes
+from travwave._roots import bisect, flips, sign_changes
 
 
 def _counted(fn):
@@ -38,6 +38,28 @@ def test_bisect_stops_at_exact_zero():
 
 def test_bisect_nan_moves_lo():
     assert bisect(lambda m: float("nan"), 0.0, 1.0, 0.25) == (0.75, 1.0)
+
+
+def test_flips_skips_samples_within_tol():
+    # |v| <= tol is no sign: its neighbours pair across it
+    assert flips([-1.0, 0.0, 2.0], 0.0) == [(0, 2)]
+    assert flips([-1.0, 1e-13, -1e-13, 2.0], 1e-12) == [(0, 3)]
+    assert flips([-1.0, 1e-13, 2.0], 1e-14) == [(0, 1)]
+    assert flips([0.0, 0.0, 0.0], 0.0) == []
+
+
+def test_flips_nan_pairs_with_nothing():
+    # a NaN is a sample, so it breaks the pair across it
+    assert flips([-1.0, np.nan, 1.0], 0.0) == []
+    assert flips([-1.0, np.nan, 1.0, -1.0], 0.0) == [(2, 3)]
+
+
+def test_flips_come_back_in_order():
+    v = [1.0, -2.0, -3.0, 0.0, 4.0, 5.0, -6.0]
+    pairs = flips(v, 0.0)
+    assert pairs == [(0, 1), (2, 4), (5, 6)]
+    assert all(type(k) is int for pair in pairs for k in pair)
+    assert flips([], 0.0) == [] and flips([1.0], 0.0) == []
 
 
 def test_sign_changes_finds_three_roots():

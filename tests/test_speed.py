@@ -183,6 +183,22 @@ def test_weed_and_substitute_speeds_are_the_scalar_bisection(weed,
         == float(_scalar_speed(sub)).hex()
 
 
+def _count_bisects(monkeypatch):
+    calls = []
+    monkeypatch.setattr(travwave.speed, "bisect",
+                        lambda *a: calls.append(a[1:]) or bisect(*a))
+    return calls
+
+
+def test_the_lock_step_solve_is_one_bisect(weed, c_star_weed, monkeypatch):
+    # the lock-step gap is bisect's side: no second descent walks the tree
+    calls = _count_bisects(monkeypatch)
+    assert float(natural_speed(weed)).hex() == float(c_star_weed).hex()
+    assert len(calls) == 1
+    lo, hi, tol = calls[0]
+    assert lo == -hi and tol == 2e-8
+
+
 def test_two_scalar_gaps_per_solve(weed, monkeypatch):
     # the lock-step bisection leaves only the final bracket's two ends to
     # the scalar manifold_gap
@@ -218,9 +234,12 @@ def test_a_wrong_lock_step_sign_falls_back_to_the_scalar_path(
             return accept, stalled
 
     monkeypatch.setattr(travwave.speed, "LockStep", Flipped)
+    bisects = _count_bisects(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="travwave"):
         c = natural_speed(weed)
     assert len(flipped) == 1
+    # the lock-step bisection, then the scalar one
+    assert len(bisects) == 2
     assert float(c).hex() == float(c_star_weed).hex()
     (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
     assert rec.speed_work["fallback"] and rec.speed_work["gap_calls"] > 2

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from ._roots import sign_changes
 from .errors import (ConstructionFailureError, InvalidParameterError,
@@ -37,6 +36,9 @@ __all__ = ["ConcatProfile", "finite_cost_control", "cost_of",
 
 SPEED_GUARD = 1e-9
 A0_RTOL = 1e-12  # a0 error of the square-root asymptote, see _aux_left_end
+# P_c' tolerances: at the chart's 1e-10 / 1e-12 a last-bit change of a0
+# could move the constructed cost by 1.9e-7 relative
+AUX_RTOL, AUX_ATOL = 1e-11, 1e-13
 
 
 @dataclass
@@ -146,7 +148,7 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
     ev_fall.direction = -1
 
     sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=True,
+                    rtol=AUX_RTOL, atol=AUX_ATOL, dense_output=True,
                     events=[ev_hit_one, ev_fall])
     reached = sol.status == 1 and len(sol.t_events[0]) > 0
     return reached, sol
@@ -241,8 +243,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     xs = np.linspace(0.0, float(sol.t[-1]), 4000)
     uu, pp = sol.sol(xs)
     keep = np.concatenate(([True], np.diff(uu) > 1e-13))
-    uu, pp = uu[keep], pp[keep]
-    pc = PchipInterpolator(uu, pp, extrapolate=True)
+    pc = PhaseTrajectory(uu[keep], pp[keep], c_prime, "P_c'").interp_p()
 
     # junction u1: first crossing of P_c' through P_flat, upward because
     # P_c' starts on the U-axis below P_flat

@@ -73,25 +73,34 @@ class PhaseTrajectory:
             self.beta_values = np.zeros_like(self.u_nodes)
 
     def interp_p(self) -> Callable:
-        """PCHIP interpolant of P(U) that raises InvalidParameterError
-        outside [u_nodes[0], u_nodes[-1]], where the curve is unknown
-        (P_flat, for one, ends on the U-axis), instead of extrapolating."""
-        pchip = PchipInterpolator(self.u_nodes, self.p_values)
-        lo, hi = float(self.u_nodes[0]), float(self.u_nodes[-1])
-
-        def p_at(u):
-            uu = np.asarray(u)
-            outside = (uu < lo) | (uu > hi)
-            if outside.any():
-                raise InvalidParameterError(
-                    f"P({float(uu[outside].flat[0]):.6g}) requested outside "
-                    f"the {self.kind} span [{lo:.6g}, {hi:.6g}]")
-            return pchip(u)
-        return p_at
+        """P(U) by `_interpolant`, which raises InvalidParameterError
+        outside [u_nodes[0], u_nodes[-1]] (P_flat, for one, ends on the
+        U-axis)."""
+        return _interpolant(self.u_nodes, self.p_values, self.kind)
 
     def to_csv(self, path) -> None:
         write_columns(path, {"u": self.u_nodes, "p": self.p_values,
                              "beta": self.beta_values})
+
+
+def _interpolant(u_nodes, values, kind: str) -> Callable:
+    """The one interpolant of sampled curves: the PCHIP (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17(2), 1980) through `values` on the increasing
+    `u_nodes`.  It raises InvalidParameterError, naming the `kind` of
+    curve, outside [u_nodes[0], u_nodes[-1]], where the curve is unknown,
+    instead of extrapolating."""
+    pchip = PchipInterpolator(u_nodes, values)
+    lo, hi = float(u_nodes[0]), float(u_nodes[-1])
+
+    def at(u):
+        uu = np.asarray(u)
+        outside = (uu < lo) | (uu > hi)
+        if outside.any():
+            raise InvalidParameterError(
+                f"U={float(uu[outside].flat[0]):.6g} requested outside "
+                f"the {kind} span [{lo:.6g}, {hi:.6g}]")
+        return pchip(u)
+    return at
 
 
 def saddle_eigenvalues(spec: ModelSpec, c: float, u_eq: float) -> tuple[float, float]:

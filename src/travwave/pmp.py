@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from ._lockstep import LockStep
 from ._roots import bisect, flips
@@ -40,8 +39,9 @@ from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, TravwaveError)
 from .model import (ModelSpec, _check_finite_state, _check_positive,
                     check_A1, check_A2)
-from .phaseplane import (PhaseTrajectory, _floor_event, _p_floor,
-                         _underflow_status, stable_manifold, unstable_manifold)
+from .phaseplane import (ATOL, RTOL, PhaseTrajectory, _floor_event,
+                         _interpolant, _p_floor, _underflow_status,
+                         stable_manifold, unstable_manifold)
 from .speed import natural_speed
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
@@ -160,7 +160,7 @@ def _generic_rhs(spec: ModelSpec):
 
 
 def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
-               rtol: float = 1e-10, atol: float = 1e-12,
+               rtol: float = RTOL, atol: float = ATOL,
                want_nodes: bool = False) -> ShotResult:
     """Integrate the optimality system from (P_flat(u1), 0+) toward P_sharp.
 
@@ -332,7 +332,7 @@ def _trivial_profile(spec: ModelSpec, c: float, c_star: float) -> OptimalProfile
 def optimal_profile(spec: ModelSpec, c: float,
                     scan_resolution: float = 1e-3,
                     c_star: float | None = None,
-                    rtol: float = 1e-10, atol: float = 1e-12) -> OptimalProfile:
+                    rtol: float = RTOL, atol: float = ATOL) -> OptimalProfile:
     """Minimum-effort profile at speed c > c* by scan plus bisection on phi.
 
     At or below the natural speed the zero control is optimal and the
@@ -443,8 +443,8 @@ def pmp_residual(profile: OptimalProfile,
     u = profile.arc.u_nodes
     p = profile.arc.p_values
     b = profile.arc.beta_values
-    p_i = PchipInterpolator(u, p)
-    b_i = PchipInterpolator(u, b)
+    p_i = _interpolant(u, p, "Pontryagin arc")
+    b_i = _interpolant(u, b, "Pontryagin arc")
 
     Lb = np.asarray(spec.L_beta(u, b), dtype=float)
     ok = np.isfinite(Lb[:-1]) & np.isfinite(Lb[1:])

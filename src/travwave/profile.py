@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from ._columns import write_columns
 from .errors import (IntegrabilityError, InvalidTrajectoryError,
                      NonexistenceError)
 from .model import ModelSpec, _check_positive
-from .phaseplane import PhaseTrajectory, saddle_eigenvalues
+from .phaseplane import PhaseTrajectory, _interpolant, saddle_eigenvalues
 
 __all__ = ["SpatialProfile", "reconstruct_x", "theta_model1",
            "alpha_multiplicative"]
@@ -126,8 +125,8 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     # insert an exact anchor node at u*
     if not np.any(np.isclose(u, us, rtol=0, atol=1e-14)):
         k = int(np.searchsorted(u, us))
-        p_us = float(PchipInterpolator(u, p)(us))
-        b_us = float(PchipInterpolator(u, b)(us))
+        p_us = float(_interpolant(u, p, traj.kind)(us))
+        b_us = float(_interpolant(u, b, traj.kind)(us))
         u = np.insert(u, k, us)
         p = np.insert(p, k, p_us)
         b = np.insert(b, k, b_us)

@@ -12,8 +12,10 @@ gap: it answers each midpoint from chart columns integrated together
 (`_lockstep.LockStep`, the stepper of the PMP scan), the midpoints of
 five bisection levels at a time, and only the final bracket's two ends
 are scalar `manifold_gap` calls.  Where those ends do not confirm the
-sign change, the scalar bracket-and-bisect (with its bracket expansions)
-decides, so c* is always the root of the scalar gap's bisection.
+sign change, the scalar gap's bisection on [-scale, scale] decides, so c*
+is always the root of that bisection.  The bracket needs no expansion:
+|c*| < 2 sqrt(sup f(u)/u) <= 2 sqrt(max |f'|) (Hadeler & Rothe, J. Math.
+Biol. 2, 1975, and the mean value theorem), and scale exceeds that by 1.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from ._lockstep import LockStep
 from ._roots import bisect, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, _check_positive, check_A1
-from .phaseplane import (P_COLLAPSE, _call_on_array, _integrate_chart,
-                         _p_floor, _saddle_seed)
+from .phaseplane import (ATOL, P_COLLAPSE, RTOL, _call_on_array,
+                         _integrate_chart, _p_floor, _saddle_seed)
 
 __all__ = ["natural_speed", "manifold_gap", "modified_speed", "make_substitute_spec"]
 
@@ -37,8 +39,8 @@ log = logging.getLogger(__name__)
 TREE_DEPTH = 5  # bisection levels whose midpoints share one lock-step round
 
 
-def manifold_gap(spec: ModelSpec, c: float, rtol: float = 1e-10,
-                 atol: float = 1e-12) -> float:
+def manifold_gap(spec: ModelSpec, c: float, rtol: float = RTOL,
+                 atol: float = ATOL) -> float:
     """P_sharp(u*) - P_flat(u*) at speed c with zero control, read from the
     branches' end states; a branch that collapsed before u* counts as 0."""
     ends = []
@@ -52,8 +54,8 @@ def manifold_gap(spec: ModelSpec, c: float, rtol: float = 1e-10,
     return p_sharp - p_flat
 
 
-def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
-                  atol: float = 1e-12) -> float:
+def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
+                  atol: float = ATOL) -> float:
     """Unique front speed of u_t = u_xx + f(u) for bistable f.
 
     Raises InvalidParameterError when tol is not finite and positive, or
@@ -69,8 +71,8 @@ def natural_speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     return _speed(spec, tol, rtol, atol)
 
 
-def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
-           atol: float = 1e-12) -> float:
+def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
+           atol: float = ATOL) -> float:
     """Bisection core of `natural_speed` for a spec whose bistability is
     checked (there or by `make_substitute_spec`).
 
@@ -79,7 +81,8 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     the scalar `manifold_gap`.  A wrong lock-step sign anywhere on the
     path leaves its midpoint as an end of that bracket, so when both ends
     confirm the sign change, the midpoint is the scalar bisection's
-    answer.  Otherwise the scalar bracket-and-bisect decides.
+    answer.  Otherwise that bisection decides, and BracketFailureError is
+    raised when the gap does not change sign on [-scale, scale].
     """
     scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
     calls = 0
@@ -93,18 +96,10 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = 1e-10,
     lo, hi = bisect(side, -scale, scale, 2.0 * tol)
     fallback = not g(lo) < 0.0 < g(hi)
     if fallback:
-        lo, hi = -scale, scale
-        g_lo, g_hi = g(lo), g(hi)
-        expansions = 0
-        while g_lo * g_hi > 0.0:
-            if expansions >= 5:
-                raise BracketFailureError(
-                    f"no sign change of the manifold gap in [{lo:g}, {hi:g}]")
-            lo, hi = 2.0 * lo, 2.0 * hi
-            g_lo, g_hi = g(lo), g(hi)
-            expansions += 1
-        # g has the sign of g_lo at the lower end of every sub-bracket
-        lo, hi = bisect(lambda c: -g_lo * g(c), lo, hi, 2.0 * tol)
+        if not g(-scale) < 0.0 < g(scale):
+            raise BracketFailureError(f"no sign change of the manifold gap "
+                                      f"in [{-scale:g}, {scale:g}]")
+        lo, hi = bisect(g, -scale, scale, 2.0 * tol)
     work = side.work
     log.debug("speed of %s: rounds=%d passes=%d columns=%d pruned=%d "
               "gap_calls=%d fallback=%s", spec.label, work["rounds"],

@@ -122,17 +122,29 @@ def test_cost_matches_the_integrated_effort(weed, c_star_weed, c):
     assert prof.meta["cost_error"] >= err
 
 
-def test_cost_is_smooth_in_a0(weed, c_star_weed, monkeypatch):
+@pytest.mark.parametrize("c", [0.0, SEED0_SPEEDS[0]])
+def test_cost_is_smooth_in_a0(weed, c_star_weed, monkeypatch, c):
     # a last-bit change of a0 moves the nodes of the middle piece, not
-    # the effort integral along it
+    # the effort integral along it; at the seed-0 speed P_c' integrated at
+    # the chart's rtol 1e-10 moved it 1.9e-7
     def cost():
-        return finite_cost_control(weed, 0.0, c_star=c_star_weed,
+        return finite_cost_control(weed, c, c_star=c_star_weed,
                                    c_hat=acc._c_hat()).cost
     base, inner = cost(), cc._aux_left_end
     for scale in (1.0 - 1e-12, 1.0 + 1e-12):
         monkeypatch.setattr(cc, "_aux_left_end",
                             lambda *args: inner(*args) * scale)
         assert abs(cost() - base) <= 1e-9 * base
+
+
+def test_beta_tilde_refuses_to_extrapolate_p_c_prime(weed, c_star_weed):
+    # beta_tilde reads P_c' only on its sampled span, which ends where the
+    # orbit reaches U = 1
+    prof = finite_cost_control(weed, -0.1, c_star=c_star_weed,
+                               c_hat=acc._c_hat())
+    with pytest.raises(InvalidParameterError,
+                       match=r"P_c' span \[0\.\d+, 1\]"):
+        prof.beta_tilde(np.array([1.001]))
 
 
 def test_trim_max_with_zero_form(weed, c_star_weed):

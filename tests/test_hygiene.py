@@ -9,9 +9,9 @@ head), no handler catches every exception (a programming error must
 propagate, not turn into a solver verdict), one module holds the
 lock-step DOP853 integrator, one module owns the CSV number format, one
 module owns the cost quadrature, one module uses scipy's root finders,
-and every keyword parameter of the public API is set by some program
-call (tests do not count: an option only tests set is a constant, and
-tests change it by monkeypatch).
+one module uses scipy's interpolants, and every keyword parameter of the
+public API is set by some program call (tests do not count: an option
+only tests set is a constant, and tests change it by monkeypatch).
 """
 
 from __future__ import annotations
@@ -290,18 +290,18 @@ def test_a_simpson_import_is_reported():
     assert _simpson_uses(tree) == [1, 4]
 
 
-def _optimize_uses(tree: ast.Module) -> list[int]:
-    """Lines that import ``scipy.optimize`` (as a module, from it, or from
-    ``scipy``) or read it as ``scipy.optimize``."""
+def _scipy_uses(tree: ast.Module, sub: str) -> list[int]:
+    """Lines that import the scipy subpackage `sub` (as a module, from it,
+    or from ``scipy``) or read it as ``scipy.<sub>``."""
     return [node.lineno for node in ast.walk(tree)
             if (isinstance(node, ast.Import)
-                and any(a.name.startswith("scipy.optimize")
+                and any(a.name.startswith(f"scipy.{sub}")
                         for a in node.names))
             or (isinstance(node, ast.ImportFrom)
-                and ((node.module or "").startswith("scipy.optimize")
+                and ((node.module or "").startswith(f"scipy.{sub}")
                      or (node.module == "scipy"
-                         and any(a.name == "optimize" for a in node.names))))
-            or (isinstance(node, ast.Attribute) and node.attr == "optimize"
+                         and any(a.name == sub for a in node.names))))
+            or (isinstance(node, ast.Attribute) and node.attr == sub
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "scipy")]
 
@@ -309,7 +309,7 @@ def _optimize_uses(tree: ast.Module) -> list[int]:
 def test_one_root_module():
     # every bisection and sign-flip search goes through _roots.py; no other
     # module can reach for a root finder of its own
-    owners = {p.name for p in MODULES if _optimize_uses(_tree(p))}
+    owners = {p.name for p in MODULES if _scipy_uses(_tree(p), "optimize")}
     assert owners == {"_roots.py"}
 
 
@@ -320,7 +320,25 @@ def test_an_optimize_use_is_reported():
                      "from scipy.integrate import solve_ivp\n"
                      "import scipy\n"
                      "x = scipy.optimize.brentq\n")
-    assert _optimize_uses(tree) == [1, 2, 3, 6]
+    assert _scipy_uses(tree, "optimize") == [1, 2, 3, 6]
+
+
+def test_one_interpolation_module():
+    # every sampled curve is read through phaseplane._interpolant; no other
+    # module can build an interpolant of its own, or one that extrapolates
+    owners = {p.name for p in MODULES
+              if _scipy_uses(_tree(p), "interpolate")}
+    assert owners == {"phaseplane.py"}
+
+
+def test_an_interpolate_use_is_reported():
+    tree = ast.parse("from scipy.interpolate import PchipInterpolator\n"
+                     "from scipy.integrate import solve_ivp\n"
+                     "from scipy import interpolate\n"
+                     "import scipy\n"
+                     "f = scipy.interpolate.CubicSpline\n"
+                     "g = interpolate.interp1d\n")
+    assert _scipy_uses(tree, "interpolate") == [1, 3, 5]
 
 
 def _keywords(tree: ast.Module) -> list[tuple[str, str, int | None]]:

@@ -29,6 +29,9 @@ def test_cubic_speed_and_front_match_closed_form(u_star, rate):
     c_star = natural_speed(spec)
     # bisection stops at a bracket of width 2e-8 around the gap's root
     assert abs(c_star - kappa * (2.0 * u_star - 1.0)) <= 2e-8 * max(1.0, kappa)
+    # inside _speed's bracket: |c*| < 2 sqrt(max |f'|) (Hadeler & Rothe)
+    u = np.linspace(0.0, 1.0, 2001)
+    assert abs(c_star) < 2.0 * np.sqrt(np.max(np.abs(spec.df(u))))
     het = natural_heteroclinic(spec, c_star)
     u = het.u_nodes
     assert np.max(np.abs(het.p_values - kappa * u * (1.0 - u))) \

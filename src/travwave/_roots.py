@@ -1,4 +1,5 @@
-"""The bisection and the sign-flip rule behind every root search."""
+"""The bisection, the converged root and the sign-flip rule behind every
+root search."""
 
 from __future__ import annotations
 
@@ -31,8 +32,14 @@ def flips(values, tol) -> list[tuple[int, int]]:
     return list(zip(nz[:-1][flip].tolist(), nz[1:][flip].tolist()))
 
 
+def brent(fn, lo, hi):
+    """The root of the scalar fn in [lo, hi], where fn changes sign, by
+    Brent's method (scipy's brentq) to xtol 1e-14."""
+    return float(brentq(fn, lo, hi, xtol=1e-14))
+
+
 def sign_changes(fn, u, tol):
-    """Lazily yield the brentq root of fn in each `flips` pair of its
+    """Lazily yield the `brent` root of fn in each `flips` pair of its
     samples on u."""
     for i, j in flips(fn(u), tol):
-        yield float(brentq(lambda x: float(fn(x)), u[i], u[j], xtol=1e-14))
+        yield brent(lambda x: float(fn(x)), u[i], u[j])

@@ -147,8 +147,9 @@ def spectrum(c: float, params: Model2Params) -> Model2Spectrum:
     each; a conjugate pair with |Im| <= 1e-6 is classified as the
     repeated-real boundary case.
     """
-    if not c < 0.0:
-        raise InvalidParameterError(f"spectrum is analyzed for c < 0, got {c:g}")
+    if not -np.inf < c < 0.0:
+        raise InvalidParameterError(
+            f"spectrum is analyzed for finite c < 0, got {c:g}")
     coeffs = char_poly(c, params)
     roots = np.roots(coeffs)
     dp = np.polyder(coeffs)

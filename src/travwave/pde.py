@@ -354,7 +354,8 @@ def front_speed(record: EvolutionRecord) -> FrontFit:
     """Least-squares speed of the u = FRONT_LEVEL crossing across snapshots.
 
     The first 20% of the record is treated as transient; a front closer
-    than BOUNDARY_MARGIN to either edge aborts the fit.
+    than BOUNDARY_MARGIN to either edge aborts the fit, and fewer than two
+    positions after the transient raise ConfigError.
     """
     x = record.x
     positions = []
@@ -379,6 +380,9 @@ def front_speed(record: EvolutionRecord) -> FrontFit:
     k0 = int(np.floor(0.2 * len(positions)))
     tt = record.times[k0:]
     pp = positions[k0:]
+    if len(tt) < 2:
+        raise ConfigError(f"front_speed fits a line to {len(tt)} front "
+                          "position(s) after the transient; it needs two")
     A = np.column_stack([tt, np.ones_like(tt)])
     coef, res, *_ = np.linalg.lstsq(A, pp, rcond=None)
     n = len(tt)

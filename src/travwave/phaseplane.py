@@ -104,7 +104,10 @@ def _interpolant(u_nodes, values, kind: str) -> Callable:
 
 
 def saddle_eigenvalues(spec: ModelSpec, c: float, u_eq: float) -> tuple[float, float]:
-    """(lambda_plus, lambda_minus) of the planar linearization at (u_eq, 0)."""
+    """(lambda_plus, lambda_minus) of the planar linearization at (u_eq, 0);
+    a speed c that is not finite raises InvalidParameterError."""
+    if not np.isfinite(c):
+        raise InvalidParameterError(f"speed must be finite, got c={c}")
     dfe = float(spec.df(u_eq))
     if not dfe < 0.0:
         raise NotASaddleError(
@@ -140,8 +143,7 @@ def _sample_control(control, x: np.ndarray) -> np.ndarray:
 
 def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
                  eps_seed: float = EPS_SEED) -> tuple[float, float]:
-    """Seed (u0, p0) of P_flat (u_eq = 0) or P_sharp (u_eq = 1); for an
-    array of speeds c, p0 is an array of their seeds."""
+    """Seed (u0, p0) of P_flat (u_eq = 0) or P_sharp (u_eq = 1)."""
     lam_p, lam_m = saddle_eigenvalues(spec, c, u_eq)
     if u_eq == 0.0:
         return eps_seed, lam_p * eps_seed

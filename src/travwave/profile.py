@@ -23,8 +23,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from ._columns import write_columns
-from .errors import (IntegrabilityError, InvalidTrajectoryError,
-                     NonexistenceError)
+from .errors import (IntegrabilityError, InvalidParameterError,
+                     InvalidTrajectoryError, NonexistenceError)
 from .model import ModelSpec, _check_positive
 from .phaseplane import PhaseTrajectory, _interpolant, saddle_eigenvalues
 
@@ -186,9 +186,11 @@ def theta_model1(profile: SpatialProfile, kappa1: float,
     with the saddle rate lambda = meta["lambda_left"], or C without one.
     While Theta is short of 1 - END_TOL, the grid is extended by the
     wave's far field (alpha, beta, f = 0 there) and Theta is formed on it
-    by the same closed form.  For c >= 0 the profile cannot exist; kappa1
-    must be finite and positive.
+    by the same closed form.  c must be finite, and for c >= 0 the profile
+    cannot exist; kappa1 must be finite and positive.
     """
+    if not np.isfinite(c):
+        raise InvalidParameterError(f"speed must be finite, got c={c}")
     if c >= 0.0:
         raise NonexistenceError(
             f"infected-tree profile requires c < 0 (invading front); got c={c:g}")

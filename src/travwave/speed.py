@@ -6,14 +6,16 @@ is located by shooting on the manifold gap
     gap(c) = P_sharp(u*) - P_flat(u*)        (both computed with beta = 0),
 
 which is strictly increasing in c (raising c lowers the slope field, which
-pushes P_flat down and P_sharp up) and vanishes exactly at c*.  The root
-is found by `_roots.bisect` on [-scale, scale], whose side is a lock-step
-gap: it answers each midpoint from chart columns integrated together
-(`_lockstep.LockStep`, the stepper of the PMP scan), the midpoints of
-five bisection levels at a time, and only the final bracket's two ends
-are scalar `manifold_gap` calls.  Where those ends do not confirm the
-sign change, the scalar gap's bisection on [-scale, scale] decides, so c*
-is always the root of that bisection.  The bracket needs no expansion:
+pushes P_flat down and P_sharp up) and vanishes exactly at c*.  c* is the
+answer of `_roots.bisect` on the gap over [-scale, scale], to width 2 tol,
+but that path is replayed, not paid for: `_roots.brent` (Brent, Algorithms
+for Minimization without Derivatives, 1973, ch. 4) converges on the gap's
+root r in a coarse bracket, and every midpoint farther than DELTA from r
+takes the sign of m - r.  Only the final bracket's two ends, and any
+midpoint within DELTA of r, are further `manifold_gap` calls.  Where those
+ends do not confirm the sign change, the gap's own bisection on
+[-scale, scale] decides, so c* is always the root of that bisection.  The
+bracket needs no expansion:
 |c*| < 2 sqrt(sup f(u)/u) <= 2 sqrt(max |f'|) (Hadeler & Rothe, J. Math.
 Biol. 2, 1975, and the mean value theorem), and scale exceeds that by 1.
 """
@@ -25,18 +27,17 @@ from typing import Callable
 
 import numpy as np
 
-from ._lockstep import LockStep
-from ._roots import bisect, sign_changes
+from ._roots import bisect, brent, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, _check_positive, check_A1
-from .phaseplane import (ATOL, P_COLLAPSE, RTOL, _call_on_array,
-                         _integrate_chart, _p_floor, _saddle_seed)
+from .phaseplane import (ATOL, RTOL, _call_on_array, _integrate_chart,
+                         _saddle_seed)
 
 __all__ = ["natural_speed", "manifold_gap", "modified_speed", "make_substitute_spec"]
 
 log = logging.getLogger(__name__)
 
-TREE_DEPTH = 5  # bisection levels whose midpoints share one lock-step round
+DELTA = 1e-9  # within DELTA of brent's root, bisect's side is the gap itself
 
 
 def manifold_gap(spec: ModelSpec, c: float, rtol: float = RTOL,
@@ -76,105 +77,43 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
     """Bisection core of `natural_speed` for a spec whose bistability is
     checked (there or by `make_substitute_spec`).
 
-    `bisect` halves [-scale, scale] to width 2 tol on the lock-step gap
-    (`_LockStepGap`), and the final bracket's two ends are checked with
-    the scalar `manifold_gap`.  A wrong lock-step sign anywhere on the
-    path leaves its midpoint as an end of that bracket, so when both ends
-    confirm the sign change, the midpoint is the scalar bisection's
-    answer.  Otherwise that bisection decides, and BracketFailureError is
-    raised when the gap does not change sign on [-scale, scale].
+    A coarse `bisect` of the memoised gap to width scale/4 brackets the
+    root, and `brent` converges on it, r, inside that bracket.  `bisect`
+    then halves [-scale, scale] to width 2 tol on side(m) = m - r, except
+    within DELTA of r, where side is the gap itself, and the final
+    bracket's two ends are checked with the gap.  A wrong sign of m - r
+    anywhere on the path leaves the final bracket on one side of the
+    root, so when both ends confirm the sign change, its midpoint is the
+    gap's own bisection's answer.  Otherwise that bisection decides, and
+    BracketFailureError is raised when the gap does not change sign on
+    [-scale, scale].
     """
     scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
-    calls = 0
+    gaps = {}
 
     def g(c):
-        nonlocal calls
-        calls += 1
-        return manifold_gap(spec, c, rtol=rtol, atol=atol)
+        if c not in gaps:
+            gaps[c] = manifold_gap(spec, c, rtol=rtol, atol=atol)
+        return gaps[c]
 
-    side = _LockStepGap(spec, -scale, scale, 2.0 * tol, rtol, atol)
-    lo, hi = bisect(side, -scale, scale, 2.0 * tol)
-    fallback = not g(lo) < 0.0 < g(hi)
+    lo, hi = bisect(g, -scale, scale, 0.25 * scale)
+    root, fallback = np.nan, True
+    if g(lo) < 0.0 < g(hi):
+        root = brent(g, lo, hi)
+        lo, hi = bisect(lambda m: g(m) if abs(m - root) <= DELTA else m - root,
+                        -scale, scale, 2.0 * tol)
+        fallback = not g(lo) < 0.0 < g(hi)
     if fallback:
         if not g(-scale) < 0.0 < g(scale):
             raise BracketFailureError(f"no sign change of the manifold gap "
                                       f"in [{-scale:g}, {scale:g}]")
         lo, hi = bisect(g, -scale, scale, 2.0 * tol)
-    work = side.work
-    log.debug("speed of %s: rounds=%d passes=%d columns=%d pruned=%d "
-              "gap_calls=%d fallback=%s", spec.label, work["rounds"],
-              work["passes"], work["columns"], work["pruned"], calls, fallback,
-              extra={"speed_work": dict(work, gap_calls=calls,
-                                        fallback=fallback)})
+    work = {"gap_calls": len(gaps), "fallback": fallback, "root": root,
+            "width": hi - lo}
+    log.debug("speed of %s: gap_calls=%d fallback=%s root=%r width=%.3g",
+              spec.label, len(gaps), fallback, root, hi - lo,
+              extra={"speed_work": work})
     return np.mean((lo, hi))
-
-
-class _LockStepGap:
-    """The manifold gap as `bisect`'s side, from lock-step chart columns.
-
-    Asked at a midpoint it has no column for, it starts a round: bisect's
-    midpoints for the next TREE_DEPTH levels below that midpoint's bracket
-    (while the width exceeds tol), a P_flat and a P_sharp column each.  A
-    column ends as in `manifold_gap`, at u* (P) or on the P floor (0); a
-    stalled one gives 0 where P has collapsed and NaN elsewhere.  Columns
-    not strictly inside the asked bracket are pruned: bisect never asks
-    there again.
-    """
-
-    def __init__(self, spec: ModelSpec, lo: float, hi: float, tol: float,
-                 rtol: float, atol: float):
-        self.spec, self.tol, self.rtol, self.atol = spec, tol, rtol, atol
-        self.bracket, self.col = {0.5 * (lo + hi): (lo, hi)}, {}
-        self.work = {"rounds": 0, "passes": 0, "columns": 0, "pruned": 0}
-
-    def __call__(self, m: float) -> float:
-        a, b = self.bracket[m]
-        if m not in self.col:
-            self._round(a, b)
-        st, ends, live, p_floor = self.st, self.ends, self.live, self.p_floor
-        inside = (a < self.cs[st.ids]) & (self.cs[st.ids] < b)
-        self.work["pruned"] += np.count_nonzero(~inside)
-        st.keep(inside)
-        j, n = self.col[m], len(self.col)
-        while live[j] or live[n + j]:
-            self.work["passes"] += 1
-            accept, stalled = st.step()
-            ids, p = st.ids, st.y[0]
-            floor = accept & (st.y_old[0] >= p_floor[ids]) & (p <= p_floor[ids])
-            at_u_star = accept & (st.u == self.spec.u_star) & ~floor
-            ends[ids[floor]] = 0.0
-            ends[ids[at_u_star]] = p[at_u_star]
-            ends[ids[stalled]] = np.where(p[stalled] <= P_COLLAPSE, 0.0, np.nan)
-            ended = floor | at_u_star | stalled
-            live[ids[ended]] = False
-            st.keep(~ended)
-        return ends[n + j] - ends[j]
-
-    def _round(self, lo: float, hi: float) -> None:
-        """Columns j (P_flat) and n + j (P_sharp) for midpoint j below
-        [lo, hi], and the brackets down to where the next round starts."""
-        spec = self.spec
-        self.bracket, mids, todo = {}, [], [(0, lo, hi)]
-        for depth, a, b in todo:
-            m = 0.5 * (a + b)
-            self.bracket[m] = (a, b)
-            if b - a > self.tol and depth < TREE_DEPTH:
-                mids.append(m)
-                todo += [(depth + 1, a, m), (depth + 1, m, b)]
-        self.col = {m: j for j, m in enumerate(mids)}
-        n = len(mids)
-        self.cs = cs = np.tile(mids, 2)
-        (u_flat, p_flat), (u_sharp, p_sharp) = (
-            _saddle_seed(spec, cs[:n], u_eq) for u_eq in (0.0, 1.0))
-        p0 = np.concatenate((p_flat, p_sharp))
-        self.st = LockStep(
-            lambda u, y, ids: (-cs[ids] + (0.0 - spec.f(u)) / y[0])[None],
-            np.repeat([u_flat, u_sharp], n), p0, np.full(2 * n, spec.u_star),
-            self.rtol, self.atol)
-        self.p_floor, self.ends = _p_floor(p0), np.full(2 * n, np.nan)
-        self.live = np.ones(2 * n, dtype=bool)
-        self.work["rounds"] += 1
-        self.work["columns"] += 2 * n
 
 
 def make_substitute_spec(spec: ModelSpec, f_hat: Callable) -> ModelSpec:

@@ -68,6 +68,15 @@ def test_model2_at_zero_speed_is_an_error(capsys, sub):
     assert err.startswith("error: ") and "c < 0, got 0" in err
 
 
+@pytest.mark.parametrize("sub", ["spectrum", "demo"])
+def test_model2_at_an_infinite_speed_is_an_error(capsys, sub):
+    # refused before the companion-matrix eigensolve, which would fail
+    rc = main(["model2", sub, "--c=-inf"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and "finite c < 0, got -inf" in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sample config\nmodel = weed\nustar = 0.5\n")

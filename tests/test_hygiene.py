@@ -3,15 +3,16 @@
 The project has no linter dependency, so this makes the checks that
 matter here: every imported name is used, every ``__all__`` entry is
 defined and loaded by some program module (the library or the benchmark
-scripts; the tests and the package's re-exports do not count), every
-import sits at module level (a module's dependencies are read off its
-head), no handler catches every exception (a programming error must
-propagate, not turn into a solver verdict), one module holds the
-lock-step DOP853 integrator, one module owns the CSV number format, one
-module owns the cost quadrature, one module uses scipy's root finders,
-one module uses scipy's interpolants, and every keyword parameter of the
-public API is set by some program call (tests do not count: an option
-only tests set is a constant, and tests change it by monkeypatch).
+scripts; the tests and the package's re-exports do not count), and so
+is every module-level constant, every import sits at module level (a
+module's dependencies are read off its head), no handler catches every
+exception (a programming error must propagate, not turn into a solver
+verdict), one module holds the lock-step DOP853 integrator, one module
+owns the CSV number format, one module owns the cost quadrature, one
+module uses scipy's root finders, one module uses scipy's interpolants,
+and every keyword parameter of the public API is set by some program
+call (tests do not count: an option only tests set is a constant, and
+tests change it by monkeypatch).
 """
 
 from __future__ import annotations
@@ -90,15 +91,28 @@ def test_every_all_entry_is_defined(path):
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
 
 
-def _unloaded(libs: dict[str, ast.Module], callers) -> list[tuple[str, str]]:
-    """(module, name) of each ``__all__`` entry in `libs` that no tree in
-    `callers` loads, as a name or as an attribute."""
+def _constants(tree: ast.Module) -> list[str]:
+    """Upper-case names a module-level assignment binds, tuple targets
+    included."""
+    return [t.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+            for t in ast.walk(target)
+            if isinstance(t, ast.Name) and t.id.isupper()]
+
+
+def _unloaded(libs: dict[str, ast.Module], callers,
+              names=_all) -> list[tuple[str, str]]:
+    """(module, name) of each of `names(tree)` (the ``__all__`` entries by
+    default) in `libs` that no tree in `callers` loads, as a name or as an
+    attribute."""
     loaded = {getattr(node, "id", getattr(node, "attr", None))
               for tree in callers for node in ast.walk(tree)
               if isinstance(node, (ast.Name, ast.Attribute))
               and isinstance(node.ctx, ast.Load)}
     return [(module, name) for module, tree in libs.items()
-            for name in _all(tree) if name not in loaded]
+            for name in names(tree) if name not in loaded]
 
 
 def test_every_all_entry_is_loaded_by_the_program():
@@ -113,6 +127,25 @@ def test_an_unloaded_all_entry_is_reported():
     caller = ast.parse("from lib import f, g, h\nf()\nx = mod.K\nh = 1\n")
     assert _unloaded({"lib.py": lib}, [caller]) == [
         ("lib.py", "g"), ("lib.py", "h")]
+
+
+def test_every_constant_is_loaded_by_the_program():
+    # a constant whose last client was deleted goes with it
+    unloaded = _unloaded({p.name: _tree(p) for p in MODULES},
+                         [_tree(p) for p in CALLERS], names=_constants)
+    assert not unloaded, f"constants no program module loads: {unloaded}"
+
+
+def test_an_unloaded_constant_is_reported():
+    lib = ast.parse("__all__ = []\nA, (B, C) = 1, (2, 3)\nDEPTH: int = 5\n"
+                    "log = None\nD = 4\nD += 1\n"
+                    "def f():\n    E = 6\n    return A + E\n")
+    # E and log are no module-level constants; B is only imported and D
+    # only stored (an augmented assignment loads nothing)
+    assert _constants(lib) == ["A", "B", "C", "DEPTH", "D"]
+    caller = ast.parse("from lib import B\nx = lib.C\nD = 0\n")
+    assert _unloaded({"lib.py": lib}, [lib, caller], names=_constants) == [
+        ("lib.py", "B"), ("lib.py", "DEPTH"), ("lib.py", "D")]
 
 
 def test_an_unused_import_is_reported():
@@ -227,8 +260,8 @@ def _tableau_reads(tree: ast.Module) -> set[str]:
 
 
 def test_one_lock_step_integrator():
-    # the PMP scan and the speed bisection share one stepper; no other
-    # module reads DOP853's Butcher tableau
+    # the PMP scan's stepper is the one array DOP853; no other module
+    # reads DOP853's Butcher tableau
     readers = {p.name: _tableau_reads(_tree(p)) for p in MODULES}
     assert {name for name, attrs in readers.items() if attrs} \
         == {"_lockstep.py"}

@@ -308,6 +308,15 @@ def test_front_not_found(weed):
         front_speed(rec)
 
 
+def test_front_speed_needs_two_positions(weed):
+    # T = 0 records one snapshot: a line through one point is no fit
+    rec = evolve_scalar(weed, lambda x: 1.0 / (1.0 + np.exp(-x)), T=0.0,
+                        x_span=(-10, 10), dx=0.1)
+    assert len(rec.times) == 1
+    with pytest.raises(ConfigError, match="needs two"):
+        front_speed(rec)
+
+
 def test_front_too_close_to_boundary(weed):
     from travwave.errors import DomainExceededError
     rec = evolve_scalar(weed, lambda x: 1.0 if x > 55.0 else 0.0, T=5.0,

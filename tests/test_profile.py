@@ -116,6 +116,12 @@ def test_theta_requires_leftward_wave(spatial01):
         theta_model1(spatial01, 1.0, +0.1)
 
 
+@pytest.mark.parametrize("c", [np.nan, -np.inf])
+def test_theta_requires_a_finite_speed(spatial01, c):
+    with pytest.raises(InvalidParameterError, match="speed must be finite"):
+        theta_model1(spatial01, 1.0, c)
+
+
 @pytest.mark.parametrize("kappa1", [-1.0, 0.0, np.nan, np.inf])
 def test_theta_requires_a_finite_positive_kappa1(spatial01, kappa1):
     with pytest.raises(InvalidParameterError, match="kappa1 must be finite"):

@@ -1,4 +1,5 @@
-"""The shared bisection and sign-flip rule behind every root search."""
+"""The shared bisection, converged root and sign-flip rule behind every
+root search."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from travwave._roots import bisect, flips, sign_changes
+from travwave._roots import bisect, brent, flips, sign_changes
 
 
 def _counted(fn):
@@ -28,6 +29,16 @@ def test_bisect_width_and_call_count(lo, hi, tol):
     assert b - a <= tol
     assert a <= root <= b
     assert len(calls) == math.ceil(math.log2((hi - lo) / tol))
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-3.0, 5.0)])
+def test_brent_converges_in_fewer_calls_than_bisect(lo, hi):
+    # a smooth monotone function, like the manifold gap near c*
+    root = lo + (hi - lo) / math.pi
+    fn, calls = _counted(lambda x: math.expm1(x - root) + 0.5 * (x - root))
+    r = brent(fn, lo, hi)
+    assert isinstance(r, float) and abs(r - root) <= 1e-14 * max(1.0, abs(root))
+    assert len(calls) < math.ceil(math.log2((hi - lo) / 1e-14)) / 2
 
 
 def test_bisect_stops_at_exact_zero():

@@ -62,6 +62,15 @@ def test_no_gap_sign_change_raises(weed, monkeypatch):
         natural_speed(weed)
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", [manifold_gap, stable_manifold,
+                                   unstable_manifold])
+def test_a_speed_that_is_not_finite_is_refused(weed, solve, c):
+    # before the seed: a NaN seed would reach solve_ivp as an untyped error
+    with pytest.raises(InvalidParameterError, match="speed must be finite"):
+        solve(weed, c)
+
+
 def test_gap_monotone_and_zero_at_cstar(weed, c_star_weed):
     gaps = [manifold_gap(weed, c) for c in (-0.3, c_star_weed, -0.15, 0.0)]
     assert gaps[0] < 0.0
@@ -170,7 +179,7 @@ def _scalar_speed(spec, tol=1e-8):
 @settings(max_examples=6, deadline=None)
 @given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0))
 def test_lock_step_speed_is_the_scalar_bisection(u_star, rate):
-    # the lock-step midpoints are bisect's, and so must be every sign
+    # the replayed path must take every turn of the scalar gap's bisection
     spec = make_cubic_model(u_star, rate)
     assert float(natural_speed(spec)).hex() == float(_scalar_speed(spec)).hex()
 
@@ -190,59 +199,55 @@ def _count_bisects(monkeypatch):
     return calls
 
 
-def test_the_lock_step_solve_is_one_bisect(weed, c_star_weed, monkeypatch):
-    # the lock-step gap is bisect's side: no second descent walks the tree
+def test_the_speed_solve_is_a_coarse_and_a_replayed_bisect(
+        weed, c_star_weed, monkeypatch):
+    # a bracket to width scale/4, then bisect's whole path on
+    # [-scale, scale] replayed around brent's root; no scalar bisection
     calls = _count_bisects(monkeypatch)
     assert float(natural_speed(weed)).hex() == float(c_star_weed).hex()
-    assert len(calls) == 1
-    lo, hi, tol = calls[0]
-    assert lo == -hi and tol == 2e-8
+    assert len(calls) == 2
+    (lo, hi, coarse), (lo2, hi2, tol) = calls
+    assert lo == lo2 == -hi and hi2 == hi
+    assert coarse == 0.25 * hi and tol == 2e-8
 
 
-def test_two_scalar_gaps_per_solve(weed, monkeypatch):
-    # the lock-step bisection leaves only the final bracket's two ends to
-    # the scalar manifold_gap
+def test_no_speed_is_gapped_twice(weed, monkeypatch, caplog):
+    # the gap is memoised: bracket, brent, replay and the final check
+    # share every evaluation, and the report counts each once
     sub = make_substitute_spec(weed, default_substitute(weed))
     gap = travwave.speed.manifold_gap
     for spec in (weed, sub):
         calls = []
         monkeypatch.setattr(travwave.speed, "manifold_gap",
                             lambda s, c, **k: calls.append(c) or gap(s, c, **k))
-        c = travwave.speed._speed(spec)
-        assert len(calls) == 2
-        assert calls[0] < c < calls[1] and calls[1] - calls[0] <= 2e-8
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="travwave"):
+            c = travwave.speed._speed(spec)
+        (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
+        assert len(calls) == len(set(calls)) == rec.speed_work["gap_calls"]
+        # the final bracket's two ends, one on either side of c
+        width = rec.speed_work["width"]
+        assert any(c - width <= x < c for x in calls)
+        assert any(c < x <= c + width for x in calls)
 
 
-def test_a_wrong_lock_step_sign_falls_back_to_the_scalar_path(
+def test_a_wrong_root_falls_back_to_the_scalar_path(
         weed, c_star_weed, monkeypatch, caplog):
-    # the first round's root midpoint is c = 0 > c*, where the gap is
-    # positive; its P_flat column (column 0) is made to arrive far above
-    # P_sharp, so the lock-step path turns the wrong way
-    rounds, flipped = [], []
-
-    class Flipped(LockStep):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            rounds.append(self)
-
-        def step(self):
-            accept, stalled = super().step()
-            hit = (self.ids == 0) & accept & (self.u == self.bound)
-            if self is rounds[0] and hit.any():
-                flipped.append(float(self.y[0, hit][0]))
-                self.y = np.where(hit, 1e3, self.y)
-            return accept, stalled
-
-    monkeypatch.setattr(travwave.speed, "LockStep", Flipped)
+    # a root 1e-3 above the gap's turns the replayed path the wrong way at
+    # every midpoint between the two, so the final bracket's ends do not
+    # confirm the sign change and the scalar bisection decides
+    brent = travwave.speed.brent
+    monkeypatch.setattr(travwave.speed, "brent",
+                        lambda *a: brent(*a) + 1e-3)
     bisects = _count_bisects(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="travwave"):
         c = natural_speed(weed)
-    assert len(flipped) == 1
-    # the lock-step bisection, then the scalar one
-    assert len(bisects) == 2
+    # the coarse and the replayed bisection, then the scalar one
+    assert len(bisects) == 3
     assert float(c).hex() == float(c_star_weed).hex()
     (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
-    assert rec.speed_work["fallback"] and rec.speed_work["gap_calls"] > 2
+    assert rec.speed_work["fallback"]
+    assert rec.speed_work["root"] == pytest.approx(C_STAR + 1e-3, abs=1e-13)
 
 
 def test_lock_step_chart_columns_match_solve_ivp(weed):
@@ -276,12 +281,21 @@ def test_speed_logs_nothing_by_default(weed, caplog):
 
 
 def test_speed_logs_its_work_at_debug(weed, caplog):
-    with caplog.at_level(logging.DEBUG, logger="travwave"):
-        natural_speed(weed)
-    (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
-    assert rec.levelno == logging.DEBUG
-    work = rec.speed_work
-    assert work["gap_calls"] == 2 and not work["fallback"]
-    assert 0 < work["rounds"] < work["passes"]
-    assert 0 <= work["pruned"] < work["columns"]
-    assert "rounds=" in rec.getMessage() and weed.label in rec.getMessage()
+    # at most 12 gap evaluations for the weed and 14 for its substitute
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    for spec, max_gaps in ((weed, 12), (sub, 14)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="travwave"):
+            c = travwave.speed._speed(spec)
+        (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
+        assert rec.levelno == logging.DEBUG
+        work = rec.speed_work
+        assert 0 < work["gap_calls"] <= max_gaps and not work["fallback"]
+        assert 0.0 < work["width"] <= 2e-8
+        assert abs(c - work["root"]) <= work["width"]
+        msg = rec.getMessage()
+        assert spec.label in msg
+        assert f"gap_calls={work['gap_calls']} fallback=False" in msg
+        assert f"root={work['root']!r}" in msg
+        if spec is weed:
+            assert abs(work["root"] - C_STAR) <= 1e-13

@@ -40,7 +40,7 @@ from scipy.linalg import solve_banded
 from ._columns import write_columns
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
-from .model import Model2Params
+from .model import Model2Params, _check_positive
 from .phaseplane import _sample_control
 from .profile import SpatialProfile, _theta_closed_form, theta_model1
 
@@ -189,13 +189,20 @@ def check_drate(f, d: float) -> None:
     """Verify f(u) >= -d u - 1e-12 on 2001 samples of [0,1]; required by
     the comparison structure of the insect/tree system."""
     u = np.linspace(0.0, 1.0, 2001)
-    fv = np.asarray(f(u), dtype=float)
+    _check_drate_on(u, np.asarray(f(u), dtype=float), d)
+
+
+def _check_drate_on(u: np.ndarray, fv: np.ndarray, d: float) -> None:
+    """The death-rate hypothesis f(u) >= -d u - 1e-12 on samples fv = f(u):
+    InvalidParameterError names the first failing sample, or a d that is
+    not finite and positive."""
+    _check_positive("d", d)
     bad = fv < -d * u - 1e-12
     if np.any(bad):
         i = int(np.argmax(bad))
         raise InvalidParameterError(
-            f"death-rate condition fails: f({u[i]:.4f})={fv[i]:.6g} < "
-            f"{-d * u[i]:.6g}")
+            f"death-rate hypothesis f(u) >= -d u fails at d={d:g}: "
+            f"f({u[i]:.4g})={fv[i]:.6g} < {-d * u[i]:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +220,8 @@ def supersolution(u_profile: SpatialProfile, params: Model2Params,
     kappa1 (1 - Theta_bar)(v+ - U) <= 0 by construction, and the second is
     -f(U) - d U where v+ = U (needs f sampled on the profile) and
     kappa2 (U - V*) Theta_bar - d V* where v+ = V*; the alpha term only
-    makes both more negative.
+    makes both more negative.  The death-rate hypothesis f(U) >= -d U is
+    checked on the same f samples first (InvalidParameterError).
     """
     if c >= 0.0:
         raise RegimeError(f"supersolution requires c < 0, got {c:g}")
@@ -222,6 +230,7 @@ def supersolution(u_profile: SpatialProfile, params: Model2Params,
             "u_profile must carry f samples (build it with reconstruct_x)")
     x = u_profile.x_nodes
     u = u_profile.u_values
+    _check_drate_on(u, u_profile.f_values, params.d)
     vstar = params.v_star
     vplus = np.minimum(u, vstar)
     theta_bar = theta_model1(u_profile, params.kappa1, c).theta_values[:len(x)]

@@ -30,7 +30,7 @@ from scipy.interpolate import PchipInterpolator
 
 from ._columns import write_columns
 from .errors import InvalidParameterError, NotASaddleError, SingularityError
-from .model import ModelSpec
+from .model import ModelSpec, _check_positive
 
 __all__ = [
     "PhaseTrajectory",
@@ -189,8 +189,11 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
     Returns (u, p, terminated_by, u_end) with u increasing; without dense
     output the end state is the only node.  Terminal events: P reaching
     P_FLOOR ('p_zero') and an optional user event g(u, p) ('event').  The
-    control beta is evaluated at the step's float u.
+    control beta is evaluated at the step's float u.  rtol and atol must be
+    finite and positive.
     """
+    _check_positive("rtol", rtol)
+    _check_positive("atol", atol)
     def rhs(u, y):
         b = 0.0 if beta is None else float(beta(u))
         return [-c + (b - float(spec.f(u))) / y[0]]
@@ -239,9 +242,14 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
     Integrated until U = u_stop or P falls to the floor (early termination,
     flagged, not an error).  The node set starts with the exact corner
     (0,0) followed by the seed point, so the seeded slope can be audited.
+    The seed offset eps_seed must be positive and below u_stop.
     """
     if not (0.0 < u_stop <= 1.0):
         raise InvalidParameterError(f"u_stop must lie in (0, 1], got {u_stop}")
+    _check_positive("eps_seed", eps_seed)
+    if not eps_seed < u_stop:
+        raise InvalidParameterError(
+            f"eps_seed must lie below u_stop={u_stop}, got {eps_seed}")
     u0, p0 = _saddle_seed(spec, c, 0.0, eps_seed)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
@@ -290,10 +298,13 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
     integrating, and `beta_values` is one call on the returned nodes.
     `stop_when(u, p)` is an optional terminal event function (sign change,
     located by the integrator's dense output); `direction` restricts the
-    crossing direction as in scipy events.
+    crossing direction as in scipy events.  c, u_from and u_to must be
+    finite, and p_from finite and positive.
     """
-    if not p_from > 0.0:
-        raise InvalidParameterError(f"p_from must be positive, got {p_from}")
+    if not np.all(np.isfinite([c, u_from, u_to])):
+        raise InvalidParameterError(f"c, u_from and u_to must be finite, got "
+                                    f"{c}, {u_from}, {u_to}")
+    _check_positive("p_from", p_from)
     _sample_control(beta, np.full(2, float(u_from)))
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, beta, u_from, p_from, u_to, stop_when=stop_when,

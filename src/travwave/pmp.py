@@ -20,8 +20,9 @@ the root.
 The scan integrates all its grid shots in lock step, as the columns of
 one `_lockstep.LockStep` (scipy's DOP853 on arrays, a step size per
 shot), under scipy's event rule applied here, and yields only the signs
-of phi; bracket ends, bisection and the final shot are scalar
-`shoot_from` calls, so the root and the cost do not depend on the scan.
+of phi.  Every phi value is a scalar `shoot_from` call, memoised per u1 in
+one table that the scan's hand-offs, the bracket ends, the bisection and
+the diagnostics read, so the root and the cost do not depend on the scan.
 """
 
 from __future__ import annotations
@@ -72,13 +73,12 @@ class ShootingDiagnostics:
     """What one `optimal_profile` call did.
 
     `n_scanned` grid points were signed by the lock-step scan in
-    `scan_passes` vector passes; `scan_fallbacks` of them were shot by the
-    scalar `shoot_from` instead (all of them when the scan's brackets did
-    not hold).  `shots` counts every scalar `shoot_from` call: fallbacks,
-    bracket ends, bisection and the final sampled shot.
+    `scan_passes` vector passes; `scan_fallbacks` of them were handed off
+    to the scalar phi instead (all of them when the scan's brackets did
+    not hold).  `shots` counts the distinct junctions u1 whose phi was
+    shot (hand-offs, bracket ends, bisection) plus the final sampled shot.
     """
 
-    converged: bool
     u1_root: float
     phi_at_root: float
     roots: list[float]
@@ -171,7 +171,14 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     raises SingularityError elsewhere, by the chart's rule
     (phaseplane._underflow_status).  A non-positive L_betabeta along the way
     raises ConvexityViolationError; a non-finite state, SingularityError.
+    A non-finite c or u1, or a tolerance that is not finite and positive,
+    raises InvalidParameterError.
     """
+    if not (np.isfinite(c) and np.isfinite(u1)):
+        raise InvalidParameterError(
+            f"speed and junction must be finite, got c={c}, u1={u1}")
+    _check_positive("rtol", rtol)
+    _check_positive("atol", atol)
     p0 = float(p_flat(u1))
     if not p0 > 0.0:
         raise InvalidParameterError(f"P_flat({u1:g}) = {p0:g} is not positive")
@@ -228,7 +235,7 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
 
 
 def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
-                rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
+                phi, rtol: float, atol: float) -> tuple[np.ndarray, int]:
     """Signs of phi on the scan grid from one lock-step DOP853 integration.
 
     Every grid shot is a column of one `_lockstep.LockStep` over
@@ -237,11 +244,11 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
     (upward) gives +1; beta = 0 or the P floor (downward) gives the sign of
     P - P_sharp, which is phi's there; reaching u = 1 (beta > 0) gives +1.
     A shot with two events in one step, whose gap to P_sharp changes sign
-    over its terminal step, or whose step falls below min_step is decided
-    by the scalar `shoot_from`.
+    over its terminal step, or whose step falls below min_step is handed
+    off to the scalar `phi(u1)`.
 
-    Returns (signs, passes, fallbacks): a sign per grid point (NaN where a
-    scalar phi is not finite), the vector passes and the scalar shots.
+    Returns (signs, passes): a sign per grid point (NaN where a handed-off
+    phi is not finite) and the vector passes.
     """
     rhs = _generic_rhs(spec)
     u = np.array(grid, dtype=float)
@@ -251,7 +258,7 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
         raise InvalidParameterError(
             f"P_flat({u[i]:g}) = {p0[i]:g} is not positive")
     signs = np.full(len(u), np.nan)
-    scalar: list[int] = []
+    handed: list[int] = []
     passes = 0
     p_floor = _p_floor(p0)
     gap = p0 - np.asarray(p_sharp(u), dtype=float)
@@ -278,14 +285,13 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
                 | stalled
             done = ((events == 1) | (accept & (st.u >= 1.0))) & ~to_scalar
             signs[todo[done]] = sign[done]
-            scalar.extend(todo[to_scalar].tolist())
+            handed.extend(todo[to_scalar].tolist())
             gap[todo] = gap_new
             st.keep(~(done | to_scalar))
 
-    for i in sorted(scalar):
-        signs[i] = np.sign(shoot_from(spec, c, float(grid[i]), p_flat, p_sharp,
-                                      rtol=rtol, atol=atol).phi)
-    return signs, passes, len(scalar)
+    for i in sorted(handed):
+        signs[i] = np.sign(phi(float(grid[i])))
+    return signs, passes
 
 
 def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
@@ -323,8 +329,8 @@ def _gate(spec: ModelSpec) -> None:
 
 def _trivial_profile(spec: ModelSpec, c: float, c_star: float) -> OptimalProfile:
     traj = natural_heteroclinic(spec, c_star)
-    diag = ShootingDiagnostics(True, spec.u_star, 0.0, [], spec.u_star,
-                               spec.u_star, 0)
+    diag = ShootingDiagnostics(spec.u_star, 0.0, [], spec.u_star, spec.u_star,
+                               0)
     return OptimalProfile(c, spec.u_star, spec.u_star, traj, 0.0, diag,
                           arc=None)
 
@@ -336,15 +342,21 @@ def optimal_profile(spec: ModelSpec, c: float,
     """Minimum-effort profile at speed c > c* by scan plus bisection on phi.
 
     At or below the natural speed the zero control is optimal and the
-    natural heteroclinic is returned with zero cost.  If phi has several
-    roots, the smallest is assembled and all bracketed roots are reported
-    in the diagnostics.
+    natural heteroclinic is returned with zero cost.  phi(u1) is shot at
+    most once per u1, into one table: the lock-step scan's hand-offs, the
+    bracket ends (or, when a bracket does not hold, the whole grid) and
+    the bisection steps.  Each bracket's root is its tabled u1 with the
+    smallest |phi|; if phi has several roots, the smallest is assembled
+    with one more shot, sampled densely, and all are reported in the
+    diagnostics.
     """
     if not np.isfinite(c):
         raise InvalidParameterError(f"speed must be finite, got c={c}")
     _gate(spec)
     if c_star is None:
         c_star = natural_speed(spec)
+    elif not np.isfinite(c_star):
+        raise InvalidParameterError(f"c_star must be finite, got {c_star}")
     if c <= c_star + SPEED_GUARD:
         return _trivial_profile(spec, c, c_star)
 
@@ -353,62 +365,41 @@ def optimal_profile(spec: ModelSpec, c: float,
     p_flat, p_sharp = flat.interp_p(), sharp.interp_p()
 
     scan_lo, scan_hi, grid = _scan_grid(spec, flat, scan_resolution)
-    shots = 0
+    table: dict[float, float] = {}
 
-    def phi_of(u1: float) -> float:
-        nonlocal shots
-        shots += 1
-        return shoot_from(spec, c, u1, p_flat, p_sharp,
-                          rtol=rtol, atol=atol).phi
+    def phi(u1: float) -> float:
+        if u1 not in table:
+            table[u1] = shoot_from(spec, c, u1, p_flat, p_sharp,
+                                   rtol=rtol, atol=atol).phi
+        return table[u1]
 
-    signs, passes, fallbacks = _scan_signs(spec, c, grid, p_flat, p_sharp,
-                                           rtol, atol)
-    shots += fallbacks
-
-    # the scan only signs the grid: each bracket's ends are shot again, so
-    # the bisection starts from scalar phi values
-    known: dict[int, float] = {}
-
-    def phi_at(i: int) -> float:
-        if i not in known:
-            known[i] = phi_of(grid[i])
-        return known[i]
-
-    brackets = []
-    for i, j in flips(signs, 0.0):
-        flo, fhi = phi_at(i), phi_at(j)
-        if flips([flo, fhi], 0.0) != [(0, 1)]:
-            brackets = []
-            break
-        brackets.append((grid[i], grid[j], flo, fhi))
-    if not brackets:
+    signs, passes = _scan_signs(spec, c, grid, p_flat, p_sharp, phi,
+                                rtol, atol)
+    fallbacks = len(table)
+    # the scan only signs the grid: each bracket's ends are shot, so the
+    # bisection starts from scalar phi values
+    u1s = grid.tolist()
+    brackets = [(u1s[i], u1s[j]) for i, j in flips(signs, 0.0)]
+    if not brackets or not all(flips([phi(lo), phi(hi)], 0.0)
+                               for lo, hi in brackets):
         # no bracket, or one that did not hold: the scalar phi list decides
         fallbacks = len(grid)
-        phis = np.array([phi_at(i) for i in range(len(grid))])
-        brackets = [(grid[i], grid[j], phis[i], phis[j])
-                    for i, j in flips(phis, 0.0)]
+        phis = [phi(x) for x in u1s]
+        brackets = [(u1s[i], u1s[j]) for i, j in flips(phis, 0.0)]
         if not brackets:
             raise NoSolutionError(
                 f"no sign change of phi on [{scan_lo:.4f}, {scan_hi:.4f}] "
                 f"at c={c:g}", phi_table=np.column_stack([grid, phis]))
 
     roots = []
-    for lo, hi, flo, fhi in brackets:
-        best = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
+    for lo, hi in brackets:
+        flo = phi(lo)
+        bisect(lambda u1: -flo * phi(u1), lo, hi, U1_TOL)
+        roots.append(min((x for x in table if lo <= x <= hi
+                          and np.isfinite(table[x])),
+                         key=lambda x: abs(table[x])))
 
-        def side(u1):
-            nonlocal best
-            fmid = phi_of(u1)
-            if abs(fmid) < abs(best[1]):
-                best = (u1, fmid)
-            return -flo * fmid
-
-        bisect(side, lo, hi, U1_TOL)
-        roots.append(best)
-
-    roots.sort(key=lambda r: r[0])
-    u1_root, phi_root = roots[0]
-    shots += 1
+    u1_root = roots[0]
     shot = shoot_from(spec, c, u1_root, p_flat, p_sharp, rtol=rtol, atol=atol,
                       want_nodes=True)
     u2 = shot.u_end
@@ -422,9 +413,9 @@ def optimal_profile(spec: ModelSpec, c: float,
                          _slice_from(sharp, u2, p_sharp)), c)
 
     cost, cost_error = _cost_and_error(spec, arc)
-    diag = ShootingDiagnostics(True, u1_root, phi_root,
-                               [r[0] for r in roots], scan_lo, scan_hi,
-                               len(grid), shots, passes, fallbacks, cost_error)
+    diag = ShootingDiagnostics(u1_root, table[u1_root], roots, scan_lo,
+                               scan_hi, len(grid), len(table) + 1, passes,
+                               fallbacks, cost_error)
     return OptimalProfile(c, u1_root, u2, traj, cost, diag, arc=arc)
 
 
@@ -482,6 +473,8 @@ def effort_curve(spec: ModelSpec, c_grid, c_star: float | None = None,
     """
     if c_star is None:
         c_star = natural_speed(spec)
+    elif not np.isfinite(c_star):
+        raise InvalidParameterError(f"c_star must be finite, got {c_star}")
     cs = sorted(float(c) for c in np.atleast_1d(c_grid))
     for c in cs:
         if not np.isfinite(c):

@@ -323,9 +323,9 @@ def test_optimal_json_reports_shooting(tmp_path, capsys, cached_profiles):
     results = json.loads(js.read_text())["results"]
     assert list(results) == ["u1", "u2", "cost", "shooting"]
     shooting = results["shooting"]
-    assert list(shooting) == ["converged", "u1_root", "phi_at_root", "roots",
-                              "scan_lo", "scan_hi", "n_scanned", "shots",
-                              "scan_passes", "scan_fallbacks", "cost_error"]
+    assert list(shooting) == ["u1_root", "phi_at_root", "roots", "scan_lo",
+                              "scan_hi", "n_scanned", "shots", "scan_passes",
+                              "scan_fallbacks", "cost_error"]
     assert shooting["n_scanned"] > shooting["shots"] > 0
     assert 0.0 < shooting["cost_error"] <= 1e-9 * results["cost"]
     assert shooting["scan_passes"] > 0 and shooting["scan_fallbacks"] == 0

@@ -66,8 +66,7 @@ def _optimal(path, monkeypatch):
                            y_values=np.array([NAN, -1.5]))
     monkeypatch.setattr(cli, "optimal_profile", lambda spec, c: SimpleNamespace(
         u1=THIRD, u2=0.5, cost=1.0, trajectory=traj,
-        converged=ShootingDiagnostics(True, THIRD, 0.0, [THIRD], THIRD, 0.5,
-                                      2)))
+        converged=ShootingDiagnostics(THIRD, 0.0, [THIRD], THIRD, 0.5, 2)))
     cli.main(["optimal", "--out", str(path)])
 
 

@@ -113,6 +113,21 @@ def test_drate_condition():
         check_drate(make_cubic_model(0.15, 8.0).f, 1.0)  # f/u -> -1.2 < -1
 
 
+@pytest.mark.parametrize("d", [np.nan, np.inf, 0.0, -1.0])
+def test_drate_needs_a_finite_positive_rate(d):
+    with pytest.raises(InvalidParameterError, match="d must be finite"):
+        check_drate(make_cubic_model(0.15, 4.5).f, d)
+
+
+@pytest.mark.parametrize("d", [0.5, 0.6])
+def test_supersolution_names_the_death_rate_hypothesis(m2_pipeline, d):
+    # f/u -> -4.5 * 0.15 = -0.675 as u -> 0, so f(u) >= -d u fails for
+    # d < 0.675; this used to surface as a residual-sign
+    # ConstructionFailureError
+    with pytest.raises(InvalidParameterError, match="death-rate hypothesis"):
+        supersolution(m2_pipeline["spatial"], Model2Params(1.0, 1.0, d), -0.9)
+
+
 def test_supersolution_structure(m2_pipeline):
     sup = supersolution(m2_pipeline["spatial"], m2_pipeline["params"], -0.9)
     u, v = sup.u_values, sup.v_values

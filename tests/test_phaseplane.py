@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -148,6 +151,39 @@ def test_large_control_pushes_below_flat_branch(weed):
 def test_invalid_start(weed):
     with pytest.raises(InvalidParameterError):
         integrate_pu(weed, 0.0, None, 0.5, -1.0, 0.7)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the body once `seconds` have passed, so that a
+    call that never returns fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("c, u_from, u_to", [
+    (np.nan, 0.5, 0.7), (-0.1, np.nan, 0.7), (-0.1, 0.5, np.nan),
+    (np.inf, 0.5, 0.7), (-0.1, 0.5, np.inf),
+], ids=["nan-c", "nan-u_from", "nan-u_to", "inf-c", "inf-u_to"])
+def test_a_chart_run_needs_a_finite_speed_and_ends(weed, c, u_from, u_to):
+    # the three NaN cases never returned; c = inf raised SingularityError
+    # and u_to = inf returned a run
+    with _deadline(10), pytest.raises(InvalidParameterError,
+                                      match="must be finite"):
+        integrate_pu(weed, c, None, u_from, 0.2, u_to)
+
+
+@pytest.mark.parametrize("eps_seed", [0.0, -1e-8, np.nan, np.inf, 0.5, 2.0])
+def test_the_seed_offset_lies_inside_the_run(weed, eps_seed):
+    with pytest.raises(InvalidParameterError, match="eps_seed"):
+        unstable_manifold(weed, -0.1, u_stop=0.5, eps_seed=eps_seed)
 
 
 def test_single_point_stable_manifold(weed):

@@ -169,6 +169,36 @@ def test_optimal_cost_below_constructed(weed, c_star_weed, opt01):
     assert opt01.cost <= con.cost
 
 
+@pytest.mark.parametrize("c, u1", [(np.nan, 0.5), (-0.1, np.nan),
+                                   (np.inf, 0.5)])
+def test_a_shot_needs_a_finite_speed_and_junction(weed, manifolds01, c, u1):
+    # c = NaN raised SingularityError, u1 = NaN ConvexityViolationError
+    flat, sharp = manifolds01
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        shoot_from(weed, c, u1, flat.interp_p(), sharp.interp_p())
+
+
+@pytest.mark.parametrize("tols", [{"rtol": 0.0}, {"rtol": -1.0},
+                                  {"atol": np.nan}])
+def test_shooting_tolerances_must_be_finite_and_positive(
+        weed, c_star_weed, manifolds01, tols):
+    flat, sharp = manifolds01
+    with pytest.raises(InvalidParameterError, match="tol must be finite"):
+        shoot_from(weed, -0.1, 0.5, flat.interp_p(), sharp.interp_p(), **tols)
+    with pytest.raises(InvalidParameterError, match="tol must be finite"):
+        optimal_profile(weed, -0.1, c_star=c_star_weed, **tols)
+
+
+def test_a_speed_floor_that_is_not_finite_is_refused(weed, monkeypatch):
+    # c_star = NaN ran a scan and raised NoSolutionError below c*, and made
+    # an effort row of NaN
+    monkeypatch.setattr(pmp, "unstable_manifold", None)
+    with pytest.raises(InvalidParameterError, match="c_star must be finite"):
+        optimal_profile(weed, -0.3, c_star=np.nan)
+    with pytest.raises(InvalidParameterError, match="c_star must be finite"):
+        effort_curve(weed, [-0.3], c_star=np.nan)
+
+
 def test_gate_rejects_monostable():
     with pytest.raises(InvalidParameterError):
         optimal_profile(make_logistic_model(1.0), -0.1)
@@ -326,6 +356,14 @@ def _scalar_phis(spec, c, grid, pf, ps):
     return np.array([shoot_from(spec, c, u1, pf, ps).phi for u1 in grid])
 
 
+def _recorded_phi(spec, c, pf, ps, calls):
+    """The scan's scalar phi: one shot per call, its u1 appended to calls."""
+    def phi(u1):
+        calls.append(u1)
+        return shoot_from(spec, c, u1, pf, ps).phi
+    return phi
+
+
 def _scan_case(spec, c, resolution):
     flat = unstable_manifold(spec, c, u_stop=1.0)
     sharp = stable_manifold(spec, c, u_stop=0.0)
@@ -342,10 +380,12 @@ def test_scan_signs_match_scalar_phi(u_star, rate, frac):
     scale = np.sqrt(rate / 2.0)
     c = scale * (2.0 * u_star - 1.0) + 0.5 * frac * scale
     grid, pf, ps = _scan_case(spec, c, 1e-2)
-    signs, passes, fallbacks = _scan_signs(spec, c, grid, pf, ps,
-                                           1e-10, 1e-12)
+    handed = []
+    signs, passes = _scan_signs(spec, c, grid, pf, ps,
+                                _recorded_phi(spec, c, pf, ps, handed),
+                                1e-10, 1e-12)
     assert np.array_equal(signs, np.sign(_scalar_phis(spec, c, grid, pf, ps)))
-    assert passes > 0 and fallbacks == 0
+    assert passes > 0 and handed == []
 
 
 # seed-0 speed of the model2_sandwich benchmark set-up; u1 = 0.3461640213...
@@ -397,10 +437,12 @@ def test_scan_signs_at_the_sandwich_setup():
     # where the met_psharp and beta_zero branches of phi meet
     spec = make_cubic_model(0.15, 4.5)
     grid, pf, ps = _scan_case(spec, SANDWICH_C, 1e-3)
-    signs, _, fallbacks = _scan_signs(spec, SANDWICH_C, grid, pf, ps,
-                                      1e-10, 1e-12)
+    handed = []
+    signs, _ = _scan_signs(spec, SANDWICH_C, grid, pf, ps,
+                           _recorded_phi(spec, SANDWICH_C, pf, ps, handed),
+                           1e-10, 1e-12)
     ref = np.sign(_scalar_phis(spec, SANDWICH_C, grid, pf, ps))
-    assert np.array_equal(signs, ref) and fallbacks == 0
+    assert np.array_equal(signs, ref) and handed == []
     assert np.any(ref > 0.0) and np.any(ref < 0.0)
 
 
@@ -422,23 +464,26 @@ def test_two_events_in_one_step_go_to_the_scalar_shot(weed, manifolds01,
         return p_m + 50.0 * (u_m - np.asarray(u, dtype=float))
     shots = []
 
-    def spy(spec, c, u1, *args, **kwargs):
-        shots.append(u1)
-        return shoot_from(spec, c, u1, *args, **kwargs)
-    monkeypatch.setattr(pmp, "shoot_from", spy)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the scan shoots only through phi")
+    # the scan's own module never shoots: hand-offs go through phi alone
+    monkeypatch.setattr(pmp, "shoot_from", unreachable)
     grid = np.array([0.5])
-    signs, passes, fallbacks = _scan_signs(weed, -0.1, grid, pf, steep,
-                                           1e-10, 1e-12)
+    signs, passes = _scan_signs(weed, -0.1, grid, pf, steep,
+                                _recorded_phi(weed, -0.1, pf, steep, shots),
+                                1e-10, 1e-12)
     ref = shoot_from(weed, -0.1, 0.5, pf, steep)
     assert ref.status == "met_psharp" and ref.phi > 0.0
-    assert fallbacks == 1 and shots == [0.5] and signs[0] == 1.0
+    assert shots == [0.5] and signs[0] == 1.0
     # handed over at the step where the free shot ends
-    assert passes == _scan_signs(weed, -0.1, grid, pf, far, 1e-10, 1e-12)[1]
+    assert passes == _scan_signs(weed, -0.1, grid, pf, far, unreachable,
+                                 1e-10, 1e-12)[1]
     # one event per step stays in the vector pass: beta = 0 below a far
     # P_sharp, and u = 1 reached with the control still on
-    signs, _, fallbacks = _scan_signs(weed, -0.1, np.array([0.4, 0.5]), pf,
-                                      far, 1e-10, 1e-12)
-    assert np.array_equal(signs, [1.0, -1.0]) and fallbacks == 0
+    signs, _ = _scan_signs(weed, -0.1, np.array([0.4, 0.5]), pf, far,
+                           _recorded_phi(weed, -0.1, pf, far, shots),
+                           1e-10, 1e-12)
+    assert np.array_equal(signs, [1.0, -1.0])
     assert shots == [0.5]
     assert shoot_from(weed, -0.1, 0.4, pf, far).status == "left_domain"
 
@@ -461,12 +506,35 @@ def test_shooting_diagnostics_count_every_shot(weed, c_star_weed, opt01,
     assert diag.shots == 26 * len(diag.roots) + 1
 
 
+def test_every_junction_is_shot_once(weed, c_star_weed, opt01, manifolds01,
+                                     monkeypatch):
+    # a scan that hands every grid column to phi: the bracket ends are then
+    # read from the phi table, and only the sampled final shot repeats a u1
+    def hand_off_all(spec, c, grid, p_flat, p_sharp, phi, *args):
+        return np.sign([phi(u1) for u1 in grid.tolist()]), 1
+    shots = []
+
+    def spy(*args, **kwargs):
+        shots.append(args[2])
+        return shoot_from(*args, **kwargs)
+    monkeypatch.setattr(pmp, "_scan_signs", hand_off_all)
+    monkeypatch.setattr(pmp, "shoot_from", spy)
+    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
+    diag = prof.converged
+    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
+    assert shots[:len(grid)] == grid.tolist()
+    assert len(set(shots[:-1])) == len(shots) - 1 and shots[-1] == prof.u1
+    assert diag.shots == len(shots) == len(grid) + 24 * len(diag.roots) + 1
+    assert diag.scan_fallbacks == diag.n_scanned
+    assert prof.cost == opt01.cost and diag.roots == opt01.converged.roots
+
+
 def test_failed_scan_brackets_fall_back_to_the_scalar_list(
         weed, c_star_weed, opt01, monkeypatch):
     # signs that bracket where phi does not change sign send the scan back
     # to one scalar shot per grid point, with the same result
     def alternating(spec, c, grid, *args):
-        return (-1.0) ** np.arange(len(grid)), 1, 0
+        return (-1.0) ** np.arange(len(grid)), 1
     monkeypatch.setattr(pmp, "_scan_signs", alternating)
     prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
     diag = prof.converged
@@ -490,7 +558,7 @@ def test_an_exact_zero_in_the_phi_list_is_bracketed_across(
         return pmp.ShotResult("met_psharp", u1 - node, u1, 1.0, 0.0, 0.0)
     monkeypatch.setattr(pmp, "shoot_from", shot)
     monkeypatch.setattr(pmp, "_scan_signs", lambda spec, c, grid, *a: (
-        np.full(len(grid), np.nan), 1, 0))
+        np.full(len(grid), np.nan), 1))
     prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
     assert prof.converged.roots == [prof.u1]
     assert abs(prof.u1 - node) <= 1e-10

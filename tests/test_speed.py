@@ -71,6 +71,25 @@ def test_a_speed_that_is_not_finite_is_refused(weed, solve, c):
         solve(weed, c)
 
 
+@pytest.mark.parametrize("tols", [
+    {"rtol": -1.0}, {"rtol": 0.0}, {"rtol": np.nan}, {"atol": 0.0},
+    {"atol": np.inf}], ids=["rtol-1", "rtol0", "rtol-nan", "atol0", "atol-inf"])
+@pytest.mark.parametrize("solve, args", [
+    (natural_speed, ()), (manifold_gap, (-0.1,)), (unstable_manifold, (-0.1,)),
+    (stable_manifold, (-0.1,))],
+    ids=["natural_speed", "manifold_gap", "unstable", "stable"])
+def test_tolerances_must_be_finite_and_positive(weed, monkeypatch, solve,
+                                                args, tols):
+    # refused before any integration; rtol=-1 used to pass through scipy's
+    # clamp with a UserWarning
+    def no_integration(*a, **k):
+        raise AssertionError("integration started")
+    monkeypatch.setattr("travwave.phaseplane.solve_ivp", no_integration)
+    with pytest.raises(InvalidParameterError,
+                       match="tol must be finite and positive"):
+        solve(weed, *args, **tols)
+
+
 def test_gap_monotone_and_zero_at_cstar(weed, c_star_weed):
     gaps = [manifold_gap(weed, c) for c in (-0.3, c_star_weed, -0.15, 0.0)]
     assert gaps[0] < 0.0

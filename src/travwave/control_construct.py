@@ -28,7 +28,8 @@ from .errors import (ConstructionFailureError, InvalidParameterError,
                      SingularCostError)
 from .model import ModelSpec
 from .phaseplane import (PhaseTrajectory, _integrate_chart, _saddle_seed,
-                         integrate_pu, stable_manifold, unstable_manifold)
+                         _stopped_by, _terminal, integrate_pu,
+                         stable_manifold, unstable_manifold)
 from .speed import _speed, make_substitute_spec, natural_speed
 
 __all__ = ["ConcatProfile", "finite_cost_control", "cost_of",
@@ -131,27 +132,18 @@ def default_substitute(spec: ModelSpec):
 def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
     """x-parameterized orbit of U'=P, P'=-c' P - f_hat(U) from (a, 0).
 
-    Returns (reached_one, dense solution).  Near the axis the chart equation
+    Returns (reached_one, dense solution) of a run that ends at `_terminal`
+    events: U rises to 1, or P falls to 0.  Near the axis the chart equation
     is singular but the planar system is regular, so integration runs in x.
     """
     def rhs(x, y):
         return [y[1], -c_prime * y[1] - float(sub_spec.f(y[0]))]
 
-    def ev_hit_one(x, y):
-        return y[0] - 1.0
-    ev_hit_one.terminal = True
-    ev_hit_one.direction = 1
-
-    def ev_fall(x, y):
-        return y[1]
-    ev_fall.terminal = True
-    ev_fall.direction = -1
-
     sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], method="DOP853",
                     rtol=AUX_RTOL, atol=AUX_ATOL, dense_output=True,
-                    events=[ev_hit_one, ev_fall])
-    reached = sol.status == 1 and len(sol.t_events[0]) > 0
-    return reached, sol
+                    events=_terminal((lambda x, y: y[0] - 1.0, 1),
+                                     (lambda x, y: y[1], -1)))
+    return _stopped_by(sol) == 0, sol
 
 
 def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
@@ -202,8 +194,13 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
     concatenation is returned.  P_c' starts at (0.75 a0, 0): a0, the largest
     a whose orbit from (a, 0) reaches U = 1, is where the substitute's
     P_sharp at c' (the stable manifold of (1, 0) that bounds those orbits)
-    meets the U-axis; a c' above the substitute's speed has no a0.
+    meets the U-axis; a c' above the substitute's speed has no a0.  A
+    non-finite speed raises InvalidParameterError before any solve.
     """
+    speeds = (c, c_star, c_prime, c_hat)
+    if not all(np.isfinite(v) for v in speeds if v is not None):
+        raise InvalidParameterError(
+            f"speeds must be finite, got (c, c*, c', c_hat) = {speeds}")
     if c_star is None:
         c_star = natural_speed(spec)
     if c < c_star - SPEED_GUARD:

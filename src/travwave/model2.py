@@ -41,7 +41,7 @@ from ._columns import write_columns
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params, _check_positive
-from .phaseplane import _sample_control
+from .phaseplane import _sample_control, _stopped_by, _terminal
 from .profile import SpatialProfile, _theta_closed_form, theta_model1
 
 __all__ = [
@@ -305,8 +305,9 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     descending V-zero x1, and continued on [x1, inf) by the explicit
     exponential relaxation toward V* with the matching Theta integral.  The
     launch amplitude eps = 1e-3 is halved, down to 1e3 ARC_ATOL, until the
-    window conditions and the domain bounds 0 <= v <= min(U, V*), theta <= 1
-    hold.  Arc and right piece are sampled at spacing GRID_H.
+    arc ends at the V-zero, not at V or Theta's cap (`_terminal` events),
+    and the window conditions and the domain bounds 0 <= v <= min(U, V*),
+    theta <= 1 hold.  Arc and right piece are sampled at spacing GRID_H.
     """
     cs = c_sharp(params)
     if not (cs < c < 0.0):
@@ -335,25 +336,13 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     u_of_x = u_profile.u_at
     rhs = _ode8_rhs(c, params, u_of_x)
 
-    def ev_vzero(x, y):
-        return y[0]
-    ev_vzero.terminal = True
-    ev_vzero.direction = -1
-
     # amplitude guards: a failed (too large) launch blows up nonlinearly,
     # so cut the arc as soon as it leaves the admissible box and retry
     u_floor = float(np.min(u_of_x(np.linspace(x0, x0 + 4.2 * np.pi / b, 64))))
     v_cap = 0.98 * min(params.v_star, u_floor)
-
-    def ev_vcap(x, y):
-        return y[0] - v_cap
-    ev_vcap.terminal = True
-    ev_vcap.direction = 1
-
-    def ev_thcap(x, y):
-        return y[2] - 0.98
-    ev_thcap.terminal = True
-    ev_thcap.direction = 1
+    events = _terminal((lambda x, y: y[0], -1),
+                       (lambda x, y: y[0] - v_cap, 1),
+                       (lambda x, y: y[2] - 0.98, 1))
 
     window = 4.0 * np.pi / b
     attempt = 1e-3
@@ -362,14 +351,15 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
         sol = solve_ivp(rhs, (x0, x0 + window * 1.05),
                         [0.0, attempt * b, attempt * theta_hat0],
                         method="DOP853", rtol=1e-11, atol=ARC_ATOL,
-                        dense_output=True, events=[ev_vzero, ev_vcap, ev_thcap])
-        if sol.status != 1 or len(sol.t_events[0]) == 0:
+                        dense_output=True, events=events)
+        ended = _stopped_by(sol)
+        if ended != 0:
             last_reason = ("arc left the admissible box before its V-zero"
-                           if sol.status == 1 else
+                           if ended in (1, 2) else
                            "no descending V-zero inside the window")
             attempt *= 0.5
             continue
-        x1 = float(sol.t_events[0][0])
+        x1 = float(sol.t[-1])
         V1, W1, Th1 = sol.sol(x1)
         xs_arc = np.linspace(x0, x1, max(400, int((x1 - x0) / GRID_H) + 1))
         Varc, Warc, Tharc = sol.sol(xs_arc)
@@ -640,8 +630,9 @@ def case2_demo(params: Model2Params, c: float,
     With U = 1 and alpha = 0, the state seed_amplitude * w2 on the rotating
     plane of the linearization is integrated backward in x.  The angular
     coordinate on that plane advances at rate ~ b, so V or Theta must
-    change sign within a fraction of a rotation; the report records where,
-    and the winding accumulated up to the violation.  A negative
+    change sign within a fraction of a rotation.  The run ends at the first
+    sign change, a `_terminal` event; the report records where, and the
+    winding accumulated up to it.  A negative
     seed_amplitude starts with V < 0, a violation at x = 0; a zero or
     non-finite one raises InvalidParameterError.
     """
@@ -662,25 +653,16 @@ def case2_demo(params: Model2Params, c: float,
     period = 2.0 * np.pi / b
     x_span = (0.0, -3.5 * period)
 
-    def ev_v(x, y):
-        return y[0]
-    ev_v.terminal = True
-
-    def ev_th(x, y):
-        return y[2]
-    ev_th.terminal = True
-
     sol = solve_ivp(rhs, x_span, y0, method="DOP853", rtol=1e-11, atol=1e-14,
-                    dense_output=True, events=[ev_v, ev_th])
-    hit_v = len(sol.t_events[0]) > 0
-    hit_th = len(sol.t_events[1]) > 0
-    if not (hit_v or hit_th):
+                    dense_output=True,
+                    events=_terminal((lambda x, y: y[0], 0),
+                                     (lambda x, y: y[2], 0)))
+    ended = _stopped_by(sol)
+    if ended not in (0, 1):
         raise ConstructionFailureError(
             "no sign change of V or Theta within 3.5 rotation periods")
-    x_v = sol.t_events[0][0] if hit_v else -np.inf
-    x_t = sol.t_events[1][0] if hit_th else -np.inf
-    x_violation = float(max(x_v, x_t))
-    component = "V" if x_v >= x_t else "Theta"
+    x_violation = float(sol.t[-1])
+    component = ("V", "Theta")[ended]
 
     # winding of the (w2, w3)-plane coordinates up to the violation
     basis = np.column_stack([spec2.eigvec1, spec2.w2, spec2.w3])

@@ -157,14 +157,24 @@ def _p_floor(p0):
 
 
 def _floor_event(p0: float):
-    """Terminal solve_ivp event: P falls to `_p_floor(p0)`."""
+    """The `_terminal` pair of the event P falls to `_p_floor(p0)`."""
     p_floor = _p_floor(p0)
+    return (lambda u, y: y[0] - p_floor), -1
 
-    def ev_floor(u, y):
-        return y[0] - p_floor
-    ev_floor.terminal = True
-    ev_floor.direction = -1
-    return ev_floor
+
+def _terminal(*events) -> list:
+    """solve_ivp's events for (g, direction) pairs, each g tagged terminal
+    in place: scipy records only the first root and ends the run on it."""
+    for g, direction in events:
+        g.terminal, g.direction = True, direction
+    return [g for g, _ in events]
+
+
+def _stopped_by(sol) -> int | None:
+    """The index of the `_terminal` event that ended the run, the number of
+    events if it reached its span's end, or None if the integrator failed."""
+    return None if sol.status == -1 else next(
+        (i for i, t in enumerate(sol.t_events) if len(t)), len(sol.t_events))
 
 
 def _underflow_status(sol) -> str:
@@ -187,8 +197,8 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
     """Integrate dP/dU = -c + (beta - f)/P from (u0, p0) toward u1.
 
     Returns (u, p, terminated_by, u_end) with u increasing; without dense
-    output the end state is the only node.  Terminal events: P reaching
-    P_FLOOR ('p_zero') and an optional user event g(u, p) ('event').  The
+    output the end state is the only node.  `_terminal` events: P reaching
+    the floor ('p_zero') and an optional user event g(u, p) ('event').  The
     control beta is evaluated at the step's float u.  rtol and atol must be
     finite and positive.
     """
@@ -200,22 +210,15 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
 
     events = [_floor_event(p0)]
     if stop_when is not None:
-        def ev_user(u, y):
-            return stop_when(u, y[0])
-        ev_user.terminal = True
-        ev_user.direction = direction
-        events.append(ev_user)
+        events.append((lambda u, y: stop_when(u, y[0]), direction))
 
     sol = solve_ivp(rhs, (u0, u1), [p0], method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense_output, events=events)
+                    dense_output=dense_output, events=_terminal(*events))
 
     u_end = float(sol.t[-1])
-    if sol.status == -1:
-        terminated_by = _underflow_status(sol)
-    elif sol.status == 1:
-        terminated_by = "p_zero" if len(sol.t_events[0]) else "event"
-    else:
-        terminated_by = "u_stop"
+    ended = _stopped_by(sol)
+    terminated_by = _underflow_status(sol) if ended is None else (
+        ("p_zero", "event")[:len(events)] + ("u_stop",))[ended]
     if not dense_output:
         return sol.t[-1:], sol.y[0, -1:], terminated_by, u_end
 
@@ -298,12 +301,12 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
     integrating, and `beta_values` is one call on the returned nodes.
     `stop_when(u, p)` is an optional terminal event function (sign change,
     located by the integrator's dense output); `direction` restricts the
-    crossing direction as in scipy events.  c, u_from and u_to must be
-    finite, and p_from finite and positive.
+    crossing direction as in scipy events.  c must be finite, u_from and
+    u_to in the model's domain [0, 1], and p_from finite and positive.
     """
-    if not np.all(np.isfinite([c, u_from, u_to])):
-        raise InvalidParameterError(f"c, u_from and u_to must be finite, got "
-                                    f"{c}, {u_from}, {u_to}")
+    if not (np.isfinite(c) and 0.0 <= u_from <= 1.0 and 0.0 <= u_to <= 1.0):
+        raise InvalidParameterError(f"c must be finite and u_from, u_to in "
+                                    f"[0, 1], got {c}, {u_from}, {u_to}")
     _check_positive("p_from", p_from)
     _sample_control(beta, np.full(2, float(u_from)))
     u, p, terminated_by, u_end = _integrate_chart(

@@ -41,8 +41,9 @@ from .errors import (ConvexityViolationError, InvalidParameterError,
 from .model import (ModelSpec, _check_finite_state, _check_positive,
                     check_A1, check_A2)
 from .phaseplane import (ATOL, RTOL, PhaseTrajectory, _floor_event,
-                         _interpolant, _p_floor, _underflow_status,
-                         stable_manifold, unstable_manifold)
+                         _interpolant, _p_floor, _stopped_by, _terminal,
+                         _underflow_status, stable_manifold,
+                         unstable_manifold)
 from .speed import natural_speed
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
@@ -164,11 +165,11 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
                want_nodes: bool = False) -> ShotResult:
     """Integrate the optimality system from (P_flat(u1), 0+) toward P_sharp.
 
-    Termination is classified and mapped onto the continuous shooting
-    surrogate: meeting P_sharp reports phi = beta(u2) >= 0, exhausting beta
-    or P before the meeting reports phi = -(remaining gap to P_sharp) < 0.
-    An integrator failure counts as P exhausted where P has collapsed and
-    raises SingularityError elsewhere, by the chart's rule
+    The run's end, a `phaseplane._terminal` event or U = 1, is mapped onto
+    the continuous shooting surrogate: meeting P_sharp reports
+    phi = beta(u2) >= 0, exhausting beta or P before the meeting reports
+    phi = -(remaining gap to P_sharp) < 0.  An integrator failure counts as
+    P exhausted where P has collapsed and raises SingularityError elsewhere
     (phaseplane._underflow_status).  A non-positive L_betabeta along the way
     raises ConvexityViolationError; a non-finite state, SingularityError.
     A non-finite c or u1, or a tolerance that is not finite and positive,
@@ -189,35 +190,19 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
         P, b = y.tolist()
         return pmp_rhs(float(u), P, b, c)
 
-    def ev_meet(u, y):
-        return y[0] - float(p_sharp(u))
-    ev_meet.terminal = True
-    ev_meet.direction = 1
-
-    def ev_beta(u, y):
-        return y[1]
-    ev_beta.terminal = True
-    ev_beta.direction = -1
-
     # dense output only for the sampled shot: event location builds its
     # own interpolant on demand, and DOP853's extra stages cost RHS calls
     sol = solve_ivp(rhs, (u1, 1.0), [p0, BETA_START], method="DOP853",
                     rtol=rtol, atol=atol, dense_output=want_nodes,
-                    events=[ev_meet, ev_beta, _floor_event(p0)])
+                    events=_terminal(
+                        (lambda u, y: y[0] - float(p_sharp(u)), 1),
+                        (lambda u, y: y[1], -1), _floor_event(p0)))
 
     u_end = float(sol.t[-1])
     p_end, b_end = float(sol.y[0, -1]), float(sol.y[1, -1])
-    if sol.status == -1:
-        status = _underflow_status(sol)
-    elif sol.status == 1:
-        if len(sol.t_events[0]):
-            status = "met_psharp"
-        elif len(sol.t_events[1]):
-            status = "beta_zero"
-        else:
-            status = "p_zero"
-    else:
-        status = "left_domain"
+    ended = _stopped_by(sol)
+    status = _underflow_status(sol) if ended is None else (
+        "met_psharp", "beta_zero", "p_zero", "left_domain")[ended]
 
     if status in ("met_psharp", "left_domain"):
         phi = b_end

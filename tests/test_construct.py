@@ -166,6 +166,21 @@ def test_speed_ordering_validated(weed, c_star_weed):
         finite_cost_control(weed, -0.1, c_prime=-0.2, c_star=c_star_weed)
 
 
+@pytest.mark.parametrize("speeds", [
+    {"c": np.nan}, {"c": -0.1, "c_star": np.nan},
+    {"c": -0.1, "c_prime": np.inf}, {"c": -0.1, "c_hat": np.nan},
+], ids=["c", "c_star", "c_prime", "c_hat"])
+def test_a_non_finite_speed_is_refused_before_any_solve(weed, monkeypatch,
+                                                         speeds):
+    # a NaN c or c_star was refused only after c* and c_hat were solved
+    def solved(*args, **kwargs):
+        raise AssertionError("a speed was solved")
+    monkeypatch.setattr(cc, "natural_speed", solved)
+    monkeypatch.setattr(cc, "_speed", solved)
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        finite_cost_control(weed, **speeds)
+
+
 def test_given_c_hat_does_not_skip_substitute_check(weed, c_star_weed,
                                                   monkeypatch):
     # a caller-given c_hat must not skip the substitute checks:

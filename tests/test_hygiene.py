@@ -10,9 +10,10 @@ exception (a programming error must propagate, not turn into a solver
 verdict), one module holds the lock-step DOP853 integrator, one module
 owns the CSV number format, one module owns the cost quadrature, one
 module uses scipy's root finders, one module uses scipy's interpolants,
-and every keyword parameter of the public API is set by some program
-call (tests do not count: an option only tests set is a constant, and
-tests change it by monkeypatch).
+one module tags and reads the ODE runs' terminal events, and every
+keyword parameter of the public API is set by some program call (tests
+do not count: an option only tests set is a constant, and tests change
+it by monkeypatch).
 """
 
 from __future__ import annotations
@@ -372,6 +373,35 @@ def test_an_interpolate_use_is_reported():
                      "f = scipy.interpolate.CubicSpline\n"
                      "g = interpolate.interp1d\n")
     assert _scipy_uses(tree, "interpolate") == [1, 3, 5]
+
+
+def _event_glue(tree: ast.Module) -> list[int]:
+    """Lines that tag an event function as ``terminal`` or read a run's
+    ``t_events``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and ((node.attr == "terminal"
+                        and isinstance(node.ctx, ast.Store))
+                       or (node.attr == "t_events"
+                           and isinstance(node.ctx, ast.Load))))
+
+
+def test_one_terminal_event_rule():
+    # every ODE run ends at events tagged by phaseplane._terminal and is
+    # read by phaseplane._stopped_by; no other module tags or reads events
+    owners = {p.name for p in MODULES if _event_glue(_tree(p))}
+    assert owners == {"phaseplane.py"}
+
+
+def test_event_glue_is_reported():
+    tree = ast.parse("def ev(t, y):\n"
+                     "    return y[0]\n"
+                     "ev.terminal = True\n"
+                     "ev.direction = -1\n"
+                     "hit = len(sol.t_events[0]) > 0\n"
+                     "ev.terminal, ev.direction = True, 1\n"
+                     "was = ev.terminal\n")
+    assert _event_glue(tree) == [3, 5, 6]
 
 
 def _keywords(tree: ast.Module) -> list[tuple[str, str, int | None]]:

@@ -14,9 +14,9 @@ from scipy.interpolate import PchipInterpolator
 from travwave.errors import (InvalidParameterError, NotASaddleError,
                              SingularityError)
 from travwave.model import make_logistic_model, make_weed_model
-from travwave.phaseplane import (integrate_pu, saddle_eigenvalues,
-                                 slope_bound, stable_manifold,
-                                 unstable_manifold)
+from travwave.phaseplane import (_stopped_by, _terminal, integrate_pu,
+                                 saddle_eigenvalues, slope_bound,
+                                 stable_manifold, unstable_manifold)
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
 
@@ -178,6 +178,42 @@ def test_a_chart_run_needs_a_finite_speed_and_ends(weed, c, u_from, u_to):
     with _deadline(10), pytest.raises(InvalidParameterError,
                                       match="must be finite"):
         integrate_pu(weed, c, None, u_from, 0.2, u_to)
+
+
+@pytest.mark.parametrize("u_from, u_to", [(-0.5, 0.7), (0.5, 1.5)],
+                         ids=["u_from-below-0", "u_to-above-1"])
+def test_a_chart_run_stays_in_the_unit_interval(weed, u_from, u_to):
+    # from u_from = -0.5 a p_zero run on [-0.5, -0.465] came back, outside
+    # the model's domain
+    with pytest.raises(InvalidParameterError, match=r"\[0, 1\]"):
+        integrate_pu(weed, -0.1, None, u_from, 0.2, u_to)
+
+
+def _unit_run(direction):
+    # y' = 1 from y(0) = 0 on (0, 2), with the terminal event y = 1
+    return solve_ivp(lambda t, y: [1.0], (0.0, 2.0), [0.0], method="DOP853",
+                     events=_terminal((lambda t, y: y[0] - 1.0, direction)))
+
+
+def test_a_terminal_event_ends_the_run_at_its_root():
+    sol = _unit_run(1)
+    assert _stopped_by(sol) == 0
+    assert sol.t[-1] == pytest.approx(1.0, abs=1e-12)
+    assert sol.t[-1] == sol.t_events[0][0]
+
+
+def test_an_event_of_the_other_direction_never_fires():
+    sol = _unit_run(-1)
+    assert _stopped_by(sol) == 1
+    assert sol.t[-1] == 2.0
+
+
+def test_a_failed_run_is_stopped_by_nothing():
+    # y' = y^2, y(0) = 1 blows up at t = 1: the step size collapses there
+    sol = solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0], method="DOP853",
+                    events=_terminal((lambda t, y: y[0] + 1.0, -1)))
+    assert sol.status == -1 and sol.t[-1] == pytest.approx(1.0, abs=1e-4)
+    assert _stopped_by(sol) is None
 
 
 @pytest.mark.parametrize("eps_seed", [0.0, -1e-8, np.nan, np.inf, 0.5, 2.0])

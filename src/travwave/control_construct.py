@@ -183,6 +183,23 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     return min(u_end, u_hat)
 
 
+def _speed_regime(spec: ModelSpec, c: float, c_star: float | None):
+    """(c*, trivial) of a controlled profile at speed c.  A control only
+    raises dP/dU, so c < c* - SPEED_GUARD raises InvalidParameterError;
+    within the guard the zero control is the answer.  c* defaults to
+    `natural_speed(spec)`; a non-finite c or c* is refused before that."""
+    if not np.isfinite(c):
+        raise InvalidParameterError(f"speed must be finite, got c={c}")
+    if c_star is None:
+        c_star = natural_speed(spec)
+    elif not np.isfinite(c_star):
+        raise InvalidParameterError(f"c_star must be finite, got {c_star}")
+    if c < c_star - SPEED_GUARD:
+        raise InvalidParameterError(
+            f"speed ordering violated: c={c:g} < c*={c_star:.8g}")
+    return c_star, c <= c_star + SPEED_GUARD
+
+
 def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
                         c_star: float | None = None,
                         c_hat: float | None = None) -> ConcatProfile:
@@ -190,23 +207,18 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
 
     The substitute is `default_substitute(spec)`, validated on every call,
     and c_hat defaults to its speed; c' defaults to the midpoint of
-    (c, c_hat).  At c = c* (within guard) the trivial zero-cost
-    concatenation is returned.  P_c' starts at (0.75 a0, 0): a0, the largest
-    a whose orbit from (a, 0) reaches U = 1, is where the substitute's
-    P_sharp at c' (the stable manifold of (1, 0) that bounds those orbits)
-    meets the U-axis; a c' above the substitute's speed has no a0.  A
-    non-finite speed raises InvalidParameterError before any solve.
+    (c, c_hat).  `_speed_regime` refuses c < c*; within its guard the
+    trivial zero-cost concatenation is returned.  P_c' starts at (0.75 a0,
+    0): a0, the largest a whose orbit from (a, 0) reaches U = 1, is where
+    the substitute's P_sharp at c' (the stable manifold of (1, 0) that
+    bounds those orbits) meets the U-axis; a c' above the substitute's
+    speed has no a0.  A non-finite speed is refused before any solve.
     """
-    speeds = (c, c_star, c_prime, c_hat)
-    if not all(np.isfinite(v) for v in speeds if v is not None):
+    if not all(np.isfinite(v) for v in (c_prime, c_hat) if v is not None):
         raise InvalidParameterError(
-            f"speeds must be finite, got (c, c*, c', c_hat) = {speeds}")
-    if c_star is None:
-        c_star = natural_speed(spec)
-    if c < c_star - SPEED_GUARD:
-        raise InvalidParameterError(
-            f"speed ordering violated: c={c:g} < c*={c_star:.8g}")
-    if c <= c_star + SPEED_GUARD:
+            f"speeds must be finite, got (c', c_hat) = {(c_prime, c_hat)}")
+    c_star, trivial = _speed_regime(spec, c, c_star)
+    if trivial:
         flat = unstable_manifold(spec, c_star, u_stop=spec.u_star)
         sharp = stable_manifold(spec, c_star, u_stop=spec.u_star)
         return ConcatProfile(

@@ -146,15 +146,6 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
         u = np.asarray(u, dtype=float)
         return np.where(u > a, m_of(u), 0.0)
 
-    def L(u, beta):
-        u = np.asarray(u, dtype=float)
-        beta = np.asarray(beta, dtype=float)
-        m = m_of(u)
-        inside = (beta >= 0.0) & (beta < m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(inside, beta / np.where(inside, m - beta, 1.0), np.inf)
-        return np.where(beta == 0.0, 0.0, val)[()]
-
     def barrier_gap(u, beta):
         # u, beta, m, the strip 0 <= beta < m with m > 0, and m - beta on it
         u = np.asarray(u, dtype=float)
@@ -162,6 +153,12 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
         m = m_of(u)
         inside = (m > 0.0) & (beta >= 0.0) & (beta < m)
         return u, beta, m, inside, np.where(inside, m - beta, 1.0)
+
+    def L(u, beta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, beta, m, inside, gap = barrier_gap(u, beta)
+            val = np.where(inside, beta / gap, np.inf)
+        return np.where(beta == 0.0, 0.0, val)[()]
 
     def L_beta(u, beta):
         u, beta, m, inside, gap = barrier_gap(u, beta)

@@ -21,7 +21,7 @@ so they feed quadrature and interpolation downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +66,6 @@ class PhaseTrajectory:
     terminated_by: str = "u_stop"
     termination_u: float | None = None
     seed_offset: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.beta_values is None:
@@ -270,13 +269,12 @@ def unstable_manifold(spec: ModelSpec, c: float, u_stop: float = 1.0,
 
 def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
                     rtol: float = RTOL, atol: float = ATOL) -> PhaseTrajectory:
-    """Branch P_sharp entering (1,0), integrated in decreasing U to u_stop."""
-    if not (0.0 <= u_stop <= 1.0):
-        raise InvalidParameterError(f"u_stop must lie in [0, 1], got {u_stop}")
+    """Branch P_sharp entering (1,0), integrated in decreasing U from its
+    seed at 1 - EPS_SEED to u_stop, which must lie in [0, 1 - EPS_SEED)."""
+    if not (0.0 <= u_stop < 1.0 - EPS_SEED):
+        raise InvalidParameterError(
+            f"u_stop must lie in [0, 1 - EPS_SEED), got {u_stop}")
     u0, p0 = _saddle_seed(spec, c, 1.0)
-    if u_stop == 1.0:
-        return PhaseTrajectory(np.array([1.0]), np.array([0.0]), c,
-                               "stable_manifold", seed_offset=EPS_SEED)
     u, p, terminated_by, u_end = _integrate_chart(
         spec, c, None, u0, p0, u_stop, rtol=rtol, atol=atol)
 

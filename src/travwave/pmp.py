@@ -34,8 +34,9 @@ from scipy.integrate import solve_ivp
 
 from ._lockstep import LockStep
 from ._roots import bisect, flips
-from .control_construct import (SPEED_GUARD, _cost_and_error, _slice_from,
-                                _slice_to, merge_pieces, natural_heteroclinic)
+from .control_construct import (_cost_and_error, _slice_from, _slice_to,
+                                _speed_regime, merge_pieces,
+                                natural_heteroclinic)
 from .errors import (ConvexityViolationError, InvalidParameterError,
                      NoSolutionError, TravwaveError)
 from .model import (ModelSpec, _check_finite_state, _check_positive,
@@ -44,7 +45,6 @@ from .phaseplane import (ATOL, RTOL, PhaseTrajectory, _floor_event,
                          _interpolant, _p_floor, _stopped_by, _terminal,
                          _underflow_status, stable_manifold,
                          unstable_manifold)
-from .speed import natural_speed
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
            "shoot_from", "optimal_profile", "pmp_residual", "effort_curve"]
@@ -312,38 +312,27 @@ def _gate(spec: ModelSpec) -> None:
             f"fails (convex={rep2.convexity_ok}, L(u,0)=0 ok={rep2.l_zero_ok})")
 
 
-def _trivial_profile(spec: ModelSpec, c: float, c_star: float) -> OptimalProfile:
-    traj = natural_heteroclinic(spec, c_star)
-    diag = ShootingDiagnostics(spec.u_star, 0.0, [], spec.u_star, spec.u_star,
-                               0)
-    return OptimalProfile(c, spec.u_star, spec.u_star, traj, 0.0, diag,
-                          arc=None)
-
-
 def optimal_profile(spec: ModelSpec, c: float,
                     scan_resolution: float = 1e-3,
                     c_star: float | None = None,
                     rtol: float = RTOL, atol: float = ATOL) -> OptimalProfile:
     """Minimum-effort profile at speed c > c* by scan plus bisection on phi.
 
-    At or below the natural speed the zero control is optimal and the
-    natural heteroclinic is returned with zero cost.  phi(u1) is shot at
-    most once per u1, into one table: the lock-step scan's hand-offs, the
-    bracket ends (or, when a bracket does not hold, the whole grid) and
-    the bisection steps.  Each bracket's root is its tabled u1 with the
-    smallest |phi|; if phi has several roots, the smallest is assembled
-    with one more shot, sampled densely, and all are reported in the
-    diagnostics.
+    `_speed_regime` refuses c < c*; within its guard of c* the zero control
+    is optimal and the natural heteroclinic is returned with zero cost.
+    phi(u1) is shot at most once per u1, into one table: the lock-step
+    scan's hand-offs, the bracket ends (or, when a bracket does not hold,
+    the whole grid) and the bisection steps.  Each bracket's root is its
+    tabled u1 with the smallest |phi|; if phi has several roots, the
+    smallest is assembled with one more shot, sampled densely, and all are
+    reported in the diagnostics.
     """
-    if not np.isfinite(c):
-        raise InvalidParameterError(f"speed must be finite, got c={c}")
     _gate(spec)
-    if c_star is None:
-        c_star = natural_speed(spec)
-    elif not np.isfinite(c_star):
-        raise InvalidParameterError(f"c_star must be finite, got {c_star}")
-    if c <= c_star + SPEED_GUARD:
-        return _trivial_profile(spec, c, c_star)
+    c_star, trivial = _speed_regime(spec, c, c_star)
+    if trivial:
+        u = spec.u_star
+        return OptimalProfile(c, u, u, natural_heteroclinic(spec, c_star),
+                              0.0, ShootingDiagnostics(u, 0.0, [], u, u, 0))
 
     flat = unstable_manifold(spec, c, u_stop=1.0, rtol=rtol, atol=atol)
     sharp = stable_manifold(spec, c, u_stop=0.0, rtol=rtol, atol=atol)
@@ -453,20 +442,13 @@ def effort_curve(spec: ModelSpec, c_grid, c_star: float | None = None,
                  keep_profiles: bool = False) -> list[EffortRow]:
     """Table of (c, E(c)) rows.
 
+    Every grid speed passes `_speed_regime` before any row is solved.
     Solver failures (`TravwaveError`) are recorded per row, not raised;
     any other exception is a bug and propagates.
     """
-    if c_star is None:
-        c_star = natural_speed(spec)
-    elif not np.isfinite(c_star):
-        raise InvalidParameterError(f"c_star must be finite, got {c_star}")
     cs = sorted(float(c) for c in np.atleast_1d(c_grid))
     for c in cs:
-        if not np.isfinite(c):
-            raise InvalidParameterError(f"speed must be finite, got c={c}")
-        if c < c_star - SPEED_GUARD:
-            raise InvalidParameterError(
-                f"effort is defined for c >= c*; got c={c:g} < c*={c_star:.8g}")
+        c_star, _ = _speed_regime(spec, c, c_star)
 
     def row(c: float) -> EffortRow:
         try:

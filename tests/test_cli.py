@@ -124,6 +124,9 @@ def test_invalid_model_parameter(capsys):
     (["model2", "demo", "--amplitude", "0"], "seed_amplitude must be finite"),
     (["speed", "--model", "cubic", "--ustar", "0.3", "--rate", "inf"],
      "rate must be finite and positive"),
+    # below c* both printed the natural heteroclinic's cost 0 and exited 0
+    (["optimal", "--c", "-0.5"], "speed ordering violated"),
+    (["profile", "--c", "-0.5"], "speed ordering violated"),
 ])
 @pytest.mark.filterwarnings("error")  # refused before any numpy warning
 def test_invalid_numeric_flags_are_errors(capsys, argv, needle):

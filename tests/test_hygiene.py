@@ -10,10 +10,10 @@ exception (a programming error must propagate, not turn into a solver
 verdict), one module holds the lock-step DOP853 integrator, one module
 owns the CSV number format, one module owns the cost quadrature, one
 module uses scipy's root finders, one module uses scipy's interpolants,
-one module tags and reads the ODE runs' terminal events, and every
-keyword parameter of the public API is set by some program call (tests
-do not count: an option only tests set is a constant, and tests change
-it by monkeypatch).
+one module tags and reads the ODE runs' terminal events, one module reads
+the speed guard around c*, and every keyword parameter of the public API
+is set by some program call (tests do not count: an option only tests
+set is a constant, and tests change it by monkeypatch).
 """
 
 from __future__ import annotations
@@ -373,6 +373,36 @@ def test_an_interpolate_use_is_reported():
                      "f = scipy.interpolate.CubicSpline\n"
                      "g = interpolate.interp1d\n")
     assert _scipy_uses(tree, "interpolate") == [1, 3, 5]
+
+
+def _guard_loads(tree: ast.Module) -> list[int]:
+    """Lines that import ``SPEED_GUARD`` or read it, by name or as an
+    attribute."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.ImportFrom)
+                      and any(a.name == "SPEED_GUARD" for a in node.names))
+                  or (isinstance(node, (ast.Name, ast.Attribute))
+                      and "SPEED_GUARD" in (getattr(node, "id", None),
+                                            getattr(node, "attr", None))
+                      and isinstance(node.ctx, ast.Load)))
+
+
+def test_one_speed_regime():
+    # every controlled profile reads c < c* and the zero-control band
+    # around c* from control_construct._speed_regime; no other module can
+    # restate that rule
+    owners = {p.name for p in MODULES if _guard_loads(_tree(p))}
+    assert owners == {"control_construct.py"}
+
+
+def test_a_speed_guard_load_is_reported():
+    tree = ast.parse("from .control_construct import SPEED_GUARD, _slice_to\n"
+                     "SPEED_GUARD = 1e-9\n"
+                     "import travwave.control_construct as cc\n"
+                     "if c <= c_star + SPEED_GUARD:\n"
+                     "    g = cc.SPEED_GUARD\n"
+                     "cc.SPEED_GUARD = 0.0\n")
+    assert _guard_loads(tree) == [1, 4, 5]
 
 
 def _event_glue(tree: ast.Module) -> list[int]:

@@ -222,10 +222,13 @@ def test_the_seed_offset_lies_inside_the_run(weed, eps_seed):
         unstable_manifold(weed, -0.1, u_stop=0.5, eps_seed=eps_seed)
 
 
-def test_single_point_stable_manifold(weed):
-    traj = stable_manifold(weed, -0.1, u_stop=1.0)
-    assert len(traj.u_nodes) == 1
-    assert traj.u_nodes[0] == 1.0 and traj.p_values[0] == 0.0
+@pytest.mark.parametrize("u_stop", [1.0, 1.0 - 1e-9, np.nan],
+                         ids=["one", "above_the_seed", "nan"])
+def test_stable_manifold_refuses_a_stop_not_below_its_seed(weed, u_stop):
+    # u_stop = 1 returned a one-node trajectory, and a stop between the
+    # seed 1 - EPS_SEED and 1 would be integrated upward from the seed
+    with pytest.raises(InvalidParameterError, match="u_stop must lie in"):
+        stable_manifold(weed, -0.1, u_stop=u_stop)
 
 
 def test_heteroclinic_residual(weed, c_star_weed):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import travwave.control_construct as cc
 import travwave.pmp as pmp
 from travwave.control_construct import finite_cost_control
 from travwave.errors import (ConvexityViolationError, InvalidParameterError,
@@ -82,9 +83,29 @@ def test_trivial_profile_within_the_speed_guard(weed, c_star_weed):
     assert prof.cost == 0.0 and prof.arc is None
 
 
-def test_below_natural_speed_is_trivial(weed, c_star_weed):
-    prof = optimal_profile(weed, -0.5, c_star=c_star_weed)
-    assert prof.cost == 0.0
+@pytest.mark.parametrize("entry", [
+    optimal_profile, lambda spec, c, **kw: effort_curve(spec, [c], **kw),
+    finite_cost_control,
+], ids=["optimal_profile", "effort_curve", "finite_cost_control"])
+@pytest.mark.parametrize("case, needle", [
+    ("c_nan", "speed must be finite"), ("c_star_nan", "c_star must be finite"),
+    ("below_c_star", "speed ordering violated"),
+])
+def test_one_speed_rule_refuses_before_any_solve(weed, c_star_weed,
+                                                 monkeypatch, entry, case,
+                                                 needle):
+    # below c* optimal_profile returned the natural heteroclinic at cost 0,
+    # relabelled with the requested speed
+    c, c_star = {"c_nan": (np.nan, None), "c_star_nan": (-0.1, np.nan),
+                 "below_c_star": (c_star_weed - 1e-3, c_star_weed)}[case]
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a speed or a shot was solved")
+    monkeypatch.setattr(pmp, "shoot_from", solved)
+    monkeypatch.setattr(cc, "natural_speed", solved)
+    monkeypatch.setattr(cc, "_speed", solved)
+    with pytest.raises(InvalidParameterError, match=needle):
+        entry(weed, c, c_star=c_star)
 
 
 def test_optimal_profile_invariants(weed, c_star_weed, opt01, manifolds01):

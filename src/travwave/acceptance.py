@@ -80,6 +80,12 @@ def _c_hat():
 
 
 @cache
+def _constructed(c: float):
+    """The constructed finite-cost control at speed c, below c_hat."""
+    return finite_cost_control(_weed(), c, c_star=_c_star(), c_hat=_c_hat())
+
+
+@cache
 def _m2_pipeline():
     """Scaled cubic with exact c* = -1.05, PMP-controlled at c = -0.9."""
     spec = make_cubic_model(0.15, 4.5)
@@ -139,8 +145,12 @@ def criterion_3() -> tuple[bool, str]:
     flat = unstable_manifold(spec, -0.1, u_stop=1.0)
     sharp = stable_manifold(spec, -0.1, u_stop=0.0)
     pf, ps = flat.interp_p(), sharp.interp_p()
-    jump1 = abs(float(prof.arc.p_values[0]) - float(pf(prof.u1)))
-    jump2 = abs(float(prof.arc.p_values[-1]) - float(ps(prof.u2)))
+    # the arc's ends against chart runs that stop exactly at the junctions,
+    # not against the P_flat interpolant that seeded the shot
+    to_u1 = unstable_manifold(spec, -0.1, u_stop=prof.u1)
+    to_u2 = stable_manifold(spec, -0.1, u_stop=prof.u2)
+    jump1 = abs(float(prof.arc.p_values[0]) - float(to_u1.p_values[-1]))
+    jump2 = abs(float(prof.arc.p_values[-1]) - float(to_u2.p_values[0]))
     mid = prof.arc.u_nodes[1:-1]
     on_flat = mid <= flat.u_nodes[-1]  # P_flat ends on the U-axis
     geom = bool(np.all(prof.arc.p_values[1:-1][on_flat]
@@ -174,14 +184,10 @@ def criterion_4() -> tuple[bool, str]:
 
 def criterion_5() -> tuple[bool, str]:
     """PMP cost never exceeds the constructed-control cost at the same c."""
-    rows = _effort_rows()
-    spec = _weed()
-    c_star = _c_star()
     details = []
     ok = True
-    for r in rows:
-        constructed = finite_cost_control(spec, r.c, c_star=c_star,
-                                          c_hat=_c_hat()).cost
+    for r in _effort_rows():
+        constructed = _constructed(r.c).cost
         good = r.effort <= constructed + 1e-9
         ok &= good
         details.append(f"c={r.c:+.3f}: E={r.effort:.4f} <= "
@@ -308,7 +314,7 @@ def criterion_11() -> tuple[bool, str]:
                    "tolerances (1e-6)", abs(c_ref - c_star) <= 1e-6,
                    f"|dc| = {abs(c_ref - c_star):.1e}"))
 
-    con = finite_cost_control(spec, -0.1, c_star=c_star, c_hat=_c_hat())
+    con = _constructed(-0.1)
     rel = con.meta["cost_error"] / max(abs(con.cost), 1e-300)
     checks.append(("cost quadrature halving (1e-6 rel)", rel <= 1e-6,
                    f"rel estimate {rel:.1e}"))

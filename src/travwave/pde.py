@@ -25,8 +25,8 @@ the comoving drift measures spatial error only.  On snapshot steps the
 IMEX Euler step from the same u is taken as well; the largest difference
 of the two is summary['time_error'], an estimate of the local time error.
 
-The scalar, Model-1 and Model-2 systems share one time loop and one
-u-step; each supplies only its own reaction terms and bookkeeping.
+The scalar, Model-1 and Model-2 systems share one time loop and one SBDF2
+step for every field; each supplies its reactions, rates and bookkeeping.
 
 A traveling profile evolved in its own comoving frame with the matching
 control must stay put; evolved in the lab frame it must translate at its
@@ -231,8 +231,8 @@ def _control_channel(spec: ModelSpec, alpha_of_x):
 
 
 def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
-            alpha_of_x=None, control_speed=None,
-            extra_rate=0.0) -> EvolutionRecord:
+            extra_rate, alpha_of_x=None,
+            control_speed=None) -> EvolutionRecord:
     """SBDF2 time loop shared by the evolve_* systems.
 
     `initial` maps field names to initial data: 'u' first, then 'v' and/or
@@ -243,7 +243,9 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     every step, the snapshot cadence, the per-field drift and the
     time-error estimate of u.  The step bound rate_bound = sup|f'| +
     sup alpha + `extra_rate` bounds the Lipschitz constant of the explicit
-    reaction.  `system(scheme, fields)` validates the fields on the grid
+    reaction: each system passes the explicit rates of its extra fields
+    (0 for the scalar system, kappa1 for Model 1, d + kappa1 + kappa2 for
+    Model 2).  `system(scheme, fields)` validates the fields on the grid
     and returns (step, report): step(fields, alpha, prev) gives the fields
     one dt later through the `_Scheme` and the explicit reactions it
     evaluated at `fields`, one per field (alpha is None without a control;
@@ -251,8 +253,12 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     or one None per field at the start), and report(record) gives the
     system's own summary entries after the run.
     Unless T is finite and >= 0, dx finite and > 0 and x_span = (lo, hi)
-    a finite span of at least two cells, ConfigError is raised.
+    a finite span of at least two cells, ConfigError is raised; a NaN or
+    infinite c_frame or control_speed raises InvalidParameterError.
     """
+    for name, speed in (("c_frame", c_frame), ("control_speed", control_speed)):
+        if speed is not None and not math.isfinite(speed):
+            raise InvalidParameterError(f"{name} must be finite, got {speed}")
     lo, hi = x_span
     if not (0.0 <= T < math.inf and 0.0 < dx < math.inf
             and 2.0 <= (hi - lo) / dx < math.inf):
@@ -338,7 +344,7 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
             return {"max_excursion": max_exc}
         return step, report
 
-    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx,
+    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx, 0.0,
                    _control_channel(spec, alpha_of_x), control_speed)
 
 
@@ -400,10 +406,12 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
                   x_span=(-60.0, 60.0), dx: float = 0.05) -> EvolutionRecord:
     """Scalar front plus pointwise tree infection theta_t = kappa1 u (1-theta).
 
-    In the lab frame theta is advanced by its exact exponential update
-    for u linear in t over the step (monotone, bounded and second order
-    like the u-step); the comoving frame adds implicit upwinded transport.
-    The running cost integral of control plus infected trees is
+    theta takes the same SBDF2 step as Model 2's theta: its reaction
+    kappa1 u (1 - theta) is extrapolated explicitly and only transport is
+    implicit (none in the lab frame), and the step bound adds kappa1.
+    summary['theta_monotone_in_t'] is False once a step lowers theta in
+    some cell by more than 1e-12; in the comoving frame that is theta at
+    fixed z.  The running cost integral of control plus infected trees is
     accumulated per step, by the trapezoid rule, into
     summary['cost_integral'].  kappa1 must be finite and positive.
     """
@@ -416,18 +424,12 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
         def step(fields, alpha, prev):
             nonlocal cost, theta_monotone
             (u, th), (p_u, p_th) = fields, prev
-            r_u, r_th = _reaction(spec, u, alpha), None
-            u_new = scheme.diffuse(scheme.explicit(u, r_u, p_u), p_u is None)
-            if c_frame is not None:
-                r_th = kappa1 * u * (1.0 - th)
-                th_new = scheme.transport(scheme.explicit(th, r_th, p_th),
-                                          p_th is None)
-            else:
-                th_new = 1.0 - (1.0 - th) * np.exp(
-                    -0.5 * kappa1 * (u + u_new) * scheme.dt)
-                if np.any(th_new < th - 1e-12):
-                    theta_monotone = False
-            th_new = np.clip(th_new, 0.0, 1.0)
+            start = p_u is None
+            r_u = _reaction(spec, u, alpha)
+            r_th = kappa1 * u * (1.0 - th)
+            u_new = scheme.diffuse(scheme.explicit(u, r_u, p_u), start)
+            th_new = scheme.transport(scheme.explicit(th, r_th, p_th), start)
+            theta_monotone &= not np.any(th_new < th - 1e-12)
             # alpha is static in both frames
             cost += scheme.dt * scheme.dx * float(np.sum(
                 (alpha if alpha is not None else 0.0) + 0.5 * (th + th_new)))
@@ -439,7 +441,8 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
         return step, report
 
     return _evolve({"u": initial_u, "theta": initial_theta}, system, spec, T,
-                   c_frame, x_span, dx, _control_channel(spec, alpha_of_x))
+                   c_frame, x_span, dx, kappa1,
+                   _control_channel(spec, alpha_of_x))
 
 
 def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
@@ -489,5 +492,5 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         return step, report
 
     return _evolve({"u": initial_u, "v": initial_v, "theta": initial_theta},
-                   system, spec, T, c_frame, x_span, dx, alpha_of_x,
-                   extra_rate=d + k1 + k2)
+                   system, spec, T, c_frame, x_span, dx, d + k1 + k2,
+                   alpha_of_x)

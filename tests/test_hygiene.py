@@ -11,7 +11,8 @@ verdict), one module holds the lock-step DOP853 integrator, one module
 owns the CSV number format, one module owns the cost quadrature, one
 module uses scipy's root finders, one module uses scipy's interpolants,
 one module tags and reads the ODE runs' terminal events, one module reads
-the speed guard around c*, and every keyword parameter of the public API
+the speed guard around c*, no PDE system updates or clamps a field outside
+the shared SBDF2 step, and every keyword parameter of the public API
 is set by some program call (tests do not count: an option only tests
 set is a constant, and tests change it by monkeypatch).
 """
@@ -432,6 +433,39 @@ def test_event_glue_is_reported():
                      "ev.terminal, ev.direction = True, 1\n"
                      "was = ev.terminal\n")
     assert _event_glue(tree) == [3, 5, 6]
+
+
+def _field_updates(tree: ast.Module) -> list[int]:
+    """Lines inside an ``evolve_*`` function that call ``np.exp`` or
+    ``np.clip``."""
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and fn.name.startswith("evolve_")
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("exp", "clip")
+                   and isinstance(node.func.value, ast.Name)
+                   and node.func.value.id == "np"})
+
+
+def test_one_field_stepper():
+    # every PDE field advances through pde._Scheme and is bounded only by
+    # the blow-up guard; no system keeps a pointwise update or a clamp
+    assert _field_updates(_tree(SRC / "pde.py")) == []
+
+
+def test_a_field_update_is_reported():
+    tree = ast.parse("def evolve_x(u):\n"
+                     "    def step(th):\n"
+                     "        th = 1.0 - (1.0 - th) * np.exp(-u)\n"
+                     "        return np.clip(th, 0.0, 1.0)\n"
+                     "    return np.exp(u)\n"
+                     "def _field_on_grid(u):\n"
+                     "    return np.clip(u, 0.0, 1.0)\n"
+                     "def evolve_y(u):\n"
+                     "    return math.exp(u) + u.clip(0.0, 1.0)\n")
+    assert _field_updates(tree) == [3, 4, 5]
 
 
 def _keywords(tree: ast.Module) -> list[tuple[str, str, int | None]]:

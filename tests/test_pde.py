@@ -177,6 +177,21 @@ def test_control_without_a_channel_is_refused(weed):
     assert rec.summary["n_steps"] == 1
 
 
+@pytest.mark.parametrize("speed", [
+    {"c_frame": np.nan}, {"c_frame": np.inf}, {"control_speed": np.nan},
+    {"control_speed": -np.inf},
+], ids=["c_frame=nan", "c_frame=inf", "control_speed=nan",
+        "control_speed=-inf"])
+def test_non_finite_frame_speed_is_refused(weed, speed):
+    # refused before the operators are factored or any step is taken
+    (name, value), = speed.items()
+    alpha = lambda x: np.where(np.abs(x) < 2.0, 0.05, 0.0)
+    with pytest.raises(InvalidParameterError,
+                       match=f"{name} must be finite, got {value}"):
+        evolve_scalar(weed, lambda x: 0.5, alpha_of_x=alpha, T=0.1,
+                      x_span=(-5, 5), dx=0.1, **speed)
+
+
 @pytest.mark.parametrize("kappa1", [-1.0, 0.0, np.nan, np.inf])
 def test_model1_requires_a_finite_positive_kappa1(weed, kappa1):
     with pytest.raises(InvalidParameterError, match="kappa1 must be finite"):
@@ -342,6 +357,37 @@ def test_model1_theta_frozen_without_population(weed):
     assert rec.summary["theta_monotone_in_t"]
 
 
+def test_model1_comoving_theta_decrease_is_reported(weed):
+    # without population theta is only transported; a step profile moving
+    # through the comoving grid lowers theta at fixed z
+    rec = evolve_model1(weed, lambda x: 0.0,
+                        lambda x: 1.0 if x > 0.0 else 0.0, kappa1=1.0,
+                        c_frame=-0.1, T=2.0, x_span=(-10, 10), dx=0.1)
+    drop = np.max(rec.theta_snapshots[0] - rec.theta_snapshots[-1])
+    assert drop > 0.5
+    assert not rec.summary["theta_monotone_in_t"]
+
+
+@pytest.mark.parametrize("c_frame", [None, -0.1])
+def test_model1_fast_infection_is_resolved(weed, c_frame, monkeypatch):
+    # kappa1 = 20 enters the step bound, so theta's explicit reaction is
+    # extrapolated stably and stays close to a run at DT_MAX / 16; the
+    # largest gap, 1.2e-3, is at t = 1, while theta still rises at rate 20
+    def run():
+        return evolve_model1(weed, lambda x: 1.0 / (1.0 + np.exp(-x)),
+                             lambda x: 0.0, kappa1=20.0, T=4.0,
+                             c_frame=c_frame, x_span=(-10, 10), dx=0.1)
+    rec = run()
+    assert rec.dt == pytest.approx(1.0 / 21.0)
+    assert rec.summary["dt_rate"] <= 1.0
+    monkeypatch.setattr(pde, "DT_MAX", pde.DT_MAX / 16)
+    ref = run()
+    assert np.array_equal(rec.times, ref.times)
+    errs = [float(np.max(np.abs(th - th_ref))) for th, th_ref
+            in zip(rec.theta_snapshots, ref.theta_snapshots, strict=True)]
+    assert errs[-1] <= 1e-3 and max(errs) <= 2e-3, errs
+
+
 def test_model1_cost_accounting(weed, spatial01, monkeypatch):
     from travwave.profile import theta_model1
     thp = theta_model1(spatial01, 0.02, -0.1)
@@ -367,7 +413,7 @@ def test_model1_comoving_stationarity(weed, spatial01):
 
 
 def test_model1_lab_theta_and_cost_are_second_order(weed, monkeypatch):
-    # theta's exponential update uses the step's mean u, and the cost
+    # theta takes the SBDF2 step of u's explicit half, and the cost
     # integral is a trapezoid sum: both converge like the SBDF2 u-step
     monkeypatch.setattr(pde, "DT_ACCURACY", 1.0)  # dt = DT_MAX here
 

@@ -135,7 +135,12 @@ def criterion_2() -> tuple[bool, str]:
 def criterion_3() -> tuple[bool, str]:
     """PMP solve at c = -0.1: junctions, boundary controls, residual, the
     minimum condition at every node, and the controlled-arc geometry
-    bridging P_flat to P_sharp."""
+    bridging P_flat to P_sharp.
+
+    The junction jumps compare the arc's ends with chart runs that stop
+    exactly at u1 and u2.  The arc starts on the P_flat interpolant that
+    seeds the shot, so jump1 checks that interpolant; jump2 checks where
+    the shot meets P_sharp."""
     spec = _weed()
     prof = _optimal_01()
     order_ok = spec.u_star < prof.u1 < prof.u2 < 1.0
@@ -145,8 +150,6 @@ def criterion_3() -> tuple[bool, str]:
     flat = unstable_manifold(spec, -0.1, u_stop=1.0)
     sharp = stable_manifold(spec, -0.1, u_stop=0.0)
     pf, ps = flat.interp_p(), sharp.interp_p()
-    # the arc's ends against chart runs that stop exactly at the junctions,
-    # not against the P_flat interpolant that seeded the shot
     to_u1 = unstable_manifold(spec, -0.1, u_stop=prof.u1)
     to_u2 = stable_manifold(spec, -0.1, u_stop=prof.u2)
     jump1 = abs(float(prof.arc.p_values[0]) - float(to_u1.p_values[-1]))

@@ -52,8 +52,8 @@ from .profile import SpatialProfile
 __all__ = ["EvolutionRecord", "FrontFit", "evolve_scalar",
            "front_speed", "evolve_model1", "evolve_model2"]
 
-# dt = min(DT_MAX, DT_ACCURACY / sup|f'|, 1 / rate_bound), cut to a whole
-# number of steps per snapshot interval SNAPSHOT_DT
+# dt = min(DT_MAX, DT_ACCURACY / max(sup|f'|, *extra_rates), 1 / rate_bound),
+# cut to a whole number of steps per snapshot interval SNAPSHOT_DT
 DT_MAX, DT_ACCURACY, SNAPSHOT_DT = 0.1, 0.25, 1.0
 BLOWUP_LO, BLOWUP_HI = -0.01, 1.01
 FRONT_LEVEL, BOUNDARY_MARGIN = 0.5, 10.0  # see front_speed
@@ -173,10 +173,10 @@ class _Scheme:
         return lapack.dgttrs(*self.transport_lu[start], b)[0]
 
 
-def _time_step(f_rate, rate_bound) -> float:
-    """dt from the accuracy target and the step bound, the stability
-    condition of the explicit extrapolation."""
-    dt = 1.0 / max(1.0 / DT_MAX, f_rate / DT_ACCURACY, rate_bound)
+def _time_step(rate, rate_bound) -> float:
+    """dt from the accuracy target on the fastest field's explicit rate and
+    the step bound, the stability condition of the explicit extrapolation."""
+    dt = 1.0 / max(1.0 / DT_MAX, rate / DT_ACCURACY, rate_bound)
     # 1e-9: a ratio one rounding above a whole number stays that number
     return SNAPSHOT_DT / math.ceil(SNAPSHOT_DT / dt - 1e-9)
 
@@ -231,7 +231,7 @@ def _control_channel(spec: ModelSpec, alpha_of_x):
 
 
 def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
-            extra_rate, alpha_of_x=None,
+            extra_rates, alpha_of_x=None,
             control_speed=None) -> EvolutionRecord:
     """SBDF2 time loop shared by the evolve_* systems.
 
@@ -241,22 +241,25 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     at `control_speed`), the step bound and dt, the factored operators, the
     previous step's fields and reactions, the blow-up guard on every field
     every step, the snapshot cadence, the per-field drift and the
-    time-error estimate of u.  The step bound rate_bound = sup|f'| +
-    sup alpha + `extra_rate` bounds the Lipschitz constant of the explicit
-    reaction: each system passes the explicit rates of its extra fields
-    (0 for the scalar system, kappa1 for Model 1, d + kappa1 + kappa2 for
-    Model 2).  `system(scheme, fields)` validates the fields on the grid
-    and returns (step, report): step(fields, alpha, prev) gives the fields
-    one dt later through the `_Scheme` and the explicit reactions it
-    evaluated at `fields`, one per field (alpha is None without a control;
-    prev holds one (field, reaction) pair per field from the step before,
-    or one None per field at the start), and report(record) gives the
-    system's own summary entries after the run.
+    time-error estimate of u.  `extra_rates` holds the explicit rate of
+    each extra field: none for the scalar system, kappa1 for Model 1's
+    theta, d + kappa2 for Model 2's v and kappa1 for its theta.  The step
+    bound rate_bound = sup|f'| + sup alpha + sum(extra_rates) bounds the
+    Lipschitz constant of the explicit reaction, and the accuracy target
+    dt * max(sup|f'|, *extra_rates) <= DT_ACCURACY holds every field to
+    the same standard.  `system(scheme, fields)` validates the fields on
+    the grid and returns (step, report): step(fields, alpha, prev) gives
+    the fields one dt later through the `_Scheme` and the explicit
+    reactions it evaluated at `fields`, one per field (alpha is None
+    without a control; prev holds one (field, reaction) pair per field
+    from the step before, or one None per field at the start), and
+    report(record) gives the system's own summary entries after the run.
     Unless T is finite and >= 0, dx finite and > 0 and x_span = (lo, hi)
     a finite span of at least two cells, ConfigError is raised; a NaN or
     infinite c_frame or control_speed raises InvalidParameterError.
     """
-    for name, speed in (("c_frame", c_frame), ("control_speed", control_speed)):
+    for name, speed in (("c_frame", c_frame),
+                        ("control_speed", control_speed)):
         if speed is not None and not math.isfinite(speed):
             raise InvalidParameterError(f"{name} must be finite, got {speed}")
     lo, hi = x_span
@@ -270,8 +273,8 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     alpha_at, alpha_sup = _alpha_lookup(
         alpha_of_x, x, x_span, control_speed if c_frame is None else None)
     f_rate = float(np.max(np.abs(spec.df(np.linspace(0.0, 1.0, 2001)))))
-    rate_bound = f_rate + alpha_sup + extra_rate
-    dt = _time_step(f_rate, rate_bound)
+    rate_bound = f_rate + alpha_sup + sum(extra_rates)
+    dt = _time_step(max((f_rate, *extra_rates)), rate_bound)
     scheme = _Scheme.build(len(x), dx, dt, c_frame)
     step, report = system(scheme, fields)
     n_steps = int(round(T / dt))
@@ -344,7 +347,7 @@ def evolve_scalar(spec: ModelSpec, initial, alpha_of_x=None,
             return {"max_excursion": max_exc}
         return step, report
 
-    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx, 0.0,
+    return _evolve({"u": initial}, system, spec, T, c_frame, x_span, dx, (),
                    _control_channel(spec, alpha_of_x), control_speed)
 
 
@@ -408,12 +411,14 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
 
     theta takes the same SBDF2 step as Model 2's theta: its reaction
     kappa1 u (1 - theta) is extrapolated explicitly and only transport is
-    implicit (none in the lab frame), and the step bound adds kappa1.
+    implicit (none in the lab frame); kappa1 is its rate in the step
+    bound and the accuracy target.  In the lab frame
     summary['theta_monotone_in_t'] is False once a step lowers theta in
-    some cell by more than 1e-12; in the comoving frame that is theta at
-    fixed z.  The running cost integral of control plus infected trees is
-    accumulated per step, by the trapezoid rule, into
-    summary['cost_integral'].  kappa1 must be finite and positive.
+    some cell by more than 1e-12; in the comoving frame, where a
+    translating profile lowers theta at fixed z, it is None.  The running
+    cost integral of control plus infected trees is accumulated per step,
+    by the trapezoid rule, into summary['cost_integral'].  kappa1 must be
+    finite and positive.
     """
     _check_positive("kappa1", kappa1)
 
@@ -429,19 +434,20 @@ def evolve_model1(spec: ModelSpec, initial_u, initial_theta,
             r_th = kappa1 * u * (1.0 - th)
             u_new = scheme.diffuse(scheme.explicit(u, r_u, p_u), start)
             th_new = scheme.transport(scheme.explicit(th, r_th, p_th), start)
-            theta_monotone &= not np.any(th_new < th - 1e-12)
+            if c_frame is None:  # theta_t >= 0 holds at fixed x only
+                theta_monotone &= not np.any(th_new < th - 1e-12)
             # alpha is static in both frames
             cost += scheme.dt * scheme.dx * float(np.sum(
                 (alpha if alpha is not None else 0.0) + 0.5 * (th + th_new)))
             return (u_new, th_new), (r_u, r_th)
 
         def report(rec):
-            return {"cost_integral": cost,
-                    "theta_monotone_in_t": theta_monotone}
+            return {"cost_integral": cost, "theta_monotone_in_t":
+                    theta_monotone if c_frame is None else None}
         return step, report
 
     return _evolve({"u": initial_u, "theta": initial_theta}, system, spec, T,
-                   c_frame, x_span, dx, kappa1,
+                   c_frame, x_span, dx, (kappa1,),
                    _control_channel(spec, alpha_of_x))
 
 
@@ -452,8 +458,9 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
     """Insect/tree system with multiplicative control (removal of insects).
 
     u and v diffuse through one implicit operator, solved as two columns
-    of one banded system; theta is only transported.  The step bound adds
-    d + kappa1 + kappa2 to sup|f'| + sup alpha.  The invariant set
+    of one banded system; theta is only transported.  v's explicit rate
+    is d + kappa2 and theta's kappa1, so the step bound adds d + kappa1 +
+    kappa2 to sup|f'| + sup alpha.  The invariant set
     {0 <= v <= u <= 1, theta in [0,1]} is monitored per snapshot; the
     worst violation is reported in summary['d_invariance'].
     """
@@ -492,5 +499,5 @@ def evolve_model2(spec: ModelSpec, initial_u, initial_v, initial_theta,
         return step, report
 
     return _evolve({"u": initial_u, "v": initial_v, "theta": initial_theta},
-                   system, spec, T, c_frame, x_span, dx, d + k1 + k2,
+                   system, spec, T, c_frame, x_span, dx, (d + k2, k1),
                    alpha_of_x)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+XTOL = 1e-14  # brent's default width: a root is known to within it
+
 
 def bisect(side, lo, hi, tol):
     """Halve [lo, hi] to width <= tol: side(mid) > 0 moves hi, < 0 (or NaN)
@@ -32,10 +34,11 @@ def flips(values, tol) -> list[tuple[int, int]]:
     return list(zip(nz[:-1][flip].tolist(), nz[1:][flip].tolist()))
 
 
-def brent(fn, lo, hi):
-    """The root of the scalar fn in [lo, hi], where fn changes sign, by
-    Brent's method (scipy's brentq) to xtol 1e-14."""
-    return float(brentq(fn, lo, hi, xtol=1e-14))
+def brent(fn, lo, hi, xtol: float = XTOL):
+    """The root of the scalar fn between lo and hi, where fn changes sign,
+    by Brent's method (scipy's brentq, at its rtol 4 eps) to within
+    xtol + 4 eps |root|."""
+    return float(brentq(fn, lo, hi, xtol=xtol))
 
 
 def sign_changes(fn, u, tol):

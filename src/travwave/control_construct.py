@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import simpson
 
+from ._dop853 import solve_ivp
 from ._roots import sign_changes
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      SingularCostError)
@@ -136,11 +137,13 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
     events: U rises to 1, or P falls to 0.  Near the axis the chart equation
     is singular but the planar system is regular, so integration runs in x.
     """
+    c_prime = float(c_prime)  # plain float: np.float64 arithmetic is slower
+
     def rhs(x, y):
         return [y[1], -c_prime * y[1] - float(sub_spec.f(y[0]))]
 
-    sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], method="DOP853",
-                    rtol=AUX_RTOL, atol=AUX_ATOL, dense_output=True,
+    sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], rtol=AUX_RTOL,
+                    atol=AUX_ATOL, dense_output=True,
                     events=_terminal((lambda x, y: y[0] - 1.0, 1),
                                      (lambda x, y: y[1], -1)))
     return _stopped_by(sol) == 0, sol

@@ -34,10 +34,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from ._columns import write_columns
+from ._dop853 import solve_ivp
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params, _check_positive
@@ -350,7 +350,7 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     while attempt >= 1e3 * ARC_ATOL:
         sol = solve_ivp(rhs, (x0, x0 + window * 1.05),
                         [0.0, attempt * b, attempt * theta_hat0],
-                        method="DOP853", rtol=1e-11, atol=ARC_ATOL,
+                        rtol=1e-11, atol=ARC_ATOL,
                         dense_output=True, events=events)
         ended = _stopped_by(sol)
         if ended != 0:
@@ -653,7 +653,7 @@ def case2_demo(params: Model2Params, c: float,
     period = 2.0 * np.pi / b
     x_span = (0.0, -3.5 * period)
 
-    sol = solve_ivp(rhs, x_span, y0, method="DOP853", rtol=1e-11, atol=1e-14,
+    sol = solve_ivp(rhs, x_span, y0, rtol=1e-11, atol=1e-14,
                     dense_output=True,
                     events=_terminal((lambda x, y: y[0], 0),
                                      (lambda x, y: y[2], 0)))

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from ._columns import write_columns
+from ._dop853 import solve_ivp
 from .errors import InvalidParameterError, NotASaddleError, SingularityError
 from .model import ModelSpec, _check_positive
 
@@ -157,13 +157,15 @@ def _p_floor(p0):
 
 def _floor_event(p0: float):
     """The `_terminal` pair of the event P falls to `_p_floor(p0)`."""
-    p_floor = _p_floor(p0)
+    p_floor = float(_p_floor(p0))
     return (lambda u, y: y[0] - p_floor), -1
 
 
 def _terminal(*events) -> list:
-    """solve_ivp's events for (g, direction) pairs, each g tagged terminal
-    in place: scipy records only the first root and ends the run on it."""
+    """Events for (g, direction) pairs, each g tagged in place with its
+    direction and as terminal, as scipy's solve_ivp reads events.
+    `_dop853.solve_ivp` ends the run exactly on the first root of any of
+    them and records only that one."""
     for g, direction in events:
         g.terminal, g.direction = True, direction
     return [g for g, _ in events]
@@ -177,10 +179,12 @@ def _stopped_by(sol) -> int | None:
 
 
 def _underflow_status(sol) -> str:
-    """'p_zero' for a failed (status -1) solve_ivp run whose P collapsed.
+    """'p_zero' for a failed (status -1) `_dop853.solve_ivp` run, whose
+    step fell below min_step, when its P collapsed.
 
     Step underflow happens exactly where P collapses onto the U-axis or into
-    a saddle corner; any other failure raises SingularityError.
+    a saddle corner; any other failure raises SingularityError, with the
+    integrator's message and where the run stalled.
     """
     u_end = float(sol.t[-1])
     if float(sol.y[0, -1]) <= P_COLLAPSE:
@@ -203,6 +207,8 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
     """
     _check_positive("rtol", rtol)
     _check_positive("atol", atol)
+    c = float(c)  # plain float: np.float64 arithmetic is slower
+
     def rhs(u, y):
         b = 0.0 if beta is None else float(beta(u))
         return [-c + (b - float(spec.f(u))) / y[0]]
@@ -211,7 +217,7 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
     if stop_when is not None:
         events.append((lambda u, y: stop_when(u, y[0]), direction))
 
-    sol = solve_ivp(rhs, (u0, u1), [p0], method="DOP853", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (u0, u1), [p0], rtol=rtol, atol=atol,
                     dense_output=dense_output, events=_terminal(*events))
 
     u_end = float(sol.t[-1])

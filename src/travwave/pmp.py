@@ -18,7 +18,7 @@ exhausted before the meeting) so that a scan plus bisection can bracket
 the root.
 
 The scan integrates all its grid shots in lock step, as the columns of
-one `_lockstep.LockStep` (scipy's DOP853 on arrays, a step size per
+one `_dop853.LockStep` (scipy's DOP853 on arrays, a step size per
 shot), under scipy's event rule applied here, and yields only the signs
 of phi.  Every phi value is a scalar `shoot_from` call, memoised per u1 in
 one table that the scan's hand-offs, the bracket ends, the bisection and
@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from ._lockstep import LockStep
+from ._dop853 import LockStep, solve_ivp
 from ._roots import bisect, flips
 from .control_construct import (_cost_and_error, _slice_from, _slice_to,
                                 _speed_regime, merge_pieces,
@@ -185,15 +184,16 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
         raise InvalidParameterError(f"P_flat({u1:g}) = {p0:g} is not positive")
 
     pmp_rhs = spec.pmp_rhs or _generic_rhs(spec)
+    c = float(c)  # plain float: np.float64 arithmetic is slower
 
     def rhs(u, y):
-        P, b = y.tolist()
-        return pmp_rhs(float(u), P, b, c)
+        P, b = y
+        return pmp_rhs(u, P, b, c)
 
     # dense output only for the sampled shot: event location builds its
     # own interpolant on demand, and DOP853's extra stages cost RHS calls
-    sol = solve_ivp(rhs, (u1, 1.0), [p0, BETA_START], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=want_nodes,
+    sol = solve_ivp(rhs, (u1, 1.0), [p0, BETA_START], rtol=rtol, atol=atol,
+                    dense_output=want_nodes,
                     events=_terminal(
                         (lambda u, y: y[0] - float(p_sharp(u)), 1),
                         (lambda u, y: y[1], -1), _floor_event(p0)))
@@ -223,7 +223,7 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
                 phi, rtol: float, atol: float) -> tuple[np.ndarray, int]:
     """Signs of phi on the scan grid from one lock-step DOP853 integration.
 
-    Every grid shot is a column of one `_lockstep.LockStep` over
+    Every grid shot is a column of one `_dop853.LockStep` over
     (P, beta), with `_generic_rhs` on arrays.  After each pass scipy's
     active-event rule decides the shots that moved: meeting P_sharp
     (upward) gives +1; beta = 0 or the P floor (downward) gives the sign of

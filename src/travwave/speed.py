@@ -12,9 +12,12 @@ but that path is replayed, not paid for: `_roots.brent` (Brent, Algorithms
 for Minimization without Derivatives, 1973, ch. 4) converges on the gap's
 root r in a coarse bracket, and every midpoint farther than DELTA from r
 takes the sign of m - r.  Only the final bracket's two ends, and any
-midpoint within DELTA of r, are further `manifold_gap` calls.  Where those
-ends do not confirm the sign change, the gap's own bisection on
-[-scale, scale] decides, so c* is always the root of that bisection.  The
+midpoint within DELTA of r, are further `manifold_gap` calls.  A midpoint
+within brent's xtol of r is the root, the exact zero `bisect` returns: the
+gap's sign there is rounding (at a symmetric model's c* = 0 it read one
+ulp either way).  Where the final ends do not confirm the sign change, the
+gap's own bisection on [-scale, scale] decides, so c* is always the root
+of that bisection, or a midpoint within xtol of the gap's root.  The
 bracket needs no expansion:
 |c*| < 2 sqrt(sup f(u)/u) <= 2 sqrt(max |f'|) (Hadeler & Rothe, J. Math.
 Biol. 2, 1975, and the mean value theorem), and scale exceeds that by 1.
@@ -27,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._roots import bisect, brent, sign_changes
+from ._roots import XTOL, bisect, brent, sign_changes
 from .errors import BracketFailureError, InvalidParameterError, InvalidSubstituteError
 from .model import ModelSpec, _check_positive, check_A1
 from .phaseplane import (ATOL, RTOL, _call_on_array, _integrate_chart,
@@ -80,13 +83,13 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
     A coarse `bisect` of the memoised gap to width scale/4 brackets the
     root, and `brent` converges on it, r, inside that bracket.  `bisect`
     then halves [-scale, scale] to width 2 tol on side(m) = m - r, except
-    within DELTA of r, where side is the gap itself, and the final
-    bracket's two ends are checked with the gap.  A wrong sign of m - r
-    anywhere on the path leaves the final bracket on one side of the
-    root, so when both ends confirm the sign change, its midpoint is the
-    gap's own bisection's answer.  Otherwise that bisection decides, and
-    BracketFailureError is raised when the gap does not change sign on
-    [-scale, scale].
+    within DELTA of r, where side is the gap itself, and within XTOL of r,
+    where m is the root.  The final bracket's two ends are checked with
+    the gap.  A wrong sign of m - r anywhere on the path leaves the final
+    bracket on one side of the root, so when both ends confirm the sign
+    change, its midpoint is the gap's own bisection's answer.  Otherwise
+    that bisection decides, and BracketFailureError is raised when the gap
+    does not change sign on [-scale, scale].
     """
     scale = 2.0 * np.sqrt(float(np.max(np.abs(spec.df(np.linspace(0, 1, 2001)))))) + 1.0
     gaps = {}
@@ -100,9 +103,15 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
     root, fallback = np.nan, True
     if g(lo) < 0.0 < g(hi):
         root = brent(g, lo, hi)
-        lo, hi = bisect(lambda m: g(m) if abs(m - root) <= DELTA else m - root,
-                        -scale, scale, 2.0 * tol)
-        fallback = not g(lo) < 0.0 < g(hi)
+
+        def side(m):
+            # within brent's xtol of its root the gap's sign is rounding,
+            # so m is the root: bisect returns it as an exact zero
+            if abs(m - root) <= XTOL:
+                return 0.0
+            return g(m) if abs(m - root) <= DELTA else m - root
+        lo, hi = bisect(side, -scale, scale, 2.0 * tol)
+        fallback = lo != hi and not g(lo) < 0.0 < g(hi)
     if fallback:
         if not g(-scale) < 0.0 < g(scale):
             raise BracketFailureError(f"no sign change of the manifold gap "

@@ -7,9 +7,10 @@ scripts; the tests and the package's re-exports do not count), and so
 is every module-level constant, every import sits at module level (a
 module's dependencies are read off its head), no handler catches every
 exception (a programming error must propagate, not turn into a solver
-verdict), one module holds the lock-step DOP853 integrator, one module
-owns the CSV number format, one module owns the cost quadrature, one
-module uses scipy's root finders, one module uses scipy's interpolants,
+verdict), one module holds the DOP853 integrators and none calls
+scipy's solve_ivp, one module owns the CSV number format, one module owns
+the cost quadrature, one module uses scipy's root finders, one module
+uses scipy's interpolants,
 one module tags and reads the ODE runs' terminal events, one module reads
 the speed guard around c*, no PDE system updates or clamps a field outside
 the shared SBDF2 step, and every keyword parameter of the public API
@@ -251,7 +252,7 @@ def test_every_error_class_is_raised_and_tested():
     assert classes <= tested, f"never tested: {sorted(classes - tested)}"
 
 
-TABLEAU = {"A", "B", "C", "E3", "E5"}
+TABLEAU = {"A", "B", "C", "E3", "E5", "A_EXTRA", "C_EXTRA", "D"}
 
 
 def _tableau_reads(tree: ast.Module) -> set[str]:
@@ -261,13 +262,24 @@ def _tableau_reads(tree: ast.Module) -> set[str]:
             and isinstance(node.value, ast.Name) and node.value.id == "DOP853"}
 
 
-def test_one_lock_step_integrator():
-    # the PMP scan's stepper is the one array DOP853; no other module
-    # reads DOP853's Butcher tableau
+def test_one_dop853_module():
+    # every ODE run and the lock-step scan step through _dop853.py; no
+    # other module reads DOP853's Butcher tableau or reaches for scipy's
+    # solve_ivp
     readers = {p.name: _tableau_reads(_tree(p)) for p in MODULES}
     assert {name for name, attrs in readers.items() if attrs} \
-        == {"_lockstep.py"}
-    assert readers["_lockstep.py"] == TABLEAU
+        == {"_dop853.py"}
+    assert readers["_dop853.py"] == TABLEAU
+    assert [p.name for p in MODULES
+            if _scipy_name_uses(_tree(p), "solve_ivp")] == []
+
+
+def test_a_solve_ivp_use_is_reported():
+    tree = ast.parse("from scipy.integrate import simpson, solve_ivp\n"
+                     "from ._dop853 import solve_ivp\n"
+                     "import scipy.integrate as si\n"
+                     "sol = si.solve_ivp(f, (0.0, 1.0), [0.0])\n")
+    assert _scipy_name_uses(tree, "solve_ivp") == [1, 4]
 
 
 CSV_FORMAT = ".17g"
@@ -301,19 +313,20 @@ def test_a_format_constant_is_reported():
     assert _format_constants(tree) == [4, 5]
 
 
-def _simpson_uses(tree: ast.Module) -> list[int]:
-    """Lines that import scipy's ``simpson`` or read it as an attribute."""
+def _scipy_name_uses(tree: ast.Module, name: str) -> list[int]:
+    """Lines that import scipy's `name` or read it as an attribute."""
     return [node.lineno for node in ast.walk(tree)
             if (isinstance(node, ast.ImportFrom)
                 and (node.module or "").split(".")[0] == "scipy"
-                and any(a.name == "simpson" for a in node.names))
-            or (isinstance(node, ast.Attribute) and node.attr == "simpson")]
+                and any(a.name == name for a in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == name)]
 
 
 def test_one_cost_quadrature():
     # every effort integral is cost_of's Simpson sum; no other module can
     # fork the quadrature
-    owners = {p.name for p in MODULES if _simpson_uses(_tree(p))}
+    owners = {p.name for p in MODULES
+              if _scipy_name_uses(_tree(p), "simpson")}
     assert owners == {"control_construct.py"}
 
 
@@ -322,7 +335,7 @@ def test_a_simpson_import_is_reported():
                      "import scipy.integrate as si\n"
                      "from numpy import trapezoid\n"
                      "J = si.simpson([1.0, 2.0, 3.0])\n")
-    assert _simpson_uses(tree) == [1, 4]
+    assert _scipy_name_uses(tree, "simpson") == [1, 4]
 
 
 def _scipy_uses(tree: ast.Module, sub: str) -> list[int]:

@@ -8,9 +8,10 @@ import signal
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
+import travwave.phaseplane as pp
+from travwave._dop853 import solve_ivp
 from travwave.errors import (InvalidParameterError, NotASaddleError,
                              SingularityError)
 from travwave.model import make_logistic_model, make_weed_model
@@ -191,7 +192,7 @@ def test_a_chart_run_stays_in_the_unit_interval(weed, u_from, u_to):
 
 def _unit_run(direction):
     # y' = 1 from y(0) = 0 on (0, 2), with the terminal event y = 1
-    return solve_ivp(lambda t, y: [1.0], (0.0, 2.0), [0.0], method="DOP853",
+    return solve_ivp(lambda t, y: [1.0], (0.0, 2.0), [0.0], 1e-3, 1e-6,
                      events=_terminal((lambda t, y: y[0] - 1.0, direction)))
 
 
@@ -210,7 +211,7 @@ def test_an_event_of_the_other_direction_never_fires():
 
 def test_a_failed_run_is_stopped_by_nothing():
     # y' = y^2, y(0) = 1 blows up at t = 1: the step size collapses there
-    sol = solve_ivp(lambda t, y: y**2, (0.0, 2.0), [1.0], method="DOP853",
+    sol = solve_ivp(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], 1e-3, 1e-6,
                     events=_terminal((lambda t, y: y[0] + 1.0, -1)))
     assert sol.status == -1 and sol.t[-1] == pytest.approx(1.0, abs=1e-4)
     assert _stopped_by(sol) is None
@@ -269,6 +270,15 @@ def test_integrator_failure_raises_singularity(weed):
     assert info.value.location == pytest.approx(0.6, abs=1e-6)
 
 
+def test_a_failed_first_step_raises_singularity(weed):
+    # NaN just past u_from, where the control's probe passes: no step is
+    # accepted, and the run still reports where it stalled
+    with pytest.raises(SingularityError) as info:
+        integrate_pu(weed, -0.1, lambda u: np.where(u > 0.5, np.nan, 0.0),
+                     u_from=0.5, p_from=0.2, u_to=0.9)
+    assert info.value.location == 0.5
+
+
 def test_control_is_sampled_once_on_the_nodes(weed):
     # beta(U) has the contract of alpha(x): one array call fills
     # beta_values; the integrator's calls get floats, and the only other
@@ -323,12 +333,12 @@ def test_interp_p_refuses_to_extrapolate(weed):
 def test_chart_nodes_have_no_near_duplicates(weed, monkeypatch):
     # at this speed a cluster node of P_flat lands within an ulp of a
     # uniform node (U ~ 0.4688); a PCHIP through both was off by 3e-6
-    sols = []
+    inner, sols = pp.solve_ivp, []
 
     def kept(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
+        sols.append(inner(*args, **kwargs))
         return sols[-1]
-    monkeypatch.setattr("travwave.phaseplane.solve_ivp", kept)
+    monkeypatch.setattr(pp, "solve_ivp", kept)
     flat = unstable_manifold(weed, -0.094840911941193956, u_stop=1.0)
     u = flat.u_nodes
     assert np.min(np.diff(u)) > 1e-12 * (u[-1] - u[0])

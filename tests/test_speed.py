@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import travwave.speed
-from travwave._lockstep import LockStep
-from travwave._roots import bisect
+from travwave._dop853 import LockStep
+from travwave._roots import XTOL, bisect, brent
 from travwave.errors import (BracketFailureError, InvalidParameterError,
                             InvalidSubstituteError)
 from travwave.control_construct import default_substitute
@@ -32,6 +33,25 @@ def test_natural_speed_weed(c_star_weed):
 def test_natural_speed_balanced_case():
     # u* = 1/2 is the balanced bistable: the front is stationary
     assert abs(natural_speed(make_weed_model(0.5))) < 1e-6
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+def test_a_gap_an_ulp_off_zero_at_the_root_is_the_root(monkeypatch, sign):
+    # u* = 1/2 has c* = 0 exactly, and 0 is the replayed bisection's first
+    # midpoint.  The two mirror chart runs can round apart there: gap(0)
+    # read -5.55e-17, and c* became 9e-9, outside the zero-control band
+    spec = make_cubic_model(0.5, 1.0)
+    gap = travwave.speed.manifold_gap
+    # the branches' P at u* is 1/(4 sqrt 2); the gap is one ulp of it
+    ulp = sign * math.ulp(0.25 / math.sqrt(2.0))
+    probed = []
+
+    def off_by_an_ulp(s, c, **kw):
+        probed.append(c)
+        return ulp if c == 0.0 else gap(s, c, **kw)
+    monkeypatch.setattr(travwave.speed, "manifold_gap", off_by_an_ulp)
+    assert natural_speed(spec) == 0.0
+    assert 0.0 in probed
 
 
 def test_speed_sign_follows_mass():
@@ -188,15 +208,21 @@ def test_substitute_spec_is_validated(weed):
 
 def _scalar_speed(spec, tol=1e-8):
     """Reference: the bisection of the scalar manifold_gap on the bracket
-    the speed solver starts from."""
+    the speed solver starts from, where a midpoint within brent's xtol of
+    the gap's root is that root."""
     df = spec.df(np.linspace(0, 1, 2001))
     scale = 2.0 * np.sqrt(float(np.max(np.abs(df)))) + 1.0
-    return np.mean(bisect(lambda c: manifold_gap(spec, c), -scale, scale,
-                          2.0 * tol))
+
+    def gap(c):
+        return manifold_gap(spec, c)
+    root = brent(gap, *bisect(gap, -scale, scale, 0.25 * scale))
+    return np.mean(bisect(lambda c: 0.0 if abs(c - root) <= XTOL else gap(c),
+                          -scale, scale, 2.0 * tol))
 
 
 @settings(max_examples=6, deadline=None)
 @given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0))
+@example(u_star=0.5, rate=2.0)
 def test_lock_step_speed_is_the_scalar_bisection(u_star, rate):
     # the replayed path must take every turn of the scalar gap's bisection
     spec = make_cubic_model(u_star, rate)

@@ -9,12 +9,14 @@ below which a run fails (sec. II.5).
 of a few components, on plain Python floats: at one to three components
 most of a scipy step is numpy's per-call overhead on tiny arrays.  It
 keeps scipy's event rule and dense output, and counts RHS calls as scipy
-does.
+does; its events are (g, direction) pairs, and a run reports which one
+`ended` it.
 
-`LockStep` integrates many independent problems as the columns of arrays.
-Every pass takes one trial step for all live columns.  The stepper knows
-no events: after each pass the caller reads the accepted moves, applies
-its own event rule and keeps only the columns it has not decided.
+`LockStep` integrates many independent problems, forward to one bound,
+as the columns of arrays.  Every pass takes one trial step for all live
+columns.  The stepper knows no events: after each pass the caller reads
+the accepted moves, applies its own event rule and keeps only the
+columns it has not decided.
 """
 
 from __future__ import annotations
@@ -45,24 +47,18 @@ D_ROWS = [tuple(r.tolist()) for r in D]
 # scipy's xtol of an event root; its rtol, 4 eps too, is brentq's default
 ROOT_TOL = 4.0 * np.finfo(float).eps
 RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy's least rtol
-MESSAGES = {-1: "Required step size is less than spacing between numbers.",
-            0: "The solver successfully reached the end of the integration "
-               "interval.",
-            1: "A termination event occurred."}
 
 
 @dataclass
 class Run:
-    """The fields of scipy's OdeResult that callers read: the accepted
-    nodes t and states y (shape (m, len(t))), status -1 (failed), 0 (end of
-    span) or 1 (event), one root list per event, the RHS calls and the
+    """One run: the accepted nodes t and states y (shape (m, len(t))), the
+    index of the event that `ended` it (the number of events at the span's
+    end, None when a step fell below min_step), the RHS calls and the
     dense solution (None without dense output)."""
 
     t: np.ndarray
     y: np.ndarray
-    status: int
-    message: str
-    t_events: list
+    ended: int | None
     nfev: int
     sol: Dense | None
 
@@ -237,14 +233,14 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
     ``solve_ivp(..., method="DOP853")`` does.
 
     fun(t, y) gets a float t and a list of floats and returns a sequence
-    of floats; an event g(t, y) returns a float.  Every event ends the run
-    at its first root of its ``direction`` (attribute, default 0): at each
-    accepted step the events whose value crossed zero are solved on the
-    step's interpolant by Brent's method, and the run ends on the earliest
-    root.  The three extra stages of a step's interpolant are paid only
-    with dense output or when an event fires.  A step that would fall
-    below min_step ends the run with status -1.  rtol below RTOL_FLOOR
-    runs at RTOL_FLOOR, with a UserWarning.
+    of floats.  An event (g, direction) ends the run at the first root of
+    the float g(t, y) crossed upward (direction 1), downward (-1) or
+    either way (0): at each accepted step the events whose value crossed
+    zero are solved on the step's interpolant by Brent's method, and the
+    run ends on the earliest root.  The three extra stages of a step's
+    interpolant are paid only with dense output or when an event fires.
+    A step that would fall below min_step ends the run, `ended` None.
+    rtol below RTOL_FLOOR runs at RTOL_FLOOR, with a UserWarning.
     """
     rtol = _floor_rtol(rtol)
     t0, t1 = map(float, t_span)
@@ -253,44 +249,41 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t1, direction, rtol, atol)
     nfev = 1 if t == t1 else 2
-    directions = [getattr(g, "direction", 0) for g in events]
-    g_old = [g(t, y) for g in events]
-    t_events: list = [[] for _ in events]
+    g_old = [g(t, y) for g, _ in events]
     ts, ys, steps = [t], [y], []
-    status = None
-    if t == t1:
+    ended, running = len(events), t != t1
+    if not running:
         # nothing to integrate: scipy's one constant step
-        status, ts, ys = 0, [t, t], [y, y]
-    while status is None:
+        ts, ys = [t, t], [y, y]
+    while running:
         trials, accepted = _step(fun, t, y, f, h_abs, t1, direction, rtol,
                                  atol)
         nfev += N_STAGES * trials
         if accepted is None:
-            status = -1
+            ended = None
             break
         t_old, y_old, f_old = t, y, f
         t, y, f, K, h, h_abs = accepted
-        if direction * (t - t1) >= 0:
-            status = 0
+        running = direction * (t - t1) < 0
         step = None
         if dense_output:
             step = _dense_step(fun, t_old, y_old, f_old, y, f, h, K)
             nfev += len(EXTRA_STAGES)
             steps.append(step)
         if events:
-            g_new = [g(t, y) for g in events]
-            active = [i for i, (d, a, b) in
-                      enumerate(zip(directions, g_old, g_new))
+            g_new = [g(t, y) for g, _ in events]
+            active = [i for i, ((_, d), a, b) in
+                      enumerate(zip(events, g_old, g_new))
                       if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
             if active:
                 if step is None:
                     step = _dense_step(fun, t_old, y_old, f_old, y, f, h, K)
                     nfev += len(EXTRA_STAGES)
-                roots = [(_event_root(events[i], step, t_old, t), i)
+                roots = [(_event_root(events[i][0], step, t_old, t), i)
                          for i in active]
-                root, i = min(roots, key=lambda r: (direction * r[0], r[1]))
-                t_events[i].append(root)
-                status, t, y = 1, root, _at(step, root)
+                root, ended = min(roots,
+                                  key=lambda r: (direction * r[0], r[1]))
+                running, t, y = False, root, _at(step, root)
             g_old = g_new
         if dense_output and len(ts) > 1 and ts[-1] == t:
             # an event root on the previous node: no zero-length step
@@ -302,8 +295,8 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
         # no step taken, over an empty span or below min_step at once:
         # scipy's constant step of an empty span, held at t0
         steps.append((t0, 1.0, ys[0], [(0.0,) * 7 for _ in y]))
-    return Run(np.array(ts), np.array(ys).T, status, MESSAGES[status],
-               t_events, nfev, Dense(ts, steps) if dense_output else None)
+    return Run(np.array(ts), np.array(ys).T, ended, nfev,
+               Dense(ts, steps) if dense_output else None)
 
 
 def _event_root(g, step, t_old: float, t: float) -> float:
@@ -318,43 +311,43 @@ def _rms(x: np.ndarray) -> np.ndarray:
 
 
 class LockStep:
-    """Columns y' = fun(u, y, ids) integrated together, one step a pass.
+    """Columns y' = fun(u, y) integrated together up to one bound, one
+    step a pass.
 
-    u0 and bound hold one value per column and y0 one row per component
-    (shape (m, n)).  fun receives the live columns' u, y and `ids`, their
-    indices among the starting columns, and returns dy of y's shape.
-    After `step()`, u, y and f hold every live column's state (moved
-    where the step was accepted) and y_old the state before the pass.
-    Non-finite trial values only reject the step, as in scipy.
+    u0 holds one value per column, each below the float `bound`, and y0
+    one row per component (shape (m, n)).  fun receives the live columns'
+    u and y and returns dy of y's shape; `ids` are their indices among
+    the starting columns.  After `step()`, u, y and f hold every live
+    column's state (moved where the step was accepted) and y_old the
+    state before the pass.  Non-finite trial values only reject the step,
+    as in scipy.
     """
 
-    def __init__(self, fun, u0, y0, bound, rtol: float, atol: float):
+    def __init__(self, fun, u0, y0, bound: float, rtol: float, atol: float):
         self.fun, self.rtol, self.atol = fun, _floor_rtol(rtol), atol
+        self.bound = float(bound)
         self.u = np.array(u0, dtype=float)
         self.ids = np.arange(len(self.u))
         self.y = np.array(y0, dtype=float).reshape(-1, len(self.u))
         self.y_old = self.y
-        self.bound = np.array(bound, dtype=float)
-        self.direction = np.sign(self.bound - self.u)
-        with np.errstate(all="ignore"):
-            self.f = fun(self.u, self.y, self.ids)
-            self.h_abs = np.maximum(self._initial_step(), self._min_step())
         self.min_step = self._min_step()
+        with np.errstate(all="ignore"):
+            self.f = fun(self.u, self.y)
+            self.h_abs = np.maximum(self._initial_step(), self.min_step)
         self.rejected = np.zeros(len(self.u), dtype=bool)
 
     def _min_step(self) -> np.ndarray:
-        return 10.0 * np.abs(np.nextafter(self.u, self.direction * np.inf)
-                             - self.u)
+        return 10.0 * (np.nextafter(self.u, np.inf) - self.u)
 
     def _initial_step(self) -> np.ndarray:
         """scipy's select_initial_step, column by column."""
-        u, y, f, d = self.u, self.y, self.f, self.direction
-        span = np.abs(self.bound - u)
+        u, y, f = self.u, self.y, self.f
+        span = self.bound - u
         scale = self.atol + np.abs(y) * self.rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
-        f1 = self.fun(u + h0 * d, y + h0 * d * f, self.ids)
+        f1 = self.fun(u + h0, y + h0 * f)
         d2 = _rms((f1 - f) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
@@ -368,10 +361,9 @@ class LockStep:
         columns whose next step would fall below min_step, where scipy
         stops with status -1.
         """
-        u, y, d = self.u, self.y, self.direction
+        u, y = self.u, self.y
         with np.errstate(all="ignore"):
-            u_new = u + d * self.h_abs
-            u_new = np.where(d * (u_new - self.bound) > 0.0, self.bound, u_new)
+            u_new = np.minimum(u + self.h_abs, self.bound)
             h = u_new - u
             # stage s is row s of K; each row holds y's shape flattened
             K = np.empty((N_STAGES + 1, y.size))
@@ -379,9 +371,9 @@ class LockStep:
             u_stage = u + C[1:N_STAGES, None] * h
             for s, a_s in enumerate(A_ROWS, start=1):
                 dy = (a_s @ K[:s]).reshape(y.shape)
-                K[s] = self.fun(u_stage[s - 1], y + dy * h, self.ids).ravel()
+                K[s] = self.fun(u_stage[s - 1], y + dy * h).ravel()
             y_new = y + h * (B @ K[:N_STAGES]).reshape(y.shape)
-            f_new = self.fun(u_new, y_new, self.ids)
+            f_new = self.fun(u_new, y_new)
             K[N_STAGES] = f_new.ravel()
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             e5 = np.sum(((E5 @ K).reshape(y.shape) / scale) ** 2, axis=0)
@@ -409,8 +401,7 @@ class LockStep:
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop every live column where mask is False."""
-        for name in ("ids", "u", "bound", "direction", "h_abs", "min_step",
-                     "rejected"):
+        for name in ("ids", "u", "h_abs", "min_step", "rejected"):
             setattr(self, name, getattr(self, name)[mask])
         for name in ("y", "y_old", "f"):
             setattr(self, name, getattr(self, name)[:, mask])

@@ -29,8 +29,7 @@ from .errors import (ConstructionFailureError, InvalidParameterError,
                      SingularCostError)
 from .model import ModelSpec
 from .phaseplane import (PhaseTrajectory, _integrate_chart, _saddle_seed,
-                         _stopped_by, _terminal, integrate_pu,
-                         stable_manifold, unstable_manifold)
+                         integrate_pu, stable_manifold, unstable_manifold)
 from .speed import _speed, make_substitute_spec, natural_speed
 
 __all__ = ["ConcatProfile", "finite_cost_control", "cost_of",
@@ -133,9 +132,10 @@ def default_substitute(spec: ModelSpec):
 def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
     """x-parameterized orbit of U'=P, P'=-c' P - f_hat(U) from (a, 0).
 
-    Returns (reached_one, dense solution) of a run that ends at `_terminal`
-    events: U rises to 1, or P falls to 0.  Near the axis the chart equation
-    is singular but the planar system is regular, so integration runs in x.
+    Returns (reached_one, dense solution) of a run ended by the first of
+    two events: U rises to 1, or P falls to 0.  Near the axis the chart
+    equation is singular but the planar system is regular, so integration
+    runs in x.
     """
     c_prime = float(c_prime)  # plain float: np.float64 arithmetic is slower
 
@@ -144,9 +144,9 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
 
     sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], rtol=AUX_RTOL,
                     atol=AUX_ATOL, dense_output=True,
-                    events=_terminal((lambda x, y: y[0] - 1.0, 1),
-                                     (lambda x, y: y[1], -1)))
-    return _stopped_by(sol) == 0, sol
+                    events=((lambda x, y: y[0] - 1.0, 1),
+                            (lambda x, y: y[1], -1)))
+    return sol.ended == 0, sol
 
 
 def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:

@@ -41,7 +41,7 @@ from ._dop853 import solve_ivp
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      NonconvergenceError, OrderingError, RegimeError)
 from .model import Model2Params, _check_positive
-from .phaseplane import _sample_control, _stopped_by, _terminal
+from .phaseplane import _sample_control
 from .profile import SpatialProfile, _theta_closed_form, theta_model1
 
 __all__ = [
@@ -305,7 +305,7 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     descending V-zero x1, and continued on [x1, inf) by the explicit
     exponential relaxation toward V* with the matching Theta integral.  The
     launch amplitude eps = 1e-3 is halved, down to 1e3 ARC_ATOL, until the
-    arc ends at the V-zero, not at V or Theta's cap (`_terminal` events),
+    arc's run ends on its V-zero event, not on V's or Theta's cap,
     and the window conditions and the domain bounds 0 <= v <= min(U, V*),
     theta <= 1 hold.  Arc and right piece are sampled at spacing GRID_H.
     """
@@ -340,9 +340,8 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     # so cut the arc as soon as it leaves the admissible box and retry
     u_floor = float(np.min(u_of_x(np.linspace(x0, x0 + 4.2 * np.pi / b, 64))))
     v_cap = 0.98 * min(params.v_star, u_floor)
-    events = _terminal((lambda x, y: y[0], -1),
-                       (lambda x, y: y[0] - v_cap, 1),
-                       (lambda x, y: y[2] - 0.98, 1))
+    events = ((lambda x, y: y[0], -1), (lambda x, y: y[0] - v_cap, 1),
+              (lambda x, y: y[2] - 0.98, 1))
 
     window = 4.0 * np.pi / b
     attempt = 1e-3
@@ -352,10 +351,9 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
                         [0.0, attempt * b, attempt * theta_hat0],
                         rtol=1e-11, atol=ARC_ATOL,
                         dense_output=True, events=events)
-        ended = _stopped_by(sol)
-        if ended != 0:
+        if sol.ended != 0:
             last_reason = ("arc left the admissible box before its V-zero"
-                           if ended in (1, 2) else
+                           if sol.ended in (1, 2) else
                            "no descending V-zero inside the window")
             attempt *= 0.5
             continue
@@ -630,11 +628,11 @@ def case2_demo(params: Model2Params, c: float,
     With U = 1 and alpha = 0, the state seed_amplitude * w2 on the rotating
     plane of the linearization is integrated backward in x.  The angular
     coordinate on that plane advances at rate ~ b, so V or Theta must
-    change sign within a fraction of a rotation.  The run ends at the first
-    sign change, a `_terminal` event; the report records where, and the
-    winding accumulated up to it.  A negative
-    seed_amplitude starts with V < 0, a violation at x = 0; a zero or
-    non-finite one raises InvalidParameterError.
+    change sign within a fraction of a rotation.  The run's two events,
+    V = 0 and Theta = 0 crossed either way, end it at the first sign
+    change; the report records where, and the winding accumulated up to
+    it.  A negative seed_amplitude starts with V < 0, a violation at
+    x = 0; a zero or non-finite one raises InvalidParameterError.
     """
     if not 0.0 < abs(seed_amplitude) < np.inf:
         raise InvalidParameterError(
@@ -655,14 +653,12 @@ def case2_demo(params: Model2Params, c: float,
 
     sol = solve_ivp(rhs, x_span, y0, rtol=1e-11, atol=1e-14,
                     dense_output=True,
-                    events=_terminal((lambda x, y: y[0], 0),
-                                     (lambda x, y: y[2], 0)))
-    ended = _stopped_by(sol)
-    if ended not in (0, 1):
+                    events=((lambda x, y: y[0], 0), (lambda x, y: y[2], 0)))
+    if sol.ended not in (0, 1):
         raise ConstructionFailureError(
             "no sign change of V or Theta within 3.5 rotation periods")
     x_violation = float(sol.t[-1])
-    component = ("V", "Theta")[ended]
+    component = ("V", "Theta")[sol.ended]
 
     # winding of the (w2, w3)-plane coordinates up to the violation
     basis = np.column_stack([spec2.eigvec1, spec2.w2, spec2.w3])

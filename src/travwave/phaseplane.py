@@ -86,8 +86,12 @@ def _interpolant(u_nodes, values, kind: str) -> Callable:
     """The one interpolant of sampled curves: the PCHIP (Fritsch & Carlson,
     SIAM J. Numer. Anal. 17(2), 1980) through `values` on the increasing
     `u_nodes`.  It raises InvalidParameterError, naming the `kind` of
-    curve, outside [u_nodes[0], u_nodes[-1]], where the curve is unknown,
-    instead of extrapolating."""
+    curve, on nodes that are not strictly increasing (a run that took no
+    step) and outside [u_nodes[0], u_nodes[-1]], where the curve is
+    unknown, instead of extrapolating."""
+    if not np.all(np.diff(u_nodes) > 0.0):
+        raise InvalidParameterError(
+            f"the {kind} nodes are not strictly increasing")
     pchip = PchipInterpolator(u_nodes, values)
     lo, hi = float(u_nodes[0]), float(u_nodes[-1])
 
@@ -156,41 +160,24 @@ def _p_floor(p0):
 
 
 def _floor_event(p0: float):
-    """The `_terminal` pair of the event P falls to `_p_floor(p0)`."""
+    """The event pair of P falling to `_p_floor(p0)`."""
     p_floor = float(_p_floor(p0))
     return (lambda u, y: y[0] - p_floor), -1
 
 
-def _terminal(*events) -> list:
-    """Events for (g, direction) pairs, each g tagged in place with its
-    direction and as terminal, as scipy's solve_ivp reads events.
-    `_dop853.solve_ivp` ends the run exactly on the first root of any of
-    them and records only that one."""
-    for g, direction in events:
-        g.terminal, g.direction = True, direction
-    return [g for g, _ in events]
-
-
-def _stopped_by(sol) -> int | None:
-    """The index of the `_terminal` event that ended the run, the number of
-    events if it reached its span's end, or None if the integrator failed."""
-    return None if sol.status == -1 else next(
-        (i for i, t in enumerate(sol.t_events) if len(t)), len(sol.t_events))
-
-
 def _underflow_status(sol) -> str:
-    """'p_zero' for a failed (status -1) `_dop853.solve_ivp` run, whose
+    """'p_zero' for a failed `_dop853.solve_ivp` run (`ended` None), whose
     step fell below min_step, when its P collapsed.
 
     Step underflow happens exactly where P collapses onto the U-axis or into
-    a saddle corner; any other failure raises SingularityError, with the
-    integrator's message and where the run stalled.
+    a saddle corner; any other failure raises SingularityError, with where
+    the run stalled.
     """
     u_end = float(sol.t[-1])
     if float(sol.y[0, -1]) <= P_COLLAPSE:
         return "p_zero"
-    raise SingularityError(f"integrator failed near U={u_end:.8f}: "
-                           f"{sol.message}", location=u_end)
+    raise SingularityError(f"integrator failed near U={u_end:.8f}: its step "
+                           f"fell below min_step", location=u_end)
 
 
 def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
@@ -200,8 +187,8 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
     """Integrate dP/dU = -c + (beta - f)/P from (u0, p0) toward u1.
 
     Returns (u, p, terminated_by, u_end) with u increasing; without dense
-    output the end state is the only node.  `_terminal` events: P reaching
-    the floor ('p_zero') and an optional user event g(u, p) ('event').  The
+    output the end state is the only node.  Its events: P reaching the
+    floor ('p_zero') and an optional user event g(u, p) ('event').  The
     control beta is evaluated at the step's float u.  rtol and atol must be
     finite and positive.
     """
@@ -218,12 +205,11 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
         events.append((lambda u, y: stop_when(u, y[0]), direction))
 
     sol = solve_ivp(rhs, (u0, u1), [p0], rtol=rtol, atol=atol,
-                    dense_output=dense_output, events=_terminal(*events))
+                    dense_output=dense_output, events=events)
 
     u_end = float(sol.t[-1])
-    ended = _stopped_by(sol)
-    terminated_by = _underflow_status(sol) if ended is None else (
-        ("p_zero", "event")[:len(events)] + ("u_stop",))[ended]
+    terminated_by = _underflow_status(sol) if sol.ended is None else (
+        ("p_zero", "event")[:len(events)] + ("u_stop",))[sol.ended]
     if not dense_output:
         return sol.t[-1:], sol.y[0, -1:], terminated_by, u_end
 
@@ -303,13 +289,15 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
     beta(U) is None or maps an array of U to an array of its shape, like
     alpha(x); a two-point probe at u_from rejects any other control before
     integrating, and `beta_values` is one call on the returned nodes.
-    `stop_when(u, p)` is an optional terminal event function (sign change,
-    located by the integrator's dense output); `direction` restricts the
-    crossing direction as in scipy events.  c must be finite, u_from and
-    u_to in the model's domain [0, 1], and p_from finite and positive.
+    `stop_when(u, p)` is an optional event that ends the run at its first
+    root, located on the step's interpolant, crossed upward (`direction`
+    1), downward (-1) or either way (0).  c must be finite, u_from and
+    u_to distinct points of the model's domain [0, 1], and p_from finite
+    and positive.
     """
-    if not (np.isfinite(c) and 0.0 <= u_from <= 1.0 and 0.0 <= u_to <= 1.0):
-        raise InvalidParameterError(f"c must be finite and u_from, u_to in "
+    if not (np.isfinite(c) and 0.0 <= u_from <= 1.0 and 0.0 <= u_to <= 1.0
+            and u_from != u_to):
+        raise InvalidParameterError(f"c must be finite and u_from != u_to in "
                                     f"[0, 1], got {c}, {u_from}, {u_to}")
     _check_positive("p_from", p_from)
     _sample_control(beta, np.full(2, float(u_from)))

@@ -41,9 +41,8 @@ from .errors import (ConvexityViolationError, InvalidParameterError,
 from .model import (ModelSpec, _check_finite_state, _check_positive,
                     check_A1, check_A2)
 from .phaseplane import (ATOL, RTOL, PhaseTrajectory, _floor_event,
-                         _interpolant, _p_floor, _stopped_by, _terminal,
-                         _underflow_status, stable_manifold,
-                         unstable_manifold)
+                         _interpolant, _p_floor, _underflow_status,
+                         stable_manifold, unstable_manifold)
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
            "shoot_from", "optimal_profile", "pmp_residual", "effort_curve"]
@@ -164,8 +163,8 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
                want_nodes: bool = False) -> ShotResult:
     """Integrate the optimality system from (P_flat(u1), 0+) toward P_sharp.
 
-    The run's end, a `phaseplane._terminal` event or U = 1, is mapped onto
-    the continuous shooting surrogate: meeting P_sharp reports
+    The run's end, an event or U = 1, is mapped onto the continuous
+    shooting surrogate: meeting P_sharp reports
     phi = beta(u2) >= 0, exhausting beta or P before the meeting reports
     phi = -(remaining gap to P_sharp) < 0.  An integrator failure counts as
     P exhausted where P has collapsed and raises SingularityError elsewhere
@@ -194,15 +193,13 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     # own interpolant on demand, and DOP853's extra stages cost RHS calls
     sol = solve_ivp(rhs, (u1, 1.0), [p0, BETA_START], rtol=rtol, atol=atol,
                     dense_output=want_nodes,
-                    events=_terminal(
-                        (lambda u, y: y[0] - float(p_sharp(u)), 1),
-                        (lambda u, y: y[1], -1), _floor_event(p0)))
+                    events=((lambda u, y: y[0] - float(p_sharp(u)), 1),
+                            (lambda u, y: y[1], -1), _floor_event(p0)))
 
     u_end = float(sol.t[-1])
     p_end, b_end = float(sol.y[0, -1]), float(sol.y[1, -1])
-    ended = _stopped_by(sol)
-    status = _underflow_status(sol) if ended is None else (
-        "met_psharp", "beta_zero", "p_zero", "left_domain")[ended]
+    status = _underflow_status(sol) if sol.ended is None else (
+        "met_psharp", "beta_zero", "p_zero", "left_domain")[sol.ended]
 
     if status in ("met_psharp", "left_domain"):
         phi = b_end
@@ -247,9 +244,9 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
     passes = 0
     p_floor = _p_floor(p0)
     gap = p0 - np.asarray(p_sharp(u), dtype=float)
-    st = LockStep(lambda u, y, ids: np.array(rhs(u, y[0], y[1], c)), u,
-                  np.vstack((p0, np.full_like(p0, BETA_START))),
-                  np.ones_like(u), rtol, atol)
+    st = LockStep(lambda u, y: np.array(rhs(u, y[0], y[1], c)), u,
+                  np.vstack((p0, np.full_like(p0, BETA_START))), 1.0,
+                  rtol, atol)
     with np.errstate(all="ignore"):
         while len(st.ids):
             passes += 1

@@ -11,7 +11,8 @@ verdict), one module holds the DOP853 integrators and none calls
 scipy's solve_ivp, one module owns the CSV number format, one module owns
 the cost quadrature, one module uses scipy's root finders, one module
 uses scipy's interpolants,
-one module tags and reads the ODE runs' terminal events, one module reads
+no module tags event functions or decodes a run's end (events are
+(g, direction) pairs and a run reports the one that ended it), one module reads
 the speed guard around c*, no PDE system updates or clamps a field outside
 the shared SBDF2 step, and every keyword parameter of the public API
 is set by some program call (tests do not count: an option only tests
@@ -420,21 +421,22 @@ def test_a_speed_guard_load_is_reported():
 
 
 def _event_glue(tree: ast.Module) -> list[int]:
-    """Lines that tag an event function as ``terminal`` or read a run's
-    ``t_events``."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)
-                  and ((node.attr == "terminal"
-                        and isinstance(node.ctx, ast.Store))
-                       or (node.attr == "t_events"
-                           and isinstance(node.ctx, ast.Load))))
+    """Lines that tag an event function as ``terminal`` or with a
+    ``direction``, or read a run's ``t_events`` or ``status``."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and ((node.attr in ("terminal", "direction")
+                         and isinstance(node.ctx, ast.Store))
+                        or (node.attr in ("t_events", "status")
+                            and isinstance(node.ctx, ast.Load)))})
 
 
 def test_one_terminal_event_rule():
-    # every ODE run ends at events tagged by phaseplane._terminal and is
-    # read by phaseplane._stopped_by; no other module tags or reads events
+    # every ODE run takes its events as (g, direction) pairs and reports
+    # the one that ended it as `sol.ended`: no module tags event functions
+    # or decodes a run's t_events or status
     owners = {p.name for p in MODULES if _event_glue(_tree(p))}
-    assert owners == {"phaseplane.py"}
+    assert owners == set()
 
 
 def test_event_glue_is_reported():
@@ -444,8 +446,11 @@ def test_event_glue_is_reported():
                      "ev.direction = -1\n"
                      "hit = len(sol.t_events[0]) > 0\n"
                      "ev.terminal, ev.direction = True, 1\n"
-                     "was = ev.terminal\n")
-    assert _event_glue(tree) == [3, 5, 6]
+                     "was = ev.terminal\n"
+                     "failed = sol.status == -1\n"
+                     "sol.status = 0\n"
+                     "d = ev.direction\n")
+    assert _event_glue(tree) == [3, 4, 5, 6, 8]
 
 
 def _field_updates(tree: ast.Module) -> list[int]:

@@ -15,9 +15,9 @@ from travwave._dop853 import solve_ivp
 from travwave.errors import (InvalidParameterError, NotASaddleError,
                              SingularityError)
 from travwave.model import make_logistic_model, make_weed_model
-from travwave.phaseplane import (_stopped_by, _terminal, integrate_pu,
-                                 saddle_eigenvalues, slope_bound,
-                                 stable_manifold, unstable_manifold)
+from travwave.phaseplane import (P_COLLAPSE, integrate_pu, saddle_eigenvalues,
+                                 slope_bound, stable_manifold,
+                                 unstable_manifold)
 
 C_STAR = -1.0 / (3.0 * np.sqrt(2.0))
 
@@ -193,28 +193,28 @@ def test_a_chart_run_stays_in_the_unit_interval(weed, u_from, u_to):
 def _unit_run(direction):
     # y' = 1 from y(0) = 0 on (0, 2), with the terminal event y = 1
     return solve_ivp(lambda t, y: [1.0], (0.0, 2.0), [0.0], 1e-3, 1e-6,
-                     events=_terminal((lambda t, y: y[0] - 1.0, direction)))
+                     events=[(lambda t, y: y[0] - 1.0, direction)])
 
 
 def test_a_terminal_event_ends_the_run_at_its_root():
     sol = _unit_run(1)
-    assert _stopped_by(sol) == 0
+    assert sol.ended == 0
     assert sol.t[-1] == pytest.approx(1.0, abs=1e-12)
-    assert sol.t[-1] == sol.t_events[0][0]
+    # the end state is the event's root: y = 1 there
+    assert sol.y[0, -1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_an_event_of_the_other_direction_never_fires():
     sol = _unit_run(-1)
-    assert _stopped_by(sol) == 1
+    assert sol.ended == 1
     assert sol.t[-1] == 2.0
 
 
 def test_a_failed_run_is_stopped_by_nothing():
     # y' = y^2, y(0) = 1 blows up at t = 1: the step size collapses there
     sol = solve_ivp(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], 1e-3, 1e-6,
-                    events=_terminal((lambda t, y: y[0] + 1.0, -1)))
-    assert sol.status == -1 and sol.t[-1] == pytest.approx(1.0, abs=1e-4)
-    assert _stopped_by(sol) is None
+                    events=[(lambda t, y: y[0] + 1.0, -1)])
+    assert sol.ended is None and sol.t[-1] == pytest.approx(1.0, abs=1e-4)
 
 
 @pytest.mark.parametrize("eps_seed", [0.0, -1e-8, np.nan, np.inf, 0.5, 2.0])
@@ -268,6 +268,26 @@ def test_integrator_failure_raises_singularity(weed):
         integrate_pu(weed, -0.1, lambda u: np.where(u > 0.6, np.nan, 0.0),
                      u_from=0.5, p_from=0.2, u_to=0.9)
     assert info.value.location == pytest.approx(0.6, abs=1e-6)
+
+
+def test_a_zero_length_chart_run_is_refused(weed):
+    # u_from == u_to returned 401 copies of one point, whose interpolant
+    # raised an untyped ValueError
+    with pytest.raises(InvalidParameterError, match="u_from != u_to"):
+        integrate_pu(weed, -0.1, None, 0.5, 0.2, 0.5)
+
+
+def test_a_one_point_run_has_no_interpolant(weed):
+    # a collapsed P whose first step already fails is a p_zero run of one
+    # point: its nodes do not increase, and interp_p refuses them by name
+    traj = integrate_pu(weed, -0.1,
+                        lambda u: np.where(u > 0.5, np.nan, 0.0),
+                        u_from=0.5, p_from=0.5 * P_COLLAPSE, u_to=0.9)
+    assert traj.terminated_by == "p_zero" and traj.termination_u == 0.5
+    assert np.all(traj.u_nodes == 0.5)
+    with pytest.raises(InvalidParameterError,
+                       match="controlled nodes are not strictly increasing"):
+        traj.interp_p()
 
 
 def test_a_failed_first_step_raises_singularity(weed):

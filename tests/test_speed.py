@@ -10,14 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import travwave.speed
-from travwave._dop853 import LockStep
 from travwave._roots import XTOL, bisect, brent
 from travwave.errors import (BracketFailureError, InvalidParameterError,
                             InvalidSubstituteError)
 from travwave.control_construct import default_substitute
 from travwave.model import make_cubic_model, make_logistic_model, make_weed_model
-from travwave.phaseplane import (_integrate_chart, _saddle_seed,
-                                 stable_manifold, unstable_manifold)
+from travwave.phaseplane import stable_manifold, unstable_manifold
 from travwave.speed import (make_substitute_spec, manifold_gap,
                             modified_speed, natural_speed)
 
@@ -293,29 +291,6 @@ def test_a_wrong_root_falls_back_to_the_scalar_path(
     (rec,) = [r for r in caplog.records if r.name == "travwave.speed"]
     assert rec.speed_work["fallback"]
     assert rec.speed_work["root"] == pytest.approx(C_STAR + 1e-3, abs=1e-13)
-
-
-def test_lock_step_chart_columns_match_solve_ivp(weed):
-    # P_flat and P_sharp columns at three speeds in one stepper, each run
-    # to u* and compared with scipy's DOP853 on that branch alone
-    cs = np.array([-0.3, -0.2357, -0.1])
-    seeds = [_saddle_seed(weed, c, u_eq) for c in cs for u_eq in (0.0, 1.0)]
-    col_c = np.repeat(cs, 2)
-    st = LockStep(lambda u, y, ids: (-col_c[ids] - weed.f(u) / y[0])[None],
-                  [u for u, _ in seeds], [p for _, p in seeds],
-                  np.full(len(seeds), weed.u_star), 1e-10, 1e-12)
-    ends = np.full(len(seeds), np.nan)
-    while len(st.ids):
-        accept, stalled = st.step()
-        assert not stalled.any()
-        done = accept & (st.u == st.bound)
-        ends[st.ids[done]] = st.y[0, done]
-        st.keep(~done)
-    for (u0, p0), c, end in zip(seeds, col_c, ends):
-        _, p, how, _ = _integrate_chart(weed, c, None, u0, p0, weed.u_star,
-                                        dense_output=False)
-        assert how == "u_stop"
-        assert abs(end - p[-1]) <= 1e-11
 
 
 def test_speed_logs_nothing_by_default(weed, caplog):

@@ -155,8 +155,9 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     P ~ sqrt(U - a0) has an infinite slope there, so the branch stops as
     soon as the square-root asymptote P^2 = 2 |f_hat| (U - a0) of
     P dP/dU = -c' P - f_hat(U) closes the gap to A0_RTOL relative: the
-    c' P term it leaves out moves a0 by about |c'| P^3 / (3 f_hat^2).
-    Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
+    c' P term it leaves out moves a0 by about |c'| P^3 / (3 f_hat^2), and
+    the chart stops where the deficit of that bound over the move rises
+    through zero.  Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
     the P floor, at a0 itself.  P falls to the axis only where f_hat <= 0,
     so a0 <= u_hat*.  Where (u_hat*, 0) is a node (c' <= -2 sqrt(f_hat'))
     the branch may tend to it along P ~ mu (U - u_hat*), and a chart step
@@ -164,10 +165,10 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     chart bounded at u_hat* runs first: ending on the P floor, the branch
     tends to the node and a0 = u_hat*.
     """
-    def asymptote_excess(u, p):
+    def asymptote_deficit(u, p):
         # in cube roots: linear in P, so the event's root finder converges
         f_neg = max(-float(sub_spec.f(u)), 0.0)
-        return np.cbrt(abs(c_prime)) * p - np.cbrt(3 * A0_RTOL * u * f_neg**2)
+        return np.cbrt(3 * A0_RTOL * u * f_neg**2) - np.cbrt(abs(c_prime)) * p
 
     u0, p0 = _saddle_seed(sub_spec, c_prime, 1.0)
     u_hat = sub_spec.u_star
@@ -176,8 +177,8 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
                                  dense_output=False)[2] == "p_zero":
         return u_hat
     _, p_end, ended, u_end = _integrate_chart(
-        sub_spec, c_prime, None, u0, p0, u1=0.0, stop_when=asymptote_excess,
-        direction=-1, dense_output=False)
+        sub_spec, c_prime, None, u0, p0, u1=0.0, stop_when=asymptote_deficit,
+        dense_output=False)
     if ended == "event":
         return u_end + float(p_end[0]) ** 2 / (2.0 * float(sub_spec.f(u_end)))
     if ended != "p_zero":
@@ -269,8 +270,7 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
 
     middle = integrate_pu(spec, c, beta_tilde, u_from=u1,
                           p_from=float(pflat(u1)), u_to=1.0,
-                          stop_when=lambda u, p: p - float(psharp(u)),
-                          direction=1)
+                          stop_when=lambda u, p: p - float(psharp(u)))
     if middle.terminated_by != "event":
         raise ConstructionFailureError(
             f"controlled middle piece never met P_sharp "

@@ -181,16 +181,17 @@ def _underflow_status(sol) -> str:
 
 
 def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
-                     u1: float, stop_when=None, direction: int = 0,
+                     u1: float, stop_when=None,
                      rtol: float = RTOL, atol: float = ATOL,
                      dense_output: bool = True):
     """Integrate dP/dU = -c + (beta - f)/P from (u0, p0) toward u1.
 
     Returns (u, p, terminated_by, u_end) with u increasing; without dense
     output the end state is the only node.  Its events: P reaching the
-    floor ('p_zero') and an optional user event g(u, p) ('event').  The
-    control beta is evaluated at the step's float u.  rtol and atol must be
-    finite and positive.
+    floor ('p_zero') and an optional `stop_when(u, p)` rising through zero
+    ('event'; a falling condition is passed negated).  The control beta is
+    evaluated at the step's float u.  rtol and atol must be finite and
+    positive.
     """
     _check_positive("rtol", rtol)
     _check_positive("atol", atol)
@@ -202,7 +203,7 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
 
     events = [_floor_event(p0)]
     if stop_when is not None:
-        events.append((lambda u, y: stop_when(u, y[0]), direction))
+        events.append((lambda u, y: stop_when(u, y[0]), 1))
 
     sol = solve_ivp(rhs, (u0, u1), [p0], rtol=rtol, atol=atol,
                     dense_output=dense_output, events=events)
@@ -282,18 +283,17 @@ def stable_manifold(spec: ModelSpec, c: float, u_stop: float = 0.0,
 
 
 def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
-                 u_to: float, stop_when=None,
-                 direction: int = 0) -> PhaseTrajectory:
+                 u_to: float, stop_when=None) -> PhaseTrajectory:
     """General chart integration from (u_from, p_from) toward u_to.
 
     beta(U) is None or maps an array of U to an array of its shape, like
     alpha(x); a two-point probe at u_from rejects any other control before
     integrating, and `beta_values` is one call on the returned nodes.
     `stop_when(u, p)` is an optional event that ends the run at its first
-    root, located on the step's interpolant, crossed upward (`direction`
-    1), downward (-1) or either way (0).  c must be finite, u_from and
-    u_to distinct points of the model's domain [0, 1], and p_from finite
-    and positive.
+    upward root, located on the step's interpolant; to stop where a
+    condition falls through zero, pass it negated.  c must be finite,
+    u_from and u_to distinct points of the model's domain [0, 1], and
+    p_from finite and positive.
     """
     if not (np.isfinite(c) and 0.0 <= u_from <= 1.0 and 0.0 <= u_to <= 1.0
             and u_from != u_to):
@@ -302,8 +302,7 @@ def integrate_pu(spec: ModelSpec, c: float, beta, u_from: float, p_from: float,
     _check_positive("p_from", p_from)
     _sample_control(beta, np.full(2, float(u_from)))
     u, p, terminated_by, u_end = _integrate_chart(
-        spec, c, beta, u_from, p_from, u_to, stop_when=stop_when,
-        direction=direction)
+        spec, c, beta, u_from, p_from, u_to, stop_when=stop_when)
     return PhaseTrajectory(
         u, p, c, "controlled", beta_values=_sample_control(beta, u),
         terminated_by=terminated_by,

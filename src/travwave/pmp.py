@@ -54,7 +54,9 @@ N_BETA = 41  # candidate controls per node of pmp_residual's argmin check
 
 @dataclass
 class ShotResult:
-    """Outcome of one (P, beta) integration from a trial left junction u1."""
+    """Outcome of one (P, beta) integration from a trial left junction u1;
+    `arc` is the sampled run, with beta and the adjoint Y = -L_beta, when
+    the shot was asked for its nodes."""
 
     status: str           # met_psharp | beta_zero | p_zero | left_domain
     phi: float
@@ -62,9 +64,7 @@ class ShotResult:
     u_end: float
     p_end: float
     beta_end: float
-    u_nodes: np.ndarray | None = None
-    p_values: np.ndarray | None = None
-    beta_values: np.ndarray | None = None
+    arc: PhaseTrajectory | None = None
 
 
 @dataclass
@@ -171,7 +171,9 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     (phaseplane._underflow_status).  A non-positive L_betabeta along the way
     raises ConvexityViolationError; a non-finite state, SingularityError.
     A non-finite c or u1, or a tolerance that is not finite and positive,
-    raises InvalidParameterError.
+    raises InvalidParameterError.  With `want_nodes` the result's `arc`
+    samples the run on at least 1501 nodes, with beta clipped at 0 and
+    the adjoint Y = -L_beta.
     """
     if not (np.isfinite(c) and np.isfinite(u1)):
         raise InvalidParameterError(
@@ -206,14 +208,15 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     else:
         phi = -(float(p_sharp(u_end)) - p_end)
 
-    nodes = pvals = bvals = None
+    arc = None
     if want_nodes:
-        n = max(1500, int((u_end - u1) * 10000)) + 1
-        nodes = np.linspace(u1, u_end, n)
-        vals = sol.sol(nodes)
-        pvals, bvals = vals[0], np.maximum(vals[1], 0.0)
-    return ShotResult(status, phi, u1, u_end, p_end, b_end,
-                      nodes, pvals, bvals)
+        nodes = np.linspace(u1, u_end, max(1500, int((u_end - u1) * 10000)) + 1)
+        p_vals, b_vals = sol.sol(nodes)
+        b_vals = np.maximum(b_vals, 0.0)
+        arc = PhaseTrajectory(nodes, p_vals, c, "controlled",
+                              beta_values=b_vals, y_values=-np.asarray(
+                                  spec.L_beta(nodes, b_vals), dtype=float))
+    return ShotResult(status, phi, u1, u_end, p_end, b_end, arc)
 
 
 def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
@@ -373,13 +376,7 @@ def optimal_profile(spec: ModelSpec, c: float,
     u1_root = roots[0]
     shot = shoot_from(spec, c, u1_root, p_flat, p_sharp, rtol=rtol, atol=atol,
                       want_nodes=True)
-    u2 = shot.u_end
-
-    arc = PhaseTrajectory(shot.u_nodes, shot.p_values, c, "controlled",
-                          beta_values=shot.beta_values)
-    arc.y_values = -np.asarray(spec.L_beta(arc.u_nodes, arc.beta_values),
-                               dtype=float)
-
+    u2, arc = shot.u_end, shot.arc
     traj = merge_pieces((_slice_to(flat, u1_root, p_flat), arc,
                          _slice_from(sharp, u2, p_sharp)), c)
 
@@ -423,7 +420,7 @@ def pmp_residual(profile: OptimalProfile,
     # argmin check against the profile's stored adjoint: recomputing Y from
     # the node's own beta would be self-consistent by construction; one row
     # of N_BETA candidate controls per node with a positive control range
-    Y = profile.arc.y_values if profile.arc.y_values is not None else -Lb
+    Y = profile.arc.y_values
     bhat = np.asarray(spec.beta_max(u), dtype=float)
     hi = np.where(np.isfinite(bhat), 0.999 * bhat, 5.0)
     k = hi > 0.0

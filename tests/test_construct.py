@@ -38,8 +38,7 @@ def test_bang_crossing_monotone_in_gamma(weed):
     crossings = []
     for g in (gamma, 1.5 * gamma, 2.0 * gamma, 3.0 * gamma):
         t = integrate_pu(weed, c, lambda u: np.full_like(u, g), us, p_top,
-                         1e-3, stop_when=lambda u, p: p - float(pf(u)),
-                         direction=-1)
+                         1e-3, stop_when=lambda u, p: float(pf(u)) - p)
         assert t.terminated_by == "event"
         crossings.append(float(t.u_nodes[0]))
     assert all(a < b for a, b in zip(crossings, crossings[1:]))

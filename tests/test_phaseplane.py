@@ -145,7 +145,7 @@ def test_large_control_pushes_below_flat_branch(weed):
     gamma = 20.0 * weed.max_f()
     t = integrate_pu(weed, c, lambda u: np.full_like(u, gamma), us,
                      float(sharp.p_values[0]), 1e-3,
-                     stop_when=lambda u, p: p - float(pf(u)), direction=-1)
+                     stop_when=lambda u, p: float(pf(u)) - p)
     assert t.terminated_by == "event"
 
 

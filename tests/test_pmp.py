@@ -479,7 +479,7 @@ def test_two_events_in_one_step_go_to_the_scalar_shot(weed, manifolds01,
     # a steep P_sharp the arc meets 1e-6 before beta = 0, inside the step
     # that ends the shot
     u_m = free.u_end - 1e-6
-    p_m = np.interp(u_m, free.u_nodes, free.p_values)
+    p_m = np.interp(u_m, free.arc.u_nodes, free.arc.p_values)
 
     def steep(u):
         return p_m + 50.0 * (u_m - np.asarray(u, dtype=float))

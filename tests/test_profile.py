@@ -175,7 +175,7 @@ def test_decay_check_bang_profile(weed):
     pf = flat.interp_p()
     arc = integrate_pu(weed, c, lambda u: np.full_like(u, gamma), us,
                        float(sharp.p_values[0]), 1e-3,
-                       stop_when=lambda u, p: p - float(pf(u)), direction=-1)
+                       stop_when=lambda u, p: float(pf(u)) - p)
     assert arc.terminated_by == "event"
     u0 = float(arc.u_nodes[0])
     traj = merge_pieces((_slice_to(flat, u0, pf), arc, sharp), c)

@@ -192,13 +192,21 @@ def _field_on_grid(initial, x) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _alpha_lookup(alpha_of_x, x, x_span, speed):
+def _alpha_lookup(alpha_of_x, x, x_span, speed, T):
     """The control on the grid as a function of t (None without a control,
-    a static field, or alpha_of_x translated at `speed`) and its sup.  A
-    NaN or infinite sample raises InvalidParameterError naming its x."""
+    a static field, or alpha_of_x translated at `speed`) and its sup.
+
+    Both read one table of alpha_of_x on x_span padded by
+    max(80, |speed| T) on each side, so it holds every point x - speed t
+    a run to T reads, at 20001 points for the 80 pad and no coarser
+    beyond it.  A NaN or infinite sample raises InvalidParameterError
+    naming its x."""
     if alpha_of_x is None:
         return (lambda t: None), 0.0
-    zs = np.linspace(x_span[0] - 80.0, x_span[1] + 80.0, 20001)
+    lo, hi = x_span
+    pad = max(80.0, abs(speed or 0.0) * T)
+    n = math.ceil(20000 * (hi - lo + 2 * pad) / (hi - lo + 160.0)) + 1
+    zs = np.linspace(lo - pad, hi + pad, n)
     vals = _sample_control(alpha_of_x, zs)
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):
@@ -271,7 +279,7 @@ def _evolve(initial: dict, system, spec: ModelSpec, T, c_frame, x_span, dx,
     dx = float(x[1] - x[0])
     fields = tuple(_field_on_grid(init, x) for init in initial.values())
     alpha_at, alpha_sup = _alpha_lookup(
-        alpha_of_x, x, x_span, control_speed if c_frame is None else None)
+        alpha_of_x, x, x_span, control_speed if c_frame is None else None, T)
     f_rate = float(np.max(np.abs(spec.df(np.linspace(0.0, 1.0, 2001)))))
     rate_bound = f_rate + alpha_sup + sum(extra_rates)
     dt = _time_step(max((f_rate, *extra_rates)), rate_bound)

@@ -120,6 +120,21 @@ def test_default_dt_rate_within_bound(weed):
     assert rec.summary["dt_rate"] <= 1.0
 
 
+def test_lab_frame_control_from_beyond_the_pad_is_read(weed):
+    # alpha = 5 on (150, 160) moves left at speed 2 and covers x in
+    # (50, 60) at T = 50: it starts 90 beyond the domain, past the table's
+    # 80 pad, so the table has to follow the sweep of the whole run
+    alpha = lambda x: np.where((x > 150.0) & (x < 160.0), 5.0, 0.0)
+    kw = dict(T=50.0, x_span=(-60.0, 60.0), dx=0.1)
+    rec = evolve_scalar(weed, lambda x: np.full_like(x, 0.9), alpha,
+                        control_speed=-2.0, **kw)
+    free = evolve_scalar(weed, lambda x: np.full_like(x, 0.9), **kw)
+    assert rec.summary["rate_bound"] == pytest.approx(2.0 / 3.0 + 5.0)
+    inside = (rec.x > 50.0) & (rec.x < 60.0)
+    assert np.max(free.u_snapshots[-1][inside]) > 0.99
+    assert np.min(rec.u_snapshots[-1][inside]) < 0.6
+
+
 def test_model2_step_bound_counts_rates(weed):
     params = Model2Params(1.0, 2.0, 3.0)
     rec = evolve_model2(weed, lambda x: 0.5, lambda x: 0.1, lambda x: 0.2,

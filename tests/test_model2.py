@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import travwave.acceptance as acc
@@ -183,6 +183,49 @@ def test_subsolution_needs_a_profile_reaching_one(m2_pipeline):
     capped = dataclasses.replace(sp, u_values=np.minimum(sp.u_values, 0.99))
     with pytest.raises(ConstructionFailureError, match="never reaches U"):
         subsolution(capped, m2_pipeline["alpha"], m2_pipeline["params"], -0.9)
+
+
+def test_subsolution_near_c_sharp_says_why(m2_pipeline):
+    # c_sharp = -0.91 here: the arc grows by e^(a pi/b) before its first
+    # V-zero, and the amplitude that keeps it under V's cap is below the
+    # launch ladder's floor
+    with pytest.raises(ConstructionFailureError,
+                       match=r"floor eps = 1e-10: arc left the admissible box"
+                             r".*c - c_sharp = 0\.01, b = 0\.0991: .*"
+                             r"e\^\(a pi/b\) = 1\.32e\+13 .* pi/b = 31\.7, so "
+                             r"its V cap 0\.49 needs eps <= 3\.7e-14"):
+        subsolution(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                    Model2Params(0.8317, 1.0, 1.0), -0.9)
+
+
+@settings(max_examples=10, deadline=None)
+@given(k1=st.floats(0.3, 3.0), k2=st.floats(0.3, 3.0), d=st.floats(0.3, 3.0))
+@example(k1=1.0, k2=1.0, d=1.0)
+@example(k1=0.8317, k2=1.0, d=1.0)
+def test_sandwich_across_rates(m2_pipeline, k1, k2, d):
+    # criterion 8 at c = -0.9 for rates inside the hypotheses: the death
+    # rate d >= 0.675 of this f (f/u -> -0.675 as u -> 0) and c_sharp < c.
+    # Near c_sharp the subsolution may refuse instead, saying why.
+    params, tol = Model2Params(k1, k2, d), 1e-6
+    assume(d >= 0.675 and c_sharp(params) < -0.9)
+    sp, alpha = m2_pipeline["spatial"], m2_pipeline["alpha"]
+    sup = supersolution(sp, params, -0.9)
+    try:
+        sub = subsolution(sp, alpha, params, -0.9)
+    except ConstructionFailureError as exc:
+        assert "c - c_sharp" in str(exc) and "needs eps <=" in str(exc)
+        return
+    sol = solve_vtheta(sp, alpha, params, -0.9, sub=sub, sup=sup)
+    assert np.max(sup.residuals["second"]) <= tol
+    assert np.max(sup.residuals["third"]) <= tol
+    assert np.min(sub.residuals["second"]) >= -tol
+    assert np.min(sub.residuals["third"]) >= -tol
+    x, vstar = sol.x_nodes, params.v_star
+    assert np.all(sol.v_values >= sub.v_at(x) - tol)
+    assert np.all(sol.v_values <= np.minimum(sol.u_values, vstar) + tol)
+    assert np.all(sol.theta_values >= sub.theta_at(x) - tol)
+    assert np.all(sol.theta_values <= sup.theta_at(x) + tol)
+    assert abs(sol.meta["v_right_end"] - vstar) <= 1e-3
 
 
 def test_solution_theta_identity(m2_pipeline):

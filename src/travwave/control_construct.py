@@ -156,8 +156,8 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     soon as the square-root asymptote P^2 = 2 |f_hat| (U - a0) of
     P dP/dU = -c' P - f_hat(U) closes the gap to A0_RTOL relative: the
     c' P term it leaves out moves a0 by about |c'| P^3 / (3 f_hat^2), and
-    the chart stops where the deficit of that bound over the move rises
-    through zero.  Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
+    the run stops where A0_RTOL U less that move rises through zero.
+    Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
     the P floor, at a0 itself.  P falls to the axis only where f_hat <= 0,
     so a0 <= u_hat*.  Where (u_hat*, 0) is a node (c' <= -2 sqrt(f_hat'))
     the branch may tend to it along P ~ mu (U - u_hat*), and a chart step

@@ -308,12 +308,9 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
     arc's run ends on its V-zero event, not on V's or Theta's cap,
     and the window conditions and the domain bounds 0 <= v <= min(U, V*),
     theta <= 1 hold.  Arc and right piece are sampled at spacing GRID_H.
-    Near c_sharp the pair's imaginary part b tends to 0 and the arc grows
-    by about e^(a pi/b) before its V-zero at pi/b, so the amplitude that
-    stays under V's cap falls below the ladder's floor (at c = -0.9,
-    kappa2 = d = 1, from c - c_sharp ~ 0.01 on); the
-    ConstructionFailureError then names c - c_sharp, b, pi/b, the growth
-    and that amplitude.
+    Near c_sharp, where b -> 0, the arc grows by about e^(a pi/b) before
+    its V-zero at pi/b; once the launch that keeps V under its cap falls
+    below the ladder's floor, the ConstructionFailureError says so.
     """
     cs = c_sharp(params)
     if not (cs < c < 0.0):
@@ -379,13 +376,13 @@ def subsolution(u_profile: SpatialProfile, alpha, params: Model2Params,
                        f"maxV={np.max(Varc):.3g}, maxTheta={np.max(Tharc):.3g})")
         attempt *= 0.5
     else:
-        growth = np.exp(a * np.pi / b)
         raise ConstructionFailureError(
             f"subsolution window not found above the floor eps = "
             f"{1e3 * ARC_ATOL:g}: {last_reason}; c - c_sharp = {c - cs:.3g}, "
-            f"b = {b:.3g}: the arc grows by e^(a pi/b) = {growth:.3g} before "
-            f"its V-zero at pi/b = {np.pi / b:.3g}, so its V cap "
-            f"{v_cap:.3g} needs eps <= {v_cap / growth:.2g}")
+            f"b = {b:.3g}: the arc grows by e^(a pi/b) = "
+            f"e^{a * np.pi / b:.3g} before its V-zero at pi/b = "
+            f"{np.pi / b:.3g}, so its V cap "
+            f"{v_cap:.3g} needs eps <= {v_cap * np.exp(-a * np.pi / b):.2g}")
 
     theta_tilde = float(Th1)
     v_dagger = k2 * (1.0 - EPS0) * theta_tilde / (k2 * theta_tilde + d)

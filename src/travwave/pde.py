@@ -194,13 +194,10 @@ def _field_on_grid(initial, x) -> np.ndarray:
 
 def _alpha_lookup(alpha_of_x, x, x_span, speed, T):
     """The control on the grid as a function of t (None without a control,
-    a static field, or alpha_of_x translated at `speed`) and its sup.
-
-    Both read one table of alpha_of_x on x_span padded by
-    max(80, |speed| T) on each side, so it holds every point x - speed t
-    a run to T reads, at 20001 points for the 80 pad and no coarser
-    beyond it.  A NaN or infinite sample raises InvalidParameterError
-    naming its x."""
+    a static field, or alpha_of_x translated at `speed`) and its sup, both
+    from one table over x_span padded by max(80, |speed| T), the sweep of
+    a run to T, at 20001 points for the 80 pad and no coarser beyond.  A
+    NaN or infinite sample raises InvalidParameterError naming its x."""
     if alpha_of_x is None:
         return (lambda t: None), 0.0
     lo, hi = x_span

@@ -188,10 +188,9 @@ def _integrate_chart(spec: ModelSpec, c: float, beta, u0: float, p0: float,
 
     Returns (u, p, terminated_by, u_end) with u increasing; without dense
     output the end state is the only node.  Its events: P reaching the
-    floor ('p_zero') and an optional `stop_when(u, p)` rising through zero
-    ('event'; a falling condition is passed negated).  The control beta is
-    evaluated at the step's float u.  rtol and atol must be finite and
-    positive.
+    floor ('p_zero') and an optional stop_when(u, p) rising through zero
+    ('event').  The control beta is evaluated at the step's float u.
+    rtol and atol must be finite and positive.
     """
     _check_positive("rtol", rtol)
     _check_positive("atol", atol)

@@ -54,9 +54,7 @@ N_BETA = 41  # candidate controls per node of pmp_residual's argmin check
 
 @dataclass
 class ShotResult:
-    """Outcome of one (P, beta) integration from a trial left junction u1;
-    `arc` is the sampled run, with beta and the adjoint Y = -L_beta, when
-    the shot was asked for its nodes."""
+    """Outcome of one (P, beta) integration from a trial left junction u1."""
 
     status: str           # met_psharp | beta_zero | p_zero | left_domain
     phi: float
@@ -64,7 +62,7 @@ class ShotResult:
     u_end: float
     p_end: float
     beta_end: float
-    arc: PhaseTrajectory | None = None
+    arc: PhaseTrajectory | None = None  # the sampled run, see shoot_from
 
 
 @dataclass
@@ -98,7 +96,7 @@ class OptimalProfile:
     trajectory: PhaseTrajectory
     cost: float
     converged: ShootingDiagnostics
-    arc: PhaseTrajectory | None = None
+    arc: PhaseTrajectory | None = None  # the sampled run, see shoot_from
 
 
 @dataclass
@@ -171,9 +169,8 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     (phaseplane._underflow_status).  A non-positive L_betabeta along the way
     raises ConvexityViolationError; a non-finite state, SingularityError.
     A non-finite c or u1, or a tolerance that is not finite and positive,
-    raises InvalidParameterError.  With `want_nodes` the result's `arc`
-    samples the run on at least 1501 nodes, with beta clipped at 0 and
-    the adjoint Y = -L_beta.
+    raises InvalidParameterError.  With `want_nodes`, `arc` samples the
+    run on >= 1501 nodes, with beta >= 0 and the adjoint Y = -L_beta.
     """
     if not (np.isfinite(c) and np.isfinite(u1)):
         raise InvalidParameterError(
@@ -210,7 +207,8 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
 
     arc = None
     if want_nodes:
-        nodes = np.linspace(u1, u_end, max(1500, int((u_end - u1) * 10000)) + 1)
+        n = max(1500, int((u_end - u1) * 10000)) + 1
+        nodes = np.linspace(u1, u_end, n)
         p_vals, b_vals = sol.sol(nodes)
         b_vals = np.maximum(b_vals, 0.0)
         arc = PhaseTrajectory(nodes, p_vals, c, "controlled",

@@ -10,7 +10,10 @@ of a few components, on plain Python floats: at one to three components
 most of a scipy step is numpy's per-call overhead on tiny arrays.  It
 keeps scipy's event rule and dense output, and counts RHS calls as scipy
 does; its events are (g, direction) pairs, and a run reports which one
-`ended` it.
+`ended` it.  Its step is straight-line code that `_kernel` writes from
+the tableau, once per number of components, with the arithmetic of the
+per-stage loops it replaced (tests/test_dop853.py keeps them as its
+oracle).
 
 `LockStep` integrates many independent problems, forward to one bound,
 as the columns of arrays.  Every pass takes one trial step for all live
@@ -21,10 +24,11 @@ columns it has not decided.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import warnings
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -147,46 +151,91 @@ def _initial_step(fun, t, y, f, t1, direction, rtol, atol) -> float:
     return min(100 * h0, h1, span)
 
 
-def _add_stages(fun, t, y, h, K, stages) -> None:
-    """Append the values of each (c, a row) stage to K, which holds each
-    component's stage values so far."""
-    for c, a in stages:
-        k = fun(t + c * h, [v + sum(map(mul, a, ks)) * h
-                            for v, ks in zip(y, K)])
-        for ks, v in zip(K, k):
-            ks.append(v)
+def _dot(row, i: int) -> str:
+    """The source of sum(map(mul, row, ks)) over component i's stage
+    values ks: from the int 0, as sum starts, each term added left to
+    right, zero entries kept (0.0 times an infinite stage value is NaN,
+    which must reach the next stage)."""
+    return "0" + "".join(f" + {a!r} * k{j}_{i}" for j, a in enumerate(row))
 
 
-def _trial(fun, t, y, f, h):
-    """One trial step of size h: (y_new, f_new, K), where K holds each
-    component's stage values, f first and f_new last."""
-    K = [[v] for v in f]
-    _add_stages(fun, t, y, h, K, STAGES)
-    y_new = [v + h * sum(map(mul, B_ROW, ks)) for v, ks in zip(y, K)]
-    f_new = fun(t + h, y_new)
-    for ks, v in zip(K, f_new):
-        ks.append(v)
-    return y_new, f_new, K
+@functools.cache
+def _kernel(m: int):
+    """(trial, dense): one DOP853 step on m components as straight-line
+    code, written from the tableau and compiled once per m.
+
+    trial(fun, t, y, f, h, rtol, atol) returns (y_new, f_new, K, err): K
+    holds each component's stage values, f to f_new, and err is scipy's
+    error norm, scaled by the larger of |y_new| and |y|.  dense(fun,
+    t_old, y_old, y, h, K) pays the three extra stages and returns the
+    step's interpolant (t_old, h, y_old, Horner coefficients).
+
+    Stage s of component i is the local k{s}_{i}, so a step builds no
+    per-stage list, zip or sum.  Every dot product is the loops' sum
+    written out by `_dot`, so every output is theirs to the bit, and a NaN
+    where they had one (CPython 3.12's compensated sum would round
+    otherwise).  linecache holds the source as "<dop853 step m=...>", so
+    a traceback through a stage shows its line.
+    """
+    comps = range(m)
+
+    def row(stem: str) -> str:  # one name per component, a list display
+        return "[" + ", ".join(f"{stem}_{i}" for i in comps) + "]"
+
+    def stages(t: str, table, first: int):
+        for s, (c, a) in enumerate(table, start=first):
+            yield from (f"    z_{i} = y_{i} + ({_dot(a, i)}) * h"
+                        for i in comps)
+            yield f"    {row(f'k{s}')} = fun({t} + {c!r} * h, {row('z')})"
+
+    end = N_STAGES  # the stage index of f_new
+    K = "(" + "".join(f"k{s}_{i}, " for i in comps
+                      for s in range(end + 1)) + ")"
+    e5, e3 = ("0.0" + "".join(f" + {r}_{i} * {r}_{i}" for i in comps)
+              for r in ("r5", "r3"))
+    source = "\n".join([
+        "def trial(fun, t, y, f, h, rtol, atol):",
+        f"    {row('y')} = y",
+        f"    {row('k0')} = f",
+        *stages("t", STAGES, 1),
+        *(f"    n_{i} = y_{i} + h * ({_dot(B_ROW, i)})" for i in comps),
+        f"    y_new = {row('n')}",
+        "    f_new = fun(t + h, y_new)",
+        f"    {row(f'k{end}')} = f_new",
+        *(line for i in comps for line in (
+            # y_new first: a NaN there propagates, as in np.maximum
+            f"    s_{i} = atol + max(abs(n_{i}), abs(y_{i})) * rtol",
+            f"    r5_{i} = ({_dot(E5_ROW, i)}) / s_{i}",
+            f"    r3_{i} = ({_dot(E3_ROW, i)}) / s_{i}")),
+        f"    e5, e3 = {e5}, {e3}",
+        "    err = 0.0 if e5 == 0.0 and e3 == 0.0 else abs(h) * e5 / sqrt("
+        f"(e5 + 0.01 * e3) * {m})",
+        f"    return y_new, f_new, {K}, err",
+        "",
+        "",
+        "def dense(fun, t_old, y_old, y, h, K):",
+        f"    {row('y')} = y_old",
+        f"    {K} = K",
+        *stages("t_old", EXTRA_STAGES, end + 1),
+        f"    {row('n')} = y",
+        *(f"    dv_{i} = n_{i} - y_{i}" for i in comps),
+        # each component's d6, d5, d4, d3 and the cubic's three
+        "    return t_old, h, y_old, [",
+        *("        (" + "".join(f"h * ({_dot(r, i)}), " for r in D_ROWS[::-1])
+          + f"2 * dv_{i} - h * (k{end}_{i} + k0_{i}), "
+          f"h * k0_{i} - dv_{i}, dv_{i})," for i in comps),
+        "    ]\n"])
+    filename = f"<dop853 step m={m}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["trial"], namespace["dense"]
 
 
-def _error_norm(K, y, y_new, h, rtol, atol) -> float:
-    """scipy's DOP853 error norm: the 5th-order estimate corrected by the
-    3rd-order one, scaled by the larger of |y| and |y_new|."""
-    e5 = e3 = 0.0
-    for ks, v, v_new in zip(K, y, y_new):
-        # y_new first: a NaN there propagates, as in np.maximum
-        scale = atol + max(abs(v_new), abs(v)) * rtol
-        r5 = sum(map(mul, E5_ROW, ks)) / scale
-        r3 = sum(map(mul, E3_ROW, ks)) / scale
-        e5 += r5 * r5
-        e3 += r3 * r3
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
-
-
-def _step(fun, t, y, f, h_abs, t1, direction, rtol, atol):
-    """scipy's step control from (t, y): trial steps until one is accepted.
+def _step(trial, fun, t, y, f, h_abs, t1, direction, rtol, atol):
+    """scipy's step control from (t, y): `trial` steps until one is
+    accepted.
 
     Returns (trials, accepted): accepted is (t_new, y_new, f_new, K, h, the
     next step's h_abs), or None once the step falls below min_step.
@@ -200,9 +249,8 @@ def _step(fun, t, y, f, h_abs, t1, direction, rtol, atol):
             t_new = t1
         h = t_new - t
         h_abs = abs(h)
-        y_new, f_new, K = _trial(fun, t, y, f, h)
+        y_new, f_new, K, err = trial(fun, t, y, f, h, rtol, atol)
         trials += 1
-        err = _error_norm(K, y, y_new, h, rtol, atol)
         if err < 1.0:
             factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** EXPONENT)
             h_abs *= min(1.0, factor) if rejected else factor
@@ -213,27 +261,13 @@ def _step(fun, t, y, f, h_abs, t1, direction, rtol, atol):
     return trials, None
 
 
-def _dense_step(fun, t_old, y_old, f_old, y, f, h, K):
-    """The accepted step's interpolant (t_old, h, y_old, coefficients);
-    its three extra stages call fun."""
-    _add_stages(fun, t_old, y_old, h, K, EXTRA_STAGES)
-    coefs = []
-    for v_old, v, fo, fv, ks in zip(y_old, y, f_old, f, K):
-        dv = v - v_old
-        d3, d4, d5, d6 = (h * sum(map(mul, r, ks)) for r in D_ROWS)
-        # in Horner order, highest power first
-        coefs.append((d6, d5, d4, d3, 2 * dv - h * (fv + fo), h * fo - dv,
-                      dv))
-    return t_old, h, y_old, coefs
-
-
 def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
               dense_output: bool = False, events=()) -> Run:
     """Integrate y' = fun(t, y) over t_span on plain floats, as scipy's
     ``solve_ivp(..., method="DOP853")`` does.
 
     fun(t, y) gets a float t and a list of floats and returns a sequence
-    of floats.  An event (g, direction) ends the run at the first root of
+    of as many floats.  An event (g, direction) ends the run at the first root of
     the float g(t, y) crossed upward (direction 1), downward (-1) or
     either way (0): at each accepted step the events whose value crossed
     zero are solved on the step's interpolant by Brent's method, and the
@@ -247,6 +281,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
     t, y = t0, [float(v) for v in y0]
     direction = 1.0 if t1 >= t0 else -1.0
     f = fun(t, y)
+    trial, dense = _kernel(len(y))
     h_abs = _initial_step(fun, t, y, f, t1, direction, rtol, atol)
     nfev = 1 if t == t1 else 2
     g_old = [g(t, y) for g, _ in events]
@@ -256,18 +291,18 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
         # nothing to integrate: scipy's one constant step
         ts, ys = [t, t], [y, y]
     while running:
-        trials, accepted = _step(fun, t, y, f, h_abs, t1, direction, rtol,
-                                 atol)
+        trials, accepted = _step(trial, fun, t, y, f, h_abs, t1, direction,
+                                 rtol, atol)
         nfev += N_STAGES * trials
         if accepted is None:
             ended = None
             break
-        t_old, y_old, f_old = t, y, f
+        t_old, y_old = t, y
         t, y, f, K, h, h_abs = accepted
         running = direction * (t - t1) < 0
         step = None
         if dense_output:
-            step = _dense_step(fun, t_old, y_old, f_old, y, f, h, K)
+            step = dense(fun, t_old, y_old, y, h, K)
             nfev += len(EXTRA_STAGES)
             steps.append(step)
         if events:
@@ -277,7 +312,7 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
                       if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
             if active:
                 if step is None:
-                    step = _dense_step(fun, t_old, y_old, f_old, y, f, h, K)
+                    step = dense(fun, t_old, y_old, y, h, K)
                     nfev += len(EXTRA_STAGES)
                 roots = [(_event_root(events[i][0], step, t_old, t), i)
                          for i in active]

@@ -196,8 +196,10 @@ def _alpha_lookup(alpha_of_x, x, x_span, speed, T):
     """The control on the grid as a function of t (None without a control,
     a static field, or alpha_of_x translated at `speed`) and its sup, both
     from one table over x_span padded by max(80, |speed| T), the sweep of
-    a run to T, at 20001 points for the 80 pad and no coarser beyond.  A
-    NaN or infinite sample raises InvalidParameterError naming its x."""
+    a run to T, at 20001 points for the 80 pad and no coarser beyond.  The
+    sup is over the table nodes that bracket the points a run reads,
+    x - speed t for t in [0, T]: [lo, hi] for a static control.  A NaN or
+    infinite sample raises InvalidParameterError naming its x."""
     if alpha_of_x is None:
         return (lambda t: None), 0.0
     lo, hi = x_span
@@ -209,7 +211,10 @@ def _alpha_lookup(alpha_of_x, x, x_span, speed, T):
     if len(bad):
         raise InvalidParameterError(
             f"control alpha({zs[bad[0]]:.6g}) = {vals[bad[0]]} is not finite")
-    sup = float(np.max(vals))
+    sweep = (speed or 0.0) * T
+    first = np.searchsorted(zs, lo - max(0.0, sweep), side="right") - 1
+    last = np.searchsorted(zs, hi - min(0.0, sweep), side="left")
+    sup = float(np.max(vals[max(first, 0):last + 1]))
     if speed in (None, 0.0):
         static = np.interp(x, zs, vals)
         return (lambda t: static), sup

@@ -6,12 +6,23 @@ arguments, its (g, direction) event pairs turned into scipy's tagged
 terminal events.  The two must end the same way: on the same event (or
 at the span's end), with end states within the run's rtol max(1, |y|),
 and dense solutions that agree to that bound at the run's nodes.
+
+The generated step kernel is checked against the per-stage loops it
+replaced, kept here as the oracle: the same bits out (a NaN's sign
+aside, see `_bits`), the same calls of the right-hand side, the same
+exception from the same call.
 """
 
 from __future__ import annotations
 
+import math
+import struct
+import traceback
+from operator import mul
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import travwave.acceptance as acc
@@ -19,7 +30,9 @@ import travwave.control_construct as cc
 import travwave.model2 as model2
 import travwave.phaseplane as pp
 import travwave.pmp as pmp
-from travwave._dop853 import RTOL_FLOOR, LockStep, Run, solve_ivp
+from travwave._dop853 import (B_ROW, D_ROWS, E3_ROW, E5_ROW, EXTRA_STAGES,
+                              RTOL_FLOOR, STAGES, LockStep, Run, _kernel,
+                              solve_ivp)
 from travwave.model import Model2Params, make_cubic_model
 from travwave.phaseplane import (P_COLLAPSE, _integrate_chart, _saddle_seed,
                                  stable_manifold, unstable_manifold)
@@ -301,3 +314,157 @@ def test_an_rtol_below_the_floor_runs_at_the_floor():
         st = LockStep(lambda u, y: y[::-1] * [[1.0], [-1.0]], [0.0],
                       [[1.0], [0.0]], 3.0, 1e-16, 1e-14)
     assert st.rtol == RTOL_FLOOR
+
+
+# The per-stage loops that `_kernel` replaced, verbatim: the oracle of
+# its bits.
+
+
+def _add_stages(fun, t, y, h, K, stages) -> None:
+    """Append the values of each (c, a row) stage to K, which holds each
+    component's stage values so far."""
+    for c, a in stages:
+        k = fun(t + c * h, [v + sum(map(mul, a, ks)) * h
+                            for v, ks in zip(y, K)])
+        for ks, v in zip(K, k):
+            ks.append(v)
+
+
+def _trial(fun, t, y, f, h):
+    """One trial step of size h: (y_new, f_new, K), where K holds each
+    component's stage values, f first and f_new last."""
+    K = [[v] for v in f]
+    _add_stages(fun, t, y, h, K, STAGES)
+    y_new = [v + h * sum(map(mul, B_ROW, ks)) for v, ks in zip(y, K)]
+    f_new = fun(t + h, y_new)
+    for ks, v in zip(K, f_new):
+        ks.append(v)
+    return y_new, f_new, K
+
+
+def _error_norm(K, y, y_new, h, rtol, atol) -> float:
+    """scipy's DOP853 error norm: the 5th-order estimate corrected by the
+    3rd-order one, scaled by the larger of |y| and |y_new|."""
+    e5 = e3 = 0.0
+    for ks, v, v_new in zip(K, y, y_new):
+        # y_new first: a NaN there propagates, as in np.maximum
+        scale = atol + max(abs(v_new), abs(v)) * rtol
+        r5 = sum(map(mul, E5_ROW, ks)) / scale
+        r3 = sum(map(mul, E3_ROW, ks)) / scale
+        e5 += r5 * r5
+        e3 += r3 * r3
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _dense_step(fun, t_old, y_old, f_old, y, f, h, K):
+    """The accepted step's interpolant (t_old, h, y_old, coefficients);
+    its three extra stages call fun."""
+    _add_stages(fun, t_old, y_old, h, K, EXTRA_STAGES)
+    coefs = []
+    for v_old, v, fo, fv, ks in zip(y_old, y, f_old, f, K):
+        dv = v - v_old
+        d3, d4, d5, d6 = (h * sum(map(mul, r, ks)) for r in D_ROWS)
+        # in Horner order, highest power first
+        coefs.append((d6, d5, d4, d3, 2 * dv - h * (fv + fo), h * fo - dv,
+                      dv))
+    return t_old, h, y_old, coefs
+
+
+def _loops(fun, t, y, f, h, rtol, atol):
+    y_new, f_new, K = _trial(fun, t, y, f, h)
+    err = _error_norm(K, y, y_new, h, rtol, atol)
+    flat = [v for ks in K for v in ks]
+    _, _, _, coefs = _dense_step(fun, t, y, f, y_new, f_new, h, K)
+    return y_new, f_new, flat, err, coefs
+
+
+def _generated(fun, t, y, f, h, rtol, atol):
+    trial, dense = _kernel(len(y))
+    y_new, f_new, K, err = trial(fun, t, y, f, h, rtol, atol)
+    _, _, _, coefs = dense(fun, t, y, y_new, h, K)
+    return y_new, f_new, list(K), err, coefs
+
+
+def _bits(x):
+    """Every float of a nested result as its 8 bytes, so -0.0 counts, and
+    a NaN as "nan".  Where two NaNs meet, CPython 3.11 returns the other
+    one's sign and payload once it specialises a + b for floats (after a
+    few runs of the line), and sum's C loop returns the item's: a NaN's
+    sign is the interpreter's, not the arithmetic's, and nothing reads it.
+    """
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return "nan" if math.isnan(x) else struct.pack("d", x)
+
+
+def _counted(fault):
+    """A nonlinear RHS that counts its calls; `fault` (kind, n) makes call
+    n return inf, -inf or NaN in every component, or raise.  tanh takes
+    an infinite input back to a finite value, so a stage that meets
+    0.0 * inf is NaN where one that skipped the term would be finite."""
+    calls = [0]
+
+    def fun(t, y):
+        calls[0] += 1
+        if fault is not None and calls[0] == fault[1]:
+            if fault[0] == "raise":
+                raise RuntimeError(f"call {calls[0]}")
+            return [float(fault[0])] * len(y)
+        m = len(y)
+        return [math.tanh(v * y[(i + 1) % m] + t) - 0.5 * math.tanh(v)
+                for i, v in enumerate(y)]
+    return fun, calls
+
+
+def _outcome(driver, fault, t, y, f, h, rtol, atol):
+    """(bits of the result or the exception's repr, RHS calls made)."""
+    fun, calls = _counted(fault)
+    try:
+        out = _bits(driver(fun, t, y, f, h, rtol, atol))
+    except (ArithmeticError, RuntimeError) as exc:
+        out = repr(exc)
+    return out, calls[0]
+
+
+_floats = st.floats(-1e3, 1e3)
+_states = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(*[st.lists(_floats, min_size=m, max_size=m)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_floats, yf=_states, h=st.floats(-2.0, 2.0),
+       rtol=st.floats(1e-14, 1e-2), atol=st.floats(0.0, 1e-3),
+       fault=st.none() | st.tuples(
+           st.sampled_from(["inf", "-inf", "nan", "raise"]),
+           st.integers(1, 15)))
+# stage 1 inf: stage 3 reads it through its zero entry, 0.0 * inf = NaN
+@example(t=0.5, yf=([0.3, -0.2], [1.0, 0.5]), h=0.1, rtol=1e-8, atol=1e-10,
+         fault=("inf", 1))
+@example(t=0.5, yf=([0.3], [1.0]), h=-0.1, rtol=1e-8, atol=1e-10,
+         fault=("nan", 7))
+# fun raises at stage 5, and at the second extra stage of the interpolant
+@example(t=0.0, yf=([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]), h=0.2, rtol=1e-6,
+         atol=1e-9, fault=("raise", 5))
+@example(t=0.0, yf=([1.0, 2.0], [0.5, 0.5]), h=0.2, rtol=1e-6, atol=1e-9,
+         fault=("raise", 14))
+# a zero scale: 0.0 / 0.0 raises in both
+@example(t=0.0, yf=([0.0], [0.0]), h=0.0, rtol=1e-6, atol=0.0, fault=None)
+def test_the_kernel_is_the_stage_loops_bit_for_bit(t, yf, h, rtol, atol,
+                                                   fault):
+    # y_new, f_new, every stage value, the error norm and the seven dense
+    # coefficients per component, or the same exception after as many calls
+    y, f = yf
+    args = (fault, t, y, f, h, rtol, atol)
+    assert _outcome(_generated, *args) == _outcome(_loops, *args)
+
+
+def test_a_stage_s_exception_shows_its_generated_line():
+    # calls 1 and 2 are the initial step's, call 3 is the first stage
+    fun, _ = _counted(("raise", 3))
+    with pytest.raises(RuntimeError, match="call 3") as info:
+        solve_ivp(fun, (0.0, 1.0), [1.0, 0.0], 1e-8, 1e-10)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<dop853 step m=2>"' in text
+    assert "[k1_0, k1_1] = fun(t + " in text

@@ -8,7 +8,8 @@ is every module-level constant, every import sits at module level (a
 module's dependencies are read off its head), no handler catches every
 exception (a programming error must propagate, not turn into a solver
 verdict), one module holds the DOP853 integrators and none calls
-scipy's solve_ivp, one module owns the CSV number format, one module owns
+scipy's solve_ivp, only that module generates code (exec, eval,
+compile), one module owns the CSV number format, one module owns
 the cost quadrature, one module uses scipy's root finders, one module
 uses scipy's interpolants,
 no module tags event functions or decodes a run's end (events are
@@ -285,6 +286,33 @@ def test_a_solve_ivp_use_is_reported():
                      "import scipy.integrate as si\n"
                      "sol = si.solve_ivp(f, (0.0, 1.0), [0.0])\n")
     assert _scipy_name_uses(tree, "solve_ivp") == [1, 4]
+
+
+CODE_GENERATION = {"exec", "eval", "compile"}
+
+
+def _code_generation(tree: ast.Module) -> list[int]:
+    """Lines that load the builtin exec, eval or compile (a call or an
+    alias; a method such as re.compile is not the builtin)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and node.id in CODE_GENERATION)
+
+
+def test_code_generation_is_the_dop853_kernel_s():
+    # the straight-line DOP853 step is the one generated code: no other
+    # library module compiles or runs source text
+    assert [p.name for p in MODULES if _code_generation(_tree(p))] \
+        == ["_dop853.py"]
+
+
+def test_a_code_generation_call_is_reported():
+    tree = ast.parse("import re\n"
+                     "exec(src, namespace)\n"
+                     "pattern = re.compile('x')\n"
+                     "run = eval\n"
+                     "code = compile(src, '<f>', 'exec')\n")
+    assert _code_generation(tree) == [2, 4, 5]
 
 
 CSV_FORMAT = ".17g"

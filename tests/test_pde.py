@@ -135,6 +135,22 @@ def test_lab_frame_control_from_beyond_the_pad_is_read(weed):
     assert np.min(rec.u_snapshots[-1][inside]) < 0.6
 
 
+@pytest.mark.parametrize("control_speed", [None, -2.0],
+                         ids=["static", "moving-away"])
+def test_a_control_the_run_never_reads_sets_no_step_bound(weed,
+                                                          control_speed):
+    # alpha = 50 on (-120, -110) lies in the table's 80 pad left of the
+    # domain; static, or moving left at speed 2, u never sees it, so the
+    # step bound is sup|f'| alone and dt stays at DT_MAX
+    alpha = lambda x: np.where((x > -120.0) & (x < -110.0), 50.0, 0.0)
+    rec = evolve_scalar(weed, lambda x: np.full_like(x, 0.9), alpha, T=5.0,
+                        x_span=(-60.0, 60.0), dx=0.1,
+                        control_speed=control_speed)
+    assert rec.summary["rate_bound"] == pytest.approx(2.0 / 3.0)
+    assert rec.dt == pde.DT_MAX
+    assert rec.summary["n_steps"] == 50
+
+
 def test_model2_step_bound_counts_rates(weed):
     params = Model2Params(1.0, 2.0, 3.0)
     rec = evolve_model2(weed, lambda x: 0.5, lambda x: 0.1, lambda x: 0.2,

@@ -219,7 +219,7 @@ def _kernel(m: int):
         *stages("t_old", EXTRA_STAGES, end + 1),
         f"    {row('n')} = y",
         *(f"    dv_{i} = n_{i} - y_{i}" for i in comps),
-        # each component's d6, d5, d4, d3 and the cubic's three
+        # per component, in Horner order: d6, d5, d4, d3, the cubic's three
         "    return t_old, h, y_old, [",
         *("        (" + "".join(f"h * ({_dot(r, i)}), " for r in D_ROWS[::-1])
           + f"2 * dv_{i} - h * (k{end}_{i} + k0_{i}), "
@@ -267,9 +267,9 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float,
     ``solve_ivp(..., method="DOP853")`` does.
 
     fun(t, y) gets a float t and a list of floats and returns a sequence
-    of as many floats.  An event (g, direction) ends the run at the first root of
-    the float g(t, y) crossed upward (direction 1), downward (-1) or
-    either way (0): at each accepted step the events whose value crossed
+    of as many floats.  An event (g, direction) ends the run at the first
+    root of the float g(t, y) crossed upward (direction 1), downward (-1)
+    or either way (0): at each accepted step the events whose value crossed
     zero are solved on the step's interpolant by Brent's method, and the
     run ends on the earliest root.  The three extra stages of a step's
     interpolant are paid only with dense output or when an event fires.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -53,10 +53,12 @@ class ModelSpec:
     coefficient is fixed to 1 by rescaling space.  ``beta_max(u)`` is the
     finiteness boundary of ``L(u, .)``; ``beta_from_alpha`` inverts the
     cost map, returning the removal rate produced by spending alpha.
-    ``pmp_rhs(u, P, beta, c) -> (dP, dbeta)``, when given, is a plain-float
+    ``pmp_rhs(u, P, beta, c) -> (dP, dbeta)``, when given, is a fused
     right-hand side of the Pontryagin system (see `travwave.pmp`) computed
-    directly from the model's parameters; without it the solvers build one
-    from the callables above.
+    directly from the model's parameters.  It takes floats or equal-shape
+    arrays of (u, P, beta) and is elementwise equal to the bit to the one
+    `pmp._generic_rhs` builds from the callables above, which the solvers
+    use without it.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -101,16 +103,18 @@ class Model2Params:
         return self.kappa2 / (self.kappa2 + self.d)
 
 
-def _check_finite_state(u, P, beta) -> None:
-    """Raise SingularityError when a Pontryagin state (P, beta) is not finite.
-
-    Called only on the right-hand sides' error branch, where a NaN state
-    would otherwise be misreported as a convexity violation.
-    """
+def _refuse_rhs(u, P, beta, b, Lbb) -> NoReturn:
+    """Refuse a Pontryagin right-hand side whose L_betabeta(u, b) at the
+    clamped control b is not finite and positive: SingularityError when
+    the state (P, beta) itself is not finite, which would otherwise be
+    misreported, else ConvexityViolationError."""
+    u, P, beta = float(u), float(P), float(beta)
     if not (math.isfinite(P) and math.isfinite(beta)):
         raise SingularityError(
             f"non-finite Pontryagin state at U={u:.8f}: P={P:g}, beta={beta:g}",
             location=u)
+    raise ConvexityViolationError(
+        f"L_betabeta({u:.6f}, {b:.3g}) = {Lbb:g} is not positive")
 
 
 def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
@@ -179,24 +183,38 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
 
     def pmp_rhs(u, P, beta, c):
         # the generic right-hand side with f, beta_max and the cost partials
-        # inlined as plain floats: same clamp, same partials, same guard.
-        # gap**3 goes through numpy's power, as in the array partials above
-        # (its SIMD loop can round differently from float.__pow__), so the
-        # two paths agree to the bit.
+        # fused (m, gap and gap**3 once): same clamp, same partials, same
+        # guard.  A float takes plain float arithmetic, an array (the scan's
+        # columns) the array partials' operations.  gap**3 goes through
+        # numpy's power on both, as in the array partials above (its SIMD
+        # loop can round differently from float.__pow__), and P**2 through
+        # libm's pow, so every element agrees with the generic one to the bit.
         m = k * u * (u - a)
         fv = m * (1.0 - u)
-        b = min(max(beta, 0.0), (1.0 - 1e-12) * (m if u > a else 0.0))
-        gap = m - b
-        gap3 = float(np.power(gap, 3))
-        inside = 0.0 <= b < m and gap3 > 0.0
-        Lbb = 2.0 * m / gap3 if inside else np.inf
-        if not 0.0 < Lbb < np.inf:
-            _check_finite_state(u, P, beta)
-            raise ConvexityViolationError(
-                f"L_betabeta({u:.6f}, {b:.3g}) = {Lbb:g} is not positive")
-        Lb = m / (gap * gap)
+        if isinstance(u, float):
+            b = min(max(beta, 0.0), (1.0 - 1e-12) * (m if u > a else 0.0))
+            gap = m - b
+            gap3 = float(np.power(gap, 3))
+            inside = 0.0 <= b < m and gap3 > 0.0
+            Lbb = 2.0 * m / gap3 if inside else np.inf
+            if not 0.0 < Lbb < np.inf:
+                _refuse_rhs(u, P, beta, b, Lbb)
+            Lb = m / (gap * gap)
+            P2 = P**2
+        else:
+            b = np.minimum(np.maximum(beta, 0.0),
+                           (1.0 - 1e-12) * np.where(u > a, m, 0.0))
+            inside = b < m  # barrier_gap's strip: the clamp gives b >= 0
+            gap = np.where(inside, m - b, 1.0)
+            gap3 = gap**3
+            Lbb = np.where(inside, 2.0 * m / gap3, np.inf)
+            if not (Lbb.min() > 0.0 and Lbb.max() < np.inf):
+                i = np.flatnonzero(~(Lbb > 0.0) | ~np.isfinite(Lbb))[0]
+                _refuse_rhs(*(np.broadcast_to(x, Lbb.shape).flat[i]
+                              for x in (u, P, beta, b, Lbb)))
+            Lb = m / gap**2
+            P2 = np.float_power(P, 2)
         Lub = -(k * (2.0 * u - a)) * (m + b) / gap3
-        P2 = P**2
         dP = -c + (beta - fv) / P
         db = (((b - fv) / P2) * Lb - (b / gap) / P2 - Lub) / Lbb
         return dP, db

@@ -185,7 +185,8 @@ def _field_on_grid(initial, x) -> np.ndarray:
     if isinstance(initial, SpatialProfile):
         return np.clip(np.asarray(initial.u_at(x), dtype=float), 0.0, 1.0)
     if callable(initial):
-        return np.clip(np.asarray([float(initial(xx)) for xx in x]), 0.0, 1.0)
+        return np.clip(np.asarray([float(initial(xx)) for xx in x.tolist()]),
+                       0.0, 1.0)
     arr = np.asarray(initial, dtype=float)
     if arr.shape != x.shape:
         raise ConfigError(f"initial field shape {arr.shape} != grid {x.shape}")

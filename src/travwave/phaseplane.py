@@ -21,6 +21,7 @@ so they feed quadrature and interpolation downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,21 +88,38 @@ def _interpolant(u_nodes, values, kind: str) -> Callable:
     SIAM J. Numer. Anal. 17(2), 1980) through `values` on the increasing
     `u_nodes`.  It raises InvalidParameterError, naming the `kind` of
     curve, on nodes that are not strictly increasing (a run that took no
-    step) and outside [u_nodes[0], u_nodes[-1]], where the curve is
-    unknown, instead of extrapolating."""
+    step) and on a U that is NaN or outside [u_nodes[0], u_nodes[-1]],
+    where the curve is unknown, instead of extrapolating.
+
+    A float in gives a float out, equal to the bit to scipy's: the piece
+    is found by `bisect_right` on a memoryview of scipy's breakpoints and
+    its cubic summed as `PPoly` does (s^k by repeated multiplication,
+    terms added from the constant term up), on memoryviews of scipy's
+    coefficient rows, without copies.  Arrays go through scipy."""
     if not np.all(np.diff(u_nodes) > 0.0):
         raise InvalidParameterError(
             f"the {kind} nodes are not strictly increasing")
     pchip = PchipInterpolator(u_nodes, values)
     lo, hi = float(u_nodes[0]), float(u_nodes[-1])
+    x, (c3, c2, c1, c0) = memoryview(pchip.x), map(memoryview, pchip.c)
+    last = len(x) - 1
+
+    def refuse(u):
+        raise InvalidParameterError(
+            f"U={u:.6g} is not in the {kind} span [{lo:.6g}, {hi:.6g}]")
 
     def at(u):
+        if isinstance(u, float):
+            if not lo <= u <= hi:
+                refuse(u)
+            i = min(bisect_right(x, u), last) - 1
+            s = u - x[i]
+            z = s * s
+            return (((0.0 + c0[i]) + c1[i] * s) + c2[i] * z) + c3[i] * (z * s)
         uu = np.asarray(u)
-        outside = (uu < lo) | (uu > hi)
-        if outside.any():
-            raise InvalidParameterError(
-                f"U={float(uu[outside].flat[0]):.6g} requested outside "
-                f"the {kind} span [{lo:.6g}, {hi:.6g}]")
+        inside = (uu >= lo) & (uu <= hi)
+        if not inside.all():
+            refuse(float(uu[~inside].flat[0]))
         return pchip(u)
     return at
 

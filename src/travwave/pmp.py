@@ -20,9 +20,12 @@ the root.
 The scan integrates all its grid shots in lock step, as the columns of
 one `_dop853.LockStep` (scipy's DOP853 on arrays, a step size per
 shot), under scipy's event rule applied here, and yields only the signs
-of phi.  Every phi value is a scalar `shoot_from` call, memoised per u1 in
-one table that the scan's hand-offs, the bracket ends, the bisection and
-the diagnostics read, so the root and the cost do not depend on the scan.
+of phi.  Scan and shots take the same right-hand side, the spec's fused
+``pmp_rhs`` or else `_generic_rhs`, on arrays and on floats; the two are
+equal to the bit per element.  Every phi value is a scalar `shoot_from`
+call, memoised per u1 in one table that the scan's hand-offs, the bracket
+ends, the bisection and the diagnostics read, so the root and the cost do
+not depend on the scan.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from ._roots import bisect, flips
 from .control_construct import (_cost_and_error, _slice_from, _slice_to,
                                 _speed_regime, merge_pieces,
                                 natural_heteroclinic)
-from .errors import (ConvexityViolationError, InvalidParameterError,
-                     NoSolutionError, TravwaveError)
-from .model import (ModelSpec, _check_finite_state, _check_positive,
-                    check_A1, check_A2)
+from .errors import InvalidParameterError, NoSolutionError, TravwaveError
+from .model import (ModelSpec, _check_positive, _refuse_rhs, check_A1,
+                    check_A2)
 from .phaseplane import (ATOL, RTOL, PhaseTrajectory, _floor_event,
                          _interpolant, _p_floor, _underflow_status,
                          stable_manifold, unstable_manifold)
@@ -120,8 +122,8 @@ def _generic_rhs(spec: ModelSpec):
 
     Takes floats or equal-shape arrays of (u, P, beta); per element it does
     the operations of a fused ``pmp_rhs`` in the same order, so the two
-    agree to the bit.  `shoot_from` uses it for specs without a fused
-    ``pmp_rhs``, and the lock-step scan calls it on arrays of shots.  RK
+    agree to the bit.  `shoot_from` (on floats) and the lock-step scan (on
+    arrays of shots) use it for specs without a fused ``pmp_rhs``.  RK
     trial stages may probe just outside the admissible strip
     0 <= beta < beta_max (the events cut the real path there); the cost
     partials are evaluated at the clamped control.  A non-positive
@@ -138,11 +140,8 @@ def _generic_rhs(spec: ModelSpec):
         bad = ~(Lbb > 0.0) | ~np.isfinite(Lbb)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            ui, Pi, bi, bai, Li = (float(np.broadcast_to(x, bad.shape).flat[i])
-                                   for x in (u, P, b, b_adm, Lbb))
-            _check_finite_state(ui, Pi, bi)
-            raise ConvexityViolationError(
-                f"L_betabeta({ui:.6f}, {bai:.3g}) = {Li:g} is not positive")
+            _refuse_rhs(*(np.broadcast_to(x, bad.shape).flat[i]
+                          for x in (u, P, b, b_adm, Lbb)))
         Lb = np.asarray(spec.L_beta(u, b_adm), dtype=float)
         Lv = np.asarray(spec.L(u, b_adm), dtype=float)
         Lub = np.asarray(spec.L_ubeta(u, b_adm), dtype=float)
@@ -222,8 +221,9 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
     """Signs of phi on the scan grid from one lock-step DOP853 integration.
 
     Every grid shot is a column of one `_dop853.LockStep` over
-    (P, beta), with `_generic_rhs` on arrays.  After each pass scipy's
-    active-event rule decides the shots that moved: meeting P_sharp
+    (P, beta), with the right-hand side `shoot_from` takes (the spec's
+    fused ``pmp_rhs``, else `_generic_rhs`) on arrays.  After each pass
+    scipy's active-event rule decides the shots that moved: meeting P_sharp
     (upward) gives +1; beta = 0 or the P floor (downward) gives the sign of
     P - P_sharp, which is phi's there; reaching u = 1 (beta > 0) gives +1.
     A shot with two events in one step, whose gap to P_sharp changes sign
@@ -233,7 +233,7 @@ def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
     Returns (signs, passes): a sign per grid point (NaN where a handed-off
     phi is not finite) and the vector passes.
     """
-    rhs = _generic_rhs(spec)
+    rhs = spec.pmp_rhs or _generic_rhs(spec)
     u = np.array(grid, dtype=float)
     p0 = np.asarray(p_flat(u), dtype=float)
     if not np.all(p0 > 0.0):

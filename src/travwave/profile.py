@@ -40,7 +40,18 @@ def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
     """U (and P, given p_nodes) of a wave on x: node values inside the grid,
     the saddle tails U = U_0 e^{lam_left (x - x_0)}, P = lam_left U left of
     it and U = 1 - (1 - U_N) e^{lam_right (x - x_N)}, P = -lam_right (1 - U)
-    right of it; a side without a rate holds its end value with P = 0."""
+    right of it; a side without a rate holds its end value with P = 0.
+    A float x without p_nodes gives a float, equal to the bit, by np.interp
+    on the grid and the same np.exp in the tails, skipping the array
+    masks."""
+    if isinstance(x, float) and p_nodes is None:
+        x0, xn = float(x_nodes[0]), float(x_nodes[-1])
+        if x < x0 and lam_left is not None:
+            return u_nodes[0] * float(np.exp(lam_left * (x - x0)))
+        if x > xn and lam_right is not None:
+            return 1.0 - (1.0 - u_nodes[-1]) \
+                * float(np.exp(lam_right * (x - xn)))
+        return float(np.interp(x, x_nodes, u_nodes))
     x = np.asarray(x, dtype=float)
     u = np.interp(x, x_nodes, u_nodes)
     x0, xn = x_nodes[0], x_nodes[-1]
@@ -53,7 +64,7 @@ def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
         u = np.where(right, 1.0 - (1.0 - u_nodes[-1])
                      * np.exp(lam_right * (np.maximum(x, xn) - xn)), u)
     if p_nodes is None:
-        return u
+        return u[()]
     p_left = 0.0 if lam_left is None else lam_left * u
     p_right = 0.0 if lam_right is None else -lam_right * (1.0 - u)
     return u, np.where(left, p_left, np.where(right, p_right,
@@ -75,10 +86,11 @@ class SpatialProfile:
     meta: dict = field(default_factory=dict)
 
     def u_at(self, x) -> np.ndarray:
-        """U on arbitrary points, exponential tails beyond the grid."""
+        """U on arbitrary points, exponential tails beyond the grid; a float
+        in gives a float out."""
         return _far_field(x, self.x_nodes, self.u_values,
                           self.meta.get("lambda_left"),
-                          self.meta.get("lambda_right"))[()]
+                          self.meta.get("lambda_right"))
 
     def alpha_at(self, x) -> np.ndarray:
         return np.interp(x, self.x_nodes, self.alpha_values,

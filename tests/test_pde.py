@@ -532,6 +532,19 @@ def test_model2_comoving_stationarity_pinned_front(weed, c_star_weed):
     assert rec.summary["d_invariance"] <= 1e-6
 
 
+def test_a_callable_initial_field_is_read_on_plain_floats(spatial01):
+    # a closure such as lambda x: float(sp.u_at(x)) then takes the float
+    # paths; the field is the profile's own to the bit
+    x, seen = np.linspace(-60.0, 60.0, 2401), set()
+
+    def u0(xx):
+        seen.add(type(xx))
+        return spatial01.u_at(xx)
+    field = pde._field_on_grid(u0, x)
+    assert seen == {float}
+    assert np.array_equal(field, pde._field_on_grid(spatial01, x))
+
+
 def test_snapshot_csv(tmp_path, weed, monkeypatch):
     monkeypatch.setattr(pde, "SNAPSHOT_DT", 0.5)
     rec = evolve_scalar(weed, lambda x: 0.5, T=1.0, x_span=(-2, 2), dx=0.5)

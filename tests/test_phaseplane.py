@@ -7,7 +7,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import travwave.phaseplane as pp
@@ -348,6 +348,42 @@ def test_interp_p_refuses_to_extrapolate(weed):
         with pytest.raises(InvalidParameterError,
                            match=r"unstable_manifold span \[0, 0\.63"):
             pf(bad)
+
+
+def test_interp_p_refuses_nan(weed):
+    # a NaN U is no point of the curve: scipy's PCHIP read NaN for it
+    pf = unstable_manifold(weed, -0.1, u_stop=1.0).interp_p()
+    for bad in (np.nan, np.float64(np.nan), np.array(np.nan),
+                np.array([0.5, np.nan])):
+        with pytest.raises(InvalidParameterError,
+                           match=r"U=nan is not in the unstable_manifold"):
+            pf(bad)
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=30),
+       start=st.floats(-10.0, 10.0),
+       values=st.lists(st.floats(-1e3, 1e3), min_size=31, max_size=31),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_float_interpolant_is_scipy_s_pchip(steps, start, values, fracs):
+    # the plain-float path against PchipInterpolator, bit for bit, at
+    # random points, every node and both ends, for float and np.float64
+    u = start + np.cumsum([0.0] + steps)
+    v = np.array(values[:len(u)])
+    assume(np.all(np.diff(u) > 0.0))
+    at, ref = pp._interpolant(u, v, "test"), PchipInterpolator(u, v)
+    points = [u[0] + f * (u[-1] - u[0]) for f in fracs] + u.tolist() \
+        + [float(u[0]), float(u[-1])]
+    for x in points:
+        want = _bits(ref(x))
+        for arg in (float(x), np.float64(x)):
+            got = at(arg)
+            assert isinstance(got, float) and _bits(got) == want
+    assert np.array_equal(at(np.array(points)), ref(points))
 
 
 def test_chart_nodes_have_no_near_duplicates(weed, monkeypatch):

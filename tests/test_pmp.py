@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import travwave.control_construct as cc
 import travwave.pmp as pmp
@@ -17,6 +18,12 @@ from travwave.model import make_cubic_model, make_logistic_model
 from travwave.phaseplane import stable_manifold, unstable_manifold
 from travwave.pmp import (_generic_rhs, _scan_grid, _scan_signs, effort_curve,
                           optimal_profile, pmp_residual, shoot_from)
+
+
+def _bits(*columns):
+    """The float columns as lists of their IEEE bit patterns."""
+    return [np.asarray(col, dtype=float).view(np.int64).tolist()
+            for col in columns]
 
 
 @pytest.fixture(scope="module")
@@ -314,8 +321,10 @@ def test_fused_rhs_matches_generic(u_star, rate, points, c):
         if u <= u_star:
             # beta_max = 0 there: no admissible control, L_betabeta = inf
             for rhs in (spec.pmp_rhs, generic):
-                with pytest.raises(ConvexityViolationError):
-                    rhs(u, P, frac, c)
+                for args in ((u, P, frac), (np.array([u]), np.array([P]),
+                                            np.array([frac]))):
+                    with pytest.raises(ConvexityViolationError):
+                        rhs(*args, c)
             continue
         # frac < 0 and frac >= 1 exercise the clamp to [0, beta_max)
         beta = frac * float(spec.beta_max(u))
@@ -325,10 +334,12 @@ def test_fused_rhs_matches_generic(u_star, rate, points, c):
         assert fused == generic(u, P, beta, c)
         inside.append((u, P, beta, fused))
     if inside:
-        # the scan's array call: each element is the scalar fused value
+        # the scan's array call, generic and fused: each element is the
+        # scalar fused value, bit for bit
         u, P, beta, fused = zip(*inside)
-        dP, db = generic(np.array(u), np.array(P), np.array(beta), c)
-        assert list(zip(dP.tolist(), db.tolist())) == list(fused)
+        for rhs in (generic, spec.pmp_rhs):
+            dP, db = rhs(np.array(u), np.array(P), np.array(beta), c)
+            assert _bits(dP, db) == _bits(*zip(*fused))
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -359,17 +370,56 @@ def test_array_rhs_matches_fused_on_random_states():
         fused = [spec.pmp_rhs(*x, -0.1) for x in zip(u.tolist(), P.tolist(),
                                                      beta.tolist())]
         assert list(zip(dP.tolist(), db.tolist())) == fused
+        # the fused array branch, with both clamps (beta < 0, beta >= max)
+        assert np.any(beta < 0.0) and np.any(beta >= spec.beta_max(u))
+        assert _bits(*spec.pmp_rhs(u, P, beta, -0.1)) == _bits(dP, db)
 
 
-def test_array_rhs_names_the_failing_element(weed):
-    generic = _generic_rhs(weed)
+@pytest.mark.parametrize("fused", [False, True], ids=["generic", "fused"])
+def test_array_rhs_names_the_failing_element(weed, fused):
+    rhs = weed.pmp_rhs if fused else _generic_rhs(weed)
     u, P = np.array([0.5, 0.6, 0.7]), np.array([0.1, 0.1, 0.1])
     with pytest.raises(SingularityError, match="non-finite") as info:
-        generic(u, P, np.array([0.01, np.nan, np.nan]), -0.1)
+        rhs(u, P, np.array([0.01, np.nan, np.nan]), -0.1)
     assert info.value.location == 0.6
-    # below u* there is no admissible control at all
-    with pytest.raises(ConvexityViolationError, match=r"L_betabeta\(0\.2"):
-        generic(np.array([0.5, 0.2, 0.1]), P, np.zeros(3), -0.1)
+    # below u* there is no admissible control at all; the text is the
+    # scalar call's on that element
+    with pytest.raises(ConvexityViolationError) as info:
+        rhs(np.array([0.5, 0.2, 0.1]), P, np.zeros(3), -0.1)
+    with pytest.raises(ConvexityViolationError) as scalar:
+        weed.pmp_rhs(0.2, 0.1, 0.0, -0.1)
+    assert str(info.value) == str(scalar.value)
+    assert str(info.value).startswith("L_betabeta(0.200000, 0)")
+
+
+def test_the_scan_takes_the_fused_rhs(weed, monkeypatch):
+    # a silent fall-back from the fused right-hand side to the generic one
+    # keeps every result and loses the speed: nothing may build it here
+    def refuse(spec):
+        raise AssertionError("_generic_rhs built for a fused spec")
+    monkeypatch.setattr(pmp, "_generic_rhs", refuse)
+    prof = optimal_profile(weed, -0.1)
+    assert prof.converged.scan_passes > 0 and prof.cost > 0.0
+
+
+def test_a_shot_reads_its_curves_on_floats(weed, manifolds01, monkeypatch):
+    # shoot_from looks P_flat and P_sharp up one float at a time; each
+    # lookup must take the interpolant's plain-float path, not scipy's
+    flat, sharp = manifolds01
+    pf, ps = flat.interp_p(), sharp.interp_p()
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return inner(self, *args, **kwargs)
+    inner = PchipInterpolator.__call__
+    monkeypatch.setattr(PchipInterpolator, "__call__", counted)
+    for want_nodes in (False, True):
+        shot = shoot_from(weed, -0.1, 0.45, pf, ps, want_nodes=want_nodes)
+        assert shot.u_end > 0.45 and np.isfinite(shot.phi)
+    assert calls == []
+    pf(np.array([0.45]))  # the array path still goes through scipy
+    assert len(calls) == 1
 
 
 def _scalar_phis(spec, c, grid, pf, ps):

@@ -40,6 +40,36 @@ def test_far_field_tails_do_not_overflow(exact_profile):
     assert u[0] == 0.0 and u[-1] == 1.0
 
 
+@pytest.mark.parametrize("case", ["saddle tails", "no rates", "short grid"])
+def test_u_at_on_floats_is_the_array_path(exact_profile, case):
+    # inside the grid, at the nodes, in both tails, and with no tail rates
+    # (the end values held); float in, float out, bit for bit.  The short
+    # grid ends far from the saddles, where a tail's rounding shows
+    sp = exact_profile
+    if case != "saddle tails":
+        sp = SpatialProfile(sp.x_nodes, sp.u_values, sp.p_values,
+                            sp.alpha_values, sp.c)
+    if case == "short grid":
+        x3 = np.array([-1.0, 0.3, 2.0])
+        sp = SpatialProfile(x3, np.array([0.2, 0.45, 0.7]), x3, x3, sp.c,
+                            meta={"lambda_left": 0.9, "lambda_right": -0.6})
+    x = sp.x_nodes
+    rng = np.random.default_rng(5)
+    pts = np.concatenate((rng.uniform(x[0] - 30.0, x[-1] + 30.0, 2000), x,
+                          [x[0] - 1e4, np.nextafter(x[0], -np.inf),
+                           np.nextafter(x[-1], np.inf), x[-1] + 1e4]))
+    floats = [sp.u_at(v) for v in pts.tolist()]
+    assert all(isinstance(v, float) for v in floats)
+    assert np.array_equal(np.array(floats).view(np.int64),
+                          sp.u_at(pts).view(np.int64))
+    # the tails decay toward 0 and 1 with rates, else hold the end values
+    ends = sp.u_at(x[0] - 1.0), sp.u_at(x[-1] + 1.0)
+    if case == "no rates":
+        assert ends == (sp.u_values[0], sp.u_values[-1])
+    else:
+        assert ends[0] < sp.u_values[0] and ends[1] > sp.u_values[-1]
+
+
 def test_uncontrolled_profile_has_zero_cost_density(exact_profile):
     assert np.all(exact_profile.alpha_values == 0.0)
 

@@ -230,8 +230,9 @@ def cmd_model2(o: Opts) -> int:
         print(f"rotation rate {rep.rotation_rate:.6g} vs b = {rep.b:.6g}; "
               f"within 3 periods: {rep.within_three_periods}")
         return finish(o, vars(rep))
-    # "profile"; argparse has already rejected any other choice
-    c = o.get("c", -0.9)
+    # "profile"; argparse has already rejected any other choice.  The
+    # default model is the weed, so c defaults above its c*, as in `pde`
+    c = o.get("c", -0.1)
     spec = build_model(o)
     c_star, prof, sp = _scalar_profile(spec, c)
     alpha = alpha_multiplicative(sp)

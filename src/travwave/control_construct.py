@@ -11,7 +11,7 @@ The trim keeps beta_tilde a uniform distance below the cost barrier, so
 the effort integral of the middle piece is finite.  P_c' starts at
 (0.75 a0, 0), with a0 the largest a whose orbit from (a, 0) reaches U = 1.
 The stable manifold of the saddle (1, 0) bounds those orbits, so a0 is
-where the substitute's P_sharp at c' meets the U-axis: one integration.
+where the substitute's P_sharp at c' meets the U-axis.
 """
 
 from __future__ import annotations
@@ -28,17 +28,16 @@ from ._roots import sign_changes
 from .errors import (ConstructionFailureError, InvalidParameterError,
                      SingularCostError)
 from .model import ModelSpec
-from .phaseplane import (PhaseTrajectory, _integrate_chart, _saddle_seed,
-                         integrate_pu, stable_manifold, unstable_manifold)
+from .phaseplane import (PhaseTrajectory, _saddle_seed, integrate_pu,
+                         stable_manifold, unstable_manifold)
 from .speed import _speed, make_substitute_spec, natural_speed
 
 __all__ = ["ConcatProfile", "finite_cost_control", "cost_of",
            "default_substitute"]
 
 SPEED_GUARD = 1e-9
-A0_RTOL = 1e-12  # a0 error of the square-root asymptote, see _aux_left_end
-# P_c' tolerances: at the chart's 1e-10 / 1e-12 a last-bit change of a0
-# could move the constructed cost by 1.9e-7 relative
+# tolerances of the x-runs for a0 and P_c': at the chart's 1e-10 / 1e-12
+# a last-bit change of a0 could move the constructed cost by 1.9e-7 relative
 AUX_RTOL, AUX_ATOL = 1e-11, 1e-13
 
 
@@ -129,21 +128,21 @@ def default_substitute(spec: ModelSpec):
     return f_hat
 
 
-def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
-    """x-parameterized orbit of U'=P, P'=-c' P - f_hat(U) from (a, 0).
-
-    Returns (reached_one, dense solution) of a run ended by the first of
-    two events: U rises to 1, or P falls to 0.  Near the axis the chart
-    equation is singular but the planar system is regular, so integration
-    runs in x.
-    """
+def _planar_rhs(sub_spec: ModelSpec, c_prime: float):
+    """U' = P, P' = -c' P - f_hat(U): regular where the chart is singular."""
     c_prime = float(c_prime)  # plain float: np.float64 arithmetic is slower
 
     def rhs(x, y):
         return [y[1], -c_prime * y[1] - float(sub_spec.f(y[0]))]
+    return rhs
 
-    sol = solve_ivp(rhs, (0.0, 1000.0), [a, 0.0], rtol=AUX_RTOL,
-                    atol=AUX_ATOL, dense_output=True,
+
+def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
+    """(reached_one, dense solution) of the x-run of `_planar_rhs` from
+    (a, 0), ended by the first of two events: U rises to 1 or P falls to 0.
+    """
+    sol = solve_ivp(_planar_rhs(sub_spec, c_prime), (0.0, 1000.0), [a, 0.0],
+                    rtol=AUX_RTOL, atol=AUX_ATOL, dense_output=True,
                     events=((lambda x, y: y[0] - 1.0, 1),
                             (lambda x, y: y[1], -1)))
     return sol.ended == 0, sol
@@ -152,39 +151,31 @@ def _pcprime_orbit(sub_spec: ModelSpec, c_prime: float, a: float):
 def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     """a0: where the substitute's P_sharp at c' ends on the U-axis.
 
-    P ~ sqrt(U - a0) has an infinite slope there, so the branch stops as
-    soon as the square-root asymptote P^2 = 2 |f_hat| (U - a0) of
-    P dP/dU = -c' P - f_hat(U) closes the gap to A0_RTOL relative: the
-    c' P term it leaves out moves a0 by about |c'| P^3 / (3 f_hat^2), and
-    the run stops where A0_RTOL U less that move rises through zero.
-    Where that never happens (f_hat(a0) = 0, or c' = 0) the branch ends on
-    the P floor, at a0 itself.  P falls to the axis only where f_hat <= 0,
-    so a0 <= u_hat*.  Where (u_hat*, 0) is a node (c' <= -2 sqrt(f_hat'))
-    the branch may tend to it along P ~ mu (U - u_hat*), and a chart step
-    can cross u_hat* there and fall to the axis just short of it.  So a
-    chart bounded at u_hat* runs first: ending on the P floor, the branch
-    tends to the node and a0 = u_hat*.
+    P_sharp runs backward in x from its seed at the saddle (1, 0), in two
+    legs: to U = u_hat*, where the default substitute's slope drops from
+    f' to 0.05 f', then on to P = 0, so that no step straddles the kink.
+    P falls to the axis only where f_hat <= 0, so a0 <= u_hat*.  Where
+    (u_hat*, 0) is a node (c' <= -2 sqrt(f_hat')) the branch may tend to
+    it, and the first leg reaches x = -1000 short of u_hat*: a0 = u_hat*.
+    Above the substitute's speed P_sharp reaches U = 0 first and there is
+    no a0: ConstructionFailureError, as for a run that ends any other way.
     """
-    def asymptote_deficit(u, p):
-        # in cube roots: linear in P, so the event's root finder converges
-        f_neg = max(-float(sub_spec.f(u)), 0.0)
-        return np.cbrt(3 * A0_RTOL * u * f_neg**2) - np.cbrt(abs(c_prime)) * p
-
-    u0, p0 = _saddle_seed(sub_spec, c_prime, 1.0)
-    u_hat = sub_spec.u_star
+    rhs, u_hat = _planar_rhs(sub_spec, c_prime), sub_spec.u_star
+    leg = solve_ivp(rhs, (0.0, -1000.0), _saddle_seed(sub_spec, c_prime, 1.0),
+                    rtol=AUX_RTOL, atol=AUX_ATOL,
+                    events=((lambda x, y: y[0] - u_hat, -1),))
     node = c_prime < 0.0 and c_prime**2 >= 4.0 * float(sub_spec.df(u_hat))
-    if node and _integrate_chart(sub_spec, c_prime, None, u0, p0, u_hat,
-                                 dense_output=False)[2] == "p_zero":
+    if leg.ended == 1 and node:
         return u_hat
-    _, p_end, ended, u_end = _integrate_chart(
-        sub_spec, c_prime, None, u0, p0, u1=0.0, stop_when=asymptote_deficit,
-        dense_output=False)
-    if ended == "event":
-        return u_end + float(p_end[0]) ** 2 / (2.0 * float(sub_spec.f(u_end)))
-    if ended != "p_zero":
-        raise ConstructionFailureError(f"auxiliary orbit not found: P_sharp "
-                                       f"at c'={c_prime:g} ends by {ended}")
-    return min(u_end, u_hat)
+    if leg.ended == 0:
+        leg = solve_ivp(rhs, (float(leg.t[-1]), -1000.0), leg.y[:, -1],
+                        rtol=AUX_RTOL, atol=AUX_ATOL,
+                        events=((lambda x, y: y[1], -1),
+                                (lambda x, y: y[0], -1)))
+        if leg.ended == 0:
+            return min(float(leg.y[0, -1]), u_hat)
+    raise ConstructionFailureError(f"auxiliary orbit not found: P_sharp at "
+                                   f"c'={c_prime:g} never falls to the U-axis")
 
 
 def _speed_regime(spec: ModelSpec, c: float, c_star: float | None):

@@ -43,8 +43,10 @@ def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
     right of it; a side without a rate holds its end value with P = 0.
     A float x without p_nodes gives a float, equal to the bit, by np.interp
     on the grid and the same np.exp in the tails, skipping the array
-    masks."""
+    masks.  A NaN x raises InvalidParameterError: U is unknown there."""
     if isinstance(x, float) and p_nodes is None:
+        if x != x:
+            raise InvalidParameterError(f"x={x} is not a point of the wave")
         x0, xn = float(x_nodes[0]), float(x_nodes[-1])
         if x < x0 and lam_left is not None:
             return u_nodes[0] * float(np.exp(lam_left * (x - x0)))
@@ -53,6 +55,8 @@ def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
                 * float(np.exp(lam_right * (x - xn)))
         return float(np.interp(x, x_nodes, u_nodes))
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise InvalidParameterError("x holds a NaN, not a point of the wave")
     u = np.interp(x, x_nodes, u_nodes)
     x0, xn = x_nodes[0], x_nodes[-1]
     left, right = x < x0, x > xn

@@ -127,6 +127,7 @@ def test_invalid_model_parameter(capsys):
     # below c* both printed the natural heteroclinic's cost 0 and exited 0
     (["optimal", "--c", "-0.5"], "speed ordering violated"),
     (["profile", "--c", "-0.5"], "speed ordering violated"),
+    (["speed", "--model", "logistic"], "natural_speed requires bistable f"),
 ])
 @pytest.mark.filterwarnings("error")  # refused before any numpy warning
 def test_invalid_numeric_flags_are_errors(capsys, argv, needle):
@@ -135,6 +136,12 @@ def test_invalid_numeric_flags_are_errors(capsys, argv, needle):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ") and needle in err
+
+
+def test_model2_profile_runs_on_its_defaults(capsys):
+    # its default c lies above the default weed model's c*
+    assert main(["model2", "profile"]) == 0
+    assert capsys.readouterr().out.startswith("V(+inf) = ")
 
 
 def test_effort_csv(tmp_path, capsys, c_star_weed):

@@ -3,6 +3,7 @@ arcs, costs."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,26 +264,37 @@ def test_a0_bounds_orbits_reaching_one(weed, c_star_weed, c):
 
 
 @pytest.mark.parametrize("c", [-0.2, -0.1, 0.0])
-def test_a0_asymptote_matches_the_axis_run(weed, monkeypatch, c):
-    # stopping P_sharp early and closing the gap with the square-root
-    # asymptote gives the a0 of the run that crawls down to the P floor,
-    # within the asymptote's 1e-12 error bound, in fewer RHS evaluations
+def test_a0_matches_the_tight_axis_run(weed, monkeypatch, c):
+    # the two-leg planar run gives the a0 of the chart run that crawls
+    # down to the P floor at rtol 1e-13, in under half the RHS evaluations
+    # of that run at the chart's own tolerances
     sub = make_substitute_spec(weed, default_substitute(weed))
     c_prime = 0.5 * (c + acc._c_hat())
-    inner, nfev = pp.solve_ivp, []
-
-    def counted(*args, **kwargs):
-        sol = inner(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-    monkeypatch.setattr(pp, "solve_ivp", counted)
+    nfev = []
+    for module in (pp, cc):
+        def counted(*args, inner=module.solve_ivp, **kwargs):
+            sol = inner(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+        monkeypatch.setattr(module, "solve_ivp", counted)
     u0, p0 = pp._saddle_seed(sub, c_prime, 1.0)
-    *_, ended, u_axis = pp._integrate_chart(sub, c_prime, None, u0, p0,
-                                            u1=0.0, dense_output=False)
+    ended = pp._integrate_chart(sub, c_prime, None, u0, p0, u1=0.0,
+                                dense_output=False)[2]
+    assert ended == "p_zero"
+    *_, ended, u_tight = pp._integrate_chart(sub, c_prime, None, u0, p0,
+                                             u1=0.0, rtol=1e-13, atol=1e-16,
+                                             dense_output=False)
     assert ended == "p_zero"
     a0 = _aux_left_end(sub, c_prime)
-    assert abs(a0 - u_axis) <= 3e-12 * u_axis
-    assert nfev[1] < 0.9 * nfev[0]
+    assert abs(a0 - u_tight) <= 1e-10 * u_tight
+    assert len(nfev) == 4 and sum(nfev[2:]) < 0.5 * nfev[0]
+
+
+def test_a0_refused_above_the_substitute_speed(weed):
+    # above c_hat the substitute's P_sharp reaches U = 0 above the axis
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    with pytest.raises(ConstructionFailureError, match=r"c'=0\.2\b"):
+        _aux_left_end(sub, 0.2)
 
 
 @pytest.mark.parametrize("u_star, rate, frac", [
@@ -303,6 +315,19 @@ def test_a0_where_p_sharp_tends_to_the_threshold_node(u_star, rate, frac):
     assert not _pcprime_orbit(sub, c_prime, a0 * (1.0 + 1e-7))[0]
 
 
+def test_a0_where_p_sharp_creeps_to_a_degenerate_threshold():
+    # f = 20 u (1 - u) (u - 1/3)^3 has f'(1/3) = 0: P_sharp at c' = -1
+    # tends to (1/3, 0) algebraically, and the first leg reaches x = -1000
+    # at U = 0.343 without crossing u*; a0 is u* itself
+    spec = make_cubic_model(1.0 / 3.0, 1.0)
+    sub = dataclasses.replace(
+        spec, f=lambda u: 20.0 * u * (1.0 - u) * (u - 1.0 / 3.0) ** 3,
+        df=lambda u: 20.0 * (u - 1.0 / 3.0) ** 2
+        * ((1.0 - 2.0 * u) * (u - 1.0 / 3.0) + 3.0 * u * (1.0 - u)),
+        pmp_rhs=None)
+    assert _aux_left_end(sub, -1.0) == sub.u_star
+
+
 @settings(max_examples=10, deadline=None)
 @given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.1, 10.0),
        frac=st.floats(0.02, 1.0))
@@ -312,23 +337,23 @@ def test_a0_threshold_across_cubic_family(u_star, rate, frac):
     # with f_hat = f the substitute's speed is the exact
     # c* = kappa (2 u* - 1), kappa = sqrt(rate / 2); every c' below it
     # has an a0 in (0, u*] that splits the orbits reaching U = 1.  The
-    # first example ends on the P floor at u*, in a step whose
-    # asymptote-event root lies where |c'| P^3 and 3 A0_RTOL U f_hat^2 are
-    # below 1e-18.  In the second, P_sharp tends to the node (u*, 0), and
-    # an unbounded chart steps across u* and ends 5.5e-6 relative short
+    # first example lies on the degenerate node c'^2 = 4 f'(u*), where
+    # P_sharp meets the axis at u* itself.  In the second, P_sharp tends
+    # to the node (u*, 0), and an unbounded chart steps across u* and ends
+    # 5.5e-6 relative short
     spec = make_cubic_model(u_star, rate)
     sub = make_substitute_spec(spec, spec.f)
     kappa = math.sqrt(rate / 2.0)
     c_prime = kappa * (2.0 * u_star - 1.0) - frac * kappa
-    a0 = _aux_left_end(sub, c_prime)  # raises unless it ends on the floor
+    a0 = _aux_left_end(sub, c_prime)  # raises unless P_sharp meets the axis
     assert 0.0 < a0 <= sub.u_star * (1.0 + 1e-7)
     assert _pcprime_orbit(sub, c_prime, a0 * (1.0 - 1e-7))[0]
     assert not _pcprime_orbit(sub, c_prime, a0 * (1.0 + 1e-7))[0]
 
 
 def test_finite_cost_control_work(weed, c_star_weed, monkeypatch):
-    # flat, sharp, a0 and the middle piece are chart integrations; P_c'
-    # from 0.75 a0 is the one auxiliary-orbit integration
+    # flat, sharp and the middle piece are chart integrations; a0's two
+    # legs and P_c' from 0.75 a0 are the auxiliary-orbit integrations
     c_hat = acc._c_hat()
     calls = {"chart": 0, "aux": 0}
 
@@ -342,4 +367,4 @@ def test_finite_cost_control_work(weed, c_star_weed, monkeypatch):
     counted(pp, "chart")
     counted(cc, "aux")
     finite_cost_control(weed, -0.1, c_star=c_star_weed, c_hat=c_hat)
-    assert calls == {"chart": 4, "aux": 1}
+    assert calls == {"chart": 3, "aux": 3}

@@ -63,16 +63,21 @@ def _ended(run) -> int | None:
 
 def _twins(monkeypatch, module) -> list:
     """Make every ODE run of `module` run under scipy too; the returned
-    list collects (package run, scipy run, rtol)."""
+    list collects (package run, scipy run, rtol).  Each scipy run's
+    `tight()` repeats it at rtol 1e-13, atol 1e-16, without dense output."""
     inner, runs = module.solve_ivp, []
 
     def both(fun, t_span, y0, rtol, atol, dense_output=False, events=()):
         sol = inner(fun, t_span, y0, rtol, atol, dense_output=dense_output,
                     events=events)
-        ref = scipy_solve_ivp(lambda t, y: fun(float(t), y.tolist()), t_span,
-                              y0, method="DOP853", rtol=rtol, atol=atol,
-                              dense_output=dense_output,
-                              events=_scipy_events(events))
+
+        def scipy_run(rtol, atol, dense_output):
+            return scipy_solve_ivp(lambda t, y: fun(float(t), y.tolist()),
+                                   t_span, y0, method="DOP853", rtol=rtol,
+                                   atol=atol, dense_output=dense_output,
+                                   events=_scipy_events(events))
+        ref = scipy_run(rtol, atol, dense_output)
+        ref.tight = lambda: scipy_run(1e-13, 1e-16, False)
         runs.append((sol, ref, rtol))
         return sol
     monkeypatch.setattr(module, "solve_ivp", both)
@@ -84,11 +89,21 @@ def _close(y, y_ref, rtol) -> bool:
                        <= rtol * np.maximum(1.0, np.abs(y_ref))))
 
 
+def _end_distances(sol, ref) -> str:
+    """Each driver's end-state distance from the tight scipy run, so that
+    a failed end-state check shows which of the two moved."""
+    y = ref.tight().y[:, -1]
+    return (f"end states part; max distance from scipy at rtol 1e-13: "
+            f"package {np.max(np.abs(sol.y[:, -1] - y)):.2g}, "
+            f"scipy {np.max(np.abs(ref.y[:, -1] - y)):.2g}")
+
+
 def _assert_same_runs(runs) -> None:
     assert runs
     for sol, ref, rtol in runs:
         assert sol.ended is not None and sol.ended == _ended(ref)
-        assert _close(sol.y[:, -1], ref.y[:, -1], rtol)
+        assert _close(sol.y[:, -1], ref.y[:, -1], rtol), \
+            _end_distances(sol, ref)
         assert (sol.sol is None) == (ref.sol is None)
         if sol.sol is not None:
             assert _close(sol.sol(sol.t), ref.sol(sol.t), rtol)
@@ -132,13 +147,28 @@ def test_chart_runs_end_as_scipy_s(weed, monkeypatch):
 
 
 def test_the_p_c_prime_orbit_ends_as_scipy_s(weed, monkeypatch):
-    # finite_cost_control's orbit from 0.75 a0 at c = 0, which reaches U = 1
+    # finite_cost_control's orbit at c = 0, which reaches U = 1.  The start
+    # is 0.75 a0 with a0 from the chart run that stopped on a square-root
+    # asymptote, kept as a literal: on this orbit each driver ends 1e-12
+    # to 4e-11 from scipy at rtol 1e-13 as the start's last bits move, and
+    # a * (1 + 1e-12) parts the two by 4.1e-11 (scipy 3.8e-11 off, the
+    # package 2.6e-12), beyond this check's rtol 1e-11
     sub = make_substitute_spec(weed, cc.default_substitute(weed))
-    c_prime = 0.5 * acc._c_hat()
-    a0 = cc._aux_left_end(sub, c_prime)
     runs = _twins(monkeypatch, cc)
-    assert cc._pcprime_orbit(sub, c_prime, 0.75 * a0)[0]
+    assert cc._pcprime_orbit(sub, 0.5 * acc._c_hat(), 0.10678250420348792)[0]
     _assert_same_runs(runs)
+
+
+def test_a_parted_end_state_names_each_driver_s_distance(weed, monkeypatch):
+    # a package end state moved by 1e-3 fails the check, and the message
+    # shows which driver moved away from the tight scipy run
+    sub = make_substitute_spec(weed, cc.default_substitute(weed))
+    runs = _twins(monkeypatch, cc)
+    cc._pcprime_orbit(sub, 0.5 * acc._c_hat(), 0.1)
+    runs[0][0].y[:, -1] += 1e-3
+    with pytest.raises(AssertionError, match=r"rtol 1e-13: package 0\.001, "
+                                             r"scipy \d(\.\d)?e-1[0-6]\b"):
+        _assert_same_runs(runs)
 
 
 def test_the_model_2_subsolution_arc_ends_as_scipy_s(m2_pipeline,

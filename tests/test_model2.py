@@ -128,6 +128,12 @@ def test_supersolution_names_the_death_rate_hypothesis(m2_pipeline, d):
         supersolution(m2_pipeline["spatial"], Model2Params(1.0, 1.0, d), -0.9)
 
 
+def test_supersolution_needs_f_samples(m2_pipeline):
+    sp = dataclasses.replace(m2_pipeline["spatial"], f_values=None)
+    with pytest.raises(InvalidParameterError, match="f samples"):
+        supersolution(sp, m2_pipeline["params"], -0.9)
+
+
 def test_supersolution_structure(m2_pipeline):
     sup = supersolution(m2_pipeline["spatial"], m2_pipeline["params"], -0.9)
     u, v = sup.u_values, sup.v_values

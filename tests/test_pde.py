@@ -161,6 +161,12 @@ def test_model2_step_bound_counts_rates(weed):
     assert rec.dt == pytest.approx(pde.DT_ACCURACY / 5.0)
 
 
+def test_model2_initial_data_must_keep_v_below_u(weed):
+    with pytest.raises(ConfigError, match="v <= u"):
+        evolve_model2(weed, lambda x: 0.2, lambda x: 0.5, lambda x: 0.0,
+                      T=1.0)
+
+
 @pytest.mark.parametrize("scalar_only", [
     lambda x: 0.05 if abs(x) < 2.0 else 0.0,
     lambda x: 0.05,
@@ -353,6 +359,14 @@ def test_comoving_stationarity_exact_front(weed):
 def test_front_not_found(weed):
     rec = evolve_scalar(weed, lambda x: 1.0, T=1.0, x_span=(-10, 10), dx=0.1)
     with pytest.raises(FrontNotFoundError):
+        front_speed(rec)
+
+
+def test_a_front_on_the_left_boundary_is_refused(weed):
+    # a decreasing field crosses u = 1/2 at the domain's first cell
+    rec = evolve_scalar(weed, lambda x: 1.0 / (1.0 + np.exp(x)), T=1.0,
+                        x_span=(-10, 10), dx=0.1)
+    with pytest.raises(FrontNotFoundError, match="left boundary"):
         front_speed(rec)
 
 

@@ -223,6 +223,12 @@ def test_the_seed_offset_lies_inside_the_run(weed, eps_seed):
         unstable_manifold(weed, -0.1, u_stop=0.5, eps_seed=eps_seed)
 
 
+@pytest.mark.parametrize("u_stop", [0.0, 1.5, np.nan])
+def test_unstable_manifold_refuses_a_stop_outside_its_range(weed, u_stop):
+    with pytest.raises(InvalidParameterError, match="u_stop must lie in"):
+        unstable_manifold(weed, -0.1, u_stop=u_stop)
+
+
 @pytest.mark.parametrize("u_stop", [1.0, 1.0 - 1e-9, np.nan],
                          ids=["one", "above_the_seed", "nan"])
 def test_stable_manifold_refuses_a_stop_not_below_its_seed(weed, u_stop):

@@ -206,6 +206,12 @@ def test_a_shot_needs_a_finite_speed_and_junction(weed, manifolds01, c, u1):
         shoot_from(weed, c, u1, flat.interp_p(), sharp.interp_p())
 
 
+def test_a_shot_needs_p_flat_above_the_axis(weed, manifolds01):
+    _, sharp = manifolds01
+    with pytest.raises(InvalidParameterError, match="is not positive"):
+        shoot_from(weed, -0.1, 0.5, lambda u: 0.0, sharp.interp_p())
+
+
 @pytest.mark.parametrize("tols", [{"rtol": 0.0}, {"rtol": -1.0},
                                   {"atol": np.nan}])
 def test_shooting_tolerances_must_be_finite_and_positive(
@@ -277,6 +283,11 @@ def test_scan_resolution_must_be_finite_and_positive(weed, c_star_weed,
     with pytest.raises(InvalidParameterError, match="scan_resolution"):
         optimal_profile(weed, -0.1, scan_resolution=resolution,
                         c_star=c_star_weed)
+
+
+def test_a_resolution_past_the_scan_range_is_refused(weed, c_star_weed):
+    with pytest.raises(NoSolutionError, match="empty scan range"):
+        optimal_profile(weed, -0.1, scan_resolution=1.0, c_star=c_star_weed)
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])

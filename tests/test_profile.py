@@ -70,6 +70,13 @@ def test_u_at_on_floats_is_the_array_path(exact_profile, case):
         assert ends[0] < sp.u_values[0] and ends[1] > sp.u_values[-1]
 
 
+@pytest.mark.parametrize("x", [np.nan, np.float64(np.nan),
+                               np.array([0.0, np.nan])])
+def test_u_at_refuses_a_nan_x(exact_profile, x):
+    with pytest.raises(InvalidParameterError, match=r"x.*(nan|NaN)"):
+        exact_profile.u_at(x)
+
+
 def test_uncontrolled_profile_has_zero_cost_density(exact_profile):
     assert np.all(exact_profile.alpha_values == 0.0)
 
@@ -85,6 +92,20 @@ def test_invalid_trajectory_rejected(weed):
     with pytest.raises(InvalidTrajectoryError):
         reconstruct_x(PhaseTrajectory(u, p, -0.1, "controlled",
                                       beta_values=np.zeros_like(u)), weed)
+
+
+def test_reconstruction_needs_a_trajectory_across_u_star(weed):
+    # x is anchored at U(0) = u*, which P_flat stopped at U = 0.2 misses
+    with pytest.raises(InvalidTrajectoryError, match="does not straddle"):
+        reconstruct_x(unstable_manifold(weed, -0.1, u_stop=0.2), weed)
+
+
+def test_alpha_multiplicative_needs_removal_rates(exact_profile):
+    sp = exact_profile
+    bare = SpatialProfile(sp.x_nodes, sp.u_values, sp.p_values,
+                          sp.alpha_values, sp.c)
+    with pytest.raises(InvalidTrajectoryError, match="no removal-rate"):
+        alpha_multiplicative(bare)
 
 
 def test_change_of_variables_identity(weed, opt01, spatial01):

@@ -180,6 +180,15 @@ def test_substitute_violating_bistability_rejected(weed):
         modified_speed(weed, bad)
 
 
+@pytest.mark.parametrize("shape, needle", [
+    (lambda f: lambda u: f(u) + 0.1, "exceeds f"),
+    (lambda f: lambda u: np.minimum(f(u), 0.0), "no interior sign change"),
+], ids=["above_f", "no_zero"])
+def test_substitute_refusals_name_the_failed_check(weed, shape, needle):
+    with pytest.raises(InvalidSubstituteError, match=needle):
+        make_substitute_spec(weed, shape(weed.f))
+
+
 def test_substitute_must_map_arrays(weed):
     # a scalar-only or constant f_hat is outside input and rejected as such
     for bad in (lambda u: float(weed.f(u)), lambda u: 0.5):

@@ -3,10 +3,15 @@ root search."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
+
+from .errors import BracketFailureError, NonconvergenceError
 
 XTOL = 1e-14  # brent's default width: a root is known to within it
+RTOL = 4.0 * float(np.finfo(float).eps)  # brent's relative width, brentq's
+MAXITER = 100  # brent's iterations before it gives up, brentq's
 
 
 def bisect(side, lo, hi, tol):
@@ -34,11 +39,67 @@ def flips(values, tol) -> list[tuple[int, int]]:
     return list(zip(nz[:-1][flip].tolist(), nz[1:][flip].tolist()))
 
 
-def brent(fn, lo, hi, xtol: float = XTOL):
+def brent(fn, lo, hi, xtol: float = XTOL) -> float:
     """The root of the scalar fn between lo and hi, where fn changes sign,
-    by Brent's method (scipy's brentq, at its rtol 4 eps) to within
-    xtol + 4 eps |root|."""
-    return float(brentq(fn, lo, hi, xtol=xtol))
+    by Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4) to within xtol + RTOL |root|.
+
+    A port of scipy's C brentq on plain floats, giving its bits: the same
+    iteration, the same choice of inverse interpolation, extrapolation or
+    bisection, and the same step of at least half the width.  Ends of one
+    sign or a NaN value of fn raise BracketFailureError, and MAXITER
+    iterations without convergence NonconvergenceError."""
+    def value(x):
+        v = float(fn(x))
+        if v != v:
+            raise BracketFailureError(
+                f"f({x!r}) is NaN in the bracket [{lo!r}, {hi!r}]")
+        return v
+
+    xpre, xcur = float(lo), float(hi)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketFailureError(
+            f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre!r}, {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the better end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # no step to try: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is inf or NaN: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NonconvergenceError(
+        f"brent: no convergence in {MAXITER} iterations on [{lo!r}, {hi!r}]; "
+        f"last x = {xcur!r}, f = {fcur!r}")
 
 
 def sign_changes(fn, u, tol):

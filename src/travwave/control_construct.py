@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from ._dop853 import solve_ivp
 from ._roots import sign_changes
@@ -285,13 +284,44 @@ def finite_cost_control(spec: ModelSpec, c: float, c_prime: float | None = None,
                                "u_bar": u_bar, "cost_error": cost_error})
 
 
+def _ratio(num, den):
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """scipy's simpson(y, x=x) for 1-D data, equal to the bit: Simpson's
+    parabola on each pair of intervals of the irregular nodes x; an even
+    node count closes on its last interval with Cartwright's correction
+    (J. Math. Sci. Math. Educ. 12(2), 2017), and two nodes are a
+    trapezoid."""
+    n = len(y)
+    if n == 2:
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    h = np.diff(x)
+    stop = n - 2 if n % 2 else n - 3  # the pairs end at node stop + 2
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, h0h1 = h0 + h1, _ratio(h0, h1)
+    total = np.sum(hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - _ratio(1.0, h0h1))
+        + y[1:stop + 1:2] * (hsum * _ratio(hsum, h0 * h1))
+        + y[2:stop + 2:2] * (2.0 - h0h1)))
+    if n % 2:
+        return total
+    h0, h1 = h[-2, ...], h[-1, ...]
+    alpha = _ratio(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _ratio(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _ratio(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    return total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
+
+
 def cost_of(spec: ModelSpec, traj: PhaseTrajectory) -> float:
     """Effort integral J = int L(U, beta(U)) / P(U) dU along a trajectory.
 
-    Composite Simpson on the trajectory nodes, which the chart integrator
-    samples from its dense output.  Control at or beyond the cost barrier
-    makes J infinite (reported as +inf); positive control where P ~ 0
-    raises SingularCostError.
+    Composite Simpson (`_simpson`) on the trajectory nodes, which the
+    chart integrator samples from its dense output.  Control at or beyond
+    the cost barrier makes J infinite (reported as +inf); positive control
+    where P ~ 0 raises SingularCostError.
     """
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)
@@ -309,7 +339,7 @@ def cost_of(spec: ModelSpec, traj: PhaseTrajectory) -> float:
     g = np.zeros_like(u)
     g[active] = np.asarray(spec.L(u[active], b[active]), dtype=float) \
         / p[active]
-    return float(simpson(g, x=u))
+    return float(_simpson(g, u))
 
 
 def _cost_and_error(spec: ModelSpec, traj: PhaseTrajectory):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._columns import write_columns
 from ._dop853 import solve_ivp
@@ -83,25 +82,87 @@ class PhaseTrajectory:
                              "beta": self.beta_values})
 
 
-def _interpolant(u_nodes, values, kind: str) -> Callable:
-    """The one interpolant of sampled curves: the PCHIP (Fritsch & Carlson,
-    SIAM J. Numer. Anal. 17(2), 1980) through `values` on the increasing
-    `u_nodes`.  It raises InvalidParameterError, naming the `kind` of
-    curve, on nodes that are not strictly increasing (a run that took no
-    step) and on a U that is NaN or outside [u_nodes[0], u_nodes[-1]],
-    where the curve is unknown, instead of extrapolating.
+def _edge_slope(h0, h1, m0, m1):
+    """PCHIP's slope at an end node: the one-sided three-point estimate,
+    zero where its sign is not the first interval's, and at most three
+    times that interval's slope where the data turn (scipy's
+    PchipInterpolator._edge_case)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    A float in gives a float out, equal to the bit to scipy's: the piece
-    is found by `bisect_right` on a memoryview of scipy's breakpoints and
-    its cubic summed as `PPoly` does (s^k by repeated multiplication,
-    terms added from the constant term up), on memoryviews of scipy's
-    coefficient rows, without copies.  Arrays go through scipy."""
-    if not np.all(np.diff(u_nodes) > 0.0):
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The coefficient rows (c3, c2, c1, c0) of the PCHIP (Fritsch &
+    Carlson, SIAM J. Numer. Anal. 17(2), 1980) through the finite y on the
+    strictly increasing x, shape (4, len(x) - 1), equal to the bit to
+    scipy's PchipInterpolator(x, y).c: the same operations as its
+    _find_derivatives and CubicHermiteSpline.  An interior slope is the
+    weighted harmonic mean of its two intervals' slopes, or zero where they
+    differ in sign or one is zero; two nodes give the line."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if len(x) == 2:
+        d[:] = m[0]
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        # a zero slope divides by zero (its node is flat, slope 0) and a
+        # subnormal one overflows to slope 1/inf = 0, as in scipy, silently
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inverse = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        d[1:-1] = np.where(flat, 0.0, inverse)
+        d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip_at(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The piecewise cubic of breakpoints x and coefficient rows c on the
+    array u inside [x[0], x[-1]], as scipy's PPoly reads it: the piece
+    with x[i] <= u < x[i+1] (the last one at u = x[-1]) and its cubic in
+    s = u - x[i], summed from the constant term up."""
+    uu = np.asarray(u, dtype=float)
+    flat = uu.ravel()
+    i = np.minimum(np.searchsorted(x, flat, side="right"), len(x) - 1) - 1
+    s = flat - x[i]
+    z = s * s
+    p = (((0.0 + c[3, i]) + c[2, i] * s) + c[1, i] * z) + c[0, i] * (z * s)
+    return p.reshape(uu.shape)
+
+
+def _interpolant(u_nodes, values, kind: str) -> Callable:
+    """The one interpolant of sampled curves: the `_pchip` through `values`
+    on the increasing `u_nodes`.  It raises InvalidParameterError, naming
+    the `kind` of curve, on nodes or values that are not finite, on fewer
+    than two nodes or nodes that are not strictly increasing (a run that
+    took no step), and on a U that is NaN or outside [u_nodes[0],
+    u_nodes[-1]], where the curve is unknown, instead of extrapolating.
+
+    It gives scipy's PchipInterpolator's bits.  A float in gives a float
+    out: the piece is found by `bisect_right` on a memoryview of the
+    breakpoints and its cubic summed as `_pchip_at` sums it (s^k by
+    repeated multiplication, terms added from the constant term up), on
+    memoryviews of the coefficient rows, without copies.  Arrays go
+    through `_pchip_at`."""
+    x = np.ascontiguousarray(u_nodes, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidParameterError(
-            f"the {kind} nodes are not strictly increasing")
-    pchip = PchipInterpolator(u_nodes, values)
-    lo, hi = float(u_nodes[0]), float(u_nodes[-1])
-    x, (c3, c2, c1, c0) = memoryview(pchip.x), map(memoryview, pchip.c)
+            f"the {kind} nodes or values are not finite")
+    if not (len(x) > 1 and np.all(np.diff(x) > 0.0)):
+        raise InvalidParameterError(
+            f"the {kind} nodes are not strictly increasing (or fewer than "
+            f"two)")
+    c = _pchip(x, y)
+    lo, hi = float(x[0]), float(x[-1])
+    xs, (c3, c2, c1, c0) = memoryview(x), map(memoryview, c)
     last = len(x) - 1
 
     def refuse(u):
@@ -112,15 +173,15 @@ def _interpolant(u_nodes, values, kind: str) -> Callable:
         if isinstance(u, float):
             if not lo <= u <= hi:
                 refuse(u)
-            i = min(bisect_right(x, u), last) - 1
-            s = u - x[i]
+            i = min(bisect_right(xs, u), last) - 1
+            s = u - xs[i]
             z = s * s
             return (((0.0 + c0[i]) + c1[i] * s) + c2[i] * z) + c3[i] * (z * s)
         uu = np.asarray(u)
         inside = (uu >= lo) & (uu <= hi)
         if not inside.all():
             refuse(float(uu[~inside].flat[0]))
-        return pchip(u)
+        return _pchip_at(x, c, uu)
     return at
 
 

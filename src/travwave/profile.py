@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ._columns import write_columns
 from .errors import (IntegrabilityError, InvalidParameterError,
@@ -34,6 +33,14 @@ __all__ = ["SpatialProfile", "reconstruct_x", "theta_model1",
 TAIL_FACTOR = 10.0
 N_PAD, N_EXT = 120, 200  # tail nodes of reconstruct_x and theta_model1
 END_TOL = 1e-4  # theta_model1 extends the grid until Theta >= 1 - END_TOL
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The running trapezoid sums of y over x, 0 at x[0]: scipy's
+    cumulative_trapezoid(y, x, initial=0) for 1-D data, equal to the
+    bit."""
+    return np.concatenate(
+        ([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def _far_field(x, x_nodes, u_nodes, lam_left, lam_right, p_nodes=None):
@@ -148,7 +155,7 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
         b = np.insert(b, k, b_us)
     k_anchor = int(np.argmin(np.abs(u - us)))
 
-    x = cumulative_trapezoid(1.0 / p, u, initial=0.0)
+    x = _cumulative_trapezoid(1.0 / p, u)
     x -= x[k_anchor]
 
     lam_left = saddle_eigenvalues(spec, traj.c, 0.0)[0] \
@@ -187,7 +194,7 @@ def _theta_closed_form(x, u, kappa1: float, c: float,
     pseudo-transient Newton loop) cannot push Theta below 0; for a
     non-negative integrand the clip does nothing.
     """
-    integral = np.clip(tail + cumulative_trapezoid(u, x, initial=0.0),
+    integral = np.clip(tail + _cumulative_trapezoid(u, x),
                        0.0, None)
     return 1.0 - np.exp((kappa1 / c) * integral)
 

@@ -8,10 +8,11 @@ is every module-level constant, every import sits at module level (a
 module's dependencies are read off its head), no handler catches every
 exception (a programming error must propagate, not turn into a solver
 verdict), one module holds the DOP853 integrators and none calls
-scipy's solve_ivp, only that module generates code (exec, eval,
-compile), one module owns the CSV number format, one module owns
-the cost quadrature, one module uses scipy's root finders, one module
-uses scipy's interpolants,
+scipy's solve_ivp, only that module holds the DOP853 tableau, only that
+module generates code (exec, eval, compile), one module owns the CSV
+number format, scipy is imported only for scipy.linalg, one module
+defines the root finders, one builds the interpolant and one function
+sums the cost quadrature,
 no module tags event functions or decodes a run's end (events are
 (g, direction) pairs and a run reports the one that ended it), one module reads
 the speed guard around c*, no PDE system updates or clamps a field outside
@@ -24,9 +25,13 @@ of those keywords is pinned.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from scipy.integrate._ivp import dop853_coefficients
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "travwave"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -258,26 +263,48 @@ def test_every_error_class_is_raised_and_tested():
     assert classes <= tested, f"never tested: {sorted(classes - tested)}"
 
 
-TABLEAU = {"A", "B", "C", "E3", "E5", "A_EXTRA", "C_EXTRA", "D"}
+def _floats(tree: ast.Module) -> dict[float, int]:
+    """Float constant of the module -> the line it first appears on."""
+    found: dict[float, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.setdefault(node.value, node.lineno)
+    return found
 
 
-def _tableau_reads(tree: ast.Module) -> set[str]:
-    """Attributes of scipy's DOP853 tableau the module reads."""
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in TABLEAU
-            and isinstance(node.value, ast.Name) and node.value.id == "DOP853"}
+# the literals of scipy's DOP853 coefficients, but for short ones such as
+# 0.25 or 1.0 that any module may hold
+TABLEAU = {v for v in _floats(_tree(Path(dop853_coefficients.__file__)))
+           if len(repr(v)) > 8}
+
+
+def _tableau_literals(tree: ast.Module) -> dict[float, int]:
+    """DOP853 tableau literal the module holds -> its line."""
+    return {v: line for v, line in _floats(tree).items() if v in TABLEAU}
 
 
 def test_one_dop853_module():
-    # every ODE run and the lock-step scan step through _dop853.py; no
-    # other module reads DOP853's Butcher tableau or reaches for scipy's
-    # solve_ivp
-    readers = {p.name: _tableau_reads(_tree(p)) for p in MODULES}
-    assert {name for name, attrs in readers.items() if attrs} \
+    # every ODE run and the lock-step scan step through _dop853.py; only
+    # it holds DOP853's Butcher tableau, all of it, and no module reaches
+    # for scipy's solve_ivp
+    holders = {p.name: set(_tableau_literals(_tree(p))) for p in MODULES}
+    assert {name for name, held in holders.items() if held} \
         == {"_dop853.py"}
-    assert readers["_dop853.py"] == TABLEAU
+    assert holders["_dop853.py"] == TABLEAU
     assert [p.name for p in MODULES
             if _scipy_name_uses(_tree(p), "solve_ivp")] == []
+
+
+def test_a_tableau_literal_is_reported():
+    tree = ast.parse("c2 = 0.526001519587677318785587544488e-01\n"
+                     "a = {0: 0.25, 6: -5.8012039600105847814672114227}\n"
+                     "b = 5.26001519587677318785587544488e-2\n"
+                     "d = -8.298e-3\n"
+                     "e = 0.5260015195876773\n")
+    # a coefficient counts by its double, however it is written, at its
+    # first line; a short one (0.25, 8.298e-3) or another number does not
+    assert _tableau_literals(tree) == {5.26001519587677318785587544488e-2: 1,
+                                       5.8012039600105847814672114227: 2}
 
 
 def test_a_solve_ivp_use_is_reported():
@@ -355,71 +382,144 @@ def _scipy_name_uses(tree: ast.Module, name: str) -> list[int]:
             or (isinstance(node, ast.Attribute) and node.attr == name)]
 
 
-def test_one_cost_quadrature():
-    # every effort integral is cost_of's Simpson sum; no other module can
-    # fork the quadrature
-    owners = {p.name for p in MODULES
-              if _scipy_name_uses(_tree(p), "simpson")}
-    assert owners == {"control_construct.py"}
+def _scipy_beyond_linalg(tree: ast.Module) -> list[int]:
+    """Lines that import scipy, or any of it but scipy.linalg, or read a
+    scipy subpackage other than linalg as ``scipy.<sub>``."""
+    def beyond(module: str) -> bool:
+        parts = module.split(".")
+        return parts[0] == "scipy" and parts[:2] != ["scipy", "linalg"]
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            modules = [f"scipy.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "scipy"):
+            modules = [f"scipy.{node.attr}"]
+        else:
+            continue
+        if any(beyond(m) for m in modules):
+            lines.add(node.lineno)
+    return sorted(lines)
 
 
-def test_a_simpson_import_is_reported():
-    tree = ast.parse("from scipy.integrate import simpson, solve_ivp\n"
-                     "import scipy.integrate as si\n"
-                     "from numpy import trapezoid\n"
-                     "J = si.simpson([1.0, 2.0, 3.0])\n")
-    assert _scipy_name_uses(tree, "simpson") == [1, 4]
+def test_scipy_is_only_linalg():
+    # the banded solvers of pde and model2 are the only scipy the package
+    # loads: the root finder, the tableau, the interpolant and the
+    # quadratures are its own, and importing scipy.optimize, .integrate or
+    # .interpolate would double the import time
+    uses = {p.name: _scipy_beyond_linalg(_tree(p)) for p in MODULES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
-def _scipy_uses(tree: ast.Module, sub: str) -> list[int]:
-    """Lines that import the scipy subpackage `sub` (as a module, from it,
-    or from ``scipy``) or read it as ``scipy.<sub>``."""
-    return [node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.Import)
-                and any(a.name.startswith(f"scipy.{sub}")
-                        for a in node.names))
-            or (isinstance(node, ast.ImportFrom)
-                and ((node.module or "").startswith(f"scipy.{sub}")
-                     or (node.module == "scipy"
-                         and any(a.name == sub for a in node.names))))
-            or (isinstance(node, ast.Attribute) and node.attr == sub
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "scipy")]
-
-
-def test_one_root_module():
-    # every bisection and sign-flip search goes through _roots.py; no other
-    # module can reach for a root finder of its own
-    owners = {p.name for p in MODULES if _scipy_uses(_tree(p), "optimize")}
-    assert owners == {"_roots.py"}
+def test_import_loads_only_scipy_linalg():
+    # a fresh interpreter, as every CLI command starts: the package and its
+    # CLI load no scipy subpackage that the banded solvers do not need
+    heavy = ["scipy.optimize", "scipy.integrate", "scipy.interpolate",
+             "scipy.sparse", "scipy.special"]
+    code = ("import sys, travwave, travwave.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent,
+                         env=env).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 def test_an_optimize_use_is_reported():
     tree = ast.parse("from scipy.optimize import brentq\n"
                      "import scipy.optimize as so\n"
-                     "from scipy import optimize, integrate\n"
-                     "from scipy.integrate import solve_ivp\n"
-                     "import scipy\n"
-                     "x = scipy.optimize.brentq\n")
-    assert _scipy_uses(tree, "optimize") == [1, 2, 3, 6]
+                     "from scipy import optimize, linalg\n"
+                     "from scipy.linalg import solve_banded\n"
+                     "import scipy.linalg\n"
+                     "x = scipy.optimize.brentq\n"
+                     "from scipy import linalg\n"
+                     "y = scipy.linalg.lapack\n"
+                     "from .optimize import brentq\n")
+    assert _scipy_beyond_linalg(tree) == [1, 2, 3, 6]
+
+
+def _sites(tree: ast.Module, names) -> set[tuple[str, str | None]]:
+    """("def", top-level function) of each definition of a function in
+    `names` and ("load", top-level function) of each load of one, by name
+    or as an attribute; None is the module level."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name in names:
+                found.add(("def", func))
+            elif isinstance(child, (ast.Name, ast.Attribute)) \
+                    and isinstance(child.ctx, ast.Load) \
+                    and getattr(child, "id", getattr(child, "attr", None)) \
+                    in names:
+                found.add(("load", func))
+            visit(child, child.name if func is None
+                  and isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return found
+
+
+def _owners(names) -> dict[str, set[tuple[str, str | None]]]:
+    """Module -> its `_sites` of `names`, for the modules that have any."""
+    sites = {p.name: _sites(_tree(p), names) for p in MODULES}
+    return {name: found for name, found in sites.items() if found}
+
+
+def test_one_root_module():
+    # every bisection and Brent root is _roots.py's; no other module can
+    # define a root finder of its own under these names
+    assert {name for name, found in _owners({"brent", "bisect"}).items()
+            if ("def", None) in found} == {"_roots.py"}
 
 
 def test_one_interpolation_module():
     # every sampled curve is read through phaseplane._interpolant; no other
-    # module can build an interpolant of its own, or one that extrapolates
-    owners = {p.name for p in MODULES
-              if _scipy_uses(_tree(p), "interpolate")}
-    assert owners == {"phaseplane.py"}
+    # module builds or reads a PCHIP of its own, or one that extrapolates
+    assert _owners({"_pchip", "_pchip_at"}) == {
+        "phaseplane.py": {("def", None), ("load", "_interpolant")}}
 
 
 def test_an_interpolate_use_is_reported():
     tree = ast.parse("from scipy.interpolate import PchipInterpolator\n"
-                     "from scipy.integrate import solve_ivp\n"
-                     "from scipy import interpolate\n"
                      "import scipy\n"
                      "f = scipy.interpolate.CubicSpline\n"
-                     "g = interpolate.interp1d\n")
-    assert _scipy_uses(tree, "interpolate") == [1, 3, 5]
+                     "def _pchip(x, y):\n"
+                     "    return x\n"
+                     "def curve(x, y):\n"
+                     "    c = pp._pchip(x, y)\n"
+                     "    return lambda u: _pchip_at(x, c, u)\n")
+    assert _scipy_beyond_linalg(tree) == [1, 2, 3]
+    assert _sites(tree, {"_pchip", "_pchip_at"}) == {("def", None),
+                                                     ("load", "curve")}
+
+
+def test_one_cost_quadrature():
+    # every effort integral is cost_of's Simpson sum; no other function
+    # can fork the quadrature
+    assert _owners({"_simpson"}) == {
+        "control_construct.py": {("def", None), ("load", "cost_of")}}
+
+
+def test_a_simpson_import_is_reported():
+    tree = ast.parse("from scipy.integrate import simpson, solve_ivp\n"
+                     "from numpy import trapezoid\n"
+                     "def cost(g, u):\n"
+                     "    def _simpson(y, x):\n"
+                     "        return y\n"
+                     "    return _simpson(g, u)\n"
+                     "J = cc._simpson([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])\n"
+                     "_simpson = None\n")
+    assert _scipy_beyond_linalg(tree) == [1]
+    assert _sites(tree, {"_simpson"}) == {("def", "cost"), ("load", "cost"),
+                                          ("load", None)}
 
 
 def _guard_loads(tree: ast.Module) -> list[int]:

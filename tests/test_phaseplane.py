@@ -7,7 +7,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import travwave.phaseplane as pp
@@ -366,8 +366,22 @@ def test_interp_p_refuses_nan(weed):
             pf(bad)
 
 
+def test_interpolant_refuses_non_finite_data():
+    # scipy's PCHIP raised an untyped ValueError; the refusal names the
+    # curve and is still a ValueError
+    u = np.linspace(0.0, 1.0, 5)
+    for nodes, values in ((u, [0.0, 1.0, np.nan, 3.0, 4.0]),
+                          (u, [0.0, 1.0, 2.0, np.inf, 4.0]),
+                          (np.append(u[:-1], np.inf), np.ones(5))):
+        with pytest.raises(InvalidParameterError,
+                           match="P_c' nodes or values are not finite"):
+            pp._interpolant(nodes, values, "P_c'")
+    with pytest.raises(ValueError, match="fewer than two"):
+        pp._interpolant(u[:1], [1.0], "P_c'")
+
+
 def _bits(x):
-    return np.float64(x).view(np.int64)
+    return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,13 +389,26 @@ def _bits(x):
        start=st.floats(-10.0, 10.0),
        values=st.lists(st.floats(-1e3, 1e3), min_size=31, max_size=31),
        fracs=st.lists(st.floats(0.0, 1.0), max_size=20))
+@example(steps=[1.0, 1.0, 1.0], start=0.0,
+         values=[0.0, 0.0, 0.0, 2.225073858507203e-309] + [0.0] * 27,
+         fracs=[])
+@example(steps=[0.5], start=0.0, values=[1.0, -2.0] + [0.0] * 29,
+         fracs=[0.25, 0.5])
+@example(steps=[0.5, 1e-3], start=-1.0, values=[1.0, 3.0, 2.0] + [0.0] * 28,
+         fracs=[0.1, 0.9])
 def test_float_interpolant_is_scipy_s_pchip(steps, start, values, fracs):
-    # the plain-float path against PchipInterpolator, bit for bit, at
-    # random points, every node and both ends, for float and np.float64
+    # the package's PCHIP against PchipInterpolator, bit for bit: its
+    # coefficient rows, and its float path (float and np.float64) and array
+    # path at random points, every node and both ends, on 2 to 31 nodes; a
+    # subnormal slope makes scipy's harmonic mean warn of an overflow,
+    # which the errstate scope forgives the oracle only
     u = start + np.cumsum([0.0] + steps)
     v = np.array(values[:len(u)])
     assume(np.all(np.diff(u) > 0.0))
-    at, ref = pp._interpolant(u, v, "test"), PchipInterpolator(u, v)
+    at = pp._interpolant(u, v, "test")
+    with np.errstate(over="ignore"):
+        ref = PchipInterpolator(u, v)
+    assert np.array_equal(_bits(pp._pchip(u, v)), _bits(ref.c))
     points = [u[0] + f * (u[-1] - u[0]) for f in fracs] + u.tolist() \
         + [float(u[0]), float(u[-1])]
     for x in points:
@@ -389,7 +416,10 @@ def test_float_interpolant_is_scipy_s_pchip(steps, start, values, fracs):
         for arg in (float(x), np.float64(x)):
             got = at(arg)
             assert isinstance(got, float) and _bits(got) == want
-    assert np.array_equal(at(np.array(points)), ref(points))
+    for arr in (np.array(points), np.array(points).reshape(-1, 1)):
+        got, want = at(arr), ref(arr)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_chart_nodes_have_no_near_duplicates(weed, monkeypatch):

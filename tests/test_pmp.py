@@ -7,9 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
-
 import travwave.control_construct as cc
+import travwave.phaseplane as pp
 import travwave.pmp as pmp
 from travwave.control_construct import finite_cost_control
 from travwave.errors import (ConvexityViolationError, InvalidParameterError,
@@ -415,22 +414,24 @@ def test_the_scan_takes_the_fused_rhs(weed, monkeypatch):
 
 def test_a_shot_reads_its_curves_on_floats(weed, manifolds01, monkeypatch):
     # shoot_from looks P_flat and P_sharp up one float at a time; each
-    # lookup must take the interpolant's plain-float path, not scipy's
+    # lookup must take the interpolant's plain-float path, not the array
+    # path of phaseplane._pchip_at
     flat, sharp = manifolds01
     pf, ps = flat.interp_p(), sharp.interp_p()
     calls = []
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return inner(self, *args, **kwargs)
-    inner = PchipInterpolator.__call__
-    monkeypatch.setattr(PchipInterpolator, "__call__", counted)
+        return inner(*args)
+    inner = pp._pchip_at
+    monkeypatch.setattr(pp, "_pchip_at", counted)
     for want_nodes in (False, True):
         shot = shoot_from(weed, -0.1, 0.45, pf, ps, want_nodes=want_nodes)
         assert shot.u_end > 0.45 and np.isfinite(shot.phi)
     assert calls == []
-    pf(np.array([0.45]))  # the array path still goes through scipy
-    assert len(calls) == 1
+    pf(np.array([0.45]))  # the array path is the one counted
+    ps(np.array([0.45]))
+    assert len(calls) == 2
 
 
 def _scalar_phis(spec, c, grid, pf, ps):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from travwave._roots import bisect, brent, flips, sign_changes
+from travwave.errors import BracketFailureError
 
 
 def _counted(fn):
@@ -39,6 +40,25 @@ def test_brent_converges_in_fewer_calls_than_bisect(lo, hi):
     r = brent(fn, lo, hi)
     assert isinstance(r, float) and abs(r - root) <= 1e-14 * max(1.0, abs(root))
     assert len(calls) < math.ceil(math.log2((hi - lo) / 1e-14)) / 2
+
+
+def test_brent_refuses_ends_of_one_sign():
+    # scipy's brentq raised an untyped ValueError
+    with pytest.raises(BracketFailureError, match=r"no sign change on "
+                       r"\[0\.5, 2\.0\]: f = 0\.25, 4\.0"):
+        brent(lambda x: x * x, 0.5, 2.0)
+
+
+def test_brent_refuses_a_nan():
+    # at an end, and on the way where the function has a hole
+    with pytest.raises(BracketFailureError, match=r"f\(0\.0\) is NaN in "
+                       r"the bracket \[0\.0, 1\.0\]"):
+        brent(lambda x: math.nan if x == 0.0 else x - 0.3, 0.0, 1.0)
+    fn, calls = _counted(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5)
+    with pytest.raises(BracketFailureError, match=r"f\(0\.5\) is NaN in "
+                       r"the bracket \[0\.0, 1\.0\]"):
+        brent(fn, 0.0, 1.0)
+    assert calls == [0.0, 1.0, 0.5]
 
 
 def test_bisect_stops_at_exact_zero():

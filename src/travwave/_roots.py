@@ -46,9 +46,9 @@ def brent(fn, lo, hi, xtol: float = XTOL) -> float:
 
     A port of scipy's C brentq on plain floats, giving its bits: the same
     iteration, the same choice of inverse interpolation, extrapolation or
-    bisection, and the same step of at least half the width.  Ends of one
-    sign or a NaN value of fn raise BracketFailureError, and MAXITER
-    iterations without convergence NonconvergenceError."""
+    bisection, and the same least step, delta, half the tolerance.  Ends
+    of one sign or a NaN value of fn raise BracketFailureError, and
+    MAXITER iterations without convergence NonconvergenceError."""
     def value(x):
         v = float(fn(x))
         if v != v:

@@ -55,10 +55,9 @@ class ModelSpec:
     cost map, returning the removal rate produced by spending alpha.
     ``pmp_rhs(u, P, beta, c) -> (dP, dbeta)``, when given, is a fused
     right-hand side of the Pontryagin system (see `travwave.pmp`) computed
-    directly from the model's parameters.  It takes floats or equal-shape
-    arrays of (u, P, beta) and is elementwise equal to the bit to the one
-    `pmp._generic_rhs` builds from the callables above, which the solvers
-    use without it.
+    directly from the model's parameters.  It takes floats and is equal to
+    the bit to the one `pmp._generic_rhs` builds from the callables above,
+    which the solvers use without it.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -108,7 +107,6 @@ def _refuse_rhs(u, P, beta, b, Lbb) -> NoReturn:
     clamped control b is not finite and positive: SingularityError when
     the state (P, beta) itself is not finite, which would otherwise be
     misreported, else ConvexityViolationError."""
-    u, P, beta = float(u), float(P), float(beta)
     if not (math.isfinite(P) and math.isfinite(beta)):
         raise SingularityError(
             f"non-finite Pontryagin state at U={u:.8f}: P={P:g}, beta={beta:g}",
@@ -182,38 +180,23 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
         return np.maximum(m_of(u), 0.0) * alpha / (1.0 + alpha)
 
     def pmp_rhs(u, P, beta, c):
-        # the generic right-hand side with f, beta_max and the cost partials
-        # fused (m, gap and gap**3 once): same clamp, same partials, same
-        # guard.  A float takes plain float arithmetic, an array (the scan's
-        # columns) the array partials' operations.  gap**3 goes through
-        # numpy's power on both, as in the array partials above (its SIMD
-        # loop can round differently from float.__pow__), and P**2 through
-        # libm's pow, so every element agrees with the generic one to the bit.
+        # the generic right-hand side on floats with f, beta_max and the
+        # cost partials fused (m, gap and gap**3 once): same clamp, same
+        # partials, same guard.  gap**3 goes through numpy's power, as in
+        # the array partials above (its SIMD loop can round differently
+        # from float.__pow__), and P**2 through libm's pow, so it agrees
+        # with the generic one to the bit.
         m = k * u * (u - a)
         fv = m * (1.0 - u)
-        if isinstance(u, float):
-            b = min(max(beta, 0.0), (1.0 - 1e-12) * (m if u > a else 0.0))
-            gap = m - b
-            gap3 = float(np.power(gap, 3))
-            inside = 0.0 <= b < m and gap3 > 0.0
-            Lbb = 2.0 * m / gap3 if inside else np.inf
-            if not 0.0 < Lbb < np.inf:
-                _refuse_rhs(u, P, beta, b, Lbb)
-            Lb = m / (gap * gap)
-            P2 = P**2
-        else:
-            b = np.minimum(np.maximum(beta, 0.0),
-                           (1.0 - 1e-12) * np.where(u > a, m, 0.0))
-            inside = b < m  # barrier_gap's strip: the clamp gives b >= 0
-            gap = np.where(inside, m - b, 1.0)
-            gap3 = gap**3
-            Lbb = np.where(inside, 2.0 * m / gap3, np.inf)
-            if not (Lbb.min() > 0.0 and Lbb.max() < np.inf):
-                i = np.flatnonzero(~(Lbb > 0.0) | ~np.isfinite(Lbb))[0]
-                _refuse_rhs(*(np.broadcast_to(x, Lbb.shape).flat[i]
-                              for x in (u, P, beta, b, Lbb)))
-            Lb = m / gap**2
-            P2 = np.float_power(P, 2)
+        b = min(max(beta, 0.0), (1.0 - 1e-12) * (m if u > a else 0.0))
+        gap = m - b
+        gap3 = float(np.power(gap, 3))
+        inside = 0.0 <= b < m and gap3 > 0.0
+        Lbb = 2.0 * m / gap3 if inside else np.inf
+        if not 0.0 < Lbb < np.inf:
+            _refuse_rhs(u, P, beta, b, Lbb)
+        Lb = m / (gap * gap)
+        P2 = P**2
         Lub = -(k * (2.0 * u - a)) * (m + b) / gap3
         dP = -c + (beta - fv) / P
         db = (((b - fv) / P2) * Lb - (b / gap) / P2 - Lub) / Lbb

@@ -232,15 +232,10 @@ def _saddle_seed(spec: ModelSpec, c: float, u_eq: float,
     return 1.0 - eps_seed, -lam_m * eps_seed
 
 
-def _p_floor(p0):
-    """The P floor min(P_FLOOR, p0/4) of a run seeded at P = p0 (float or
-    array, elementwise)."""
-    return np.minimum(P_FLOOR, 0.25 * p0)
-
-
 def _floor_event(p0: float):
-    """The event pair of P falling to `_p_floor(p0)`."""
-    p_floor = float(_p_floor(p0))
+    """The event pair of P falling to the floor min(P_FLOOR, p0/4) of a run
+    seeded at P = p0."""
+    p_floor = float(min(0.25 * p0, P_FLOOR))  # a NaN p0 stays NaN
     return (lambda u, y: y[0] - p_floor), -1
 
 

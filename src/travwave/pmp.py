@@ -14,27 +14,25 @@ the junctions.  For a trial u1 the system is integrated from
 (P, beta) = (P_flat(u1), 0+) until P meets P_sharp; the terminal control
 beta(u2) defines the shooting map phi(u1), whose root yields the optimal
 support.  phi is extended continuously to the failure modes (beta or P
-exhausted before the meeting) so that a scan plus bisection can bracket
-the root.
+exhausted before the meeting) so that bisection can bracket the root.
 
-The scan integrates all its grid shots in lock step, as the columns of
-one `_dop853.LockStep` (scipy's DOP853 on arrays, a step size per
-shot), under scipy's event rule applied here, and yields only the signs
-of phi.  Scan and shots take the same right-hand side, the spec's fused
-``pmp_rhs`` or else `_generic_rhs`, on arrays and on floats; the two are
-equal to the bit per element.  Every phi value is a scalar `shoot_from`
-call, memoised per u1 in one table that the scan's hand-offs, the bracket
-ends, the bisection and the diagnostics read, so the root and the cost do
-not depend on the scan.
+The root is bracketed on a grid of trial junctions: phi is shot at the
+grid's two ends and, when they differ in sign, at the midpoints of an
+index range halved until two adjacent grid points bracket the change.
+Ends of one sign, or a phi that is not finite, send the search to the
+scalar list of phi over the whole grid.  Every phi value is a scalar
+`shoot_from` call, memoised per u1 in one table that the search, the
+list, the bisection and the diagnostics read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dop853 import LockStep, solve_ivp
+from ._dop853 import solve_ivp
 from ._roots import bisect, flips
 from .control_construct import (_cost_and_error, _slice_from, _slice_to,
                                 _speed_regime, merge_pieces,
@@ -43,8 +41,8 @@ from .errors import InvalidParameterError, NoSolutionError, TravwaveError
 from .model import (ModelSpec, _check_positive, _refuse_rhs, check_A1,
                     check_A2)
 from .phaseplane import (ATOL, RTOL, PhaseTrajectory, _floor_event,
-                         _interpolant, _p_floor, _underflow_status,
-                         stable_manifold, unstable_manifold)
+                         _interpolant, _underflow_status, stable_manifold,
+                         unstable_manifold)
 
 __all__ = ["ShotResult", "OptimalProfile", "PmpResidualReport", "EffortRow",
            "shoot_from", "optimal_profile", "pmp_residual", "effort_curve"]
@@ -71,11 +69,11 @@ class ShotResult:
 class ShootingDiagnostics:
     """What one `optimal_profile` call did.
 
-    `n_scanned` grid points were signed by the lock-step scan in
-    `scan_passes` vector passes; `scan_fallbacks` of them were handed off
-    to the scalar phi instead (all of them when the scan's brackets did
-    not hold).  `shots` counts the distinct junctions u1 whose phi was
-    shot (hand-offs, bracket ends, bisection) plus the final sampled shot.
+    `n_scanned` grid points were shot to bracket the root: the grid's ends
+    and the halving's midpoints, or the whole grid when the scalar list
+    decided, in which case `scan_fallbacks` is the grid's size too (else
+    0).  `shots` counts the distinct junctions u1 whose phi was shot (grid
+    points and bisection) plus the final sampled shot.
     """
 
     u1_root: float
@@ -85,7 +83,6 @@ class ShootingDiagnostics:
     scan_hi: float
     n_scanned: int
     shots: int = 0
-    scan_passes: int = 0
     scan_fallbacks: int = 0
     cost_error: float = 0.0  # the arc cost's halving error estimate
 
@@ -118,36 +115,29 @@ class EffortRow:
 
 
 def _generic_rhs(spec: ModelSpec):
-    """(P, beta) right-hand side built from the spec's array callables.
+    """(P, beta) right-hand side on floats, built from the spec's callables.
 
-    Takes floats or equal-shape arrays of (u, P, beta); per element it does
-    the operations of a fused ``pmp_rhs`` in the same order, so the two
-    agree to the bit.  `shoot_from` (on floats) and the lock-step scan (on
-    arrays of shots) use it for specs without a fused ``pmp_rhs``.  RK
-    trial stages may probe just outside the admissible strip
-    0 <= beta < beta_max (the events cut the real path there); the cost
-    partials are evaluated at the clamped control.  A non-positive
-    L_betabeta raises ConvexityViolationError, or SingularityError when the
-    state (P, beta) itself is not finite, naming the first such element.
+    It does the operations of a fused ``pmp_rhs`` in the same order, so the
+    two agree to the bit; `shoot_from` uses it for specs without a fused
+    ``pmp_rhs``.  RK trial stages may probe just outside the admissible
+    strip 0 <= beta < beta_max (the events cut the real path there); the
+    cost partials are evaluated at the clamped control.  A non-positive
+    L_betabeta raises ConvexityViolationError, or SingularityError when
+    the state (P, beta) itself is not finite.
     """
     def rhs(u, P, b, c):
-        fv = np.asarray(spec.f(u), dtype=float)
-        bhat = np.asarray(spec.beta_max(u), dtype=float)
-        b_pos = np.maximum(b, 0.0)
-        b_adm = np.where(np.isfinite(bhat),
-                         np.minimum(b_pos, (1.0 - 1e-12) * bhat), b_pos)
-        Lbb = np.asarray(spec.L_betabeta(u, b_adm), dtype=float)
-        bad = ~(Lbb > 0.0) | ~np.isfinite(Lbb)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            _refuse_rhs(*(np.broadcast_to(x, bad.shape).flat[i]
-                          for x in (u, P, b, b_adm, Lbb)))
-        Lb = np.asarray(spec.L_beta(u, b_adm), dtype=float)
-        Lv = np.asarray(spec.L(u, b_adm), dtype=float)
-        Lub = np.asarray(spec.L_ubeta(u, b_adm), dtype=float)
-        # P**2 through libm pow, as float.__pow__ in a fused form; numpy's
-        # array power squares by multiplication, which can round differently
-        P2 = np.float_power(P, 2)
+        fv = float(spec.f(u))
+        bhat = float(spec.beta_max(u))
+        b_pos = max(b, 0.0)
+        b_adm = min(b_pos, (1.0 - 1e-12) * bhat) if math.isfinite(bhat) \
+            else b_pos
+        Lbb = float(spec.L_betabeta(u, b_adm))
+        if not 0.0 < Lbb < math.inf:
+            _refuse_rhs(u, P, b, b_adm, Lbb)
+        Lb = float(spec.L_beta(u, b_adm))
+        Lv = float(spec.L(u, b_adm))
+        Lub = float(spec.L_ubeta(u, b_adm))
+        P2 = P**2  # libm pow, as in the fused form
         dP = -c + (b - fv) / P
         db = (((b_adm - fv) / P2) * Lb - Lv / P2 - Lub) / Lbb
         return dP, db
@@ -216,67 +206,6 @@ def shoot_from(spec: ModelSpec, c: float, u1: float, p_flat, p_sharp,
     return ShotResult(status, phi, u1, u_end, p_end, b_end, arc)
 
 
-def _scan_signs(spec: ModelSpec, c: float, grid: np.ndarray, p_flat, p_sharp,
-                phi, rtol: float, atol: float) -> tuple[np.ndarray, int]:
-    """Signs of phi on the scan grid from one lock-step DOP853 integration.
-
-    Every grid shot is a column of one `_dop853.LockStep` over
-    (P, beta), with the right-hand side `shoot_from` takes (the spec's
-    fused ``pmp_rhs``, else `_generic_rhs`) on arrays.  After each pass
-    scipy's active-event rule decides the shots that moved: meeting P_sharp
-    (upward) gives +1; beta = 0 or the P floor (downward) gives the sign of
-    P - P_sharp, which is phi's there; reaching u = 1 (beta > 0) gives +1.
-    A shot with two events in one step, whose gap to P_sharp changes sign
-    over its terminal step, or whose step falls below min_step is handed
-    off to the scalar `phi(u1)`.
-
-    Returns (signs, passes): a sign per grid point (NaN where a handed-off
-    phi is not finite) and the vector passes.
-    """
-    rhs = spec.pmp_rhs or _generic_rhs(spec)
-    u = np.array(grid, dtype=float)
-    p0 = np.asarray(p_flat(u), dtype=float)
-    if not np.all(p0 > 0.0):
-        i = int(np.flatnonzero(~(p0 > 0.0))[0])
-        raise InvalidParameterError(
-            f"P_flat({u[i]:g}) = {p0[i]:g} is not positive")
-    signs = np.full(len(u), np.nan)
-    handed: list[int] = []
-    passes = 0
-    p_floor = _p_floor(p0)
-    gap = p0 - np.asarray(p_sharp(u), dtype=float)
-    st = LockStep(lambda u, y: np.array(rhs(u, y[0], y[1], c)), u,
-                  np.vstack((p0, np.full_like(p0, BETA_START))), 1.0,
-                  rtol, atol)
-    with np.errstate(all="ignore"):
-        while len(st.ids):
-            passes += 1
-            accept, stalled = st.step()
-            todo, y, y_old = st.ids, st.y, st.y_old
-            gap_old, gap_new = gap[todo], gap[todo]
-            if accept.any():
-                gap_new[accept] = y[0, accept] - np.asarray(
-                    p_sharp(st.u[accept]), dtype=float)
-            meet = accept & (gap_old <= 0.0) & (gap_new >= 0.0)
-            b_zero = accept & (y_old[1] >= 0.0) & (y[1] <= 0.0)
-            floor = accept & (y_old[0] >= p_floor[todo]) \
-                & (y[0] <= p_floor[todo])
-            events = meet.astype(int) + b_zero + floor
-            stopped = (events == 1) & ~meet
-            sign = np.where(stopped, np.sign(gap_new), 1.0)
-            to_scalar = (events > 1) | (stopped & (np.sign(gap_old) != sign)) \
-                | stalled
-            done = ((events == 1) | (accept & (st.u >= 1.0))) & ~to_scalar
-            signs[todo[done]] = sign[done]
-            handed.extend(todo[to_scalar].tolist())
-            gap[todo] = gap_new
-            st.keep(~(done | to_scalar))
-
-    for i in sorted(handed):
-        signs[i] = np.sign(phi(float(grid[i])))
-    return signs, passes
-
-
 def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
                resolution: float) -> tuple[float, float, np.ndarray]:
     """(scan_lo, scan_hi, grid): the trial junctions u1 of the phi scan,
@@ -297,6 +226,28 @@ def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
     return lo, hi, grid
 
 
+def _grid_bracket(phi, u1s: list) -> tuple[float, float] | None:
+    """Adjacent grid points (lo, hi) where phi changes sign (or is exactly
+    zero at one of them), found by halving the index range between the
+    grid's ends.  None when the ends do not differ in sign or a probe's
+    phi is not finite."""
+    i, j = 0, len(u1s) - 1
+    f_i, f_j = phi(u1s[i]), phi(u1s[j])
+    if not (math.isfinite(f_i) and math.isfinite(f_j)
+            and np.sign(f_i) * np.sign(f_j) < 0.0):
+        return None
+    while j - i > 1:
+        m = (i + j) // 2
+        f = phi(u1s[m])
+        if not math.isfinite(f):
+            return None
+        if (f > 0.0) == (f_i > 0.0):
+            i = m
+        else:
+            j = m
+    return u1s[i], u1s[j]
+
+
 def _gate(spec: ModelSpec) -> None:
     rep = check_A1(spec)
     if not rep.passed:
@@ -314,16 +265,20 @@ def optimal_profile(spec: ModelSpec, c: float,
                     scan_resolution: float = 1e-3,
                     c_star: float | None = None,
                     rtol: float = RTOL, atol: float = ATOL) -> OptimalProfile:
-    """Minimum-effort profile at speed c > c* by scan plus bisection on phi.
+    """Minimum-effort profile at speed c > c* by a grid search plus
+    bisection on phi.
 
     `_speed_regime` refuses c < c*; within its guard of c* the zero control
     is optimal and the natural heteroclinic is returned with zero cost.
-    phi(u1) is shot at most once per u1, into one table: the lock-step
-    scan's hand-offs, the bracket ends (or, when a bracket does not hold,
-    the whole grid) and the bisection steps.  Each bracket's root is its
-    tabled u1 with the smallest |phi|; if phi has several roots, the
-    smallest is assembled with one more shot, sampled densely, and all are
-    reported in the diagnostics.
+    phi(u1) is shot at most once per u1, into one table: the grid points
+    `_grid_bracket` probes (or, when it does not decide, the whole grid)
+    and the bisection steps.  Each bracket's root is its tabled u1 with
+    the smallest |phi|; if the grid list finds several roots, the smallest
+    is assembled with one more shot, sampled densely, and all are reported
+    in the diagnostics.  Where phi changes sign an odd number of times, at
+    least three, between the grid's ends, the search brackets one of those
+    changes, not necessarily the one at the smallest u1; an even number
+    leaves the ends of one sign, and the list finds every root.
     """
     _gate(spec)
     c_star, trivial = _speed_regime(spec, c, c_star)
@@ -345,23 +300,19 @@ def optimal_profile(spec: ModelSpec, c: float,
                                    rtol=rtol, atol=atol).phi
         return table[u1]
 
-    signs, passes = _scan_signs(spec, c, grid, p_flat, p_sharp, phi,
-                                rtol, atol)
-    fallbacks = len(table)
-    # the scan only signs the grid: each bracket's ends are shot, so the
-    # bisection starts from scalar phi values
     u1s = grid.tolist()
-    brackets = [(u1s[i], u1s[j]) for i, j in flips(signs, 0.0)]
-    if not brackets or not all(flips([phi(lo), phi(hi)], 0.0)
-                               for lo, hi in brackets):
-        # no bracket, or one that did not hold: the scalar phi list decides
-        fallbacks = len(grid)
+    bracket = _grid_bracket(phi, u1s)
+    brackets = [bracket]
+    if not bracket:
+        # ends of one sign, or a phi that is not finite: the scalar phi
+        # list over the grid decides
         phis = [phi(x) for x in u1s]
         brackets = [(u1s[i], u1s[j]) for i, j in flips(phis, 0.0)]
         if not brackets:
             raise NoSolutionError(
                 f"no sign change of phi on [{scan_lo:.4f}, {scan_hi:.4f}] "
                 f"at c={c:g}", phi_table=np.column_stack([grid, phis]))
+    n_scanned = len(table)  # grid points only: the bisection comes next
 
     roots = []
     for lo, hi in brackets:
@@ -380,8 +331,8 @@ def optimal_profile(spec: ModelSpec, c: float,
 
     cost, cost_error = _cost_and_error(spec, arc)
     diag = ShootingDiagnostics(u1_root, table[u1_root], roots, scan_lo,
-                               scan_hi, len(grid), len(table) + 1, passes,
-                               fallbacks, cost_error)
+                               scan_hi, n_scanned, len(table) + 1,
+                               0 if bracket else len(grid), cost_error)
     return OptimalProfile(c, u1_root, u2, traj, cost, diag, arc=arc)
 
 

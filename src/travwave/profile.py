@@ -125,9 +125,10 @@ class SpatialProfile:
 def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
     """Invert the chart: x(U) = int_{u*}^U dV / P(V), plus asymptotic tails.
 
-    Interior nodes must have P > 0; nodes with P <= 1e-9 are dropped.  The
-    control in physical space is alpha(x) = L(U(x), beta(U(x))), which is
-    +inf wherever the control reaches the cost barrier.
+    Interior nodes must have P > 0; nodes with P <= 1e-9 are dropped, and
+    InvalidTrajectoryError is raised when none is left.  The control in
+    physical space is alpha(x) = L(U(x), beta(U(x))), which is +inf
+    wherever the control reaches the cost barrier.
     """
     u = np.asarray(traj.u_nodes, dtype=float)
     p = np.asarray(traj.p_values, dtype=float)
@@ -139,6 +140,9 @@ def reconstruct_x(traj: PhaseTrajectory, spec: ModelSpec) -> SpatialProfile:
             f"P({u[i]:.6f}) = {p[i]:.3g} is not positive on an interior node")
 
     keep = p > 1e-9
+    if not keep.any():
+        raise InvalidTrajectoryError(
+            f"no node is left to invert: all {len(p)} have P <= 1e-9")
     u, p, b = u[keep], p[keep], b[keep]
     us = spec.u_star
     if not (u[0] < us < u[-1]):

@@ -10,15 +10,14 @@ pushes P_flat down and P_sharp up) and vanishes exactly at c*.  c* is the
 answer of `_roots.bisect` on the gap over [-scale, scale], to width 2 tol,
 but that path is replayed, not paid for: `_roots.brent` (Brent, Algorithms
 for Minimization without Derivatives, 1973, ch. 4) converges on the gap's
-root r in a coarse bracket, and every midpoint farther than DELTA from r
-takes the sign of m - r.  Only the final bracket's two ends, and any
-midpoint within DELTA of r, are further `manifold_gap` calls.  A midpoint
-within brent's xtol of r is the root, the exact zero `bisect` returns: the
-gap's sign there is rounding (at a symmetric model's c* = 0 it read one
-ulp either way).  Where the final ends do not confirm the sign change, the
-gap's own bisection on [-scale, scale] decides, so c* is always the root
-of that bisection, or a midpoint within xtol of the gap's root.  The
-bracket needs no expansion:
+root r in a coarse bracket, and every midpoint m takes the sign of m - r.
+Only the final bracket's two ends are further `manifold_gap` calls.  A
+midpoint within brent's xtol of r is the root, the exact zero `bisect`
+returns: the gap's sign there is rounding (at a symmetric model's c* = 0
+it read one ulp either way).  Where the final ends do not confirm the
+sign change, the gap's own bisection on [-scale, scale] decides, so c* is
+always the root of that bisection, or a midpoint within xtol of the gap's
+root.  The bracket needs no expansion:
 |c*| < 2 sqrt(sup f(u)/u) <= 2 sqrt(max |f'|) (Hadeler & Rothe, J. Math.
 Biol. 2, 1975, and the mean value theorem), and scale exceeds that by 1.
 """
@@ -39,9 +38,6 @@ from .phaseplane import (ATOL, RTOL, _call_on_array, _integrate_chart,
 __all__ = ["natural_speed", "manifold_gap", "modified_speed", "make_substitute_spec"]
 
 log = logging.getLogger(__name__)
-
-DELTA = 1e-9  # within DELTA of brent's root, bisect's side is the gap itself
-
 
 def manifold_gap(spec: ModelSpec, c: float, rtol: float = RTOL,
                  atol: float = ATOL) -> float:
@@ -83,11 +79,11 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
     A coarse `bisect` of the memoised gap to width scale/4 brackets the
     root, and `brent` converges on it, r, inside that bracket.  `bisect`
     then halves [-scale, scale] to width 2 tol on side(m) = m - r, except
-    within DELTA of r, where side is the gap itself, and within XTOL of r,
-    where m is the root.  The final bracket's two ends are checked with
-    the gap.  A wrong sign of m - r anywhere on the path leaves the final
-    bracket on one side of the root, so when both ends confirm the sign
-    change, its midpoint is the gap's own bisection's answer.  Otherwise
+    within XTOL of r, where m is the root.  The final bracket's two ends
+    are checked with the gap.  A wrong sign of m - r anywhere on the path
+    leaves the final bracket on one side of the root, so when both ends
+    confirm the sign change, its midpoint is the gap's own bisection's
+    answer.  Otherwise
     that bisection decides, and BracketFailureError is raised when the gap
     does not change sign on [-scale, scale].
     """
@@ -107,9 +103,7 @@ def _speed(spec: ModelSpec, tol: float = 1e-8, rtol: float = RTOL,
         def side(m):
             # within brent's xtol of its root the gap's sign is rounding,
             # so m is the root: bisect returns it as an exact zero
-            if abs(m - root) <= XTOL:
-                return 0.0
-            return g(m) if abs(m - root) <= DELTA else m - root
+            return 0.0 if abs(m - root) <= XTOL else m - root
         lo, hi = bisect(side, -scale, scale, 2.0 * tol)
         fallback = lo != hi and not g(lo) < 0.0 < g(hi)
     if fallback:

@@ -31,11 +31,10 @@ import travwave.model2 as model2
 import travwave.phaseplane as pp
 import travwave.pmp as pmp
 from travwave._dop853 import (B_ROW, D_ROWS, E3_ROW, E5_ROW, EXTRA_STAGES,
-                              RTOL_FLOOR, STAGES, LockStep, Run, _kernel,
-                              solve_ivp)
+                              RTOL_FLOOR, STAGES, Run, _kernel, solve_ivp)
 from travwave.model import Model2Params, make_cubic_model
-from travwave.phaseplane import (P_COLLAPSE, _integrate_chart, _saddle_seed,
-                                 stable_manifold, unstable_manifold)
+from travwave.phaseplane import (P_COLLAPSE, stable_manifold,
+                                 unstable_manifold)
 from travwave.speed import make_substitute_spec, manifold_gap
 
 
@@ -196,30 +195,6 @@ def test_the_case_2_run_ends_as_scipy_s(monkeypatch):
     _assert_same_runs(runs)
 
 
-def test_lock_step_chart_columns_match_solve_ivp(weed):
-    # P_flat columns at three speeds in one stepper, each run forward to u*
-    # and compared with the chart run of its speed alone
-    cs = np.array([-0.3, -0.2357, -0.1])
-    seeds = [_saddle_seed(weed, c, 0.0) for c in cs]
-    live_c = [cs]  # the live columns' speeds, in st.ids order
-    st = LockStep(lambda u, y: (-live_c[0] - weed.f(u) / y[0])[None],
-                  [u for u, _ in seeds], [p for _, p in seeds],
-                  weed.u_star, 1e-10, 1e-12)
-    ends = np.full(len(cs), np.nan)
-    while len(st.ids):
-        accept, stalled = st.step()
-        assert not stalled.any()
-        done = accept & (st.u == weed.u_star)
-        ends[st.ids[done]] = st.y[0, done]
-        st.keep(~done)
-        live_c[0] = cs[st.ids]
-    for (u0, p0), c, end in zip(seeds, cs, ends):
-        _, p, how, _ = _integrate_chart(weed, c, None, u0, p0, weed.u_star,
-                                        dense_output=False)
-        assert how == "u_stop"
-        assert abs(end - p[-1]) <= 1e-11
-
-
 def test_a_step_underflow_stalls_where_scipy_s_does(weed, monkeypatch):
     # P_flat at c = -0.1 falls onto the U-axis near U = 0.631, where both
     # integrators fail.  There P' ~ f/P: the stall's position, which
@@ -328,7 +303,7 @@ def test_a_run_that_takes_no_step_fails_as_scipy_s():
 
 
 def test_an_rtol_below_the_floor_runs_at_the_floor():
-    # scipy raises rtol to 100 eps with a UserWarning, and so do both drivers
+    # scipy raises rtol to 100 eps with a UserWarning, and so does the driver
     def fun(t, y):
         return [y[1], -y[0]]
     with pytest.warns(UserWarning, match="rtol"):
@@ -340,10 +315,6 @@ def test_an_rtol_below_the_floor_runs_at_the_floor():
     assert RTOL_FLOOR == 100 * np.finfo(float).eps
     assert sol.nfev == ref.nfev == at_floor.nfev
     assert np.array_equal(sol.y, at_floor.y)
-    with pytest.warns(UserWarning, match="rtol"):
-        st = LockStep(lambda u, y: y[::-1] * [[1.0], [-1.0]], [0.0],
-                      [[1.0], [0.0]], 3.0, 1e-16, 1e-14)
-    assert st.rtol == RTOL_FLOOR
 
 
 # The per-stage loops that `_kernel` replaced, verbatim: the oracle of

@@ -284,7 +284,7 @@ def _tableau_literals(tree: ast.Module) -> dict[float, int]:
 
 
 def test_one_dop853_module():
-    # every ODE run and the lock-step scan step through _dop853.py; only
+    # every ODE run steps through _dop853.py; only
     # it holds DOP853's Butcher tableau, all of it, and no module reaches
     # for scipy's solve_ivp
     holders = {p.name: set(_tableau_literals(_tree(p))) for p in MODULES}

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import travwave.control_construct as cc
 import travwave.phaseplane as pp
 import travwave.pmp as pmp
@@ -15,14 +16,9 @@ from travwave.errors import (ConvexityViolationError, InvalidParameterError,
                              NoSolutionError, SingularityError)
 from travwave.model import make_cubic_model, make_logistic_model
 from travwave.phaseplane import stable_manifold, unstable_manifold
-from travwave.pmp import (_generic_rhs, _scan_grid, _scan_signs, effort_curve,
+from travwave._roots import flips
+from travwave.pmp import (_generic_rhs, _scan_grid, effort_curve,
                           optimal_profile, pmp_residual, shoot_from)
-
-
-def _bits(*columns):
-    """The float columns as lists of their IEEE bit patterns."""
-    return [np.asarray(col, dtype=float).view(np.int64).tolist()
-            for col in columns]
 
 
 @pytest.fixture(scope="module")
@@ -326,15 +322,12 @@ def test_effort_curve_propagates_programming_errors(weed, c_star_weed):
 def test_fused_rhs_matches_generic(u_star, rate, points, c):
     spec = make_cubic_model(u_star, rate)
     generic = _generic_rhs(spec)
-    inside = []
     for u, P, frac in points:
         if u <= u_star:
             # beta_max = 0 there: no admissible control, L_betabeta = inf
             for rhs in (spec.pmp_rhs, generic):
-                for args in ((u, P, frac), (np.array([u]), np.array([P]),
-                                            np.array([frac]))):
-                    with pytest.raises(ConvexityViolationError):
-                        rhs(*args, c)
+                with pytest.raises(ConvexityViolationError):
+                    rhs(u, P, frac, c)
             continue
         # frac < 0 and frac >= 1 exercise the clamp to [0, beta_max)
         beta = frac * float(spec.beta_max(u))
@@ -342,14 +335,6 @@ def test_fused_rhs_matches_generic(u_star, rate, points, c):
         # the same operations in the same order: equal to the bit, which is
         # what keeps optimal_profile's bisection path unchanged
         assert fused == generic(u, P, beta, c)
-        inside.append((u, P, beta, fused))
-    if inside:
-        # the scan's array call, generic and fused: each element is the
-        # scalar fused value, bit for bit
-        u, P, beta, fused = zip(*inside)
-        for rhs in (generic, spec.pmp_rhs):
-            dP, db = rhs(np.array(u), np.array(P), np.array(beta), c)
-            assert _bits(dP, db) == _bits(*zip(*fused))
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -367,41 +352,6 @@ def test_nonfinite_state_is_a_singularity(weed, fused):
         rhs(0.2, 0.1, 0.0, -0.1)
 
 
-def test_array_rhs_matches_fused_on_random_states():
-    # libm's pow(P, 2) and P * P round differently on about 1 in 1000
-    # random P, which hypothesis' simple floats rarely hit
-    rng = np.random.default_rng(4)
-    for u_star, rate in ((1.0 / 3.0, 1.0), (0.15, 4.5)):
-        spec = make_cubic_model(u_star, rate)
-        u = rng.uniform(u_star, 1.0, 20000)[1:]
-        P = rng.uniform(1e-3, 2.0, len(u))
-        beta = rng.uniform(-0.5, 1.5, len(u)) * spec.beta_max(u)
-        dP, db = _generic_rhs(spec)(u, P, beta, -0.1)
-        fused = [spec.pmp_rhs(*x, -0.1) for x in zip(u.tolist(), P.tolist(),
-                                                     beta.tolist())]
-        assert list(zip(dP.tolist(), db.tolist())) == fused
-        # the fused array branch, with both clamps (beta < 0, beta >= max)
-        assert np.any(beta < 0.0) and np.any(beta >= spec.beta_max(u))
-        assert _bits(*spec.pmp_rhs(u, P, beta, -0.1)) == _bits(dP, db)
-
-
-@pytest.mark.parametrize("fused", [False, True], ids=["generic", "fused"])
-def test_array_rhs_names_the_failing_element(weed, fused):
-    rhs = weed.pmp_rhs if fused else _generic_rhs(weed)
-    u, P = np.array([0.5, 0.6, 0.7]), np.array([0.1, 0.1, 0.1])
-    with pytest.raises(SingularityError, match="non-finite") as info:
-        rhs(u, P, np.array([0.01, np.nan, np.nan]), -0.1)
-    assert info.value.location == 0.6
-    # below u* there is no admissible control at all; the text is the
-    # scalar call's on that element
-    with pytest.raises(ConvexityViolationError) as info:
-        rhs(np.array([0.5, 0.2, 0.1]), P, np.zeros(3), -0.1)
-    with pytest.raises(ConvexityViolationError) as scalar:
-        weed.pmp_rhs(0.2, 0.1, 0.0, -0.1)
-    assert str(info.value) == str(scalar.value)
-    assert str(info.value).startswith("L_betabeta(0.200000, 0)")
-
-
 def test_the_scan_takes_the_fused_rhs(weed, monkeypatch):
     # a silent fall-back from the fused right-hand side to the generic one
     # keeps every result and loses the speed: nothing may build it here
@@ -409,7 +359,7 @@ def test_the_scan_takes_the_fused_rhs(weed, monkeypatch):
         raise AssertionError("_generic_rhs built for a fused spec")
     monkeypatch.setattr(pmp, "_generic_rhs", refuse)
     prof = optimal_profile(weed, -0.1)
-    assert prof.converged.scan_passes > 0 and prof.cost > 0.0
+    assert prof.converged.n_scanned > 0 and prof.cost > 0.0
 
 
 def test_a_shot_reads_its_curves_on_floats(weed, manifolds01, monkeypatch):
@@ -434,19 +384,6 @@ def test_a_shot_reads_its_curves_on_floats(weed, manifolds01, monkeypatch):
     assert len(calls) == 2
 
 
-def _scalar_phis(spec, c, grid, pf, ps):
-    """Reference for the lock-step scan: one scalar shot per grid point."""
-    return np.array([shoot_from(spec, c, u1, pf, ps).phi for u1 in grid])
-
-
-def _recorded_phi(spec, c, pf, ps, calls):
-    """The scan's scalar phi: one shot per call, its u1 appended to calls."""
-    def phi(u1):
-        calls.append(u1)
-        return shoot_from(spec, c, u1, pf, ps).phi
-    return phi
-
-
 def _scan_case(spec, c, resolution):
     flat = unstable_manifold(spec, c, u_stop=1.0)
     sharp = stable_manifold(spec, c, u_stop=0.0)
@@ -454,27 +391,49 @@ def _scan_case(spec, c, resolution):
     return _scan_grid(spec, flat, resolution)[2], pf, ps
 
 
-@settings(max_examples=8, deadline=None)
-@given(u_star=st.floats(0.1, 0.45), rate=st.floats(0.3, 8.0),
-       frac=st.floats(0.02, 1.0))
-def test_scan_signs_match_scalar_phi(u_star, rate, frac):
-    # speeds from just above the exact c* = sqrt(rate/2) (2u* - 1) upward
-    spec = make_cubic_model(u_star, rate)
-    scale = np.sqrt(rate / 2.0)
-    c = scale * (2.0 * u_star - 1.0) + 0.5 * frac * scale
-    grid, pf, ps = _scan_case(spec, c, 1e-2)
-    handed = []
-    signs, passes = _scan_signs(spec, c, grid, pf, ps,
-                                _recorded_phi(spec, c, pf, ps, handed),
-                                1e-10, 1e-12)
-    assert np.array_equal(signs, np.sign(_scalar_phis(spec, c, grid, pf, ps)))
-    assert passes > 0 and handed == []
+@st.composite
+def _cubic_cases(draw):
+    """(u*, rate, c) over the cubic box, c from just above the exact
+    c* = sqrt(rate/2) (2u* - 1) to c* + 1.5 sqrt(rate/2)."""
+    u_star = draw(st.floats(0.05, 0.5))
+    rate = draw(st.floats(0.1, 10.0))
+    scale = math.sqrt(rate / 2.0)
+    c_star = scale * (2.0 * u_star - 1.0)
+    return u_star, rate, draw(st.floats(c_star + 0.01 * scale,
+                                        c_star + 1.5 * scale))
 
 
 # seed-0 speed of the model2_sandwich benchmark set-up; u1 = 0.3461640213...
 # is the root where phi jumps between the met_psharp and beta_zero branches
 SANDWICH_C = -0.8965557814847496
 SANDWICH_U1 = 0.3461640213131907
+
+
+# the ROADMAP's worst draw of the 40 cubic draws
+WORST_DRAW = (0.06739491614261098, 5.716042082249537, -0.16594270322585647)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cubic_cases())
+@example(case=(0.15, 4.5, SANDWICH_C))
+@example(case=WORST_DRAW)
+@example(case=(1.0 / 3.0, 1.0, -0.1))
+def test_phi_on_the_scan_grid_changes_sign_at_most_once(case):
+    # the grid search relies on at most one change, + below and - above:
+    # an even number of changes goes to the scalar list, and an odd number
+    # of three or more would lose roots
+    u_star, rate, c = case
+    spec = make_cubic_model(u_star, rate)
+    try:
+        grid, pf, ps = _scan_case(spec, c, 1e-2)
+    except NoSolutionError:  # an empty scan range: no grid to sign
+        return
+    phis = [shoot_from(spec, c, u1, pf, ps).phi for u1 in grid]
+    assert np.all(np.isfinite(phis))
+    changes = flips(phis, 0.0)
+    assert len(changes) <= 1
+    for i, j in changes:
+        assert phis[i] > 0.0 > phis[j]
 
 
 @pytest.mark.parametrize("case", ["weed", "sandwich"])
@@ -515,123 +474,174 @@ def test_fused_shot_matches_generic(weed, manifolds01):
     assert statuses == {"met_psharp", "beta_zero"}
 
 
-def test_scan_signs_at_the_sandwich_setup():
-    # the full 1e-3 scan of the model2_sandwich set-up, whose root sits
-    # where the met_psharp and beta_zero branches of phi meet
-    spec = make_cubic_model(0.15, 4.5)
-    grid, pf, ps = _scan_case(spec, SANDWICH_C, 1e-3)
-    handed = []
-    signs, _ = _scan_signs(spec, SANDWICH_C, grid, pf, ps,
-                           _recorded_phi(spec, SANDWICH_C, pf, ps, handed),
-                           1e-10, 1e-12)
-    ref = np.sign(_scalar_phis(spec, SANDWICH_C, grid, pf, ps))
-    assert np.array_equal(signs, ref) and handed == []
-    assert np.any(ref > 0.0) and np.any(ref < 0.0)
-
-
-def test_two_events_in_one_step_go_to_the_scalar_shot(weed, manifolds01,
-                                                      monkeypatch):
+def test_two_events_in_one_step_go_to_the_scalar_shot(weed, manifolds01):
     flat, _ = manifolds01
     pf = flat.interp_p()
 
     def far(u):     # a P_sharp the arc never meets
         return np.full_like(np.asarray(u, dtype=float), 10.0)
     free = shoot_from(weed, -0.1, 0.5, pf, far, want_nodes=True)
-    assert free.status == "beta_zero"
+    assert free.status == "beta_zero" and free.phi < 0.0
     # a steep P_sharp the arc meets 1e-6 before beta = 0, inside the step
-    # that ends the shot
+    # that ends the shot: the earlier event, meeting P_sharp, ends it
     u_m = free.u_end - 1e-6
     p_m = np.interp(u_m, free.arc.u_nodes, free.arc.p_values)
 
     def steep(u):
         return p_m + 50.0 * (u_m - np.asarray(u, dtype=float))
-    shots = []
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the scan shoots only through phi")
-    # the scan's own module never shoots: hand-offs go through phi alone
-    monkeypatch.setattr(pmp, "shoot_from", unreachable)
-    grid = np.array([0.5])
-    signs, passes = _scan_signs(weed, -0.1, grid, pf, steep,
-                                _recorded_phi(weed, -0.1, pf, steep, shots),
-                                1e-10, 1e-12)
     ref = shoot_from(weed, -0.1, 0.5, pf, steep)
     assert ref.status == "met_psharp" and ref.phi > 0.0
-    assert shots == [0.5] and signs[0] == 1.0
-    # handed over at the step where the free shot ends
-    assert passes == _scan_signs(weed, -0.1, grid, pf, far, unreachable,
-                                 1e-10, 1e-12)[1]
-    # one event per step stays in the vector pass: beta = 0 below a far
-    # P_sharp, and u = 1 reached with the control still on
-    signs, _ = _scan_signs(weed, -0.1, np.array([0.4, 0.5]), pf, far,
-                           _recorded_phi(weed, -0.1, pf, far, shots),
-                           1e-10, 1e-12)
-    assert np.array_equal(signs, [1.0, -1.0])
-    assert shots == [0.5]
+    assert abs(ref.u_end - u_m) <= 1e-8
+    # u = 1 reached with the control still on
     assert shoot_from(weed, -0.1, 0.4, pf, far).status == "left_domain"
+
+
+def _spied_shots(monkeypatch):
+    """The u1 of every shoot_from call the module makes, in order."""
+    shots = []
+
+    def spy(*args, **kwargs):
+        shots.append(args[2])
+        return shoot_from(*args, **kwargs)
+    monkeypatch.setattr(pmp, "shoot_from", spy)
+    return shots
 
 
 def test_shooting_diagnostics_count_every_shot(weed, c_star_weed, opt01,
                                                monkeypatch):
-    shots = []
-
-    def spy(*args, **kwargs):
-        shots.append(args[2])
-        return shoot_from(*args, **kwargs)
-    monkeypatch.setattr(pmp, "shoot_from", spy)
+    shots = _spied_shots(monkeypatch)
     prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
     diag = prof.converged
     assert diag == opt01.converged and prof.cost == opt01.cost
     assert diag.shots == len(shots) and diag.scan_fallbacks == 0
-    assert diag.scan_passes > 0 and diag.n_scanned > diag.shots
-    # two bracket ends and 24 bisection halvings of 1e-3 down to 1e-10 per
-    # root, plus the sampled shot
-    assert diag.shots == 26 * len(diag.roots) + 1
+    assert 0 < diag.n_scanned < diag.shots
+    # the grid points searched, 24 bisection halvings of 1e-3 down to
+    # 1e-10 per root, and the sampled shot
+    assert diag.shots == diag.n_scanned + 24 * len(diag.roots) + 1
+
+
+def test_the_grid_search_shoots_a_logarithm_of_the_grid(opt01, manifolds01,
+                                                        weed):
+    # a search that shot the whole grid again would pass every other test
+    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
+    diag = opt01.converged
+    assert len(grid) > 200 and len(diag.roots) == 1
+    assert diag.n_scanned <= math.ceil(math.log2(len(grid))) + 2
+    assert diag.shots == diag.n_scanned + 24 * len(diag.roots) + 1
 
 
 def test_every_junction_is_shot_once(weed, c_star_weed, opt01, manifolds01,
                                      monkeypatch):
-    # a scan that hands every grid column to phi: the bracket ends are then
-    # read from the phi table, and only the sampled final shot repeats a u1
-    def hand_off_all(spec, c, grid, p_flat, p_sharp, phi, *args):
-        return np.sign([phi(u1) for u1 in grid.tolist()]), 1
-    shots = []
-
-    def spy(*args, **kwargs):
-        shots.append(args[2])
-        return shoot_from(*args, **kwargs)
-    monkeypatch.setattr(pmp, "_scan_signs", hand_off_all)
-    monkeypatch.setattr(pmp, "shoot_from", spy)
+    # a search that shoots its probes and then does not decide: the
+    # scalar list reads the probes from the phi table, and only the
+    # sampled final shot repeats a u1
+    search = pmp._grid_bracket
+    monkeypatch.setattr(pmp, "_grid_bracket",
+                        lambda phi, u1s: search(phi, u1s) and None)
+    shots = _spied_shots(monkeypatch)
     prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
     diag = prof.converged
     grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
-    assert shots[:len(grid)] == grid.tolist()
+    assert shots[:2] == [grid[0], grid[-1]]
+    assert sorted(shots[:len(grid)]) == grid.tolist()
     assert len(set(shots[:-1])) == len(shots) - 1 and shots[-1] == prof.u1
     assert diag.shots == len(shots) == len(grid) + 24 * len(diag.roots) + 1
-    assert diag.scan_fallbacks == diag.n_scanned
+    assert diag.scan_fallbacks == diag.n_scanned == len(grid)
     assert prof.cost == opt01.cost and diag.roots == opt01.converged.roots
 
 
 def test_failed_scan_brackets_fall_back_to_the_scalar_list(
         weed, c_star_weed, opt01, monkeypatch):
-    # signs that bracket where phi does not change sign send the scan back
-    # to one scalar shot per grid point, with the same result
-    def alternating(spec, c, grid, *args):
-        return (-1.0) ** np.arange(len(grid)), 1
-    monkeypatch.setattr(pmp, "_scan_signs", alternating)
+    # a search that decides nothing sends the profile to one scalar shot
+    # per grid point, with the same result
+    monkeypatch.setattr(pmp, "_grid_bracket", lambda phi, u1s: None)
     prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
     diag = prof.converged
     assert prof.cost == opt01.cost and diag.roots == opt01.converged.roots
-    assert diag.scan_fallbacks == diag.n_scanned
-    # every grid point is shot once, bracket ends included
+    assert diag.scan_fallbacks == diag.n_scanned > opt01.converged.n_scanned
+    # every grid point is shot once, the search's probes included
     assert diag.shots == (diag.n_scanned + opt01.converged.shots
-                          - 2 * len(diag.roots))
+                          - opt01.converged.n_scanned)
+
+
+class _Assembled(Exception):
+    """Raised by a synthetic shot asked for the sampled final run."""
+
+
+def _synthetic_search(weed, c_star_weed, monkeypatch, phi):
+    """(shots, u1) of optimal_profile at c = -0.1 when phi(u1) is the
+    given function: the u1 shot in order and the junction assembled."""
+    shots = []
+
+    def shot(spec, c, u1, *args, **kwargs):
+        if kwargs.get("want_nodes"):
+            raise _Assembled(u1)
+        shots.append(u1)
+        return pmp.ShotResult("met_psharp", phi(u1), u1, 1.0, 0.0, 0.0)
+    monkeypatch.setattr(pmp, "shoot_from", shot)
+    with pytest.raises(_Assembled) as info:
+        optimal_profile(weed, -0.1, c_star=c_star_weed)
+    return shots, info.value.args[0]
+
+
+def _between(grid, fraction):
+    """A point inside the grid cell `fraction` of the way along, off the
+    cell's midpoint, where the bisection would stop at once."""
+    i = int(fraction * (len(grid) - 1))
+    return grid[i] + 0.3 * (grid[i + 1] - grid[i])
+
+
+def test_three_roots_between_opposite_ends_bracket_one(
+        weed, c_star_weed, manifolds01, monkeypatch):
+    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
+    roots = [_between(grid, f) for f in (0.2, 0.45, 0.8)]
+    shots, u1 = _synthetic_search(weed, c_star_weed, monkeypatch, lambda u: (
+        -(u - roots[0]) * (u - roots[1]) * (u - roots[2])))
+    nodes = set(grid.tolist())
+    probes = [u for u in shots if u in nodes]
+    assert len(probes) <= math.ceil(math.log2(len(grid))) + 2
+    # one root, bisected inside the adjacent grid pair around it
+    (root,) = [r for r in roots if abs(u1 - r) <= 1e-10]
+    k = int(np.searchsorted(grid, root))
+    assert grid[k - 1] in probes and grid[k] in probes
+    assert len(shots) == len(probes) + 24
+    assert all(grid[k - 1] < u < grid[k] for u in shots[len(probes):])
+
+
+def test_two_roots_between_ends_of_one_sign_go_to_the_list(
+        weed, c_star_weed, manifolds01, monkeypatch):
+    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
+    roots = [_between(grid, f) for f in (0.3, 0.7)]
+    shots, u1 = _synthetic_search(weed, c_star_weed, monkeypatch, lambda u: (
+        (u - roots[0]) * (u - roots[1])))
+    # the ends alone, then the whole grid, then both brackets bisected;
+    # the smaller root is assembled
+    assert shots[:2] == [grid[0], grid[-1]]
+    assert sorted(shots[:len(grid)]) == grid.tolist()
+    assert len(shots) == len(grid) + 2 * 24
+    assert abs(u1 - roots[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_a_non_finite_probe_goes_to_the_list(weed, c_star_weed, manifolds01,
+                                             monkeypatch, bad):
+    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
+    root, probe = _between(grid, 0.25), grid[(len(grid) - 1) // 2]
+    shots, u1 = _synthetic_search(weed, c_star_weed, monkeypatch, lambda u: (
+        bad if u == probe else root - u))
+    # the first midpoint is not finite: the list decides, every grid
+    # point shot once, and finds the root
+    assert shots[:3] == [grid[0], grid[-1], probe]
+    assert sorted(shots[:len(grid)]) == grid.tolist()
+    assert len(shots) == len(grid) + 24
+    assert abs(u1 - root) <= 1e-10
 
 
 def test_an_exact_zero_in_the_phi_list_is_bracketed_across(
         weed, c_star_weed, opt01, manifolds01, monkeypatch):
-    # a phi list that is exactly 0 at a grid node changes sign across that
-    # node: its neighbours bracket the root, which bisects onto the node
+    # phi exactly 0 at a grid node: the search takes the node as a bracket
+    # end, the scalar list brackets across it, and either way the node is
+    # the root
     grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
     node = float(grid[np.argmin(np.abs(grid - opt01.u1))])
 
@@ -640,8 +650,11 @@ def test_an_exact_zero_in_the_phi_list_is_bracketed_across(
             return shoot_from(spec, c, u1, *args, **kwargs)
         return pmp.ShotResult("met_psharp", u1 - node, u1, 1.0, 0.0, 0.0)
     monkeypatch.setattr(pmp, "shoot_from", shot)
-    monkeypatch.setattr(pmp, "_scan_signs", lambda spec, c, grid, *a: (
-        np.full(len(grid), np.nan), 1))
-    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
-    assert prof.converged.roots == [prof.u1]
-    assert abs(prof.u1 - node) <= 1e-10
+    search = pmp._grid_bracket
+    for decides in (True, False):
+        monkeypatch.setattr(pmp, "_grid_bracket", lambda phi, u1s: (
+            search(phi, u1s) if decides else None))
+        prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
+        assert prof.converged.roots == [prof.u1]
+        assert abs(prof.u1 - node) <= 1e-10
+        assert (prof.converged.scan_fallbacks == 0) == decides

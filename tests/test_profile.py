@@ -94,6 +94,13 @@ def test_invalid_trajectory_rejected(weed):
                                       beta_values=np.zeros_like(u)), weed)
 
 
+def test_reconstruction_needs_a_node_with_positive_p(weed):
+    # every node at P <= 1e-9 is dropped, and nothing is left to invert
+    traj = PhaseTrajectory([0.2, 0.3, 0.4], [1e-10, 5e-10, 2e-10], -0.1, "x")
+    with pytest.raises(InvalidTrajectoryError, match="all 3 have P <= 1e-9"):
+        reconstruct_x(traj, weed)
+
+
 def test_reconstruction_needs_a_trajectory_across_u_star(weed):
     # x is anchored at U(0) = u*, which P_flat stopped at U = 0.2 misses
     with pytest.raises(InvalidTrajectoryError, match="does not straddle"):

@@ -391,6 +391,46 @@ def _scan_case(spec, c, resolution):
     return _scan_grid(spec, flat, resolution)[2], pf, ps
 
 
+def _searched_bracket(spec, c, grid, pf, ps):
+    """(_grid_bracket's answer, the u1 it shot, scalar phi on every grid
+    point)."""
+    probed = []
+
+    def phi(u1):
+        probed.append(u1)
+        return shoot_from(spec, c, u1, pf, ps).phi
+    bracket = pmp._grid_bracket(phi, grid.tolist())
+    return bracket, probed, [phi(u1) for u1 in grid.tolist()]
+
+
+def _check_search_against_list(grid, bracket, probed, phis):
+    """The search's bracket is the scalar list's one sign change, found in
+    about log2 n shots; None only where the list's ends share a sign."""
+    assert np.all(np.isfinite(phis))
+    changes = flips(phis, 0.0)
+    probed = probed[:len(probed) - len(grid)]  # the search's own shots
+    assert len(probed) <= math.ceil(math.log2(len(grid))) + 2
+    if bracket is None:
+        assert np.sign(phis[0]) * np.sign(phis[-1]) >= 0.0
+    else:
+        assert len(changes) == 1
+        (i, j), = changes
+        assert bracket == (grid[i], grid[j])
+
+
+@settings(max_examples=8, deadline=None)
+@given(u_star=st.floats(0.1, 0.45), rate=st.floats(0.3, 8.0),
+       frac=st.floats(0.02, 1.0))
+def test_scan_signs_match_scalar_phi(u_star, rate, frac):
+    # speeds from just above the exact c* = sqrt(rate/2) (2u* - 1) upward
+    spec = make_cubic_model(u_star, rate)
+    scale = np.sqrt(rate / 2.0)
+    c = scale * (2.0 * u_star - 1.0) + 0.5 * frac * scale
+    grid, pf, ps = _scan_case(spec, c, 1e-2)
+    _check_search_against_list(grid, *_searched_bracket(spec, c, grid,
+                                                         pf, ps))
+
+
 @st.composite
 def _cubic_cases(draw):
     """(u*, rate, c) over the cubic box, c from just above the exact
@@ -472,6 +512,17 @@ def test_fused_shot_matches_generic(weed, manifolds01):
         assert fused.phi == ref.phi
         statuses.add(fused.status)
     assert statuses == {"met_psharp", "beta_zero"}
+
+
+def test_scan_signs_at_the_sandwich_setup():
+    # the full 1e-3 scan of the model2_sandwich set-up, whose root sits
+    # where the met_psharp and beta_zero branches of phi meet
+    spec = make_cubic_model(0.15, 4.5)
+    grid, pf, ps = _scan_case(spec, SANDWICH_C, 1e-3)
+    bracket, probed, phis = _searched_bracket(spec, SANDWICH_C, grid, pf, ps)
+    assert np.any(np.array(phis) > 0.0) and np.any(np.array(phis) < 0.0)
+    assert bracket is not None and bracket[0] <= SANDWICH_U1 <= bracket[1]
+    _check_search_against_list(grid, bracket, probed, phis)
 
 
 def test_two_events_in_one_step_go_to_the_scalar_shot(weed, manifolds01):

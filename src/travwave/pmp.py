@@ -19,10 +19,9 @@ exhausted before the meeting) so that bisection can bracket the root.
 The root is bracketed on a grid of trial junctions: phi is shot at the
 grid's two ends and, when they differ in sign, at the midpoints of an
 index range halved until two adjacent grid points bracket the change.
-Ends of one sign, or a phi that is not finite, send the search to the
-scalar list of phi over the whole grid.  Every phi value is a scalar
-`shoot_from` call, memoised per u1 in one table that the search, the
-list, the bisection and the diagnostics read.
+Ends of one sign are refused with the phi table of the whole grid.
+Every phi value is a scalar `shoot_from` call, memoised per u1 in one
+table that the search, the bisection and the diagnostics read.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dop853 import solve_ivp
-from ._roots import bisect, flips
+from ._roots import bisect
 from .control_construct import (_cost_and_error, _slice_from, _slice_to,
                                 _speed_regime, merge_pieces,
                                 natural_heteroclinic)
@@ -70,10 +69,9 @@ class ShootingDiagnostics:
     """What one `optimal_profile` call did.
 
     `n_scanned` grid points were shot to bracket the root: the grid's ends
-    and the halving's midpoints, or the whole grid when the scalar list
-    decided, in which case `scan_fallbacks` is the grid's size too (else
-    0).  `shots` counts the distinct junctions u1 whose phi was shot (grid
-    points and bisection) plus the final sampled shot.
+    and the halving's midpoints.  `roots` is [u1_root], or empty for the
+    zero control.  `shots` counts the distinct junctions u1 whose phi was
+    shot (grid points and bisection) plus the final sampled shot.
     """
 
     u1_root: float
@@ -83,7 +81,6 @@ class ShootingDiagnostics:
     scan_hi: float
     n_scanned: int
     shots: int = 0
-    scan_fallbacks: int = 0
     cost_error: float = 0.0  # the arc cost's halving error estimate
 
 
@@ -229,19 +226,14 @@ def _scan_grid(spec: ModelSpec, flat: PhaseTrajectory,
 def _grid_bracket(phi, u1s: list) -> tuple[float, float] | None:
     """Adjacent grid points (lo, hi) where phi changes sign (or is exactly
     zero at one of them), found by halving the index range between the
-    grid's ends.  None when the ends do not differ in sign or a probe's
-    phi is not finite."""
+    grid's ends.  None when the ends do not differ in sign."""
     i, j = 0, len(u1s) - 1
     f_i, f_j = phi(u1s[i]), phi(u1s[j])
-    if not (math.isfinite(f_i) and math.isfinite(f_j)
-            and np.sign(f_i) * np.sign(f_j) < 0.0):
+    if not np.sign(f_i) * np.sign(f_j) < 0.0:
         return None
     while j - i > 1:
         m = (i + j) // 2
-        f = phi(u1s[m])
-        if not math.isfinite(f):
-            return None
-        if (f > 0.0) == (f_i > 0.0):
+        if (phi(u1s[m]) > 0.0) == (f_i > 0.0):
             i = m
         else:
             j = m
@@ -271,14 +263,13 @@ def optimal_profile(spec: ModelSpec, c: float,
     `_speed_regime` refuses c < c*; within its guard of c* the zero control
     is optimal and the natural heteroclinic is returned with zero cost.
     phi(u1) is shot at most once per u1, into one table: the grid points
-    `_grid_bracket` probes (or, when it does not decide, the whole grid)
-    and the bisection steps.  Each bracket's root is its tabled u1 with
-    the smallest |phi|; if the grid list finds several roots, the smallest
-    is assembled with one more shot, sampled densely, and all are reported
-    in the diagnostics.  Where phi changes sign an odd number of times, at
-    least three, between the grid's ends, the search brackets one of those
-    changes, not necessarily the one at the smallest u1; an even number
-    leaves the ends of one sign, and the list finds every root.
+    `_grid_bracket` probes and the bisection steps.  The root is the
+    bracket's tabled u1 with the smallest |phi|, assembled with one more
+    shot, sampled densely.  Where phi changes sign an odd number of times,
+    at least three, between the grid's ends, the search brackets one of
+    those changes, not necessarily the one at the smallest u1.  Ends of
+    one sign (no change, or an even number) raise NoSolutionError with
+    phi on the whole grid.
     """
     _gate(spec)
     c_star, trivial = _speed_regime(spec, c, c_star)
@@ -302,27 +293,19 @@ def optimal_profile(spec: ModelSpec, c: float,
 
     u1s = grid.tolist()
     bracket = _grid_bracket(phi, u1s)
-    brackets = [bracket]
-    if not bracket:
-        # ends of one sign, or a phi that is not finite: the scalar phi
-        # list over the grid decides
-        phis = [phi(x) for x in u1s]
-        brackets = [(u1s[i], u1s[j]) for i, j in flips(phis, 0.0)]
-        if not brackets:
-            raise NoSolutionError(
-                f"no sign change of phi on [{scan_lo:.4f}, {scan_hi:.4f}] "
-                f"at c={c:g}", phi_table=np.column_stack([grid, phis]))
+    if bracket is None:
+        # the rest of the grid is shot only for the refusal's table
+        raise NoSolutionError(
+            f"no sign change of phi between the ends of [{scan_lo:.4f}, "
+            f"{scan_hi:.4f}] at c={c:g}",
+            phi_table=np.column_stack([grid, [phi(x) for x in u1s]]))
     n_scanned = len(table)  # grid points only: the bisection comes next
 
-    roots = []
-    for lo, hi in brackets:
-        flo = phi(lo)
-        bisect(lambda u1: -flo * phi(u1), lo, hi, U1_TOL)
-        roots.append(min((x for x in table if lo <= x <= hi
-                          and np.isfinite(table[x])),
-                         key=lambda x: abs(table[x])))
-
-    u1_root = roots[0]
+    lo, hi = bracket
+    flo = phi(lo)
+    bisect(lambda u1: -flo * phi(u1), lo, hi, U1_TOL)
+    u1_root = min((x for x in table if lo <= x <= hi),
+                  key=lambda x: abs(table[x]))
     shot = shoot_from(spec, c, u1_root, p_flat, p_sharp, rtol=rtol, atol=atol,
                       want_nodes=True)
     u2, arc = shot.u_end, shot.arc
@@ -330,9 +313,8 @@ def optimal_profile(spec: ModelSpec, c: float,
                          _slice_from(sharp, u2, p_sharp)), c)
 
     cost, cost_error = _cost_and_error(spec, arc)
-    diag = ShootingDiagnostics(u1_root, table[u1_root], roots, scan_lo,
-                               scan_hi, n_scanned, len(table) + 1,
-                               0 if bracket else len(grid), cost_error)
+    diag = ShootingDiagnostics(u1_root, table[u1_root], [u1_root], scan_lo,
+                               scan_hi, n_scanned, len(table) + 1, cost_error)
     return OptimalProfile(c, u1_root, u2, traj, cost, diag, arc=arc)
 
 

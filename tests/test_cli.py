@@ -334,8 +334,6 @@ def test_optimal_json_reports_shooting(tmp_path, capsys, cached_profiles):
     assert list(results) == ["u1", "u2", "cost", "shooting"]
     shooting = results["shooting"]
     assert list(shooting) == ["u1_root", "phi_at_root", "roots", "scan_lo",
-                              "scan_hi", "n_scanned", "shots",
-                              "scan_fallbacks", "cost_error"]
+                              "scan_hi", "n_scanned", "shots", "cost_error"]
     assert 0 < shooting["n_scanned"] < shooting["shots"]
     assert 0.0 < shooting["cost_error"] <= 1e-9 * results["cost"]
-    assert shooting["scan_fallbacks"] == 0

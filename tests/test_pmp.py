@@ -460,8 +460,8 @@ WORST_DRAW = (0.06739491614261098, 5.716042082249537, -0.16594270322585647)
 @example(case=(1.0 / 3.0, 1.0, -0.1))
 def test_phi_on_the_scan_grid_changes_sign_at_most_once(case):
     # the grid search relies on at most one change, + below and - above:
-    # an even number of changes goes to the scalar list, and an odd number
-    # of three or more would lose roots
+    # an even number of changes is refused, and an odd number of three or
+    # more would lose roots
     u_star, rate, c = case
     spec = make_cubic_model(u_star, rate)
     try:
@@ -564,7 +564,7 @@ def test_shooting_diagnostics_count_every_shot(weed, c_star_weed, opt01,
     prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
     diag = prof.converged
     assert diag == opt01.converged and prof.cost == opt01.cost
-    assert diag.shots == len(shots) and diag.scan_fallbacks == 0
+    assert diag.shots == len(shots)
     assert 0 < diag.n_scanned < diag.shots
     # the grid points searched, 24 bisection halvings of 1e-3 down to
     # 1e-10 per root, and the sampled shot
@@ -581,47 +581,32 @@ def test_the_grid_search_shoots_a_logarithm_of_the_grid(opt01, manifolds01,
     assert diag.shots == diag.n_scanned + 24 * len(diag.roots) + 1
 
 
-def test_every_junction_is_shot_once(weed, c_star_weed, opt01, manifolds01,
+def test_every_junction_is_shot_once(weed, c_star_weed, manifolds01,
                                      monkeypatch):
-    # a search that shoots its probes and then does not decide: the
-    # scalar list reads the probes from the phi table, and only the
-    # sampled final shot repeats a u1
+    # a search that shoots its probes and then does not decide ends in the
+    # refusal: its table is the grid, read from the phi table for the
+    # probes, so every grid point is shot exactly once
     search = pmp._grid_bracket
     monkeypatch.setattr(pmp, "_grid_bracket",
                         lambda phi, u1s: search(phi, u1s) and None)
     shots = _spied_shots(monkeypatch)
-    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
-    diag = prof.converged
+    with pytest.raises(NoSolutionError, match="no sign change of phi") as info:
+        optimal_profile(weed, -0.1, c_star=c_star_weed)
     grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
     assert shots[:2] == [grid[0], grid[-1]]
-    assert sorted(shots[:len(grid)]) == grid.tolist()
-    assert len(set(shots[:-1])) == len(shots) - 1 and shots[-1] == prof.u1
-    assert diag.shots == len(shots) == len(grid) + 24 * len(diag.roots) + 1
-    assert diag.scan_fallbacks == diag.n_scanned == len(grid)
-    assert prof.cost == opt01.cost and diag.roots == opt01.converged.roots
-
-
-def test_failed_scan_brackets_fall_back_to_the_scalar_list(
-        weed, c_star_weed, opt01, monkeypatch):
-    # a search that decides nothing sends the profile to one scalar shot
-    # per grid point, with the same result
-    monkeypatch.setattr(pmp, "_grid_bracket", lambda phi, u1s: None)
-    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
-    diag = prof.converged
-    assert prof.cost == opt01.cost and diag.roots == opt01.converged.roots
-    assert diag.scan_fallbacks == diag.n_scanned > opt01.converged.n_scanned
-    # every grid point is shot once, the search's probes included
-    assert diag.shots == (diag.n_scanned + opt01.converged.shots
-                          - opt01.converged.n_scanned)
+    assert sorted(shots) == grid.tolist()
+    table = info.value.phi_table
+    assert table[:, 0].tolist() == grid.tolist()
+    assert len(flips(table[:, 1].tolist(), 0.0)) == 1
 
 
 class _Assembled(Exception):
     """Raised by a synthetic shot asked for the sampled final run."""
 
 
-def _synthetic_search(weed, c_star_weed, monkeypatch, phi):
-    """(shots, u1) of optimal_profile at c = -0.1 when phi(u1) is the
-    given function: the u1 shot in order and the junction assembled."""
+def _synthetic_shots(monkeypatch, phi):
+    """The u1 of every shot the module makes, in order, once a shot's phi
+    is phi(u1); the sampled final run raises _Assembled."""
     shots = []
 
     def shot(spec, c, u1, *args, **kwargs):
@@ -630,6 +615,13 @@ def _synthetic_search(weed, c_star_weed, monkeypatch, phi):
         shots.append(u1)
         return pmp.ShotResult("met_psharp", phi(u1), u1, 1.0, 0.0, 0.0)
     monkeypatch.setattr(pmp, "shoot_from", shot)
+    return shots
+
+
+def _synthetic_search(weed, c_star_weed, monkeypatch, phi):
+    """(shots, u1) of optimal_profile at c = -0.1 when phi(u1) is the
+    given function: the u1 shot in order and the junction assembled."""
+    shots = _synthetic_shots(monkeypatch, phi)
     with pytest.raises(_Assembled) as info:
         optimal_profile(weed, -0.1, c_star=c_star_weed)
     return shots, info.value.args[0]
@@ -659,40 +651,29 @@ def test_three_roots_between_opposite_ends_bracket_one(
     assert all(grid[k - 1] < u < grid[k] for u in shots[len(probes):])
 
 
-def test_two_roots_between_ends_of_one_sign_go_to_the_list(
+def test_two_roots_between_ends_of_one_sign_are_refused(
         weed, c_star_weed, manifolds01, monkeypatch):
     grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
     roots = [_between(grid, f) for f in (0.3, 0.7)]
-    shots, u1 = _synthetic_search(weed, c_star_weed, monkeypatch, lambda u: (
+    shots = _synthetic_shots(monkeypatch, lambda u: (
         (u - roots[0]) * (u - roots[1])))
-    # the ends alone, then the whole grid, then both brackets bisected;
-    # the smaller root is assembled
+    with pytest.raises(NoSolutionError,
+                       match="no sign change of phi between the ends") as info:
+        optimal_profile(weed, -0.1, c_star=c_star_weed)
+    # the ends alone, then the rest of the grid once each for the table,
+    # which shows both changes; nothing is bisected
     assert shots[:2] == [grid[0], grid[-1]]
-    assert sorted(shots[:len(grid)]) == grid.tolist()
-    assert len(shots) == len(grid) + 2 * 24
-    assert abs(u1 - roots[0]) <= 1e-10
-
-
-@pytest.mark.parametrize("bad", [np.nan, -np.inf])
-def test_a_non_finite_probe_goes_to_the_list(weed, c_star_weed, manifolds01,
-                                             monkeypatch, bad):
-    grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
-    root, probe = _between(grid, 0.25), grid[(len(grid) - 1) // 2]
-    shots, u1 = _synthetic_search(weed, c_star_weed, monkeypatch, lambda u: (
-        bad if u == probe else root - u))
-    # the first midpoint is not finite: the list decides, every grid
-    # point shot once, and finds the root
-    assert shots[:3] == [grid[0], grid[-1], probe]
-    assert sorted(shots[:len(grid)]) == grid.tolist()
-    assert len(shots) == len(grid) + 24
-    assert abs(u1 - root) <= 1e-10
+    assert sorted(shots) == grid.tolist()
+    table = info.value.phi_table
+    assert table[:, 0].tolist() == grid.tolist()
+    cells = [int(np.searchsorted(grid, r)) for r in roots]
+    assert flips(table[:, 1].tolist(), 0.0) == [(k - 1, k) for k in cells]
 
 
 def test_an_exact_zero_in_the_phi_list_is_bracketed_across(
         weed, c_star_weed, opt01, manifolds01, monkeypatch):
     # phi exactly 0 at a grid node: the search takes the node as a bracket
-    # end, the scalar list brackets across it, and either way the node is
-    # the root
+    # end, and the node is the root
     grid = _scan_grid(weed, manifolds01[0], 1e-3)[2]
     node = float(grid[np.argmin(np.abs(grid - opt01.u1))])
 
@@ -701,11 +682,6 @@ def test_an_exact_zero_in_the_phi_list_is_bracketed_across(
             return shoot_from(spec, c, u1, *args, **kwargs)
         return pmp.ShotResult("met_psharp", u1 - node, u1, 1.0, 0.0, 0.0)
     monkeypatch.setattr(pmp, "shoot_from", shot)
-    search = pmp._grid_bracket
-    for decides in (True, False):
-        monkeypatch.setattr(pmp, "_grid_bracket", lambda phi, u1s: (
-            search(phi, u1s) if decides else None))
-        prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
-        assert prof.converged.roots == [prof.u1]
-        assert abs(prof.u1 - node) <= 1e-10
-        assert (prof.converged.scan_fallbacks == 0) == decides
+    prof = optimal_profile(weed, -0.1, c_star=c_star_weed)
+    assert prof.converged.roots == [prof.u1]
+    assert abs(prof.u1 - node) <= 1e-10

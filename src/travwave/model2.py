@@ -106,21 +106,30 @@ class TriplePath:
                              "v": self.v_values, "theta": self.theta_values})
 
 
+def _check_speed(c: float) -> None:
+    """Raise InvalidParameterError unless c is finite and nonzero, where
+    the cubic and its constant term -kappa1 kappa2 / c are defined."""
+    if not (np.isfinite(c) and c != 0.0):
+        raise InvalidParameterError(
+            f"characteristic polynomial undefined at c = {c}")
+
+
 def char_poly(c: float, params: Model2Params) -> np.ndarray:
     """Coefficients (1, c, -d, -kappa1 kappa2 / c) of the linearization cubic."""
-    if c == 0.0:
-        raise InvalidParameterError("characteristic polynomial undefined at c = 0")
+    _check_speed(c)
     return np.array([1.0, c, -params.d, -params.kappa1 * params.kappa2 / c])
 
 
 def lambda_min(c: float, params: Model2Params) -> float:
     """Positive critical point of the cubic: (-c + sqrt(c^2 + 3 d)) / 3."""
+    _check_speed(c)
     return (-c + np.sqrt(c * c + 3.0 * params.d)) / 3.0
 
 
 def p_at_lambda_min(c: float, params: Model2Params) -> float:
     """Value of the cubic at its positive critical point (<= 0 iff two
     positive real roots)."""
+    _check_speed(c)
     k12 = params.kappa1 * params.kappa2
     d = params.d
     return (-k12 / c + c * d / 3.0 + (2.0 / 27.0) * c**3
@@ -128,11 +137,18 @@ def p_at_lambda_min(c: float, params: Model2Params) -> float:
 
 
 def c_sharp(params: Model2Params) -> float:
-    """Threshold speed: the unique c < 0 where the critical value vanishes."""
+    """Threshold speed: the unique c < 0 where the critical value vanishes.
+
+    c_sharp^2 = num / (d^2 + 4 kappa) with kappa = kappa1 kappa2 and
+    num = -2 d^3 - 9 kappa d + 2 s^3, s = sqrt(d^2 + 3 kappa).  That sum
+    cancels when kappa << d^2; num = (s - d)^2 (2 s + d) with
+    s - d = 3 kappa / (s + d) is the same number without the cancellation.
+    """
     d, k12 = params.d, params.kappa1 * params.kappa2
-    num = -2.0 * d**3 - 9.0 * k12 * d + 2.0 * (d * d + 3.0 * k12) ** 1.5
+    s = np.sqrt(d * d + 3.0 * k12)
+    num = (3.0 * k12 / (s + d)) ** 2 * (2.0 * s + d)
     den = d * d + 4.0 * k12
-    cs = -np.sqrt(max(num, 0.0) / den)
+    cs = -np.sqrt(num / den)
     resid = p_at_lambda_min(cs, params)
     if abs(resid) > 1e-9 * max(1.0, abs(k12 / cs)):
         raise ConstructionFailureError(

@@ -387,10 +387,16 @@ def slope_bound(spec: ModelSpec, c: float) -> float:
 
     With M = max f, integrating the slope inequality P' >= -cP - M over a
     unit x-interval gives P <= c/(1-e^-c) + M (1/(1-e^-c) - 1/c) for c != 0
-    and P <= 1 + M/2 for c = 0.
+    and P <= 1 + M/2 for c = 0.  Where |c| < 1e-2 the cancelling
+    g = 1/(1-e^-c) - 1/c is summed from its series
+    1/2 + c/12 - c^3/720 + c^5/30240 and the bound is 1 + (c + M) g.
+    A non-finite c raises InvalidParameterError.
     """
+    if not np.isfinite(c):
+        raise InvalidParameterError(f"slope bound needs a finite c, got c={c}")
     M = spec.max_f()
-    if abs(c) < 1e-12:
-        return 1.0 + M / 2.0
-    q = 1.0 - np.exp(-c)
+    if abs(c) < 1e-2:
+        g = 0.5 + c / 12.0 - c**3 / 720.0 + c**5 / 30240.0
+        return 1.0 + (c + M) * g
+    q = -np.expm1(-c)
     return c / q + M * (1.0 / q - 1.0 / c)

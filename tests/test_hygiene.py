@@ -522,15 +522,14 @@ def test_a_simpson_import_is_reported():
                                           ("load", None)}
 
 
-def _guard_loads(tree: ast.Module) -> list[int]:
-    """Lines that import ``SPEED_GUARD`` or read it, by name or as an
-    attribute."""
+def _loads(tree: ast.Module, name: str) -> list[int]:
+    """Lines that import `name` or read it, by name or as an attribute."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if (isinstance(node, ast.ImportFrom)
-                      and any(a.name == "SPEED_GUARD" for a in node.names))
+                      and any(a.name == name for a in node.names))
                   or (isinstance(node, (ast.Name, ast.Attribute))
-                      and "SPEED_GUARD" in (getattr(node, "id", None),
-                                            getattr(node, "attr", None))
+                      and name in (getattr(node, "id", None),
+                                   getattr(node, "attr", None))
                       and isinstance(node.ctx, ast.Load)))
 
 
@@ -538,7 +537,8 @@ def test_one_speed_regime():
     # every controlled profile reads c < c* and the zero-control band
     # around c* from control_construct._speed_regime; no other module can
     # restate that rule
-    owners = {p.name for p in MODULES if _guard_loads(_tree(p))}
+    owners = {p.name for p in MODULES
+              if _loads(_tree(p), "SPEED_GUARD")}
     assert owners == {"control_construct.py"}
 
 
@@ -549,7 +549,24 @@ def test_a_speed_guard_load_is_reported():
                      "if c <= c_star + SPEED_GUARD:\n"
                      "    g = cc.SPEED_GUARD\n"
                      "cc.SPEED_GUARD = 0.0\n")
-    assert _guard_loads(tree) == [1, 4, 5]
+    assert _loads(tree, "SPEED_GUARD") == [1, 4, 5]
+
+
+def test_one_sign_flip_list():
+    # every sign-change scan over sampled values is _roots.sign_changes';
+    # no other module can build a second bracket search from the flip list
+    owners = {p.name for p in MODULES if _loads(_tree(p), "flips")}
+    assert owners == {"_roots.py"}
+
+
+def test_a_flips_load_is_reported():
+    tree = ast.parse("from ._roots import bisect, flips\n"
+                     "import travwave._roots as rt\n"
+                     "pairs = flips(phis, 0.0)\n"
+                     "more = rt.flips(phis, 0.0)\n"
+                     "def flips(values, tol):\n"
+                     "    return []\n")
+    assert _loads(tree, "flips") == [1, 3, 4]
 
 
 def _event_glue(tree: ast.Module) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -59,6 +60,29 @@ def test_critical_value_sign_split():
     cs_grid = np.linspace(-2.5, -0.05, 25)
     vals = [p_at_lambda_min(c, P111) for c in cs_grid]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("d", [0.01, 0.3, 1.0, 10.0])
+def test_c_sharp_keeps_its_closed_form_for_small_rates(d):
+    # the closed form's numerator cancels to (s - d)^2 (2s + d) as
+    # kappa1 kappa2 / d^2 -> 0; checked against a 80-digit evaluation
+    for k1 in np.logspace(-9.0, 3.0, 25).tolist():
+        for k2 in (1e-3, 1.0, 7.0):
+            cs = c_sharp(Model2Params(k1, k2, d))
+            with localcontext() as ctx:
+                ctx.prec = 80
+                k, dd = Decimal(k1) * Decimal(k2), Decimal(d)
+                num = (-2 * dd**3 - 9 * k * dd
+                       + 2 * (dd * dd + 3 * k).sqrt() ** 3)
+                exact = -(num / (dd * dd + 4 * k)).sqrt()
+                assert abs(Decimal(cs) / exact - 1) <= Decimal("1e-15")
+
+
+@pytest.mark.parametrize("fn", [char_poly, lambda_min, p_at_lambda_min])
+@pytest.mark.parametrize("c", [0.0, np.nan, np.inf, -np.inf])
+def test_cubic_helpers_refuse_an_undefined_speed(fn, c):
+    with pytest.raises(InvalidParameterError, match=f"at c = {c}"):
+        fn(c, P111)
 
 
 @settings(max_examples=50, deadline=None)

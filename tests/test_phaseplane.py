@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -257,6 +258,26 @@ def test_slope_bound(weed):
         bound = slope_bound(weed, c)
         traj = unstable_manifold(weed, c, u_stop=1.0)
         assert float(np.max(traj.p_values)) <= bound
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_slope_bound_near_zero_speed(weed, sign):
+    # 1 - e^-c and 1/(1 - e^-c) - 1/c cancel as c -> 0; checked against a
+    # 80-digit evaluation of the same closed form
+    m = Decimal(weed.max_f())
+    for c in (sign * np.logspace(-13.0, 1.0, 57)).tolist():
+        bound = slope_bound(weed, c)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            q = 1 - (-Decimal(c)).exp()
+            exact = Decimal(c) / q + m * (1 / q - 1 / Decimal(c))
+            assert abs(Decimal(float(bound)) / exact - 1) <= Decimal("1e-12")
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_slope_bound_refuses_a_non_finite_speed(weed, c):
+    with pytest.raises(InvalidParameterError, match=f"c={c}"):
+        slope_bound(weed, c)
 
 
 def test_csv_export(tmp_path, weed):

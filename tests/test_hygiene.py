@@ -537,8 +537,7 @@ def test_one_speed_regime():
     # every controlled profile reads c < c* and the zero-control band
     # around c* from control_construct._speed_regime; no other module can
     # restate that rule
-    owners = {p.name for p in MODULES
-              if _loads(_tree(p), "SPEED_GUARD")}
+    owners = {p.name for p in MODULES if _loads(_tree(p), "SPEED_GUARD")}
     assert owners == {"control_construct.py"}
 
 
@@ -553,8 +552,8 @@ def test_a_speed_guard_load_is_reported():
 
 
 def test_one_sign_flip_list():
-    # every sign-change scan over sampled values is _roots.sign_changes';
-    # no other module can build a second bracket search from the flip list
+    # only _roots.sign_changes reads the flip list of sampled values; no
+    # other module can build a second bracket search from it
     owners = {p.name for p in MODULES if _loads(_tree(p), "flips")}
     assert owners == {"_roots.py"}
 

@@ -168,11 +168,12 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
 
     def L_betabeta(u, beta):
         u, beta, m, inside, gap = barrier_gap(u, beta)
-        return np.where(inside, 2.0 * m / gap**3, np.inf)[()]
+        return np.where(inside, 2.0 * m / (gap * gap * gap), np.inf)[()]
 
     def L_ubeta(u, beta):
         u, beta, m, inside, gap = barrier_gap(u, beta)
-        return np.where(inside, -dm_of(u) * (m + beta) / gap**3, np.inf)[()]
+        return np.where(inside, -dm_of(u) * (m + beta) / (gap * gap * gap),
+                        np.inf)[()]
 
     def beta_from_alpha(u, alpha):
         u = np.asarray(u, dtype=float)
@@ -181,19 +182,19 @@ def make_cubic_model(u_star: float, rate: float = 1.0) -> ModelSpec:
 
     def pmp_rhs(u, P, beta, c):
         # the generic right-hand side on floats with f, beta_max and the
-        # cost partials fused (m, gap and gap**3 once): same clamp, same
-        # partials, same guard.  gap**3 goes through numpy's power, as in
-        # the array partials above (its SIMD loop can round differently
-        # from float.__pow__), and P**2 through libm's pow, so it agrees
-        # with the generic one to the bit.
+        # cost partials fused (m, gap and its cube once): same clamp, same
+        # partials, same guard.  The cube is the product gap * gap * gap,
+        # as in the array partials above, and P**2 goes through libm's pow,
+        # as in the generic one, so the two agree to the bit without a
+        # numpy call per evaluation.
         m = k * u * (u - a)
         fv = m * (1.0 - u)
         b = min(max(beta, 0.0), (1.0 - 1e-12) * (m if u > a else 0.0))
         gap = m - b
-        gap3 = float(np.power(gap, 3))
+        gap3 = gap * gap * gap
         inside = 0.0 <= b < m and gap3 > 0.0
-        Lbb = 2.0 * m / gap3 if inside else np.inf
-        if not 0.0 < Lbb < np.inf:
+        Lbb = 2.0 * m / gap3 if inside else math.inf
+        if not 0.0 < Lbb < math.inf:
             _refuse_rhs(u, P, beta, b, Lbb)
         Lb = m / (gap * gap)
         P2 = P**2

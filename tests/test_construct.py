@@ -263,6 +263,20 @@ def test_a0_bounds_orbits_reaching_one(weed, c_star_weed, c):
     assert flags == [True, True, True, False, False, False]
 
 
+def test_the_p_c_prime_orbit_asks_numpy_nothing_per_rhs_call(
+        weed, numpy_lookups):
+    # the planar right-hand side reads f_hat one plain float at a time:
+    # an orbit that reaches U = 1 and one that falls to P = 0 make the
+    # same few numpy lookups (the integrator's dense output)
+    sub = make_substitute_spec(weed, default_substitute(weed))
+    c_prime = 0.5 * acc._c_hat()
+    runs = [numpy_lookups(_pcprime_orbit, sub, c_prime, a)
+            for a in (0.1, 0.2)]
+    (low, (n_low,), (up, _)), (high, (n_high,), (down, _)) = runs
+    assert up and not down and min(n_low, n_high) > 100 and n_low != n_high
+    assert low == high and sum(high.values()) <= 12, high
+
+
 @pytest.mark.parametrize("c", [-0.2, -0.1, 0.0])
 def test_a0_matches_the_tight_axis_run(weed, monkeypatch, c):
     # the two-leg planar run gives the a0 of the chart run that crawls

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from travwave.errors import InvalidParameterError
 from travwave.model import (Model2Params, check_A1, check_A2, make_cubic_model,
@@ -178,6 +178,25 @@ def test_weed_cost_strictly_convex(u, frac):
     b = frac * (m - 2.0 * h) + h
     second = spec.L(u, b + h) - 2.0 * spec.L(u, b) + spec.L(u, b - h)
     assert second > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(u_star=st.floats(0.05, 0.5), rate=st.floats(0.1, 10.0),
+       points=st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 0.999)),
+                       min_size=1, max_size=40))
+def test_array_partials_equal_their_scalar_calls(u_star, rate, points):
+    # the generic Pontryagin RHS reads the partials at 0-d, pmp_residual
+    # and the arc cost on arrays: inside the strip 0 <= beta < m the two
+    # agree to the bit, element by element
+    spec = make_cubic_model(u_star, rate)
+    u = np.array([u_star + du * (1.0 - u_star) for du, _ in points])
+    beta = np.array([frac * float(spec.beta_max(x))
+                     for x, (_, frac) in zip(u, points)])
+    for name in ("L", "L_beta", "L_betabeta", "L_ubeta"):
+        fn = getattr(spec, name)
+        each = np.array([float(fn(x, b)) for x, b in zip(u, beta)])
+        assert np.isfinite(each).all()
+        assert np.asarray(fn(u, beta)).tobytes() == each.tobytes(), name
 
 
 def test_model2_params():

@@ -91,6 +91,17 @@ def test_manifold_ordering_above_natural_speed(weed, c_star_weed):
     assert np.all(flat.p_values[inner] < np.asarray(ps(flat.u_nodes[inner])))
 
 
+def test_a_chart_run_asks_numpy_nothing_per_rhs_call(weed, numpy_lookups):
+    # the chart's right-hand side reads f one plain float at a time; the
+    # run's numpy lookups (the seed, the sampled nodes) are the same at
+    # any tolerance
+    runs = [numpy_lookups(unstable_manifold, weed, -0.1, rtol=rtol)
+            for rtol in (1e-6, pp.RTOL)]
+    (loose, (n_loose,), _), (tight, (n_tight,), _) = runs
+    assert 100 < n_loose < n_tight
+    assert loose == tight and sum(tight.values()) <= 40, tight
+
+
 def test_early_termination_flagged(weed):
     # for c > c*, P_flat crashes into the axis before U = 1
     traj = unstable_manifold(weed, -0.1, u_stop=1.0)

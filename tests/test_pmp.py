@@ -362,6 +362,20 @@ def test_the_scan_takes_the_fused_rhs(weed, monkeypatch):
     assert prof.converged.n_scanned > 0 and prof.cost > 0.0
 
 
+def test_a_shot_asks_numpy_nothing_per_rhs_call(weed, manifolds01,
+                                                numpy_lookups):
+    # the fused right-hand side runs some 700 times per shot on plain
+    # floats: the shot's numpy lookups (its argument checks, the
+    # integrator's end state) are the same few at any tolerance
+    flat, sharp = manifolds01
+    pf, ps = flat.interp_p(), sharp.interp_p()
+    runs = [numpy_lookups(shoot_from, weed, -0.1, 0.45, pf, ps, rtol=rtol)
+            for rtol in (1e-6, pmp.RTOL)]
+    (loose, (n_loose,), _), (tight, (n_tight,), _) = runs
+    assert 100 < n_loose < n_tight
+    assert loose == tight and sum(tight.values()) <= 8, tight
+
+
 def test_a_shot_reads_its_curves_on_floats(weed, manifolds01, monkeypatch):
     # shoot_from looks P_flat and P_sharp up one float at a time; each
     # lookup must take the interpolant's plain-float path, not the array

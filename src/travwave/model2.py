@@ -30,11 +30,11 @@ exhibit the sign violation that forbids buffer-zone profiles.
 
 from __future__ import annotations
 
+import importlib
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ._columns import write_columns
 from ._dop853 import solve_ivp
@@ -58,6 +58,17 @@ GRID_H = 0.01
 SOLVE_H = 0.02  # solve_vtheta's mesh spacing
 DEFECT_TOL = 1e-6  # solve_vtheta's bound on the V-equation defect
 DELTA0, TRIALS = 0.1, 100  # solve_vtheta: first pseudo-time step, trials
+
+
+def _linalg():
+    """scipy.linalg, imported at the first banded solve (here and in pde).
+
+    The shooting stack solves no banded system, and the import is most of
+    `import travwave`'s time; once loaded it is a dictionary read.  Call
+    sites read their routine off the returned module at each call, so a
+    routine patched on scipy.linalg is the one called.
+    """
+    return importlib.import_module("scipy.linalg")
 
 
 @dataclass
@@ -308,7 +319,7 @@ def _solve_linear_v(x: np.ndarray, c: float, coeff: np.ndarray,
     ab[0, 1:] = up
     ab[1, :] = mid - coeff[1:-1]
     ab[2, :-1] = lo
-    inner = solve_banded((1, 1), ab, rhs)
+    inner = _linalg().solve_banded((1, 1), ab, rhs)
     return np.concatenate(([v_left], inner, [v_right]))
 
 
@@ -495,7 +506,7 @@ def _newton_solve(dg: np.ndarray, up: float, lo: float, fac: np.ndarray,
     ab[3, :-2] = -lo
 
     def solve(r):
-        return np.diff(solve_banded((2, 1), ab, r), prepend=0.0)
+        return np.diff(_linalg().solve_banded((2, 1), ab, r), prepend=0.0)
 
     # The change of variables costs up to a factor N in conditioning
     # (|S| = N); one refinement step against the O(N) product J dv brings

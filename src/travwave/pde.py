@@ -39,13 +39,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ._columns import write_snapshots
 from .errors import (ConfigError, DomainExceededError, FrontNotFoundError,
                      InstabilityError, InvalidParameterError)
 from .model import Model2Params, ModelSpec, _check_positive
-from .model2 import check_drate
+from .model2 import _linalg, check_drate
 from .phaseplane import _sample_control
 from .profile import SpatialProfile
 
@@ -116,7 +115,7 @@ def _operator(n: int, dx: float, dt: float, c: float | None,
 
 def _factor(ab: np.ndarray) -> tuple:
     """LU factors (LAPACK gttrf) of a (1, 1) banded operator."""
-    *lu, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    *lu, info = _linalg().lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
         raise ConfigError(f"implicit operator is singular (gttrf info={info})")
     return tuple(lu)
@@ -165,12 +164,12 @@ class _Scheme:
     def diffuse(self, b: np.ndarray, start: bool) -> np.ndarray:
         # gttrs does not check for finiteness: a NaN reaches the blow-up
         # guard as NaN
-        return lapack.dgttrs(*self.diffusion_lu[start], b)[0]
+        return _linalg().lapack.dgttrs(*self.diffusion_lu[start], b)[0]
 
     def transport(self, b: np.ndarray, start: bool) -> np.ndarray:
         if self.transport_lu is None:
             return b
-        return lapack.dgttrs(*self.transport_lu[start], b)[0]
+        return _linalg().lapack.dgttrs(*self.transport_lu[start], b)[0]
 
 
 def _time_step(rate, rate_bound) -> float:

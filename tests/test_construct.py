@@ -347,6 +347,8 @@ def test_a0_where_p_sharp_creeps_to_a_degenerate_threshold():
        frac=st.floats(0.02, 1.0))
 @example(u_star=1.0 / 3.0, rate=1.1, frac=0.9999999999999999)
 @example(u_star=0.18337025608485896, rate=0.5, frac=0.809007619551687)
+@example(u_star=0.05990179126020943, rate=0.4375, frac=1.0)
+@example(u_star=0.0546875, rate=0.25, frac=0.5)
 def test_a0_threshold_across_cubic_family(u_star, rate, frac):
     # with f_hat = f the substitute's speed is the exact
     # c* = kappa (2 u* - 1), kappa = sqrt(rate / 2); every c' below it
@@ -354,7 +356,9 @@ def test_a0_threshold_across_cubic_family(u_star, rate, frac):
     # first example lies on the degenerate node c'^2 = 4 f'(u*), where
     # P_sharp meets the axis at u* itself.  In the second, P_sharp tends
     # to the node (u*, 0), and an unbounded chart steps across u* and ends
-    # 5.5e-6 relative short
+    # 5.5e-6 relative short.  In the last two the first leg meets u* next
+    # to the node a rounding below the axis (P = -1e-13), and the second
+    # leg runs out its span with P never falling to 0: a0 is u* itself
     spec = make_cubic_model(u_star, rate)
     sub = make_substitute_spec(spec, spec.f)
     kappa = math.sqrt(rate / 2.0)

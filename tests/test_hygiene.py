@@ -10,8 +10,9 @@ exception (a programming error must propagate, not turn into a solver
 verdict), one module holds the DOP853 integrators and none calls
 scipy's solve_ivp, only that module holds the DOP853 tableau, only that
 module generates code (exec, eval, compile), one module owns the CSV
-number format, scipy is imported only for scipy.linalg, one module
-defines the root finders, one builds the interpolant and one function
+number format, scipy is imported only for scipy.linalg and only by
+model2._linalg at the first banded solve, one module defines the root
+finders, one builds the interpolant and one function
 sums the cost quadrature,
 no module tags event functions or decodes a run's end (events are
 (g, direction) pairs and a run reports the one that ended it), one module reads
@@ -382,9 +383,26 @@ def _scipy_name_uses(tree: ast.Module, name: str) -> list[int]:
             or (isinstance(node, ast.Attribute) and node.attr == name)]
 
 
+STRING_IMPORTERS = {"import_module", "__import__"}
+
+
+def _string_import(node) -> str | None:
+    """The module an ``import_module(...)`` or ``__import__(...)`` call
+    (by name or as an attribute) imports: its literal first argument, or
+    "" where that is no string literal; None for any other node."""
+    if not (isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in STRING_IMPORTERS):
+        return None
+    arg = node.args[0] if node.args else None
+    return arg.value if isinstance(arg, ast.Constant) \
+        and isinstance(arg.value, str) else ""
+
+
 def _scipy_beyond_linalg(tree: ast.Module) -> list[int]:
-    """Lines that import scipy, or any of it but scipy.linalg, or read a
-    scipy subpackage other than linalg as ``scipy.<sub>``."""
+    """Lines that import scipy, or any of it but scipy.linalg, by an import
+    statement or a string import, or read a scipy subpackage other than
+    linalg as ``scipy.<sub>``."""
     def beyond(module: str) -> bool:
         parts = module.split(".")
         return parts[0] == "scipy" and parts[:2] != ["scipy", "linalg"]
@@ -401,6 +419,8 @@ def _scipy_beyond_linalg(tree: ast.Module) -> list[int]:
               and isinstance(node.value, ast.Name)
               and node.value.id == "scipy"):
             modules = [f"scipy.{node.attr}"]
+        elif (module := _string_import(node)) is not None:
+            modules = [module]
         else:
             continue
         if any(beyond(m) for m in modules):
@@ -418,18 +438,68 @@ def test_scipy_is_only_linalg():
 
 
 def test_import_loads_only_scipy_linalg():
-    # a fresh interpreter, as every CLI command starts: the package and its
-    # CLI load no scipy subpackage that the banded solvers do not need
+    # a fresh interpreter, as every CLI command starts: the package, its CLI
+    # and the shooting stack load no scipy module at all; the first PDE run
+    # and the first Model-2 V-solve load scipy.linalg for their banded
+    # solves, and no scipy subpackage that those do not need
     heavy = ["scipy.optimize", "scipy.integrate", "scipy.interpolate",
              "scipy.sparse", "scipy.special"]
-    code = ("import sys, travwave, travwave.cli\n"
-            f"print([m for m in {heavy!r} if m in sys.modules])\n"
-            "print('scipy.linalg' in sys.modules)\n")
+    code = ("import sys, travwave, travwave.cli, travwave.pmp, "
+            "travwave.speed\n"
+            "from travwave.acceptance import _m2_sandwich, _weed\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+            "travwave.evolve_scalar(_weed(), lambda x: 0.5, T=0.1, "
+            "x_span=(-1.0, 1.0), dx=0.5)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "_m2_sandwich()\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=SRC.parent,
                          env=env).stdout
-    assert out.split("\n")[:2] == ["[]", "True"]
+    assert out.split("\n")[:3] == ["[]", "True", "[]"]
+
+
+def _string_imports(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(top-level function, module) of each string import, in line order;
+    None is the module level and "" a module that is no string literal."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            module = _string_import(child)
+            if module is not None:
+                found.append((child.lineno, func, module))
+            visit(child, child.name if func is None
+                  and isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return [(func, module) for _, func, module in
+            sorted(found, key=lambda site: site[0])]
+
+
+def test_one_string_import():
+    # scipy.linalg is the one module the package imports by name, at its
+    # first banded solve, and model2._linalg is the one function that does:
+    # a second deferred import could load what the scipy rule forbids
+    sites = {p.name: _string_imports(_tree(p)) for p in MODULES}
+    assert {name: found for name, found in sites.items() if found} == {
+        "model2.py": [("_linalg", "scipy.linalg")]}
+
+
+def test_a_second_string_import_is_reported():
+    tree = ast.parse("import importlib\n"
+                     "def _linalg():\n"
+                     "    return importlib.import_module('scipy.linalg')\n"
+                     "def _optimize():\n"
+                     "    return importlib.import_module('scipy.optimize')\n"
+                     "special = __import__('scipy.special')\n"
+                     "def load(name):\n"
+                     "    return import_module(name)\n")
+    assert _string_imports(tree) == [
+        ("_linalg", "scipy.linalg"), ("_optimize", "scipy.optimize"),
+        (None, "scipy.special"), ("load", "")]
+    assert _scipy_beyond_linalg(tree) == [5, 6]
 
 
 def test_an_optimize_use_is_reported():

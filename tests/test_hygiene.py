@@ -464,18 +464,12 @@ def _string_imports(tree: ast.Module) -> list[tuple[str | None, str]]:
     """(top-level function, module) of each string import, in line order;
     None is the module level and "" a module that is no string literal."""
     found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            module = _string_import(child)
-            if module is not None:
-                found.append((child.lineno, func, module))
-            visit(child, child.name if func is None
-                  and isinstance(child, ast.FunctionDef) else func)
-
-    visit(tree, None)
-    return [(func, module) for _, func, module in
-            sorted(found, key=lambda site: site[0])]
+    for top in tree.body:
+        func = top.name if isinstance(top, ast.FunctionDef) else None
+        sites = sorted((node.lineno, module) for node in ast.walk(top)
+                       if (module := _string_import(node)) is not None)
+        found += [(func, module) for _, module in sites]
+    return found
 
 
 def test_one_string_import():

@@ -19,8 +19,8 @@ import numpy as np
 from .control_construct import default_substitute, finite_cost_control
 from .errors import ConfigError, NonexistenceError
 from .model import Model2Params, check_A2, make_cubic_model, make_weed_model
-from .model2 import c_sharp, case2_demo, solve_vtheta, spectrum, subsolution, \
-    supersolution
+from .model2 import _linalg, c_sharp, case2_demo, solve_vtheta, spectrum, \
+    subsolution, supersolution
 from .pde import evolve_model2, evolve_scalar, front_speed
 from .phaseplane import slope_bound, stable_manifold, unstable_manifold
 from .pmp import effort_curve, optimal_profile, pmp_residual
@@ -262,11 +262,11 @@ def criterion_8() -> tuple[bool, str]:
                 and bool(np.all(sol.v_values <= v_hi + slack))
                 and bool(np.all(sol.theta_values >= th_lo - slack))
                 and bool(np.all(sol.theta_values <= th_hi + slack)))
-    v_end_err = abs(sol.meta["v_right_end"] - vstar)
-    ok = sup_ok and sub_ok and sandwich and v_end_err <= 1e-3
+    v_tail = sol.meta["v_tail"]
+    ok = sup_ok and sub_ok and sandwich and v_tail <= 1e-3
     return ok, (f"supersolution residuals <= 0: {sup_ok}, subsolution "
                 f"residuals >= 0: {sub_ok}, sandwich within 1e-6: {sandwich}, "
-                f"|V(+inf) - 0.5| = {v_end_err:.2e} (tol 1e-3); "
+                f"|V(+inf) - 0.5| = {v_tail:.2e} (tol 1e-3); "
                 f"defect = {sol.meta['defect']:.2e} in "
                 f"{sol.meta['iterations']} iterations")
 
@@ -417,4 +417,5 @@ def run_all(selected=None) -> list[CriterionResult]:
     numbers = selected if selected is not None else [n for n, *_ in CRITERIA]
     for n in numbers:  # an unknown number fails before any criterion runs
         _criterion(n)
+    _linalg()  # loaded before any timer starts, so no criterion pays for it
     return [run_criterion(n) for n in numbers]

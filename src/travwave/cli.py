@@ -238,12 +238,14 @@ def cmd_model2(o: Opts) -> int:
     alpha = alpha_multiplicative(sp)
     sol = solve_vtheta(sp, alpha, params, c)
     print(f"V(+inf) = {sol.meta['v_right_end']:.6f} "
-          f"(V* = {params.v_star:.6f}); "
+          f"(V* = {params.v_star:.6f}, |V - V*| <= "
+          f"{sol.meta['v_tail']:.2e} over the last 5 units); "
           f"iterations = {sol.meta['iterations']}, "
           f"rejected = {sol.meta['rejected']}, "
           f"defect = {sol.meta['defect']:.3g}")
-    return finish(o, {k: sol.meta[k] for k in ("v_right_end", "defect",
-                                                "iterations", "rejected")},
+    return finish(o, {k: sol.meta[k] for k in ("v_right_end", "v_tail",
+                                                "defect", "iterations",
+                                                "rejected")},
                   "(x,u,v,theta) profile", sol.to_csv)
 
 

@@ -153,14 +153,15 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
     P_sharp runs backward in x from its seed at the saddle (1, 0), in two
     legs: to U = u_hat*, where the default substitute's slope drops from
     f' to 0.05 f', then on to P = 0, so that no step straddles the kink.
-    P falls to the axis only where f_hat <= 0, so a0 <= u_hat*.  Where
-    (u_hat*, 0) is a node (c' <= -2 sqrt(f_hat')) the branch may tend to
-    it, and either leg may run out its span at x = -1000: the first short
-    of u_hat*, or the second after the first met u_hat* a rounding below
-    the axis (P <= 0, where the falling-P event cannot fire).  Then
-    a0 = u_hat*.  Above the substitute's speed P_sharp reaches U = 0 first
-    and there is no a0: ConstructionFailureError, as for a run that ends
-    any other way.
+    P falls to the axis only where f_hat <= 0, so a0 <= u_hat*.  How the
+    legs end decides a0.  A second leg that meets P = 0 gives a0 there.
+    A leg that runs out its span at x = -1000 has tended to the node
+    (u_hat*, 0): on the first U falls while P stays positive and f_hat
+    has no other zero there, and the second runs out only from a start
+    at the node a rounding below the axis (P <= 0, where the falling-P
+    event cannot fire).  Then a0 = u_hat*.  Above the substitute's speed
+    P_sharp reaches U = 0 first and there is no a0: ConstructionFailureError,
+    as for a run that ends any other way.
     """
     rhs, u_hat = _planar_rhs(sub_spec, c_prime), sub_spec.u_star
     leg = solve_ivp(rhs, (0.0, -1000.0), _saddle_seed(sub_spec, c_prime, 1.0),
@@ -173,8 +174,7 @@ def _aux_left_end(sub_spec: ModelSpec, c_prime: float) -> float:
                                 (lambda x, y: y[0], -1)))
         if leg.ended == 0:
             return min(float(leg.y[0, -1]), u_hat)
-    node = c_prime < 0.0 and c_prime**2 >= 4.0 * float(sub_spec.df(u_hat))
-    if node and leg.t[-1] == -1000.0:
+    if leg.t[-1] == -1000.0:
         return u_hat
     raise ConstructionFailureError(f"auxiliary orbit not found: P_sharp at "
                                    f"c'={c_prime:g} never falls to the U-axis")

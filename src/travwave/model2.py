@@ -536,21 +536,27 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
     inside the sandwich (to 1e-6) is accepted and doubles delta; any other
     halves it.  delta starts at DELTA0; the loop stops at defect
     DEFECT_TOL or raises NonconvergenceError after TRIALS trials.  The
-    grid spans [-L, L], with L the larger of 35, |x1| + 20 (x1 the
-    subsolution's junction) and 20 / min(|lambda1|, a), snapped to SOLVE_H.
+    grid spans [-L, L], with L the larger of 35, 20 / min(|lambda1|, a)
+    and |x1| + max(20, 10 |c| / (kappa1 V*)), snapped to SOLVE_H: x1 is
+    the subsolution's junction, and past it 1 - Theta decays like
+    exp(-kappa1 V* x / |c|), which V follows to V*.
 
     meta records "iterations" (accepted steps; all are Newton steps, so
     "newton_iterations" is equal), "rejected", the "deltas" of every trial
     and the defect "history" after every accepted step; a DEBUG record
     on the `travwave` logger carries the counts as `vtheta_work`.
+    "v_right_end" is V's Dirichlet value at x = L, V* itself, and "v_tail"
+    the largest |V - V*| over the interior nodes in the last 5 length
+    units: the far-field check that V has reached V* before the boundary.
     """
     if sub is None:
         sub = subsolution(u_profile, alpha, params, c)
     if sup is None:
         sup = supersolution(u_profile, params, c)
     spec2 = spectrum(c, params)
+    tail = max(20.0, 10.0 * abs(c) / (params.kappa1 * params.v_star))
     halfwidth = max(20.0 / min(abs(spec2.lambda1), spec2.a),
-                    abs(sub.meta["x1"]) + 20.0, 35.0)
+                    abs(sub.meta["x1"]) + tail, 35.0)
     # snap the halfwidth to the mesh so the realized spacing is SOLVE_H
     L = SOLVE_H * np.ceil(halfwidth / SOLVE_H)
     n = int(round(2.0 * L / SOLVE_H)) + 1
@@ -637,6 +643,8 @@ def solve_vtheta(u_profile: SpatialProfile, alpha, params: Model2Params,
                             "rejected": work["rejected"], "deltas": deltas,
                             "history": history, "halfwidth": L, "h": h,
                             "v_right_end": float(V[-1]),
+                            "v_tail": float(np.max(np.abs(
+                                V[1:-1][x[1:-1] >= L - 5.0] - vstar))),
                             "theta_right_end": float(Th[-1])})
     return path
 

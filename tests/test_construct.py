@@ -23,7 +23,7 @@ from travwave.errors import (ConstructionFailureError, InvalidParameterError,
 from travwave.model import make_cubic_model
 from travwave.phaseplane import (PhaseTrajectory, integrate_pu,
                                  stable_manifold, unstable_manifold)
-from travwave.speed import make_substitute_spec
+from travwave.speed import _speed, make_substitute_spec
 
 
 def test_bang_crossing_monotone_in_gamma(weed):
@@ -367,6 +367,31 @@ def test_a0_threshold_across_cubic_family(u_star, rate, frac):
     assert 0.0 < a0 <= sub.u_star * (1.0 + 1e-7)
     assert _pcprime_orbit(sub, c_prime, a0 * (1.0 - 1e-7))[0]
     assert not _pcprime_orbit(sub, c_prime, a0 * (1.0 + 1e-7))[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.3, 8.0),
+       frac=st.floats(0.05, 0.95))
+@example(u_star=0.1, rate=1.0, frac=0.3574090869896744)
+@example(u_star=0.07262054709072348, rate=0.9535143627236966, frac=0.1)
+def test_finite_cost_control_across_cubic_family(u_star, rate, frac):
+    # the default substitute, c = c* + frac (c_hat - c*): a0 is where its
+    # P_sharp at c' meets the U-axis, or u_hat* where P_sharp tends to the
+    # node (u_hat*, 0), as at both examples (the first at c = -0.4, the
+    # CLI's `construct --ustar 0.1 --rate 1 --c -0.4`); either way a0
+    # splits the orbits that reach U = 1
+    spec = make_cubic_model(u_star, rate)
+    sub = make_substitute_spec(spec, default_substitute(spec))
+    c_star = math.sqrt(rate / 2.0) * (2.0 * u_star - 1.0)
+    c_hat = _speed(sub)
+    prof = finite_cost_control(spec, c_star + frac * (c_hat - c_star),
+                               c_star=c_star, c_hat=c_hat)
+    a0 = prof.meta["a0"]
+    assert math.isfinite(prof.cost) and prof.cost > 0.0
+    assert prof.delta_margin > 0.0 and prof.meta["p_above_aux"]
+    assert 0.0 < a0 <= sub.u_star
+    assert _pcprime_orbit(sub, prof.c_prime, a0 * (1.0 - 1e-7))[0]
+    assert not _pcprime_orbit(sub, prof.c_prime, a0 * (1.0 + 1e-7))[0]
 
 
 def test_finite_cost_control_work(weed, c_star_weed, monkeypatch):

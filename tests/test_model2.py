@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -20,8 +21,12 @@ from travwave.model import Model2Params, make_cubic_model, make_weed_model
 from travwave.model2 import (c_sharp, case2_demo, char_poly, check_drate,
                              lambda_min, p_at_lambda_min, solve_vtheta,
                              spectrum, subsolution, supersolution)
+from travwave.pmp import optimal_profile
+from travwave.profile import alpha_multiplicative, reconstruct_x
 
 P111 = Model2Params(1.0, 1.0, 1.0)
+# speeds of the Model-2 cubic (c* = -1.05) at which the sandwich is drawn
+M2_SPEEDS = (-0.95, -0.9, -0.8, -0.7)
 
 
 def test_char_poly_values():
@@ -228,24 +233,44 @@ def test_subsolution_near_c_sharp_says_why(m2_pipeline):
                     Model2Params(0.8317, 1.0, 1.0), -0.9)
 
 
-@settings(max_examples=10, deadline=None)
-@given(k1=st.floats(0.3, 3.0), k2=st.floats(0.3, 3.0), d=st.floats(0.3, 3.0))
-@example(k1=1.0, k2=1.0, d=1.0)
-@example(k1=0.8317, k2=1.0, d=1.0)
-def test_sandwich_across_rates(m2_pipeline, k1, k2, d):
-    # criterion 8 at c = -0.9 for rates inside the hypotheses: the death
+@pytest.fixture(scope="module")
+def m2_profiles(m2_pipeline):
+    """(spatial profile, control) of the Model-2 cubic at each M2_SPEEDS,
+    PMP-controlled as in criterion 8."""
+    spec, c_star = m2_pipeline["spec"], m2_pipeline["c_star"]
+    profiles = {}
+    for c in M2_SPEEDS:
+        sp = reconstruct_x(optimal_profile(spec, c, c_star=c_star).trajectory,
+                           spec)
+        profiles[c] = sp, alpha_multiplicative(sp)
+    return profiles
+
+
+@settings(max_examples=12, deadline=None)
+@given(k1=st.floats(0.3, 3.0), k2=st.floats(0.3, 3.0), d=st.floats(0.3, 3.0),
+       c=st.sampled_from(M2_SPEEDS))
+@example(k1=1.0, k2=1.0, d=1.0, c=-0.9)
+@example(k1=0.8317, k2=1.0, d=1.0, c=-0.9)
+@example(k1=1.0, k2=1.0, d=1.0, c=-0.95)
+@example(k1=0.328125, k2=1.90625, d=0.921875, c=-0.8)
+def test_sandwich_across_rates(m2_profiles, k1, k2, d, c):
+    # criterion 8 for rates and speeds inside the hypotheses: the death
     # rate d >= 0.675 of this f (f/u -> -0.675 as u -> 0) and c_sharp < c.
-    # Near c_sharp the subsolution may refuse instead, saying why.
+    # Near c_sharp the subsolution may refuse instead, saying why.  In the
+    # last example 1 - Theta decays at kappa1 V* / |c| = 0.28 past the
+    # junction x1 = 31.7: a grid ending 20 units past x1 left V 1.1e-3
+    # short of V* in its last 5 units
     params, tol = Model2Params(k1, k2, d), 1e-6
-    assume(d >= 0.675 and c_sharp(params) < -0.9)
-    sp, alpha = m2_pipeline["spatial"], m2_pipeline["alpha"]
-    sup = supersolution(sp, params, -0.9)
+    assume(d >= 0.675 and c_sharp(params) < c)
+    sp, alpha = m2_profiles[c]
+    sup = supersolution(sp, params, c)
     try:
-        sub = subsolution(sp, alpha, params, -0.9)
+        sub = subsolution(sp, alpha, params, c)
     except ConstructionFailureError as exc:
         assert "c - c_sharp" in str(exc) and "needs eps <=" in str(exc)
         return
-    sol = solve_vtheta(sp, alpha, params, -0.9, sub=sub, sup=sup)
+    sol = solve_vtheta(sp, alpha, params, c, sub=sub, sup=sup)
+    assert np.max(np.abs(sol.residuals["third"])) <= tol
     assert np.max(sup.residuals["second"]) <= tol
     assert np.max(sup.residuals["third"]) <= tol
     assert np.min(sub.residuals["second"]) >= -tol
@@ -255,7 +280,24 @@ def test_sandwich_across_rates(m2_pipeline, k1, k2, d):
     assert np.all(sol.v_values <= np.minimum(sol.u_values, vstar) + tol)
     assert np.all(sol.theta_values >= sub.theta_at(x) - tol)
     assert np.all(sol.theta_values <= sup.theta_at(x) + tol)
-    assert abs(sol.meta["v_right_end"] - vstar) <= 1e-3
+    assert sol.meta["v_right_end"] == vstar
+    assert sol.meta["v_tail"] <= 1e-3
+
+
+def test_far_field_check_fails_short_of_v_star(m2_pipeline, monkeypatch):
+    # stopped before its first step, the solve returns the subsolution: its
+    # boundary value is V*, but V stays 7.5e-3 short of V* over the last 5
+    # units, which v_tail reports and criterion 8 refuses
+    sup, sub, _ = acc._m2_sandwich()
+    monkeypatch.setattr(model2, "DEFECT_TOL", math.inf)
+    sol = solve_vtheta(m2_pipeline["spatial"], m2_pipeline["alpha"],
+                       m2_pipeline["params"], -0.9, sub=sub, sup=sup)
+    assert sol.meta["iterations"] == 0 and sol.meta["v_right_end"] == 0.5
+    assert sol.meta["v_tail"] > 1e-3
+    monkeypatch.setattr(acc, "_m2_sandwich", lambda: (sup, sub, sol))
+    ok, details = acc.criterion_8()
+    assert not ok and "sandwich within 1e-6: True" in details
+    assert f"|V(+inf) - 0.5| = {sol.meta['v_tail']:.2e}" in details
 
 
 def test_solution_theta_identity(m2_pipeline):
@@ -265,7 +307,7 @@ def test_solution_theta_identity(m2_pipeline):
     assert np.max(np.abs(sol.residuals["third"])) <= 1e-8
     assert np.max(np.abs(sol.residuals["second"])) <= 1e-6
     assert sol.meta["theta_right_end"] >= 1.0 - 1e-3
-    assert abs(sol.meta["v_right_end"] - 0.5) <= 1e-3
+    assert sol.meta["v_tail"] <= 1e-3
     # asymptotic targets at the left end
     assert abs(sol.v_values[0]) <= 1e-3 and abs(sol.theta_values[0]) <= 1e-3
 

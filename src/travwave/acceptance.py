@@ -393,6 +393,11 @@ CRITERIA = [
 ]
 
 
+# the criteria that run a banded solve, the first of which would otherwise
+# time scipy.linalg's import (see model2._linalg)
+BANDED = frozenset({8, 9, 11})
+
+
 def _criterion(number: int) -> tuple:
     """The CRITERIA row numbered `number`; anything else is a ConfigError."""
     for row in CRITERIA:
@@ -417,5 +422,6 @@ def run_all(selected=None) -> list[CriterionResult]:
     numbers = selected if selected is not None else [n for n, *_ in CRITERIA]
     for n in numbers:  # an unknown number fails before any criterion runs
         _criterion(n)
-    _linalg()  # loaded before any timer starts, so no criterion pays for it
+    if BANDED.intersection(numbers):
+        _linalg()  # loaded before any timer starts: no criterion pays for it
     return [run_criterion(n) for n in numbers]

@@ -31,14 +31,16 @@ def test_criterion(number):
 
 def test_run_all_times_no_import():
     # a fresh interpreter, as `travwave verify` starts: scipy.linalg is
-    # loaded before the first criterion's timer starts, so the first
-    # banded solve of the run does not charge its import to a criterion
+    # loaded before the first timer of a selection with a banded solve
+    # starts, so no criterion is charged its import, and a selection
+    # without one does not load it; each probe reads whether it is loaded
     code = ("import sys\n"
             "import travwave.acceptance as acc\n"
-            "acc.CRITERIA.append((99, 'probe', lambda: "
-            "('scipy.linalg' in sys.modules, ''), 1.0))\n"
-            "print(acc.run_all([99])[0].passed)\n")
+            "probe = lambda: ('scipy.linalg' in sys.modules, '')\n"
+            "acc.CRITERIA[0] = (1, 'probe', probe, 1.0)\n"
+            "acc.CRITERIA[7] = (8, 'probe', probe, 1.0)\n"
+            "print([acc.run_all([n])[0].passed for n in (1, 8)])\n")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out == "True\n"
+    assert out == "[False, True]\n"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -310,18 +309,6 @@ def test_csv_and_json_artifacts(tmp_path, capsys, cached_profiles, argv,
         res = payload["results"]
         assert (f"iterations = {res['iterations']}, "
                 f"rejected = {res['rejected']}") in out
-
-
-def test_construct_where_p_sharp_tends_to_the_threshold_node(capsys):
-    # the substitute's P_sharp at c' tends to its node (u_hat*, 0), so
-    # a0 = u_hat*; the constructed cost bounds the optimal effort above
-    model = ["--model", "cubic", "--ustar", "0.1", "--rate", "1",
-             "--c", "-0.4"]
-    assert main(["construct", *model]) == 0
-    assert main(["optimal", *model]) == 0
-    built, best = (float(line.split("cost = ")[1].split()[0])
-                   for line in capsys.readouterr().out.splitlines())
-    assert math.isfinite(built) and built >= best > 0.0
 
 
 @pytest.mark.parametrize("with_out", [False, True])

@@ -371,21 +371,23 @@ def test_a0_threshold_across_cubic_family(u_star, rate, frac):
 
 @settings(max_examples=10, deadline=None)
 @given(u_star=st.floats(0.05, 0.45), rate=st.floats(0.3, 8.0),
-       frac=st.floats(0.05, 0.95))
-@example(u_star=0.1, rate=1.0, frac=0.3574090869896744)
-@example(u_star=0.07262054709072348, rate=0.9535143627236966, frac=0.1)
-def test_finite_cost_control_across_cubic_family(u_star, rate, frac):
-    # the default substitute, c = c* + frac (c_hat - c*): a0 is where its
-    # P_sharp at c' meets the U-axis, or u_hat* where P_sharp tends to the
-    # node (u_hat*, 0), as at both examples (the first at c = -0.4, the
-    # CLI's `construct --ustar 0.1 --rate 1 --c -0.4`); either way a0
-    # splits the orbits that reach U = 1
+       frac=st.floats(0.05, 0.95), c=st.none())
+@example(u_star=0.1, rate=1.0, frac=None, c=-0.4)
+@example(u_star=0.07262054709072348, rate=0.9535143627236966, frac=0.1,
+         c=None)
+def test_finite_cost_control_across_cubic_family(u_star, rate, frac, c):
+    # the default substitute, c = c* + frac (c_hat - c*) unless an example
+    # names c: a0 is where its P_sharp at c' meets the U-axis, or u_hat*
+    # where P_sharp tends to the node (u_hat*, 0), as at both examples (the
+    # first is `travwave construct --model cubic --ustar 0.1 --rate 1
+    # --c -0.4`); either way a0 splits the orbits that reach U = 1
     spec = make_cubic_model(u_star, rate)
     sub = make_substitute_spec(spec, default_substitute(spec))
     c_star = math.sqrt(rate / 2.0) * (2.0 * u_star - 1.0)
     c_hat = _speed(sub)
-    prof = finite_cost_control(spec, c_star + frac * (c_hat - c_star),
-                               c_star=c_star, c_hat=c_hat)
+    if c is None:
+        c = c_star + frac * (c_hat - c_star)
+    prof = finite_cost_control(spec, c, c_star=c_star, c_hat=c_hat)
     a0 = prof.meta["a0"]
     assert math.isfinite(prof.cost) and prof.cost > 0.0
     assert prof.delta_margin > 0.0 and prof.meta["p_above_aux"]

@@ -37,9 +37,11 @@ from travwave.phaseplane import (P_COLLAPSE, stable_manifold,
                                  unstable_manifold)
 from travwave.speed import make_substitute_spec, manifold_gap
 
-# end-state bound against the tight scipy run, ten times the farthest end
-# either driver reached in the P_c' start scan below
-NEAR_TIGHT = 1e-8
+# bound for a run whose two drivers part by more than its own rtol as the
+# start's last bits move: each end state against the tight scipy run, and
+# the two dense solutions at the package's nodes; about five times the
+# farthest either reached in the P_c' start scan below
+NEAR_TIGHT = 1e-7
 
 
 def _scipy_events(events) -> list:
@@ -101,16 +103,27 @@ def _end_distances(sol, ref) -> str:
             f"scipy {np.max(np.abs(ref.y[:, -1] - y)):.2g}")
 
 
+def _assert_same_dense(sol, ref, rtol) -> None:
+    """Both runs have a dense solution or neither, and the two agree to
+    rtol max(1, |y|) at the package's nodes."""
+    assert (sol.sol is None) == (ref.sol is None)
+    if sol.sol is not None:
+        assert _close(sol.sol(sol.t), ref.sol(sol.t), rtol), \
+            "dense solutions part"
+
+
 def _assert_near_tight(runs, rtol) -> None:
-    """Each driver's end state within rtol max(1, |y|) of the tight scipy
-    run: the check for a run whose two drivers part by more than the run's
-    own rtol as the start's last bits move."""
+    """The check for a run whose two drivers part by more than the run's
+    own rtol as the start's last bits move: the same ending event, each
+    driver's end state within rtol max(1, |y|) of the tight scipy run, and
+    the dense solutions within rtol of each other."""
     assert runs
     for sol, ref, _ in runs:
         assert sol.ended is not None and sol.ended == _ended(ref)
         y = ref.tight().y[:, -1]
         assert all(_close(run.y[:, -1], y, rtol) for run in (sol, ref)), \
             _end_distances(sol, ref)
+        _assert_same_dense(sol, ref, rtol)
 
 
 def _assert_same_runs(runs) -> None:
@@ -119,9 +132,7 @@ def _assert_same_runs(runs) -> None:
         assert sol.ended is not None and sol.ended == _ended(ref)
         assert _close(sol.y[:, -1], ref.y[:, -1], rtol), \
             _end_distances(sol, ref)
-        assert (sol.sol is None) == (ref.sol is None)
-        if sol.sol is not None:
-            assert _close(sol.sol(sol.t), ref.sol(sol.t), rtol)
+        _assert_same_dense(sol, ref, rtol)
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +174,12 @@ def test_chart_runs_end_as_scipy_s(weed, monkeypatch):
 
 def test_the_p_c_prime_orbit_ends_as_scipy_s(weed, monkeypatch):
     # finite_cost_control's orbit at c = 0 from 0.75 a0, which reaches
-    # U = 1.  As the start's last bits move the two drivers part by up to
-    # 4.1e-11, beyond the run's rtol 1e-11, so each is held to the tight
-    # scipy run instead: over 183 starts 0.75 a0 (1 + k 1e-12) at three c'
-    # the package ended at most 2.1e-10 from it and scipy 1.0e-9
+    # U = 1 close by the saddle (1, 0), so a step's error grows on the way
+    # there.  As the start's last bits move the two drivers part by more
+    # than the run's rtol 1e-11, so each is held to the tight scipy run:
+    # over the 601 starts 0.75 a0 (1 + k 1e-12), |k| <= 300, the median
+    # end lay 3e-12 from it, the farthest 1.6e-8 (package) and 2.1e-8
+    # (scipy), and the dense solutions parted by at most 2.2e-8
     sub = make_substitute_spec(weed, cc.default_substitute(weed))
     c_prime = 0.5 * acc._c_hat()
     a = 0.75 * cc._aux_left_end(sub, c_prime)
@@ -188,6 +201,18 @@ def test_a_parted_end_state_names_each_driver_s_distance(weed, monkeypatch):
                            match=r"rtol 1e-13: package 0\.001, "
                                  r"scipy \d(\.\d)?e-1[0-6]\b"):
             check(runs)
+
+
+def test_a_parted_dense_solution_fails_the_near_tight_check(weed,
+                                                           monkeypatch):
+    sub = make_substitute_spec(weed, cc.default_substitute(weed))
+    runs = _twins(monkeypatch, cc)
+    cc._pcprime_orbit(sub, 0.5 * acc._c_hat(), 0.1)
+    _assert_near_tight(runs, NEAR_TIGHT)
+    sol = runs[0][0]
+    sol.sol = lambda t, dense=sol.sol: dense(t) + 1e-3
+    with pytest.raises(AssertionError, match="dense solutions part"):
+        _assert_near_tight(runs, NEAR_TIGHT)
 
 
 def test_the_model_2_subsolution_arc_ends_as_scipy_s(m2_pipeline,
